@@ -37,7 +37,8 @@ VRC007   warning   ``except Exception:`` / bare ``except:`` in library
                    (SimulationError and friends), silently converting
                    failures the sweep/fuzz drivers must see into wrong
                    results; catch specific types or re-raise
-VRC008   warning   ``stats.inc("key")`` / ``.set`` / ``.max`` with a
+VRC008   warning   ``stats.inc("key")`` / ``.set`` / ``.max`` /
+                   ``.batch("key", ...)`` with a
                    literal counter key missing from the central
                    registry (:data:`repro.stats.names.COUNTER_NAMES`)
                    — counter keys are stringly typed, so a typo
@@ -220,8 +221,9 @@ _SQLITE_ALLOWED_DIRS = ("ledger", "tests", "benchmarks", "examples",
 _BUS_SLOT_NAMES = frozenset({"faults", "telemetry", "metrics", "profile",
                              "sanitizer", "tracer"})
 
-#: Stats mutators whose first argument is a counter key (VRC008)
-_COUNTER_KEY_METHODS = frozenset({"inc", "set", "max"})
+#: Stats methods that name counter keys (VRC008): the mutators' first
+#: argument, every argument of ``batch``
+_COUNTER_KEY_METHODS = frozenset({"inc", "set", "max", "batch"})
 
 #: exception names broad enough to swallow SimulationError (VRC007)
 _BROAD_EXCEPTION_NAMES = frozenset({
@@ -419,15 +421,16 @@ class _Visitor(ast.NodeVisitor):
                 and func.attr in _COUNTER_KEY_METHODS
                 and self._stats_receiver(func.value)):
             return
-        if not node.args:
-            return
-        key = node.args[0]
-        if isinstance(key, ast.Constant) and isinstance(key.value, str) \
-                and key.value not in COUNTER_NAMES:
-            self._emit("VRC008", node,
-                       f"counter key {key.value!r} is not in "
-                       f"repro.stats.names.COUNTER_NAMES; register it "
-                       f"there (or suppress a deliberate scratch counter)")
+        # every argument of batch() is a key; the mutators take one
+        keys = node.args if func.attr == "batch" else node.args[:1]
+        for key in keys:
+            if isinstance(key, ast.Constant) and isinstance(key.value, str) \
+                    and key.value not in COUNTER_NAMES:
+                self._emit("VRC008", node,
+                           f"counter key {key.value!r} is not in "
+                           f"repro.stats.names.COUNTER_NAMES; register it "
+                           f"there (or suppress a deliberate scratch "
+                           f"counter)")
 
     def _check_print(self, node: ast.Call) -> None:
         if self._print_exempt:

@@ -72,6 +72,7 @@ from . import workloads
 from .core.engine import ENGINES
 from .experiments import ALL_EXPERIMENTS
 from .system import CORE_TYPES, RunConfig, run_config
+from .virec import POLICIES
 
 
 def _cmd_experiments(args) -> int:
@@ -701,7 +702,7 @@ def _add_config_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cores", type=int, default=1)
     p.add_argument("--per-thread", type=int, default=64)
     p.add_argument("--context", type=float, default=0.8)
-    p.add_argument("--policy", default="lrc")
+    p.add_argument("--policy", default="lrc", choices=sorted(POLICIES))
     p.add_argument("--dcache-kb", type=int, default=8)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--sanitize", nargs="?", const="commit", default=None,
@@ -776,6 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-run with this core type and print per-cause/"
                         "per-PC cycle deltas (other vs base)")
     p.add_argument("--diff-policy", metavar="POLICY",
+                   choices=sorted(POLICIES),
                    help="re-run with this replacement policy and print "
                         "per-cause/per-PC cycle deltas (other vs base)")
     p.add_argument("--flame", metavar="PATH",

@@ -36,9 +36,10 @@ Subclass hooks (all optional):
 ``on_commit(thread, op, t_commit)``
     Commit detection logic (rollback-queue pop, C-bit confirm, dead-hint
     marking).  Also receives the :class:`~repro.isa.decoded.DecodedOp`.
-``on_flush(thread, insts, t)``
-    Pipeline flush on a context switch; receives the flushed instructions
-    (the missing load plus the younger instructions already in decode).
+``on_flush(thread, ops, t)``
+    Pipeline flush on a context switch; receives the flushed instructions'
+    :class:`~repro.isa.decoded.DecodedOp` records (the missing load plus
+    the younger instructions already in decode).
 ``switch_in(thread, t)``
     Returns the cycle the new thread's first instruction can enter decode
     (context restore cost lives here).
@@ -384,7 +385,7 @@ class TimelineCore:
     def on_commit(self, thread: ThreadContext, op: DecodedOp, t_commit: int) -> None:
         pass
 
-    def on_flush(self, thread: ThreadContext, insts: List[Instruction], t: int) -> None:
+    def on_flush(self, thread: ThreadContext, ops: List[DecodedOp], t: int) -> None:
         pass
 
     def switch_in(self, thread: ThreadContext, t: int) -> int:
@@ -853,19 +854,19 @@ class TimelineCore:
             stats.inc("taken_branches")
 
     # -------------------------------------------------------- context switch
-    def _flushed_window(self, thread: ThreadContext) -> List[Instruction]:
+    def _flushed_window(self, thread: ThreadContext) -> List[DecodedOp]:
         """The missing load plus younger instructions already in the frontend."""
         dops = self._dops
-        insts = [dops[thread.pc].inst]
+        flushed = [dops[thread.pc]]
         pc = thread.pc + 1
         for _ in range(2):  # frontend depth between MEM and decode
             if pc < len(dops):
                 nxt = dops[pc]
-                insts.append(nxt.inst)
+                flushed.append(nxt)
                 if nxt.is_branch or nxt.is_halt:
                     break
                 pc += 1
-        return insts
+        return flushed
 
     def _handle_miss_switch(self, thread: ThreadContext, inst: Instruction,
                             t_mem_issue: int, access_result) -> bool:

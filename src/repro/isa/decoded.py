@@ -47,7 +47,8 @@ class DecodedOp:
     __slots__ = ("inst", "pc", "srcs", "src_reads", "dests", "reads_flags",
                  "sets_flags", "is_load", "is_store", "is_branch", "is_halt",
                  "ex_latency", "addr", "line", "rd", "has_regs", "regs",
-                 "is_mem", "kill_flats", "last_use_flats", "dead_dest_flats")
+                 "plan", "is_mem", "kill_flats", "last_use_flats",
+                 "dead_dest_flats")
 
     def __init__(self, pc: int, inst: Instruction, line_bytes: int) -> None:
         self.inst = inst
@@ -70,9 +71,13 @@ class DecodedOp:
         self.line: int = self.addr // line_bytes
         self.rd: Optional[Reg] = inst.rd
         self.has_regs: bool = bool(inst.regs)
-        #: mirrored so a DecodedOp duck-types as an Instruction for the
-        #: VRMU access/flush paths (which read only ``regs``/``dests``)
+        #: mirrored so a DecodedOp duck-types as an Instruction wherever a
+        #: register list is read (trace recorders, flush windows)
         self.regs: Tuple[Reg, ...] = inst.regs
+        #: the VRMU's operand access plan: ``(reg, flat, is_dest, is_src)``
+        #: per operand, so ``VRMU.access`` makes no per-execution membership
+        #: test against ``srcs``/``dests`` and hashes no :class:`Reg`
+        self.plan: Tuple[Tuple[Reg, int, bool, bool], ...] = inst.plan
         self.is_mem: bool = inst.is_mem
         #: static liveness hints, ``None`` until
         #: :func:`repro.analysis.dataflow.annotate` fills them; tuples of

@@ -221,6 +221,18 @@ class Instruction:
 
     # -- classification ----------------------------------------------------
     @property
+    def plan(self) -> Tuple[Tuple[Reg, int, bool, bool], ...]:
+        """The register-cache accesses this instruction makes at decode:
+        ``(reg, flat index, is a destination, is a source)`` per operand,
+        in ``regs`` order.  A written operand is dirty on a hit and needs
+        no old value on a miss (dummy fill); a read operand's miss is a
+        latency-critical fill.  :class:`~repro.isa.decoded.DecodedOp`
+        materializes this once per static instruction for the VRMU.
+        """
+        return tuple((r, r.flat, r in self.dests, r in self.srcs)
+                     for r in self.regs)
+
+    @property
     def is_load(self) -> bool:
         return self.opcode == Opcode.LDR
 

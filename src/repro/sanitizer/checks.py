@@ -9,12 +9,14 @@ Invariant taxonomy (ids appear in the raised violation and in
 ``docs/correctness.md``):
 
 ``tagstore.bijection``
-    The (thread, arch-reg) -> physical-slot map and the per-slot tag arrays
+    The (thread, arch-reg) -> physical-slot map and the per-slot tag lists
     must describe the same bijection: no dangling mappings, no duplicate
-    slots, tags matching the map, and a valid count equal to the map size.
+    slots, tags matching the map, a valid count equal to the map size, and
+    per-thread resident counts matching the owner tags.
 ``policy.word``
     LRC/MRT priority-word well-formedness: T in [0, 7], C in {0, 1}, A in
-    [0, 7] on every valid slot (3/1/3-bit hardware fields, Section 5.1).
+    [0, 7], D in {0, 1} on every valid slot (3/1/3-bit hardware fields,
+    Section 5.1), and no stored bit in the word's lazy age field.
 ``policy.order``
     Eviction-order consistency: the victim the policy selects over the
     currently evictable slots must carry the maximum eviction priority.
@@ -32,10 +34,11 @@ Invariant taxonomy (ids appear in the raised violation and in
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional
 
 from ..errors import SanitizerViolation
-from ..virec.policies import A_MAX, T_MAX
+from ..virec.policies import A_MAX, WORD_MAX
 
 
 def _v(invariant: str, message: str, cycle: int, core_id: int,
@@ -52,7 +55,7 @@ def check_tagstore(core, cycle: int) -> Optional[SanitizerViolation]:
     ts = vrmu.tagstore
     cid = core.core_id
     mapped = len(ts._map)
-    valid = int(ts.valid.sum())
+    valid = sum(ts.valid)
     if mapped != valid:
         return _v("tagstore.bijection",
                   f"{mapped} mapped registers but {valid} valid slots",
@@ -69,10 +72,10 @@ def check_tagstore(core, cycle: int) -> Optional[SanitizerViolation]:
                       f"mapping ({tid}, {areg}) points at invalid slot "
                       f"{slot} (dangling)", cycle, cid,
                       tid=tid, areg=areg, slot=slot)
-        if int(ts.owner[slot]) != tid or int(ts.areg[slot]) != areg:
+        if ts.owner[slot] != tid or ts.areg[slot] != areg:
             return _v("tagstore.bijection",
-                      f"slot {slot} tags ({int(ts.owner[slot])}, "
-                      f"{int(ts.areg[slot])}) disagree with map entry "
+                      f"slot {slot} tags ({ts.owner[slot]}, "
+                      f"{ts.areg[slot]}) disagree with map entry "
                       f"({tid}, {areg})", cycle, cid,
                       tid=tid, areg=areg, slot=slot)
         if slot in seen_slots:
@@ -80,6 +83,11 @@ def check_tagstore(core, cycle: int) -> Optional[SanitizerViolation]:
                       f"two mappings share physical slot {slot}", cycle,
                       cid, slot=slot)
         seen_slots.add(slot)
+    owners = Counter(ts.owner[slot] for slot in seen_slots)
+    if ts._resident != owners:
+        return _v("tagstore.bijection",
+                  f"per-thread resident counts {dict(ts._resident)} disagree "
+                  f"with the owner tags {dict(owners)}", cycle, cid)
     return None
 
 
@@ -91,18 +99,19 @@ def check_policy(core, cycle: int) -> Optional[SanitizerViolation]:
     ts = vrmu.tagstore
     pol = ts.policy
     cid = core.core_id
-    for slot in map(int, ts.valid_slots()):
-        t_bits, c_bit, a_bits = (int(pol.T[slot]), int(pol.C[slot]),
-                                 int(pol.A[slot]))
-        d_bit = int(pol.D[slot])
-        if not (0 <= t_bits <= T_MAX and c_bit in (0, 1)
-                and 0 <= a_bits <= A_MAX and d_bit in (0, 1)):
+    for slot in ts.valid_slots():
+        word, age = pol.word[slot], pol.age(slot)
+        if not (0 <= word <= WORD_MAX and not word & A_MAX
+                and 0 <= age <= A_MAX):
+            fields = {k: v for k, v in pol.describe(slot).items()
+                      if k != "prio"}
             return _v("policy.word",
-                      f"slot {slot} priority word out of range: "
-                      f"T={t_bits} C={c_bit} A={a_bits} D={d_bit} "
-                      f"(need T<={T_MAX}, C in 0/1, A<={A_MAX}, D in 0/1)",
-                      cycle, cid, slot=slot, T=t_bits, C=c_bit, A=a_bits,
-                      D=d_bit)
+                      f"slot {slot} priority word {word:#x} out of range: "
+                      + " ".join(f"{k}={v}" for k, v in fields.items())
+                      + f" (need 0 <= word <= {WORD_MAX:#x} with the age "
+                      f"bits unset: 3-bit T, 1-bit C, 1-bit D; and "
+                      f"0 <= A <= {A_MAX})",
+                      cycle, cid, slot=slot, **fields)
     # eviction-order consistency: whoever the policy would evict right now
     # must carry the maximum priority among the evictable candidates.
     # Only the pure argmax policies are probed (the dead-hint variants
@@ -112,21 +121,22 @@ def check_policy(core, cycle: int) -> Optional[SanitizerViolation]:
     if pol.name not in ("plru", "lru", "mrt-plru", "mrt-lru", "lrc",
                         "dead-first", "dead-elide"):
         return None
-    candidates = ts.valid & (ts.fill_ready <= getattr(core, "now", cycle))
-    if candidates.any():
-        prio = pol.priority()
-        victim = pol.select_victim(candidates.copy())
+    now = getattr(core, "now", cycle)
+    candidates = [slot for slot in ts.valid_slots()
+                  if ts.fill_ready[slot] <= now]
+    if candidates:
+        victim = pol.select_victim(candidates)
         if victim is None:
             return _v("policy.order",
                       "policy returned no victim over a non-empty "
                       "candidate set", cycle, cid)
-        best = int(prio[candidates].max())
-        if int(prio[victim]) != best:
+        best = max(map(pol.priority, candidates))
+        if pol.priority(victim) != best:
             return _v("policy.order",
                       f"policy picked slot {victim} (priority "
-                      f"{int(prio[victim])}) but the maximum evictable "
+                      f"{pol.priority(victim)}) but the maximum evictable "
                       f"priority is {best}", cycle, cid,
-                      victim=victim, victim_priority=int(prio[victim]),
+                      victim=victim, victim_priority=pol.priority(victim),
                       max_priority=best)
     return None
 

@@ -122,6 +122,10 @@ class RunConfig:
             raise ValueError("context_fraction out of range")
         if self.dram_preset not in ("ddr5", "hbm"):
             raise ValueError(f"unknown dram preset {self.dram_preset!r}")
+        from ..virec.policies import POLICIES
+        if self.policy not in POLICIES:  # validate eagerly
+            raise ValueError(f"unknown policy {self.policy!r}; "
+                             f"choose from {sorted(POLICIES)}")
         if self.faults is not None:
             from ..faults import FaultConfig
             FaultConfig.from_spec(self.faults)  # validate eagerly

@@ -104,19 +104,15 @@ class RegisterCacheMonitor:
         def access(tid, inst, t):
             self._access_count += 1
             if self._access_count % self.period == 0:
-                per_thread = {
-                    int(o): int(((ts.owner == o) & ts.valid).sum())
-                    for o in sorted(set(ts.owner[ts.valid].tolist()))
-                }
                 self.report.samples.append(OccupancySample(
                     instruction_index=self._access_count,
-                    per_thread=per_thread,
-                    free=int((~ts.valid).sum())))
+                    per_thread=ts.occupancy_by_thread(),
+                    free=ts.capacity - ts.resident_count()))
             self._current_tid = tid
             return orig_access(tid, inst, t)
 
         def evict(slot):
-            owner = int(ts.owner[slot])
+            owner = ts.owner[slot]
             running = getattr(self, "_current_tid", 0)
             distance = (owner - running) % max(1, n_threads)
             self._distance[distance] += 1

@@ -25,7 +25,6 @@ from ..analysis.dataflow import annotate
 from ..core.base import CoreConfig, ThreadContext, TimelineCore
 from ..core.cgmt import ContextLayout
 from ..isa.decoded import DecodedOp
-from ..isa.instructions import Instruction
 from ..stats.counters import Stats
 from .bsi import BackingStoreInterface
 from .csl import SysRegBuffer
@@ -106,9 +105,9 @@ class ViReCCore(TimelineCore):
         if op.has_regs:
             self.vrmu.on_commit(thread.tid, op)
 
-    def on_flush(self, thread: ThreadContext, insts: List[Instruction],
+    def on_flush(self, thread: ThreadContext, ops: List[DecodedOp],
                  t: int) -> None:
-        self.vrmu.on_flush(thread.tid, insts)
+        self.vrmu.on_flush(thread.tid, ops)
 
     def switch_extra_wait(self, t: int) -> int:
         # CSL mask: no switch while a register fill/spill is outstanding

@@ -25,10 +25,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..stats.counters import Stats
 from .policies import make_policy
+from .tagstore import TagStore
 
 
 @dataclass
@@ -145,48 +143,34 @@ def simulate_trace(trace: RegisterTrace, capacity: int,
 
 def _simulate_policy(trace: RegisterTrace, capacity: int,
                      name: str) -> ReplayResult:
-    pol = make_policy(name, capacity)
-    valid = np.zeros(capacity, dtype=bool)
-    owner = np.full(capacity, -1, dtype=np.int64)
-    slot_of: Dict[Tuple[int, int], int] = {}
-    key_of: Dict[int, Tuple[int, int]] = {}
+    ts = TagStore(capacity, make_policy(name, capacity))
     hits = misses = 0
 
     for event in trace.events:
         if event.kind == "switch":
-            pol.on_context_switch(owner, valid, event.tid, event.new_tid)
+            ts.on_context_switch(event.tid, event.new_tid)
             continue
         if event.kind == "flush":
-            slots = [slot_of[(event.tid, r)] for r in event.regs
-                     if (event.tid, r) in slot_of]
-            pol.on_flush(slots)
+            slots = [ts.lookup(event.tid, r) for r in event.regs]
+            ts.policy.on_flush(s for s in slots if s is not None)
             continue
-        pol.on_instruction(valid)
+        ts.on_instruction()
         inst_slots = []
         for reg in event.regs:
-            key = (event.tid, reg)
-            slot = slot_of.get(key)
+            slot = ts.lookup(event.tid, reg)
             if slot is not None:
                 hits += 1
-                pol.on_access(slot)
+                ts.touch(slot, is_write=False)
             else:
                 misses += 1
-                free = np.flatnonzero(~valid)
-                if free.size:
-                    slot = int(free[0])
-                else:
-                    cand = valid.copy()
-                    for s in inst_slots:
-                        cand[s] = False
-                    slot = pol.select_victim(cand)
+                slot = ts.free_slot()
+                if slot is None:
+                    # reference-level replay: no fill is ever in flight
+                    slot = ts.select_victim(inst_slots, now=0)
                     if slot is None:  # pragma: no cover - capacity guard
-                        slot = int(np.flatnonzero(valid)[0])
-                    del slot_of[key_of[slot]]
-                valid[slot] = True
-                owner[slot] = event.tid
-                slot_of[key] = slot
-                key_of[slot] = key
-                pol.on_insert(slot)
+                        slot = ts.valid_slots()[0]
+                    ts.evict(slot)
+                ts.insert(slot, event.tid, reg, now=0)
             inst_slots.append(slot)
     return ReplayResult(name, capacity, hits, misses)
 

@@ -26,6 +26,14 @@ Metadata fields per entry (Table in Section 5.1: T/C/A = 3/1/3 bits):
     (never read again before redefinition); cleared whenever the register
     is re-accessed.  Only the ``dead-*`` policies consume it.
 
+Data layout.  The hardware keeps one concatenated priority word per entry
+and so does this module: ``word[slot]`` holds ``D<<7 | T<<4 | C<<3`` as one
+Python int, and the low three bits — the age — are never stored.  Age is
+*lazy*: ``A = min(7, clock - zeroed_at[slot])``, so "one more instruction
+accessed the register file, age everyone" is a single clock increment
+instead of a pass over the entries.  The ``T``/``C``/``A``/``D`` properties
+decode the fields for introspection and tests.
+
 Implemented policies and their priority functions:
 
 =============  ==============================================
@@ -46,12 +54,21 @@ VRC009 flags ad-hoc subclass construction in library code.
 
 from __future__ import annotations
 
-from typing import Dict, Type
-
-import numpy as np
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Type
 
 A_MAX = 7  # 3-bit age
 T_MAX = 7  # 3-bit thread recency
+
+# static fields of the priority word (the age occupies bits 0-2)
+C_BIT = 1 << 3
+T_SHIFT = 4
+T_ONE = 1 << T_SHIFT
+T_MASK = T_MAX << T_SHIFT
+D_SHIFT = 7
+D_BIT = 1 << D_SHIFT
+LRC_MASK = T_MASK | C_BIT
+#: largest well-formed stored word (VSan ``policy.word``)
+WORD_MAX = D_BIT | T_MASK | C_BIT
 
 #: policy-name -> class factory table; populated by :func:`register_policy`
 POLICIES: Dict[str, Type["ReplacementPolicy"]] = {}
@@ -64,7 +81,7 @@ def register_policy(cls: Type["ReplacementPolicy"]) -> Type["ReplacementPolicy"]
 
 
 class ReplacementPolicy:
-    """Base class holding the T/C/A/D metadata arrays."""
+    """Base class holding the per-entry priority words."""
 
     #: subclass name used by :meth:`from_spec`
     name = "base"
@@ -82,11 +99,12 @@ class ReplacementPolicy:
         if capacity < 1:
             raise ValueError("policy capacity must be >= 1")
         self.capacity = capacity
-        self.T = np.zeros(capacity, dtype=np.int64)
-        self.C = np.ones(capacity, dtype=np.int64)
-        self.A = np.zeros(capacity, dtype=np.int64)
-        self.D = np.zeros(capacity, dtype=np.int64)  # dead-on-commit hint
-        self.stamp = np.zeros(capacity, dtype=np.int64)  # exact recency
+        #: ``D<<7 | T<<4 | C<<3`` per entry (T=0, C=1, D=0 at reset)
+        self.word = [C_BIT] * capacity
+        #: clock value at which each entry's age was last zeroed
+        self.zeroed_at = [0] * capacity
+        #: clock value of each entry's last access (exact recency)
+        self.stamp = [0] * capacity
         self._clock = 0
 
     @classmethod
@@ -100,63 +118,97 @@ class ReplacementPolicy:
         return policy_cls(capacity)
 
     # -- event hooks --------------------------------------------------------
-    def on_instruction(self, valid: np.ndarray) -> None:
+    def on_instruction(self) -> None:
         """One instruction accessed the register file: age everyone."""
         self._clock += 1
-        np.minimum(self.A + 1, A_MAX, out=self.A, where=valid)
 
-    def on_access(self, idx: int) -> None:
-        """Entry ``idx`` was referenced by the current instruction."""
-        self.A[idx] = 0
-        self.C[idx] = 1  # speculative commit initialization (Section 5.1)
-        self.T[idx] = 0  # belongs to the running thread by construction
-        self.D[idx] = 0  # referenced again: no longer dead
-        self.stamp[idx] = self._clock
+    def on_access(self, slot: int) -> None:
+        """Entry ``slot`` was referenced by the current instruction."""
+        # T=0: it belongs to the running thread by construction; C=1:
+        # speculative commit initialization (Section 5.1); D=0: referenced
+        # again, so no longer dead
+        self.word[slot] = C_BIT
+        self.zeroed_at[slot] = self.stamp[slot] = self._clock
 
-    def on_insert(self, idx: int) -> None:
-        self.on_access(idx)
+    def on_insert(self, slot: int) -> None:
+        self.on_access(slot)
 
-    def on_flush(self, idxs) -> None:
+    def on_flush(self, slots: Iterable[int]) -> None:
         """Rollback queue resets the C bit of flushed in-flight registers."""
-        for idx in idxs:
-            self.C[idx] = 0
+        word = self.word
+        for slot in slots:
+            word[slot] &= ~C_BIT
 
-    def mark_dead(self, idx: int) -> None:
+    def reset_age(self, slot: int) -> None:
+        """Zero the age of ``slot`` without counting an access (the decode
+        stage touched a flushed youngster's register just before a switch)."""
+        self.zeroed_at[slot] = self._clock
+
+    def mark_dead(self, slot: int) -> None:
         """Commit-time liveness hint: this entry's value is never read
         again before redefinition.  Cleared by the next :meth:`on_access`."""
-        self.D[idx] = 1
+        self.word[slot] |= D_BIT
 
-    def on_context_switch(self, owner: np.ndarray, valid: np.ndarray,
-                          prev_tid: int, new_tid: int) -> None:
-        """Update T bits per Section 5.1."""
-        prev_mask = valid & (owner == prev_tid)
-        other_mask = valid & (owner != prev_tid)
-        self.T[prev_mask] = T_MAX
-        np.maximum(self.T - 1, 0, out=self.T, where=other_mask)
-        self.T[valid & (owner == new_tid)] = 0
+    def is_dead(self, slot: int) -> bool:
+        return self.word[slot] >= D_BIT
+
+    def on_context_switch(self, owner: Sequence[int], prev_tid: int,
+                          new_tid: int) -> None:
+        """Update T bits per Section 5.1; ``owner[slot]`` is the owning
+        thread id (-1 for an empty slot, whose word is rewritten on insert)."""
+        word = self.word
+        for slot, tid in enumerate(owner):
+            w = word[slot]
+            if tid == prev_tid:
+                w |= T_MASK
+            elif w & T_MASK:
+                w -= T_ONE
+            if tid == new_tid:
+                w &= ~T_MASK
+            word[slot] = w
 
     # -- eviction ------------------------------------------------------------
-    def priority(self) -> np.ndarray:
-        """Eviction priority per entry (higher = evict first)."""
+    def age(self, slot: int) -> int:
+        """The A field of ``slot``."""
+        a = self._clock - self.zeroed_at[slot]
+        return a if a < A_MAX else A_MAX
+
+    def priority(self, slot: int) -> int:
+        """Eviction priority of ``slot`` (higher = evict first)."""
         raise NotImplementedError
 
-    def select_victim(self, candidates: np.ndarray) -> int | None:
-        """Index of the victim among boolean mask ``candidates`` (None if empty)."""
-        if not candidates.any():
-            return None
-        prio = np.where(candidates, self.priority(), np.int64(-1 << 60))
-        return int(prio.argmax())
+    def select_victim(self, candidates: Sequence[int]) -> Optional[int]:
+        """The victim among ``candidates`` — slot indices in ascending order
+        — or None if there are none.  Ties go to the lowest slot."""
+        return max(candidates, key=self.priority, default=None)
 
     # -- introspection -------------------------------------------------------
-    def describe(self, idx: int) -> dict:
+    @property
+    def T(self) -> Tuple[int, ...]:
+        return tuple((w & T_MASK) >> T_SHIFT for w in self.word)
+
+    @property
+    def C(self) -> Tuple[int, ...]:
+        return tuple(int(bool(w & C_BIT)) for w in self.word)
+
+    @property
+    def A(self) -> Tuple[int, ...]:
+        return tuple(map(self.age, range(self.capacity)))
+
+    @property
+    def D(self) -> Tuple[int, ...]:
+        return tuple(w >> D_SHIFT for w in self.word)
+
+    def describe(self, slot: int) -> dict:
         """Replacement metadata of one entry (telemetry event args).
 
         Exposes the T/C/A/D fields and the entry's current eviction priority
         so exported eviction events show *why* the policy chose a victim.
         """
-        return {"T": int(self.T[idx]), "C": int(self.C[idx]),
-                "A": int(self.A[idx]), "D": int(self.D[idx]),
-                "prio": int(self.priority()[idx])}
+        w = self.word[slot]
+        return {"T": (w & T_MASK) >> T_SHIFT, "C": int(bool(w & C_BIT)),
+                "A": self.age(slot), "D": w >> D_SHIFT,
+                "prio": self.priority(slot)}
 
 
 @register_policy
@@ -165,8 +217,7 @@ class PLRU(ReplacementPolicy):
 
     name = "plru"
 
-    def priority(self) -> np.ndarray:
-        return self.A
+    priority = ReplacementPolicy.age
 
 
 @register_policy
@@ -175,8 +226,8 @@ class LRU(ReplacementPolicy):
 
     name = "lru"
 
-    def priority(self) -> np.ndarray:
-        return self._clock - self.stamp
+    def priority(self, slot: int) -> int:
+        return self._clock - self.stamp[slot]
 
 
 @register_policy
@@ -186,8 +237,9 @@ class MRTPLRU(ReplacementPolicy):
     name = "mrt-plru"
     uses_thread_bits = True
 
-    def priority(self) -> np.ndarray:
-        return (self.T << 3) | self.A
+    def priority(self, slot: int) -> int:
+        a = self._clock - self.zeroed_at[slot]
+        return ((self.word[slot] & T_MASK) >> 1) | (a if a < A_MAX else A_MAX)
 
 
 @register_policy
@@ -197,8 +249,9 @@ class MRTLRU(ReplacementPolicy):
     name = "mrt-lru"
     uses_thread_bits = True
 
-    def priority(self) -> np.ndarray:
-        return (self.T << 40) + (self._clock - self.stamp)
+    def priority(self, slot: int) -> int:
+        return (((self.word[slot] & T_MASK) >> T_SHIFT << 40)
+                + self._clock - self.stamp[slot])
 
 
 @register_policy
@@ -209,8 +262,9 @@ class LRC(ReplacementPolicy):
     uses_commit_bit = True
     uses_thread_bits = True
 
-    def priority(self) -> np.ndarray:
-        return (self.T << 4) | (self.C << 3) | self.A
+    def priority(self, slot: int) -> int:
+        a = self._clock - self.zeroed_at[slot]
+        return (self.word[slot] & LRC_MASK) | (a if a < A_MAX else A_MAX)
 
 
 @register_policy
@@ -226,8 +280,9 @@ class DeadFirstLRC(LRC):
     name = "dead-first"
     uses_dead_hints = True
 
-    def priority(self) -> np.ndarray:
-        return (self.D << 7) | super().priority()
+    def priority(self, slot: int) -> int:
+        a = self._clock - self.zeroed_at[slot]
+        return self.word[slot] | (a if a < A_MAX else A_MAX)
 
 
 @register_policy
@@ -264,33 +319,41 @@ class SRRIP(ReplacementPolicy):
     """
 
     name = "srrip"
-    RRPV_MAX = 7  # reuse the 3-bit A field as the RRPV
+    RRPV_MAX = 7  # the RRPV takes the place of the 3-bit A field
 
-    def on_access(self, idx: int) -> None:
-        super().on_access(idx)
-        self.A[idx] = 0                      # promoted on re-reference
+    def __init__(self, capacity: int) -> None:
+        super().__init__(capacity)
+        #: RRIP does not age on every access, so the A field is explicit
+        #: here: ageing happens at eviction time
+        self.rrpv = [0] * capacity
 
-    def on_insert(self, idx: int) -> None:
-        super().on_insert(idx)
-        self.A[idx] = self.RRPV_MAX - 1      # long re-reference prediction
+    def on_access(self, slot: int) -> None:
+        super().on_access(slot)
+        self.rrpv[slot] = 0                      # promoted on re-reference
 
-    def on_instruction(self, valid) -> None:
-        # RRIP does not age on every access; aging happens at eviction time
-        self._clock += 1
+    def on_insert(self, slot: int) -> None:
+        super().on_insert(slot)
+        self.rrpv[slot] = self.RRPV_MAX - 1      # long re-reference prediction
 
-    def select_victim(self, candidates: np.ndarray) -> int | None:
-        if not candidates.any():
+    def reset_age(self, slot: int) -> None:
+        self.rrpv[slot] = 0
+
+    def age(self, slot: int) -> int:
+        return self.rrpv[slot]
+
+    priority = age
+
+    def select_victim(self, candidates: Sequence[int]) -> Optional[int]:
+        if not candidates:
             return None
-        # age until some candidate reaches RRPV max, then evict it
-        while True:
-            at_max = candidates & (self.A >= self.RRPV_MAX)
-            if at_max.any():
-                return int(np.flatnonzero(at_max)[0])
-            np.minimum(self.A + 1, self.RRPV_MAX, out=self.A,
-                       where=candidates)
-
-    def priority(self) -> np.ndarray:
-        return self.A
+        # age the candidates until one reaches RRPV max, then evict it
+        rrpv = self.rrpv
+        oldest = max(rrpv[slot] for slot in candidates)
+        if oldest < self.RRPV_MAX:
+            for slot in candidates:
+                rrpv[slot] += self.RRPV_MAX - oldest
+        return next(slot for slot in candidates
+                    if rrpv[slot] >= self.RRPV_MAX)
 
 
 @register_policy
@@ -315,12 +378,10 @@ class RandomPolicy(ReplacementPolicy):
         self._state = x
         return x
 
-    def select_victim(self, candidates: np.ndarray) -> int | None:
-        idxs = np.flatnonzero(candidates)
-        if not idxs.size:
+    def select_victim(self, candidates: Sequence[int]) -> Optional[int]:
+        if not candidates:
             return None
-        return int(idxs[self._next() % idxs.size])
+        return candidates[self._next() % len(candidates)]
 
-    def priority(self) -> np.ndarray:
-        # only used for introspection; selection is randomized
-        return self.A
+    # only used for introspection; selection is randomized
+    priority = ReplacementPolicy.age

@@ -10,14 +10,12 @@ LRC policy then retains.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, NamedTuple, Set, Tuple
 
 from ..stats.counters import Stats
 
 
-@dataclass(frozen=True)
-class RollbackEntry:
+class RollbackEntry(NamedTuple):
     slots: Tuple[int, ...]
     is_mem: bool
 
@@ -29,6 +27,8 @@ class RollbackQueue:
         self.depth = depth
         self.stats = stats if stats is not None else Stats("rollback")
         self._queue: deque[RollbackEntry] = deque()
+        #: pending counts (see :meth:`Stats.batch`)
+        self._pending = self.stats.batch("flushes")
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -39,7 +39,7 @@ class RollbackQueue:
 
     def push(self, slots: Iterable[int], is_mem: bool) -> None:
         """Record an instruction entering the backend."""
-        if self.full:
+        if len(self._queue) >= self.depth:
             # bounded by in-order commit; drop oldest defensively and count it
             self._queue.popleft()
             self.stats.inc("overflow")
@@ -62,5 +62,5 @@ class RollbackQueue:
         for entry in self._queue:
             slots.update(entry.slots)
         self._queue.clear()
-        self.stats.inc("flushes")
+        self._pending[0] += 1
         return slots

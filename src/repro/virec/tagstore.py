@@ -4,14 +4,15 @@ The tag store is the content-addressable memory of Section 5.1.  Each of the
 ``capacity`` physical register-file entries carries: a valid bit, the owning
 thread id, the architectural (flat) register number, a dirty bit, and a
 ``fill_ready`` cycle while a backing-store fill is in flight.  Replacement
-metadata (T/C/A) lives in the attached policy.
+metadata (the priority words) lives in the attached policy.
+
+Every per-entry field is a flat Python list indexed by slot.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from collections import Counter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..stats.counters import Stats
 from .policies import ReplacementPolicy
@@ -27,12 +28,16 @@ class TagStore:
         self.capacity = capacity
         self.policy = policy
         self.stats = stats if stats is not None else Stats("tagstore")
-        self.valid = np.zeros(capacity, dtype=bool)
-        self.owner = np.full(capacity, -1, dtype=np.int64)
-        self.areg = np.full(capacity, -1, dtype=np.int64)
-        self.dirty = np.zeros(capacity, dtype=bool)
-        self.fill_ready = np.zeros(capacity, dtype=np.int64)
+        self.valid: List[bool] = [False] * capacity
+        self.owner: List[int] = [-1] * capacity
+        self.areg: List[int] = [-1] * capacity
+        self.dirty: List[bool] = [False] * capacity
+        self.fill_ready: List[int] = [0] * capacity
         self._map: Dict[Tuple[int, int], int] = {}
+        #: resident register count per owning thread (no zero entries)
+        self._resident: Dict[int, int] = {}
+        #: pending counts (see :meth:`Stats.batch`)
+        self._pending = self.stats.batch("evictions")
 
     # -- lookup ---------------------------------------------------------------
     def lookup(self, tid: int, flat_reg: int) -> Optional[int]:
@@ -41,12 +46,12 @@ class TagStore:
 
     def resident_count(self, tid: Optional[int] = None) -> int:
         if tid is None:
-            return int(self.valid.sum())
-        return int((self.valid & (self.owner == tid)).sum())
+            return len(self._map)
+        return self._resident.get(tid, 0)
 
     def resident_regs(self, tid: int) -> List[int]:
         """Flat register indices of ``tid`` currently resident."""
-        return sorted(int(r) for (t, r) in self._map if t == tid)
+        return sorted(r for (t, r) in self._map if t == tid)
 
     def occupancy_by_thread(self) -> Dict[int, int]:
         """Current register-cache occupancy per owning thread id.
@@ -54,42 +59,45 @@ class TagStore:
         Telemetry probe: the per-thread share of the physical register
         cache, the time series the paper's contention story is about.
         """
-        owners = self.owner[self.valid]
-        if not owners.size:
-            return {}
-        unique, counts = np.unique(owners, return_counts=True)
-        return {int(t): int(c) for t, c in zip(unique, counts)}
+        return dict(sorted(self._resident.items()))
 
     # -- allocation -------------------------------------------------------------
     def free_slot(self) -> Optional[int]:
-        """Index of an invalid slot, or None when the cache is full."""
-        free = np.flatnonzero(~self.valid)
-        return int(free[0]) if free.size else None
+        """Lowest invalid slot, or None when the cache is full."""
+        if len(self._map) == self.capacity:
+            return None
+        return self.valid.index(False)
 
-    def select_victim(self, exclude_slots, now: int) -> Optional[int]:
+    def select_victim(self, exclude_slots: Sequence[int],
+                      now: int) -> Optional[int]:
         """Choose an eviction victim.
 
         Excludes ``exclude_slots`` (registers of the instruction currently in
         decode — they must not evict each other) and slots whose fill is
         still in flight.  Returns None when nothing is evictable.
         """
-        candidates = self.valid & (self.fill_ready <= now)
-        for slot in exclude_slots:
-            candidates[slot] = False
-        return self.policy.select_victim(candidates)
+        valid, fill_ready = self.valid, self.fill_ready
+        return self.policy.select_victim(
+            [slot for slot in range(self.capacity)
+             if valid[slot] and fill_ready[slot] <= now
+             and slot not in exclude_slots])
 
     def evict(self, slot: int) -> Tuple[int, int, bool]:
         """Remove the mapping at ``slot``; returns (tid, flat_reg, dirty)."""
         if not self.valid[slot]:
             raise ValueError(f"evicting invalid slot {slot}")
-        tid, reg = int(self.owner[slot]), int(self.areg[slot])
-        dirty = bool(self.dirty[slot])
+        tid, reg, dirty = self.owner[slot], self.areg[slot], self.dirty[slot]
         del self._map[(tid, reg)]
+        left = self._resident[tid] - 1
+        if left:
+            self._resident[tid] = left
+        else:
+            del self._resident[tid]
         self.valid[slot] = False
         self.owner[slot] = -1
         self.areg[slot] = -1
         self.dirty[slot] = False
-        self.stats.inc("evictions")
+        self._pending[0] += 1
         return tid, reg, dirty
 
     def insert(self, slot: int, tid: int, flat_reg: int, now: int,
@@ -105,11 +113,12 @@ class TagStore:
         self.dirty[slot] = dirty
         self.fill_ready[slot] = fill_ready
         self._map[(tid, flat_reg)] = slot
+        self._resident[tid] = self._resident.get(tid, 0) + 1
         self.policy.on_insert(slot)
 
-    def valid_slots(self) -> np.ndarray:
+    def valid_slots(self) -> List[int]:
         """Indices of currently-valid physical slots (fault-injection sites)."""
-        return np.flatnonzero(self.valid)
+        return [slot for slot, valid in enumerate(self.valid) if valid]
 
     def refresh_fill(self, slot: int, ready: int) -> None:
         """Push ``slot``'s fill-ready cycle forward (refill-from-backing
@@ -117,7 +126,13 @@ class TagStore:
         mapping survives but reads must wait for the clean copy)."""
         if not self.valid[slot]:
             raise ValueError(f"refreshing invalid slot {slot}")
-        self.fill_ready[slot] = max(int(self.fill_ready[slot]), ready)
+        self.fill_ready[slot] = max(self.fill_ready[slot], ready)
+
+    def next_fill_done(self, now: int) -> Optional[int]:
+        """Earliest cycle after ``now`` at which an in-flight fill settles
+        (None when no resident register is still filling)."""
+        return min((ready for valid, ready in zip(self.valid, self.fill_ready)
+                    if valid and ready > now), default=None)
 
     # -- state updates ----------------------------------------------------------
     def touch(self, slot: int, is_write: bool) -> None:
@@ -127,10 +142,10 @@ class TagStore:
         self.policy.on_access(slot)
 
     def on_instruction(self) -> None:
-        self.policy.on_instruction(self.valid)
+        self.policy.on_instruction()
 
     def on_context_switch(self, prev_tid: int, new_tid: int) -> None:
-        self.policy.on_context_switch(self.owner, self.valid, prev_tid, new_tid)
+        self.policy.on_context_switch(self.owner, prev_tid, new_tid)
 
     # -- invariants (used by property tests and VSan) ---------------------------
     def check_invariants(self) -> None:
@@ -142,7 +157,7 @@ class TagStore:
         def fail(message: str) -> None:
             raise SanitizerViolation(message, invariant="tagstore.bijection")
 
-        if len(self._map) != int(self.valid.sum()):
+        if len(self._map) != sum(self.valid):
             fail("map/valid mismatch")
         for (tid, reg), slot in self._map.items():
             if not self.valid[slot]:
@@ -152,3 +167,5 @@ class TagStore:
         pairs = list(self._map.values())
         if len(pairs) != len(set(pairs)):
             fail("two mappings share a slot")
+        if self._resident != Counter(map(self.owner.__getitem__, pairs)):
+            fail("per-thread resident counts disagree with the owner tags")

@@ -21,6 +21,11 @@ from .rollback import RollbackQueue
 from .tagstore import TagStore
 
 
+#: cells of the VRMU's :meth:`Stats.batch`, in the order ``__init__``
+#: names the keys
+ACCESSES, HITS, MISSES, SPILL_EVICTIONS = range(4)
+
+
 class CapacityError(ValueError):
     """Register file too small to hold one instruction's operands."""
 
@@ -43,6 +48,9 @@ class VRMU:
         if group_evict < 1:
             raise ValueError("group_evict must be >= 1")
         self.stats = stats if stats is not None else Stats("vrmu")
+        #: per-operand and per-miss pending counts (see :meth:`Stats.batch`)
+        self._pending = self.stats.batch(
+            "accesses", "hits", "misses", "spill_evictions")
         self.tagstore = TagStore(capacity, policy, self.stats.child("tagstore"))
         self.rollback = RollbackQueue(rollback_depth, self.stats.child("rollback"))
         self.bsi = bsi
@@ -74,46 +82,59 @@ class VRMU:
                t: int) -> int:
         """Process one instruction's register lookups at decode time ``t``.
 
-        Accepts an :class:`Instruction` or a :class:`DecodedOp` (the engine
-        passes the latter; they expose the same operand attributes).
-        Returns the cycle at which all operands are resident and readable.
+        Walks the operand access plan: a stored tuple on the
+        :class:`DecodedOp` the engine passes, derived on the spot for a bare
+        :class:`Instruction`.  Returns the cycle at which all operands are
+        resident and readable.
         """
-        regs = inst.regs
+        plan = inst.plan
         self.last_spill_wait = 0
-        if not regs:
+        if not plan:
             return t
-        self.bsi.fill_spill_wait = 0
+        bsi = self.bsi
+        bsi.fill_spill_wait = 0
         ts = self.tagstore
-        ts.on_instruction()
-        dests = set(inst.dests)
-        srcs = set(inst.srcs)
+        policy = ts.policy
+        policy.on_instruction()
+        # the tag store's lookup() and touch(), inlined: this loop runs once
+        # per register operand of every simulated instruction
+        slot_of, on_access = ts._map.get, policy.on_access
+        dirty, fill_ready = ts.dirty, ts.fill_ready
+        fault_hook, probe = self.fault_hook, self.probe
+        segment = self.segment_regs.get(tid)
+        if segment is None:
+            segment = self.segment_regs[tid] = set()
 
         ready = t
         inst_slots: List[int] = []
         missing = []
-        segment = self.segment_regs.setdefault(tid, set())
-        for reg in regs:
-            segment.add(reg.flat)
-            slot = ts.lookup(tid, reg.flat)
+        for operand in plan:
+            reg, flat, is_dest, is_src = operand
+            segment.add(flat)
+            slot = slot_of((tid, flat))
             if slot is not None:
-                self.stats.inc("hits")
-                ts.touch(slot, is_write=reg in dests)
-                if self.fault_hook is not None:
-                    ready = max(ready, self.fault_hook.on_slot_read(
-                        tid, reg, slot, t, is_read=reg in srcs))
-                ready = max(ready, int(ts.fill_ready[slot]))
+                if is_dest:
+                    dirty[slot] = True
+                on_access(slot)
+                if fault_hook is not None:
+                    ready = max(ready, fault_hook.on_slot_read(
+                        tid, reg, slot, t, is_read=is_src))
+                if fill_ready[slot] > ready:
+                    ready = fill_ready[slot]
                 inst_slots.append(slot)
-                if self.probe is not None:
-                    self.probe.on_hit(tid, reg.flat, t)
+                if probe is not None:
+                    probe.on_hit(tid, flat, t)
             else:
-                self.stats.inc("misses")
-                missing.append(reg)
-                if self.probe is not None:
-                    self.probe.on_miss(tid, reg.flat, t)
-        self.stats.inc("accesses", len(regs))
+                missing.append(operand)
+                if probe is not None:
+                    probe.on_miss(tid, flat, t)
+        pending = self._pending
+        pending[ACCESSES] += len(plan)
+        pending[HITS] += len(inst_slots)
+        pending[MISSES] += len(missing)
 
         t_fill = t
-        for reg in missing:
+        for reg, flat, is_dest, is_src in missing:
             victim_info = None
             victim_dead = False
             slot = ts.free_slot()
@@ -124,33 +145,29 @@ class VRMU:
                 while victim is None:
                     # every candidate is an in-flight fill: wait for the
                     # earliest one to settle, then retry
-                    pending = ts.fill_ready[ts.valid]
-                    future = pending[pending > t_fill]
-                    t_fill = int(future.min()) if future.size else t_fill + 1
+                    settled = ts.next_fill_done(t_fill)
+                    t_fill = settled if settled is not None else t_fill + 1
                     self.stats.inc("victim_wait_cycles")
                     victim = ts.select_victim(inst_slots, t_fill)
-                if self.probe is not None:
-                    self.probe.on_evict(victim, tid, "capacity", t_fill)
+                if probe is not None:
+                    probe.on_evict(victim, tid, "capacity", t_fill)
                 # D is cleared when the slot is re-inserted below, so the
                 # victim's deadness must be captured before the insert
                 victim_dead = self._victim_dead(victim)
                 victim_info = ts.evict(victim)
                 slot = victim
-                self.stats.inc("spill_evictions")
-            if reg in srcs:
-                done = self.bsi.fill(t_fill, tid, reg.flat)
+                pending[SPILL_EVICTIONS] += 1
+            if is_src:
+                done = bsi.fill(t_fill, tid, flat)
                 ready = max(ready, done)
-                ts.insert(slot, tid, reg.flat, t_fill, fill_ready=done,
-                          dirty=reg in dests)
-                if self.probe is not None:
-                    self.probe.on_fill(tid, reg.flat, t_fill, done)
+                ts.insert(slot, tid, flat, t_fill, fill_ready=done,
+                          dirty=is_dest)
             else:
-                done = self.bsi.dummy_fill(t_fill, tid, reg.flat)
-                ts.insert(slot, tid, reg.flat, t_fill, fill_ready=done, dirty=True)
-                if self.probe is not None:
-                    self.probe.on_fill(tid, reg.flat, t_fill, done, dummy=True)
-            if self.probe is not None:
-                self.probe.on_insert(slot, tid, reg.flat, t_fill)
+                done = bsi.dummy_fill(t_fill, tid, flat)
+                ts.insert(slot, tid, flat, t_fill, fill_ready=done, dirty=True)
+            if probe is not None:
+                probe.on_fill(tid, flat, t_fill, done, dummy=not is_src)
+                probe.on_insert(slot, tid, flat, t_fill)
             inst_slots.append(slot)
             # spill after the fill was issued: fills have port priority
             if victim_info is not None:
@@ -158,7 +175,7 @@ class VRMU:
                 self._spill_victim(t_fill, victim_dead, vtid, vreg, vdirty)
 
         self.rollback.push(inst_slots, inst.is_mem)
-        self.last_spill_wait = self.bsi.fill_spill_wait
+        self.last_spill_wait = bsi.fill_spill_wait
         return ready
 
     # -- dead-hint plumbing (inert unless a dead-* policy is selected) -------
@@ -166,7 +183,7 @@ class VRMU:
         """Whether the chosen victim carries a dead-on-commit hint."""
         if not self.dead_hints:
             return False
-        return bool(self.tagstore.policy.D[victim])
+        return self.tagstore.policy.is_dead(victim)
 
     def _spill_victim(self, t: int, dead: bool, vtid: int, vreg: int,
                       vdirty: bool) -> None:
@@ -187,15 +204,14 @@ class VRMU:
         (paper future work: 'improved replacement policies for group
         evictions')."""
         ts = self.tagstore
-        victim_owner = int(ts.owner[victim])
+        victim_owner = ts.owner[victim]
         extra = 0
         while extra < self.group_evict - 1:
-            candidates = (ts.valid & (ts.owner == victim_owner)
-                          & (ts.fill_ready <= t))
-            for slot in inst_slots:
-                candidates[slot] = False
-            candidates[victim] = False
-            nxt = ts.policy.select_victim(candidates)
+            # the owner tag is -1 on empty slots, so it implies validity
+            nxt = ts.policy.select_victim(
+                [slot for slot, owner in enumerate(ts.owner)
+                 if owner == victim_owner and ts.fill_ready[slot] <= t
+                 and slot != victim and slot not in inst_slots])
             if nxt is None:
                 break
             if self.probe is not None:
@@ -218,7 +234,7 @@ class VRMU:
             slot = ts.free_slot()
             if slot is None:
                 victim = ts.select_victim([], t)
-                if victim is None or int(ts.owner[victim]) == tid:
+                if victim is None or ts.owner[victim] == tid:
                     break  # nothing worth displacing
                 if self.probe is not None:
                     self.probe.on_evict(victim, tid, "prefetch", t)
@@ -263,7 +279,8 @@ class VRMU:
         if marked:
             self.stats.inc("dead_marks", marked)
 
-    def on_flush(self, tid: int, flushed_insts: List[Instruction]) -> None:
+    def on_flush(self, tid: int,
+                 flushed_insts: List[Union[Instruction, DecodedOp]]) -> None:
         """Context switch flush: reset C bits of in-flight registers.
 
         ``flushed_insts`` is the missing load plus the younger instructions
@@ -274,14 +291,15 @@ class VRMU:
         squashed with the flush and not modelled.)
         """
         ts = self.tagstore
-        slots = set(self.rollback.flush())
+        policy = ts.policy
+        slots = self.rollback.flush()
         for inst in flushed_insts:
-            for reg in inst.regs:
-                slot = ts.lookup(tid, reg.flat)
+            for _reg, flat, _is_dest, _is_src in inst.plan:
+                slot = ts.lookup(tid, flat)
                 if slot is not None:
-                    ts.policy.A[slot] = 0
+                    policy.reset_age(slot)
                     slots.add(slot)
-        ts.policy.on_flush(slots)
+        policy.on_flush(slots)
         self.stats.inc("flush_resets", len(slots))
 
     def on_context_switch(self, prev_tid: int, new_tid: int) -> None:

@@ -327,6 +327,19 @@ def test_vrc008_child_chain_receiver():
     assert ok == []
 
 
+def test_vrc008_checks_every_batch_key():
+    hits = L.lint_source(
+        "self._pending = self.stats.batch('hits', 'missez', 'evictionz')\n",
+        path="src/repro/virec/vrmu.py")
+    assert ids(hits) == ["VRC008"]
+    assert len(hits) == 2
+    assert "missez" in hits[0].message and "evictionz" in hits[1].message
+    ok = L.lint_source(
+        "self._pending = self.stats.batch('hits', 'misses')\n",
+        path="src/repro/virec/vrmu.py")
+    assert ok == []
+
+
 def test_vrc008_exempt_trees_and_suppression():
     src = "self.stats.inc('scratch_counter')\n"
     for path in ("tests/core/test_x.py", "benchmarks/bench_x.py",

@@ -153,6 +153,27 @@ def test_decoded_op_duck_types_instruction_for_vrmu():
         assert d.is_mem == inst.is_mem
 
 
+def test_operand_plan_packs_the_vrmu_membership_tests():
+    """One (reg, flat, is_dest, is_src) entry per operand in ``regs`` order:
+    exactly what the VRMU used to derive from set(dests)/set(srcs)."""
+    prog = program()
+    dprog = DecodedProgram.of(prog, 64)
+    for pc, inst in enumerate(prog.instructions):
+        plan = dprog[pc].plan
+        assert plan == inst.plan
+        assert [entry[0] for entry in plan] == list(inst.regs)
+        for reg, flat, is_dest, is_src in plan:
+            assert flat == reg.flat
+            assert is_dest == (reg in inst.dests)
+            assert is_src == (reg in inst.srcs)
+            assert is_dest or is_src
+    # ldr x8, [x5, x3, lsl #3]: two sources, one destination-only register
+    ldr = dprog[4].plan
+    assert [(r.name, d, s) for r, _f, d, s in ldr] == [
+        ("x5", False, True), ("x3", False, True), ("x8", True, False)]
+    assert dprog[9].plan == ()  # halt names no register
+
+
 def test_fresh_decode_has_unclaimed_hints():
     import dataclasses
     prog = program()

@@ -70,11 +70,45 @@ def test_map_valid_count_mismatch_caught():
 def test_priority_word_out_of_range_caught():
     core, _ = _sanitized_core()
     ts = core.vrmu.tagstore
-    slot = int(ts.valid_slots()[0])
-    ts.policy.T[slot] = 99          # 3-bit hardware field
+    slot = ts.valid_slots()[0]
+    ts.policy.word[slot] = 99 << 4  # T is a 3-bit hardware field
     with pytest.raises(SanitizerViolation) as excinfo:
         _check(core)
     assert excinfo.value.invariant == "policy.word"
+
+
+def test_stored_age_bits_caught():
+    """The low three bits of the stored word belong to the lazy age."""
+    core, _ = _sanitized_core()
+    ts = core.vrmu.tagstore
+    slot = ts.valid_slots()[0]
+    ts.policy.word[slot] |= 5
+    with pytest.raises(SanitizerViolation) as excinfo:
+        _check(core)
+    assert excinfo.value.invariant == "policy.word"
+
+
+def test_lazy_age_out_of_range_caught():
+    core, _ = _sanitized_core()
+    ts = core.vrmu.tagstore
+    slot = ts.valid_slots()[0]
+    ts.policy.zeroed_at[slot] = ts.policy._clock + 3   # zeroed in the future
+    with pytest.raises(SanitizerViolation) as excinfo:
+        _check(core)
+    assert excinfo.value.invariant == "policy.word"
+    assert excinfo.value.details["A"] == -3
+
+
+def test_resident_count_drift_caught():
+    core, _ = _sanitized_core()
+    ts = core.vrmu.tagstore
+    tid = next(iter(ts._resident))
+    ts._resident[tid] += 1          # per-thread count disagrees with the tags
+    with pytest.raises(SanitizerViolation) as excinfo:
+        _check(core)
+    assert excinfo.value.invariant == "tagstore.bijection"
+    with pytest.raises(SanitizerViolation):
+        ts.check_invariants()
 
 
 def test_rollback_depth_violation_caught():

@@ -55,6 +55,44 @@ def test_bad_core_type_rejected():
         main(["run", "--core", "tpu"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--policy", "nope"],
+    ["trace", "--policy", "nope"],
+    ["timeline", "--policy", "nope"],
+    ["profile", "--policy", "nope"],
+    ["profile", "--diff-policy", "nope"],
+    ["sweep", "--policy", "nope"],
+])
+def test_unknown_policy_is_a_usage_error_on_every_verb(argv, capsys):
+    """An unknown policy used to die with a traceback deep in core
+    construction; argparse now rejects it up front, naming the choices."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in err and "'lrc'" in err
+
+
+def test_unknown_policy_rejected_by_run_config():
+    from repro.system import RunConfig
+    from repro.virec import POLICIES
+
+    with pytest.raises(ValueError, match="unknown policy 'nope'"):
+        RunConfig(policy="nope")
+    with pytest.raises(ValueError, match="unknown policy"):
+        RunConfig().with_(policy="LRC")
+    for name in POLICIES:
+        assert RunConfig(policy=name).policy == name
+
+
+def test_sweep_axis_with_unknown_policy_is_one_line(capsys):
+    rc = main(["sweep", "--threads", "4", "--per-thread", "8",
+               "--axis", "policy=nope,lrc"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unknown policy 'nope'" in err
+
+
 def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["run", "--workload", "gather"])

@@ -9,7 +9,6 @@ program changes nothing unless a hint-consuming policy is selected.
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -28,7 +27,8 @@ from repro.virec.policies import (  # noqa: E402
 
 
 def all_valid(n):
-    return np.ones(n, dtype=bool)
+    """Candidate list naming every slot of an ``n``-entry cache."""
+    return list(range(n))
 
 
 # -- registry / factory ------------------------------------------------------
@@ -60,7 +60,7 @@ def test_dead_first_prefers_dead_victim():
     p = DeadFirstLRC(4)
     v = all_valid(4)
     for i in range(4):
-        p.on_instruction(v)
+        p.on_instruction()
         p.on_access(i)
     # entry 3 is the most recently used; dead bit must still win
     p.mark_dead(3)
@@ -71,7 +71,7 @@ def test_dead_bit_cleared_on_reaccess():
     p = DeadFirstLRC(4)
     v = all_valid(4)
     for i in range(4):
-        p.on_instruction(v)
+        p.on_instruction()
         p.on_access(i)
     p.mark_dead(2)
     p.on_access(2)                      # redefined: no longer dead
@@ -83,11 +83,11 @@ def test_plain_lrc_ignores_dead_bit():
     v = all_valid(4)
     for p in (base, dead):
         for i in range(4):
-            p.on_instruction(v)
+            p.on_instruction()
             p.on_access(i)
         p.mark_dead(3)
-    assert (base.priority() < 128).all()       # D never reaches priority
-    assert dead.priority()[3] >= 128
+    assert all(base.priority(i) < 128 for i in v)  # D never reaches priority
+    assert dead.priority(3) >= 128
 
 
 # -- end-to-end --------------------------------------------------------------
