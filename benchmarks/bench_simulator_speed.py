@@ -100,24 +100,11 @@ def test_simulation_speed(benchmark, core_type):
     assert rate > 3_000
 
 
-# ------------------------------------------------- engine-only hot path
+# ------------------------------------------------- engine-only cores
 #
-# The per-instruction step with an empty InstrumentBus (the compiled fast
-# path, see repro/core/instrument.py), measured over core.run() alone —
-# no workload build, no DRAM model, no functional check — behind a fixed-
-# latency memory backend so the number isolates the engine itself.
-
-#: engine-only instr/s of the seed engine (before the pre-decode +
-#: instrument-bus fast path), best-of-interleaved-rounds on the reference
-#: 1-cpu dev container.  Wall-clock rates are machine-dependent: the
-#: before/after *ratio* is the meaningful number, and on a new host both
-#: sides must be re-measured with this same bench.
-SEED_HOT_PATH_INSTR_PER_S = {
-    "banked": 56093.2,
-    "virec": 28337.3,
-    "fgmt": 58590.7,
-}
-
+# core.run() alone — no workload build, no DRAM model, no functional check
+# — behind a fixed-latency memory backend, so a rate measured on such a
+# core isolates the engine itself.
 
 class _FixedLatencyBackend:
     """Constant-latency memory behind the L1s (keeps the bench engine-bound)."""
@@ -130,7 +117,7 @@ class _FixedLatencyBackend:
 
 
 def build_engine_core(core_type, threads=4, n_per_thread=2048,
-                      mem_latency=80, engine="interpreted"):
+                      mem_latency=80, engine=None):
     from repro import workloads
     from repro.memory import Cache
     from repro.stats.counters import Stats
@@ -149,37 +136,9 @@ def build_engine_core(core_type, threads=4, n_per_thread=2048,
     return _make_core(cfg, inst, ic, dc, stats=stats.child("core"))
 
 
-@pytest.mark.parametrize("core_type", ["banked", "virec", "fgmt"])
-def test_hot_path_speed(benchmark, core_type):
-    """Uninstrumented engine throughput, before/after the fast path."""
-    rates = []
-
-    def once():
-        core = build_engine_core(core_type)
-        assert core.bus.empty            # nothing attached: fast path
-        t0 = time.perf_counter()
-        core.run()
-        dt = time.perf_counter() - t0
-        rates.append(sum(th.instructions for th in core.threads) / dt)
-
-    benchmark.pedantic(once, rounds=3, iterations=1)
-    rate = max(rates)                    # best-of: least host interference
-    before = SEED_HOT_PATH_INSTR_PER_S[core_type]
-    _RESULTS[f"hotpath_{core_type}"] = {
-        "instr_per_s": round(rate, 1),
-        "seed_instr_per_s": before,
-        "speedup_vs_seed": round(rate / before, 3),
-    }
-    print(f"\n{core_type} hot path: {rate / 1e3:.1f}k instr/s "
-          f"(seed {before / 1e3:.1f}k, {rate / before:.2f}x)")
-    # loose floor only — absolute wall-clock is machine-dependent; the
-    # recorded speedup_vs_seed in BENCH_simspeed.json is the tracked number
-    assert rate > 3_000
-
-
 # --------------------------------------------- threaded-code engine
 #
-# The same engine-only workload on the compiled closure-chain engine
+# The engine-only workload on the compiled closure-chain engine
 # (repro/isa/compiled.py) vs the interpreted reference loop, measured
 # back-to-back in one process so the ratio cancels host speed.  The
 # speedup_vs_hotpath ratio is the CI-gated number (repro report --check,
@@ -201,7 +160,7 @@ def test_threaded_engine_speed(benchmark, core_type):
 
     def once(engine):
         core = build_engine_core(core_type, engine=engine)
-        assert core.bus.empty            # uninstrumented: fast variants
+        assert core.bus.empty            # uninstrumented: generated table
         t0 = time.perf_counter()
         core.run()
         dt = time.perf_counter() - t0

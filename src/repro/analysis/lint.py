@@ -50,14 +50,6 @@ VRC009   warning   direct construction of a ``ReplacementPolicy``
                    (:data:`repro.virec.policies.POLICIES`) so config
                    strings, sweeps, and the Fig 12 study stay the
                    single source of the policy axis
-VRC010   error     a closure factory capturing an InstrumentBus slot
-                   value (``faults = core.bus.faults`` in the enclosing
-                   scope, then referenced from a nested function) — bus
-                   slots rebind at attach/detach time while compiled
-                   step closures live for the whole run, so a captured
-                   slot goes silently stale; closures must read
-                   ``core.bus.<slot>`` per call (the threaded-code
-                   engine contract, see :mod:`repro.isa.compiled`)
 VRC011   error     raw ``sqlite3.connect`` outside :mod:`repro.ledger`
                    — every ledger access must go through the
                    ``Recorder``/``LedgerReader`` API so the WAL mode,
@@ -140,10 +132,6 @@ RULES: Tuple[LintRule, ...] = (
              "ReplacementPolicy subclasses must be constructed through "
              "the from_spec/make_policy registry, not instantiated "
              "directly in library code"),
-    LintRule("VRC010", "closure-captures-bus-slot", "error",
-             "a nested function capturing an InstrumentBus slot value "
-             "goes stale when the slot rebinds; read core.bus.<slot> "
-             "per call inside the closure"),
     LintRule("VRC011", "raw-sqlite-connect", "error",
              "sqlite3.connect outside repro.ledger bypasses the "
              "Recorder/LedgerReader API and its WAL/busy-timeout/schema "
@@ -203,23 +191,11 @@ def _policy_class_names() -> frozenset:
             | {"ReplacementPolicy"})
     return _POLICY_CLASS_NAMES
 
-#: trees exempt from the bus-slot-capture rule (VRC010); tests may freeze
-#: a slot deliberately (e.g. to assert staleness semantics)
-_BUS_CAPTURE_ALLOWED_DIRS = ("tests", "benchmarks", "examples", "scripts",
-                             "docs")
-
 #: trees allowed to call ``sqlite3.connect`` directly (VRC011): the ledger
 #: package owns the one sanctioned connection helper; tests and scripts may
 #: open throwaway databases for fixtures and inspection
 _SQLITE_ALLOWED_DIRS = ("ledger", "tests", "benchmarks", "examples",
                         "scripts", "docs")
-
-#: InstrumentBus slot names (VRC010) — attach/detach rebinds these on a
-#: live core, so their *values* must never be closed over by long-lived
-#: step closures (kept in sync with repro.core.instrument.DISPATCH_ORDER,
-#: which cannot be imported here without a package cycle)
-_BUS_SLOT_NAMES = frozenset({"faults", "telemetry", "metrics", "profile",
-                             "sanitizer", "tracer"})
 
 #: Stats methods that name counter keys (VRC008): the mutators' first
 #: argument, every argument of ``batch``
@@ -313,7 +289,6 @@ class _Visitor(ast.NodeVisitor):
         self._broad_except_exempt = self._is_broad_except_exempt(path)
         self._counter_key_exempt = self._is_counter_key_exempt(path)
         self._policy_ctor_exempt = self._is_policy_ctor_exempt(path)
-        self._bus_capture_exempt = self._is_bus_capture_exempt(path)
         self._sqlite_exempt = self._is_sqlite_exempt(path)
 
     @staticmethod
@@ -346,11 +321,6 @@ class _Visitor(ast.NodeVisitor):
         if any(part in _POLICY_CTOR_ALLOWED_DIRS for part in p.parts):
             return True
         return p.stem in _POLICY_CTOR_ALLOWED_STEMS
-
-    @staticmethod
-    def _is_bus_capture_exempt(path: str) -> bool:
-        return any(part in _BUS_CAPTURE_ALLOWED_DIRS
-                   for part in Path(path).parts)
 
     @staticmethod
     def _is_sqlite_exempt(path: str) -> bool:
@@ -584,85 +554,12 @@ class _Visitor(ast.NodeVisitor):
                            f"mutable default argument ({bad}) is shared "
                            f"across calls; default to None")
 
-    # -- VRC010: closure factories freezing InstrumentBus slot values --------
-    @staticmethod
-    def _bus_slot_alias(value: ast.AST) -> Optional[str]:
-        """Slot name if ``value`` reads an InstrumentBus slot off a bus
-        attribute chain (``core.bus.faults``, ``self.bus.profile``)."""
-        dotted = _dotted(value)
-        if dotted is None:
-            return None
-        parts = dotted.split(".")
-        if (len(parts) >= 2 and parts[-1] in _BUS_SLOT_NAMES
-                and any(p == "bus" or p.endswith("_bus")
-                        for p in parts[:-1])):
-            return parts[-1]
-        return None
-
-    @staticmethod
-    def _scope_nodes(body) -> Tuple[List[ast.AST], List[ast.AST]]:
-        """(own-scope nodes, nested function/lambda nodes) of one body."""
-        own: List[ast.AST] = []
-        nested: List[ast.AST] = []
-        stack: List[ast.AST] = list(body)
-        while stack:
-            n = stack.pop()
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
-                              ast.Lambda)):
-                nested.append(n)
-                continue
-            own.append(n)
-            stack.extend(ast.iter_child_nodes(n))
-        return own, nested
-
-    def _check_bus_captures(self, node) -> None:
-        if self._bus_capture_exempt:
-            return
-        own, nested = self._scope_nodes(node.body)
-        aliases: Dict[str, str] = {}
-        for n in own:
-            if isinstance(n, (ast.Assign, ast.AnnAssign)) \
-                    and n.value is not None:
-                slot = self._bus_slot_alias(n.value)
-                if slot is None:
-                    continue
-                targets = n.targets if isinstance(n, ast.Assign) \
-                    else [n.target]
-                for tgt in targets:
-                    if isinstance(tgt, ast.Name):
-                        aliases[tgt.id] = slot
-        if not aliases:
-            return
-        for fn in nested:
-            args = fn.args
-            bound = {a.arg for a in (args.posonlyargs + args.args
-                                     + args.kwonlyargs)}
-            bound.update(a.arg for a in (args.vararg, args.kwarg) if a)
-            body = fn.body if isinstance(fn.body, list) else [fn.body]
-            for sub in body:
-                for n in ast.walk(sub):
-                    if isinstance(n, ast.Name) \
-                            and isinstance(n.ctx, (ast.Store, ast.Del)):
-                        bound.add(n.id)
-            for sub in body:
-                for n in ast.walk(sub):
-                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) \
-                            and n.id in aliases and n.id not in bound:
-                        self._emit("VRC010", n,
-                                   f"closure captures bus slot value "
-                                   f"{n.id!r} (= ...bus.{aliases[n.id]}); "
-                                   f"slots rebind at attach/detach — read "
-                                   f"core.bus.{aliases[n.id]} per call "
-                                   f"inside the closure")
-
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_defaults(node)
-        self._check_bus_captures(node)
         self.generic_visit(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_defaults(node)
-        self._check_bus_captures(node)
         self.generic_visit(node)
 
 

@@ -18,12 +18,14 @@ The engine runs over a :class:`~repro.isa.decoded.DecodedProgram` — static
 per-instruction metadata (operand tuples, flag behaviour, classification,
 execute latency, icache line) pre-computed once per program — and keeps all
 observation layers behind one :class:`~repro.core.instrument.InstrumentBus`.
-With nothing attached the per-instruction step is a *compiled fast path*
-containing zero instrumentation branches; attaching any instrument
-(``fault_hook`` / ``telemetry`` / ``metrics`` / ``profile`` / ``sanitizer``
-/ ``tracer``) rebinds the step to the instrumented body with the fixed
-dispatch order faults -> telemetry -> metrics -> profile -> sanitizer ->
-tracer.
+The pipeline's rules are interpreted in exactly one place,
+:meth:`TimelineCore._reference_step`.  With nothing attached and the
+(default) compiled engine, the per-instruction step is instead a table of
+generated closures containing zero instrumentation branches
+(:mod:`repro.isa.compiled`); attaching any instrument (``fault_hook`` /
+``telemetry`` / ``metrics`` / ``profile`` / ``sanitizer`` / ``tracer``)
+rebinds the step to the reference body with the fixed dispatch order
+faults -> telemetry -> metrics -> profile -> sanitizer -> tracer.
 
 Subclass hooks (all optional):
 
@@ -56,14 +58,14 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import DeadlockError
 from ..isa.compiled import EngineVariant, compile_program
 from ..isa.decoded import DecodedOp, DecodedProgram
-from ..isa.instructions import MASK64, Flags, Instruction, Opcode, evaluate
+from ..isa.instructions import MASK64, Flags, Instruction, evaluate
 from ..isa.program import Program
 from ..isa.registers import NUM_FP_REGS, NUM_INT_REGS, Reg, RegClass
 from ..memory.cache import Cache
 from ..memory.main_memory import MainMemory
 from ..stats.counters import Stats
-from .engine import ENGINES, convert_scoreboard
-from .instrument import InstrumentBus
+from .engine import resolve_engine
+from .instrument import DISPATCH_ORDER, InstrumentBus
 
 __all__ = ["CoreConfig", "DeadlockError", "InstrumentBus", "ThreadContext",
            "ThreadState", "TimelineCore"]
@@ -167,12 +169,15 @@ class TimelineCore:
         self.current: Optional[ThreadContext] = None
         #: the unified instrumentation seam; see
         #: :class:`~repro.core.instrument.InstrumentBus`.  ``fault_hook``,
-        #: ``telemetry``, ``metrics``, ``sanitizer``, and ``tracer`` are
-        #: properties over its slots, so subsystem ``attach()`` entry
-        #: points are unchanged.
+        #: ``telemetry``, ``metrics``, ``profile``, ``sanitizer`` and
+        #: ``tracer`` are attributes over its slots (:class:`_BusSlot`),
+        #: so subsystem ``attach()`` entry points are unchanged.
         self.bus = InstrumentBus()
         self.commits_since_switch = 0
-        self.scoreboard: Dict[Reg, int] = {}
+        #: last-writer completion cycle per register, keyed by flat
+        #: register index in every engine (so a mid-run engine switch
+        #: carries the in-flight writers over as they are)
+        self.scoreboard: Dict[int, int] = {}
         self.flags_ready = 0
         self._rr_next = 0
         #: which subclass hooks are actually overridden (the fast path
@@ -181,15 +186,10 @@ class TimelineCore:
         self._has_reg_hook = (cls.decode_regs_ready
                               is not TimelineCore.decode_regs_ready)
         self._has_commit_hook = cls.on_commit is not TimelineCore.on_commit
-        #: which step engine drives this core.  Directly constructed cores
-        #: default to the interpreted reference loop (no behaviour change
-        #: for existing call sites); :func:`repro.system.simulator.run_config`
-        #: passes the RunConfig's choice (default "compiled").
-        engine = engine or "interpreted"
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r} (expected one of {ENGINES})")
-        self._engine = engine
+        #: which step engine drives this core; ``None`` resolves to
+        #: :data:`~repro.core.engine.DEFAULT_ENGINE`, as it does for a
+        #: ``RunConfig``
+        self._engine = resolve_engine(engine)
         self._ccode = None     # compiled closure table (engine "compiled")
         #: superop chaining permission — :meth:`set_step_chaining` turns
         #: it off for cores inside a multi-core node (the node interleaves
@@ -200,43 +200,33 @@ class TimelineCore:
 
     # ----------------------------------------------------- instrument bus
     def _recompile_step(self) -> None:
-        """Bind the per-instruction step to the fast or instrumented body.
+        """Bind the per-instruction step for the current engine and bus.
 
-        Called on every bus attach/detach.  With an empty bus the hot loop
-        runs :meth:`_process_instruction_fast`, which contains no
-        instrumentation branches at all.
+        Called at construction and on every bus attach/detach, engine
+        switch and chaining change.  An empty bus under the compiled
+        engine binds the generated closure table (superop chains, zero
+        instrumentation branches); everything else — the interpreted
+        engine, or any instrument attached under either engine — binds
+        :meth:`_reference_step`.  See :mod:`repro.core.engine`.
 
-        ``_step_impl`` always names the currently compiled body; external
+        ``_step_impl`` always names the currently bound body; external
         wrappers of ``_process_instruction`` (the task-pool redispatcher)
         call through it so an attach after wrapping still takes effect, and
         the recompile never clobbers such a wrapper (it only rebinds
         ``_process_instruction`` while it is one of the engine bodies).
-
-        Under the threaded-code engine the same seam additionally swaps the
-        closure *table*: an empty bus binds the specialized fast closures
-        (superop chains), any attach binds the per-op instrumented closures
-        with bus epilogues.  See :mod:`repro.core.engine` for the full
-        engine x bus selection matrix.
         """
-        if self._engine == "compiled":
-            variant = self._engine_variant(not self.bus.empty)
-            self._ccode = compile_program(self.dprog, variant).code
+        if self._engine == "compiled" and self.bus.empty:
+            self._ccode = compile_program(self.dprog,
+                                          self._engine_variant()).code
             impl = self._process_instruction_compiled
         else:
-            impl = self._interpreted_step_impl()
+            impl = self._reference_step
         self._step_impl = impl
         current = self.__dict__.get("_process_instruction")
         if current is None or getattr(current, "_engine_step", False):
             self._process_instruction = impl
 
-    def _interpreted_step_impl(self):
-        """The interpreted body for the current bus state (the barrel core
-        overrides this: its interpreted loop is a single inline-dispatch
-        body)."""
-        return (self._process_instruction_fast if self.bus.empty
-                else self._process_instruction_instrumented)
-
-    def _engine_variant(self, instrumented: bool) -> EngineVariant:
+    def _engine_variant(self) -> EngineVariant:
         """The compile key for this core's step closures (see
         :class:`~repro.isa.compiled.EngineVariant`)."""
         return EngineVariant(
@@ -245,10 +235,7 @@ class TimelineCore:
             commit_hook=self._has_commit_hook,
             miss_switch=(self.config.switch_on_miss
                          and len(self.threads) > 1),
-            instrumented=instrumented,
-            # instrumented tables never chain, so normalize the flag there
-            # and let them share one cached table regardless of chaining
-            chained=(self._chain_steps or instrumented))
+            chained=self._chain_steps)
 
     def _process_instruction_compiled(self, thread: ThreadContext) -> int:
         """Threaded-code dispatch: one call into the closure chain."""
@@ -261,16 +248,12 @@ class TimelineCore:
 
     def set_engine(self, engine: str) -> None:
         """Swap the step engine, mid-run safe (the R^4-style runtime
-        reconfiguration seam): scoreboard keys are converted so in-flight
-        writer timestamps survive, then the step body is recompiled."""
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r} (expected one of {ENGINES})")
-        if engine == self._engine:
-            return
-        self._engine = engine
-        self._convert_engine_keys(engine)
-        self._recompile_step()
+        reconfiguration seam): both engines keep the same pipeline state
+        — scoreboards included — so only the step body is rebound."""
+        engine = resolve_engine(engine)
+        if engine != self._engine:
+            self._engine = engine
+            self._recompile_step()
 
     def set_step_chaining(self, enabled: bool) -> None:
         """Allow or forbid superop chains in the compiled engine.
@@ -286,89 +269,12 @@ class TimelineCore:
             self._chain_steps = enabled
             self._recompile_step()
 
-    def _convert_engine_keys(self, engine: str) -> None:
-        self.scoreboard = convert_scoreboard(self.scoreboard, engine)
-
     def _halt_thread(self, thread: ThreadContext) -> None:
         """Commit-time halt bookkeeping (shared with the compiled closures,
         which cannot name ThreadState without an import cycle)."""
         thread.state = ThreadState.DONE
         self.current = None
         self.stats.inc("threads_completed")
-
-    @property
-    def tracer(self):
-        """Optional :class:`~repro.core.trace.PipelineTracer` (debug aid)."""
-        return self.bus.tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        self.bus.tracer = value
-        self._recompile_step()
-
-    @property
-    def fault_hook(self):
-        """Optional :class:`~repro.faults.FaultInjector`; strictly opt-in —
-        when None (the default) the pipeline behaves bit-identically to a
-        build without the fault subsystem."""
-        return self.bus.faults
-
-    @fault_hook.setter
-    def fault_hook(self, value) -> None:
-        self.bus.faults = value
-        self._recompile_step()
-
-    @property
-    def telemetry(self):
-        """Optional :class:`~repro.telemetry.CoreTelemetry`; strictly opt-in
-        and purely observational — it records events and drives interval
-        sampling but never alters a cycle timestamp."""
-        return self.bus.telemetry
-
-    @telemetry.setter
-    def telemetry(self, value) -> None:
-        self.bus.telemetry = value
-        self._recompile_step()
-
-    @property
-    def metrics(self):
-        """Optional :class:`~repro.metrics.CoreMetrics`; strictly opt-in
-        and purely observational — it feeds labeled counters/histograms of
-        the cross-process metrics registry but never alters a cycle
-        timestamp."""
-        return self.bus.metrics
-
-    @metrics.setter
-    def metrics(self, value) -> None:
-        self.bus.metrics = value
-        self._recompile_step()
-
-    @property
-    def profile(self):
-        """Optional :class:`~repro.profiling.CycleAttributor`; strictly
-        opt-in and purely observational — it classifies every commit-clock
-        cycle into the top-down stall taxonomy off the per-commit stage
-        timestamps but never alters one."""
-        return self.bus.profile
-
-    @profile.setter
-    def profile(self, value) -> None:
-        self.bus.profile = value
-        self._recompile_step()
-
-    @property
-    def sanitizer(self):
-        """Optional :class:`~repro.sanitizer.CoreSanitizer` (VSan); strictly
-        opt-in and purely observational — it verifies committed state
-        against a shadow architectural register file and raises
-        :class:`~repro.errors.SanitizerViolation` on divergence, but never
-        alters a cycle timestamp."""
-        return self.bus.sanitizer
-
-    @sanitizer.setter
-    def sanitizer(self, value) -> None:
-        self.bus.sanitizer = value
-        self._recompile_step()
 
     # ------------------------------------------------------------------ hooks
     def decode_regs_ready(self, thread: ThreadContext, op: DecodedOp,
@@ -418,20 +324,6 @@ class TimelineCore:
                 return t_issue, result
             t = max(result.retry_at, t_issue + 1)
             self.stats.inc("dcache_retries")
-
-    # ---------------------------------------------------------------- fetch
-    def _fetch(self, thread: ThreadContext) -> int:
-        """Cycle the instruction at ``thread.pc`` enters decode."""
-        t_d = max(self.fetch_avail, self.decode_free)
-        d = self._dops[thread.pc]
-        if d.line != self._last_fetch_line:
-            self._last_fetch_line = d.line
-            r = self.icache.access(max(0, t_d - self.icache.config.latency),
-                                   d.addr, requestor=self.core_id)
-            if not r.hit:
-                self.stats.inc("icache_miss_stalls")
-            t_d = max(t_d, r.complete_at)
-        return t_d
 
     # ----------------------------------------------------------- store queue
     def _sq_insert(self, t: int, addr: int) -> int:
@@ -573,134 +465,23 @@ class TimelineCore:
 
     # ---------------------------------------------------- per-instruction step
     #
-    # Two bodies, one contract.  ``_process_instruction`` is *rebound* by
-    # ``_recompile_step`` to the fast body (empty bus: zero instrumentation
-    # branches) or the instrumented body (any instrument attached: fixed
-    # faults -> telemetry -> metrics -> profile -> sanitizer -> tracer
-    # dispatch).  The two must
-    # stay cycle-identical except for the fault injector's explicit
-    # timestamp adjustments; tests/core/test_instrument_bus.py and the
-    # telemetry/sanitizer noop suites enforce that.  Edit them together.
+    # The one interpreted statement of the pipeline's timing rules (the
+    # barrel core has its own, FGMTCore._reference_step).  It is the
+    # oracle the generated closures of repro.isa.compiled are held
+    # byte-identical to, the body of engine="interpreted", the body every
+    # instrumented run uses under either engine, and what a compiled
+    # table falls back to for an op its lowering declines.  With nothing
+    # attached every probe below is a not-taken ``is not None`` test, and
+    # observational instruments never change a timestamp — the noop
+    # suites under tests/ enforce cycle identity with the compiled table.
 
-    def _process_instruction_fast(self, thread: ThreadContext) -> None:
-        """Uninstrumented per-instruction step (the compiled fast path)."""
-        d = self._dops[thread.pc]
-        inst = d.inst
-        config = self.config
-        stats = self.stats
+    def _reference_step(self, thread: ThreadContext) -> None:
+        """One instruction through the pipeline, bus dispatched at every
+        probe point.
 
-        # fetch
-        fetch_avail = self.fetch_avail
-        decode_free = self.decode_free
-        t_d = fetch_avail if fetch_avail > decode_free else decode_free
-        if d.line != self._last_fetch_line:
-            self._last_fetch_line = d.line
-            icache = self.icache
-            r = icache.access(max(0, t_d - icache.config.latency), d.addr,
-                              requestor=self.core_id)
-            if not r.hit:
-                stats.inc("icache_miss_stalls")
-            if r.complete_at > t_d:
-                t_d = r.complete_at
-
-        # decode: operand scoreboard + register-residency hook (VRMU)
-        scoreboard = self.scoreboard
-        t_ops = t_d
-        for reg in d.srcs:
-            w = scoreboard.get(reg, 0)
-            if w > t_ops:
-                t_ops = w
-        if d.reads_flags and self.flags_ready > t_ops:
-            t_ops = self.flags_ready
-        t_regs = (self.decode_regs_ready(thread, d, t_d)
-                  if self._has_reg_hook else t_d)
-        t_issue = max(t_d + 1, t_ops, t_regs)
-        self.decode_free = t_issue
-        self.fetch_avail = max(fetch_avail + 1, t_d + 1)
-
-        # execute
-        ex_free = self.ex_free
-        t_ex_start = t_issue if t_issue > ex_free else ex_free
-        t_ex_done = t_ex_start + d.ex_latency
-        self.ex_free = t_ex_done
-
-        xregs = thread.xregs
-        dregs = thread.dregs
-        srcvals = {}
-        for reg, is_x, idx in d.src_reads:
-            srcvals[reg] = xregs[idx] if is_x else dregs[idx]
-        result = evaluate(inst, srcvals, thread.flags, thread.pc)
-
-        data_at = t_ex_done
-        if d.is_load:
-            t_m = self._load_slot_wait(t_ex_done)
-            t_issue_mem, r = self.dcache_request(
-                t_m, result.addr, is_load_data=True)
-            data_at = r.complete_at
-            if (config.switch_on_miss and r.switch_signal
-                    and len(self.threads) > 1):
-                if self._handle_miss_switch(thread, inst, t_issue_mem, r):
-                    return  # thread suspended; load replays on resume
-                # switch suppressed (no commits since last switch): stall here
-                stats.inc("switches_suppressed")
-            self.load_slots.append(data_at)
-            if not r.hit:
-                stats.inc("load_miss_stalls")
-        elif d.is_store:
-            data_at = self._sq_insert(t_ex_done, result.addr)
-            self.memory.store(result.addr, result.store_value)
-
-        # commit (in-order, one per cycle)
-        t_c = self.commit_tail + 1
-        if data_at > t_c:
-            t_c = data_at
-        self.commit_tail = t_c
-        self.commits_since_switch += 1
-        thread.fruitless = 0
-        if not result.halt:
-            thread.instructions += 1
-        self.now = t_c
-
-        # architectural update at commit
-        writes = result.writes
-        if writes:
-            for reg, value in writes.items():
-                if reg.rclass is RegClass.X:
-                    xregs[reg.index] = int(value) & MASK64
-                else:
-                    dregs[reg.index] = float(value)
-                scoreboard[reg] = t_ex_done
-        if d.is_load:
-            rd = d.rd
-            value = self.memory.load(result.addr)
-            if rd.rclass is RegClass.X:
-                xregs[rd.index] = int(value) & MASK64
-            else:
-                dregs[rd.index] = float(value)
-            scoreboard[rd] = data_at
-        if result.new_flags is not None:
-            thread.flags = result.new_flags
-            self.flags_ready = t_ex_done
-        if self._has_commit_hook:
-            self.on_commit(thread, d, t_c)
-
-        if result.halt:
-            thread.state = ThreadState.DONE
-            self.current = None
-            stats.inc("threads_completed")
-            return
-        thread.pc = result.target if result.taken else thread.pc + 1
-        if result.taken:
-            self.fetch_avail = t_ex_done + 1 + config.redirect_penalty
-            stats.inc("taken_branches")
-
-    def _process_instruction_instrumented(self, thread: ThreadContext) -> None:
-        """Per-instruction step with the bus dispatched at every probe point.
-
-        Same timeline math as :meth:`_process_instruction_fast`; dispatch
-        order is fixed: faults (front end) -> telemetry (commit clock) ->
-        metrics (commit counters) -> profile (cycle attribution) ->
-        sanitizer (post-architectural-update) -> tracer (record).
+        Dispatch order is fixed: faults (front end) -> telemetry (commit
+        clock) -> metrics (commit counters) -> profile (cycle attribution)
+        -> sanitizer (post-architectural-update) -> tracer (record).
         """
         bus = self.bus
         faults = bus.faults
@@ -737,8 +518,8 @@ class TimelineCore:
         # decode: operand scoreboard + register-residency hook (VRMU)
         scoreboard = self.scoreboard
         t_ops = t_d
-        for reg in d.srcs:
-            w = scoreboard.get(reg, 0)
+        for flat in d.src_flats:
+            w = scoreboard.get(flat, 0)
             if w > t_ops:
                 t_ops = w
         if d.reads_flags and self.flags_ready > t_ops:
@@ -763,6 +544,7 @@ class TimelineCore:
         result = evaluate(inst, srcvals, thread.flags, thread.pc)
 
         data_at = t_ex_done
+        load_missed = False
         if d.is_load:
             t_m = self._load_slot_wait(t_ex_done)
             t_issue_mem, r = self.dcache_request(
@@ -781,14 +563,9 @@ class TimelineCore:
             if not r.hit:
                 stats.inc("load_miss_stalls")
                 load_missed = True
-            else:
-                load_missed = False
         elif d.is_store:
             data_at = self._sq_insert(t_ex_done, result.addr)
             self.memory.store(result.addr, result.store_value)
-            load_missed = False
-        else:
-            load_missed = False
 
         # commit (in-order, one per cycle)
         t_c = self.commit_tail + 1
@@ -818,7 +595,7 @@ class TimelineCore:
                     xregs[reg.index] = int(value) & MASK64
                 else:
                     dregs[reg.index] = float(value)
-                scoreboard[reg] = t_ex_done
+                scoreboard[reg.flat] = t_ex_done
         if d.is_load:
             rd = d.rd
             value = self.memory.load(result.addr)
@@ -826,7 +603,7 @@ class TimelineCore:
                 xregs[rd.index] = int(value) & MASK64
             else:
                 dregs[rd.index] = float(value)
-            scoreboard[rd] = data_at
+            scoreboard[rd.flat] = data_at
         if result.new_flags is not None:
             thread.flags = result.new_flags
             self.flags_ready = t_ex_done
@@ -842,9 +619,7 @@ class TimelineCore:
                           t_ex_done, data_at, t_c)
 
         if result.halt:
-            thread.state = ThreadState.DONE
-            self.current = None
-            stats.inc("threads_completed")
+            self._halt_thread(thread)
             if telemetry is not None:
                 telemetry.on_thread_done(thread.tid, t_c)
             return
@@ -918,8 +693,31 @@ class TimelineCore:
         return True
 
 
+class _BusSlot:
+    """``core.<attr>`` as a view of one :class:`InstrumentBus` slot.
+
+    Reading returns the attached instrument (or None); assigning attaches
+    or detaches it and re-selects the step body, which is all a subsystem
+    ``attach()`` has to do.  What each slot is for is documented on
+    :class:`~repro.core.instrument.InstrumentBus`."""
+
+    def __init__(self, slot: str) -> None:
+        self.slot = slot
+
+    def __get__(self, core, owner=None):
+        return self if core is None else getattr(core.bus, self.slot)
+
+    def __set__(self, core, value) -> None:
+        setattr(core.bus, self.slot, value)
+        core._recompile_step()
+
+
+for _slot in DISPATCH_ORDER:
+    # the fault injector's slot keeps its historical attribute name
+    setattr(TimelineCore, "fault_hook" if _slot == "faults" else _slot,
+            _BusSlot(_slot))
+
 # the recompile-safety marker read by TimelineCore._recompile_step (bound
 # methods forward attribute reads to their underlying function)
-TimelineCore._process_instruction_fast._engine_step = True
-TimelineCore._process_instruction_instrumented._engine_step = True
+TimelineCore._reference_step._engine_step = True
 TimelineCore._process_instruction_compiled._engine_step = True

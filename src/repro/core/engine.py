@@ -5,47 +5,45 @@ Every core can run its per-instruction step under one of two engines:
 ``"compiled"``
     The threaded-code engine (:mod:`repro.isa.compiled`): each DecodedOp
     is a specialized closure chained through its basic block, dispatched
-    as ``code[thread.pc](core, thread)``.  The default under
-    :func:`repro.system.simulator.run_config`.
+    as ``code[thread.pc](core, thread)``.  The default.
 
 ``"interpreted"``
-    The original per-op interpreter loop
-    (``TimelineCore._process_instruction_fast`` and friends).  The golden
-    reference arm: the differential fuzz oracle and the equivalence suite
-    hold the compiled engine byte-identical to it.  The default for
-    directly constructed cores, so existing call sites see no change.
+    The per-op reference loop (``TimelineCore._reference_step``, and
+    ``FGMTCore._reference_step`` for the barrel core): the one interpreted
+    statement of each pipeline family's timing rules, and the golden arm
+    the differential fuzz oracle and the equivalence suite hold the
+    compiled engine byte-identical to.
 
-Either engine runs uninstrumented or instrumented; the
-``_recompile_step`` seam picks the body on every bus attach/detach.  The
-full selection matrix (engine x bus state):
+``None`` resolves to :data:`DEFAULT_ENGINE` everywhere — a ``RunConfig``
+and a directly constructed core alike.  The ``_recompile_step`` seam picks
+the step body on every bus attach/detach; the whole selection rule is:
 
-====================  =============================  ==========================
-state                 compiled                       interpreted
-====================  =============================  ==========================
-bus empty             specialized closures,          ``_process_instruction_fast``
-                      superop chains
-bus non-empty         per-op closures with bus       ``_process_instruction_
-                      epilogues (no chaining)        instrumented``
-====================  =============================  ==========================
+* empty :class:`~repro.core.instrument.InstrumentBus` and
+  ``engine="compiled"``: the generated closure table (superop chains, no
+  instrumentation branches);
+* everything else — ``engine="interpreted"``, or any instrument attached
+  under either engine: the reference body, which dispatches the bus at
+  its probe points.  A compiled table also hands it any single op whose
+  operand shape the lowering declines.
 
-Engine choice is observational-only by construction — stats digests,
-architectural state and every cycle timestamp are identical — so the
-manifest digest excludes it, like the other observation knobs.
+Both engines keep identical pipeline state (scoreboards are keyed by flat
+register index in both), so ``set_engine`` mid-run rebinds the step and
+converts nothing.  Engine choice is observational-only by construction —
+stats digests, architectural state and every cycle timestamp are
+identical — so the manifest digest excludes it, like the other
+observation knobs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-from ..isa.registers import Reg, from_flat
-
-__all__ = ["ENGINES", "DEFAULT_ENGINE", "resolve_engine",
-           "convert_scoreboard"]
+__all__ = ["ENGINES", "DEFAULT_ENGINE", "resolve_engine"]
 
 #: valid engine names (also the CLI / RunConfig vocabulary)
 ENGINES = ("compiled", "interpreted")
 
-#: what ``RunConfig(engine=None)`` resolves to
+#: what ``engine=None`` resolves to (RunConfig and TimelineCore alike)
 DEFAULT_ENGINE = "compiled"
 
 
@@ -57,18 +55,3 @@ def resolve_engine(engine: Optional[str]) -> str:
         raise ValueError(
             f"unknown engine {engine!r} (expected one of {ENGINES})")
     return engine
-
-
-def convert_scoreboard(board: Dict, engine: str) -> Dict:
-    """Re-key a writer scoreboard for an engine switch.
-
-    The compiled engine keys scoreboards by flat register index (plain
-    ints: no ``Reg.__hash__`` calls in the hot loop); the interpreted
-    engine keys them by :class:`~repro.isa.registers.Reg`.  A mid-run
-    ``set_engine`` converts so in-flight writer timestamps survive.
-    """
-    if engine == "compiled":
-        return {(k._flat if isinstance(k, Reg) else k): v
-                for k, v in board.items()}
-    return {(from_flat(k) if isinstance(k, int) else k): v
-            for k, v in board.items()}

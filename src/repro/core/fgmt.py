@@ -28,11 +28,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..isa.compiled import EngineVariant
+from ..isa.decoded import DecodedOp
 from ..isa.instructions import evaluate
-from ..isa.registers import Reg
 from .base import CoreConfig, ThreadContext, ThreadState, TimelineCore
 from .cgmt import ContextLayout
-from .engine import convert_scoreboard
 
 
 class FGMTCore(TimelineCore):
@@ -45,7 +44,8 @@ class FGMTCore(TimelineCore):
         self.layout = self.layout or ContextLayout()
         if len(self.threads) > 8:
             raise ValueError("barrel core supports at most 8 register banks")
-        self._boards: Dict[int, Dict[Reg, int]] = {
+        #: per-thread writer scoreboards, keyed by flat register index
+        self._boards: Dict[int, Dict[int, int]] = {
             th.tid: {} for th in self.threads}
         self._flags_ready: Dict[int, int] = {th.tid: 0 for th in self.threads}
         #: earliest cycle each thread could issue its next instruction
@@ -62,16 +62,15 @@ class FGMTCore(TimelineCore):
                 best, best_t = th, t
         return best
 
-    def _operand_ready(self, thread: ThreadContext, inst) -> int:
-        """Operand readiness; ``inst`` is an Instruction or DecodedOp (both
-        expose ``srcs``/``reads_flags``)."""
+    def _operand_ready(self, thread: ThreadContext, d: DecodedOp) -> int:
+        """Cycle the operands (and flags, if read) of ``d`` are written."""
         board = self._boards[thread.tid]
         t = 0
-        for reg in inst.srcs:
-            w = board.get(reg, 0)
+        for flat in d.src_flats:
+            w = board.get(flat, 0)
             if w > t:
                 t = w
-        if inst.reads_flags:
+        if d.reads_flags:
             fr = self._flags_ready[thread.tid]
             if fr > t:
                 t = fr
@@ -87,27 +86,11 @@ class FGMTCore(TimelineCore):
                 thread, self._issue_ready[thread.tid])
         return self._process_instruction(thread) or True
 
-    # -- engine selection seam (see repro.core.engine) -------------------
-    def _engine_variant(self, instrumented: bool) -> EngineVariant:
-        # the barrel step uses none of the timeline subclass hooks or the
-        # miss-switch path, so every FGMT core shares one variant per bus
-        # state regardless of configuration
-        return EngineVariant(family="barrel", instrumented=instrumented)
-
-    def _interpreted_step_impl(self):
-        # one inline-dispatch interpreted body covers both bus states
-        return self._process_barrel_instruction
-
-    def _convert_engine_keys(self, engine: str) -> None:
-        super()._convert_engine_keys(engine)
-        self._boards = {tid: convert_scoreboard(board, engine)
-                        for tid, board in self._boards.items()}
-
-    def _halt_barrel_thread(self, thread: ThreadContext) -> None:
-        """Barrel halt bookkeeping (shared with the compiled closures);
-        unlike the timeline engine there is no ``current`` to clear."""
-        thread.state = ThreadState.DONE
-        self.stats.inc("threads_completed")
+    def _engine_variant(self) -> EngineVariant:
+        # the barrel step uses none of the timeline subclass hooks, the
+        # miss-switch path or chaining, so every FGMT core shares one
+        # variant regardless of configuration
+        return EngineVariant(family="barrel")
 
     # run() is inherited: the base watchdog loop drives the overridden
     # step(), and commit_tail advances per instruction here as well, so
@@ -125,7 +108,10 @@ class FGMTCore(TimelineCore):
         return done
 
     # ------------------------------------------------------------------
-    def _process_barrel_instruction(self, thread: ThreadContext) -> None:
+    def _reference_step(self, thread: ThreadContext) -> None:
+        """The barrel pipeline's one interpreted body (the counterpart of
+        :meth:`TimelineCore._reference_step`, same roles): issue, execute,
+        mem, commit, then the successor's operand-ready peek."""
         dops = self._dops
         d = dops[thread.pc]
         inst = d.inst
@@ -181,10 +167,10 @@ class FGMTCore(TimelineCore):
 
         for reg, value in result.writes.items():
             thread.write(reg, value)
-            board[reg] = t_ex_done
+            board[reg.flat] = t_ex_done
         if d.is_load:
             thread.write(d.rd, self.memory.load(result.addr))
-            board[d.rd] = data_at
+            board[d.rd.flat] = data_at
         if result.new_flags is not None:
             thread.flags = result.new_flags
             self._flags_ready[tid] = t_ex_done
@@ -195,8 +181,8 @@ class FGMTCore(TimelineCore):
             bus.sanitizer.on_commit(thread, inst, result, t_c)
 
         if result.halt:
-            thread.state = ThreadState.DONE
-            stats.inc("threads_completed")
+            # the inherited bookkeeping; ``current`` is never set here
+            self._halt_thread(thread)
             return
         thread.pc = result.target if result.taken else thread.pc + 1
         # peek the next instruction's operand readiness so the scheduler
@@ -208,6 +194,6 @@ class FGMTCore(TimelineCore):
         issue_ready[tid] = t_next
 
 
-# recompile-safety marker: the barrel interpreted body is an engine body,
+# recompile-safety marker: the barrel reference body is an engine body,
 # so _recompile_step may rebind over it (but never over external wrappers)
-FGMTCore._process_barrel_instruction._engine_step = True
+FGMTCore._reference_step._engine_step = True

@@ -1,17 +1,19 @@
 """The unified instrumentation bus of the timeline engine.
 
-Three generations of opt-in observation layers — fault injection,
-telemetry, and the VSan sanitizer — plus the original pipeline tracer each
-used to hang off the core as its own attribute, and the hot loop paid one
-``if self.X is not None`` per layer per committed instruction whether or
-not anything was attached.  :class:`InstrumentBus` collapses the four into
-one seam with two guarantees:
+Fault injection, telemetry, metrics, cycle attribution, the VSan
+sanitizer and the pipeline tracer each used to hang off the core as its
+own attribute, and the hot loop paid one ``if self.X is not None`` per
+layer per committed instruction whether or not anything was attached.
+:class:`InstrumentBus` collapses them into one seam with two guarantees:
 
-* **Compiled fast path.**  When nothing is attached the engine runs a
-  separate uninstrumented copy of the per-instruction step that contains
-  *zero* instrumentation branches: attaching or detaching any instrument
-  rebinds ``core._process_instruction`` between the fast and the
-  instrumented body (see ``TimelineCore._recompile_step``).
+* **No probes on the fast path.**  The whole selection rule of
+  ``TimelineCore._recompile_step``: an empty bus under the compiled engine
+  runs the generated closure table (:mod:`repro.isa.compiled`), which
+  contains *zero* instrumentation branches and never reads the bus;
+  everything else — any instrument attached, under either engine, or the
+  interpreted engine itself — runs the family's one reference body, which
+  dispatches the bus at its probe points.  Attaching or detaching any
+  instrument rebinds ``core._process_instruction`` between the two.
 
 * **Fixed dispatch order.**  When instruments are attached they are
   dispatched in a fixed pipeline-position order per instruction:
@@ -22,12 +24,13 @@ one seam with two guarantees:
   Observational instruments (telemetry, metrics, profile, sanitizer,
   tracer) must never alter a cycle timestamp — the noop suites
   under ``tests/telemetry``, ``tests/sanitizer`` and ``tests/profiling``
-  enforce cycle-identity of the attached path against the fast path.
+  enforce cycle-identity of the attached path against the compiled table.
 
-Backward compatibility: ``core.fault_hook`` / ``core.telemetry`` /
-``core.sanitizer`` / ``core.tracer`` remain readable and writable — they
-are properties delegating to the bus slots, so the existing ``attach()``
-entry points of each subsystem keep working unchanged.
+``core.fault_hook`` / ``core.telemetry`` / ``core.metrics`` /
+``core.profile`` / ``core.sanitizer`` / ``core.tracer`` are readable and
+writable attributes over the bus slots (one descriptor applied over
+:data:`DISPATCH_ORDER`, see :mod:`repro.core.base`), so the ``attach()``
+entry point of each subsystem is a plain attribute assignment.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ class InstrumentBus:
 
     @property
     def empty(self) -> bool:
-        """True when nothing is attached (the engine may run its fast path)."""
+        """True when nothing is attached (the compiled table may run)."""
         return (self.faults is None and self.telemetry is None
                 and self.metrics is None and self.profile is None
                 and self.sanitizer is None and self.tracer is None)

@@ -9,22 +9,39 @@ whole block runs as one "superop" call chain (SESC's pointer-threaded
 ``icode_ptr`` dispatch, in Python).  The hot loop of a compiled core is
 then ``code[thread.pc](core, thread)`` with zero branching on op class.
 
-Closure contract:
+The pipeline's timing rules are stated here once per family, as source
+fragments in pipeline order: fetch, decode, execute, commit for the
+timeline cores; issue, execute, commit, successor-peek for the barrel
+core.  :func:`_step_source` splices the per-op-class fragments (simple,
+cmp, branch, ldr, str, halt) between them.  Everything the *shape* of the
+emitted code depends on — subclass hooks, miss switching, flag reads,
+destination register file, post-index writeback, chaining — is a template
+switch that leaves code out instead of testing a constant at run time.
+Each shape is ``exec``-compiled once per process into a factory taking the
+per-pc constants (:data:`_FACTORIES`), so compiling a program costs one
+factory call per pc, however many programs a sweep assembles.
+
+Step contract:
 
 * signature ``(core, thread) -> int`` — the number of engine steps
   consumed (>= 1; a superop returns its chain length so the run-loop
   watchdogs count exactly what the interpreted engine counts);
-* closures capture **only static program facts** (indices, latencies,
-  successor closures).  They never capture the core, a bus slot, or any
-  attribute the :class:`~repro.core.instrument.InstrumentBus` can rebind
-  (lint rule VRC010) — everything dynamic is read from ``core`` per call,
-  so one compiled table is shared by every core over the same program and
-  instrument attach/detach can never be defeated by a stale capture;
-* the cycle math replicates ``TimelineCore._process_instruction_fast`` /
-  ``_process_instruction_instrumented`` (timeline family) and
-  ``FGMTCore._process_barrel_instruction`` (barrel family) exactly; the
-  equivalence suite (tests/core/test_engine_equivalence.py) holds the two
-  engines byte-identical.  Edit them together.
+* steps close over **only static program facts** (indices, latencies,
+  successor steps).  Everything dynamic is read from ``core`` per call —
+  including every method a subclass, a class-level tracer or a test may
+  rebind (``ic.access``, ``core.dcache_request``,
+  ``core.decode_regs_ready``, ``core.on_commit``,
+  ``core._handle_miss_switch``) — so one compiled table is shared by every
+  core over the same program;
+* steps never read the :class:`~repro.core.instrument.InstrumentBus`: a
+  core with anything attached does not run compiled steps at all
+  (``TimelineCore._recompile_step`` binds the reference body instead);
+* the cycle math equals the reference bodies
+  (``TimelineCore._reference_step``, ``FGMTCore._reference_step``), which
+  are the oracle; the equivalence suite
+  (tests/core/test_engine_equivalence.py) holds the two engines
+  byte-identical.  An op whose operand shape the lowering declines is
+  handed to the reference body for that pc (:func:`_reference_fallback`).
 
 Compiled tables are cached on the ``DecodedProgram`` (itself cached per
 (program, icache line size)) keyed by :class:`EngineVariant`, so closures
@@ -33,12 +50,14 @@ never leak across (program, line-size, core-variant) combinations.
 
 from __future__ import annotations
 
+import linecache
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from string import Template
+from textwrap import indent
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .decoded import DecodedOp, DecodedProgram
-from .instructions import (MASK64, SIGN64, AddrMode, Cond, Flags, Opcode,
-                           evaluate)
+from .instructions import MASK64, SIGN64, AddrMode, Cond, Flags, Opcode
 from .registers import RegClass
 
 __all__ = ["EngineVariant", "CompiledProgram", "compile_program",
@@ -53,20 +72,18 @@ FAMILIES = ("timeline", "barrel")
 
 @dataclass(frozen=True)
 class EngineVariant:
-    """The compile key: everything a closure's code shape depends on.
+    """The compile key: everything a step's code shape depends on.
 
     Two cores whose variants compare equal can share one compiled table;
-    anything that changes the emitted code (which hooks fire, whether bus
-    epilogues are dispatched, whether a load can context-switch) must be a
-    field here — that is the cache-keying guarantee
-    ``tests/isa/test_compiled.py`` pins down.
+    anything that changes the emitted code (which hooks fire, whether a
+    load can context-switch) must be a field here — that is the
+    cache-keying guarantee ``tests/isa/test_compiled.py`` pins down.
     """
 
     family: str = "timeline"       # "timeline" | "barrel"
     reg_hook: bool = False         # decode_regs_ready overridden (VRMU)
     commit_hook: bool = False      # on_commit overridden
     miss_switch: bool = False      # switch_on_miss and >1 thread
-    instrumented: bool = False     # bus non-empty: dispatch epilogues
     #: superop chaining.  Off for cores inside a multi-core node: the
     #: node interleaves cores per step() in local-clock order, and a
     #: chained step would batch one core's shared-memory traffic ahead
@@ -110,8 +127,8 @@ def compile_program(dprog: DecodedProgram,
 
 
 class _Unsupported(Exception):
-    """A specialized factory can't express this op; fall back to the
-    generic (evaluate()-based) closure, which handles everything."""
+    """The lowering can't express this op's operand shape; its pc runs the
+    core's reference body instead."""
 
 
 def _block_leaders(dprog: DecodedProgram) -> set:
@@ -124,50 +141,48 @@ def _block_leaders(dprog: DecodedProgram) -> set:
 
 def _build_code(dprog: DecodedProgram,
                 variant: EngineVariant) -> List[Callable]:
+    """One step per pc, built in reverse pc order so that a step's
+    successor exists when it is chained to.  Only the timeline family
+    chains: the barrel scheduler re-picks the earliest-issue thread after
+    every instruction, so a chain would defeat the rotation."""
     ops = dprog.ops
     n = len(ops)
-    if variant.family == "barrel":
-        if variant.instrumented:
-            return [_barrel_instrumented(ops, pc, variant)
-                    for pc in range(n)]
-        return [_barrel_factory(ops, pc, variant) for pc in range(n)]
-    if variant.instrumented:
-        return [_instrumented_step(ops[pc], variant) for pc in range(n)]
-    # fast timeline: chain branch-free runs inside one basic block into a
-    # superop (built in reverse pc order so the successor closure exists)
-    leaders = _block_leaders(dprog) if variant.chained else None
+    leaders = (_block_leaders(dprog)
+               if variant.chained and variant.family == "timeline" else None)
     code: List[Optional[Callable]] = [None] * n
     depth = [0] * n
     for pc in range(n - 1, -1, -1):
         d = ops[pc]
         chain = None
         npc = pc + 1
-        if (variant.chained and not d.is_branch and not d.is_halt
+        if (leaders is not None and not d.is_branch and not d.is_halt
                 and npc < n and npc not in leaders
                 and depth[npc] < MAX_CHAIN):
             chain = code[npc]
             depth[pc] = depth[npc] + 1
-        code[pc] = _timeline_factory(d, variant, chain)
+        code[pc] = _make_step(ops, pc, variant, chain)
     return code
 
 
-def _timeline_factory(d: DecodedOp, variant: EngineVariant,
-                      chain: Optional[Callable]) -> Callable:
+def _reference_fallback(core, thread) -> int:
+    """The step of an op the lowering declines: the core's interpreted
+    reference body runs that one pc.  It chains to nothing, so it ends
+    its superop."""
+    core._reference_step(thread)
+    return 1
+
+
+def _make_step(ops: List[DecodedOp], pc: int, variant: EngineVariant,
+               chain: Optional[Callable]) -> Callable:
     try:
-        op = d.inst.opcode
-        if d.is_halt:
-            return _halt_fast(d, variant)
-        if d.is_branch:
-            return _branch_fast(d, variant)
-        if d.is_load:
-            return _ldr_fast(d, variant, chain)
-        if d.is_store:
-            return _str_fast(d, variant, chain)
-        if op is Opcode.CMP:
-            return _cmp_fast(d, variant, chain)
-        return _simple_fast(d, variant, chain)
+        cls, switches, consts = _lower(ops, pc, variant)
     except _Unsupported:
-        return _generic_step(d, variant, chain)
+        return _reference_fallback
+    if chain is not None:
+        switches.add("chain")
+        consts["CHAIN"] = chain
+    return _step_factory(variant.family, cls, frozenset(switches),
+                         consts)(**consts)
 
 
 # --------------------------------------------------------------- op lowering
@@ -290,1428 +305,391 @@ def _addr_lowering(d: DecodedOp):
     """Lower the addressing mode to ``(addr_fn(xregs), writeback_fn)``.
 
     ``addr_fn`` returns the effective address; ``writeback_fn`` is None or
-    ``(xregs) -> new_base`` for post-index."""
+    ``(xregs) -> new_base`` for post-index.  The base is an X register."""
     inst = d.inst
     rn = _x_index(inst.rn)
     mode = inst.mode
     if mode is AddrMode.OFF_IMM:
         imm = int(inst.imm or 0)
-        return (lambda x: (x[rn] + imm) & MASK64), None, rn
+        return (lambda x: (x[rn] + imm) & MASK64), None
     if mode is AddrMode.OFF_REG:
         rm = _x_index(inst.rm)
         sh = inst.shift
-        return (lambda x: (x[rn] + ((x[rm] << sh) & MASK64)) & MASK64,
-                None, rn)
+        return (lambda x: (x[rn] + ((x[rm] << sh) & MASK64)) & MASK64), None
     if mode is AddrMode.POST_IMM:
         imm = int(inst.imm or 0)
-        return (lambda x: x[rn] & MASK64,
-                lambda x: (x[rn] + imm) & MASK64, rn)
+        return (lambda x: x[rn] & MASK64), (lambda x: (x[rn] + imm) & MASK64)
     raise _Unsupported
 
 
-# ---------------------------------------------------- timeline fast closures
-#
-# Each factory captures only static facts and emits a closure whose cycle
-# math line-for-line mirrors TimelineCore._process_instruction_fast.  The
-# shared fetch/decode/execute prologue is repeated in every body on
-# purpose: a helper call per stage would cost more than the interpreter
-# saves.
-
-def _simple_fast(d: DecodedOp, variant: EngineVariant,
-                 chain: Optional[Callable]) -> Callable:
-    compute, rd = _make_compute(d)
-    D = d
-    LINE = d.line
-    ADDR = d.addr
-    LAT = d.ex_latency
-    SRC_FLATS = tuple(r._flat for r in d.srcs)
-    NEXT = d.pc + 1
-    REG_HOOK = variant.reg_hook
-    COMMIT_HOOK = variant.commit_hook
-    RD_IS_X = rd is not None and rd.rclass is RegClass.X
-    RD_IDX = rd.index if rd is not None else 0
-    RD_FLAT = rd._flat if rd is not None else 0
-    HAS_DEST = rd is not None
-    CHAIN = chain
-
-    def step(core, thread):
-        # fetch
-        fa = core.fetch_avail
-        t_d = core.decode_free
-        if fa > t_d:
-            t_d = fa
-        if LINE != core._last_fetch_line:
-            core._last_fetch_line = LINE
-            ic = core.icache
-            t0 = t_d - ic.config.latency
-            r = ic.access(t0 if t0 > 0 else 0, ADDR,
-                          requestor=core.core_id)
-            if not r.hit:
-                core.stats.inc("icache_miss_stalls")
-            if r.complete_at > t_d:
-                t_d = r.complete_at
-        # decode
-        sb = core.scoreboard
-        t_issue = t_d + 1
-        for f in SRC_FLATS:
-            w = sb.get(f, 0)
-            if w > t_issue:
-                t_issue = w
-        if REG_HOOK:
-            t_regs = core.decode_regs_ready(thread, D, t_d)
-            if t_regs > t_issue:
-                t_issue = t_regs
-        core.decode_free = t_issue
-        fa += 1
-        t_d1 = t_d + 1
-        core.fetch_avail = fa if fa > t_d1 else t_d1
-        # execute
-        ex = core.ex_free
-        t_ex_done = (t_issue if t_issue > ex else ex) + LAT
-        core.ex_free = t_ex_done
-        # commit
-        t_c = core.commit_tail + 1
-        if t_ex_done > t_c:
-            t_c = t_ex_done
-        core.commit_tail = t_c
-        core.commits_since_switch += 1
-        thread.fruitless = 0
-        thread.instructions += 1
-        core.now = t_c
-        # architectural update
-        if HAS_DEST:
-            if RD_IS_X:
-                thread.xregs[RD_IDX] = compute(thread.xregs, thread.dregs)
-            else:
-                thread.dregs[RD_IDX] = compute(thread.xregs, thread.dregs)
-            sb[RD_FLAT] = t_ex_done
-        if COMMIT_HOOK:
-            core.on_commit(thread, D, t_c)
-        thread.pc = NEXT
-        if CHAIN is None:
-            return 1
-        return 1 + CHAIN(core, thread)
-
-    return step
-
-
-def _cmp_fast(d: DecodedOp, variant: EngineVariant,
-              chain: Optional[Callable]) -> Callable:
-    inst = d.inst
-    RN = _x_index(inst.rn)
-    HAS_RM = inst.rm is not None
-    RM = _x_index(inst.rm) if HAS_RM else 0
-    if not HAS_RM and inst.imm is None:
+# ------------------------------------------------------ per-op classification
+def _barrel_peek(ops: List[DecodedOp], at: int, prefix: str,
+                 sw: Set[str], consts: dict) -> None:
+    """Record what a barrel step needs of its successor ``ops[at]`` to post
+    the thread's next operand-ready time without touching the decoded
+    program at run time: its source flats (a constant) and whether it
+    reads the flags (a switch)."""
+    if not 0 <= at < len(ops):
         raise _Unsupported
-    IMM_B = 0 if HAS_RM else int(inst.imm) & MASK64
-    D = d
-    LINE = d.line
-    ADDR = d.addr
-    LAT = d.ex_latency
-    SRC_FLATS = tuple(r._flat for r in d.srcs)
-    NEXT = d.pc + 1
-    REG_HOOK = variant.reg_hook
-    COMMIT_HOOK = variant.commit_hook
-    CHAIN = chain
-
-    def step(core, thread):
-        fa = core.fetch_avail
-        t_d = core.decode_free
-        if fa > t_d:
-            t_d = fa
-        if LINE != core._last_fetch_line:
-            core._last_fetch_line = LINE
-            ic = core.icache
-            t0 = t_d - ic.config.latency
-            r = ic.access(t0 if t0 > 0 else 0, ADDR,
-                          requestor=core.core_id)
-            if not r.hit:
-                core.stats.inc("icache_miss_stalls")
-            if r.complete_at > t_d:
-                t_d = r.complete_at
-        sb = core.scoreboard
-        t_issue = t_d + 1
-        for f in SRC_FLATS:
-            w = sb.get(f, 0)
-            if w > t_issue:
-                t_issue = w
-        if REG_HOOK:
-            t_regs = core.decode_regs_ready(thread, D, t_d)
-            if t_regs > t_issue:
-                t_issue = t_regs
-        core.decode_free = t_issue
-        fa += 1
-        t_d1 = t_d + 1
-        core.fetch_avail = fa if fa > t_d1 else t_d1
-        ex = core.ex_free
-        t_ex_done = (t_issue if t_issue > ex else ex) + LAT
-        core.ex_free = t_ex_done
-        t_c = core.commit_tail + 1
-        if t_ex_done > t_c:
-            t_c = t_ex_done
-        core.commit_tail = t_c
-        core.commits_since_switch += 1
-        thread.fruitless = 0
-        thread.instructions += 1
-        core.now = t_c
-        # NZCV (exact evaluate() semantics, inlined)
-        x = thread.xregs
-        a = x[RN]
-        b = x[RM] if HAS_RM else IMM_B
-        diff = (a - b) & MASK64
-        sa = a - _U64 if a & SIGN64 else a
-        sbv = b - _U64 if b & SIGN64 else b
-        sd = diff - _U64 if diff & SIGN64 else diff
-        thread.flags = Flags(bool(diff & SIGN64), diff == 0, a >= b,
-                             (sa - sbv) != sd)
-        core.flags_ready = t_ex_done
-        if COMMIT_HOOK:
-            core.on_commit(thread, D, t_c)
-        thread.pc = NEXT
-        if CHAIN is None:
-            return 1
-        return 1 + CHAIN(core, thread)
-
-    return step
+    consts[prefix + "_FLATS"] = ops[at].src_flats
+    if ops[at].reads_flags:
+        sw.add(prefix.lower() + "_flags")
 
 
-def _branch_fast(d: DecodedOp, variant: EngineVariant) -> Callable:
+def _lower(ops: List[DecodedOp], pc: int,
+           variant: EngineVariant) -> Tuple[str, Set[str], dict]:
+    """Classify ``ops[pc]`` as ``(op class, switches, constants)``.
+
+    The switches select template code (with the family and class they are
+    the *shape*); the constants are the per-pc values the step closes
+    over.  Which constant names a shape has must depend on the shape
+    alone: its factory takes its signature from the first op compiled.
+    """
+    d = ops[pc]
     inst = d.inst
     op = inst.opcode
-    TARGET = inst.target
-    if TARGET is None:
-        raise _Unsupported
-    KIND = 0                       # 0: B, 1: BCOND, 2: CBZ/CBNZ
-    TEST = None
-    RN = 0
-    WANT_ZERO = False
-    if op is Opcode.BCOND:
-        KIND = 1
-        TEST = _COND_TESTS[inst.cond]
-    elif op in (Opcode.CBZ, Opcode.CBNZ):
-        KIND = 2
-        RN = _x_index(inst.rn)
-        WANT_ZERO = op is Opcode.CBZ
-    D = d
-    LINE = d.line
-    ADDR = d.addr
-    LAT = d.ex_latency
-    SRC_FLATS = tuple(r._flat for r in d.srcs)
-    READS_FLAGS = d.reads_flags
-    NEXT = d.pc + 1
-    REG_HOOK = variant.reg_hook
-    COMMIT_HOOK = variant.commit_hook
-
-    def step(core, thread):
-        fa = core.fetch_avail
-        t_d = core.decode_free
-        if fa > t_d:
-            t_d = fa
-        if LINE != core._last_fetch_line:
-            core._last_fetch_line = LINE
-            ic = core.icache
-            t0 = t_d - ic.config.latency
-            r = ic.access(t0 if t0 > 0 else 0, ADDR,
-                          requestor=core.core_id)
-            if not r.hit:
-                core.stats.inc("icache_miss_stalls")
-            if r.complete_at > t_d:
-                t_d = r.complete_at
-        sb = core.scoreboard
-        t_issue = t_d + 1
-        for f in SRC_FLATS:
-            w = sb.get(f, 0)
-            if w > t_issue:
-                t_issue = w
-        if READS_FLAGS:
-            fr = core.flags_ready
-            if fr > t_issue:
-                t_issue = fr
-        if REG_HOOK:
-            t_regs = core.decode_regs_ready(thread, D, t_d)
-            if t_regs > t_issue:
-                t_issue = t_regs
-        core.decode_free = t_issue
-        fa += 1
-        t_d1 = t_d + 1
-        core.fetch_avail = fa if fa > t_d1 else t_d1
-        ex = core.ex_free
-        t_ex_done = (t_issue if t_issue > ex else ex) + LAT
-        core.ex_free = t_ex_done
-        t_c = core.commit_tail + 1
-        if t_ex_done > t_c:
-            t_c = t_ex_done
-        core.commit_tail = t_c
-        core.commits_since_switch += 1
-        thread.fruitless = 0
-        thread.instructions += 1
-        core.now = t_c
-        if KIND == 0:
-            taken = True
-        elif KIND == 1:
-            taken = TEST(thread.flags)
-        else:
-            taken = (thread.xregs[RN] == 0) == WANT_ZERO
-        if COMMIT_HOOK:
-            core.on_commit(thread, D, t_c)
-        if taken:
-            thread.pc = TARGET
-            core.fetch_avail = t_ex_done + 1 + core.config.redirect_penalty
-            core.stats.inc("taken_branches")
-        else:
-            thread.pc = NEXT
-        return 1
-
-    return step
-
-
-def _ldr_fast(d: DecodedOp, variant: EngineVariant,
-              chain: Optional[Callable]) -> Callable:
-    addr_fn, wb_fn, rn_idx = _addr_lowering(d)
-    inst = d.inst
-    rd = inst.rd
-    if rd is None:
-        raise _Unsupported
-    RD_IS_X = rd.rclass is RegClass.X
-    RD_IDX = rd.index
-    RD_FLAT = rd._flat
-    RN_IDX = rn_idx
-    RN_FLAT = inst.rn._flat
-    D = d
-    INST = inst
-    LINE = d.line
-    ADDR = d.addr
-    LAT = d.ex_latency
-    SRC_FLATS = tuple(r._flat for r in d.srcs)
-    NEXT = d.pc + 1
-    REG_HOOK = variant.reg_hook
-    COMMIT_HOOK = variant.commit_hook
-    MISS_SWITCH = variant.miss_switch
-    CHAIN = chain
-
-    def step(core, thread):
-        fa = core.fetch_avail
-        t_d = core.decode_free
-        if fa > t_d:
-            t_d = fa
-        if LINE != core._last_fetch_line:
-            core._last_fetch_line = LINE
-            ic = core.icache
-            t0 = t_d - ic.config.latency
-            r = ic.access(t0 if t0 > 0 else 0, ADDR,
-                          requestor=core.core_id)
-            if not r.hit:
-                core.stats.inc("icache_miss_stalls")
-            if r.complete_at > t_d:
-                t_d = r.complete_at
-        sb = core.scoreboard
-        t_issue = t_d + 1
-        for f in SRC_FLATS:
-            w = sb.get(f, 0)
-            if w > t_issue:
-                t_issue = w
-        if REG_HOOK:
-            t_regs = core.decode_regs_ready(thread, D, t_d)
-            if t_regs > t_issue:
-                t_issue = t_regs
-        core.decode_free = t_issue
-        fa += 1
-        t_d1 = t_d + 1
-        core.fetch_avail = fa if fa > t_d1 else t_d1
-        ex = core.ex_free
-        t_ex_done = (t_issue if t_issue > ex else ex) + LAT
-        core.ex_free = t_ex_done
-        # memory
-        x = thread.xregs
-        addr = addr_fn(x)
-        t_m = core._load_slot_wait(t_ex_done)
-        t_issue_mem, r = core.dcache_request(t_m, addr, is_load_data=True)
-        data_at = r.complete_at
-        if MISS_SWITCH and r.switch_signal:
-            if core._handle_miss_switch(thread, INST, t_issue_mem, r):
-                return 1    # thread suspended; load replays on resume
-            core.stats.inc("switches_suppressed")
-        core.load_slots.append(data_at)
-        if not r.hit:
-            core.stats.inc("load_miss_stalls")
-        # commit
-        t_c = core.commit_tail + 1
-        if data_at > t_c:
-            t_c = data_at
-        core.commit_tail = t_c
-        core.commits_since_switch += 1
-        thread.fruitless = 0
-        thread.instructions += 1
-        core.now = t_c
-        # architectural update (post-index writeback before the dest, so
-        # ldr xN, [xN], #imm resolves exactly as evaluate() orders it)
+    barrel = variant.family == "barrel"
+    sw: Set[str] = set()
+    consts = {"LAT": d.ex_latency, "SRC_FLATS": d.src_flats, "NEXT": pc + 1}
+    if not barrel:
+        consts.update(D=d, LINE=d.line, ADDR=d.addr)
+        if variant.reg_hook:
+            sw.add("reg_hook")
+        if variant.commit_hook:
+            sw.add("commit_hook")
+    if d.reads_flags:
+        sw.add("reads_flags")
+    if d.is_halt:
+        return "halt", sw, consts
+    if d.is_branch:
+        if inst.target is None:
+            raise _Unsupported
+        consts["TARGET"] = inst.target
+        if op is Opcode.BCOND:
+            sw.add("bcond")
+            consts["TEST"] = _COND_TESTS[inst.cond]
+        elif op is not Opcode.B:
+            sw.add("cbz")
+            consts.update(RN=_x_index(inst.rn), WANT_ZERO=op is Opcode.CBZ)
+        if barrel:
+            _barrel_peek(ops, inst.target, "TGT", sw, consts)
+            if op is not Opcode.B:      # B never falls through
+                _barrel_peek(ops, pc + 1, "FT", sw, consts)
+        return "branch", sw, consts
+    if barrel:
+        _barrel_peek(ops, pc + 1, "ND", sw, consts)
+    if d.is_mem:
+        addr_fn, wb_fn = _addr_lowering(d)
+        rd = inst.rd
+        if rd is None:
+            raise _Unsupported
+        consts.update(addr_fn=addr_fn, RD_IDX=rd.index)
+        if rd.rclass is RegClass.X:
+            sw.add("rd_x")
         if wb_fn is not None:
-            x[RN_IDX] = wb_fn(x)
-            sb[RN_FLAT] = t_ex_done
-        v = core.memory.load(addr)
-        if RD_IS_X:
-            x[RD_IDX] = int(v) & MASK64
-        else:
-            thread.dregs[RD_IDX] = float(v)
-        sb[RD_FLAT] = data_at
-        if COMMIT_HOOK:
-            core.on_commit(thread, D, t_c)
-        thread.pc = NEXT
-        if CHAIN is None:
-            return 1
-        return 1 + CHAIN(core, thread)
-
-    return step
-
-
-def _str_fast(d: DecodedOp, variant: EngineVariant,
-              chain: Optional[Callable]) -> Callable:
-    addr_fn, wb_fn, rn_idx = _addr_lowering(d)
-    inst = d.inst
-    rd = inst.rd
-    if rd is None:
-        raise _Unsupported
-    RD_IS_X = rd.rclass is RegClass.X
-    RDS_IDX = rd.index
-    RN_IDX = rn_idx
-    RN_FLAT = inst.rn._flat
-    D = d
-    LINE = d.line
-    ADDR = d.addr
-    LAT = d.ex_latency
-    SRC_FLATS = tuple(r._flat for r in d.srcs)
-    NEXT = d.pc + 1
-    REG_HOOK = variant.reg_hook
-    COMMIT_HOOK = variant.commit_hook
-    CHAIN = chain
-
-    def step(core, thread):
-        fa = core.fetch_avail
-        t_d = core.decode_free
-        if fa > t_d:
-            t_d = fa
-        if LINE != core._last_fetch_line:
-            core._last_fetch_line = LINE
-            ic = core.icache
-            t0 = t_d - ic.config.latency
-            r = ic.access(t0 if t0 > 0 else 0, ADDR,
-                          requestor=core.core_id)
-            if not r.hit:
-                core.stats.inc("icache_miss_stalls")
-            if r.complete_at > t_d:
-                t_d = r.complete_at
-        sb = core.scoreboard
-        t_issue = t_d + 1
-        for f in SRC_FLATS:
-            w = sb.get(f, 0)
-            if w > t_issue:
-                t_issue = w
-        if REG_HOOK:
-            t_regs = core.decode_regs_ready(thread, D, t_d)
-            if t_regs > t_issue:
-                t_issue = t_regs
-        core.decode_free = t_issue
-        fa += 1
-        t_d1 = t_d + 1
-        core.fetch_avail = fa if fa > t_d1 else t_d1
-        ex = core.ex_free
-        t_ex_done = (t_issue if t_issue > ex else ex) + LAT
-        core.ex_free = t_ex_done
-        # memory (store value and address both read pre-writeback)
-        x = thread.xregs
-        sv = x[RDS_IDX] if RD_IS_X else thread.dregs[RDS_IDX]
-        addr = addr_fn(x)
-        data_at = core._sq_insert(t_ex_done, addr)
-        core.memory.store(addr, sv)
-        # commit
-        t_c = core.commit_tail + 1
-        if data_at > t_c:
-            t_c = data_at
-        core.commit_tail = t_c
-        core.commits_since_switch += 1
-        thread.fruitless = 0
-        thread.instructions += 1
-        core.now = t_c
-        if wb_fn is not None:
-            x[RN_IDX] = wb_fn(x)
-            sb[RN_FLAT] = t_ex_done
-        if COMMIT_HOOK:
-            core.on_commit(thread, D, t_c)
-        thread.pc = NEXT
-        if CHAIN is None:
-            return 1
-        return 1 + CHAIN(core, thread)
-
-    return step
-
-
-def _halt_fast(d: DecodedOp, variant: EngineVariant) -> Callable:
-    D = d
-    LINE = d.line
-    ADDR = d.addr
-    LAT = d.ex_latency
-    REG_HOOK = variant.reg_hook
-    COMMIT_HOOK = variant.commit_hook
-
-    def step(core, thread):
-        fa = core.fetch_avail
-        t_d = core.decode_free
-        if fa > t_d:
-            t_d = fa
-        if LINE != core._last_fetch_line:
-            core._last_fetch_line = LINE
-            ic = core.icache
-            t0 = t_d - ic.config.latency
-            r = ic.access(t0 if t0 > 0 else 0, ADDR,
-                          requestor=core.core_id)
-            if not r.hit:
-                core.stats.inc("icache_miss_stalls")
-            if r.complete_at > t_d:
-                t_d = r.complete_at
-        t_issue = t_d + 1
-        if REG_HOOK:
-            t_regs = core.decode_regs_ready(thread, D, t_d)
-            if t_regs > t_issue:
-                t_issue = t_regs
-        core.decode_free = t_issue
-        fa += 1
-        t_d1 = t_d + 1
-        core.fetch_avail = fa if fa > t_d1 else t_d1
-        ex = core.ex_free
-        t_ex_done = (t_issue if t_issue > ex else ex) + LAT
-        core.ex_free = t_ex_done
-        t_c = core.commit_tail + 1
-        if t_ex_done > t_c:
-            t_c = t_ex_done
-        core.commit_tail = t_c
-        core.commits_since_switch += 1
-        thread.fruitless = 0
-        core.now = t_c          # halt commits but is not an instruction
-        if COMMIT_HOOK:
-            core.on_commit(thread, D, t_c)
-        core._halt_thread(thread)
-        return 1
-
-    return step
-
-
-def _generic_step(d: DecodedOp, variant: EngineVariant,
-                  chain: Optional[Callable]) -> Callable:
-    """Full-fidelity fallback: evaluate()-based replica of the interpreted
-    fast body, with flat scoreboard keys.  Handles every op shape the
-    specialized factories decline."""
-    D = d
-    INST = d.inst
-    LINE = d.line
-    ADDR = d.addr
-    LAT = d.ex_latency
-    SRC_READS = d.src_reads
-    SRC_FLATS = tuple(r._flat for r in d.srcs)
-    READS_FLAGS = d.reads_flags
-    IS_LOAD = d.is_load
-    IS_STORE = d.is_store
-    RD = d.rd
-    NEXT = d.pc + 1
-    REG_HOOK = variant.reg_hook
-    COMMIT_HOOK = variant.commit_hook
-    MISS_SWITCH = variant.miss_switch
-    CHAIN = chain
-    X = RegClass.X
-
-    def step(core, thread):
-        fa = core.fetch_avail
-        t_d = core.decode_free
-        if fa > t_d:
-            t_d = fa
-        if LINE != core._last_fetch_line:
-            core._last_fetch_line = LINE
-            ic = core.icache
-            t0 = t_d - ic.config.latency
-            r = ic.access(t0 if t0 > 0 else 0, ADDR,
-                          requestor=core.core_id)
-            if not r.hit:
-                core.stats.inc("icache_miss_stalls")
-            if r.complete_at > t_d:
-                t_d = r.complete_at
-        sb = core.scoreboard
-        t_issue = t_d + 1
-        for f in SRC_FLATS:
-            w = sb.get(f, 0)
-            if w > t_issue:
-                t_issue = w
-        if READS_FLAGS:
-            fr = core.flags_ready
-            if fr > t_issue:
-                t_issue = fr
-        if REG_HOOK:
-            t_regs = core.decode_regs_ready(thread, D, t_d)
-            if t_regs > t_issue:
-                t_issue = t_regs
-        core.decode_free = t_issue
-        fa += 1
-        t_d1 = t_d + 1
-        core.fetch_avail = fa if fa > t_d1 else t_d1
-        ex = core.ex_free
-        t_ex_done = (t_issue if t_issue > ex else ex) + LAT
-        core.ex_free = t_ex_done
-
-        xregs = thread.xregs
-        dregs = thread.dregs
-        srcvals = {}
-        for reg, is_x, idx in SRC_READS:
-            srcvals[reg] = xregs[idx] if is_x else dregs[idx]
-        result = evaluate(INST, srcvals, thread.flags, thread.pc)
-
-        data_at = t_ex_done
-        if IS_LOAD:
-            t_m = core._load_slot_wait(t_ex_done)
-            t_issue_mem, r = core.dcache_request(
-                t_m, result.addr, is_load_data=True)
-            data_at = r.complete_at
-            if MISS_SWITCH and r.switch_signal:
-                if core._handle_miss_switch(thread, INST, t_issue_mem, r):
-                    return 1
-                core.stats.inc("switches_suppressed")
-            core.load_slots.append(data_at)
-            if not r.hit:
-                core.stats.inc("load_miss_stalls")
-        elif IS_STORE:
-            data_at = core._sq_insert(t_ex_done, result.addr)
-            core.memory.store(result.addr, result.store_value)
-
-        t_c = core.commit_tail + 1
-        if data_at > t_c:
-            t_c = data_at
-        core.commit_tail = t_c
-        core.commits_since_switch += 1
-        thread.fruitless = 0
-        if not result.halt:
-            thread.instructions += 1
-        core.now = t_c
-
-        writes = result.writes
-        if writes:
-            for reg, value in writes.items():
-                if reg.rclass is X:
-                    xregs[reg.index] = int(value) & MASK64
-                else:
-                    dregs[reg.index] = float(value)
-                sb[reg._flat] = t_ex_done
-        if IS_LOAD:
-            value = core.memory.load(result.addr)
-            if RD.rclass is X:
-                xregs[RD.index] = int(value) & MASK64
-            else:
-                dregs[RD.index] = float(value)
-            sb[RD._flat] = data_at
-        if result.new_flags is not None:
-            thread.flags = result.new_flags
-            core.flags_ready = t_ex_done
-        if COMMIT_HOOK:
-            core.on_commit(thread, D, t_c)
-
-        if result.halt:
-            core._halt_thread(thread)
-            return 1
-        if result.taken:
-            thread.pc = result.target
-            core.fetch_avail = t_ex_done + 1 + core.config.redirect_penalty
-            core.stats.inc("taken_branches")
-            return 1
-        thread.pc = NEXT
-        if CHAIN is None:
-            return 1
-        return 1 + CHAIN(core, thread)
-
-    return step
-
-
-def _instrumented_step(d: DecodedOp, variant: EngineVariant) -> Callable:
-    """Compiled-instrumented closure: the same per-op constants as the fast
-    factories, with the InstrumentBus dispatched from the closure epilogue
-    in the fixed faults -> telemetry -> metrics -> profile -> sanitizer ->
-    tracer order.  Bus slots are read from ``core.bus`` on every call
-    (never captured: VRC010), so attach/detach between steps takes effect
-    immediately.  No superop chaining: probe granularity stays
-    per-instruction."""
-    D = d
-    INST = d.inst
-    PC = d.pc
-    LINE = d.line
-    ADDR = d.addr
-    LAT = d.ex_latency
-    SRC_READS = d.src_reads
-    SRC_FLATS = tuple(r._flat for r in d.srcs)
-    READS_FLAGS = d.reads_flags
-    IS_LOAD = d.is_load
-    IS_STORE = d.is_store
-    RD = d.rd
-    NEXT = d.pc + 1
-    TEXT = INST.text or INST.opcode.name.lower()
-    REG_HOOK = variant.reg_hook
-    COMMIT_HOOK = variant.commit_hook
-    MISS_SWITCH = variant.miss_switch
-    X = RegClass.X
-
-    def step(core, thread):
-        bus = core.bus
-        faults = bus.faults
-        telemetry = bus.telemetry
-        metrics = bus.metrics
-        profile = bus.profile
-        sanitizer = bus.sanitizer
-        tracer = bus.tracer
-        stats = core.stats
-
-        fa = core.fetch_avail
-        t_d = core.decode_free
-        if fa > t_d:
-            t_d = fa
-        icache_missed = False
-        if LINE != core._last_fetch_line:
-            core._last_fetch_line = LINE
-            ic = core.icache
-            t0 = t_d - ic.config.latency
-            r = ic.access(t0 if t0 > 0 else 0, ADDR,
-                          requestor=core.core_id)
-            if not r.hit:
-                stats.inc("icache_miss_stalls")
-                icache_missed = True
-            if r.complete_at > t_d:
-                t_d = r.complete_at
-        if faults is not None:
-            t_d = faults.on_instruction(thread, INST, t_d)
-
-        sb = core.scoreboard
-        t_ops = t_d
-        for f in SRC_FLATS:
-            w = sb.get(f, 0)
-            if w > t_ops:
-                t_ops = w
-        if READS_FLAGS and core.flags_ready > t_ops:
-            t_ops = core.flags_ready
-        t_regs = (core.decode_regs_ready(thread, D, t_d)
-                  if REG_HOOK else t_d)
-        t_issue = max(t_d + 1, t_ops, t_regs)
-        core.decode_free = t_issue
-        fa += 1
-        t_d1 = t_d + 1
-        core.fetch_avail = fa if fa > t_d1 else t_d1
-
-        ex = core.ex_free
-        t_ex_done = (t_issue if t_issue > ex else ex) + LAT
-        core.ex_free = t_ex_done
-
-        xregs = thread.xregs
-        dregs = thread.dregs
-        srcvals = {}
-        for reg, is_x, idx in SRC_READS:
-            srcvals[reg] = xregs[idx] if is_x else dregs[idx]
-        result = evaluate(INST, srcvals, thread.flags, thread.pc)
-
-        data_at = t_ex_done
-        load_missed = False
-        if IS_LOAD:
-            t_m = core._load_slot_wait(t_ex_done)
-            t_issue_mem, r = core.dcache_request(
-                t_m, result.addr, is_load_data=True)
-            data_at = r.complete_at
-            if MISS_SWITCH and r.switch_signal:
-                if core._handle_miss_switch(thread, INST, t_issue_mem, r):
-                    return 1
-                stats.inc("switches_suppressed")
-                if telemetry is not None:
-                    telemetry.on_stall_in_place(
-                        thread.tid, t_issue_mem, data_at,
-                        "suppressed-switch")
-            core.load_slots.append(data_at)
-            if not r.hit:
-                stats.inc("load_miss_stalls")
-                load_missed = True
-        elif IS_STORE:
-            data_at = core._sq_insert(t_ex_done, result.addr)
-            core.memory.store(result.addr, result.store_value)
-
-        t_c = core.commit_tail + 1
-        if data_at > t_c:
-            t_c = data_at
-        core.commit_tail = t_c
-        core.commits_since_switch += 1
-        thread.fruitless = 0
-        if not result.halt:
-            thread.instructions += 1
-        core.now = t_c
-        if telemetry is not None:
-            telemetry.on_commit(t_c)
-        if metrics is not None:
-            metrics.on_commit(thread, D, t_c)
-        if profile is not None:
-            spill_wait = core.decode_spill_wait() if REG_HOOK else 0
-            profile.on_commit_timing(thread.tid, PC, D, t_d, t_ops, t_regs,
-                                     t_ex_done, data_at, t_c, icache_missed,
-                                     load_missed, spill_wait)
-
-        writes = result.writes
-        if writes:
-            for reg, value in writes.items():
-                if reg.rclass is X:
-                    xregs[reg.index] = int(value) & MASK64
-                else:
-                    dregs[reg.index] = float(value)
-                sb[reg._flat] = t_ex_done
-        if IS_LOAD:
-            value = core.memory.load(result.addr)
-            if RD.rclass is X:
-                xregs[RD.index] = int(value) & MASK64
-            else:
-                dregs[RD.index] = float(value)
-            sb[RD._flat] = data_at
-        if result.new_flags is not None:
-            thread.flags = result.new_flags
-            core.flags_ready = t_ex_done
-        if COMMIT_HOOK:
-            core.on_commit(thread, D, t_c)
-        if sanitizer is not None:
-            sanitizer.on_commit(thread, INST, result, t_c)
-        if tracer is not None and not result.halt:
-            tracer.record(thread.tid, thread.pc, TEXT, t_d, t_issue,
-                          t_ex_done, data_at, t_c)
-
-        if result.halt:
-            core._halt_thread(thread)
-            if telemetry is not None:
-                telemetry.on_thread_done(thread.tid, t_c)
-            return 1
-        thread.pc = result.target if result.taken else NEXT
-        if result.taken:
-            core.fetch_avail = t_ex_done + 1 + core.config.redirect_penalty
-            stats.inc("taken_branches")
-        return 1
-
-    return step
-
-
-# -------------------------------------------------------------- barrel family
-#
-# FGMT closures mirror FGMTCore._process_barrel_instruction.  No superop
-# chaining: the barrel scheduler re-picks the earliest-issue thread after
-# every instruction, so a chain would defeat the rotation.  Each closure
-# instead precomputes the *operand-ready peek* of its successor(s) — the
-# next op's source flats and flag read — so the epilogue updates
-# ``_issue_ready`` without touching the decoded program.
-
-def _barrel_peek(ops: List[DecodedOp], pc: int):
-    if pc < 0 or pc >= len(ops):
-        raise _Unsupported
-    nd = ops[pc]
-    return tuple(r._flat for r in nd.srcs), nd.reads_flags
-
-
-def _barrel_factory(ops: List[DecodedOp], pc: int,
-                    variant: EngineVariant) -> Callable:
-    d = ops[pc]
-    try:
-        op = d.inst.opcode
-        if d.is_halt:
-            return _barrel_halt(d)
-        if d.is_branch:
-            return _barrel_branch(ops, d)
-        if d.is_load:
-            return _barrel_ldr(ops, d)
+            sw.add("writeback")
+            consts.update(wb_fn=wb_fn, RN_IDX=inst.rn.index,
+                          RN_FLAT=inst.rn.flat)
         if d.is_store:
-            return _barrel_str(ops, d)
-        if op is Opcode.CMP:
-            return _barrel_cmp(ops, d)
-        return _barrel_simple(ops, d)
-    except _Unsupported:
-        return _barrel_generic(d)
-
-
-def _barrel_simple(ops: List[DecodedOp], d: DecodedOp) -> Callable:
+            return "str", sw, consts
+        consts["RD_FLAT"] = rd.flat
+        if variant.miss_switch and not barrel:
+            sw.add("miss_switch")
+            consts["INST"] = inst
+        return "ldr", sw, consts
+    if op is Opcode.CMP:
+        consts["RN"] = _x_index(inst.rn)
+        if inst.rm is not None:
+            sw.add("has_rm")
+            consts["RM"] = _x_index(inst.rm)
+        elif inst.imm is None:
+            raise _Unsupported
+        else:
+            consts["IMM_B"] = int(inst.imm) & MASK64
+        return "cmp", sw, consts
     compute, rd = _make_compute(d)
-    ND_FLATS, ND_FLAGS = _barrel_peek(ops, d.pc + 1)
-    LAT = d.ex_latency
-    SRC_FLATS = tuple(r._flat for r in d.srcs)
-    NEXT = d.pc + 1
-    RD_IS_X = rd is not None and rd.rclass is RegClass.X
-    RD_IDX = rd.index if rd is not None else 0
-    RD_FLAT = rd._flat if rd is not None else 0
-    HAS_DEST = rd is not None
-
-    def step(core, thread):
-        tid = thread.tid
-        ir = core._issue_ready
-        board = core._boards[tid]
-        t_ops = 0
-        for f in SRC_FLATS:
-            w = board.get(f, 0)
-            if w > t_ops:
-                t_ops = w
-        t_issue = core.decode_free + 1
-        if t_ops > t_issue:
-            t_issue = t_ops
-        iri = ir[tid]
-        if iri > t_issue:
-            t_issue = iri
-        core.decode_free = t_issue
-        ex = core.ex_free
-        t_ex_done = (t_issue if t_issue > ex else ex) + LAT
-        core.ex_free = t_ex_done
-        t_c = core.commit_tail + 1
-        if t_ex_done > t_c:
-            t_c = t_ex_done
-        core.commit_tail = t_c
-        thread.instructions += 1
-        core.now = min(ir.values())
-        if HAS_DEST:
-            if RD_IS_X:
-                thread.xregs[RD_IDX] = compute(thread.xregs, thread.dregs)
-            else:
-                thread.dregs[RD_IDX] = compute(thread.xregs, thread.dregs)
-            board[RD_FLAT] = t_ex_done
-        thread.pc = NEXT
-        t_next = t_issue + 1
-        for f in ND_FLATS:
-            w = board.get(f, 0)
-            if w > t_next:
-                t_next = w
-        if ND_FLAGS:
-            fr = core._flags_ready[tid]
-            if fr > t_next:
-                t_next = fr
-        ir[tid] = t_next
-        return 1
-
-    return step
+    if rd is not None:
+        sw.add("has_dest")
+        if rd.rclass is RegClass.X:
+            sw.add("rd_x")
+        consts.update(compute=compute, RD_IDX=rd.index, RD_FLAT=rd.flat)
+    return "simple", sw, consts
 
 
-def _barrel_cmp(ops: List[DecodedOp], d: DecodedOp) -> Callable:
-    inst = d.inst
-    RN = _x_index(inst.rn)
-    HAS_RM = inst.rm is not None
-    RM = _x_index(inst.rm) if HAS_RM else 0
-    if not HAS_RM and inst.imm is None:
-        raise _Unsupported
-    IMM_B = 0 if HAS_RM else int(inst.imm) & MASK64
-    ND_FLATS, ND_FLAGS = _barrel_peek(ops, d.pc + 1)
-    LAT = d.ex_latency
-    SRC_FLATS = tuple(r._flat for r in d.srcs)
-    NEXT = d.pc + 1
+# ------------------------------------------------------------ the stage rules
+#
+# Source fragments, each stating one rule of the pipeline (Fig 4) once.
+# CAPITALS (and compute / addr_fn / wb_fn) are the per-pc constants the
+# factory closes over; $NAMES are filled in by _step_source.  ``sb`` is
+# the running thread's writer scoreboard in both families, keyed by flat
+# register index.
 
-    def step(core, thread):
-        tid = thread.tid
-        ir = core._issue_ready
-        board = core._boards[tid]
-        t_ops = 0
-        for f in SRC_FLATS:
-            w = board.get(f, 0)
-            if w > t_ops:
-                t_ops = w
-        t_issue = core.decode_free + 1
-        if t_ops > t_issue:
-            t_issue = t_ops
-        iri = ir[tid]
-        if iri > t_issue:
-            t_issue = iri
-        core.decode_free = t_issue
-        ex = core.ex_free
-        t_ex_done = (t_issue if t_issue > ex else ex) + LAT
-        core.ex_free = t_ex_done
-        t_c = core.commit_tail + 1
-        if t_ex_done > t_c:
-            t_c = t_ex_done
-        core.commit_tail = t_c
-        thread.instructions += 1
-        core.now = min(ir.values())
-        x = thread.xregs
-        a = x[RN]
-        b = x[RM] if HAS_RM else IMM_B
-        diff = (a - b) & MASK64
-        sa = a - _U64 if a & SIGN64 else a
-        sbv = b - _U64 if b & SIGN64 else b
-        sd = diff - _U64 if diff & SIGN64 else diff
-        thread.flags = Flags(bool(diff & SIGN64), diff == 0, a >= b,
-                             (sa - sbv) != sd)
-        fls = core._flags_ready
-        fls[tid] = t_ex_done
-        thread.pc = NEXT
-        t_next = t_issue + 1
-        for f in ND_FLATS:
-            w = board.get(f, 0)
-            if w > t_next:
-                t_next = w
-        if ND_FLAGS:
-            fr = fls[tid]
-            if fr > t_next:
-                t_next = fr
-        ir[tid] = t_next
-        return 1
+_FETCH_DECODE = """\
+# fetch: the op reaches decode once the front end delivers it and decode
+# is free; entering a new icache line pays the icache access
+fa = core.fetch_avail
+t_d = core.decode_free
+if fa > t_d:
+    t_d = fa
+if LINE != core._last_fetch_line:
+    core._last_fetch_line = LINE
+    ic = core.icache
+    t0 = t_d - ic.config.latency
+    r = ic.access(t0 if t0 > 0 else 0, ADDR, requestor=core.core_id)
+    if not r.hit:
+        core.stats.inc("icache_miss_stalls")
+    if r.complete_at > t_d:
+        t_d = r.complete_at
+# decode: one cycle, then wait for the operands
+sb = core.scoreboard
+t_issue = t_d + 1
+"""
 
-    return step
+_BARREL_ISSUE = """\
+# issue: one slot per cycle shared by all threads, and no earlier than
+# the operand-ready peek this thread's previous step posted
+tid = thread.tid
+ir = core._issue_ready
+sb = core._boards[tid]
+t_issue = core.decode_free + 1
+iri = ir[tid]
+if iri > t_issue:
+    t_issue = iri
+"""
 
 
-def _barrel_branch(ops: List[DecodedOp], d: DecodedOp) -> Callable:
-    inst = d.inst
-    op = inst.opcode
-    TARGET = inst.target
-    if TARGET is None:
-        raise _Unsupported
-    KIND = 0
-    TEST = None
-    RN = 0
-    WANT_ZERO = False
-    if op is Opcode.BCOND:
-        KIND = 1
-        TEST = _COND_TESTS[inst.cond]
-    elif op in (Opcode.CBZ, Opcode.CBNZ):
-        KIND = 2
-        RN = _x_index(inst.rn)
-        WANT_ZERO = op is Opcode.CBZ
-    TGT_FLATS, TGT_FLAGS = _barrel_peek(ops, TARGET)
-    if KIND == 0:       # unconditional: the fallthrough peek is never used
-        FT_FLATS, FT_FLAGS = (), False
+def _operand_wait(flats: str, reads_flags: bool, t: str) -> str:
+    """``t`` waits for the last writer of every register in ``flats`` and,
+    for a flag reader, of the flags: the operand-ready rule, applied to
+    the op itself at decode/issue and to its successor in the barrel's
+    peek."""
+    text = (f"for f in {flats}:\n"
+            f"    w = sb.get(f, 0)\n"
+            f"    if w > {t}:\n"
+            f"        {t} = w\n")
+    if reads_flags:
+        text += (f"fr = $FLAGS_READY\n"
+                 f"if fr > {t}:\n"
+                 f"    {t} = fr\n")
+    return text
+
+
+_REG_HOOK = """\
+# register residency (the VRMU: fills and evictions happen in here)
+t_regs = core.decode_regs_ready(thread, D, t_d)
+if t_regs > t_issue:
+    t_issue = t_regs
+"""
+
+_FETCH_ADVANCE = """\
+# the front end delivers the next op one cycle behind this one
+fa += 1
+t_d1 = t_d + 1
+core.fetch_avail = fa if fa > t_d1 else t_d1
+"""
+
+_EXECUTE = """\
+# execute: one shared EX pipe
+ex = core.ex_free
+t_ex_done = (t_issue if t_issue > ex else ex) + LAT
+core.ex_free = t_ex_done
+"""
+
+_LDR_MEM = """\
+# mem: a load waits for an outstanding-load slot, then the dcache port
+x = thread.xregs
+addr = addr_fn(x)
+t_m = core._load_slot_wait(t_ex_done)
+t_issue_mem, r = core.dcache_request(t_m, addr, is_load_data=True)
+data_at = r.complete_at
+"""
+
+_MISS_SWITCH = """\
+if r.switch_signal:
+    if core._handle_miss_switch(thread, INST, t_issue_mem, r):
+        return 1    # thread suspended; the load replays on resume
+    core.stats.inc("switches_suppressed")
+"""
+
+_LDR_MISSED = """\
+if not r.hit:
+    core.stats.inc("load_miss_stalls")
+"""
+
+_STR_MEM = """\
+# mem: store value and address are both read before any writeback
+x = thread.xregs
+sv = thread.$RF[RD_IDX]
+addr = addr_fn(x)
+data_at = core._sq_insert(t_ex_done, addr)
+core.memory.store(addr, sv)
+"""
+
+_COMMIT = """\
+# commit: in order, one per cycle, no earlier than the result
+t_c = core.commit_tail + 1
+if $DONE > t_c:
+    t_c = $DONE
+core.commit_tail = t_c
+"""
+
+_TIMELINE_RETIRE = """\
+core.commits_since_switch += 1
+thread.fruitless = 0
+"""
+
+_WRITEBACK = """\
+# post-index writeback lands before the destination, so
+# ldr xN, [xN], #imm resolves exactly as instructions.evaluate orders it
+x[RN_IDX] = wb_fn(x)
+sb[RN_FLAT] = t_ex_done
+"""
+
+_LDR_UPDATE = """\
+v = core.memory.load(addr)
+thread.$RF[RD_IDX] = $LOADED
+sb[RD_FLAT] = data_at
+"""
+
+_SIMPLE_UPDATE = """\
+thread.$RF[RD_IDX] = compute(thread.xregs, thread.dregs)
+sb[RD_FLAT] = t_ex_done
+"""
+
+_CMP_UPDATE = """\
+# NZCV, exactly as instructions.evaluate computes it
+x = thread.xregs
+a = x[RN]
+b = $CMP_B
+diff = (a - b) & MASK64
+sa = a - _U64 if a & SIGN64 else a
+sbv = b - _U64 if b & SIGN64 else b
+sd = diff - _U64 if diff & SIGN64 else diff
+thread.flags = Flags(bool(diff & SIGN64), diff == 0, a >= b,
+                     (sa - sbv) != sd)
+$FLAGS_READY = t_ex_done
+"""
+
+_REDIRECT = """\
+core.fetch_avail = t_ex_done + 1 + core.config.redirect_penalty
+core.stats.inc("taken_branches")
+"""
+
+_BARREL_REDIRECT = """\
+# barrel cores still pay the fetch redirect for taken branches
+rp = t_ex_done + core.config.redirect_penalty
+if rp > t_next:
+    t_next = rp
+"""
+
+
+def _step_source(family: str, cls: str, sw: FrozenSet[str]) -> str:
+    """Body of ``step(core, thread)`` for one shape: the family's stage
+    fragments in pipeline order, the op class's fragments between them."""
+    barrel = family == "barrel"
+    on = sw.__contains__
+    src = [_BARREL_ISSUE if barrel else _FETCH_DECODE,
+           _operand_wait("SRC_FLATS", on("reads_flags"), "t_issue")]
+    if on("reg_hook"):
+        src.append(_REG_HOOK)
+    src.append("core.decode_free = t_issue\n")
+    if not barrel:
+        src.append(_FETCH_ADVANCE)
+    src.append(_EXECUTE)
+
+    if cls == "ldr":
+        src.append(_LDR_MEM)
+        if on("miss_switch"):
+            src.append(_MISS_SWITCH)
+        if not barrel:
+            src.append("core.load_slots.append(data_at)\n")
+        src.append(_LDR_MISSED)
+    elif cls == "str":
+        src.append(_STR_MEM)
+
+    src.append(_COMMIT)
+    if not barrel:
+        src.append(_TIMELINE_RETIRE)
+    if cls != "halt":           # halt commits but is not an instruction
+        src.append("thread.instructions += 1\n")
+    src.append("core.now = min(ir.values())\n" if barrel
+               else "core.now = t_c\n")
+
+    # architectural update, at commit: flushed ops never reach it
+    if on("writeback"):
+        src.append(_WRITEBACK)
+    if cls == "ldr":
+        src.append(_LDR_UPDATE)
+    elif cls == "cmp":
+        src.append(_CMP_UPDATE)
+    elif on("has_dest"):
+        src.append(_SIMPLE_UPDATE)
+    elif on("bcond"):
+        src.append("taken = TEST(thread.flags)\n")
+    elif on("cbz"):
+        src.append("taken = (thread.xregs[RN] == 0) == WANT_ZERO\n")
+    if on("commit_hook"):
+        src.append("core.on_commit(thread, D, t_c)\n")
+
+    def peek(prefix: str) -> str:
+        # barrel successor-peek: when could this thread issue again?  The
+        # scheduler runs other threads while it waits on a load
+        return ("t_next = t_issue + 1\n" + _operand_wait(
+            prefix + "_FLATS", on(prefix.lower() + "_flags"), "t_next"))
+
+    if cls == "halt":
+        src.append("core._halt_thread(thread)\n")
+    elif cls == "branch":
+        taken = "thread.pc = TARGET\n" + (
+            peek("TGT") + _BARREL_REDIRECT if barrel else _REDIRECT)
+        fall = "thread.pc = NEXT\n" + (peek("FT") if barrel else "")
+        if on("bcond") or on("cbz"):
+            src += ["if taken:\n", indent(taken, "    "),
+                    "else:\n", indent(fall, "    ")]
+        else:
+            src.append(taken)
     else:
-        FT_FLATS, FT_FLAGS = _barrel_peek(ops, d.pc + 1)
-    LAT = d.ex_latency
-    SRC_FLATS = tuple(r._flat for r in d.srcs)
-    READS_FLAGS = d.reads_flags
-    NEXT = d.pc + 1
+        src.append("thread.pc = NEXT\n" + (peek("ND") if barrel else ""))
+    if barrel and cls != "halt":
+        src.append("ir[tid] = t_next\n")
+    src.append("return 1 + CHAIN(core, thread)\n" if on("chain")
+               else "return 1\n")
 
-    def step(core, thread):
-        tid = thread.tid
-        ir = core._issue_ready
-        board = core._boards[tid]
-        t_ops = 0
-        for f in SRC_FLATS:
-            w = board.get(f, 0)
-            if w > t_ops:
-                t_ops = w
-        if READS_FLAGS:
-            fr = core._flags_ready[tid]
-            if fr > t_ops:
-                t_ops = fr
-        t_issue = core.decode_free + 1
-        if t_ops > t_issue:
-            t_issue = t_ops
-        iri = ir[tid]
-        if iri > t_issue:
-            t_issue = iri
-        core.decode_free = t_issue
-        ex = core.ex_free
-        t_ex_done = (t_issue if t_issue > ex else ex) + LAT
-        core.ex_free = t_ex_done
-        t_c = core.commit_tail + 1
-        if t_ex_done > t_c:
-            t_c = t_ex_done
-        core.commit_tail = t_c
-        thread.instructions += 1
-        core.now = min(ir.values())
-        if KIND == 0:
-            taken = True
-        elif KIND == 1:
-            taken = TEST(thread.flags)
-        else:
-            taken = (thread.xregs[RN] == 0) == WANT_ZERO
-        if taken:
-            thread.pc = TARGET
-            nd_flats, nd_flags = TGT_FLATS, TGT_FLAGS
-        else:
-            thread.pc = NEXT
-            nd_flats, nd_flags = FT_FLATS, FT_FLAGS
-        t_next = t_issue + 1
-        for f in nd_flats:
-            w = board.get(f, 0)
-            if w > t_next:
-                t_next = w
-        if nd_flags:
-            fr = core._flags_ready[tid]
-            if fr > t_next:
-                t_next = fr
-        if taken:
-            rp = t_ex_done + core.config.redirect_penalty
-            if rp > t_next:
-                t_next = rp
-        ir[tid] = t_next
-        return 1
-
-    return step
+    rd_x = on("rd_x")
+    return Template("".join(src)).substitute(
+        DONE="data_at" if cls in ("ldr", "str") else "t_ex_done",
+        FLAGS_READY="core._flags_ready[tid]" if barrel else "core.flags_ready",
+        RF="xregs" if rd_x else "dregs",
+        LOADED="int(v) & MASK64" if rd_x else "float(v)",
+        CMP_B="x[RM]" if on("has_rm") else "IMM_B")
 
 
-def _barrel_ldr(ops: List[DecodedOp], d: DecodedOp) -> Callable:
-    addr_fn, wb_fn, rn_idx = _addr_lowering(d)
-    inst = d.inst
-    rd = inst.rd
-    if rd is None:
-        raise _Unsupported
-    RD_IS_X = rd.rclass is RegClass.X
-    RD_IDX = rd.index
-    RD_FLAT = rd._flat
-    RN_IDX = rn_idx
-    RN_FLAT = inst.rn._flat
-    ND_FLATS, ND_FLAGS = _barrel_peek(ops, d.pc + 1)
-    LAT = d.ex_latency
-    SRC_FLATS = tuple(r._flat for r in d.srcs)
-    NEXT = d.pc + 1
-
-    def step(core, thread):
-        tid = thread.tid
-        ir = core._issue_ready
-        board = core._boards[tid]
-        t_ops = 0
-        for f in SRC_FLATS:
-            w = board.get(f, 0)
-            if w > t_ops:
-                t_ops = w
-        t_issue = core.decode_free + 1
-        if t_ops > t_issue:
-            t_issue = t_ops
-        iri = ir[tid]
-        if iri > t_issue:
-            t_issue = iri
-        core.decode_free = t_issue
-        ex = core.ex_free
-        t_ex_done = (t_issue if t_issue > ex else ex) + LAT
-        core.ex_free = t_ex_done
-        x = thread.xregs
-        addr = addr_fn(x)
-        t_m = core._load_slot_wait(t_ex_done)
-        _, r = core.dcache_request(t_m, addr, is_load_data=True)
-        data_at = r.complete_at
-        if not r.hit:
-            core.stats.inc("load_miss_stalls")
-        t_c = core.commit_tail + 1
-        if data_at > t_c:
-            t_c = data_at
-        core.commit_tail = t_c
-        thread.instructions += 1
-        core.now = min(ir.values())
-        if wb_fn is not None:
-            x[RN_IDX] = wb_fn(x)
-            board[RN_FLAT] = t_ex_done
-        v = core.memory.load(addr)
-        if RD_IS_X:
-            x[RD_IDX] = int(v) & MASK64
-        else:
-            thread.dregs[RD_IDX] = float(v)
-        board[RD_FLAT] = data_at
-        thread.pc = NEXT
-        t_next = t_issue + 1
-        for f in ND_FLATS:
-            w = board.get(f, 0)
-            if w > t_next:
-                t_next = w
-        if ND_FLAGS:
-            fr = core._flags_ready[tid]
-            if fr > t_next:
-                t_next = fr
-        ir[tid] = t_next
-        return 1
-
-    return step
+#: exec-compiled step factories, one per shape, for the whole process.  A
+#: shape is (family, op class, switches) and holds no per-pc value, so a
+#: sweep that assembles hundreds of programs still compiles each shape
+#: once (~0.4 ms) and every pc after that costs one factory call.
+_FACTORIES: Dict[Tuple[str, str, FrozenSet[str]], Callable] = {}
 
 
-def _barrel_str(ops: List[DecodedOp], d: DecodedOp) -> Callable:
-    addr_fn, wb_fn, rn_idx = _addr_lowering(d)
-    inst = d.inst
-    rd = inst.rd
-    if rd is None:
-        raise _Unsupported
-    RD_IS_X = rd.rclass is RegClass.X
-    RDS_IDX = rd.index
-    RN_IDX = rn_idx
-    RN_FLAT = inst.rn._flat
-    ND_FLATS, ND_FLAGS = _barrel_peek(ops, d.pc + 1)
-    LAT = d.ex_latency
-    SRC_FLATS = tuple(r._flat for r in d.srcs)
-    NEXT = d.pc + 1
-
-    def step(core, thread):
-        tid = thread.tid
-        ir = core._issue_ready
-        board = core._boards[tid]
-        t_ops = 0
-        for f in SRC_FLATS:
-            w = board.get(f, 0)
-            if w > t_ops:
-                t_ops = w
-        t_issue = core.decode_free + 1
-        if t_ops > t_issue:
-            t_issue = t_ops
-        iri = ir[tid]
-        if iri > t_issue:
-            t_issue = iri
-        core.decode_free = t_issue
-        ex = core.ex_free
-        t_ex_done = (t_issue if t_issue > ex else ex) + LAT
-        core.ex_free = t_ex_done
-        x = thread.xregs
-        sv = x[RDS_IDX] if RD_IS_X else thread.dregs[RDS_IDX]
-        addr = addr_fn(x)
-        data_at = core._sq_insert(t_ex_done, addr)
-        core.memory.store(addr, sv)
-        t_c = core.commit_tail + 1
-        if data_at > t_c:
-            t_c = data_at
-        core.commit_tail = t_c
-        thread.instructions += 1
-        core.now = min(ir.values())
-        if wb_fn is not None:
-            x[RN_IDX] = wb_fn(x)
-            board[RN_FLAT] = t_ex_done
-        thread.pc = NEXT
-        t_next = t_issue + 1
-        for f in ND_FLATS:
-            w = board.get(f, 0)
-            if w > t_next:
-                t_next = w
-        if ND_FLAGS:
-            fr = core._flags_ready[tid]
-            if fr > t_next:
-                t_next = fr
-        ir[tid] = t_next
-        return 1
-
-    return step
-
-
-def _barrel_halt(d: DecodedOp) -> Callable:
-    LAT = d.ex_latency
-
-    def step(core, thread):
-        tid = thread.tid
-        ir = core._issue_ready
-        t_issue = core.decode_free + 1
-        iri = ir[tid]
-        if iri > t_issue:
-            t_issue = iri
-        core.decode_free = t_issue
-        ex = core.ex_free
-        t_ex_done = (t_issue if t_issue > ex else ex) + LAT
-        core.ex_free = t_ex_done
-        t_c = core.commit_tail + 1
-        if t_ex_done > t_c:
-            t_c = t_ex_done
-        core.commit_tail = t_c
-        core.now = min(ir.values())
-        core._halt_barrel_thread(thread)
-        return 1
-
-    return step
-
-
-def _barrel_generic(d: DecodedOp) -> Callable:
-    """evaluate()-based replica of _process_barrel_instruction (bus empty),
-    with flat board keys and the successor peek read from ``core._dops``."""
-    D = d
-    INST = d.inst
-    LAT = d.ex_latency
-    SRC_READS = d.src_reads
-    SRC_FLATS = tuple(r._flat for r in d.srcs)
-    READS_FLAGS = d.reads_flags
-    IS_LOAD = d.is_load
-    IS_STORE = d.is_store
-    RD = d.rd
-    NEXT = d.pc + 1
-    X = RegClass.X
-
-    def step(core, thread):
-        tid = thread.tid
-        ir = core._issue_ready
-        board = core._boards[tid]
-        t_ops = 0
-        for f in SRC_FLATS:
-            w = board.get(f, 0)
-            if w > t_ops:
-                t_ops = w
-        if READS_FLAGS:
-            fr = core._flags_ready[tid]
-            if fr > t_ops:
-                t_ops = fr
-        t_issue = core.decode_free + 1
-        if t_ops > t_issue:
-            t_issue = t_ops
-        iri = ir[tid]
-        if iri > t_issue:
-            t_issue = iri
-        core.decode_free = t_issue
-        ex = core.ex_free
-        t_ex_done = (t_issue if t_issue > ex else ex) + LAT
-        core.ex_free = t_ex_done
-        xregs = thread.xregs
-        dregs = thread.dregs
-        srcvals = {}
-        for reg, is_x, idx in SRC_READS:
-            srcvals[reg] = xregs[idx] if is_x else dregs[idx]
-        result = evaluate(INST, srcvals, thread.flags, thread.pc)
-        data_at = t_ex_done
-        if IS_LOAD:
-            t_m = core._load_slot_wait(t_ex_done)
-            _, r = core.dcache_request(t_m, result.addr, is_load_data=True)
-            data_at = r.complete_at
-            if not r.hit:
-                core.stats.inc("load_miss_stalls")
-        elif IS_STORE:
-            data_at = core._sq_insert(t_ex_done, result.addr)
-            core.memory.store(result.addr, result.store_value)
-        t_c = core.commit_tail + 1
-        if data_at > t_c:
-            t_c = data_at
-        core.commit_tail = t_c
-        if not result.halt:
-            thread.instructions += 1
-        core.now = min(ir.values())
-        for reg, value in result.writes.items():
-            if reg.rclass is X:
-                xregs[reg.index] = int(value) & MASK64
-            else:
-                dregs[reg.index] = float(value)
-            board[reg._flat] = t_ex_done
-        if IS_LOAD:
-            value = core.memory.load(result.addr)
-            if RD.rclass is X:
-                xregs[RD.index] = int(value) & MASK64
-            else:
-                dregs[RD.index] = float(value)
-            board[RD._flat] = data_at
-        if result.new_flags is not None:
-            thread.flags = result.new_flags
-            core._flags_ready[tid] = t_ex_done
-        if result.halt:
-            core._halt_barrel_thread(thread)
-            return 1
-        thread.pc = result.target if result.taken else NEXT
-        nd = core._dops[thread.pc]
-        t_next = t_issue + 1
-        for reg in nd.srcs:
-            w = board.get(reg._flat, 0)
-            if w > t_next:
-                t_next = w
-        if nd.reads_flags:
-            fr = core._flags_ready[tid]
-            if fr > t_next:
-                t_next = fr
-        if result.taken:
-            rp = t_ex_done + core.config.redirect_penalty
-            if rp > t_next:
-                t_next = rp
-        ir[tid] = t_next
-        return 1
-
-    return step
-
-
-def _barrel_instrumented(ops: List[DecodedOp], pc: int,
-                         variant: EngineVariant) -> Callable:
-    """Compiled-instrumented barrel closure (faults -> profile ->
-    sanitizer, the barrel's probe set).  Bus slots are read per call —
-    never captured (VRC010)."""
-    d = ops[pc]
-    D = d
-    INST = d.inst
-    LAT = d.ex_latency
-    SRC_READS = d.src_reads
-    SRC_FLATS = tuple(r._flat for r in d.srcs)
-    READS_FLAGS = d.reads_flags
-    IS_LOAD = d.is_load
-    IS_STORE = d.is_store
-    RD = d.rd
-    NEXT = d.pc + 1
-    X = RegClass.X
-
-    def step(core, thread):
-        bus = core.bus
-        tid = thread.tid
-        ir = core._issue_ready
-        board = core._boards[tid]
-        faults = bus.faults
-        if faults is not None:
-            ir[tid] = faults.on_instruction(thread, INST, ir[tid])
-        t_ops = 0
-        for f in SRC_FLATS:
-            w = board.get(f, 0)
-            if w > t_ops:
-                t_ops = w
-        if READS_FLAGS:
-            fr = core._flags_ready[tid]
-            if fr > t_ops:
-                t_ops = fr
-        t_issue = core.decode_free + 1
-        if t_ops > t_issue:
-            t_issue = t_ops
-        iri = ir[tid]
-        if iri > t_issue:
-            t_issue = iri
-        core.decode_free = t_issue
-        ex = core.ex_free
-        t_ex_done = (t_issue if t_issue > ex else ex) + LAT
-        core.ex_free = t_ex_done
-        xregs = thread.xregs
-        dregs = thread.dregs
-        srcvals = {}
-        for reg, is_x, idx in SRC_READS:
-            srcvals[reg] = xregs[idx] if is_x else dregs[idx]
-        result = evaluate(INST, srcvals, thread.flags, thread.pc)
-        data_at = t_ex_done
-        load_missed = False
-        if IS_LOAD:
-            t_m = core._load_slot_wait(t_ex_done)
-            _, r = core.dcache_request(t_m, result.addr, is_load_data=True)
-            data_at = r.complete_at
-            if not r.hit:
-                core.stats.inc("load_miss_stalls")
-                load_missed = True
-        elif IS_STORE:
-            data_at = core._sq_insert(t_ex_done, result.addr)
-            core.memory.store(result.addr, result.store_value)
-        t_c = core.commit_tail + 1
-        if data_at > t_c:
-            t_c = data_at
-        core.commit_tail = t_c
-        if not result.halt:
-            thread.instructions += 1
-        core.now = min(ir.values())
-        profile = bus.profile
-        if profile is not None:
-            profile.on_barrel_commit(tid, thread.pc, D, t_issue, t_ex_done,
-                                     data_at, t_c, load_missed)
-        for reg, value in result.writes.items():
-            if reg.rclass is X:
-                xregs[reg.index] = int(value) & MASK64
-            else:
-                dregs[reg.index] = float(value)
-            board[reg._flat] = t_ex_done
-        if IS_LOAD:
-            value = core.memory.load(result.addr)
-            if RD.rclass is X:
-                xregs[RD.index] = int(value) & MASK64
-            else:
-                dregs[RD.index] = float(value)
-            board[RD._flat] = data_at
-        if result.new_flags is not None:
-            thread.flags = result.new_flags
-            core._flags_ready[tid] = t_ex_done
-        sanitizer = bus.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_commit(thread, INST, result, t_c)
-        if result.halt:
-            core._halt_barrel_thread(thread)
-            return 1
-        thread.pc = result.target if result.taken else NEXT
-        nd = core._dops[thread.pc]
-        t_next = t_issue + 1
-        for reg in nd.srcs:
-            w = board.get(reg._flat, 0)
-            if w > t_next:
-                t_next = w
-        if nd.reads_flags:
-            fr = core._flags_ready[tid]
-            if fr > t_next:
-                t_next = fr
-        if result.taken:
-            rp = t_ex_done + core.config.redirect_penalty
-            if rp > t_next:
-                t_next = rp
-        ir[tid] = t_next
-        return 1
-
-    return step
+def _step_factory(family: str, cls: str, sw: FrozenSet[str],
+                  consts: dict) -> Callable:
+    """The factory ``make(<constant names>) -> step`` of one shape; the
+    names are those of ``consts``, the first op compiled with the shape."""
+    shape = (family, cls, sw)
+    factory = _FACTORIES.get(shape)
+    if factory is None:
+        filename = f"<{__name__} {family}.{cls} {'+'.join(sorted(sw))}>"
+        source = (f"def make({', '.join(consts)}):\n"
+                  f"    def step(core, thread):\n"
+                  f"{indent(_step_source(family, cls, sw), ' ' * 8)}"
+                  f"    return step\n")
+        # known to linecache, so a traceback through a generated step
+        # shows the failing source line
+        linecache.cache[filename] = (len(source), None,
+                                     source.splitlines(True), filename)
+        namespace: dict = {}
+        # the fragments resolve MASK64, SIGN64, Flags and _U64 in this
+        # module's globals
+        exec(compile(source, filename, "exec"), globals(), namespace)
+        factory = _FACTORIES[shape] = namespace["make"]
+    return factory

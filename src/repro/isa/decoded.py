@@ -44,16 +44,19 @@ class DecodedOp:
     descriptors per commit.
     """
 
-    __slots__ = ("inst", "pc", "srcs", "src_reads", "dests", "reads_flags",
-                 "sets_flags", "is_load", "is_store", "is_branch", "is_halt",
-                 "ex_latency", "addr", "line", "rd", "has_regs", "regs",
-                 "plan", "is_mem", "kill_flats", "last_use_flats",
-                 "dead_dest_flats")
+    __slots__ = ("inst", "pc", "srcs", "src_flats", "src_reads", "dests",
+                 "reads_flags", "sets_flags", "is_load", "is_store",
+                 "is_branch", "is_halt", "ex_latency", "addr", "line", "rd",
+                 "has_regs", "regs", "plan", "is_mem", "kill_flats",
+                 "last_use_flats", "dead_dest_flats")
 
     def __init__(self, pc: int, inst: Instruction, line_bytes: int) -> None:
         self.inst = inst
         self.pc = pc
         self.srcs: Tuple[Reg, ...] = inst.srcs
+        #: flat indices of ``srcs`` — the one scoreboard key type of every
+        #: engine, so the operand-ready scan hashes plain ints, never a Reg
+        self.src_flats: Tuple[int, ...] = tuple(r.flat for r in inst.srcs)
         #: ``(reg, is_int_class, index)`` triples so the engine reads the
         #: per-thread register lists directly without per-access enum tests
         self.src_reads: Tuple[Tuple[Reg, bool, int], ...] = tuple(

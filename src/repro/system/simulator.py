@@ -14,7 +14,6 @@ from typing import Dict, List, Optional
 
 from .. import workloads
 from ..core.cgmt import BankedCore, SoftwareSwitchCore
-from ..core.engine import resolve_engine
 from ..errors import FunctionalCheckError, RunFailure, SimulationError
 from ..core.fgmt import FGMTCore
 from ..core.inorder import InOrderCore
@@ -76,10 +75,8 @@ def _make_core(cfg: RunConfig, instance, icache, dcache, core_id=0, stats=None):
             for th in threads:
                 th.state = ThreadState.BLOCKED
 
-    # simulator-built cores run the RunConfig's step engine (threaded-code
-    # by default); directly constructed cores stay interpreted
     common = dict(stats=stats, core_id=core_id, layout=layout,
-                  engine=resolve_engine(cfg.engine))
+                  engine=cfg.engine)
     if cfg.core_type == "banked":
         return BankedCore(instance.program, icache, dcache, instance.memory,
                           threads, **common)
@@ -99,7 +96,7 @@ def _make_core(cfg: RunConfig, instance, icache, dcache, core_id=0, stats=None):
         return make_nsf_core(instance.program, icache, dcache, instance.memory,
                              threads, rf_size=rf, layout=layout,
                              stats=stats, core_id=core_id,
-                             engine=resolve_engine(cfg.engine))
+                             engine=cfg.engine)
     if cfg.core_type == "prefetch-full":
         return FullContextPrefetchCore(instance.program, icache, dcache,
                                        instance.memory, threads, **common)

@@ -410,92 +410,6 @@ def test_vrc009_library_tree_is_clean():
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
-# -- VRC010: closures capturing InstrumentBus slot values --------------------
-_VRC010_BAD = """
-def factory(core):
-    faults = core.bus.faults
-    def step(thread):
-        if faults is not None:
-            faults.on_instruction(thread)
-        return 1
-    return step
-"""
-
-_VRC010_GOOD = """
-def factory(core):
-    def step(thread):
-        f = core.bus.faults
-        if f is not None:
-            f.on_instruction(thread)
-        return 1
-    return step
-"""
-
-
-def test_vrc010_captured_slot_value_flagged():
-    hits = L.lint_source(_VRC010_BAD, path="src/repro/isa/compiled.py")
-    assert ids(hits) == ["VRC010"]
-    assert len(hits) == 2              # both closure references flagged
-    assert "bus.faults" in hits[0].message
-
-
-def test_vrc010_per_call_read_ok():
-    assert L.lint_source(_VRC010_GOOD,
-                         path="src/repro/isa/compiled.py") == []
-
-
-def test_vrc010_lambda_capture_flagged():
-    hits = L.lint_source(
-        "def factory(core):\n"
-        "    profile = core.bus.profile\n"
-        "    return lambda t: profile.on_commit(t)\n",
-        path="src/repro/core/base.py")
-    assert ids(hits) == ["VRC010"]
-
-
-def test_vrc010_shadowed_name_ok():
-    # the nested function rebinds the name: no capture, no staleness
-    assert L.lint_source(
-        "def factory(core):\n"
-        "    profile = core.bus.profile\n"
-        "    def step(thread, profile):\n"
-        "        return profile\n"
-        "    return step\n",
-        path="src/repro/core/base.py") == []
-
-
-def test_vrc010_non_bus_attribute_ok():
-    # only bus-chained slot reads are rebindable; config.profile is not
-    assert L.lint_source(
-        "def factory(cfg):\n"
-        "    profile = cfg.profile\n"
-        "    def step(thread):\n"
-        "        return profile\n"
-        "    return step\n",
-        path="src/repro/core/base.py") == []
-
-
-def test_vrc010_exempt_trees_and_suppression():
-    for path in ("tests/core/test_x.py", "benchmarks/bench_x.py"):
-        assert L.lint_source(_VRC010_BAD, path=path) == [], path
-    hits = L.lint_source(
-        "def factory(core):\n"
-        "    faults = core.bus.faults\n"
-        "    def step(thread):\n"
-        "        return faults  # noqa: VRC010\n"
-        "    return step\n",
-        path="src/repro/isa/compiled.py")
-    assert len(hits) == 1 and hits[0].suppressed
-
-
-def test_vrc010_library_tree_is_clean():
-    """No compiled-engine closure freezes a bus slot (the CI gate — the
-    threaded-code engine contract of repro/isa/compiled.py)."""
-    findings = [f for f in L.lint_paths([str(SRC_DIR)])
-                if f.rule.id == "VRC010" and not f.suppressed]
-    assert findings == [], "\n".join(f.render() for f in findings)
-
-
 # -- VRC011: raw sqlite3.connect outside the ledger package ------------------
 def test_vrc011_raw_connect_flagged():
     hits = L.lint_source(

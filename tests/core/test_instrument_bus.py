@@ -3,12 +3,13 @@
 Three things must hold (see ``repro/core/instrument.py``):
 
 * **Compiled fast path** — with nothing attached the engine binds the
-  uninstrumented step body; attaching/detaching any instrument rebinds it.
+  generated closure table; any attach binds the reference body, under
+  either engine, and detaching the last instrument restores the table.
 * **Fixed dispatch order** — attached instruments fire per instruction as
   faults -> telemetry -> metrics -> profile -> sanitizer -> tracer, at
   their pipeline positions.
 * **Cycle identity** — observational instruments never change a timestamp:
-  the instrumented path commits on exactly the fast path's clock.
+  the reference body commits on exactly the compiled table's clock.
 """
 
 import pytest
@@ -125,20 +126,26 @@ def step_body(core):
     return core._process_instruction.__func__
 
 
+COMPILED = TimelineCore._process_instruction_compiled
+REFERENCE = TimelineCore._reference_step
+
+
 def test_fast_path_bound_when_bus_empty():
     core = build_core()
-    assert core.bus.empty
-    assert step_body(core) is TimelineCore._process_instruction_fast
+    assert core.bus.empty and core.engine == "compiled"   # the default
+    assert step_body(core) is COMPILED
+    # the interpreted engine has one body, whatever the bus holds
+    assert step_body(build_core(engine="interpreted")) is REFERENCE
 
 
 def test_attach_rebinds_to_instrumented_and_back():
     core = build_core()
     core.tracer = PipelineTracer()
     assert not core.bus.empty
-    assert step_body(core) is TimelineCore._process_instruction_instrumented
+    assert step_body(core) is REFERENCE
     core.tracer = None
     assert core.bus.empty
-    assert step_body(core) is TimelineCore._process_instruction_fast
+    assert step_body(core) is COMPILED
 
 
 @pytest.mark.parametrize("slot,attr", [("faults", "fault_hook"),
@@ -153,10 +160,10 @@ def test_legacy_attributes_delegate_to_bus(slot, attr):
     setattr(core, attr, probe)
     assert getattr(core.bus, slot) is probe
     assert getattr(core, attr) is probe
-    assert step_body(core) is TimelineCore._process_instruction_instrumented
+    assert step_body(core) is REFERENCE
     setattr(core, attr, None)
     assert getattr(core.bus, slot) is None
-    assert step_body(core) is TimelineCore._process_instruction_fast
+    assert step_body(core) is COMPILED
 
 
 def test_bus_set_checks_slot_name():
@@ -189,8 +196,7 @@ def test_external_step_wrapper_survives_recompile():
     core._process_instruction = wrapper
     core.tracer = PipelineTracer()          # recompile under the wrapper
     assert core._process_instruction is wrapper
-    assert (core._step_impl.__func__
-            is TimelineCore._process_instruction_instrumented)
+    assert core._step_impl.__func__ is REFERENCE
     core.run()
     assert calls, "wrapper was bypassed"
     assert core.tracer.records, "instrument attached after wrapping was lost"
@@ -237,9 +243,9 @@ def test_instrumented_path_is_cycle_identical_to_fast_path():
 
 
 def test_mid_run_attach_detach_keeps_the_clock():
-    """Flipping between the fast and instrumented bodies mid-run must not
-    disturb the timeline: a run that toggles a tracer on and off commits on
-    the same clock as an untouched run."""
+    """Flipping between the compiled table and the reference body mid-run
+    must not disturb the timeline: a run that toggles a tracer on and off
+    commits on the same clock as an untouched run."""
     bare = build_core()
     bare.run()
 

@@ -3,14 +3,15 @@
 The compile cache must never hand one context's closures to another: the
 full key is (program identity, icache line size, EngineVariant), with the
 same staleness guard the decode cache carries.  Chains (superops) must
-stop at CFG basic-block leaders, branches, and halts, and instrumented
-tables must not chain at all (per-instruction probe granularity).
+stop at CFG basic-block leaders, branches, and halts.  Every step is
+generated from the stage templates, once per shape, and never reads the
+InstrumentBus (a core with anything attached runs the reference body).
 """
 
 import pytest
 
 from repro.analysis.dataflow.cfg import build_cfg
-from repro.isa import assemble
+from repro.isa import assemble, compiled
 from repro.isa.compiled import (
     MAX_CHAIN,
     CompiledProgram,
@@ -68,7 +69,7 @@ def test_equal_variant_values_share_one_table():
     EngineVariant(reg_hook=True),
     EngineVariant(commit_hook=True),
     EngineVariant(miss_switch=True),
-    EngineVariant(instrumented=True),
+    EngineVariant(reg_hook=True, commit_hook=True),
     EngineVariant(family="barrel"),
     EngineVariant(chained=False),
 ])
@@ -146,12 +147,6 @@ def test_chain_depth_bounded():
         assert depth <= MAX_CHAIN
 
 
-def test_instrumented_table_never_chains():
-    dprog = make_dprog()
-    code = compile_program(dprog, EngineVariant(instrumented=True)).code
-    assert all(chain_of(step) is None for step in code)
-
-
 def test_unchained_variant_never_chains():
     # chained=False (multi-core nodes): every step ends its superop so
     # the node can interleave cores at per-instruction granularity
@@ -171,3 +166,37 @@ def test_compiled_program_len():
     cp = compile_program(dprog, EngineVariant())
     assert isinstance(cp, CompiledProgram)
     assert len(cp) == len(dprog.ops)
+
+
+# ------------------------------------------------------- generated sources
+def test_shapes_compile_once_per_process():
+    # a second program with the same op shapes adds no factory: the shape
+    # key holds no per-pc value (pc, index, latency, immediate, successor)
+    v = EngineVariant(reg_hook=True)
+    compile_program(make_dprog(), v)
+    before = dict(compiled._FACTORIES)
+    other = assemble(SRC.replace("#16", "#24"), symbols={"buf": 0x3000})
+    compile_program(DecodedProgram.of(other), v)
+    assert compiled._FACTORIES == before
+
+
+def test_generated_step_sources_never_mention_bus():
+    """The successor of lint rule VRC010: no generated step, of any shape,
+    reads (let alone captures) the InstrumentBus."""
+    from repro import workloads
+
+    variants = [EngineVariant(family=f, reg_hook=h, commit_hook=h,
+                              miss_switch=m, chained=c)
+                for f in compiled.FAMILIES for h in (False, True)
+                for m in (False, True) for c in (False, True)]
+    programs = [workloads.get(name).build(n_threads=2, n_per_thread=4).program
+                for name in workloads.names() if name != "fuzz"]
+    for program in programs:
+        for variant in variants:
+            compile_program(DecodedProgram.of(program), variant)
+    families = {shape[0] for shape in compiled._FACTORIES}
+    classes = {shape[1] for shape in compiled._FACTORIES}
+    assert families == set(compiled.FAMILIES)
+    assert classes == {"simple", "cmp", "branch", "ldr", "str", "halt"}
+    for shape in compiled._FACTORIES:
+        assert "bus" not in compiled._step_source(*shape), shape

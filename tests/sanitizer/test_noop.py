@@ -130,12 +130,12 @@ def test_attach_goes_through_the_bus():
     core, mem, _, _ = build_gather_core(BankedCore, n_threads=2, n=8)
     assert core.bus.empty
     assert (core._process_instruction.__func__
-            is TimelineCore._process_instruction_fast)
+            is TimelineCore._process_instruction_compiled)
 
     cs = Sanitizer().attach(core, mem)
     assert core.bus.sanitizer is cs is core.sanitizer
     assert (core._process_instruction.__func__
-            is TimelineCore._process_instruction_instrumented)
+            is TimelineCore._reference_step)
 
 
 def test_bus_attached_run_is_cycle_identical_to_fast_path():
