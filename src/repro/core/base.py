@@ -306,7 +306,7 @@ class TimelineCore:
         return t
 
     # ----------------------------------------------------------- dcache port
-    def dcache_request(self, t: int, addr: int, is_write: bool = False, *,
+    def dcache_request(self, t: int, addr: int, is_write: bool = False,
                        is_load_data: bool = False, is_register: bool = False,
                        pin_delta: int = 0):
         """Issue one request through the shared dcache port (LSQ/BSI arbiter).
@@ -314,13 +314,12 @@ class TimelineCore:
         Retries transparently on MSHR-full.  Returns ``(t_issue, result)``.
         """
         while True:
-            t_issue = max(t, self.dcache_port_free)
-            result = self.dcache.access(
-                t_issue, addr, is_write, requestor=self.core_id,
-                is_load_data=is_load_data, is_register=is_register,
-                pin_delta=pin_delta)
+            port_free = self.dcache_port_free
+            t_issue = t if t > port_free else port_free
+            result = self.dcache.access(t_issue, addr, is_write, self.core_id,
+                                        is_load_data, is_register, pin_delta)
             self.dcache_port_free = t_issue + 1
-            if result.accepted:
+            if result.retry_at is None:
                 return t_issue, result
             t = max(result.retry_at, t_issue + 1)
             self.stats.inc("dcache_retries")

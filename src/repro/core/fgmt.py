@@ -30,6 +30,7 @@ from typing import Dict, List, Optional
 from ..isa.compiled import EngineVariant
 from ..isa.decoded import DecodedOp
 from ..isa.instructions import evaluate
+from ..memory.main_memory import LINE_BYTES
 from .base import CoreConfig, ThreadContext, ThreadState, TimelineCore
 from .cgmt import ContextLayout
 
@@ -102,7 +103,7 @@ class FGMTCore(TimelineCore):
         base = self.layout.base + thread.tid * self.layout.bytes_per_thread
         lines = list(self.layout.touched_gp_lines) + [self.layout.GP_LINES]
         for i, line in enumerate(lines):
-            _, r = self.dcache_request(t + i, base + line * 64)
+            _, r = self.dcache_request(t + i, base + line * LINE_BYTES)
             done = max(done, r.complete_at)
         self.stats.inc("context_fetches")
         return done

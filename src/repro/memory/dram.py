@@ -37,10 +37,15 @@ class DRAMConfig:
     t_controller: int = 4
 
 
-@dataclass
+@dataclass(slots=True)
 class _Bank:
     open_row: int = -1
     ready_at: int = 0
+
+
+#: cells of the DRAM's :meth:`Stats.batch`, in the order ``__init__`` names
+#: the keys
+ROW_HITS, ROW_EMPTY, ROW_MISSES, READS, WRITES, BUSY_CYCLES = range(6)
 
 
 class DRAM:
@@ -49,6 +54,10 @@ class DRAM:
     def __init__(self, config: DRAMConfig | None = None, stats: Stats | None = None) -> None:
         self.config = config or DRAMConfig()
         self.stats = stats if stats is not None else Stats("dram")
+        #: per-request pending counts (see :meth:`Stats.batch`)
+        self._pending = self.stats.batch(
+            "row_hits", "row_empty", "row_misses", "reads", "writes",
+            "busy_cycles")
         self._banks: Dict[Tuple[int, int], _Bank] = {}
         self._bus_free: Dict[int, int] = {c: 0 for c in range(self.config.channels)}
 
@@ -69,12 +78,6 @@ class DRAM:
         row = line // (cfg.row_bytes // LINE_BYTES)
         return channel, bank, row
 
-    def _bank(self, channel: int, bank: int) -> _Bank:
-        key = (channel, bank)
-        if key not in self._banks:
-            self._banks[key] = _Bank()
-        return self._banks[key]
-
     # -- access ---------------------------------------------------------------
     def access(self, now: int, line_addr: int, is_write: bool = False,
                requestor: int = 0) -> int:
@@ -85,19 +88,25 @@ class DRAM:
         updated so later requests observe the contention.
         """
         cfg = self.config
-        channel, bank_idx, row = self.map_address(line_addr)
-        bank = self._bank(channel, bank_idx)
+        # :meth:`map_address`, inlined
+        line, channel = divmod(line_addr // LINE_BYTES, cfg.channels)
+        line, bank_idx = divmod(line, cfg.banks_per_channel)
+        row = line // (cfg.row_bytes // LINE_BYTES)
+        bank = self._banks.get((channel, bank_idx))
+        if bank is None:
+            bank = self._banks[(channel, bank_idx)] = _Bank()
 
+        pending = self._pending
         start = max(now + cfg.t_controller, bank.ready_at)
         if bank.open_row == row:
             access_lat = cfg.t_cl
-            self.stats.inc("row_hits")
+            pending[ROW_HITS] += 1
         elif bank.open_row < 0:
             access_lat = cfg.t_rcd + cfg.t_cl
-            self.stats.inc("row_empty")
+            pending[ROW_EMPTY] += 1
         else:
             access_lat = cfg.t_rp + cfg.t_rcd + cfg.t_cl
-            self.stats.inc("row_misses")
+            pending[ROW_MISSES] += 1
         bank.open_row = row
 
         data_ready = start + access_lat
@@ -106,8 +115,8 @@ class DRAM:
         self._bus_free[channel] = complete
         bank.ready_at = complete
 
-        self.stats.inc("writes" if is_write else "reads")
-        self.stats.inc("busy_cycles", complete - start)
+        pending[WRITES if is_write else READS] += 1
+        pending[BUSY_CYCLES] += complete - start
         return complete
 
     def min_latency(self) -> int:

@@ -51,7 +51,8 @@ COUNTER_NAMES: FrozenSet[str] = frozenset({
     "tasks_redispatched",
     # caches (memory/cache.py)
     "writebacks", "register_line_evictions", "forced_pinned_evictions",
-    "writes", "under_fill_hits", "write_through", "mshr_full", "set_busy",
+    "reads", "writes", "under_fill_hits", "write_through", "mshr_full",
+    "set_busy",
     "prefetch_fills", "line_invalidations",
     # DRAM (memory/dram.py)
     "row_hits", "row_empty", "row_misses", "busy_cycles",

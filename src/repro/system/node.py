@@ -28,7 +28,7 @@ class AddressSkew:
     def access(self, now: int, line_addr: int, is_write: bool = False,
                requestor: int = 0) -> int:
         return self.next_level.access(now, line_addr + self.offset,
-                                      is_write=is_write, requestor=requestor)
+                                      is_write, requestor)
 
 
 @dataclass

@@ -23,7 +23,12 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..core.cgmt import ContextLayout
+from ..memory.main_memory import LINE_BYTES, WORD_BYTES
 from ..stats.counters import Stats
+
+#: cells of the BSI's :meth:`Stats.batch`, in the order ``__init__`` names
+#: the keys
+FILLS, FILL_BACKING_MISSES, DUMMY_FILLS, SPILLS, DIRTY_SPILLS = range(5)
 
 
 class BackingStoreInterface:
@@ -36,6 +41,12 @@ class BackingStoreInterface:
                  stats: Optional[Stats] = None) -> None:
         self.request = request_fn
         self.layout = layout
+        # ``layout.reg_addr`` / ``sysreg_addr`` as plain ints: thread ``tid``'s
+        # area starts at base + tid * stride; register ``flat`` sits
+        # flat * WORD_BYTES into it, the system registers after the GP lines
+        self._base = layout.base
+        self._stride = layout.bytes_per_thread
+        self._sysreg_offset = layout.GP_LINES * LINE_BYTES
         #: metadata-only pin release (no port transaction) used by
         #: :meth:`elide_spill`; optional because only dead-hint policies
         #: ever elide
@@ -44,6 +55,10 @@ class BackingStoreInterface:
         self.dummy_fill_enabled = dummy_fill_enabled
         self.pinning_enabled = pinning_enabled
         self.stats = stats if stats is not None else Stats("bsi")
+        #: per-transaction pending counts (see :meth:`Stats.batch`)
+        self._pending = self.stats.batch(
+            "fills", "fill_backing_misses", "dummy_fills", "spills",
+            "dirty_spills")
         #: cycle until which a fill/spill is outstanding (CSL mask input)
         self.busy_until = 0
         #: port horizon contributed by spill transactions only — lets the
@@ -57,12 +72,15 @@ class BackingStoreInterface:
         #: lines on every register fill (strictly opt-in)
         self.fault_hook = None
 
-    def _issue(self, t: int, addr: int, is_write: bool, pin_delta: int,
-               ) -> "tuple[int, object]":
+    def _issue(self, t: int, tid: int, offset: int, is_write: bool,
+               pin_delta: int) -> "tuple[int, object]":
+        """One port transaction on the word ``offset`` bytes into ``tid``'s
+        context area."""
         if self.blocking:
             t = max(t, self._next_issue)
         t_issue, result = self.request(
-            t, addr, is_write=is_write, is_register=True,
+            t, self._base + tid * self._stride + offset, is_write=is_write,
+            is_register=True,
             pin_delta=pin_delta if self.pinning_enabled else 0)
         if self.blocking:
             self._next_issue = result.complete_at
@@ -71,41 +89,45 @@ class BackingStoreInterface:
     # -- operations ------------------------------------------------------------
     def fill(self, t: int, tid: int, flat_reg: int) -> int:
         """Load a register from the backing store; returns data-ready cycle."""
-        addr = self.layout.reg_addr(tid, flat_reg)
-        t_issue, result = self._issue(t, addr, is_write=False, pin_delta=+1)
+        t_issue, result = self._issue(t, tid, flat_reg * WORD_BYTES, False, +1)
         if t_issue > t and self.spill_busy_until > t:
             held = min(self.spill_busy_until, t_issue) - t
             self.fill_spill_wait += held
             self.stats.inc("spill_port_wait_cycles", held)
-        self.stats.inc("fills")
+        pending = self._pending
+        pending[FILLS] += 1
         if not result.hit:
-            self.stats.inc("fill_backing_misses")
+            pending[FILL_BACKING_MISSES] += 1
         done = result.complete_at
         if self.fault_hook is not None:
-            done = self.fault_hook.on_fill(tid, flat_reg, addr, t, done)
-        self.busy_until = max(self.busy_until, done)
+            done = self.fault_hook.on_fill(
+                tid, flat_reg, self.layout.reg_addr(tid, flat_reg), t, done)
+        if done > self.busy_until:
+            self.busy_until = done
         return done
 
     def dummy_fill(self, t: int, tid: int, flat_reg: int) -> int:
         """Destination-only register: dummy value now, metadata txn posted."""
         if not self.dummy_fill_enabled:
             return self.fill(t, tid, flat_reg)
-        addr = self.layout.reg_addr(tid, flat_reg)
-        self._issue(t, addr, is_write=False, pin_delta=+1)
-        self.stats.inc("dummy_fills")
+        self._issue(t, tid, flat_reg * WORD_BYTES, False, +1)
+        self._pending[DUMMY_FILLS] += 1
         # metadata transaction is off the critical path; RF writable now
         return t
 
     def spill(self, t: int, tid: int, flat_reg: int, dirty: bool) -> int:
         """Write an evicted register back to the backing store (posted)."""
-        addr = self.layout.reg_addr(tid, flat_reg)
-        t_issue, result = self._issue(t, addr, is_write=True, pin_delta=-1)
-        self.stats.inc("spills")
+        t_issue, _ = self._issue(t, tid, flat_reg * WORD_BYTES, True, -1)
+        pending = self._pending
+        pending[SPILLS] += 1
         if dirty:
-            self.stats.inc("dirty_spills")
-        self.busy_until = max(self.busy_until, t_issue + 1)
-        self.spill_busy_until = max(self.spill_busy_until, t_issue + 1)
-        return t_issue + 1
+            pending[DIRTY_SPILLS] += 1
+        done = t_issue + 1
+        if done > self.busy_until:
+            self.busy_until = done
+        if done > self.spill_busy_until:
+            self.spill_busy_until = done
+        return done
 
     def elide_spill(self, t: int, tid: int, flat_reg: int) -> int:
         """Skip the writeback of a dead register (compiler-assisted elision).
@@ -128,14 +150,12 @@ class BackingStoreInterface:
         lines to store their general and system registers ... these lines
         are pinned so they cannot be evicted"); the saturating counter makes
         the pin persistent across the read/write ping-pong."""
-        _, result = self._issue(t, self.layout.sysreg_addr(tid),
-                                is_write=False, pin_delta=+1)
+        _, result = self._issue(t, tid, self._sysreg_offset, False, +1)
         self.stats.inc("sysreg_reads")
         return result.complete_at
 
     def sysreg_write(self, t: int, tid: int) -> int:
         """Write back the previous thread's system registers (posted)."""
-        t_issue, _ = self._issue(t, self.layout.sysreg_addr(tid),
-                                 is_write=True, pin_delta=0)
+        t_issue, _ = self._issue(t, tid, self._sysreg_offset, True, 0)
         self.stats.inc("sysreg_writes")
         return t_issue + 1

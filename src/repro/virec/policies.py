@@ -94,6 +94,10 @@ class ReplacementPolicy:
     uses_dead_hints = False
     #: whether the VRMU may skip the BSI spill of a dead victim
     elides_dead_writebacks = False
+    #: ``(mask, shift)`` of a policy whose priority is the stored word's
+    #: fields above the age, ``(word & mask) >> shift | A`` — the tag store
+    #: evaluates it inline; None for a policy with its own :meth:`priority`
+    priority_fields: Optional[Tuple[int, int]] = None
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -175,7 +179,10 @@ class ReplacementPolicy:
 
     def priority(self, slot: int) -> int:
         """Eviction priority of ``slot`` (higher = evict first)."""
-        raise NotImplementedError
+        if self.priority_fields is None:
+            raise NotImplementedError
+        mask, shift = self.priority_fields
+        return (self.word[slot] & mask) >> shift | self.age(slot)
 
     def select_victim(self, candidates: Sequence[int]) -> Optional[int]:
         """The victim among ``candidates`` — slot indices in ascending order
@@ -216,8 +223,7 @@ class PLRU(ReplacementPolicy):
     """Age-only pseudo-LRU, as in the NSF [41] — thrashes across threads."""
 
     name = "plru"
-
-    priority = ReplacementPolicy.age
+    priority_fields = (0, 0)
 
 
 @register_policy
@@ -236,10 +242,7 @@ class MRTPLRU(ReplacementPolicy):
 
     name = "mrt-plru"
     uses_thread_bits = True
-
-    def priority(self, slot: int) -> int:
-        a = self._clock - self.zeroed_at[slot]
-        return ((self.word[slot] & T_MASK) >> 1) | (a if a < A_MAX else A_MAX)
+    priority_fields = (T_MASK, 1)
 
 
 @register_policy
@@ -261,10 +264,7 @@ class LRC(ReplacementPolicy):
     name = "lrc"
     uses_commit_bit = True
     uses_thread_bits = True
-
-    def priority(self, slot: int) -> int:
-        a = self._clock - self.zeroed_at[slot]
-        return (self.word[slot] & LRC_MASK) | (a if a < A_MAX else A_MAX)
+    priority_fields = (LRC_MASK, 0)
 
 
 @register_policy
@@ -279,10 +279,7 @@ class DeadFirstLRC(LRC):
 
     name = "dead-first"
     uses_dead_hints = True
-
-    def priority(self, slot: int) -> int:
-        a = self._clock - self.zeroed_at[slot]
-        return self.word[slot] | (a if a < A_MAX else A_MAX)
+    priority_fields = (WORD_MAX, 0)
 
 
 @register_policy

@@ -15,7 +15,7 @@ from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..stats.counters import Stats
-from .policies import ReplacementPolicy
+from .policies import A_MAX, ReplacementPolicy
 
 
 class TagStore:
@@ -77,10 +77,27 @@ class TagStore:
         still in flight.  Returns None when nothing is evictable.
         """
         valid, fill_ready = self.valid, self.fill_ready
-        return self.policy.select_victim(
-            [slot for slot in range(self.capacity)
-             if valid[slot] and fill_ready[slot] <= now
-             and slot not in exclude_slots])
+        policy = self.policy
+        fields = policy.priority_fields
+        if fields is None:
+            return policy.select_victim(
+                [slot for slot in range(self.capacity)
+                 if valid[slot] and fill_ready[slot] <= now
+                 and slot not in exclude_slots])
+        # ``policy.priority`` inlined; the first maximum wins, so ties go
+        # to the lowest slot
+        mask, shift = fields
+        word, zeroed_at, clock = policy.word, policy.zeroed_at, policy._clock
+        victim, highest = None, -1
+        for slot in range(self.capacity):
+            if (valid[slot] and fill_ready[slot] <= now
+                    and slot not in exclude_slots):
+                age = clock - zeroed_at[slot]
+                priority = ((word[slot] & mask) >> shift
+                            | (age if age < A_MAX else A_MAX))
+                if priority > highest:
+                    victim, highest = slot, priority
+        return victim
 
     def evict(self, slot: int) -> Tuple[int, int, bool]:
         """Remove the mapping at ``slot``; returns (tid, flat_reg, dirty)."""

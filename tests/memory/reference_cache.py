@@ -1,20 +1,13 @@
-"""Set-associative write-back cache with MSHRs and ViReC register-line pinning.
+"""Test-only reference model of the cache: the ``Cache`` of
+``repro/memory/cache.py`` as it was before the request path was flattened,
+kept verbatim as the model the production cache is compared against
+(``test_reference_cache.py``).
 
-The cache is a *timing-only* structure: architectural data lives in
-:class:`~repro.memory.main_memory.MainMemory` and is updated functionally by
-the cores, while this model answers "when is this access's data usable?".
-That functional/timing split is the standard simulator organization and keeps
-the golden model exact.
-
-ViReC extensions (Section 5.3 of the paper):
-
-* lines carry a register/data bit (``is_reg``) and a 3-bit pin counter;
-* pinned register lines are skipped during victim selection, so live
-  register contexts stay resident at the cost of dcache capacity — the
-  effect measured in Figure 13;
-* the access interface reports a ``switch_signal`` for data loads that miss
-  in the tag array, the trigger input of the context-switch logic, and
-  suppresses it for addresses inside the reserved register region.
+It rebuilds the MSHR table on *every* access (``{a: c ... if c > now}``),
+selects victims with two dict comprehensions and ``min(key=lru)``, and
+counts with one ``Stats.inc`` per event.  The production cache prunes the
+MSHR table lazily, selects the victim in one pass and batches its hot
+counters; nothing here is imported by ``src/``.
 """
 
 from __future__ import annotations
@@ -22,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..stats.counters import Stats
-from .main_memory import LINE_BYTES
+from repro.memory.main_memory import LINE_BYTES
+from repro.stats.counters import Stats
 
 PIN_MAX = 7  # 3-bit saturating pin counter
 
 
-@dataclass(slots=True)
+@dataclass
 class CacheLine:
     tag: int
     dirty: bool = False
@@ -38,7 +31,7 @@ class CacheLine:
     lru: int = 0
 
 
-@dataclass(slots=True)
+@dataclass
 class AccessResult:
     """Outcome of a cache access.
 
@@ -74,28 +67,11 @@ class CacheConfig:
     def __post_init__(self) -> None:
         if self.write_policy not in ("wb", "wt"):
             raise ValueError(f"unknown write policy {self.write_policy!r}")
-        if self.line_bytes < 1 or self.line_bytes & (self.line_bytes - 1):
-            raise ValueError(f"line_bytes must be a power of two, got {self.line_bytes}")
-        if self.assoc < 1:
-            raise ValueError(f"assoc must be >= 1, got {self.assoc}")
-        if self.mshrs < 1:
-            raise ValueError(f"mshrs must be >= 1, got {self.mshrs}")
-        if self.latency < 0:
-            raise ValueError(f"latency must be >= 0, got {self.latency}")
-
-
-#: cells of the cache's :meth:`Stats.batch`, in the order ``__init__`` names
-#: the keys
-READS, WRITES, HITS, MISSES, EVICTIONS = range(5)
-
-#: ``_mshr_seen`` when no access has been presented since the last prune
-#: (cycles are never negative)
-_NOTHING_SEEN = -1
 
 
 class Cache:
     """One level of cache.  ``next_level`` must expose
-    ``access(now, line_addr, is_write, requestor) -> completion_cycle``.
+    ``access(now, line_addr, is_write=..., requestor=...) -> completion_cycle``.
     """
 
     def __init__(self, config: CacheConfig, next_level, stats: Stats | None = None,
@@ -105,22 +81,10 @@ class Cache:
         self.config = config
         self.next_level = next_level
         self.stats = stats if stats is not None else Stats(config.name)
-        #: per-access pending counts (see :meth:`Stats.batch`)
-        self._pending = self.stats.batch(
-            "reads", "writes", "hits", "misses", "evictions")
         self.prefetcher = prefetcher
         self.num_sets = config.size_bytes // (config.assoc * config.line_bytes)
-        # the config's geometry and timing as plain ints for the access path
-        self._line_mask = ~(config.line_bytes - 1)
-        self._line_shift = config.line_bytes.bit_length() - 1
-        self._latency = config.latency
         self._sets: List[Dict[int, CacheLine]] = [dict() for _ in range(self.num_sets)]
-        #: line_addr -> fill completion cycle.  An entry is dead once any
-        #: later access presents ``now >= completion``; dead entries are
-        #: dropped lazily, where the table is read (:meth:`_live_mshr`)
-        self._mshr: Dict[int, int] = {}
-        #: largest ``now`` presented since the table was last pruned
-        self._mshr_seen = _NOTHING_SEEN
+        self._mshr: Dict[int, int] = {}  # line_addr -> fill completion cycle
         self._lru_clock = 0
         #: [lo, hi) byte range reserved for register storage (ViReC); data
         #: loads inside it never raise the context-switch signal.
@@ -132,9 +96,9 @@ class Cache:
 
     # -- geometry helpers ---------------------------------------------------
     def _locate(self, addr: int) -> Tuple[int, int, int]:
-        line_addr = addr & self._line_mask
-        index = line_addr >> self._line_shift
-        return line_addr, index % self.num_sets, index // self.num_sets
+        line_addr = addr & ~(self.config.line_bytes - 1)
+        line = line_addr // self.config.line_bytes
+        return line_addr, line % self.num_sets, line // self.num_sets
 
     def _next_access(self, now: int, line_addr: int, is_write: bool,
                      requestor: int) -> int:
@@ -144,13 +108,12 @@ class Cache:
         :class:`AccessResult` (a full miss there may itself be retried once
         its MSHRs free up — we honour its retry hint).
         """
-        reply = self.next_level.access(now, line_addr, is_write, requestor)
-        while isinstance(reply, AccessResult):
-            if reply.retry_at is None:
-                return reply.complete_at
+        reply = self.next_level.access(now, line_addr, is_write=is_write,
+                                       requestor=requestor)
+        while isinstance(reply, AccessResult) and not reply.accepted:
             reply = self.next_level.access(reply.retry_at, line_addr,
-                                           is_write, requestor)
-        return reply
+                                           is_write=is_write, requestor=requestor)
+        return reply.complete_at if isinstance(reply, AccessResult) else reply
 
     def in_register_region(self, addr: int) -> bool:
         if self.register_region is None:
@@ -167,25 +130,6 @@ class Cache:
         _, set_idx, tag = self._locate(addr)
         return self._sets[set_idx].get(tag)
 
-    # -- MSHR table ------------------------------------------------------------
-    def _live_mshr(self, now: int) -> Dict[int, int]:
-        """The MSHR table with every dead entry dropped.
-
-        Exact, not approximate: an entry dies at the first later access with
-        ``now >= completion``, so pruning with the *largest* ``now`` seen
-        since the last prune removes what per-access pruning would have
-        removed one access at a time — in any order of ``now``, which a
-        shared level sees from several cores and a posted spill makes
-        non-monotonic even on one.  Entries are only inserted right after a
-        prune, so no entry is ever tested against a ``now`` that preceded it.
-        """
-        horizon = self._mshr_seen if self._mshr_seen > now else now
-        self._mshr_seen = _NOTHING_SEEN
-        mshr = self._mshr
-        if mshr and horizon != _NOTHING_SEEN:
-            mshr = self._mshr = {a: c for a, c in mshr.items() if c > horizon}
-        return mshr
-
     # -- victim selection ------------------------------------------------------
     def _select_victim(self, set_idx: int, now: int) -> Optional[int]:
         """Tag of the victim line, or None if an empty way exists.
@@ -198,36 +142,27 @@ class Cache:
         ways = self._sets[set_idx]
         if len(ways) < self.config.assoc:
             return None
-        victim = pinned = free_at = None
-        victim_lru = pinned_lru = 0
-        for tag, line in ways.items():
-            if line.ready_at > now:
-                if free_at is None or line.ready_at < free_at:
-                    free_at = line.ready_at
-            elif line.pin == 0:
-                if victim is None or line.lru < victim_lru:
-                    victim, victim_lru = tag, line.lru
-            elif pinned is None or line.lru < pinned_lru:
-                pinned, pinned_lru = tag, line.lru
-        if victim is not None:
-            return victim
-        if pinned is None:
-            raise AllWaysBusy(free_at)
-        self.stats.inc("forced_pinned_evictions")
-        return pinned
+        settled = {t: l for t, l in ways.items() if l.ready_at <= now}
+        if not settled:
+            raise AllWaysBusy(min(l.ready_at for l in ways.values()))
+        unpinned = {t: l for t, l in settled.items() if l.pin == 0}
+        pool = unpinned or settled
+        if not unpinned:
+            self.stats.inc("forced_pinned_evictions")
+        return min(pool.items(), key=lambda kv: kv[1].lru)[0]
 
     def _evict(self, set_idx: int, tag: int, now: int, requestor: int) -> None:
         line = self._sets[set_idx].pop(tag)
         if line.dirty:
-            victim_addr = (tag * self.num_sets + set_idx) << self._line_shift
-            self._next_access(now, victim_addr, True, requestor)
+            victim_addr = (tag * self.num_sets + set_idx) * self.config.line_bytes
+            self._next_access(now, victim_addr, is_write=True, requestor=requestor)
             self.stats.inc("writebacks")
-        self._pending[EVICTIONS] += 1
+        self.stats.inc("evictions")
         if line.is_reg:
             self.stats.inc("register_line_evictions")
 
     # -- main access path ----------------------------------------------------------
-    def access(self, now: int, addr: int, is_write: bool = False,
+    def access(self, now: int, addr: int, is_write: bool = False, *,
                requestor: int = 0, is_load_data: bool = False,
                is_register: bool = False, pin_delta: int = 0) -> AccessResult:
         """Present one word/line access at cycle ``now``.
@@ -237,60 +172,55 @@ class Cache:
         BSI register fill/spill traffic; ``pin_delta`` of +1/-1 adjusts the
         line's pin counter per Section 5.3 (fill pins, spill unpins).
         """
-        line_addr = addr & self._line_mask
-        index = line_addr >> self._line_shift
-        set_idx = index % self.num_sets
-        tag = index // self.num_sets
+        cfg = self.config
+        line_addr, set_idx, tag = self._locate(addr)
         ways = self._sets[set_idx]
-        self._lru_clock = clock = self._lru_clock + 1
-        if now > self._mshr_seen:
-            self._mshr_seen = now
-        pending = self._pending
-        pending[WRITES if is_write else READS] += 1
+        self._lru_clock += 1
+        self._mshr = {a: c for a, c in self._mshr.items() if c > now}
+
+        self.stats.inc("writes" if is_write else "reads")
 
         line = ways.get(tag)
         if line is not None:
-            line.lru = clock
+            line.lru = self._lru_clock
             if is_write:
                 line.dirty = True
             if is_register:
                 line.is_reg = True
-                pin = line.pin + pin_delta
-                line.pin = 0 if pin < 0 else pin if pin < PIN_MAX else PIN_MAX
-            done = now + self._latency
+                line.pin = min(PIN_MAX, max(0, line.pin + pin_delta))
             if line.ready_at <= now:
-                pending[HITS] += 1
-                return AccessResult(done, True)
+                self.stats.inc("hits")
+                return AccessResult(complete_at=now + cfg.latency, hit=True)
             # hit on an in-flight fill (MSHR merge): wait for the fill
             self.stats.inc("under_fill_hits")
-            return AccessResult(max(done, line.ready_at), hit=True,
-                                under_fill=True)
+            return AccessResult(complete_at=max(line.ready_at, now + cfg.latency),
+                                hit=True, under_fill=True)
 
         # -- miss ------------------------------------------------------------
-        cfg = self.config
-        t_next = now + self._latency
         if is_write and cfg.write_policy == "wt":
             # no-write-allocate: forward the store downstream, do not fill
-            done = self._next_access(t_next, line_addr, True, requestor)
+            done = self._next_access(now + cfg.latency, line_addr,
+                                     is_write=True, requestor=requestor)
             self.stats.inc("write_through")
-            return AccessResult(done)
-        mshr = self._live_mshr(now)
-        if len(mshr) >= cfg.mshrs:
+            return AccessResult(complete_at=done, hit=False)
+        if len(self._mshr) >= cfg.mshrs:
             self.stats.inc("mshr_full")
-            return AccessResult(retry_at=min(mshr.values()))
+            return AccessResult(retry_at=min(self._mshr.values()), switch_signal=False)
         try:
             victim = self._select_victim(set_idx, now)
         except AllWaysBusy as busy:
             self.stats.inc("set_busy")
             return AccessResult(retry_at=busy.free_at)
         if victim is not None:
-            self._evict(set_idx, victim, t_next, requestor)
+            self._evict(set_idx, victim, now + cfg.latency, requestor)
 
-        pending[MISSES] += 1
-        fill_done = self._next_access(t_next, line_addr, False, requestor)
+        self.stats.inc("misses")
+        fill_done = self._next_access(now + cfg.latency, line_addr,
+                                      is_write=False, requestor=requestor)
         if self.event_hook is not None:
             self.event_hook(now, addr, is_write, fill_done, is_register)
-        new_line = CacheLine(tag, is_write, fill_done, lru=clock)
+        new_line = CacheLine(tag=tag, dirty=is_write, ready_at=fill_done,
+                             lru=self._lru_clock)
         if is_register:
             new_line.is_reg = True
             new_line.pin = min(PIN_MAX, max(0, pin_delta))
@@ -301,16 +231,14 @@ class Cache:
             self.prefetcher.observe_miss(self, now, line_addr, requestor)
 
         switch = is_load_data and not self.in_register_region(addr)
-        return AccessResult(fill_done, switch_signal=switch)
+        return AccessResult(complete_at=fill_done, hit=False, switch_signal=switch)
 
     # -- prefetch insertion (used by the stride prefetcher) --------------------
     def prefetch_fill(self, now: int, line_addr: int, requestor: int = 0) -> None:
         """Insert ``line_addr`` speculatively (no demand completion)."""
         _, set_idx, tag = self._locate(line_addr)
         ways = self._sets[set_idx]
-        # the table as the accesses so far left it: a prefetch presents no
-        # ``now`` of its own to the MSHRs
-        if tag in ways or len(self._live_mshr(_NOTHING_SEEN)) >= self.config.mshrs:
+        if tag in ways or len(self._mshr) >= self.config.mshrs:
             return
         try:
             victim = self._select_victim(set_idx, now)
@@ -319,7 +247,8 @@ class Cache:
         if victim is not None:
             self._evict(set_idx, victim, now, requestor)
         self._lru_clock += 1
-        fill_done = self._next_access(now, line_addr, False, requestor)
+        fill_done = self._next_access(now, line_addr, is_write=False,
+                                      requestor=requestor)
         ways[tag] = CacheLine(tag=tag, ready_at=fill_done, lru=self._lru_clock)
         self._mshr[line_addr] = fill_done
         self.stats.inc("prefetch_fills")
@@ -353,7 +282,7 @@ class Cache:
         line = self._sets[set_idx].pop(tag, None)
         if line is None:
             return False
-        self._mshr.pop(addr & self._line_mask, None)
+        self._mshr.pop(addr & ~(self.config.line_bytes - 1), None)
         self.stats.inc("line_invalidations")
         return True
 

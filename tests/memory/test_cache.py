@@ -196,3 +196,22 @@ def test_write_through_hit_updates_line():
 def test_invalid_write_policy_rejected():
     with pytest.raises(ValueError):
         CacheConfig(write_policy="random")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("line_bytes", 48),   # line address would not be a multiple of the line
+    ("line_bytes", 0),
+    ("assoc", 0),         # was a ZeroDivisionError in Cache.__init__
+    ("mshrs", 0),         # was "min() arg is an empty sequence" on a miss
+    ("latency", -1),
+])
+def test_invalid_geometry_rejected_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        CacheConfig(**{field: value})
+
+
+def test_smallest_legal_geometry_works():
+    c = Cache(CacheConfig(size_bytes=8, assoc=1, mshrs=1, latency=0,
+                          line_bytes=8), FixedLatencyBackend(5))
+    assert c.access(0, 0x10).complete_at == 5
+    assert c.access(5, 0x17).hit and not c.access(6, 0x18).hit

@@ -1,0 +1,124 @@
+"""Literal run digests of the configurations the ViReC goldens do not reach.
+
+``tests/virec/test_golden_digests.py`` pins the VRMU through 42 ViReC runs;
+every other core type shares the same ``Cache.access`` / ``Crossbar`` /
+``DRAM`` request path and nothing pinned it.  These literals were recorded
+on the commit *before* the request path was flattened (lean ``Cache.access``,
+lazy MSHR pruning, batched memory counters): every other timeline core, a
+4-core banked node (non-monotonic ``now`` at the shared crossbar and DRAM)
+and the out-of-order host (L1 -> L2 with a stride prefetcher -> DRAM, the
+nested-cache reply path), two kernels each.
+
+A literal changes only when simulated behaviour changes.  Regenerate one by
+running its case and pasting the digest — and say why in the commit.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro import workloads
+from repro.core.ooo import OoOCore
+from repro.memory.hierarchy import HostMemorySystem
+from repro.system import RunConfig, run_config
+from repro.system.config import table1_dram
+
+from ..core.test_engine_equivalence import stats_digest
+
+N_PER_THREAD = {"gather": 24, "stride": 24, "pointer_chase": 24, "spmv": 4}
+
+#: ``(label, RunConfig fields, kernels)``
+NDP_CASES = (
+    ("inorder", dict(core_type="inorder", n_threads=1), ("gather", "stride")),
+    ("banked", dict(core_type="banked"), ("gather", "stride")),
+    ("swctx", dict(core_type="swctx"), ("gather", "stride")),
+    ("fgmt", dict(core_type="fgmt"), ("gather", "stride")),
+    ("prefetch-full", dict(core_type="prefetch-full"), ("gather", "stride")),
+    ("prefetch-exact", dict(core_type="prefetch-exact"), ("gather", "stride")),
+    # gather/spmv at 40 % are already among the ViReC literals
+    ("nsf", dict(core_type="nsf", context_fraction=0.4),
+     ("stride", "pointer_chase")),
+    ("banked-4core", dict(core_type="banked", n_cores=4), ("gather", "stride")),
+)
+
+
+def _config_digest(workload, fields):
+    fields = {"n_threads": 8, **fields}
+    return stats_digest(run_config(RunConfig(
+        workload=workload, n_per_thread=N_PER_THREAD[workload], **fields)))
+
+
+def _ooo_digest(workload):
+    """The host stack built as ``run_config`` builds it, digested together
+    with the memory system's counters (a ``RunResult`` of an ``ooo`` run
+    carries the core's stats only)."""
+    inst = workloads.get(workload).build(
+        n_threads=1, n_per_thread=8 * N_PER_THREAD[workload], seed=7)
+    host = HostMemorySystem(dram=table1_dram())
+    core = OoOCore(inst.program, host.icache, host.dcache, inst.memory)
+    stats = core.run(inst.init_regs[0] if inst.init_regs else None)
+    assert inst.check()
+    blob = json.dumps([sorted(stats.flat()), sorted(host.stats.flat())],
+                      default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def cases():
+    """``(key, thunk)`` per golden entry, in table order."""
+    for label, fields, kernels in NDP_CASES:
+        for workload in kernels:
+            yield (f"{workload}/{label}",
+                   lambda w=workload, f=fields: _config_digest(w, f))
+    for workload in ("stride", "spmv"):
+        yield f"{workload}/ooo", lambda w=workload: _ooo_digest(w)
+
+
+GOLDEN = {
+    "gather/inorder":
+        "38e4b5af3ca3361708f2b9b305856b117208b1ed4e1de34450b85b12f2c5e8a9",
+    "stride/inorder":
+        "dd8a33e8e96f1e94027ce5ca33e6c2a31442fef15db1ea0270bade752549f68e",
+    "gather/banked":
+        "3af01f81d482cf5de4c2193f487eb17949b50f8abff6560a84aa99f2c77baf9f",
+    "stride/banked":
+        "8d0b1f48f6077f2254bbc9bc32cfd773c5097a72cd5d7a912daa81973b32d84e",
+    "gather/swctx":
+        "d13975c3a744dcba582adffe20d85126b65fb40cb4619107a38f2ef2988ec623",
+    "stride/swctx":
+        "732e68acd952965be13a00cfdddf8f680cf8f3bfb6cbf15ad4192aaebdcd7fda",
+    "gather/fgmt":
+        "054c807cadbcb1533d55c70c08ae6b2aee9dbd94baa5844e75eb51d05aa090ac",
+    "stride/fgmt":
+        "9fdab2c782cced2c26b0ffe229200b6c07338c235b4de13b6ba1a044ee58606b",
+    "gather/prefetch-full":
+        "dc5b2dca9e06dcbbb95b2e2c163ca922a4e602bdb2b7ff023ad21b05c92f2335",
+    "stride/prefetch-full":
+        "cda01391944761f59efdd7b07ed922a85549308563b917e07ad52cd1d92e3f3f",
+    "gather/prefetch-exact":
+        "8997617cc77c4fd2ddca1c883b12b9269f11c94fcfb9303e89cd5b91e5fe68fe",
+    "stride/prefetch-exact":
+        "ae44de0914ffc2ffe43949936b4f3ee00ea509daa309dcac894cba26c02bad12",
+    "stride/nsf":
+        "b74d32fa56e65e861ddd7f62bc940388fea60ffcb50b14117f037193220ef65c",
+    "pointer_chase/nsf":
+        "db3ed63d0c61d92798b97f18aadd2f12fa4bef00be4f9626f37fd5593268060c",
+    "gather/banked-4core":
+        "9d6b14a5e04b7000dc5c57e6d7864062b79920dd1b93db4a796f1a3253566a61",
+    "stride/banked-4core":
+        "90f6286c313fc7b5d9d2f95b783602af607847162a58dbbe37854f5ef1c0c11b",
+    "stride/ooo":
+        "c94f518be2a8a38e55fd4f93ef1e4b03c146b912911012b4ffed6b48ddd85c12",
+    "spmv/ooo":
+        "253a981c1d7d8624c676b8290063e62833874d3f959d869f1a6a562da40dcb03",
+}
+
+
+def test_every_case_has_a_golden():
+    assert sorted(GOLDEN) == sorted(key for key, _ in cases())
+
+
+@pytest.mark.parametrize("key,thunk", list(cases()),
+                         ids=[key for key, _ in cases()])
+def test_golden_digest(key, thunk):
+    assert thunk() == GOLDEN[key]

@@ -104,6 +104,24 @@ def test_registers_pack_eight_per_line():
     assert a8 // 64 != a0 // 64  # ninth register on the next line
 
 
+def test_issued_addresses_are_the_layouts():
+    """The BSI keeps the layout's address arithmetic as plain ints; every
+    register and system-register line of an 8-thread layout must land
+    where ``ContextLayout`` puts it."""
+    bsi, dc, port, layout = make_bsi()
+    for tid in range(8):
+        for flat in range(64):
+            for op in (bsi.fill, bsi.dummy_fill,
+                       lambda t, tid, flat: bsi.spill(t, tid, flat, True)):
+                op(0, tid, flat)
+                assert port.log[-1][1] == layout.reg_addr(tid, flat)
+        for op in (bsi.sysreg_read, bsi.sysreg_write):
+            op(0, tid)
+            assert port.log[-1][1] == layout.sysreg_addr(tid)
+    lo, hi = layout.region(8)
+    assert all(lo <= addr < hi for _t, addr, _w, _p in port.log)
+
+
 def test_sysreg_lines_pin_persistently():
     bsi, dc, port, layout = make_bsi()
     t = bsi.sysreg_read(0, tid=1)

@@ -6,7 +6,11 @@ concatenated word per entry, a *lazy* age and a one-pass victim search.
 Both are driven here with the same random event stream — through a real
 :class:`~repro.virec.tagstore.TagStore` on the production side — and after
 every event the decoded T/C/A/D fields and priorities of every resident
-entry, and every chosen victim, must agree.
+entry, and every chosen victim, must agree.  The tag store's victim search
+is one loop (filter, priority, first maximum) for the policies that state
+their priority as ``priority_fields``; it is held to
+``max(candidates, key=reference priority)`` with registers still filling
+and with slots protected by the instruction in decode.
 """
 
 import numpy as np
@@ -28,15 +32,16 @@ slot_sets = st.lists(slots, max_size=4, unique=True)
 events = st.lists(st.one_of(
     st.tuples(st.just("instruction")),
     st.tuples(st.just("access"), slots),
-    st.tuples(st.just("insert"), slots, tids),
+    # (slot, owner, cycle its fill settles)
+    st.tuples(st.just("insert"), slots, tids, st.sampled_from((0, 0, 4, 9))),
     st.tuples(st.just("evict"), slots),
     # (slots flushed from the rollback queue, flushed youngsters whose age
     # the decode stage had just zeroed)
     st.tuples(st.just("flush"), slot_sets, slot_sets),
     st.tuples(st.just("switch"), tids, tids),
     st.tuples(st.just("dead"), slots),
-    # (slots protected by the instruction in decode)
-    st.tuples(st.just("victim"), slot_sets),
+    # (slots protected by the instruction in decode, cycle of the search)
+    st.tuples(st.just("victim"), slot_sets, st.integers(0, 10)),
 ), min_size=1, max_size=120)
 
 
@@ -44,11 +49,13 @@ class Pair:
     """One production tag store + policy and its reference twin."""
 
     def __init__(self, name: str) -> None:
+        self.name = name
         self.ts = TagStore(CAPACITY, make_policy(name, CAPACITY))
         self.new = self.ts.policy
         self.ref = REFERENCE_POLICIES[name](CAPACITY)
         self.valid = np.zeros(CAPACITY, dtype=bool)
         self.owner = np.full(CAPACITY, -1, dtype=np.int64)
+        self.fill_ready = np.zeros(CAPACITY, dtype=np.int64)
         self.next_reg = 0
 
     def apply(self, event):
@@ -61,10 +68,11 @@ class Pair:
             ts.touch(args[0], is_write=False)
             ref.on_access(args[0])
         elif kind == "insert" and not valid[args[0]]:
-            slot, tid = args
+            slot, tid, ready = args
             self.next_reg += 1
-            ts.insert(slot, tid, self.next_reg, now=0)
+            ts.insert(slot, tid, self.next_reg, now=0, fill_ready=ready)
             valid[slot], self.owner[slot] = True, tid
+            self.fill_ready[slot] = ready
             ref.on_insert(slot)
         elif kind == "evict" and valid[args[0]]:
             ts.evict(args[0])
@@ -84,10 +92,20 @@ class Pair:
             self.new.mark_dead(args[0])
             ref.mark_dead(args[0])
         elif kind == "victim":
-            candidates = valid.copy()
-            candidates[args[0]] = False
-            assert (ts.select_victim(args[0], now=0)
-                    == ref.select_victim(candidates))
+            return self.victim(*args)
+
+    def victim(self, protected, now):
+        """One victim search on both sides; the slot they agree on."""
+        candidates = self.valid & (self.fill_ready <= now)
+        candidates[protected] = False
+        # read before the search: SRRIP ages its candidates during it
+        priority = self.ref.priority().copy()
+        chosen = self.ts.select_victim(protected, now=now)
+        assert chosen == self.ref.select_victim(candidates)
+        if self.name != "random":
+            assert chosen == max(np.flatnonzero(candidates).tolist(),
+                                 key=priority.__getitem__, default=None)
+        return chosen
 
     def check(self):
         new, ref = self.new, self.ref
@@ -121,7 +139,7 @@ def test_flush_age_reset_and_ageing_rule(name):
     without an access, and SRRIP alone does not age per instruction."""
     pair = Pair(name)
     for slot in range(4):
-        pair.apply(("insert", slot, slot % N_THREADS))
+        pair.apply(("insert", slot, slot % N_THREADS, 0))
     for _ in range(3):
         pair.apply(("instruction",))
     pair.check()
@@ -136,5 +154,30 @@ def test_flush_age_reset_and_ageing_rule(name):
     for _ in range(9):
         pair.apply(("instruction",))
         pair.check()
-    pair.apply(("victim", []))
+    pair.apply(("victim", [], 0))
+    pair.check()
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_ties_inflight_fills_and_protected_slots(name):
+    """Eight entries of one thread inserted in one instruction tie on every
+    field: the lowest slot that is settled and unprotected goes.  (Random
+    draws and SRRIP ages the candidates of every search, so for those two
+    only the agreement with the reference inside ``victim`` applies.)"""
+    pair = Pair(name)
+    for slot in range(CAPACITY):
+        pair.apply(("insert", slot, 0, 9 if slot in (1, 2) else 0))
+    own_rule = name in ("random", "srrip")
+    assert pair.victim([], now=5) == 0 or own_rule
+    assert pair.victim([0], now=5) == 3 or own_rule    # 1 and 2 still filling
+    assert pair.victim([0], now=9) == 1 or own_rule
+    assert pair.victim([0, 1, 2, 3], now=9) == 4 or own_rule
+    assert pair.victim(list(range(CAPACITY)), now=9) is None
+    assert pair.victim([0, 3, 4, 5, 6, 7], now=8) is None
+    # one older entry breaks the tie wherever it sits
+    pair.apply(("instruction",))
+    for slot in range(CAPACITY - 1):
+        pair.apply(("access", slot))
+    if not own_rule:
+        assert pair.victim([], now=9) == CAPACITY - 1
     pair.check()
