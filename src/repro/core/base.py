@@ -58,7 +58,7 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import DeadlockError
 from ..isa.compiled import EngineVariant, compile_program
 from ..isa.decoded import DecodedOp, DecodedProgram
-from ..isa.instructions import MASK64, Flags, Instruction, evaluate
+from ..isa.instructions import MASK64, Flags, evaluate
 from ..isa.program import Program
 from ..isa.registers import NUM_FP_REGS, NUM_INT_REGS, Reg, RegClass
 from ..memory.cache import Cache
@@ -66,6 +66,9 @@ from ..memory.main_memory import MainMemory
 from ..stats.counters import Stats
 from .engine import resolve_engine
 from .instrument import DISPATCH_ORDER, InstrumentBus
+
+#: cells of the core's :meth:`Stats.batch`, in ``__init__``'s key order
+CONTEXT_SWITCHES, FLUSHED_INSTRUCTIONS = range(2)
 
 __all__ = ["CoreConfig", "DeadlockError", "InstrumentBus", "ThreadContext",
            "ThreadState", "TimelineCore"]
@@ -78,6 +81,10 @@ class ThreadState(Enum):
     RUNNING = auto()
     BLOCKED = auto()
     DONE = auto()
+
+
+_READY, _BLOCKED, _DONE = (ThreadState.READY, ThreadState.BLOCKED,
+                           ThreadState.DONE)   # the scheduler's locals
 
 
 @dataclass
@@ -180,6 +187,11 @@ class TimelineCore:
         self.scoreboard: Dict[int, int] = {}
         self.flags_ready = 0
         self._rr_next = 0
+        #: flushed window per missing-load pc (see :meth:`_flushed_window`)
+        self._windows: Dict[int, Tuple[DecodedOp, ...]] = {}
+        #: per-switch pending counts (see :meth:`Stats.batch`)
+        self._pending = self.stats.batch("context_switches",
+                                         "flushed_instructions")
         #: which subclass hooks are actually overridden (the fast path
         #: skips the no-op base implementations entirely)
         cls = type(self)
@@ -291,7 +303,8 @@ class TimelineCore:
     def on_commit(self, thread: ThreadContext, op: DecodedOp, t_commit: int) -> None:
         pass
 
-    def on_flush(self, thread: ThreadContext, ops: List[DecodedOp], t: int) -> None:
+    def on_flush(self, thread: ThreadContext, ops: Tuple[DecodedOp, ...],
+                 t: int) -> None:
         pass
 
     def switch_in(self, thread: ThreadContext, t: int) -> int:
@@ -346,30 +359,44 @@ class TimelineCore:
         return t
 
     # ------------------------------------------------------------- scheduler
-    def _ready_threads(self, t: int) -> List[ThreadContext]:
-        return [th for th in self.threads
-                if th.state in (ThreadState.READY, ThreadState.BLOCKED)
-                and (th.state == ThreadState.READY or th.ready_at <= t)]
-
     def _pick_next_thread(self, t: int) -> Tuple[Optional[ThreadContext], int]:
-        """Round-robin over runnable threads; returns (thread, cycle)."""
+        """Round-robin over runnable threads; returns (thread, cycle): the
+        first thread around the ring from ``_rr_next`` runnable at ``t``,
+        else the first one ready at the earliest ``ready_at`` of a live
+        thread (the cycle the core idles to)."""
         threads = self.threads
-        live = [th for th in threads if th.state is not ThreadState.DONE]
-        if not live:
-            return None, t
-        candidates = self._ready_threads(t)
-        if not candidates:
-            t = min(th.ready_at for th in live)
-            candidates = self._ready_threads(t)
-        ready_tids = {th.tid for th in candidates}
         n = len(threads)
-        rr = self._rr_next
-        for i in range(n):
-            th = threads[(rr + i) % n]
-            if th.tid in ready_tids:
+        ring = range(self._rr_next, self._rr_next + n)
+        wake = None
+        for i in ring:
+            th = threads[i % n]
+            state = th.state
+            if state is _DONE:
+                continue
+            ready_at = th.ready_at
+            if state is _READY or (state is _BLOCKED and ready_at <= t):
                 self._rr_next = (th.tid + 1) % n
                 return th, t
-        return None, t  # pragma: no cover - candidates guarantees a hit
+            if wake is None or ready_at < wake:
+                wake = ready_at
+        if wake is None:
+            return None, t          # every thread is DONE
+        for i in ring:
+            th = threads[i % n]
+            if th.state is _BLOCKED and th.ready_at <= wake:
+                self._rr_next = (th.tid + 1) % n
+                return th, wake
+        return None, wake  # pragma: no cover - a live thread is BLOCKED
+
+    def _another_thread_ready(self, thread: ThreadContext, t: int) -> bool:
+        """Forward-progress mask input: could a thread other than
+        ``thread`` run at cycle ``t``?"""
+        for th in self.threads:
+            state = th.state
+            if (state is _READY or (state is _BLOCKED and th.ready_at <= t)) \
+                    and th is not thread:
+                return True
+        return False
 
     def _schedule(self, t: int) -> bool:
         """Switch in the next runnable thread at cycle >= t."""
@@ -551,7 +578,7 @@ class TimelineCore:
             data_at = r.complete_at
             if (config.switch_on_miss and r.switch_signal
                     and len(self.threads) > 1):
-                if self._handle_miss_switch(thread, inst, t_issue_mem, r):
+                if self._handle_miss_switch(thread, t_issue_mem, r):
                     return  # thread suspended; load replays on resume
                 # switch suppressed (no commits since last switch): stall here
                 stats.inc("switches_suppressed")
@@ -628,22 +655,22 @@ class TimelineCore:
             stats.inc("taken_branches")
 
     # -------------------------------------------------------- context switch
-    def _flushed_window(self, thread: ThreadContext) -> List[DecodedOp]:
-        """The missing load plus younger instructions already in the frontend."""
-        dops = self._dops
-        flushed = [dops[thread.pc]]
-        pc = thread.pc + 1
-        for _ in range(2):  # frontend depth between MEM and decode
-            if pc < len(dops):
-                nxt = dops[pc]
+    def _flushed_window(self, pc: int) -> Tuple[DecodedOp, ...]:
+        """The missing load at ``pc`` plus the younger instructions already
+        in the frontend — a function of ``pc`` alone, built once per pc."""
+        window = self._windows.get(pc)
+        if window is None:
+            dops = self._dops
+            flushed = [dops[pc]]
+            for nxt in dops[pc + 1:pc + 3]:  # frontend depth MEM -> decode
                 flushed.append(nxt)
                 if nxt.is_branch or nxt.is_halt:
                     break
-                pc += 1
-        return flushed
+            window = self._windows[pc] = tuple(flushed)
+        return window
 
-    def _handle_miss_switch(self, thread: ThreadContext, inst: Instruction,
-                            t_mem_issue: int, access_result) -> bool:
+    def _handle_miss_switch(self, thread: ThreadContext, t_mem_issue: int,
+                            access_result) -> bool:
         """CSL decision on a demand-load dcache miss.
 
         Returns True when a context switch was performed (caller must stop
@@ -658,9 +685,8 @@ class TimelineCore:
         # so the core never cycles threads without covering latency.
         if self.commits_since_switch == 0:
             thread.fruitless += 1
-            others_ready = any(th is not thread for th in
-                               self._ready_threads(t_detect))
-            if not others_ready or thread.fruitless > 1:
+            if (thread.fruitless > 1
+                    or not self._another_thread_ready(thread, t_detect)):
                 return False
         # mask: let older long-latency instructions drain (rollback-queue
         # oldest-is-not-memory signal); older commits are bounded by
@@ -674,10 +700,11 @@ class TimelineCore:
             profile.on_switch_hold(thread.tid, t_sw, t_hold)
         t_sw = t_hold
 
-        flushed = self._flushed_window(thread)
+        flushed = self._flushed_window(thread.pc)
         self.on_flush(thread, flushed, t_sw)
-        self.stats.inc("context_switches")
-        self.stats.inc("flushed_instructions", len(flushed))
+        pending = self._pending
+        pending[CONTEXT_SWITCHES] += 1
+        pending[FLUSHED_INSTRUCTIONS] += len(flushed)
         telemetry = self.bus.telemetry
         if telemetry is not None:
             telemetry.on_switch(thread.tid, t_sw,

@@ -395,7 +395,6 @@ def _lower(ops: List[DecodedOp], pc: int,
         consts["RD_FLAT"] = rd.flat
         if variant.miss_switch and not barrel:
             sw.add("miss_switch")
-            consts["INST"] = inst
         return "ldr", sw, consts
     if op is Opcode.CMP:
         consts["RN"] = _x_index(inst.rn)
@@ -506,7 +505,7 @@ data_at = r.complete_at
 
 _MISS_SWITCH = """\
 if r.switch_signal:
-    if core._handle_miss_switch(thread, INST, t_issue_mem, r):
+    if core._handle_miss_switch(thread, t_issue_mem, r):
         return 1    # thread suspended; the load replays on resume
     core.stats.inc("switches_suppressed")
 """

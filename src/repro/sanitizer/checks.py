@@ -99,6 +99,7 @@ def check_policy(core, cycle: int) -> Optional[SanitizerViolation]:
     ts = vrmu.tagstore
     pol = ts.policy
     cid = core.core_id
+    pol.fold()      # the stored words are checked as of the latest switch
     for slot in ts.valid_slots():
         word, age = pol.word[slot], pol.age(slot)
         if not (0 <= word <= WORD_MAX and not word & A_MAX
@@ -153,8 +154,8 @@ def check_rollback(core, cycle: int) -> Optional[SanitizerViolation]:
                   f"rollback queue holds {len(rb)} entries but depth is "
                   f"{rb.depth}", cycle, cid, entries=len(rb), depth=rb.depth)
     capacity = vrmu.tagstore.capacity
-    for entry in rb._queue:
-        for slot in entry.slots:
+    for slots, _is_mem in rb._queue:
+        for slot in slots:
             if not 0 <= slot < capacity:
                 return _v("rollback.slots",
                           f"rollback entry references slot {slot} outside "

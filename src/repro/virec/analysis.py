@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -82,13 +82,19 @@ class RegisterCacheReport:
 
 
 class RegisterCacheMonitor:
-    """Attach to a ViReCCore; samples occupancy every ``period`` accesses."""
+    """Attach to a ViReCCore; samples occupancy every ``period`` accesses.
+
+    Evictions and inserts are observed through the VRMU's probe seam
+    (``vrmu.probe``); a probe that is already attached keeps receiving
+    every event.
+    """
 
     def __init__(self, core, period: int = 16) -> None:
         self.core = core
         self.period = period
         self.report = RegisterCacheReport(capacity=core.vconfig.rf_size)
         self._access_count = 0
+        self._current_tid = 0
         self._insert_clock: Dict[int, int] = {}
         self._distance: Dict[int, int] = defaultdict(int)
         self._install()
@@ -97,9 +103,6 @@ class RegisterCacheMonitor:
         vrmu = self.core.vrmu
         ts = vrmu.tagstore
         orig_access = vrmu.access
-        orig_evict = ts.evict
-        orig_insert = ts.insert
-        n_threads = len(self.core.threads)
 
         def access(tid, inst, t):
             self._access_count += 1
@@ -111,23 +114,36 @@ class RegisterCacheMonitor:
             self._current_tid = tid
             return orig_access(tid, inst, t)
 
-        def evict(slot):
-            owner = ts.owner[slot]
-            running = getattr(self, "_current_tid", 0)
-            distance = (owner - running) % max(1, n_threads)
-            self._distance[distance] += 1
-            if slot in self._insert_clock:
-                self.report.lifetimes.append(
-                    self._access_count - self._insert_clock.pop(slot))
-            return orig_evict(slot)
-
-        def insert(slot, tid, flat_reg, now, **kw):
-            self._insert_clock[slot] = self._access_count
-            return orig_insert(slot, tid, flat_reg, now, **kw)
-
         vrmu.access = access
-        ts.evict = evict
-        ts.insert = insert
+        self._chained = vrmu.probe
+        vrmu.probe = self
+
+    # -- VRMU probe points ---------------------------------------------------
+    def on_evict(self, slot, requester_tid, cause, t) -> None:
+        """Called *before* the tag store drops ``slot``."""
+        owner = self.core.vrmu.tagstore.owner[slot]
+        n_threads = max(1, len(self.core.threads))
+        self._distance[(owner - self._current_tid) % n_threads] += 1
+        if slot in self._insert_clock:
+            self.report.lifetimes.append(
+                self._access_count - self._insert_clock.pop(slot))
+        if self._chained is not None:
+            self._chained.on_evict(slot, requester_tid, cause, t)
+
+    def on_insert(self, slot, tid, reg, t) -> None:
+        self._insert_clock[slot] = self._access_count
+        if self._chained is not None:
+            self._chained.on_insert(slot, tid, reg, t)
+
+    def _forward(name):
+        """A probe point this monitor has no use of its own for."""
+        def hook(self, *args, **kwargs) -> None:
+            if self._chained is not None:
+                getattr(self._chained, name)(*args, **kwargs)
+        return hook
+
+    on_hit, on_miss, on_fill, on_spill = map(
+        _forward, ("on_hit", "on_miss", "on_fill", "on_spill"))
 
     def finish(self) -> RegisterCacheReport:
         self.report.eviction_owner_distance = dict(self._distance)

@@ -39,7 +39,10 @@ class BackingStoreInterface:
                  pinning_enabled: bool = True,
                  unpin_fn: Optional[Callable[[int], bool]] = None,
                  stats: Optional[Stats] = None) -> None:
-        self.request = request_fn
+        #: the port: ``request(t, addr, is_write=, is_register=, pin_delta=)``
+        #: -> ``(t_issue, result)``; blocking mode serializes on completion
+        self._port = request_fn
+        self.request = self._serialized if blocking else request_fn
         self.layout = layout
         # ``layout.reg_addr`` / ``sysreg_addr`` as plain ints: thread ``tid``'s
         # area starts at base + tid * stride; register ``flat`` sits
@@ -54,6 +57,8 @@ class BackingStoreInterface:
         self.blocking = blocking
         self.dummy_fill_enabled = dummy_fill_enabled
         self.pinning_enabled = pinning_enabled
+        #: what a fill adds to (and a spill takes off) its line's pin count
+        self._pin = 1 if pinning_enabled else 0
         self.stats = stats if stats is not None else Stats("bsi")
         #: per-transaction pending counts (see :meth:`Stats.batch`)
         self._pending = self.stats.batch(
@@ -72,24 +77,18 @@ class BackingStoreInterface:
         #: lines on every register fill (strictly opt-in)
         self.fault_hook = None
 
-    def _issue(self, t: int, tid: int, offset: int, is_write: bool,
-               pin_delta: int) -> "tuple[int, object]":
-        """One port transaction on the word ``offset`` bytes into ``tid``'s
-        context area."""
-        if self.blocking:
-            t = max(t, self._next_issue)
-        t_issue, result = self.request(
-            t, self._base + tid * self._stride + offset, is_write=is_write,
-            is_register=True,
-            pin_delta=pin_delta if self.pinning_enabled else 0)
-        if self.blocking:
-            self._next_issue = result.complete_at
+    def _serialized(self, t: int, addr: int, **flags):
+        """Blocking-mode port: one transaction at a time."""
+        t_issue, result = self._port(max(t, self._next_issue), addr, **flags)
+        self._next_issue = result.complete_at
         return t_issue, result
 
     # -- operations ------------------------------------------------------------
     def fill(self, t: int, tid: int, flat_reg: int) -> int:
         """Load a register from the backing store; returns data-ready cycle."""
-        t_issue, result = self._issue(t, tid, flat_reg * WORD_BYTES, False, +1)
+        t_issue, result = self.request(
+            t, self._base + tid * self._stride + flat_reg * WORD_BYTES,
+            is_write=False, is_register=True, pin_delta=self._pin)
         if t_issue > t and self.spill_busy_until > t:
             held = min(self.spill_busy_until, t_issue) - t
             self.fill_spill_wait += held
@@ -110,14 +109,18 @@ class BackingStoreInterface:
         """Destination-only register: dummy value now, metadata txn posted."""
         if not self.dummy_fill_enabled:
             return self.fill(t, tid, flat_reg)
-        self._issue(t, tid, flat_reg * WORD_BYTES, False, +1)
+        self.request(
+            t, self._base + tid * self._stride + flat_reg * WORD_BYTES,
+            is_write=False, is_register=True, pin_delta=self._pin)
         self._pending[DUMMY_FILLS] += 1
         # metadata transaction is off the critical path; RF writable now
         return t
 
     def spill(self, t: int, tid: int, flat_reg: int, dirty: bool) -> int:
         """Write an evicted register back to the backing store (posted)."""
-        t_issue, _ = self._issue(t, tid, flat_reg * WORD_BYTES, True, -1)
+        t_issue, _ = self.request(
+            t, self._base + tid * self._stride + flat_reg * WORD_BYTES,
+            is_write=True, is_register=True, pin_delta=-self._pin)
         pending = self._pending
         pending[SPILLS] += 1
         if dirty:
@@ -150,12 +153,16 @@ class BackingStoreInterface:
         lines to store their general and system registers ... these lines
         are pinned so they cannot be evicted"); the saturating counter makes
         the pin persistent across the read/write ping-pong."""
-        _, result = self._issue(t, tid, self._sysreg_offset, False, +1)
+        _, result = self.request(
+            t, self._base + tid * self._stride + self._sysreg_offset,
+            is_write=False, is_register=True, pin_delta=self._pin)
         self.stats.inc("sysreg_reads")
         return result.complete_at
 
     def sysreg_write(self, t: int, tid: int) -> int:
         """Write back the previous thread's system registers (posted)."""
-        t_issue, _ = self._issue(t, tid, self._sysreg_offset, True, 0)
+        t_issue, _ = self.request(
+            t, self._base + tid * self._stride + self._sysreg_offset,
+            is_write=True, is_register=True, pin_delta=0)
         self.stats.inc("sysreg_writes")
         return t_issue + 1

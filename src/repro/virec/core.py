@@ -19,7 +19,7 @@ blocking BSI, and none of ViReC's miss-penalty optimizations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional, Tuple
 
 from ..analysis.dataflow import annotate
 from ..core.base import CoreConfig, ThreadContext, TimelineCore
@@ -105,7 +105,7 @@ class ViReCCore(TimelineCore):
         if op.has_regs:
             self.vrmu.on_commit(thread.tid, op)
 
-    def on_flush(self, thread: ThreadContext, ops: List[DecodedOp],
+    def on_flush(self, thread: ThreadContext, ops: Tuple[DecodedOp, ...],
                  t: int) -> None:
         self.vrmu.on_flush(thread.tid, ops)
 
@@ -114,21 +114,25 @@ class ViReCCore(TimelineCore):
         return max(t, self.bsi.busy_until)
 
     def switch_in(self, thread: ThreadContext, t: int) -> int:
-        if self._prev_tid is not None and self._prev_tid != thread.tid:
-            self.vrmu.on_context_switch(self._prev_tid, thread.tid)
-        self._prev_tid = thread.tid
+        tid = thread.tid
+        vrmu = self.vrmu
+        if self._prev_tid is not None and self._prev_tid != tid:
+            vrmu.on_context_switch(self._prev_tid, tid)
+        self._prev_tid = tid
         if self.sysregs is not None:
-            t = self.sysregs.switch_to(thread.tid, t)
+            t = self.sysregs.switch_to(tid, t)
         else:
-            t = self.bsi.sysreg_read(t, thread.tid)
+            t = self.bsi.sysreg_read(t, tid)
         if self.vconfig.context_prefetch and len(self.threads) > 1:
             # warm the round-robin successor's last-segment registers while
             # this thread executes (overlapped; fills ride the BSI)
-            nxt = self.threads[(thread.tid + 1) % len(self.threads)]
+            nxt = self.threads[(tid + 1) % len(self.threads)]
             if nxt.state is not None and nxt is not thread:
-                self.vrmu.prefetch_context(nxt.tid, t)
+                vrmu.prefetch_context(nxt.tid, t)
         # the incoming thread starts a fresh run segment
-        self.vrmu.segment_regs.setdefault(thread.tid, set()).clear()
+        segment = vrmu.segment_regs.get(tid)
+        if segment:
+            segment.clear()
         return t + self.config.switch_refill
 
     def drop_thread_registers(self, thread: ThreadContext) -> None:

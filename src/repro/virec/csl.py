@@ -24,6 +24,10 @@ from ..stats.counters import Stats
 from .bsi import BackingStoreInterface
 
 
+#: cells of the buffer's :meth:`Stats.batch`, in ``__init__``'s key order
+PREFETCH_HITS, DEMAND_FETCHES, PREFETCHES = range(3)
+
+
 class SysRegBuffer:
     """Double buffer holding the current and next threads' system registers."""
 
@@ -32,6 +36,9 @@ class SysRegBuffer:
         self.bsi = bsi
         self.n_threads = n_threads
         self.stats = stats if stats is not None else Stats("sysreg")
+        #: per-switch pending counts (see :meth:`Stats.batch`)
+        self._pending = self.stats.batch(
+            "prefetch_hits", "demand_fetches", "prefetches")
         self._ready: Dict[int, int] = {}  # tid -> prefetch completion cycle
         self._prev_tid: Optional[int] = None
         #: optional :class:`~repro.telemetry.CoreTelemetry` (strictly opt-in)
@@ -45,19 +52,20 @@ class SysRegBuffer:
         *next* round-robin thread's system registers are prefetched — both
         overlap the pipeline refill.
         """
-        if tid in self._ready:
-            ready = max(t, self._ready.pop(tid))
-            if ready > t:
-                self.stats.inc("prefetch_late_cycles", ready - t)
-                kind = "prefetch-late"
-            else:
-                self.stats.inc("prefetch_hits")
-                kind = "prefetch-hit"
-        else:
+        pending = self._pending
+        prefetched = self._ready.pop(tid, None)
+        if prefetched is None:
             ready = self.bsi.sysreg_read(t, tid)  # demand fetch (cold)
-            self.stats.inc("demand_fetches")
-            kind = "demand"
+            pending[DEMAND_FETCHES] += 1
+        elif prefetched > t:
+            ready = prefetched
+            self.stats.inc("prefetch_late_cycles", ready - t)
+        else:
+            ready = t
+            pending[PREFETCH_HITS] += 1
         if self.event_sink is not None:
+            kind = ("demand" if prefetched is None else
+                    "prefetch-late" if ready > t else "prefetch-hit")
             self.event_sink.on_sysreg(kind, tid, t)
 
         if self._prev_tid is not None and self._prev_tid != tid:
@@ -67,5 +75,5 @@ class SysRegBuffer:
         nxt = (tid + 1) % self.n_threads
         if nxt != tid and nxt not in self._ready:
             self._ready[nxt] = self.bsi.sysreg_read(ready, nxt)
-            self.stats.inc("prefetches")
+            pending[PREFETCHES] += 1
         return ready

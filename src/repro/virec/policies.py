@@ -34,6 +34,18 @@ accessed the register file, age everyone" is a single clock increment
 instead of a pass over the entries.  The ``T``/``C``/``A``/``D`` properties
 decode the fields for introspection and tests.
 
+Thread recency is folded in on read: ``on_context_switch`` only records a
+switch and :meth:`~ReplacementPolicy.fold` applies the pending ones to
+every stored word in one pass, called by whatever reads T (``priority`` /
+``describe`` / ``T``, the tag store's search for a ``uses_thread_bits``
+policy, VSan).  With ``n`` pending, T is 0 if the owner runs now, ``max(0,
+7 - (n - suspended_at[owner]))`` if one of them suspended the owner, else
+``max(0, stored T - n)`` (argument: ``docs/architecture.md``, "Context
+switch path").  The contract that makes it exact: while switches are
+pending ``on_access``/``on_insert`` are only called for entries of the
+*running* thread; whoever writes an entry of another owner folds first
+(``TagStore.insert``/``touch``, ``VRMU.access``).
+
 Implemented policies and their priority functions:
 
 =============  ==============================================
@@ -62,7 +74,6 @@ T_MAX = 7  # 3-bit thread recency
 # static fields of the priority word (the age occupies bits 0-2)
 C_BIT = 1 << 3
 T_SHIFT = 4
-T_ONE = 1 << T_SHIFT
 T_MASK = T_MAX << T_SHIFT
 D_SHIFT = 7
 D_BIT = 1 << D_SHIFT
@@ -110,6 +121,13 @@ class ReplacementPolicy:
         #: clock value of each entry's last access (exact recency)
         self.stamp = [0] * capacity
         self._clock = 0
+        #: context switches recorded and not yet folded into ``word``
+        self.pending_switches = 0
+        #: thread -> which pending switch (1-based) suspended it last
+        self._suspended_at: Dict[int, int] = {}
+        #: the thread the latest switch resumed, and the tag store's owner
+        #: column as of that switch
+        self.running, self._owner = -1, ()
 
     @classmethod
     def from_spec(cls, spec: str, capacity: int) -> "ReplacementPolicy":
@@ -158,18 +176,37 @@ class ReplacementPolicy:
 
     def on_context_switch(self, owner: Sequence[int], prev_tid: int,
                           new_tid: int) -> None:
-        """Update T bits per Section 5.1; ``owner[slot]`` is the owning
-        thread id (-1 for an empty slot, whose word is rewritten on insert)."""
+        """Record a switch from ``prev_tid`` to ``new_tid`` (Section 5.1);
+        ``owner[slot]`` is the owning thread id (-1 for an empty slot,
+        whose word is rewritten on insert).  :meth:`fold` applies it."""
+        if self.pending_switches and prev_tid != self.running:
+            self.fold()     # not a continuation of the pending chain
+        self._owner = owner
+        self.pending_switches += 1
+        self._suspended_at[prev_tid] = self.pending_switches
+        self.running = new_tid
+
+    def fold(self) -> None:
+        """Bring the stored T fields up to date with the pending switches
+        (the module docstring has the three cases)."""
+        n = self.pending_switches
+        if not n:
+            return
+        recent = {tid: (T_MAX - (n - at)) << T_SHIFT if n - at < T_MAX else 0
+                  for tid, at in self._suspended_at.items()}
+        recent[self.running] = 0
+        decay = n << T_SHIFT
         word = self.word
-        for slot, tid in enumerate(owner):
+        for slot, tid in enumerate(self._owner):
             w = word[slot]
-            if tid == prev_tid:
-                w |= T_MASK
-            elif w & T_MASK:
-                w -= T_ONE
-            if tid == new_tid:
-                w &= ~T_MASK
-            word[slot] = w
+            t = recent.get(tid)
+            if t is None:
+                t = (w & T_MASK) - decay
+                if t < 0:
+                    t = 0
+            word[slot] = w & ~T_MASK | t
+        self._suspended_at.clear()
+        self.pending_switches = 0
 
     # -- eviction ------------------------------------------------------------
     def age(self, slot: int) -> int:
@@ -181,6 +218,8 @@ class ReplacementPolicy:
         """Eviction priority of ``slot`` (higher = evict first)."""
         if self.priority_fields is None:
             raise NotImplementedError
+        if self.pending_switches:
+            self.fold()
         mask, shift = self.priority_fields
         return (self.word[slot] & mask) >> shift | self.age(slot)
 
@@ -192,6 +231,7 @@ class ReplacementPolicy:
     # -- introspection -------------------------------------------------------
     @property
     def T(self) -> Tuple[int, ...]:
+        self.fold()
         return tuple((w & T_MASK) >> T_SHIFT for w in self.word)
 
     @property
@@ -212,6 +252,7 @@ class ReplacementPolicy:
         Exposes the T/C/A/D fields and the entry's current eviction priority
         so exported eviction events show *why* the policy chose a victim.
         """
+        self.fold()
         w = self.word[slot]
         return {"T": (w & T_MASK) >> T_SHIFT, "C": int(bool(w & C_BIT)),
                 "A": self.age(slot), "D": w >> D_SHIFT,
@@ -253,6 +294,8 @@ class MRTLRU(ReplacementPolicy):
     uses_thread_bits = True
 
     def priority(self, slot: int) -> int:
+        if self.pending_switches:
+            self.fold()
         return (((self.word[slot] & T_MASK) >> T_SHIFT << 40)
                 + self._clock - self.stamp[slot])
 

@@ -78,6 +78,8 @@ class TagStore:
         """
         valid, fill_ready = self.valid, self.fill_ready
         policy = self.policy
+        if policy.pending_switches and policy.uses_thread_bits:
+            policy.fold()       # this search reads T
         fields = policy.priority_fields
         if fields is None:
             return policy.select_victim(
@@ -124,6 +126,9 @@ class TagStore:
             raise ValueError(f"inserting into occupied slot {slot}")
         if (tid, flat_reg) in self._map:
             raise ValueError(f"duplicate mapping for thread {tid} reg {flat_reg}")
+        policy = self.policy
+        if policy.pending_switches and tid != policy.running:
+            policy.fold()       # T = 0 is written for a suspended owner
         self.valid[slot] = True
         self.owner[slot] = tid
         self.areg[slot] = flat_reg
@@ -131,7 +136,7 @@ class TagStore:
         self.fill_ready[slot] = fill_ready
         self._map[(tid, flat_reg)] = slot
         self._resident[tid] = self._resident.get(tid, 0) + 1
-        self.policy.on_insert(slot)
+        policy.on_insert(slot)
 
     def valid_slots(self) -> List[int]:
         """Indices of currently-valid physical slots (fault-injection sites)."""
@@ -156,7 +161,10 @@ class TagStore:
         """Record a decode-stage access to a resident register."""
         if is_write:
             self.dirty[slot] = True
-        self.policy.on_access(slot)
+        policy = self.policy
+        if policy.pending_switches and self.owner[slot] != policy.running:
+            policy.fold()       # T = 0 is written for a suspended owner
+        policy.on_access(slot)
 
     def on_instruction(self) -> None:
         self.policy.on_instruction()

@@ -10,7 +10,7 @@ registers are resident — the front-end stall of Figure 4 (A)->(B).
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
 from ..isa.decoded import DecodedOp
 from ..isa.instructions import Instruction
@@ -95,10 +95,13 @@ class VRMU:
         bsi.fill_spill_wait = 0
         ts = self.tagstore
         policy = ts.policy
+        if policy.pending_switches and tid != policy.running:
+            policy.fold()   # the policy's contract (its module docstring)
         policy.on_instruction()
         # the tag store's lookup() and touch(), inlined: this loop runs once
         # per register operand of every simulated instruction
-        slot_of, on_access = ts._map.get, policy.on_access
+        slot_map = ts._map
+        slot_of, on_access = slot_map.get, policy.on_access
         dirty, fill_ready = ts.dirty, ts.fill_ready
         fault_hook, probe = self.fault_hook, self.probe
         segment = self.segment_regs.get(tid)
@@ -131,60 +134,78 @@ class VRMU:
         pending = self._pending
         pending[ACCESSES] += len(plan)
         pending[HITS] += len(inst_slots)
-        pending[MISSES] += len(missing)
 
-        t_fill = t
-        for reg, flat, is_dest, is_src in missing:
-            victim_info = None
-            victim_dead = False
-            slot = ts.free_slot()
-            if slot is None:
-                victim = ts.select_victim(inst_slots, t_fill)
-                if victim is not None and self.group_evict > 1:
-                    self._group_evict(victim, inst_slots, t_fill)
-                while victim is None:
-                    # every candidate is an in-flight fill: wait for the
-                    # earliest one to settle, then retry
-                    settled = ts.next_fill_done(t_fill)
-                    t_fill = settled if settled is not None else t_fill + 1
-                    self.stats.inc("victim_wait_cycles")
-                    victim = ts.select_victim(inst_slots, t_fill)
+        if missing:
+            # the tag store's free_slot(), evict() and insert(), inlined: a
+            # victim's slot is refilled at once, so its cells go from the
+            # victim's values straight to the new register's
+            pending[MISSES] += len(missing)
+            valid, owner, areg = ts.valid, ts.owner, ts.areg
+            resident, evictions = ts._resident, ts._pending
+            on_insert, capacity = policy.on_insert, ts.capacity
+            t_fill = t
+            for reg, flat, is_dest, is_src in missing:
+                evicted = len(slot_map) == capacity
+                if not evicted:
+                    slot = valid.index(False)
+                    valid[slot] = True
+                else:
+                    slot = ts.select_victim(inst_slots, t_fill)
+                    if slot is not None and self.group_evict > 1:
+                        self._group_evict(slot, inst_slots, t_fill)
+                    while slot is None:
+                        # every candidate is an in-flight fill: wait for
+                        # the earliest one to settle, then retry
+                        settled = ts.next_fill_done(t_fill)
+                        t_fill = settled if settled is not None else t_fill + 1
+                        self.stats.inc("victim_wait_cycles")
+                        slot = ts.select_victim(inst_slots, t_fill)
+                    if probe is not None:
+                        probe.on_evict(slot, tid, "capacity", t_fill)
+                    # D is cleared by the insert below, so the victim's
+                    # deadness is read first
+                    victim_dead = self.dead_hints and policy.is_dead(slot)
+                    vtid, vreg, vdirty = owner[slot], areg[slot], dirty[slot]
+                    del slot_map[(vtid, vreg)]
+                    left = resident[vtid] - 1
+                    if left:
+                        resident[vtid] = left
+                    else:
+                        del resident[vtid]
+                    evictions[0] += 1
+                    pending[SPILL_EVICTIONS] += 1
+                if is_src:
+                    done = bsi.fill(t_fill, tid, flat)
+                    if done > ready:
+                        ready = done
+                    dirty[slot] = is_dest
+                else:
+                    done = bsi.dummy_fill(t_fill, tid, flat)
+                    dirty[slot] = True
+                owner[slot] = tid
+                areg[slot] = flat
+                fill_ready[slot] = done
+                slot_map[(tid, flat)] = slot
+                resident[tid] = resident.get(tid, 0) + 1
+                on_insert(slot)
                 if probe is not None:
-                    probe.on_evict(victim, tid, "capacity", t_fill)
-                # D is cleared when the slot is re-inserted below, so the
-                # victim's deadness must be captured before the insert
-                victim_dead = self._victim_dead(victim)
-                victim_info = ts.evict(victim)
-                slot = victim
-                pending[SPILL_EVICTIONS] += 1
-            if is_src:
-                done = bsi.fill(t_fill, tid, flat)
-                ready = max(ready, done)
-                ts.insert(slot, tid, flat, t_fill, fill_ready=done,
-                          dirty=is_dest)
-            else:
-                done = bsi.dummy_fill(t_fill, tid, flat)
-                ts.insert(slot, tid, flat, t_fill, fill_ready=done, dirty=True)
-            if probe is not None:
-                probe.on_fill(tid, flat, t_fill, done, dummy=not is_src)
-                probe.on_insert(slot, tid, flat, t_fill)
-            inst_slots.append(slot)
-            # spill after the fill was issued: fills have port priority
-            if victim_info is not None:
-                vtid, vreg, vdirty = victim_info
-                self._spill_victim(t_fill, victim_dead, vtid, vreg, vdirty)
+                    probe.on_fill(tid, flat, t_fill, done, dummy=not is_src)
+                    probe.on_insert(slot, tid, flat, t_fill)
+                inst_slots.append(slot)
+                # spill after the fill was issued: fills have port priority
+                if evicted:
+                    if victim_dead:
+                        self._spill_victim(t_fill, True, vtid, vreg, vdirty)
+                    else:
+                        bsi.spill(t_fill, vtid, vreg, vdirty)
+                        if probe is not None:
+                            probe.on_spill(vtid, vreg, vdirty, t_fill)
 
         self.rollback.push(inst_slots, inst.is_mem)
         self.last_spill_wait = bsi.fill_spill_wait
         return ready
 
-    # -- dead-hint plumbing (inert unless a dead-* policy is selected) -------
-    def _victim_dead(self, victim: int) -> bool:
-        """Whether the chosen victim carries a dead-on-commit hint."""
-        if not self.dead_hints:
-            return False
-        return self.tagstore.policy.is_dead(victim)
-
+    # -- the cold eviction paths (group evictions, context prefetch) ---------
     def _spill_victim(self, t: int, dead: bool, vtid: int, vreg: int,
                       vdirty: bool) -> None:
         """Write back (or elide) one evicted register."""
@@ -216,7 +237,7 @@ class VRMU:
                 break
             if self.probe is not None:
                 self.probe.on_evict(nxt, victim_owner, "group", t)
-            dead = self._victim_dead(nxt)
+            dead = self.dead_hints and ts.policy.is_dead(nxt)
             vtid, vreg, vdirty = ts.evict(nxt)
             self._spill_victim(t, dead, vtid, vreg, vdirty)
             self.stats.inc("group_evictions")
@@ -238,7 +259,7 @@ class VRMU:
                     break  # nothing worth displacing
                 if self.probe is not None:
                     self.probe.on_evict(victim, tid, "prefetch", t)
-                dead = self._victim_dead(victim)
+                dead = self.dead_hints and ts.policy.is_dead(victim)
                 vtid, vreg, vdirty = ts.evict(victim)
                 self._spill_victim(t, dead, vtid, vreg, vdirty)
                 slot = victim
@@ -263,7 +284,9 @@ class VRMU:
         decode, so flushed/replayed instructions never plant speculative
         hints; a flushed op's registers keep their normal metadata.
         """
-        self.rollback.pop_commit()
+        queue = self.rollback._queue
+        if queue:
+            queue.popleft()     # pop_commit(), without building the entry
         if not self.dead_hints or op is None or tid is None:
             return
         kills = getattr(op, "kill_flats", None)
@@ -280,7 +303,8 @@ class VRMU:
             self.stats.inc("dead_marks", marked)
 
     def on_flush(self, tid: int,
-                 flushed_insts: List[Union[Instruction, DecodedOp]]) -> None:
+                 flushed_insts: Sequence[Union[Instruction, DecodedOp]]
+                 ) -> None:
         """Context switch flush: reset C bits of in-flight registers.
 
         ``flushed_insts`` is the missing load plus the younger instructions
@@ -293,17 +317,20 @@ class VRMU:
         ts = self.tagstore
         policy = ts.policy
         slots = self.rollback.flush()
+        # the tag store's lookup(), inlined
+        slot_of, reset_age = ts._map.get, policy.reset_age
         for inst in flushed_insts:
             for _reg, flat, _is_dest, _is_src in inst.plan:
-                slot = ts.lookup(tid, flat)
+                slot = slot_of((tid, flat))
                 if slot is not None:
-                    policy.reset_age(slot)
+                    reset_age(slot)
                     slots.add(slot)
         policy.on_flush(slots)
         self.stats.inc("flush_resets", len(slots))
 
     def on_context_switch(self, prev_tid: int, new_tid: int) -> None:
-        self.tagstore.on_context_switch(prev_tid, new_tid)
+        ts = self.tagstore
+        ts.policy.on_context_switch(ts.owner, prev_tid, new_tid)
 
     # -- reporting -----------------------------------------------------------------
     @property

@@ -91,6 +91,29 @@ def test_register_cache_monitor_on_real_run():
     assert "register cache capacity" in report.summary()
 
 
+def test_monitor_sees_what_the_vrmu_does_and_keeps_an_attached_probe():
+    """The monitor sits on ``vrmu.probe``: its counts are the VRMU's own
+    (patching ``ts.evict``/``ts.insert`` would miss the inlined miss half),
+    and a telemetry probe attached first still receives every event."""
+    from repro.telemetry import TelemetrySession
+
+    core, *_ = build_gather_core(ViReCCore, n_threads=4, n=64,
+                                 virec=ViReCConfig(rf_size=16))
+    telemetry = TelemetrySession().attach(core).vrmu_probe
+    assert core.vrmu.probe is telemetry
+    monitor = RegisterCacheMonitor(core)
+    assert core.vrmu.probe is monitor
+    core.run()
+    evictions = core.vrmu.tagstore.stats["evictions"]
+    assert evictions > 0
+    report = monitor.finish()
+    assert sum(report.eviction_owner_distance.values()) == evictions
+    assert len(report.lifetimes) == evictions
+    assert sum(telemetry.eviction_causes.values()) == evictions
+    assert telemetry.hits == core.vrmu.stats["hits"]
+    assert telemetry.misses == core.vrmu.stats["misses"]
+
+
 def test_monitor_lrc_evicts_far_threads():
     """The T bits should make most victims come from distant threads."""
     core, *_ = build_gather_core(ViReCCore, n_threads=4, n=96,

@@ -11,6 +11,14 @@ is one loop (filter, priority, first maximum) for the policies that state
 their priority as ``priority_fields``; it is held to
 ``max(candidates, key=reference priority)`` with registers still filling
 and with slots protected by the instruction in decode.
+
+Thread recency is folded into the stored words only when something reads
+T, and ``Pair.check()`` is such a read.  The ``windows`` stream therefore
+checks only *between* windows of 2-9 chained context switches, with the
+per-entry writes the fold has to be exact against placed inside them:
+accesses and inserts for the running thread before and after it was
+switched in, inserts and touches for suspended owners (``context_prefetch``
+does the former), evict/re-insert, flushes and dead marks.
 """
 
 import numpy as np
@@ -45,6 +53,28 @@ events = st.lists(st.one_of(
 ), min_size=1, max_size=120)
 
 
+# One window: 2-9 switches, each preceded by a few events that never read
+# T on their own.  Slots and threads are drawn as indices and resolved
+# against the state at that point (see ``Pair.apply_in_window``).
+quiet_events = st.lists(st.one_of(
+    st.tuples(st.just("instruction")),
+    st.tuples(st.just("access-running"), slots),
+    # any resident entry, through ``TagStore.touch`` (which folds first
+    # when the owner is not running; the VRMU never does this)
+    st.tuples(st.just("access"), slots),
+    st.tuples(st.just("insert-running"), slots),
+    st.tuples(st.just("insert-suspended"), slots, tids),
+    # (slot, whether the new owner is the running thread)
+    st.tuples(st.just("reinsert"), slots, st.booleans()),
+    st.tuples(st.just("evict"), slots),
+    st.tuples(st.just("flush"), slot_sets, slot_sets),
+    st.tuples(st.just("dead"), slots),
+), max_size=4)
+windows = st.lists(
+    st.lists(st.tuples(quiet_events, tids), min_size=2, max_size=9),
+    min_size=1, max_size=6)
+
+
 class Pair:
     """One production tag store + policy and its reference twin."""
 
@@ -57,6 +87,7 @@ class Pair:
         self.owner = np.full(CAPACITY, -1, dtype=np.int64)
         self.fill_ready = np.zeros(CAPACITY, dtype=np.int64)
         self.next_reg = 0
+        self.running = 0
 
     def apply(self, event):
         kind, *args = event
@@ -88,11 +119,36 @@ class Pair:
         elif kind == "switch" and args[0] != args[1]:
             ts.on_context_switch(*args)
             ref.on_context_switch(self.owner, valid, *args)
+            self.running = args[1]
         elif kind == "dead" and valid[args[0]]:
             self.new.mark_dead(args[0])
             ref.mark_dead(args[0])
         elif kind == "victim":
             return self.victim(*args)
+
+    def apply_in_window(self, event):
+        """Resolve a ``quiet_events`` entry against the current state and
+        apply it; none of these reads T unless the fold rule says it must
+        (an insert for a suspended owner)."""
+        kind, *args = event
+        running = self.running
+        if kind == "access-running":
+            own = np.flatnonzero(self.valid & (self.owner == running))
+            if len(own):
+                self.apply(("access", int(own[args[0] % len(own)])))
+        elif kind == "insert-running":
+            self.apply(("insert", args[0], running, 0))
+        elif kind == "insert-suspended":
+            if args[1] != running:
+                self.apply(("insert", args[0], args[1], 0))
+        elif kind == "reinsert":
+            slot, to_running = args
+            if self.valid[slot]:
+                self.apply(("evict", slot))
+                tid = running if to_running else (running + 1) % N_THREADS
+                self.apply(("insert", slot, tid, 0))
+        else:
+            self.apply(event)
 
     def victim(self, protected, now):
         """One victim search on both sides; the slot they agree on."""
@@ -131,6 +187,56 @@ def test_policy_agrees_with_reference_model(name, stream):
         pair.apply(event)
         pair.check()
     pair.ts.check_invariants()
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+@given(st.lists(st.tuples(slots, tids), max_size=CAPACITY), windows)
+@settings(max_examples=80, deadline=None)
+def test_switch_windows_without_a_read_in_between(name, resident, stream):
+    """Fold-on-read against the eager model: whole windows of switches go
+    by with per-entry writes in between and nothing looks at T until the
+    window is over."""
+    pair = Pair(name)
+    for slot, tid in resident:
+        pair.apply(("insert", slot, tid, 0))
+    for window in stream:
+        for quiet, new_tid in window:
+            for event in quiet:
+                pair.apply_in_window(event)
+            pair.apply(("switch", pair.running, new_tid))
+        pair.check()
+    pair.ts.check_invariants()
+
+
+def test_an_entry_prefetched_for_a_suspended_thread_keeps_t_zero():
+    """The case a per-thread recency table gets wrong: the entry is written
+    with T = 0 while its owner is suspended and only decays from there —
+    its owner's other entries carry the owner's recency."""
+    pair = Pair("lrc")
+    pair.apply(("insert", 0, 0, 0))
+    pair.apply(("switch", 0, 1))
+    pair.apply(("switch", 1, 2))
+    pair.apply(("insert", 1, 0, 0))         # thread 0 was suspended 2 ago
+    pair.apply(("switch", 2, 1))
+    assert pair.new.T[:2] == (5, 0)
+    pair.check()
+    pair.apply(("switch", 1, 0))            # resumed: everything of 0 is 0
+    pair.apply(("switch", 0, 2))            # suspended again: both are 7
+    assert pair.new.T[:2] == (7, 7)
+    pair.check()
+
+
+def test_a_switch_that_breaks_the_chain_folds_first():
+    """``prev_tid`` is normally the thread the previous switch resumed; a
+    caller that says otherwise still gets the eager result."""
+    pair = Pair("mrt-plru")
+    for slot in range(3):
+        pair.apply(("insert", slot, slot, 0))
+    pair.apply(("switch", 0, 1))
+    pair.apply(("switch", 2, 0))            # thread 1 was running, not 2
+    assert pair.new.pending_switches == 1
+    assert pair.new.T[:3] == (0, 0, 7)
+    pair.check()
 
 
 @pytest.mark.parametrize("name", sorted(POLICIES))
