@@ -11,15 +11,15 @@ Invariant taxonomy (ids appear in the raised violation and in
 ``tagstore.bijection``
     The (thread, arch-reg) -> physical-slot map and the per-slot tag lists
     must describe the same bijection: no dangling mappings, no duplicate
-    slots, tags matching the map, a valid count equal to the map size, and
-    per-thread resident counts matching the owner tags.
+    slots, tags matching the map, and a valid count equal to the map size.
 ``policy.word``
     LRC/MRT priority-word well-formedness: T in [0, 7], C in {0, 1}, A in
     [0, 7], D in {0, 1} on every valid slot (3/1/3-bit hardware fields,
     Section 5.1), and no stored bit in the word's lazy age field.
 ``policy.order``
-    Eviction-order consistency: the victim the policy selects over the
-    currently evictable slots must carry the maximum eviction priority.
+    Eviction-order consistency: the victim the tag store's search selects
+    over the currently evictable slots must carry the maximum eviction
+    priority and be the lowest such slot.
 ``rollback.depth`` / ``rollback.slots``
     The rollback queue never exceeds its depth and only references
     physical slots that exist.
@@ -34,7 +34,6 @@ Invariant taxonomy (ids appear in the raised violation and in
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Optional
 
 from ..errors import SanitizerViolation
@@ -83,11 +82,6 @@ def check_tagstore(core, cycle: int) -> Optional[SanitizerViolation]:
                       f"two mappings share physical slot {slot}", cycle,
                       cid, slot=slot)
         seen_slots.add(slot)
-    owners = Counter(ts.owner[slot] for slot in seen_slots)
-    if ts._resident != owners:
-        return _v("tagstore.bijection",
-                  f"per-thread resident counts {dict(ts._resident)} disagree "
-                  f"with the owner tags {dict(owners)}", cycle, cid)
     return None
 
 
@@ -113,32 +107,31 @@ def check_policy(core, cycle: int) -> Optional[SanitizerViolation]:
                       f"bits unset: 3-bit T, 1-bit C, 1-bit D; and "
                       f"0 <= A <= {A_MAX})",
                       cycle, cid, slot=slot, **fields)
-    # eviction-order consistency: whoever the policy would evict right now
-    # must carry the maximum priority among the evictable candidates.
-    # Only the pure argmax policies are probed (the dead-hint variants
-    # stay argmax — D just tops the priority word) — SRRIP ages entries
-    # and random replacement draws from its PRNG inside select_victim, so
-    # calling it here would perturb future victim choices.
+    # eviction-order consistency: the slot the tag store's search — the
+    # one production runs, bounds and early exit included — would evict
+    # right now must be the first maximum of ``priority`` over the
+    # evictable candidates.  Once folded the search mutates nothing for
+    # the argmax policies (the dead-hint variants stay argmax — D just
+    # tops the priority word); SRRIP ages entries and random replacement
+    # draws from its PRNG inside select_victim, so probing them here would
+    # perturb future victim choices.
     if pol.name not in ("plru", "lru", "mrt-plru", "mrt-lru", "lrc",
                         "dead-first", "dead-elide"):
         return None
     now = getattr(core, "now", cycle)
     candidates = [slot for slot in ts.valid_slots()
                   if ts.fill_ready[slot] <= now]
-    if candidates:
-        victim = pol.select_victim(candidates)
-        if victim is None:
-            return _v("policy.order",
-                      "policy returned no victim over a non-empty "
-                      "candidate set", cycle, cid)
-        best = max(map(pol.priority, candidates))
-        if pol.priority(victim) != best:
-            return _v("policy.order",
-                      f"policy picked slot {victim} (priority "
-                      f"{pol.priority(victim)}) but the maximum evictable "
-                      f"priority is {best}", cycle, cid,
-                      victim=victim, victim_priority=pol.priority(victim),
-                      max_priority=best)
+    expected = max(candidates, key=pol.priority, default=None)
+    victim = ts.select_victim([], now)
+    if victim != expected:
+        found, best = (None if slot is None else pol.priority(slot)
+                       for slot in (victim, expected))
+        return _v("policy.order",
+                  f"the victim search picked slot {victim} (priority "
+                  f"{found}) but the first evictable slot of maximum "
+                  f"priority is {expected} (priority {best})", cycle, cid,
+                  victim=victim, victim_priority=found,
+                  expected=expected, max_priority=best)
     return None
 
 

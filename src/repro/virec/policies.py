@@ -107,7 +107,9 @@ class ReplacementPolicy:
     elides_dead_writebacks = False
     #: ``(mask, shift)`` of a policy whose priority is the stored word's
     #: fields above the age, ``(word & mask) >> shift | A`` — the tag store
-    #: evaluates it inline; None for a policy with its own :meth:`priority`
+    #: evaluates it inline and prunes on ``word & mask`` before it reads an
+    #: age, so the shift may drop no mask bit and must leave bits 0-2 free;
+    #: None for a policy with its own :meth:`priority`
     priority_fields: Optional[Tuple[int, int]] = None
 
     def __init__(self, capacity: int) -> None:
@@ -152,8 +154,10 @@ class ReplacementPolicy:
         self.word[slot] = C_BIT
         self.zeroed_at[slot] = self.stamp[slot] = self._clock
 
-    def on_insert(self, slot: int) -> None:
-        self.on_access(slot)
+    #: a fill is the entry's first reference.  An alias, not a call through
+    #: ``self``: a subclass that overrides :meth:`on_access` alone keeps
+    #: this base body for inserts
+    on_insert = on_access
 
     def on_flush(self, slots: Iterable[int]) -> None:
         """Rollback queue resets the C bit of flushed in-flight registers."""
@@ -372,6 +376,8 @@ class SRRIP(ReplacementPolicy):
         self.rrpv[slot] = 0                      # promoted on re-reference
 
     def on_insert(self, slot: int) -> None:
+        # the base ``on_insert`` is the base ``on_access``, so this skips
+        # the ``rrpv = 0`` store above, which the next line overwrites
         super().on_insert(slot)
         self.rrpv[slot] = self.RRPV_MAX - 1      # long re-reference prediction
 

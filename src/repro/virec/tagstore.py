@@ -34,8 +34,6 @@ class TagStore:
         self.dirty: List[bool] = [False] * capacity
         self.fill_ready: List[int] = [0] * capacity
         self._map: Dict[Tuple[int, int], int] = {}
-        #: resident register count per owning thread (no zero entries)
-        self._resident: Dict[int, int] = {}
         #: pending counts (see :meth:`Stats.batch`)
         self._pending = self.stats.batch("evictions")
 
@@ -47,7 +45,7 @@ class TagStore:
     def resident_count(self, tid: Optional[int] = None) -> int:
         if tid is None:
             return len(self._map)
-        return self._resident.get(tid, 0)
+        return self.owner.count(tid)
 
     def resident_regs(self, tid: int) -> List[int]:
         """Flat register indices of ``tid`` currently resident."""
@@ -59,7 +57,9 @@ class TagStore:
         Telemetry probe: the per-thread share of the physical register
         cache, the time series the paper's contention story is about.
         """
-        return dict(sorted(self._resident.items()))
+        occupancy = Counter(self.owner)
+        del occupancy[-1]       # the empty slots
+        return dict(sorted(occupancy.items()))
 
     # -- allocation -------------------------------------------------------------
     def free_slot(self) -> Optional[int]:
@@ -86,19 +86,28 @@ class TagStore:
                 [slot for slot in range(self.capacity)
                  if valid[slot] and fill_ready[slot] <= now
                  and slot not in exclude_slots])
-        # ``policy.priority`` inlined; the first maximum wins, so ties go
-        # to the lowest slot
+        # ``policy.priority`` inlined as a branch-and-bound; the first
+        # maximum wins, so ties go to the lowest slot.  The stored fields sit
+        # above the age in the priority (no mask has a bit under ``shift +
+        # 3``), so they decide first, as in a hardware priority tree: an
+        # entry whose fields are below the best candidate's cannot outrank
+        # it at any age and is dismissed on one AND; equal fields go to the
+        # age.  Only an eligible entry raises the bound.  Nothing outranks
+        # ``ceiling``, so the first candidate to reach it is the answer.
         mask, shift = fields
-        word, zeroed_at, clock = policy.word, policy.zeroed_at, policy._clock
-        victim, highest = None, -1
-        for slot in range(self.capacity):
-            if (valid[slot] and fill_ready[slot] <= now
+        zeroed_at, clock = policy.zeroed_at, policy._clock
+        ceiling = mask >> shift | A_MAX
+        victim, highest, bound = None, -1, 0
+        for slot, stored in enumerate(policy.word):
+            stored &= mask
+            if (stored >= bound and valid[slot] and fill_ready[slot] <= now
                     and slot not in exclude_slots):
                 age = clock - zeroed_at[slot]
-                priority = ((word[slot] & mask) >> shift
-                            | (age if age < A_MAX else A_MAX))
+                priority = stored >> shift | (age if age < A_MAX else A_MAX)
                 if priority > highest:
-                    victim, highest = slot, priority
+                    if priority == ceiling:
+                        return slot
+                    victim, highest, bound = slot, priority, stored
         return victim
 
     def evict(self, slot: int) -> Tuple[int, int, bool]:
@@ -107,11 +116,6 @@ class TagStore:
             raise ValueError(f"evicting invalid slot {slot}")
         tid, reg, dirty = self.owner[slot], self.areg[slot], self.dirty[slot]
         del self._map[(tid, reg)]
-        left = self._resident[tid] - 1
-        if left:
-            self._resident[tid] = left
-        else:
-            del self._resident[tid]
         self.valid[slot] = False
         self.owner[slot] = -1
         self.areg[slot] = -1
@@ -135,7 +139,6 @@ class TagStore:
         self.dirty[slot] = dirty
         self.fill_ready[slot] = fill_ready
         self._map[(tid, flat_reg)] = slot
-        self._resident[tid] = self._resident.get(tid, 0) + 1
         policy.on_insert(slot)
 
     def valid_slots(self) -> List[int]:
@@ -192,5 +195,3 @@ class TagStore:
         pairs = list(self._map.values())
         if len(pairs) != len(set(pairs)):
             fail("two mappings share a slot")
-        if self._resident != Counter(map(self.owner.__getitem__, pairs)):
-            fail("per-thread resident counts disagree with the owner tags")

@@ -141,8 +141,8 @@ class VRMU:
             # victim's values straight to the new register's
             pending[MISSES] += len(missing)
             valid, owner, areg = ts.valid, ts.owner, ts.areg
-            resident, evictions = ts._resident, ts._pending
-            on_insert, capacity = policy.on_insert, ts.capacity
+            evictions, on_insert = ts._pending, policy.on_insert
+            capacity = ts.capacity
             t_fill = t
             for reg, flat, is_dest, is_src in missing:
                 evicted = len(slot_map) == capacity
@@ -167,11 +167,6 @@ class VRMU:
                     victim_dead = self.dead_hints and policy.is_dead(slot)
                     vtid, vreg, vdirty = owner[slot], areg[slot], dirty[slot]
                     del slot_map[(vtid, vreg)]
-                    left = resident[vtid] - 1
-                    if left:
-                        resident[vtid] = left
-                    else:
-                        del resident[vtid]
                     evictions[0] += 1
                     pending[SPILL_EVICTIONS] += 1
                 if is_src:
@@ -186,7 +181,6 @@ class VRMU:
                 areg[slot] = flat
                 fill_ready[slot] = done
                 slot_map[(tid, flat)] = slot
-                resident[tid] = resident.get(tid, 0) + 1
                 on_insert(slot)
                 if probe is not None:
                     probe.on_fill(tid, flat, t_fill, done, dummy=not is_src)

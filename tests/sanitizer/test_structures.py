@@ -17,6 +17,7 @@ from helpers import build_gather_core  # noqa: E402
 from repro.errors import SanitizerViolation
 from repro.sanitizer import SanitizeConfig, Sanitizer
 from repro.virec import ViReCConfig, ViReCCore
+from repro.virec.policies import LRC_MASK
 
 
 def _sanitized_core(**cfg_kw):
@@ -99,16 +100,27 @@ def test_lazy_age_out_of_range_caught():
     assert excinfo.value.details["A"] == -3
 
 
-def test_resident_count_drift_caught():
+def test_sabotaged_search_ceiling_caught(monkeypatch):
+    """``policy.order`` probes the search production runs: with the tag
+    store's ceiling set too low the scan returns at the first entry it
+    takes for the highest rank, in front of an older one."""
     core, _ = _sanitized_core()
     ts = core.vrmu.tagstore
-    tid = next(iter(ts._resident))
-    ts._resident[tid] += 1          # per-thread count disagrees with the tags
+    policy = ts.policy
+    young, old = ts.valid_slots()[:2]
+    policy.zeroed_at[young] = policy._clock - 4
+    policy.zeroed_at[old] = policy._clock - 7
+    for slot in ts.valid_slots():
+        policy.word[slot] = LRC_MASK            # T = 7, C = 1 everywhere
+        if slot not in (young, old):
+            policy.zeroed_at[slot] = policy._clock
+    _check(core)                                # the real search finds ``old``
+    monkeypatch.setattr("repro.virec.tagstore.A_MAX", 3)
     with pytest.raises(SanitizerViolation) as excinfo:
         _check(core)
-    assert excinfo.value.invariant == "tagstore.bijection"
-    with pytest.raises(SanitizerViolation):
-        ts.check_invariants()
+    assert excinfo.value.invariant == "policy.order"
+    assert excinfo.value.details["victim"] == young
+    assert excinfo.value.details["expected"] == old
 
 
 def test_rollback_depth_violation_caught():

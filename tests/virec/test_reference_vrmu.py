@@ -100,8 +100,7 @@ class Side:
             "rollback": [(tuple(slots), is_mem)
                          for slots, is_mem in vrmu.rollback._queue],
             "tags": (list(ts.valid), list(ts.owner), list(ts.areg),
-                     list(ts.dirty), list(ts.fill_ready), dict(ts._map),
-                     dict(ts._resident)),
+                     list(ts.dirty), list(ts.fill_ready), dict(ts._map)),
             "policy": (list(policy.word), list(policy.zeroed_at),
                        list(policy.stamp), policy._clock,
                        policy.pending_switches, policy.running,

@@ -88,6 +88,10 @@ def test_resident_counts_per_thread():
     assert ts.resident_count(0) == 2
     assert ts.resident_count(1) == 1
     assert ts.resident_regs(0) == [0, 1]
+    assert ts.occupancy_by_thread() == {0: 2, 1: 1}
+    ts.evict(2)                                   # empty slots count for nobody
+    assert ts.resident_count(1) == 0
+    assert ts.occupancy_by_thread() == {0: 2}
 
 
 def test_invariants_hold():
