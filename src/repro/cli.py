@@ -19,13 +19,12 @@ Commands
     Longitudinal analytics over the run ledger: per-digest trajectories
     with host-rate sparklines, per-counter compares between two digests,
     and trajectory-aware regression gating (current vs median of the
-    last N runs, severity-graded like ``repro report --check``).
+    last N runs, graded ok / warn / regression; exit 4 on regression).
 ``monitor DIR [--follow]``
     Re-attach a progress panel to a sweep directory (live or post-hoc).
-``report DIR [--baseline P] [--out report.html] [--check]``
+``report DIR [--out report.html] [--ledger P]``
     Render a self-contained HTML report from a sweep directory's
-    manifest, fleet metrics, and event log; with ``--check``, exit
-    non-zero when a tracked metric regresses past the baseline.
+    manifest, fleet metrics, event log, and run-ledger history.
 ``trace --workload W --core C [--out trace.json] [--interval N] ...``
     Run one configuration with event telemetry and export a Chrome
     trace-event JSON (opens in Perfetto / chrome://tracing).
@@ -130,11 +129,26 @@ def _parse_axis_value(text: str):
     return text
 
 
+def _resolve_jobs(jobs):
+    """The exec backend for ``--jobs`` / ``$REPRO_JOBS``; None (after a
+    one-line usage error on stderr) when the value is not a job count."""
+    from .exec import resolve_backend
+
+    try:
+        return resolve_backend(jobs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_sweep(args) -> int:
     import os
     from .system import run_grid, sweep_grid
     from .stats.reporting import rows_to_csv
 
+    backend = _resolve_jobs(args.jobs)
+    if backend is None:
+        return 2
     extra = {"metrics": True} if args.metrics else {}
     base = _base_config(args, **extra)
     checkpoint, observe, manifest = args.checkpoint, None, None
@@ -181,12 +195,10 @@ def _cmd_sweep(args) -> int:
         # --cache implies a ledger; root it in the sweep dir when present
         ledger_path = (os.path.join(args.dir, "ledger.sqlite")
                        if args.dir else "ledger.sqlite")
-    backend = cached = None
+    cached = None
     if args.cache:
-        from .exec import resolve_backend
         from .ledger import CachedBackend
-        cached = CachedBackend(ledger_path, inner=resolve_backend(args.jobs))
-        backend = cached
+        backend = cached = CachedBackend(ledger_path, inner=backend)
 
     live_thread = None
     if args.live:
@@ -200,7 +212,7 @@ def _cmd_sweep(args) -> int:
                     retries=args.retries, timeout_s=args.timeout_s,
                     max_cycles=args.max_cycles,
                     checkpoint=checkpoint, resume=args.resume,
-                    jobs=args.jobs, backend=backend, observe=observe,
+                    backend=backend, observe=observe,
                     manifest=manifest,
                     ledger=None if cached else ledger_path)
     if cached is not None:
@@ -273,74 +285,18 @@ def _cmd_monitor(args) -> int:
     return 0 if state.failed == 0 else 3
 
 
-def _check_baseline_file(path: str) -> Optional[str]:
-    """One-line hint when a baseline file cannot feed the perf gate.
-
-    Missing, empty, unparsable, or entry-less baselines used to traceback
-    deep inside ``load_baseline``; a broken perf gate should say what is
-    wrong with its input and exit with a usage error instead.
-    """
-    import json
-    import os
-    from .stats.report_html import load_baseline
-
-    if not os.path.exists(path):
-        return (f"baseline file {path} does not exist "
-                f"(generate one with: pytest benchmarks/"
-                f"bench_simulator_speed.py)")
-    if os.path.getsize(path) == 0:
-        return (f"baseline file {path} is empty — regenerate it with: "
-                f"pytest benchmarks/bench_simulator_speed.py")
-    try:
-        entries = load_baseline(path)
-    except (json.JSONDecodeError, OSError, AttributeError) as exc:
-        return f"baseline file {path} is not valid JSON ({exc})"
-    if not entries:
-        return (f"baseline file {path} has no usable rate entries — "
-                f"regenerate it with: pytest benchmarks/"
-                f"bench_simulator_speed.py")
-    return None
-
-
 def _cmd_report(args) -> int:
     import os
-    from .stats.report_html import EXIT_REGRESSION, write_report
+    from .stats.report_html import write_report
 
     hint = _check_sweep_dir(args.dir)
     if hint is not None:
         print(hint, file=sys.stderr)
         return 2
-    baseline = args.baseline
-    if baseline is None:
-        # auto-detect a benchmark baseline next to the sweep, then in cwd
-        for candidate in (os.path.join(args.dir, "BENCH_simspeed.json"),
-                          "BENCH_simspeed.json"):
-            if os.path.exists(candidate):
-                baseline = candidate
-                break
-    if baseline is not None:
-        hint = _check_baseline_file(baseline)
-        if hint is not None:
-            print(hint, file=sys.stderr)
-            return 2
     out = args.out or os.path.join(args.dir, "report.html")
-    report = write_report(args.dir, out, baseline=baseline,
-                          threshold=args.threshold, ledger=args.ledger)
+    report = write_report(args.dir, out, ledger=args.ledger)
     s = report["summary"]
-    print(f"wrote {out}: {s['ok']} ok / {s['failed']} failed rows, "
-          f"{len(report['deltas'])} tracked metric(s)")
-    for d in report["deltas"]:
-        delta = (f"{d['delta'] * 100:+.1f}%" if d["delta"] is not None
-                 else "n/a")
-        print(f"  [{d['severity']:<10}] {d['name']}: {d['current']} "
-              f"vs {d['baseline']} ({delta})")
-    for g in report.get("engine_gate", []):
-        print(f"  [{g['severity']:<10}] {g['name']}: "
-              f"{g['speedup']:.2f}x vs floor {g['floor']:.2f}x")
-    if args.check and report["has_regression"]:
-        print(f"regression beyond {args.threshold * 100:.0f}% threshold",
-              file=sys.stderr)
-        return EXIT_REGRESSION
+    print(f"wrote {out}: {s['ok']} ok / {s['failed']} failed rows")
     return 0
 
 
@@ -348,11 +304,10 @@ def _cmd_history(args) -> int:
     import json
     import os
     from .ledger import LedgerReader, default_ledger_path
-    from .ledger.history import (check_history, compare_digests,
-                                 render_check_text, render_compare_text,
-                                 render_history_text, render_trajectory_text,
-                                 trajectory)
-    from .stats.report_html import EXIT_REGRESSION
+    from .ledger.history import (EXIT_REGRESSION, check_history,
+                                 compare_digests, render_check_text,
+                                 render_compare_text, render_history_text,
+                                 render_trajectory_text, trajectory)
 
     path = args.ledger or default_ledger_path()
     if not os.path.exists(path):
@@ -652,6 +607,8 @@ def _cmd_fuzz(args) -> int:
               f"still fire their signature")
         return 4 if bad else 0
 
+    if _resolve_jobs(args.jobs) is None:
+        return 2
     faults = None
     if args.flip_rate:
         faults = {"rf_rate": args.flip_rate, "scheme": "none",
@@ -844,20 +801,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report",
                        help="render a self-contained HTML report from a "
-                            "sweep directory; optionally gate on baseline "
-                            "regressions")
+                            "sweep directory")
     p.add_argument("dir", help="sweep directory (from repro sweep --dir)")
-    p.add_argument("--baseline", metavar="PATH",
-                   help="BENCH_simspeed.json-style baseline (default: "
-                        "auto-detect in the sweep dir, then cwd)")
     p.add_argument("--out", metavar="PATH",
                    help="HTML output path (default: DIR/report.html)")
-    p.add_argument("--check", action="store_true",
-                   help="exit non-zero when a tracked metric regresses "
-                        "beyond --threshold (CI perf gate)")
-    p.add_argument("--threshold", type=float, default=0.5, metavar="F",
-                   help="relative regression threshold (default 0.5 = 50%%; "
-                        "loose because CI hosts vary)")
     p.add_argument("--ledger", metavar="PATH",
                    help="run ledger feeding the History section (default: "
                         "auto-detect ledger.sqlite in DIR, then cwd)")
@@ -881,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "on regression (trajectory-aware perf gate)")
     p.add_argument("--threshold", type=float, default=0.5, metavar="F",
                    help="relative regression threshold for --check "
-                        "(default 0.5, like repro report --check)")
+                        "(default 0.5 = 50%%; loose because CI hosts vary)")
     p.add_argument("--window", type=int, default=5, metavar="N",
                    help="median window of predecessor runs for --check "
                         "(default 5)")

@@ -9,8 +9,8 @@ backends & instrumentation bus") for the design discussion.
 from .backends import (ExecBackend, ProcessPoolBackend, SerialBackend,
                        WorkerCrash, resolve_backend)
 from .spans import SpanRecorder, SweepTrace, task_spec
-from .workers import grid_worker, strip_result, sweep_worker
+from .workers import grid_worker, strip_result
 
 __all__ = ["ExecBackend", "ProcessPoolBackend", "SerialBackend",
            "SpanRecorder", "SweepTrace", "WorkerCrash", "grid_worker",
-           "resolve_backend", "strip_result", "sweep_worker", "task_spec"]
+           "resolve_backend", "strip_result", "task_spec"]

@@ -221,13 +221,22 @@ def resolve_backend(jobs: Optional[int] = None,
     """The backend for a ``jobs=N`` request (explicit backend wins).
 
     ``jobs=None`` consults the ``REPRO_JOBS`` environment variable, then
-    defaults to serial.  ``jobs=0`` means "all cores".
+    defaults to serial.  ``jobs=0`` means "all cores"; anything that is
+    not an integer >= 0 is a ``ValueError`` naming where it came from.
     """
     if backend is not None:
         return backend
+    source, given = "jobs", jobs
     if jobs is None:
-        env = os.environ.get("REPRO_JOBS", "").strip()
-        jobs = int(env) if env else 1
+        source = "REPRO_JOBS"
+        given = os.environ.get("REPRO_JOBS", "").strip() or 1
+    try:
+        jobs = int(given)
+    except ValueError:
+        jobs = -1
+    if jobs < 0:
+        raise ValueError(f"{source} must be 0 (all cores) or an integer "
+                         f"N >= 1, not {given!r}")
     if jobs == 0:
         jobs = os.cpu_count() or 1
     if jobs <= 1:

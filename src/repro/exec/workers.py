@@ -15,21 +15,21 @@ encoded here:
   cycles, instructions, ipc, rf_hit_rate, stats, host_profile) survives,
   so result digests are unaffected.
 
-* **Expected failures are return values, not exceptions.**  Each worker
+* **Expected failures are return values, not exceptions.**  The worker
   catches :class:`~repro.errors.SimulationError` into a structured
   :class:`~repro.errors.RunFailure` (picklable primitives) plus a
   best-effort copy of the original exception for fail-fast mode; an
   exception that escapes a worker aborts the whole map, which is reserved
   for genuine driver bugs.
 
-**Observability is a trailing opt-in.**  Both workers accept their
-historical task tuple unchanged, or the same tuple with one extra
-element: the ``obs`` spec built by :func:`repro.exec.spans.task_spec`.
-With a spec attached the worker records per-phase spans (queue-wait,
-setup, simulate, serialize), touches a heartbeat file the live monitor
-ages, and appends row events to the sweep's JSONL event log — and its
-return value grows one trailing element carrying the span records.
-Callers that never pass a spec see byte-identical behavior to before.
+**One task shape, one result shape.**  ``grid_worker`` is the only worker:
+its task is always ``(index, cfg, check, retries, timeout_s, max_cycles,
+key, obs)`` and its result always ``(result, failure, exc, spans)``.
+``obs`` is ``None`` or the spec built by :func:`repro.exec.spans.task_spec`;
+with a spec the worker records per-phase spans (queue-wait, setup,
+simulate, serialize), touches a heartbeat file the live monitor ages, and
+appends row events to the sweep's JSONL event log.  Without one, ``spans``
+is empty and nothing is written.
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ from __future__ import annotations
 import json
 import os
 import pickle
-from dataclasses import asdict
-from typing import Optional, Tuple
+from typing import Optional
 
-from ..errors import RunFailure, SimulationError
+from ..errors import SimulationError
 from .spans import SpanRecorder, now_s
 
-__all__ = ["grid_worker", "strip_result", "sweep_worker"]
+__all__ = ["grid_worker", "strip_result"]
 
 
 def strip_result(result):
@@ -134,86 +133,46 @@ def _measure_serialize(rec: Optional[SpanRecorder], result) -> None:
     rec.phase("serialize")
 
 
-def sweep_worker(task):
-    """Run one sweep config: ``(index, cfg, check[, obs])`` -> tagged result.
+def grid_worker(task, ship: bool = True):
+    """Run one config through the resilient isolated runner.
 
-    Returns ``("ok", result)`` or ``("err", failure, exception)``; with an
-    ``obs`` spec attached, each gains a trailing span-record list.
+    ``task`` is :func:`repro.system.sweeps._run_isolated`'s signature plus
+    the obs spec: ``(index, cfg, check, retries, timeout_s, max_cycles,
+    key, obs)``; returns ``(result, failure, exc, spans)``.  The SIGALRM
+    wall-clock watchdog works in a pool too — pool tasks execute on the
+    worker process's main thread.
+
+    ``ship`` (the default, and what any ``backend.map`` call gets) makes
+    the outcome safe to cross a process boundary: the result is stripped,
+    its pickling timed as the ``serialize`` span, and the exception probed
+    for portability.  :func:`repro.system.sweeps.run_outcomes` passes
+    ``ship=False`` when it runs the task in its own process, so serial
+    results keep their live telemetry/sanitizer handles.
     """
-    index, cfg, check = task[:3]
-    obs = task[3] if len(task) > 3 else None
-    if obs is None:
-        from ..system.simulator import run_config
-        try:
-            return ("ok", strip_result(run_config(cfg, check=check)))
-        except SimulationError as exc:
-            failure = RunFailure.from_exception(exc, index=index,
-                                                config=asdict(cfg))
-            return ("err", failure, _portable_exc(exc))
-
-    rec = SpanRecorder(obs, index) if obs.get("spans") else None
-    _heartbeat(obs)
-    _append_event(obs, "row_start", index)
-    from ..system.simulator import run_config
-    if rec is not None:
-        rec.phase("setup")
-    try:
-        result = run_config(cfg, check=check)
-        if rec is not None:
-            rec.phase("simulate")
-        result = strip_result(result)
-        _measure_serialize(rec, result)
-        _heartbeat(obs)
-        _append_event(obs, "row_ok", index, cycles=result.cycles)
-        return ("ok", result, rec.records if rec else [])
-    except SimulationError as exc:
-        if rec is not None:
-            rec.phase("simulate")
-        failure = RunFailure.from_exception(exc, index=index,
-                                            config=asdict(cfg))
-        _heartbeat(obs)
-        _append_event(obs, "row_fail", index,
-                      error=type(exc).__name__)
-        return ("err", failure, _portable_exc(exc),
-                rec.records if rec else [])
-
-
-def grid_worker(task):
-    """Run one grid config through the resilient isolated runner.
-
-    ``task`` mirrors :func:`repro.system.sweeps._run_isolated`'s signature:
-    ``(index, cfg, check, retries, timeout_s, max_cycles, key[, obs])``.
-    The SIGALRM wall-clock watchdog still works here — pool tasks execute
-    on the worker process's main thread.  Returns
-    ``(result, failure, exc)``, plus a trailing span-record list when an
-    ``obs`` spec is attached.
-    """
-    index, cfg, check, retries, timeout_s, max_cycles, key = task[:7]
-    obs = task[7] if len(task) > 7 else None
+    index, cfg, check, retries, timeout_s, max_cycles, key, obs = task
     from ..system.sweeps import _run_isolated
-    if obs is None:
-        result, failure, exc = _run_isolated(index, cfg, check, retries,
-                                             timeout_s, max_cycles, key)
-        return strip_result(result), failure, _portable_exc(exc)
-
-    rec = SpanRecorder(obs, index) if obs.get("spans") else None
-    _heartbeat(obs)
-    _append_event(obs, "row_start", index, key=key)
-    if rec is not None:
-        rec.phase("setup")
+    rec = None
+    if obs is not None:
+        rec = SpanRecorder(obs, index) if obs.get("spans") else None
+        _heartbeat(obs)
+        _append_event(obs, "row_start", index, key=key)
+        if rec is not None:
+            rec.phase("setup")
     result, failure, exc = _run_isolated(index, cfg, check, retries,
                                          timeout_s, max_cycles, key)
     if rec is not None:
         rec.phase("simulate")
-    result = strip_result(result)
-    _measure_serialize(rec, result)
-    _heartbeat(obs)
-    if failure is None:
-        _append_event(obs, "row_ok", index, key=key,
-                      cycles=result.cycles if result else None)
-    else:
-        _append_event(obs, "row_fail", index, key=key,
-                      error=failure.error_type,
-                      attempts=failure.attempts)
-    return (result, failure, _portable_exc(exc),
-            rec.records if rec else [])
+    if ship:
+        result = strip_result(result)
+        _measure_serialize(rec, result)
+        exc = _portable_exc(exc)
+    if obs is not None:
+        _heartbeat(obs)
+        if failure is None:
+            _append_event(obs, "row_ok", index, key=key,
+                          cycles=result.cycles)
+        else:
+            _append_event(obs, "row_fail", index, key=key,
+                          error=failure.error_type,
+                          attempts=failure.attempts)
+    return result, failure, exc, rec.records if rec else []

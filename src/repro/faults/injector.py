@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import FaultEscapeError
 from ..isa.registers import NUM_ARCH_REGS, from_flat
@@ -85,7 +85,15 @@ class FaultConfig:
             return cls()
         if isinstance(spec, cls):
             return spec
+        if not isinstance(spec, Mapping):
+            raise TypeError(f"faults spec must be a FaultConfig or a mapping "
+                            f"of its fields, not {type(spec).__name__}")
         spec = dict(spec)
+        known = {f.name for f in fields(cls)}
+        unknown = set(spec) - known
+        if unknown:
+            raise ValueError(f"unknown faults field(s) {sorted(unknown)}; "
+                             f"choose from {sorted(known)}")
         if "scheduled" in spec:
             spec["scheduled"] = tuple((int(c), str(s))
                                       for c, s in spec["scheduled"])

@@ -3,7 +3,7 @@
 Three layers, one SQLite file (see docs/observability.md §9):
 
 * :mod:`~repro.ledger.store` — :class:`Recorder` (append-only writes from
-  ``run_grid``/``sweep``/fuzz/bench) and :class:`LedgerReader` (queries).
+  ``run_grid``/``sweep``/fuzz) and :class:`LedgerReader` (queries).
 * :mod:`~repro.ledger.cache` — :class:`CachedBackend`, serving digest-keyed
   hits with recomputation-byte-identical results over any exec backend.
 * :mod:`~repro.ledger.history` — trajectories, per-counter compares, and

@@ -3,11 +3,12 @@
 A manifest digest fully determines a run's results (that is the whole
 reproducibility contract), so a digest the ledger has already recorded
 never needs to be simulated again.  ``CachedBackend`` wraps any
-:class:`~repro.exec.ExecBackend` and intercepts the two sweep worker
-functions it understands — ``grid_worker`` and ``sweep_worker`` — serving
-hits straight from the ledger and delegating only the misses to the inner
-backend, in input order, so the result list (and therefore the manifest
-digest) is byte-identical to cold recomputation.
+:class:`~repro.exec.ExecBackend` and intercepts the one worker function
+every sweep maps — :func:`~repro.exec.workers.grid_worker`, whose task
+carries the digest as ``task[6]`` — serving hits straight from the ledger
+and delegating only the misses to the inner backend, in input order, so
+the result list (and therefore the manifest digest) is byte-identical to
+cold recomputation.
 
 Every lookup is graded into exactly one of three counters, posted through
 the shared metrics registry when one is bound:
@@ -35,7 +36,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..exec.backends import ExecBackend, SerialBackend
-from ..exec.workers import _append_event, grid_worker, sweep_worker
+from ..exec.workers import _append_event, grid_worker
 from .store import LedgerReader, Recorder, engine_key_of
 
 __all__ = ["CachedBackend"]
@@ -88,85 +89,33 @@ class CachedBackend(ExecBackend):
 
     # -- the map interception ------------------------------------------------
     def map(self, fn: Callable, items: Sequence) -> List:
+        """Split ``grid_worker`` tasks into hits and misses; inner-map only
+        the misses.  Any other ``fn`` goes to the inner backend untouched."""
         items = list(items)
-        if fn is grid_worker:
-            return self._map_cached(fn, items, self._grid_probe,
-                                    self._grid_hit, self._grid_fresh)
-        if fn is sweep_worker:
-            return self._map_cached(fn, items, self._sweep_probe,
-                                    self._sweep_hit, self._sweep_fresh)
-        return self.inner.map(fn, items)
-
-    def _map_cached(self, fn, items, probe, make_hit, fresh_result) -> List:
-        """Split items into hits and misses; inner-map only the misses.
-
-        ``probe(item)`` -> (digest, cfg, check, obs); ``make_hit`` shapes
-        a cached RunResult into the worker's output tuple; ``fresh_result``
-        extracts the recordable RunResult from a fresh output (or None).
-        """
+        if fn is not grid_worker:
+            return self.inner.map(fn, items)
         results: List = [None] * len(items)
-        miss_positions: List[int] = []
-        for pos, item in enumerate(items):
-            digest, cfg, check, obs = probe(item)
-            cached = self._lookup(digest, cfg, check)
-            if cached is not None:
-                if obs is not None:
-                    _append_event(obs, "row_start", item[0], cached=True)
-                    _append_event(obs, "row_ok", item[0], cached=True,
-                                  cycles=cached.cycles)
-                results[pos] = make_hit(cached, item)
-            else:
-                miss_positions.append(pos)
-        if miss_positions:
-            fresh = self.inner.map(fn, [items[p] for p in miss_positions])
-            for pos, out in zip(miss_positions, fresh):
+        misses: List[int] = []
+        for pos, task in enumerate(items):
+            index, cfg, check, _, _, _, key, obs = task
+            cached = self._lookup(key, cfg, check)
+            if cached is None:
+                misses.append(pos)
+                continue
+            if obs is not None:
+                _append_event(obs, "row_start", index, cached=True)
+                _append_event(obs, "row_ok", index, cached=True,
+                              cycles=cached.cycles)
+            results[pos] = (cached, None, None, [])
+        if misses:
+            fresh = self.inner.map(fn, [items[p] for p in misses])
+            for pos, out in zip(misses, fresh):
                 results[pos] = out
-                result = fresh_result(out)
-                if result is not None:
-                    _, _, check, _ = probe(items[pos])
-                    self._recorder.record_result(result, source="cache",
-                                                 checked=check)
+                # a failure or a WorkerCrash sentinel is never cached
+                if isinstance(out, tuple) and out[1] is None:
+                    self._recorder.record_result(out[0], source="cache",
+                                                 checked=items[pos][2])
         return results
-
-    # -- grid_worker shapes --------------------------------------------------
-    # task: (index, cfg, check, retries, timeout_s, max_cycles, key[, obs])
-    # out:  (result, failure, exc[, spans])
-    @staticmethod
-    def _grid_probe(item):
-        return item[6], item[1], item[2], (item[7] if len(item) > 7 else None)
-
-    @staticmethod
-    def _grid_hit(cached, item):
-        if len(item) > 7:
-            return (cached, None, None, [])
-        return (cached, None, None)
-
-    @staticmethod
-    def _grid_fresh(out):
-        if isinstance(out, tuple) and out[0] is not None and out[1] is None:
-            return out[0]
-        return None
-
-    # -- sweep_worker shapes -------------------------------------------------
-    # task: (index, cfg, check[, obs])
-    # out:  ("ok", result[, spans]) | ("err", failure, exc[, spans])
-    @staticmethod
-    def _sweep_probe(item):
-        from ..system.manifest import config_key
-        return (config_key(item[1]), item[1], item[2],
-                (item[3] if len(item) > 3 else None))
-
-    @staticmethod
-    def _sweep_hit(cached, item):
-        if len(item) > 3:
-            return ("ok", cached, [])
-        return ("ok", cached)
-
-    @staticmethod
-    def _sweep_fresh(out):
-        if isinstance(out, tuple) and out and out[0] == "ok":
-            return out[1]
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<CachedBackend path={self.path!r} inner={self.inner!r} "

@@ -9,11 +9,11 @@ into the three views the CLI exposes:
   (the "what did this policy change buy" question, answered from history
   instead of a fresh A/B sweep);
 * **check** — trajectory-aware regression gating: the newest host rate of
-  each digest against the *median of its last N predecessors*, graded with
-  the same ``ok``/``warn``/``regression`` ladder as ``repro report
-  --check``.  Median-of-N is the change-point half of the design: one
-  noisy CI host perturbs a single sample, not the median, so the gate
-  fires on sustained shifts rather than flukes.
+  each digest against the *median of its last N predecessors*, graded
+  ``ok``/``warn``/``regression`` by :func:`classify_delta`; a regression
+  exits :data:`EXIT_REGRESSION`.  Median-of-N is the change-point half of
+  the design: one noisy CI host perturbs a single sample, not the median,
+  so the gate fires on sustained shifts rather than flukes.
 
 ``check`` also carries a determinism alarm: two rows sharing a digest,
 engine key, and schema version that disagree on ``cycles`` mean the
@@ -30,13 +30,21 @@ from __future__ import annotations
 import statistics
 from typing import Dict, List, Optional
 
-from ..stats.report_html import DEFAULT_THRESHOLD, classify_delta
 from ..stats.reporting import sparkline
 from .store import LedgerReader, counters_of
 
-__all__ = ["check_history", "compare_digests", "history_series",
+__all__ = ["DEFAULT_THRESHOLD", "EXIT_REGRESSION", "check_history",
+           "classify_delta", "compare_digests", "history_series",
            "render_check_text", "render_compare_text", "render_history_text",
            "render_trajectory_text", "trajectory"]
+
+#: ``repro history --check`` exit code on a gated regression (2 = usage
+#: error, 3 = sweep failures, as elsewhere in the CLI)
+EXIT_REGRESSION = 4
+
+#: default relative regression threshold for ``--check`` (generous: host
+#: rates are wall-clock and CI hosts vary; tighten only on pinned hardware)
+DEFAULT_THRESHOLD = 0.5
 
 #: how many predecessor samples the --check median window folds
 DEFAULT_WINDOW = 5
@@ -45,6 +53,29 @@ DEFAULT_WINDOW = 5
 DEFAULT_MIN_RUNS = 3
 
 _SEVERITY_RANK = {"ok": 0, "warn": 1, "regression": 2}
+
+
+def classify_delta(current: Optional[float], baseline: Optional[float],
+                   threshold: float = DEFAULT_THRESHOLD,
+                   higher_is_better: bool = True) -> Dict:
+    """One tracked metric's delta, graded ``ok`` / ``warn`` / ``regression``.
+
+    ``warn`` fires at half the regression threshold.  Missing or
+    non-positive baselines grade ``ok`` (nothing to compare against).
+    """
+    entry = {"current": current, "baseline": baseline, "delta": None,
+             "severity": "ok"}
+    if current is None or baseline is None or baseline <= 0:
+        return entry
+    delta = (current - baseline) / baseline
+    if not higher_is_better:
+        delta = -delta
+    entry["delta"] = delta
+    if delta < -threshold:
+        entry["severity"] = "regression"
+    elif delta < -threshold / 2:
+        entry["severity"] = "warn"
+    return entry
 
 
 # -- data folds ---------------------------------------------------------------

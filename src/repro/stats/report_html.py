@@ -1,4 +1,4 @@
-"""Regression-aware HTML reports from sweep directories.
+"""HTML reports from sweep directories.
 
 ``repro report <dir>`` folds a sweep's artifacts — ``manifest.json``
 (configs, deterministic result summaries, host profiles),
@@ -19,14 +19,12 @@ Sections rendered (each skipped gracefully when its artifact is absent):
 * cycle attribution (from a ``profile.json`` snapshot written by
   ``repro profile --json`` into the sweep directory): a per-cause
   stacked bar plus the hottest per-PC rows;
-* severity-gated deltas against a ``BENCH_simspeed.json`` baseline.
+* host-rate history per digest (from a run ledger).
 
-The delta table doubles as a **CI perf gate**: ``repro report --check``
-exits non-zero (:data:`EXIT_REGRESSION`) when any tracked metric
-regresses beyond the threshold, so a pipeline step fails exactly when
-simulator throughput does.  Wall-clock rates are machine-dependent; the
-default threshold is deliberately loose — tighten it only on pinned
-hardware.
+The report renders; it does not gate.  The two performance gates are
+``python -m bench compare`` (two benchmark outputs) and ``repro history
+--check`` (a digest's newest host rate against its own trajectory, see
+:mod:`repro.ledger.history`).
 """
 
 from __future__ import annotations
@@ -36,24 +34,7 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence
 
-__all__ = ["EXIT_REGRESSION", "build_report", "check_threaded_floors",
-           "classify_delta", "load_baseline", "render_html", "svg_sparkline",
-           "write_report"]
-
-#: ``repro report --check`` exit code on a gated regression (2 = usage
-#: error, 3 = sweep failures, as elsewhere in the CLI)
-EXIT_REGRESSION = 4
-
-#: default relative regression threshold for ``--check`` (generous: CI
-#: hosts vary; see the module docstring)
-DEFAULT_THRESHOLD = 0.5
-
-#: fallback speedup floor for ``threaded_*`` baseline entries that do not
-#: record their own ``floor`` (the compiled engine contract: at least this
-#: much faster than the interpreted hot path on the same host)
-DEFAULT_THREADED_FLOOR = 1.8
-
-SEVERITY_ORDER = ("ok", "warn", "regression")
+__all__ = ["build_report", "render_html", "svg_sparkline", "write_report"]
 
 
 # -- building blocks ---------------------------------------------------------
@@ -94,82 +75,6 @@ def svg_sparkline(values: Sequence[float], width: int = 140,
             f'points="{points}"/>'
             f'<circle cx="{last_x:.1f}" cy="{last_y:.1f}" r="2" '
             f'fill="{color}"/></svg>')
-
-
-def classify_delta(current: Optional[float], baseline: Optional[float],
-                   threshold: float = DEFAULT_THRESHOLD,
-                   higher_is_better: bool = True) -> Dict:
-    """One tracked metric's delta, graded ``ok`` / ``warn`` / ``regression``.
-
-    ``warn`` fires at half the regression threshold.  Missing or
-    non-positive baselines grade ``ok`` (nothing to compare against).
-    """
-    entry = {"current": current, "baseline": baseline, "delta": None,
-             "severity": "ok"}
-    if current is None or baseline is None or baseline <= 0:
-        return entry
-    delta = (current - baseline) / baseline
-    if not higher_is_better:
-        delta = -delta
-    entry["delta"] = delta
-    if delta < -threshold:
-        entry["severity"] = "regression"
-    elif delta < -threshold / 2:
-        entry["severity"] = "warn"
-    return entry
-
-
-def load_baseline(path: str) -> Dict[str, float]:
-    """Tracked baseline rates from a ``BENCH_simspeed.json``-style file.
-
-    Accepts the benchmark writer's shape (``{"bench": ..., "results":
-    {name: {"instr_per_s": ...}}}``) or a plain ``{name: rate}`` mapping.
-    Entries without a numeric rate are skipped.
-    """
-    with open(path) as f:
-        data = json.load(f)
-    out: Dict[str, float] = {}
-    results = data.get("results", data) if isinstance(data, dict) else {}
-    for name, entry in results.items():
-        if isinstance(entry, (int, float)):
-            out[name] = float(entry)
-        elif isinstance(entry, dict):
-            rate = entry.get("instr_per_s")
-            if isinstance(rate, (int, float)):
-                out[name] = float(rate)
-    return out
-
-
-def check_threaded_floors(path: str) -> List[Dict]:
-    """Grade every ``threaded_*`` entry of a ``BENCH_simspeed.json``.
-
-    The threaded-code engine bench records, per core type, the compiled
-    engine's ``speedup_vs_hotpath`` over the interpreted loop measured
-    back-to-back on the same host — a machine-independent ratio, so
-    unlike the wall-clock deltas it carries a **hard floor**: each entry's
-    own ``floor`` field, or :data:`DEFAULT_THREADED_FLOOR`.  Below the
-    floor grades ``regression`` (fails ``repro report --check``), within
-    5% above it grades ``warn``.
-    """
-    with open(path) as f:
-        data = json.load(f)
-    results = data.get("results", data) if isinstance(data, dict) else {}
-    rows: List[Dict] = []
-    for name in sorted(results):
-        if not name.startswith("threaded_"):
-            continue
-        entry = results[name]
-        if not isinstance(entry, dict):
-            continue
-        speedup = entry.get("speedup_vs_hotpath")
-        if not isinstance(speedup, (int, float)):
-            continue
-        floor = entry.get("floor", DEFAULT_THREADED_FLOOR)
-        severity = ("regression" if speedup < floor
-                    else "warn" if speedup < floor * 1.05 else "ok")
-        rows.append({"name": name, "speedup": round(float(speedup), 3),
-                     "floor": float(floor), "severity": severity})
-    return rows
 
 
 # -- report assembly ---------------------------------------------------------
@@ -216,13 +121,11 @@ def _history_section(ledger_path: str) -> List[Dict]:
         return history_series(reader)
 
 
-def build_report(sweep_dir: str, baseline: Optional[str] = None,
-                 threshold: float = DEFAULT_THRESHOLD,
-                 ledger: Optional[str] = None) -> Dict:
+def build_report(sweep_dir: str, ledger: Optional[str] = None) -> Dict:
     """Everything the HTML needs, as one plain dict (JSON-serializable).
 
     Pure data assembly — rendering is :func:`render_html` — so tests can
-    assert on the gate decision without parsing HTML.  ``ledger`` names a
+    assert on the sections without parsing HTML.  ``ledger`` names a
     run-ledger file feeding the History section (default: auto-detect
     ``ledger.sqlite`` inside the sweep directory, then cwd).
     """
@@ -241,11 +144,8 @@ def build_report(sweep_dir: str, baseline: Optional[str] = None,
             "finished": state.finished,
             "workers": len(state.workers),
         },
-        "rows": [], "stages": [], "vrmu": [], "deltas": [],
-        "engine_gate": [], "history": [],
+        "rows": [], "stages": [], "vrmu": [], "history": [],
         "attribution": None,
-        "threshold": threshold,
-        "has_regression": False,
     }
 
     if ledger is None:
@@ -275,7 +175,6 @@ def build_report(sweep_dir: str, baseline: Optional[str] = None,
             "hotspots": profile.get("hotspots", [])[:10],
         }
 
-    host_rates: Dict[str, List[float]] = {}
     if manifest:
         configs = manifest.get("configs", [])
         summaries = manifest.get("results_summary", [])
@@ -291,10 +190,6 @@ def build_report(sweep_dir: str, baseline: Optional[str] = None,
                    "instr_per_s": (prof or {}).get("instr_per_s"),
                    "total_s": (prof or {}).get("total_s")}
             report["rows"].append(row)
-            rate = row["instr_per_s"]
-            if rate is not None:
-                host_rates.setdefault(str(cfg.get("core_type", "?")),
-                                      []).append(float(rate))
 
     stage_series = _metric_series(metrics, "sweep_stage_seconds")
     total_stage = sum(float(v) for v in stage_series.values()) or None
@@ -318,22 +213,6 @@ def build_report(sweep_dir: str, baseline: Optional[str] = None,
             "cycles": (int(float(cycles[key]))
                        if key in cycles else None)})
 
-    if baseline:
-        base_rates = load_baseline(baseline)
-        report["baseline_path"] = os.path.abspath(baseline)
-        for name in sorted(base_rates):
-            if name not in host_rates:
-                continue
-            current = sum(host_rates[name]) / len(host_rates[name])
-            entry = classify_delta(current, base_rates[name],
-                                   threshold=threshold)
-            entry["name"] = f"{name} instr/s"
-            entry["current"] = round(current, 1)
-            report["deltas"].append(entry)
-        report["engine_gate"] = check_threaded_floors(baseline)
-        report["has_regression"] = any(
-            d["severity"] == "regression"
-            for d in report["deltas"] + report["engine_gate"])
     return report
 
 
@@ -346,12 +225,7 @@ table { border-collapse: collapse; margin: .6em 0; }
 th, td { border: 1px solid #d5dde5; padding: .25em .6em; text-align: right; }
 th { background: #eef2f6; } td.l, th.l { text-align: left; }
 .spark { vertical-align: middle; }
-.sev-ok { background: #e7f5ec; } .sev-warn { background: #fdf3d7; }
-.sev-regression { background: #fbe1e1; font-weight: 600; }
 .meta { color: #5a6a7a; font-size: .92em; }
-.badge { display: inline-block; padding: .1em .55em; border-radius: .7em;
-         font-size: .85em; color: #fff; }
-.badge-ok { background: #2e8b57; } .badge-regression { background: #c0392b; }
 .stack { display: flex; height: 20px; width: 100%; max-width: 56em;
          border: 1px solid #d5dde5; border-radius: 3px; overflow: hidden; }
 .stack span { display: block; height: 100%; }
@@ -380,14 +254,11 @@ def _fmt(value, digits: int = 4) -> str:
 def render_html(report: Dict) -> str:
     """The report dict as one self-contained HTML page."""
     s = report["summary"]
-    badge = ('<span class="badge badge-regression">REGRESSION</span>'
-             if report["has_regression"]
-             else '<span class="badge badge-ok">OK</span>')
     parts: List[str] = [
         "<!DOCTYPE html><html><head><meta charset='utf-8'>",
         "<title>repro sweep report</title>",
         f"<style>{_CSS}</style></head><body>",
-        f"<h1>Sweep report {badge}</h1>",
+        "<h1>Sweep report</h1>",
         f"<p class='meta'>{_esc(report['sweep_dir'])}"
         + (f" &middot; digest <code>{_esc(report['results_digest'])}</code>"
            if report.get("results_digest") else "") + "</p>",
@@ -488,23 +359,6 @@ def render_html(report: Dict) -> str:
                              f"<td>{_fmt(row.get('cycles'))}</td></tr>")
             parts.append("</table>")
 
-    if report.get("engine_gate"):
-        parts.append(
-            "<h2>Threaded-code engine gate</h2>"
-            "<p class='meta'>compiled-engine speedup over the interpreted "
-            "hot path, measured back-to-back on one host (machine-"
-            "independent ratio; hard floor per entry)</p>"
-            "<table><tr><th class='l'>bench</th><th>speedup</th>"
-            "<th>floor</th><th class='l'>grade</th></tr>")
-        for g in report["engine_gate"]:
-            parts.append(
-                f"<tr class='sev-{g['severity']}'>"
-                f"<td class='l'>{_esc(g['name'])}</td>"
-                f"<td>{g['speedup']:.2f}x</td>"
-                f"<td>{g['floor']:.2f}x</td>"
-                f"<td class='l'>{_esc(g['severity'])}</td></tr>")
-        parts.append("</table>")
-
     if report.get("history"):
         parts.append(
             f"<h2>History</h2>"
@@ -525,37 +379,14 @@ def render_html(report: Dict) -> str:
                 f"<td class='l'>{_esc(h.get('last_seen') or '')}</td></tr>")
         parts.append("</table>")
 
-    if report["deltas"]:
-        parts.append(
-            f"<h2>Baseline deltas</h2>"
-            f"<p class='meta'>vs {_esc(report.get('baseline_path', '?'))} "
-            f"&middot; regression threshold "
-            f"{report['threshold'] * 100:.0f}%</p>"
-            "<table><tr><th class='l'>metric</th><th>current</th>"
-            "<th>baseline</th><th>delta</th><th class='l'>grade</th></tr>")
-        for d in report["deltas"]:
-            delta = (f"{d['delta'] * 100:+.1f}%"
-                     if d["delta"] is not None else "&ndash;")
-            parts.append(
-                f"<tr class='sev-{d['severity']}'>"
-                f"<td class='l'>{_esc(d['name'])}</td>"
-                f"<td>{_fmt(d['current'], 6)}</td>"
-                f"<td>{_fmt(d['baseline'], 6)}</td>"
-                f"<td>{delta}</td>"
-                f"<td class='l'>{_esc(d['severity'])}</td></tr>")
-        parts.append("</table>")
-
     parts.append("</body></html>")
     return "".join(parts)
 
 
 def write_report(sweep_dir: str, out_path: str,
-                 baseline: Optional[str] = None,
-                 threshold: float = DEFAULT_THRESHOLD,
                  ledger: Optional[str] = None) -> Dict:
     """Build + render + write in one call; returns the report dict."""
-    report = build_report(sweep_dir, baseline=baseline, threshold=threshold,
-                          ledger=ledger)
+    report = build_report(sweep_dir, ledger=ledger)
     with open(out_path, "w") as f:
         f.write(render_html(report))
     return report

@@ -9,12 +9,12 @@ oracle, and returns a result record.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .. import workloads
 from ..core.cgmt import BankedCore, SoftwareSwitchCore
-from ..errors import FunctionalCheckError, RunFailure, SimulationError
+from ..errors import FunctionalCheckError, RunFailure
 from ..core.fgmt import FGMTCore
 from ..core.inorder import InOrderCore
 from ..core.ooo import OoOCore
@@ -257,10 +257,16 @@ def sweep(configs: List[RunConfig], check: bool = True,
           backend=None, ledger=None) -> List[RunResult]:
     """Run a list of configurations (the experiment drivers' workhorse).
 
-    ``on_error="raise"`` (default) keeps the historical fail-fast contract.
-    ``on_error="isolate"`` records each failing config as a RunFailure on
-    the returned :class:`ResultList` (with ``None`` as its placeholder
-    entry) and keeps going, so one bad configuration cannot abort a grid.
+    A fold over :func:`repro.system.sweeps.run_outcomes`, the runner
+    :func:`~repro.system.sweeps.run_grid` folds into rows, that keeps the
+    results themselves.
+
+    ``on_error="raise"`` (default) is fail-fast: a serial sweep stops at
+    the first failing config, a parallel one raises the first failure in
+    config order once the batch is back.  ``on_error="isolate"`` records
+    each failing config as a RunFailure on the returned :class:`ResultList`
+    (with ``None`` as its placeholder entry) and keeps going, so one bad
+    configuration cannot abort a grid.
 
     ``jobs``/``backend`` select the execution backend (see
     :mod:`repro.exec`): the default is serial, in-process; ``jobs=N``
@@ -276,66 +282,25 @@ def sweep(configs: List[RunConfig], check: bool = True,
     if on_error not in ("raise", "isolate"):
         raise ValueError(f"on_error must be 'raise' or 'isolate', "
                          f"not {on_error!r}")
-    from ..exec import SerialBackend, resolve_backend, sweep_worker
+    from ..exec import resolve_backend
+    from .manifest import config_key
+    from .sweeps import run_outcomes
     backend = resolve_backend(jobs, backend)
     recorder = owns_recorder = None
     if ledger is not None:
         from ..ledger.store import open_recorder
         recorder, owns_recorder = open_recorder(ledger, backend)
-
-    def _record(result: Optional[RunResult]) -> None:
-        if recorder is not None and result is not None:
-            recorder.record_result(result, source="sweep", checked=check)
-
+    todo = [(i, cfg, config_key(cfg)) for i, cfg in enumerate(configs)]
+    results = ResultList()
     try:
-        if isinstance(backend, SerialBackend):
-            # in-process path: call run_config through this module's global
-            # so tests (and downstream embedders) that monkeypatch it apply
-            if on_error == "raise":
-                out: List[RunResult] = []
-                for c in configs:
-                    result = run_config(c, check=check)
-                    _record(result)
-                    out.append(result)
-                return out
-            results = ResultList()
-            for i, cfg in enumerate(configs):
-                try:
-                    result = run_config(cfg, check=check)
-                    _record(result)
-                    results.append(result)
-                except SimulationError as exc:
-                    results.append(None)
-                    results.failures.append(RunFailure.from_exception(
-                        exc, index=i, config=asdict(cfg)))
-            return results
-
-        from ..exec import WorkerCrash
-        tagged = backend.map(sweep_worker,
-                             [(i, cfg, check)
-                              for i, cfg in enumerate(configs)])
-        if on_error == "raise":
-            out = []
-            for i, item in enumerate(tagged):
-                if isinstance(item, WorkerCrash):
-                    raise item.to_error()
-                if item[0] == "err":
-                    raise item[2]
-                _record(item[1])
-                out.append(item[1])
-            return out
-        results = ResultList()
-        for i, item in enumerate(tagged):
-            if isinstance(item, WorkerCrash):
-                results.append(None)
-                results.failures.append(RunFailure.from_exception(
-                    item.to_error(), index=i, config=asdict(configs[i])))
-            elif item[0] == "ok":
-                _record(item[1])
-                results.append(item[1])
-            else:
-                results.append(None)
-                results.failures.append(item[1])
+        for result, failure, exc in run_outcomes(todo, check, backend):
+            if failure is not None:
+                if on_error == "raise":
+                    raise exc
+                results.failures.append(failure)
+            elif recorder is not None:
+                recorder.record_result(result, source="sweep", checked=check)
+            results.append(result)
         return results
     finally:
         if owns_recorder and recorder is not None:

@@ -46,9 +46,10 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..errors import (RunFailure, SimulationError, TRANSIENT_ERRORS,
                       WatchdogTimeout)
+from . import simulator
 from .config import RunConfig
 from .manifest import config_key
-from .simulator import RunResult, run_config
+from .simulator import RunResult
 
 
 def sweep_grid(base: RunConfig, **axes: Sequence) -> List[RunConfig]:
@@ -185,7 +186,9 @@ def _run_isolated(index: int, cfg: RunConfig, check: bool, retries: int,
                                                      + 7919 * attempt)
         try:
             with _wall_clock_limit(timeout_s):
-                return run_config(run_cfg, check=check), None, None
+                # resolved at call time: this module attribute is the seam
+                # tests patch and ``bench/trace.py`` wraps
+                return simulator.run_config(run_cfg, check=check), None, None
         except SimulationError as exc:
             if isinstance(exc, TRANSIENT_ERRORS) and attempt < retries:
                 attempt += 1
@@ -195,6 +198,61 @@ def _run_isolated(index: int, cfg: RunConfig, check: bool, retries: int,
                 elapsed_s=time.monotonic() - started,  # lint: ignore[VRC002]
                 key=key)
             return None, failure, exc
+
+
+# -- the one runner ------------------------------------------------------------
+def run_outcomes(todo, check: bool, backend, retries: int = 0,
+                 timeout_s: Optional[float] = None,
+                 max_cycles: Optional[int] = None, obs=None):
+    """Run ``(index, cfg, key)`` items on ``backend``, one outcome each.
+
+    Yields ``(result, failure, exc)`` in the order of ``todo`` — exactly
+    one of result or failure is set (see :func:`_run_isolated`).
+    :func:`repro.system.simulator.sweep` and :func:`run_grid` are the two
+    folds over this generator.
+
+    On a :class:`~repro.exec.SerialBackend` the items run lazily and in
+    this process, one per ``next()``: a fail-fast caller stops at the first
+    failure, the checkpoint journal and ``progress`` advance row by row,
+    and results keep their live telemetry/sanitizer handles.  Every other
+    backend gets the whole list in one ``backend.map`` and the outcomes are
+    yielded once it returns; a :class:`~repro.exec.WorkerCrash` sentinel
+    becomes a transient :class:`~repro.errors.RunFailure` naming the lost
+    chunk.
+
+    ``obs`` is a :class:`~repro.system.monitor.SweepObservability` or None:
+    each task is stamped with its dispatch instant and obs spec, and the
+    span records it returns are merged into the sweep trace.
+    """
+    from ..exec import SerialBackend, WorkerCrash, grid_worker
+
+    def task_of(index: int, cfg: RunConfig, key: str):
+        spec = None
+        if obs is not None:
+            obs.trace.dispatch(index)
+            spec = obs.task_obs()
+        return (index, cfg, check, retries, timeout_s, max_cycles, key, spec)
+
+    if isinstance(backend, SerialBackend):
+        outcomes = (grid_worker(task_of(*item), ship=False) for item in todo)
+    else:
+        outcomes = backend.map(grid_worker, [task_of(*item) for item in todo])
+    for (index, cfg, key), outcome in zip(todo, outcomes):
+        if isinstance(outcome, WorkerCrash):
+            err = outcome.to_error()
+            failure = RunFailure.from_exception(
+                err, index=index, config=asdict(cfg),
+                attempts=outcome.attempt, key=key)
+            if obs is not None:
+                # the worker died before it could report this row itself
+                obs.append_event("row_fail", index=index, key=key,
+                                 error=failure.error_type)
+            yield None, failure, err
+            continue
+        result, failure, exc, spans = outcome
+        if obs is not None:
+            obs.trace.merge_spans(spans)
+        yield result, failure, exc
 
 
 # -- checkpoint journal ------------------------------------------------------
@@ -270,16 +328,13 @@ def run_grid(configs: Iterable[RunConfig], check: bool = True,
     and only failed or missing configs are re-simulated.
 
     ``jobs``/``backend`` select the execution backend (see
-    :mod:`repro.exec`).  With ``jobs=N`` the pending configs fan out over N
-    spawn workers; rows, failures, journal records, and progress callbacks
-    still arrive in config order, and the row set is identical to a serial
-    run.  Parallel fail-fast (``on_error="raise"``) raises the first (by
-    config order) failure after the batch completes, rather than aborting
-    mid-grid.  The journal is written by this (parent) process only, so
-    checkpoint/resume semantics are unchanged.  An abrupt worker death
-    (:class:`~repro.exec.WorkerCrash`) is converted into a transient
-    :class:`~repro.errors.RunFailure` carrying the lost chunk's indices
-    and exit context instead of aborting the sweep.
+    :mod:`repro.exec`); the pending configs run through
+    :func:`run_outcomes`, of which this function is a fold.  Whatever the
+    backend, rows, failures, journal records, and progress callbacks arrive
+    in config order and the row set is identical to a serial run; the
+    journal is written by this (parent) process only.  Parallel fail-fast
+    (``on_error="raise"``) raises the first failure in config order after
+    the batch completes, rather than aborting mid-grid.
 
     Observability (all opt-in, see :mod:`repro.system.monitor`):
     ``observe`` is a sweep directory (or prepared
@@ -308,8 +363,7 @@ def run_grid(configs: Iterable[RunConfig], check: bool = True,
                          f"not {on_error!r}")
     if resume and not checkpoint:
         raise ValueError("resume=True requires a checkpoint path")
-    from ..exec import (SerialBackend, WorkerCrash, grid_worker,
-                        resolve_backend)
+    from ..exec import resolve_backend
     backend = resolve_backend(jobs, backend)
     configs = list(configs)
     previous = _load_journal(checkpoint) if (checkpoint and resume) else {}
@@ -325,8 +379,7 @@ def run_grid(configs: Iterable[RunConfig], check: bool = True,
     rows.metrics = metrics
     rows.observability = obs
     keys = [config_key(cfg) for cfg in configs]
-    recorder = None
-    owns_recorder = False
+    recorder = owns_recorder = None
     if ledger is not None:
         from ..ledger.store import open_recorder
         recorder, owns_recorder = open_recorder(ledger, backend)
@@ -335,18 +388,21 @@ def run_grid(configs: Iterable[RunConfig], check: bool = True,
         # counters land in the sweep's metrics snapshot
         backend.bind_metrics(metrics)
 
-    def _is_resumed(i: int) -> bool:
+    # one pass decides which rows replay from the journal and which run
+    replayed: Dict[int, Dict] = {}
+    todo = []
+    for i, cfg in enumerate(configs):
         done = previous.get(keys[i])
-        if done is None or done.get("status") != "ok":
-            return False
-        if "row" not in done:
+        if done is not None and done.get("status") == "ok":
+            if "row" in done:
+                replayed[i] = done["row"]
+                continue
             # an "ok" record without its payload (partial write from an
             # older crash): treat the config as not-yet-run
             warnings.warn(
                 f"checkpoint record for {keys[i]} has no row; re-running",
                 RuntimeWarning, stacklevel=2)
-            return False
-        return True
+        todo.append((i, cfg, keys[i]))
 
     def _fold_fleet(result=None, status: str = "ok") -> None:
         """Accumulate one finished row into the fleet registry."""
@@ -369,65 +425,16 @@ def run_grid(configs: Iterable[RunConfig], check: bool = True,
                 snap = snap.snapshot()
             metrics.merge(snap)
 
-    def _crash_outcome(crash: WorkerCrash, index: int, cfg: RunConfig):
-        """A WorkerCrash sentinel as a standard (result, failure, exc)."""
-        err = crash.to_error()
-        failure = RunFailure.from_exception(
-            err, index=index, config=asdict(cfg),
-            attempts=crash.attempt, key=keys[index])
-        if obs is not None:
-            # the worker died before it could report this row itself
-            obs.append_event("row_fail", index=index, key=keys[index],
-                             error=failure.error_type)
-        return None, failure, err
-
-    def _run_serial_observed(i: int, cfg: RunConfig, key: str):
-        """Serial row under observability: events + parent-side spans."""
-        from ..exec.spans import SpanRecorder
-        spec = obs.task_obs()
-        obs.trace.dispatch(i)
-        obs.append_event("row_start", index=i, key=key)
-        rec = SpanRecorder(spec, i) if spec.get("spans") else None
-        outcome = _run_isolated(i, cfg, check, retries, timeout_s,
-                                max_cycles, key)
-        if rec is not None:
-            rec.phase("simulate")
-            obs.trace.merge_spans(rec.records)
-        _, failure, _ = outcome
-        if failure is None:
-            obs.append_event("row_ok", index=i, key=key)
-        else:
-            obs.append_event("row_fail", index=i, key=key,
-                             error=failure.error_type)
-        return outcome
-
     if obs is not None:
         obs.append_event("sweep_start", total=len(configs),
                          jobs=backend.jobs)
-
-    outcomes: Dict[int, tuple] = {}
-    if not isinstance(backend, SerialBackend):
-        tasks = []
-        for i, cfg in enumerate(configs):
-            if _is_resumed(i):
-                continue
-            task = (i, cfg, check, retries, timeout_s, max_cycles, keys[i])
-            if obs is not None:
-                obs.trace.dispatch(i)
-                task = task + (obs.task_obs(),)
-            tasks.append(task)
-        for task, outcome in zip(tasks, backend.map(grid_worker, tasks)):
-            if isinstance(outcome, WorkerCrash):
-                outcomes[task[0]] = _crash_outcome(outcome, task[0], task[1])
-                continue
-            if obs is not None and len(outcome) > 3:
-                obs.trace.merge_spans(outcome[3])
-            outcomes[task[0]] = outcome[:3]
+    outcomes = run_outcomes(todo, check, backend, retries, timeout_s,
+                            max_cycles, obs)
     try:
         for i, cfg in enumerate(configs):
             key = keys[i]
-            if _is_resumed(i):
-                rows.append(previous[key]["row"])
+            if i in replayed:
+                rows.append(replayed[i])
                 rows.resumed += 1
                 _fold_fleet(status="resumed")
                 if obs is not None:
@@ -435,16 +442,7 @@ def run_grid(configs: Iterable[RunConfig], check: bool = True,
                 if progress is not None:
                     progress(i + 1, len(configs), None)
                 continue
-            if i in outcomes:
-                result, failure, exc = outcomes[i]
-            elif obs is not None:
-                result, failure, exc = _run_serial_observed(i, cfg, key)
-            else:
-                # serial path: call the module-global _run_isolated /
-                # run_config inline so monkeypatched entry points apply
-                result, failure, exc = _run_isolated(i, cfg, check, retries,
-                                                     timeout_s, max_cycles,
-                                                     key)
+            result, failure, exc = next(outcomes)
             if result is not None:
                 row = _result_row(cfg, result)
                 rows.append(row)

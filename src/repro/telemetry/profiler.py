@@ -3,8 +3,9 @@
 Separate from the simulated-cycle instruments: this measures the
 reproduction tool itself (phase wall-clock, simulated instructions per
 host second) so simulator performance regressions are visible run-over-run
-— :mod:`benchmarks.bench_simulator_speed` persists these numbers as
-``BENCH_simspeed.json``.
+— every result carries them as ``host_profile``, the run ledger keeps the
+rate per digest (``repro history``), and ``python -m bench`` sums the
+phases per workload.
 
 Wall-clock numbers never feed back into simulated timing and are excluded
 from deterministic artifacts (manifest digests, metrics JSONL).

@@ -18,8 +18,9 @@ import pytest
 
 from repro.errors import RunFailure, SimulationError
 from repro.exec import (ExecBackend, ProcessPoolBackend, SerialBackend,
-                        resolve_backend, strip_result, sweep_worker)
-from repro.system import RunConfig, RunManifest, run_config, run_grid, sweep
+                        grid_worker, resolve_backend, strip_result)
+from repro.system import (RunConfig, RunManifest, config_key, run_config,
+                          run_grid, sweep)
 
 from ..helpers import time_limit
 
@@ -79,6 +80,10 @@ def test_env_var_sets_default(monkeypatch):
     assert b.jobs == 2
     # an explicit jobs= beats the environment
     assert isinstance(resolve_backend(jobs=1), SerialBackend)
+    # a value that is not a job count names the variable, not int()
+    monkeypatch.setenv("REPRO_JOBS", "two")
+    with pytest.raises(ValueError, match=r"REPRO_JOBS must be .* not 'two'"):
+        resolve_backend()
 
 
 def test_explicit_backend_wins(monkeypatch):
@@ -90,6 +95,9 @@ def test_explicit_backend_wins(monkeypatch):
 def test_negative_jobs_rejected():
     with pytest.raises(ValueError, match="jobs"):
         ProcessPoolBackend(jobs=-1)
+    # ... and does not silently mean serial on the way in
+    with pytest.raises(ValueError, match=r"jobs must be 0 \(all cores\)"):
+        resolve_backend(jobs=-1)
 
 
 def test_backends_are_exec_backends():
@@ -117,23 +125,42 @@ def test_pool_single_item_runs_inline():
 
 
 def test_strip_result_drops_process_local_attachments():
-    r = run_config(RunConfig(workload="gather", core_type="virec",
-                             n_threads=2, n_per_thread=8,
-                             telemetry={"events": True, "interval": 50},
-                             sanitize=True))
+    cfg = RunConfig(workload="gather", core_type="virec",
+                    n_threads=2, n_per_thread=8,
+                    telemetry={"events": True, "interval": 50},
+                    sanitize=True)
+    r = run_config(cfg)
     assert r.telemetry is not None and r.sanitizer is not None
     s = strip_result(r)
     assert s.telemetry is None and s.sanitizer is None
     assert s.cycles == r.cycles
+    # the runner strips exactly when a result crosses a process boundary:
+    # a serial sweep hands back the live sessions, a pooled one cannot
+    grid = [cfg, cfg.with_(seed=8)]
+    with time_limit(300):
+        serial = sweep(grid)
+        pooled = sweep(grid, jobs=2)
+    assert all(x.telemetry is not None and x.sanitizer is not None
+               for x in serial)
+    assert serial[0].telemetry.event_count > 0
+    assert all(x.telemetry is None and x.sanitizer is None for x in pooled)
+    assert [x.cycles for x in pooled] == [x.cycles for x in serial]
 
 
-def test_sweep_worker_tags_outcomes():
-    ok = sweep_worker((0, MIXED_GRID[0], True))
-    assert ok[0] == "ok" and ok[1].cycles > 0
-    bad = sweep_worker((5, MIXED_GRID[0].with_(max_cycles=2), True))
-    assert bad[0] == "err"
-    assert isinstance(bad[1], RunFailure) and bad[1].index == 5
-    assert isinstance(bad[2], SimulationError)
+def task_of(index, cfg, check=True):
+    """The one task shape: no retries, no watchdogs, no obs spec."""
+    return (index, cfg, check, 0, None, None, config_key(cfg), None)
+
+
+def test_grid_worker_tags_outcomes():
+    result, failure, exc, spans = grid_worker(task_of(0, MIXED_GRID[0]))
+    assert result.cycles > 0 and failure is None and exc is None
+    assert spans == []
+    result, failure, exc, spans = grid_worker(
+        task_of(5, MIXED_GRID[0].with_(max_cycles=2)))
+    assert result is None
+    assert isinstance(failure, RunFailure) and failure.index == 5
+    assert isinstance(exc, SimulationError)
 
 
 # ----------------------------------------------- serial vs parallel digests
@@ -169,6 +196,8 @@ def test_isolate_alignment_under_pool():
     with time_limit(300):
         serial = sweep(grid, on_error="isolate")
         parallel = sweep(grid, on_error="isolate", jobs=2)
+        rows = run_grid(grid)
+        rows_parallel = run_grid(grid, jobs=2)
     holes = [i for i, r in enumerate(serial) if r is None]
     assert holes == [1, 3]
     assert [i for i, r in enumerate(parallel) if r is None] == holes
@@ -178,6 +207,15 @@ def test_isolate_alignment_under_pool():
         [f.error_type for f in serial.failures]
     ok = [i for i in range(len(grid)) if i not in holes]
     assert [parallel[i].cycles for i in ok] == [serial[i].cycles for i in ok]
+    # sweep() and run_grid() are folds over one runner: the same failures,
+    # field for field, whichever fold and whichever backend reports them
+    expected = [(i, "DeadlockError", config_key(grid[i]), 1) for i in holes]
+    for failures in (serial.failures, parallel.failures, rows.failures,
+                     rows_parallel.failures):
+        assert [(f.index, f.error_type, f.key, f.attempts)
+                for f in failures] == expected
+    assert [r["cycles"] for r in rows] == [r["cycles"] for r in rows_parallel] \
+        == [serial[i].cycles for i in ok]
 
 
 def test_parallel_raise_propagates_first_failure_in_config_order():

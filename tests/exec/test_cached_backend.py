@@ -69,6 +69,45 @@ def test_partial_warm_mixes_hits_and_misses(ledger):
     assert digest_of(warm) == digest_of(sweep(MIXED_GRID))
 
 
+def test_grid_and_sweep_folds_share_one_cache(ledger, tmp_path):
+    """One worker, one cache key: what ``run_grid`` records through a
+    CachedBackend, ``run_many(cache=...)`` replays without simulating, and
+    the other way round."""
+    from repro.experiments.common import run_many
+    from repro.system import RunManifest
+
+    def ledger_rows(path):
+        with LedgerReader(path) as reader:
+            return reader.count()
+
+    def grid_through_cache(path):
+        backend, manifest = CachedBackend(path), RunManifest()
+        try:
+            rows = run_grid(MIXED_GRID, backend=backend, manifest=manifest)
+            return rows, manifest.results_digest, dict(backend.counts)
+        finally:
+            backend.close()
+
+    all_miss = {"hit": 0, "miss": len(MIXED_GRID), "stale": 0}
+    all_hit = {"hit": len(MIXED_GRID), "miss": 0, "stale": 0}
+    with time_limit(300):
+        # run_grid fills, run_many replays (a hit appends no row)
+        rows, digest, counts = grid_through_cache(ledger)
+        assert counts == all_miss and ledger_rows(ledger) == len(MIXED_GRID)
+        replayed = run_many(MIXED_GRID, cache=ledger)
+        assert ledger_rows(ledger) == len(MIXED_GRID)
+        assert digest_of(replayed) == digest
+        assert [r.cycles for r in replayed] == [r["cycles"] for r in rows]
+        # run_many fills, run_grid replays
+        other = str(tmp_path / "other.sqlite")
+        filled = run_many(MIXED_GRID, cache=other)
+        assert ledger_rows(other) == len(MIXED_GRID)
+        rows2, digest2, counts2 = grid_through_cache(other)
+        assert counts2 == all_hit and ledger_rows(other) == len(MIXED_GRID)
+        assert digest2 == digest_of(filled) == digest
+        assert rows2 == rows
+
+
 # -- ledger row accounting ----------------------------------------------------
 def test_counters_match_row_counts(ledger):
     with time_limit(300):

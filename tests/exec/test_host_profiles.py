@@ -8,10 +8,11 @@ is a pure function of simulated behaviour).
 
 import pickle
 
-from repro.exec import strip_result, sweep_worker
+from repro.exec import grid_worker, strip_result
 from repro.system import RunConfig, RunManifest, run_config, run_grid
 
 from ..helpers import time_limit
+from .test_backends import task_of
 
 CFG = RunConfig(workload="gather", core_type="virec", n_threads=2,
                 n_per_thread=8)
@@ -35,9 +36,9 @@ def test_strip_result_keeps_host_profile():
     _assert_profile(clone.host_profile)
 
 
-def test_sweep_worker_ships_profile():
-    status, result = sweep_worker((0, CFG, True))
-    assert status == "ok"
+def test_grid_worker_ships_profile():
+    result, failure, _exc, _spans = grid_worker(task_of(0, CFG))
+    assert failure is None
     _assert_profile(result.host_profile)
 
 

@@ -67,7 +67,7 @@ class TestFaultConfig:
     def test_runconfig_validates_fault_spec(self):
         with pytest.raises(ValueError):
             _cfg(faults={"rf_rate": -1.0})
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="unknown faults field"):
             _cfg(faults={"bogus_field": 1.0})
 
 

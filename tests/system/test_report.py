@@ -1,21 +1,19 @@
-"""Regression-aware HTML reports: sparklines, grading, and the CI gate.
+"""HTML reports from sweep directories: sparklines, sections, grading.
 
-``build_report`` is pure data assembly over a sweep directory, so both
-gate outcomes (pass and regression) are exercised on a synthetic
-directory with a hand-written manifest / metrics snapshot / event log —
-and once more through the CLI, asserting on the actual exit codes.
+``build_report`` is pure data assembly over a sweep directory, so every
+section is exercised on a synthetic directory with a hand-written
+manifest / metrics snapshot / event log.  The ``ok``/``warn``/
+``regression`` ladder tested here is the one ``repro history --check``
+grades with.
 """
 
 import json
-import math
-import os
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.stats.report_html import (DEFAULT_THRESHOLD, EXIT_REGRESSION,
-                                     build_report, classify_delta,
-                                     load_baseline, render_html,
+from repro.ledger.history import classify_delta
+from repro.stats.report_html import (build_report, render_html,
                                      svg_sparkline, write_report)
 
 
@@ -75,21 +73,8 @@ def test_classify_delta_lower_is_better():
                           higher_is_better=False)["severity"] == "ok"
 
 
-def test_load_baseline_both_shapes(tmp_path):
-    bench = tmp_path / "BENCH_simspeed.json"
-    bench.write_text(json.dumps({
-        "bench": "simspeed",
-        "results": {"virec": {"instructions": 10, "seconds": 2,
-                              "instr_per_s": 5.0},
-                    "skipme": {"note": "no rate"}}}))
-    assert load_baseline(str(bench)) == {"virec": 5.0}
-    plain = tmp_path / "plain.json"
-    plain.write_text(json.dumps({"virec": 7.5, "banked": 3}))
-    assert load_baseline(str(plain)) == {"virec": 7.5, "banked": 3.0}
-
-
 # -- synthetic sweep directory ----------------------------------------------
-def _make_sweep_dir(tmp_path, instr_per_s=8000.0):
+def _make_sweep_dir(tmp_path):
     root = tmp_path / "swp"
     root.mkdir(parents=True)
     manifest = {
@@ -107,10 +92,10 @@ def _make_sweep_dir(tmp_path, instr_per_s=8000.0):
         "host_profiles": [
             {"total_s": 0.05, "phases_s": {"build": 0.01, "simulate": 0.03,
                                            "check": 0.01},
-             "instr_per_s": instr_per_s, "cycles_per_s": 2e4},
+             "instr_per_s": 8000.0, "cycles_per_s": 2e4},
             {"total_s": 0.04, "phases_s": {"build": 0.01, "simulate": 0.02,
                                            "check": 0.01},
-             "instr_per_s": instr_per_s, "cycles_per_s": 2e4}],
+             "instr_per_s": 8000.0, "cycles_per_s": 2e4}],
     }
     (root / "manifest.json").write_text(json.dumps(manifest))
     metrics = {"metrics": {
@@ -135,13 +120,6 @@ def _make_sweep_dir(tmp_path, instr_per_s=8000.0):
     return root
 
 
-def _baseline(tmp_path, rate, name="base.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps({"bench": "simspeed", "results": {
-        "virec": {"instr_per_s": rate}}}))
-    return str(path)
-
-
 def test_build_report_sections(tmp_path):
     root = _make_sweep_dir(tmp_path)
     report = build_report(str(root))
@@ -153,97 +131,35 @@ def test_build_report_sections(tmp_path):
     assert stages["simulate"]["share"] == pytest.approx(0.05 / 0.09, abs=1e-3)
     assert report["vrmu"] == [{"core": "0", "hits": 900, "misses": 100,
                                "hit_rate": 0.9, "cycles": 1000}]
-    assert not report["has_regression"]  # no baseline given
 
 
-def test_gate_passes_on_matching_baseline(tmp_path):
-    root = _make_sweep_dir(tmp_path, instr_per_s=8000.0)
-    report = build_report(str(root), baseline=_baseline(tmp_path, 8000.0))
-    assert report["deltas"][0]["severity"] == "ok"
-    assert not report["has_regression"]
-
-
-def test_gate_fails_on_regression(tmp_path):
-    root = _make_sweep_dir(tmp_path, instr_per_s=2000.0)
-    # 2000 vs a 8000 baseline: -75%, well past the default 50% threshold
-    report = build_report(str(root), baseline=_baseline(tmp_path, 8000.0))
-    assert report["deltas"][0]["severity"] == "regression"
-    assert report["has_regression"]
-    # a looser threshold lets the same numbers pass
-    loose = build_report(str(root), baseline=_baseline(tmp_path, 8000.0),
-                         threshold=0.9)
-    assert not loose["has_regression"]
-
-
-def test_html_is_self_contained(tmp_path):
-    root = _make_sweep_dir(tmp_path, instr_per_s=2000.0)
-    report = write_report(str(root), str(root / "report.html"),
-                          baseline=_baseline(tmp_path, 8000.0))
+def test_html_is_self_contained(tmp_path, capsys):
+    root = _make_sweep_dir(tmp_path)
+    report = write_report(str(root), str(root / "report.html"))
     html = (root / "report.html").read_text()
     assert html.startswith("<!DOCTYPE html>")
     assert "<style>" in html and "<svg" in html
     for external in ("http://", "https://", "src=", "@import"):
         assert external not in html, f"external asset via {external}"
-    assert "REGRESSION" in html  # the badge reflects the gate
-    assert "sev-regression" in html
-    assert report["has_regression"]
-    ok_root = _make_sweep_dir(tmp_path / "ok", instr_per_s=8000.0)
-    write_report(str(ok_root), str(ok_root / "report.html"),
-                 baseline=_baseline(tmp_path, 8000.0, "b2.json"))
-    assert ">OK<" in (ok_root / "report.html").read_text()
+    assert len(report["rows"]) == 2
+    for heading in ("Summary", "Per-row results", "Host wall-clock by stage",
+                    "VRMU register cache"):
+        assert f"<h2>{heading}" in html
+    # the CLI writes the same page
+    assert cli_main(["report", str(root), "--out",
+                     str(tmp_path / "cli.html")]) == 0
+    assert (tmp_path / "cli.html").read_text() == html
+    assert "2 ok / 0 failed" in capsys.readouterr().out
 
 
 def test_report_on_bare_directory(tmp_path):
     # no manifest, no metrics, no events: every section degrades gracefully
     report = build_report(str(tmp_path))
     assert report["rows"] == [] and report["stages"] == []
-    assert not report["has_regression"]
     html = render_html(report)
     assert "<h1>" in html
 
 
-# -- CLI gate ----------------------------------------------------------------
-def test_cli_report_check_exit_codes(tmp_path, capsys):
-    root = _make_sweep_dir(tmp_path, instr_per_s=2000.0)
-    bad = _baseline(tmp_path, 8000.0)
-    rc = cli_main(["report", str(root), "--baseline", bad, "--check"])
-    assert rc == EXIT_REGRESSION == 4
-    assert os.path.exists(root / "report.html")
-    good = _baseline(tmp_path, 2000.0, "good.json")
-    assert cli_main(["report", str(root), "--baseline", good,
-                     "--check"]) == 0
-    capsys.readouterr()
-
-
+# -- CLI ---------------------------------------------------------------------
 def test_cli_report_missing_dir():
     assert cli_main(["report", "/nonexistent/sweep-dir"]) == 2
-
-
-def test_cli_report_baseline_hints(tmp_path, capsys):
-    """A missing/empty/unusable baseline is a one-line hint + exit 2
-    (usage), never a traceback and never a silent pass of --check."""
-    root = _make_sweep_dir(tmp_path, instr_per_s=2000.0)
-
-    rc = cli_main(["report", str(root), "--baseline",
-                   str(tmp_path / "nope.json"), "--check"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "does not exist" in err and "bench_simulator_speed" in err
-
-    empty = tmp_path / "empty.json"
-    empty.write_text("")
-    assert cli_main(["report", str(root), "--baseline", str(empty),
-                     "--check"]) == 2
-    assert "is empty" in capsys.readouterr().err
-
-    garbled = tmp_path / "garbled.json"
-    garbled.write_text("{not json")
-    assert cli_main(["report", str(root), "--baseline", str(garbled),
-                     "--check"]) == 2
-    assert "not valid JSON" in capsys.readouterr().err
-
-    norates = tmp_path / "norates.json"
-    norates.write_text(json.dumps({"results": {}}))
-    assert cli_main(["report", str(root), "--baseline", str(norates),
-                     "--check"]) == 2
-    assert "no usable rate entries" in capsys.readouterr().err

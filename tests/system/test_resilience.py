@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-import repro.system.sweeps as sweeps
+import repro.system.simulator as simulator
 from repro.errors import (DeadlockError, FaultEscapeError,
                           FunctionalCheckError, RunFailure, SimulationError,
                           TaskPoolError, TRANSIENT_ERRORS, WatchdogTimeout)
@@ -103,7 +103,7 @@ class TestWatchdogsAndRetries:
             time.sleep(5.0)
             return _fake_result(cfg)
 
-        monkeypatch.setattr(sweeps, "run_config", slow)
+        monkeypatch.setattr(simulator, "run_config", slow)
         rows = run_grid([_cfg()], timeout_s=0.05)
         assert len(rows) == 0
         assert rows.failures[0].error_type == "WatchdogTimeout"
@@ -118,7 +118,7 @@ class TestWatchdogsAndRetries:
                 raise DeadlockError("first attempt wedges")
             return _fake_result(cfg)
 
-        monkeypatch.setattr(sweeps, "run_config", flaky)
+        monkeypatch.setattr(simulator, "run_config", flaky)
         rows = run_grid([_cfg(seed=7)], retries=1)
         assert len(rows) == 1 and not rows.failures
         assert seeds == [7, 7 + 7919]
@@ -130,7 +130,7 @@ class TestWatchdogsAndRetries:
             attempts.append(cfg.seed)
             raise FunctionalCheckError("deterministically wrong")
 
-        monkeypatch.setattr(sweeps, "run_config", wrong)
+        monkeypatch.setattr(simulator, "run_config", wrong)
         rows = run_grid([_cfg()], retries=3)
         assert len(attempts) == 1
         assert rows.failures[0].error_type == "FunctionalCheckError"
@@ -140,7 +140,7 @@ class TestWatchdogsAndRetries:
         def wedge(cfg, check=True):
             raise DeadlockError("always wedges")
 
-        monkeypatch.setattr(sweeps, "run_config", wedge)
+        monkeypatch.setattr(simulator, "run_config", wedge)
         rows = run_grid([_cfg()], retries=2)
         assert rows.failures[0].attempts == 3
 
@@ -155,18 +155,17 @@ class TestCheckpointResume:
         assert len(first) == 2 and len(first.failures) == 1
 
         calls = []
-        real = sweeps.run_config
+        real = simulator.run_config
 
         def counting(cfg, check=True):
             calls.append(cfg)
             return real(cfg, check=check)
 
-        sweeps_run_config = sweeps.run_config
         try:
-            sweeps.run_config = counting
+            simulator.run_config = counting
             again = run_grid(grid, checkpoint=ckpt, resume=True)
         finally:
-            sweeps.run_config = sweeps_run_config
+            simulator.run_config = real
         # only the deadlocked config was re-simulated
         assert len(calls) == 1
         assert calls[0].max_cycles == 10
@@ -275,7 +274,7 @@ class TestWedgeDiagnostics:
                 pass
             return _fake_result(cfg)
 
-        monkeypatch.setattr(sweeps, "run_config", slow)
+        monkeypatch.setattr(simulator, "run_config", slow)
         rows = run_grid([_cfg()], timeout_s=0.05)
         failure = rows.failures[0]
         assert failure.error_type == "WatchdogTimeout"
@@ -315,14 +314,27 @@ class TestCheckpointHardening:
 
     def test_ok_record_without_row_reruns(self, tmp_path):
         import json as _json
+        import warnings
+
+        from repro.ledger import CachedBackend
 
         ckpt = tmp_path / "grid.jsonl"
-        cfg = _cfg()
-        # an "ok" record whose payload never made it to disk
-        with open(ckpt, "w") as f:
-            f.write(_json.dumps({"key": config_key(cfg),
-                                 "status": "ok"}) + "\n")
-        with pytest.warns(RuntimeWarning, match="no row"):
-            rows = run_grid([cfg], checkpoint=str(ckpt), resume=True)
-        assert rows.resumed == 0
-        assert len(rows) == 1
+        grid = [_cfg(), _cfg(context_fraction=0.8)]
+        cached = CachedBackend(str(tmp_path / "ledger.sqlite"))
+        # the config is classified once, whichever backend then runs it:
+        # one warning on the serial, pooled and cached paths alike
+        for kwargs in ({}, {"jobs": 2}, {"backend": cached}):
+            # an "ok" record whose payload never made it to disk
+            with open(ckpt, "w") as f:
+                f.write(_json.dumps({"key": config_key(grid[0]),
+                                     "status": "ok"}) + "\n")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rows = run_grid(grid, checkpoint=str(ckpt), resume=True,
+                                **kwargs)
+            assert [str(w.message) for w in caught] == [
+                f"checkpoint record for {config_key(grid[0])} has no row; "
+                f"re-running"], kwargs
+            assert rows.resumed == 0
+            assert len(rows) == 2
+        cached.close()

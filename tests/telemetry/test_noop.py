@@ -70,6 +70,13 @@ def test_ooo_rejects_telemetry():
 def test_unknown_telemetry_field_rejected_eagerly():
     with pytest.raises(ValueError, match="unknown telemetry field"):
         RunConfig(telemetry={"evnets": True})
+    # the fault spec validates the same way as the other subsystem specs
+    with pytest.raises(ValueError, match=r"unknown faults field\(s\) "
+                                         r"\['rat'\]; choose from"):
+        RunConfig(faults={"rat": 1})
+    with pytest.raises(TypeError, match="FaultConfig or a mapping"):
+        RunConfig(faults=3)
+    assert RunConfig(faults={"scheduled": [[5, "rf"]]}).faults is not None
 
 
 # ----------------------------------------------------- the instrument bus
