@@ -153,6 +153,13 @@ class TimelineCore:
         self.icache = icache
         self.dcache = dcache
         self.memory = memory
+        # the scheduler ring, the context layout, every BSI address and the
+        # VRMU's CAM rows all index by thread id
+        for position, thread in enumerate(threads):
+            if thread.tid != position:
+                raise ValueError(
+                    f"thread at position {position} has tid {thread.tid}; "
+                    f"thread ids must be 0..{len(threads) - 1} in order")
         self.threads = threads
         self.config = config or CoreConfig()
         self.stats = stats if stats is not None else Stats(self.config.name)

@@ -9,9 +9,10 @@ Invariant taxonomy (ids appear in the raised violation and in
 ``docs/correctness.md``):
 
 ``tagstore.bijection``
-    The (thread, arch-reg) -> physical-slot map and the per-slot tag lists
-    must describe the same bijection: no dangling mappings, no duplicate
-    slots, tags matching the map, and a valid count equal to the map size.
+    The CAM rows (thread, arch-reg) -> physical slot and the per-slot tag
+    lists must describe the same bijection: no dangling row entries, no
+    duplicate slots, tags matching the rows, and the valid count and the
+    stored resident count both equal to the number of row entries.
 ``policy.word``
     LRC/MRT priority-word well-formedness: T in [0, 7], C in {0, 1}, A in
     [0, 7], D in {0, 1} on every valid slot (3/1/3-bit hardware fields,
@@ -53,14 +54,9 @@ def check_tagstore(core, cycle: int) -> Optional[SanitizerViolation]:
         return None
     ts = vrmu.tagstore
     cid = core.core_id
-    mapped = len(ts._map)
-    valid = sum(ts.valid)
-    if mapped != valid:
-        return _v("tagstore.bijection",
-                  f"{mapped} mapped registers but {valid} valid slots",
-                  cycle, cid, mapped=mapped, valid=valid)
-    seen_slots = set()
-    for (tid, areg), slot in ts._map.items():
+    mapped = 0
+    for tid, areg, slot in ts.mappings():
+        mapped += 1
         if not 0 <= slot < ts.capacity:
             return _v("tagstore.bijection",
                       f"mapping ({tid}, {areg}) points at slot {slot} "
@@ -71,17 +67,24 @@ def check_tagstore(core, cycle: int) -> Optional[SanitizerViolation]:
                       f"mapping ({tid}, {areg}) points at invalid slot "
                       f"{slot} (dangling)", cycle, cid,
                       tid=tid, areg=areg, slot=slot)
+        # a slot carries one tag, so two row cells naming the same slot
+        # cannot both pass this
         if ts.owner[slot] != tid or ts.areg[slot] != areg:
             return _v("tagstore.bijection",
                       f"slot {slot} tags ({ts.owner[slot]}, "
-                      f"{ts.areg[slot]}) disagree with map entry "
+                      f"{ts.areg[slot]}) disagree with row entry "
                       f"({tid}, {areg})", cycle, cid,
                       tid=tid, areg=areg, slot=slot)
-        if slot in seen_slots:
-            return _v("tagstore.bijection",
-                      f"two mappings share physical slot {slot}", cycle,
-                      cid, slot=slot)
-        seen_slots.add(slot)
+    valid = sum(ts.valid)
+    if mapped != valid:
+        return _v("tagstore.bijection",
+                  f"{mapped} mapped registers but {valid} valid slots",
+                  cycle, cid, mapped=mapped, valid=valid)
+    if mapped != ts.resident:
+        return _v("tagstore.bijection",
+                  f"resident count {ts.resident} drifted from the "
+                  f"{mapped} row entries", cycle, cid,
+                  mapped=mapped, resident=ts.resident)
     return None
 
 

@@ -76,6 +76,8 @@ class ViReCCore(TimelineCore):
                          self.bsi, rollback_depth=vc.rollback_depth,
                          group_evict=vc.group_evict,
                          stats=self.stats.child("vrmu"))
+        # the only reader of a thread's run-segment register set
+        self.vrmu.record_segments = vc.context_prefetch
         self.sysregs = (SysRegBuffer(self.bsi, len(threads),
                                      self.stats.child("sysreg"))
                         if vc.sysreg_buffer else None)

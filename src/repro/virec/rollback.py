@@ -21,7 +21,13 @@ class RollbackEntry(NamedTuple):
 
 
 class RollbackQueue:
-    """FIFO with depth equal to the maximum backend occupancy."""
+    """FIFO with depth equal to the maximum backend occupancy.
+
+    The VRMU's per-instruction paths work on ``_queue`` directly
+    (``VRMU.access`` / ``on_commit`` / ``on_flush`` carry copies of
+    :meth:`push` / :meth:`pop_commit` / :meth:`flush`); the methods state
+    the behaviour and are what the test-only reference VRMU calls.
+    """
 
     def __init__(self, depth: int = 4, stats: Stats | None = None) -> None:
         self.depth = depth

@@ -6,14 +6,19 @@ thread id, the architectural (flat) register number, a dirty bit, and a
 ``fill_ready`` cycle while a backing-store fill is in flight.  Replacement
 metadata (the priority words) lives in the attached policy.
 
-Every per-entry field is a flat Python list indexed by slot.
+Every per-entry field is a flat Python list indexed by slot.  The match side
+of the CAM is indexed the other way: ``rows[tid][flat]`` is the slot holding
+(thread, register), -1 when it is not resident — one row of
+``NUM_ARCH_REGS`` ints per thread, added when the thread first inserts —
+and ``resident`` counts the non-negative cells.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..isa.registers import NUM_ARCH_REGS
 from ..stats.counters import Stats
 from .policies import A_MAX, ReplacementPolicy
 
@@ -33,23 +38,53 @@ class TagStore:
         self.areg: List[int] = [-1] * capacity
         self.dirty: List[bool] = [False] * capacity
         self.fill_ready: List[int] = [0] * capacity
-        self._map: Dict[Tuple[int, int], int] = {}
+        #: the CAM's match side: ``rows[tid][flat]`` = slot, or -1
+        self.rows: List[List[int]] = []
+        #: number of valid entries (= non-negative cells of ``rows``)
+        self.resident = 0
         #: pending counts (see :meth:`Stats.batch`)
         self._pending = self.stats.batch("evictions")
 
     # -- lookup ---------------------------------------------------------------
+    def row(self, tid: int) -> List[int]:
+        """The CAM row of ``tid``, added (all -1) the first time it is
+        asked for.  Python would read a negative index as a row counted
+        from the end — another thread's — so it is rejected here."""
+        if tid < 0:
+            raise ValueError(f"thread id {tid} is negative")
+        rows = self.rows
+        while len(rows) <= tid:
+            rows.append([-1] * NUM_ARCH_REGS)
+        return rows[tid]
+
     def lookup(self, tid: int, flat_reg: int) -> Optional[int]:
         """Physical slot of (thread, register), or None if not resident."""
-        return self._map.get((tid, flat_reg))
+        if tid < 0 or not 0 <= flat_reg < NUM_ARCH_REGS:
+            raise ValueError(f"no tag for thread {tid} reg {flat_reg}: need "
+                             f"tid >= 0 and 0 <= reg < {NUM_ARCH_REGS}")
+        if tid >= len(self.rows):
+            return None         # the thread never inserted
+        slot = self.rows[tid][flat_reg]
+        return slot if slot >= 0 else None
+
+    def mappings(self) -> Iterator[Tuple[int, int, int]]:
+        """Every resident ``(tid, flat_reg, slot)``, in row order."""
+        for tid, row in enumerate(self.rows):
+            for flat_reg, slot in enumerate(row):
+                if slot >= 0:
+                    yield tid, flat_reg, slot
 
     def resident_count(self, tid: Optional[int] = None) -> int:
         if tid is None:
-            return len(self._map)
+            return self.resident
         return self.owner.count(tid)
 
     def resident_regs(self, tid: int) -> List[int]:
         """Flat register indices of ``tid`` currently resident."""
-        return sorted(r for (t, r) in self._map if t == tid)
+        if not 0 <= tid < len(self.rows):
+            return []
+        return [flat_reg for flat_reg, slot in enumerate(self.rows[tid])
+                if slot >= 0]
 
     def occupancy_by_thread(self) -> Dict[int, int]:
         """Current register-cache occupancy per owning thread id.
@@ -64,7 +99,7 @@ class TagStore:
     # -- allocation -------------------------------------------------------------
     def free_slot(self) -> Optional[int]:
         """Lowest invalid slot, or None when the cache is full."""
-        if len(self._map) == self.capacity:
+        if self.resident == self.capacity:
             return None
         return self.valid.index(False)
 
@@ -115,7 +150,8 @@ class TagStore:
         if not self.valid[slot]:
             raise ValueError(f"evicting invalid slot {slot}")
         tid, reg, dirty = self.owner[slot], self.areg[slot], self.dirty[slot]
-        del self._map[(tid, reg)]
+        self.rows[tid][reg] = -1
+        self.resident -= 1
         self.valid[slot] = False
         self.owner[slot] = -1
         self.areg[slot] = -1
@@ -128,7 +164,7 @@ class TagStore:
         """Install (tid, flat_reg) at ``slot`` (must be invalid)."""
         if self.valid[slot]:
             raise ValueError(f"inserting into occupied slot {slot}")
-        if (tid, flat_reg) in self._map:
+        if self.lookup(tid, flat_reg) is not None:
             raise ValueError(f"duplicate mapping for thread {tid} reg {flat_reg}")
         policy = self.policy
         if policy.pending_switches and tid != policy.running:
@@ -138,7 +174,8 @@ class TagStore:
         self.areg[slot] = flat_reg
         self.dirty[slot] = dirty
         self.fill_ready[slot] = fill_ready
-        self._map[(tid, flat_reg)] = slot
+        self.row(tid)[flat_reg] = slot
+        self.resident += 1
         policy.on_insert(slot)
 
     def valid_slots(self) -> List[int]:
@@ -185,13 +222,15 @@ class TagStore:
         def fail(message: str) -> None:
             raise SanitizerViolation(message, invariant="tagstore.bijection")
 
-        if len(self._map) != sum(self.valid):
-            fail("map/valid mismatch")
-        for (tid, reg), slot in self._map.items():
-            if not self.valid[slot]:
+        mapped = 0
+        for tid, reg, slot in self.mappings():
+            mapped += 1
+            if not (0 <= slot < self.capacity and self.valid[slot]):
                 fail(f"mapped slot {slot} invalid")
+            # one tag per slot, so this is also "no two cells share a slot"
             if self.owner[slot] != tid or self.areg[slot] != reg:
                 fail(f"slot {slot} tag mismatch")
-        pairs = list(self._map.values())
-        if len(pairs) != len(set(pairs)):
-            fail("two mappings share a slot")
+        if mapped != sum(self.valid):
+            fail("rows/valid mismatch")
+        if mapped != self.resident:
+            fail("resident count drifted from the rows")

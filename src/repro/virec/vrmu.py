@@ -16,7 +16,7 @@ from ..isa.decoded import DecodedOp
 from ..isa.instructions import Instruction
 from ..stats.counters import Stats
 from .bsi import BackingStoreInterface
-from .policies import ReplacementPolicy
+from .policies import C_BIT, ReplacementPolicy
 from .rollback import RollbackQueue
 from .tagstore import TagStore
 
@@ -54,6 +54,16 @@ class VRMU:
         self.tagstore = TagStore(capacity, policy, self.stats.child("tagstore"))
         self.rollback = RollbackQueue(rollback_depth, self.stats.child("rollback"))
         self.bsi = bsi
+        #: the touch rule: a policy that leaves the per-operand hooks as the
+        #: base class wrote them has its priority word written here, in
+        #: place (the bodies are copied beside each use); a policy that
+        #: overrides any of them is called for every operand.  Keyed on the
+        #: overrides themselves, the test ``TimelineCore`` uses for its
+        #: hooks, so a subclass cannot be mistaken for its parent.
+        self._writes_word = all(
+            getattr(type(policy), hook) is getattr(ReplacementPolicy, hook)
+            for hook in ("on_instruction", "on_access", "on_insert",
+                         "reset_age"))
         #: whether the policy consumes dead-on-commit hints; gates every
         #: hint-path branch so non-hint policies take byte-identical paths
         self.dead_hints: bool = policy.uses_dead_hints
@@ -63,9 +73,12 @@ class VRMU:
         #: victim is needed, up to this many same-owner registers are spilled
         #: together, pre-freeing slots for the following misses.
         self.group_evict = group_evict
-        #: registers each thread referenced during its latest run segment
-        #: (drives the optional next-context prefetch, see ViReCConfig)
+        #: registers each thread referenced during its latest run segment,
+        #: recorded only while ``record_segments`` is set — the core sets it
+        #: when something will read them (the optional next-context
+        #: prefetch, see ViReCConfig)
         self.segment_regs: dict = {}
+        self.record_segments = False
         #: fill-issue cycles the latest :meth:`access` lost to spill port
         #: occupancy (read by the core's profile hook, never fed back into
         #: timing)
@@ -97,28 +110,41 @@ class VRMU:
         policy = ts.policy
         if policy.pending_switches and tid != policy.running:
             policy.fold()   # the policy's contract (its module docstring)
-        policy.on_instruction()
-        # the tag store's lookup() and touch(), inlined: this loop runs once
-        # per register operand of every simulated instruction
-        slot_map = ts._map
-        slot_of, on_access = slot_map.get, policy.on_access
+        # the tag store's lookup() and touch() and the base policy's
+        # on_instruction() and on_access(), inlined: this loop runs once per
+        # register operand of every simulated instruction
+        writes_word = self._writes_word
+        if writes_word:
+            clock = policy._clock = policy._clock + 1
+            word, zeroed_at, stamp = (policy.word, policy.zeroed_at,
+                                      policy.stamp)
+        else:
+            policy.on_instruction()
+            on_access = policy.on_access
+        try:
+            row = ts.rows[tid]
+        except IndexError:
+            row = ts.row(tid)   # the thread's first access
         dirty, fill_ready = ts.dirty, ts.fill_ready
         fault_hook, probe = self.fault_hook, self.probe
-        segment = self.segment_regs.get(tid)
-        if segment is None:
-            segment = self.segment_regs[tid] = set()
+        if self.record_segments:
+            self.segment_regs.setdefault(tid, set()).update(
+                [operand[1] for operand in plan])
 
         ready = t
         inst_slots: List[int] = []
         missing = []
         for operand in plan:
             reg, flat, is_dest, is_src = operand
-            segment.add(flat)
-            slot = slot_of((tid, flat))
-            if slot is not None:
+            slot = row[flat]
+            if slot >= 0:
                 if is_dest:
                     dirty[slot] = True
-                on_access(slot)
+                if writes_word:
+                    word[slot] = C_BIT
+                    zeroed_at[slot] = stamp[slot] = clock
+                else:
+                    on_access(slot)
                 if fault_hook is not None:
                     ready = max(ready, fault_hook.on_slot_read(
                         tid, reg, slot, t, is_read=is_src))
@@ -141,14 +167,15 @@ class VRMU:
             # victim's values straight to the new register's
             pending[MISSES] += len(missing)
             valid, owner, areg = ts.valid, ts.owner, ts.areg
-            evictions, on_insert = ts._pending, policy.on_insert
+            rows, evictions = ts.rows, ts._pending
             capacity = ts.capacity
             t_fill = t
             for reg, flat, is_dest, is_src in missing:
-                evicted = len(slot_map) == capacity
+                evicted = ts.resident == capacity
                 if not evicted:
                     slot = valid.index(False)
                     valid[slot] = True
+                    ts.resident += 1
                 else:
                     slot = ts.select_victim(inst_slots, t_fill)
                     if slot is not None and self.group_evict > 1:
@@ -166,7 +193,7 @@ class VRMU:
                     # deadness is read first
                     victim_dead = self.dead_hints and policy.is_dead(slot)
                     vtid, vreg, vdirty = owner[slot], areg[slot], dirty[slot]
-                    del slot_map[(vtid, vreg)]
+                    rows[vtid][vreg] = -1
                     evictions[0] += 1
                     pending[SPILL_EVICTIONS] += 1
                 if is_src:
@@ -180,8 +207,12 @@ class VRMU:
                 owner[slot] = tid
                 areg[slot] = flat
                 fill_ready[slot] = done
-                slot_map[(tid, flat)] = slot
-                on_insert(slot)
+                row[flat] = slot
+                if writes_word:
+                    word[slot] = C_BIT
+                    zeroed_at[slot] = stamp[slot] = clock
+                else:
+                    policy.on_insert(slot)
                 if probe is not None:
                     probe.on_fill(tid, flat, t_fill, done, dummy=not is_src)
                     probe.on_insert(slot, tid, flat, t_fill)
@@ -195,7 +226,12 @@ class VRMU:
                         if probe is not None:
                             probe.on_spill(vtid, vreg, vdirty, t_fill)
 
-        self.rollback.push(inst_slots, inst.is_mem)
+        rollback = self.rollback
+        queue = rollback._queue
+        if len(queue) >= rollback.depth:    # push(), inlined
+            queue.popleft()
+            rollback.stats.inc("overflow")
+        queue.append((inst_slots, inst.is_mem))
         self.last_spill_wait = bsi.fill_spill_wait
         return ready
 
@@ -287,10 +323,14 @@ class VRMU:
         if not kills:
             return
         ts = self.tagstore
+        try:
+            row = ts.rows[tid]
+        except IndexError:
+            return              # nothing of this thread was ever resident
         marked = 0
         for flat in kills:
-            slot = ts.lookup(tid, flat)
-            if slot is not None:
+            slot = row[flat]
+            if slot >= 0:
                 ts.policy.mark_dead(slot)
                 marked += 1
         if marked:
@@ -310,14 +350,32 @@ class VRMU:
         """
         ts = self.tagstore
         policy = ts.policy
-        slots = self.rollback.flush()
-        # the tag store's lookup(), inlined
-        slot_of, reset_age = ts._map.get, policy.reset_age
+        rollback = self.rollback
+        queue = rollback._queue
+        slots = set()
+        for queued, _is_mem in queue:       # flush(), inlined
+            slots.update(queued)
+        queue.clear()
+        rollback._pending[0] += 1
+        # the tag store's lookup() and the base policy's reset_age(),
+        # inlined under the touch rule of ``__init__``
+        writes_word = self._writes_word
+        if writes_word:
+            zeroed_at, clock = policy.zeroed_at, policy._clock
+        else:
+            reset_age = policy.reset_age
+        try:
+            row = ts.rows[tid]
+        except IndexError:
+            row = ts.row(tid)   # never accessed: nothing of it is resident
         for inst in flushed_insts:
-            for _reg, flat, _is_dest, _is_src in inst.plan:
-                slot = slot_of((tid, flat))
-                if slot is not None:
-                    reset_age(slot)
+            for operand in inst.plan:
+                slot = row[operand[1]]
+                if slot >= 0:
+                    if writes_word:
+                        zeroed_at[slot] = clock
+                    else:
+                        reset_age(slot)
                     slots.add(slot)
         policy.on_flush(slots)
         self.stats.inc("flush_resets", len(slots))

@@ -164,6 +164,30 @@ def test_inorder_core_rejects_multiple_threads():
         build_core("halt", n_threads=2)
 
 
+@pytest.mark.parametrize("tids, position, tid", [
+    ((1, 0), 0, 1),         # out of order
+    ((0, 2), 1, 2),         # a gap
+    ((0, 1, -1), 2, -1),    # a negative id would index from the end
+    ((0, 0), 1, 0),         # a duplicate
+])
+def test_core_rejects_thread_ids_that_are_not_positions(tids, position, tid):
+    """The scheduler ring, the context layout, the BSI addresses and the
+    VRMU's CAM rows all take ``threads[i].tid == i`` on trust."""
+    prog = assemble("halt")
+    backend = FixedLatencyBackend()
+    caches = [Cache(CacheConfig(name=name, size_bytes=8 * 1024, assoc=4,
+                                latency=2), backend, Stats(name))
+              for name in ("ic", "dc")]
+    threads = [ThreadContext(tid=t) for t in tids]
+    with pytest.raises(ValueError, match=rf"position {position} has tid {tid}\b"
+                       ) as excinfo:
+        TimelineCore(prog, *caches, MainMemory(), threads)
+    assert "\n" not in str(excinfo.value)
+    # the same ids in order are accepted
+    TimelineCore(prog, *caches, MainMemory(),
+                 [ThreadContext(tid=t) for t in range(len(tids))])
+
+
 def test_stats_finalized():
     core, _ = build_core("mov x0, #1\nhalt")
     stats = core.run()

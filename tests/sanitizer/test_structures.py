@@ -42,8 +42,8 @@ def test_healthy_run_passes_all_checks():
 def test_dangling_map_entry_caught():
     core, _ = _sanitized_core()
     ts = core.vrmu.tagstore
-    (tid, areg), slot = next(iter(ts._map.items()))
-    ts.valid[slot] = False          # mapping now points at an invalid slot
+    tid, areg, slot = next(ts.mappings())
+    ts.valid[slot] = False          # row entry now points at an invalid slot
     with pytest.raises(SanitizerViolation) as excinfo:
         _check(core)
     assert excinfo.value.invariant == "tagstore.bijection"
@@ -52,8 +52,8 @@ def test_dangling_map_entry_caught():
 def test_tag_mismatch_caught():
     core, _ = _sanitized_core()
     ts = core.vrmu.tagstore
-    (tid, areg), slot = next(iter(ts._map.items()))
-    ts.owner[slot] = tid + 1        # tag disagrees with the map
+    tid, areg, slot = next(ts.mappings())
+    ts.owner[slot] = tid + 1        # tag disagrees with the row entry
     with pytest.raises(SanitizerViolation) as excinfo:
         _check(core)
     assert excinfo.value.invariant == "tagstore.bijection"
@@ -62,10 +62,26 @@ def test_tag_mismatch_caught():
 def test_map_valid_count_mismatch_caught():
     core, _ = _sanitized_core()
     ts = core.vrmu.tagstore
-    del ts._map[next(iter(ts._map))]
+    tid, areg, slot = next(ts.mappings())
+    ts.rows[tid][areg] = -1         # a valid slot no row entry names
     with pytest.raises(SanitizerViolation) as excinfo:
         _check(core)
     assert excinfo.value.invariant == "tagstore.bijection"
+    assert excinfo.value.details["mapped"] + 1 == excinfo.value.details["valid"]
+
+
+def test_resident_count_drift_caught():
+    """The stored count is what makes "no free slot" one compare, so it
+    must be the number of row entries."""
+    core, _ = _sanitized_core()
+    ts = core.vrmu.tagstore
+    ts.resident -= 1
+    with pytest.raises(SanitizerViolation) as excinfo:
+        _check(core)
+    assert excinfo.value.invariant == "tagstore.bijection"
+    assert excinfo.value.details["resident"] + 1 == excinfo.value.details["mapped"]
+    with pytest.raises(SanitizerViolation, match="resident count drifted"):
+        ts.check_invariants()
 
 
 def test_priority_word_out_of_range_caught():
@@ -155,7 +171,8 @@ def test_tagstore_check_invariants_raises_typed():
     core, _ = _sanitized_core()
     ts = core.vrmu.tagstore
     ts.check_invariants()           # healthy state passes
-    del ts._map[next(iter(ts._map))]
+    tid, areg, _slot = next(ts.mappings())
+    ts.rows[tid][areg] = -1
     with pytest.raises(SanitizerViolation):
         ts.check_invariants()
     ts_err = None

@@ -24,6 +24,51 @@ def test_taskpool_virec_all_tasks_complete_correctly():
     # every logical task's output verified by run_taskpool's checker
 
 
+def _views_agree(ts):
+    """The CAM rows (``resident_regs``, ``resident_count()``), the stored
+    count and the per-slot owner/areg columns describe one register set."""
+    columns = {}
+    for slot, tid in enumerate(ts.owner):
+        if tid >= 0:
+            assert ts.valid[slot]
+            columns.setdefault(tid, []).append(ts.areg[slot])
+    for tid, regs in columns.items():
+        assert ts.resident_regs(tid) == sorted(regs)
+        assert ts.resident_count(tid) == len(regs)
+        assert all(ts.owner[ts.lookup(tid, reg)] == tid for reg in regs)
+    assert ts.occupancy_by_thread() == {
+        tid: len(regs) for tid, regs in sorted(columns.items())}
+    assert ts.resident_count() == sum(map(len, columns.values()))
+    ts.check_invariants()
+
+
+def test_register_views_agree_across_redispatch(monkeypatch):
+    """A redispatch drops the finished task's registers without spilling
+    them: before and after every drop the rows and the columns agree, and
+    nothing of the dropped thread stays resident."""
+    from repro.virec import ViReCCore
+
+    drop = ViReCCore.drop_thread_registers
+    dropped = []
+
+    def checked_drop(core, thread):
+        ts = core.vrmu.tagstore
+        _views_agree(ts)
+        dropped.append(ts.resident_count(thread.tid))
+        drop(core, thread)
+        assert ts.resident_regs(thread.tid) == []
+        assert ts.resident_count(thread.tid) == 0
+        assert thread.tid not in ts.occupancy_by_thread()
+        _views_agree(ts)
+
+    monkeypatch.setattr(ViReCCore, "drop_thread_registers", checked_drop)
+    stats, _ = run_taskpool(workload="gather", core_type="virec",
+                            hw_threads=4, n_tasks=12, n_per_task=12,
+                            context_fraction=0.6)
+    assert len(dropped) == stats["task_context_drops"] >= 8
+    assert any(dropped)             # the drops had something to drop
+
+
 def test_taskpool_banked_all_tasks_complete_correctly():
     stats, inst = run_taskpool(workload="vecadd", core_type="banked",
                                hw_threads=4, n_tasks=10, n_per_task=12)

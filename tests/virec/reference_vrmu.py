@@ -5,8 +5,10 @@
 ``insert()`` / ``_spill_victim()``), ``_group_evict``, ``prefetch_context``,
 ``on_commit``, ``on_flush`` and ``on_context_switch``, verbatim from the
 commit before the miss half was flattened into one body: every tag-store
-update goes through the public :class:`~repro.virec.tagstore.TagStore`
-methods.  ``test_reference_vrmu.py`` drives this and the production VRMU
+read and update goes through the public
+:class:`~repro.virec.tagstore.TagStore` methods and every policy event
+through a policy method, and the run-segment register sets are recorded
+whether or not anything reads them.  ``test_reference_vrmu.py`` drives this and the production VRMU
 with the same random instruction streams.  Nothing here is imported by
 ``src/``.
 """
@@ -42,9 +44,8 @@ class ReferenceVRMU(VRMU):
         ts = self.tagstore
         policy = ts.policy
         policy.on_instruction()
-        # the tag store's lookup() and touch(), inlined: this loop runs once
-        # per register operand of every simulated instruction
-        slot_of, on_access = ts._map.get, policy.on_access
+        # the tag store's touch(), inlined
+        slot_of, on_access = ts.lookup, policy.on_access
         dirty, fill_ready = ts.dirty, ts.fill_ready
         fault_hook, probe = self.fault_hook, self.probe
         segment = self.segment_regs.get(tid)
@@ -57,7 +58,7 @@ class ReferenceVRMU(VRMU):
         for operand in plan:
             reg, flat, is_dest, is_src = operand
             segment.add(flat)
-            slot = slot_of((tid, flat))
+            slot = slot_of(tid, flat)
             if slot is not None:
                 if is_dest:
                     dirty[slot] = True

@@ -96,7 +96,8 @@ def test_tagstore_lookup_agrees_with_reference_model(trace):
             reference[key] = True
         else:
             ts.touch(slot, is_write)
-    assert set(reference) == {(t, r) for (t, r) in ts._map}
+    assert set(reference) == {(t, r) for t, r, _slot in ts.mappings()}
+    assert ts.resident_count() == len(reference)
 
 
 # -- policy properties ----------------------------------------------------------

@@ -90,6 +90,8 @@ class Side:
         self.bsi = RecordingBSI()
         self.vrmu = cls(capacity, make_policy(name, capacity), self.bsi,
                         group_evict=group_evict, stats=Stats("v"))
+        # the stream prefetches contexts, so the segments have a reader
+        self.vrmu.record_segments = True
 
     def state(self):
         vrmu = self.vrmu
@@ -100,7 +102,9 @@ class Side:
             "rollback": [(tuple(slots), is_mem)
                          for slots, is_mem in vrmu.rollback._queue],
             "tags": (list(ts.valid), list(ts.owner), list(ts.areg),
-                     list(ts.dirty), list(ts.fill_ready), dict(ts._map)),
+                     list(ts.dirty), list(ts.fill_ready),
+                     {(tid, flat): slot
+                      for tid, flat, slot in ts.mappings()}, ts.resident),
             "policy": (list(policy.word), list(policy.zeroed_at),
                        list(policy.stamp), policy._clock,
                        policy.pending_switches, policy.running,

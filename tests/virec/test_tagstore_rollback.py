@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.isa.registers import NUM_ARCH_REGS
 from repro.virec.policies import LRC, PLRU
 from repro.virec.rollback import RollbackQueue
 from repro.virec.tagstore import TagStore
@@ -28,6 +29,31 @@ def test_duplicate_mapping_rejected():
     ts.insert(0, 1, 5, 0)
     with pytest.raises(ValueError):
         ts.insert(1, 1, 5, 0)
+
+
+@pytest.mark.parametrize("tid, reg", [(-1, 5), (0, -1), (0, NUM_ARCH_REGS)])
+def test_tags_outside_the_cam_rows_rejected(tid, reg):
+    """A negative index would read (or write) another thread's row, or
+    another register's cell, through Python's indexing from the end."""
+    ts = make_ts()
+    ts.insert(0, 1, NUM_ARCH_REGS - 1, 0)       # the last cell of the last row
+    for call in (lambda: ts.lookup(tid, reg),
+                 lambda: ts.insert(1, tid, reg, 0)):
+        with pytest.raises(ValueError, match=f"thread {tid} reg {reg}") as excinfo:
+            call()
+        assert "\n" not in str(excinfo.value)
+    assert ts.resident_count() == 1 and ts.valid[1] is False
+    ts.check_invariants()
+
+
+def test_lookup_of_a_thread_that_never_inserted():
+    ts = make_ts()
+    assert ts.lookup(5, 0) is None
+    assert ts.rows == []            # a read adds no row
+    assert ts.resident_regs(5) == [] and ts.resident_count(5) == 0
+    ts.insert(0, 2, 7, 0)
+    assert len(ts.rows) == 3        # rows 0..2, added by the insert
+    assert ts.lookup(2, 7) == 0 and ts.lookup(1, 7) is None
 
 
 def test_insert_into_occupied_slot_rejected():

@@ -116,6 +116,23 @@ def test_tagstore_invariants_after_run():
     core.vrmu.tagstore.check_invariants()
 
 
+def test_run_segments_are_recorded_only_for_a_reader():
+    """``segment_regs`` feeds the next-context prefetch and nothing else:
+    a core without it never writes a segment."""
+    plain, *_ = run_gather(ViReCCore, n_threads=4, **virec_kw(16))
+    assert not plain.vrmu.record_segments
+    assert plain.vrmu.segment_regs == {}
+    prefetching, *_ = run_gather(ViReCCore, n_threads=4,
+                                 **virec_kw(16, context_prefetch=True))
+    assert prefetching.vrmu.record_segments
+    flats = set(GATHER_REGS)            # flat register indices
+    segments = prefetching.vrmu.segment_regs
+    assert sorted(segments) == [0, 1, 2, 3]
+    assert any(segments.values())
+    assert all(regs <= flats for regs in segments.values())
+    assert prefetching.vrmu.stats["context_prefetches"] > 0
+
+
 def test_rf_too_small_rejected():
     from repro.virec import CapacityError
     with pytest.raises(CapacityError):

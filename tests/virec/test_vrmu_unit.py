@@ -109,6 +109,9 @@ def test_commit_pops_rollback():
 
 def test_segment_tracking_per_thread():
     v = make_vrmu(capacity=12)
+    v.access(0, add(6, 7, 8), 0)
+    assert v.segment_regs == {}     # nothing reads them, nothing is kept
+    v.record_segments = True
     v.access(0, add(0, 1, 2), 0)
     v.access(1, add(3, 4, 5), 100)
     assert v.segment_regs[0] == {X(0).flat, X(1).flat, X(2).flat}
