@@ -12,8 +12,9 @@ Tracing costs simulation speed; attach it only for short diagnostic runs.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Deque, List, Optional
 
 
 @dataclass
@@ -57,34 +58,33 @@ class PipelineTracer:
     A true ring: once ``limit`` records exist, each new record overwrites
     the oldest, so a long run always retains the most recent ``limit``
     committed instructions (``dropped`` counts the overwritten ones).
+    :meth:`record` stores its eight fields; :attr:`records` builds the
+    :class:`TraceRecord` objects when it is read.
     """
 
     def __init__(self, limit: int = 10_000) -> None:
         if limit < 1:
             raise ValueError("tracer limit must be >= 1")
         self.limit = limit
-        self.dropped = 0
-        self._ring: List[TraceRecord] = []
-        self._head = 0  # next overwrite position once the ring is full
+        self._recorded = 0
+        self._ring: Deque[tuple] = deque(maxlen=limit)
 
     @property
     def records(self) -> List[TraceRecord]:
         """Retained records in chronological (commit) order."""
-        if len(self._ring) < self.limit:
-            return list(self._ring)
-        return self._ring[self._head:] + self._ring[:self._head]
+        return [TraceRecord(*fields) for fields in self._ring]
+
+    @property
+    def dropped(self) -> int:
+        """Records overwritten by later ones: recorded minus retained."""
+        return self._recorded - len(self._ring)
 
     def record(self, tid: int, pc: int, text: str, t_decode: int,
                t_issue: int, t_ex_done: int, t_data: int,
                t_commit: int) -> None:
-        rec = TraceRecord(tid, pc, text, t_decode, t_issue,
-                          t_ex_done, t_data, t_commit)
-        if len(self._ring) < self.limit:
-            self._ring.append(rec)
-            return
-        self._ring[self._head] = rec
-        self._head = (self._head + 1) % self.limit
-        self.dropped += 1
+        self._recorded += 1
+        self._ring.append((tid, pc, text, t_decode, t_issue,
+                           t_ex_done, t_data, t_commit))
 
     def format(self, last: Optional[int] = None) -> str:
         records = self.records

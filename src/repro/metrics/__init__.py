@@ -52,7 +52,7 @@ class CoreMetrics:
     """
 
     __slots__ = ("session", "core", "_core_label", "_instructions",
-                 "_gaps", "_by_kind", "_last_commit")
+                 "_gaps", "_by_kind", "_last_commit", "_cells", "_gap_slot")
 
     def __init__(self, session: "MetricsSession", core) -> None:
         self.session = session
@@ -69,9 +69,25 @@ class CoreMetrics:
             buckets=_GAP_BUCKETS) if cfg.commit_gaps else None)
         self._by_kind = cfg.by_kind
         self._last_commit = 0
+        #: kind (``None`` without ``by_kind``) -> bound counter cell, and
+        #: the bound histogram slot; bound at the first commit that writes
+        #: them, so a series exists only once something was recorded
+        self._cells: dict = {}
+        self._gap_slot = None
+
+    def _bind(self, kind: Optional[str]) -> list:
+        """First commit of ``kind``: canonicalise the label sets once."""
+        labels = {"core": self._core_label}
+        if self._gaps is not None and self._gap_slot is None:
+            self._gap_slot = self._gaps.bind(**labels)
+        if kind is not None:
+            labels["kind"] = kind
+        cell = self._cells[kind] = self._instructions.bind(**labels)
+        return cell
 
     def on_commit(self, thread, d, t_commit: int) -> None:
         """Record one committed instruction (``d`` is its DecodedOp)."""
+        kind = None
         if self._by_kind:
             if d.is_load:
                 kind = "load"
@@ -81,13 +97,14 @@ class CoreMetrics:
                 kind = "branch"
             else:
                 kind = "alu"
-            self._instructions.inc(core=self._core_label, kind=kind)
-        else:
-            self._instructions.inc(core=self._core_label)
-        if self._gaps is not None:
-            gap = t_commit - self._last_commit
+        cell = self._cells.get(kind)
+        if cell is None:
+            cell = self._bind(kind)
+        cell[0] += 1
+        gaps = self._gaps
+        if gaps is not None:
+            gaps.observe_into(self._gap_slot, t_commit - self._last_commit)
             self._last_commit = t_commit
-            self._gaps.observe(gap, core=self._core_label)
 
 
 class MetricsSession:
@@ -97,6 +114,7 @@ class MetricsSession:
         self.config = config or MetricsConfig()
         self.registry = MetricsRegistry()
         self.cores: List[CoreMetrics] = []
+        self._finalized = False
 
     # -- wiring ------------------------------------------------------------
     def attach(self, core) -> Optional[CoreMetrics]:
@@ -110,9 +128,13 @@ class MetricsSession:
         return cm
 
     def finalize(self) -> None:
-        """Fold run-end summary gauges from the simulated state."""
-        if not self.config.summary:
+        """Fold run-end summary gauges from the simulated state.
+
+        Once per run: a second call does nothing.
+        """
+        if self._finalized or not self.config.summary:
             return
+        self._finalized = True
         reg = self.registry
         cycles = reg.gauge("sim_cycles", "commit-clock cycles, by core")
         vrmu_hits = reg.counter("sim_vrmu_hits", "VRMU register-cache hits")

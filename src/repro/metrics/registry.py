@@ -26,6 +26,7 @@ process boundaries and diff cleanly run-over-run.  Like the manifest's
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
@@ -39,8 +40,20 @@ LabelKey = Tuple[Tuple[str, str], ...]
 
 
 def _label_key(labels: Dict[str, object]) -> LabelKey:
-    """Canonical (sorted, stringified) form of one label set."""
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
+    """Canonical (sorted, stringified) form of one label set.
+
+    Rejects what :func:`_render_labels` / :func:`_parse_labels` cannot
+    carry through a snapshot: ``,`` or ``"`` in a value, those or ``=`` in
+    a name.
+    """
+    key = tuple(sorted((k, str(v)) for k, v in labels.items()))
+    for name, value in key:
+        if ("," in value or '"' in value
+                or "," in name or '"' in name or "=" in name):
+            raise ValueError(
+                f"label {name!r}={value!r} would not survive a snapshot: "
+                f"no ',' or '\"' in a label value, nor those or '=' in a name")
+    return key
 
 
 def _render_labels(key: LabelKey) -> str:
@@ -78,34 +91,48 @@ class Metric:
 
 
 class Counter(Metric):
-    """Monotonically increasing total, one value per label set."""
+    """Monotonically increasing total, one value per label set.
+
+    Each series lives in a one-float cell; :meth:`bind` hands the cell out
+    so a per-event recorder canonicalises its labels once and then does
+    ``cell[0] += n`` (with ``n >= 0`` — the guard is :meth:`inc`'s).
+    """
 
     kind = "counter"
 
     def __init__(self, name: str, help: str = "") -> None:
         super().__init__(name, help)
-        self._values: Dict[LabelKey, float] = {}
+        self._cells: Dict[LabelKey, List[float]] = {}
+
+    def _cell(self, key: LabelKey) -> List[float]:
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = [0.0]
+        return cell
+
+    def bind(self, **labels) -> List[float]:
+        """The series' cell, created at 0 (so the series now exists)."""
+        return self._cell(_label_key(labels))
 
     def inc(self, amount: float = 1, **labels) -> None:
         if amount < 0:
             raise ValueError("counters only go up; use a Gauge")
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
+        self._cell(_label_key(labels))[0] += amount
 
     def value(self, **labels) -> float:
-        return self._values.get(_label_key(labels), 0.0)
+        cell = self._cells.get(_label_key(labels))
+        return cell[0] if cell is not None else 0.0
 
     def total(self) -> float:
         """Sum over every label set."""
-        return sum(self._values.values())
+        return sum(cell[0] for cell in self._cells.values())
 
     def series(self) -> Dict[str, object]:
-        return {_render_labels(k): v for k, v in self._values.items()}
+        return {_render_labels(k): cell[0] for k, cell in self._cells.items()}
 
     def merge_series(self, series: Dict[str, object]) -> None:
         for text, value in series.items():
-            key = _parse_labels(text)
-            self._values[key] = self._values.get(key, 0.0) + float(value)
+            self._cell(_parse_labels(text))[0] += float(value)
 
 
 class Gauge(Metric):
@@ -160,26 +187,30 @@ class Histogram(Metric):
         if not bounds:
             raise ValueError("histogram needs at least one bucket bound")
         self.buckets = bounds
-        #: per label set: (per-bucket counts incl. +Inf overflow, sum, n)
+        #: per label set: [per-bucket counts incl. +Inf overflow, sum, n]
         self._series: Dict[LabelKey, List] = {}
 
-    def _slot(self, labels: Dict[str, object]) -> List:
-        key = _label_key(labels)
-        if key not in self._series:
-            self._series[key] = [[0] * (len(self.buckets) + 1), 0.0, 0]
-        return self._series[key]
+    def _slot(self, key: LabelKey) -> List:
+        slot = self._series.get(key)
+        if slot is None:
+            slot = self._series[key] = [[0] * (len(self.buckets) + 1), 0.0, 0]
+        return slot
 
-    def observe(self, value: float, **labels) -> None:
-        slot = self._slot(labels)
-        counts, _, _ = slot
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                counts[i] += 1
-                break
-        else:
-            counts[-1] += 1
+    def bind(self, **labels) -> List:
+        """The series' slot for :meth:`observe_into`, created empty."""
+        return self._slot(_label_key(labels))
+
+    def observe_into(self, slot: List, value: float) -> None:
+        """Record ``value`` in a slot :meth:`bind` handed out."""
+        if value != value:
+            raise ValueError(f"histogram {self.name!r}: NaN has no bucket")
+        # first bound >= value; past the last one is the +Inf bucket
+        slot[0][bisect_left(self.buckets, value)] += 1
         slot[1] += float(value)
         slot[2] += 1
+
+    def observe(self, value: float, **labels) -> None:
+        self.observe_into(self._slot(_label_key(labels)), value)
 
     def count(self, **labels) -> int:
         key = _label_key(labels)
@@ -205,9 +236,7 @@ class Histogram(Metric):
                     f"histogram {self.name!r}: snapshot has "
                     f"{len(counts)} buckets, registry has "
                     f"{len(self.buckets) + 1}")
-            if key not in self._series:
-                self._series[key] = [[0] * (len(self.buckets) + 1), 0.0, 0]
-            slot = self._series[key]
+            slot = self._slot(key)
             for i, c in enumerate(counts):
                 slot[0][i] += int(c)
             slot[1] += float(payload["sum"])

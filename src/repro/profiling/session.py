@@ -54,6 +54,7 @@ class ProfileSession:
     def __init__(self, config: Optional[ProfileConfig] = None) -> None:
         self.config = config or ProfileConfig()
         self.attributors: List[CycleAttributor] = []
+        self._finalized = False
 
     # -- wiring ------------------------------------------------------------
     def attach(self, core) -> CycleAttributor:
@@ -69,7 +70,13 @@ class ProfileSession:
             attributor.verify()
 
     def finalize(self) -> None:
-        """Merge counter-track samples into the telemetry event tracer."""
+        """Merge counter-track samples into the telemetry event tracer.
+
+        Once per run: a second call does nothing.
+        """
+        if self._finalized:
+            return
+        self._finalized = True
         for attributor in self.attributors:
             if not self.config.sample_cycles:
                 continue

@@ -28,7 +28,7 @@ class Stats:
     list of plain ints it adds to by index.  The namespace folds the
     pending amounts into the counters before every read (:meth:`_sync`),
     so every observer — a ``stats["hits"]`` probe, the interval sampler's
-    :meth:`snapshot`, a result digest — sees exactly the values per-event
+    walk, a result digest — sees exactly the values per-event
     ``inc`` calls would have produced, at every observation point.
     """
 
@@ -139,26 +139,6 @@ class Stats:
         for name, child in other._children.items():
             self.child(name).merge(child)
         return self
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flat copy of every counter (dotted keys, rooted at this node).
-
-        Keys are relative to this namespace (the node's own name is not
-        prefixed), so snapshots taken from the same node are comparable
-        regardless of where the node sits in a larger tree.
-        """
-        return dict(self.flat(prefix=""))
-
-    def delta(self, since: Dict[str, float]) -> Dict[str, float]:
-        """Difference of the current counters against a prior snapshot.
-
-        Counters created after the snapshot delta against zero; counters
-        untouched since the snapshot report 0.0 (they are retained so
-        interval series keep a stable column set).
-        """
-        now = self.snapshot()
-        keys = set(now) | set(since)
-        return {k: now.get(k, 0.0) - since.get(k, 0.0) for k in keys}
 
     def reset(self) -> None:
         """Zero every counter in this namespace and all children."""

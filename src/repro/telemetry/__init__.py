@@ -45,6 +45,7 @@ class TelemetrySession:
             EventTracer(self.config.max_events) if self.config.events
             else None)
         self.cores: List[CoreTelemetry] = []
+        self._finalized = False
 
     # -- wiring ------------------------------------------------------------
     def attach(self, core) -> CoreTelemetry:
@@ -75,7 +76,13 @@ class TelemetrySession:
         return ct
 
     def finalize(self) -> None:
-        """Close open run segments / residency spans and emit final samples."""
+        """Close open run segments / residency spans and emit final samples.
+
+        Once per run: a second call does nothing.
+        """
+        if self._finalized:
+            return
+        self._finalized = True
         for ct in self.cores:
             ct.finalize(int(ct.core.commit_tail))
 

@@ -20,7 +20,8 @@ time axis reads directly in cycles.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 #: synthetic track (tid) numbers for non-thread event sources, per core
 BSI_TRACK = 100
@@ -49,17 +50,37 @@ EVENT_CATEGORIES = {
 }
 
 
+def _decode(record: tuple) -> dict:
+    """The Chrome trace-event dict of one recorded 9-tuple."""
+    name, ph, ts, pid, tid, dur, args, flow, bind = record
+    ev = {"name": name, "ph": ph, "ts": int(ts), "pid": int(pid),
+          "tid": int(tid),
+          "cat": EVENT_CATEGORIES.get(name, "misc")}
+    if dur is not None:
+        ev["dur"] = max(0, int(dur))
+    if args:
+        ev["args"] = args
+    if flow is not None:
+        ev["id"] = flow
+    if bind is not None:
+        ev["bp"] = bind
+    return ev
+
+
 class EventTracer:
-    """Bounded ring of trace events shared by every core of one run."""
+    """Bounded ring of trace events shared by every core of one run.
+
+    :meth:`emit` stores the tuple it was given; the event dicts are built
+    when :attr:`events` or :meth:`chrome_trace` is read.
+    """
 
     def __init__(self, max_events: int = 200_000) -> None:
         if max_events < 1:
             raise ValueError("max_events must be >= 1")
         self.max_events = max_events
-        self.dropped = 0
+        #: emitted events by name, the overwritten ones included
         self.counts: Dict[str, int] = {}
-        self._ring: List[dict] = []
-        self._head = 0
+        self._ring: Deque[tuple] = deque(maxlen=max_events)
         self._flow_id = 0
         self._tracks: Dict[Tuple[int, int], str] = {}
         self._process_names: Dict[int, str] = {}
@@ -89,24 +110,9 @@ class EventTracer:
         ``i`` instant, ``s``/``f`` flow start/finish.  ``flow`` carries the
         flow id for s/f pairs; ``bind`` sets the flow binding point.
         """
-        self.counts[name] = self.counts.get(name, 0) + 1
-        ev = {"name": name, "ph": ph, "ts": int(ts), "pid": int(pid),
-              "tid": int(tid),
-              "cat": EVENT_CATEGORIES.get(name, "misc")}
-        if dur is not None:
-            ev["dur"] = max(0, int(dur))
-        if args:
-            ev["args"] = args
-        if flow is not None:
-            ev["id"] = flow
-        if bind is not None:
-            ev["bp"] = bind
-        if len(self._ring) < self.max_events:
-            self._ring.append(ev)
-        else:
-            self._ring[self._head] = ev
-            self._head = (self._head + 1) % self.max_events
-            self.dropped += 1
+        counts = self.counts
+        counts[name] = counts.get(name, 0) + 1
+        self._ring.append((name, ph, ts, pid, tid, dur, args, flow, bind))
 
     # -- convenience wrappers ---------------------------------------------
     def instant(self, name: str, ts: int, pid: int, tid: int,
@@ -128,9 +134,12 @@ class EventTracer:
     @property
     def events(self) -> List[dict]:
         """Retained events in emission order."""
-        if len(self._ring) < self.max_events:
-            return list(self._ring)
-        return self._ring[self._head:] + self._ring[:self._head]
+        return [_decode(record) for record in self._ring]
+
+    @property
+    def dropped(self) -> int:
+        """Events overwritten by later ones: emitted minus retained."""
+        return sum(self.counts.values()) - len(self._ring)
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -144,7 +153,8 @@ class EventTracer:
         """
         out: List[dict] = []
         tracks = dict(self._tracks)
-        for ev in self._ring:
+        events = self.events
+        for ev in events:
             key = (ev["pid"], ev["tid"])
             if key not in tracks:
                 tracks[key] = _TRACK_NAMES.get(ev["tid"],
@@ -159,7 +169,7 @@ class EventTracer:
                         "tid": tid, "args": {"name": name}})
             out.append({"name": "thread_sort_index", "ph": "M", "pid": pid,
                         "tid": tid, "args": {"sort_index": tid}})
-        out.extend(sorted(self.events,
+        out.extend(sorted(events,
                           key=lambda e: (e["pid"], e["tid"], e["ts"])))
         trace = {"traceEvents": out, "displayTimeUnit": "ms",
                  "otherData": {"clock": "1 cycle = 1us",

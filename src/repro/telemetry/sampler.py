@@ -1,10 +1,13 @@
 """Interval metrics: per-N-cycle deltas of a core's Stats tree.
 
-The sampler snapshots a core's :class:`~repro.stats.counters.Stats` subtree
-(via ``Stats.snapshot()/delta()``) every ``interval`` cycles of that core's
-commit clock and emits one row per interval with the *deltas* — IPC, VRMU
-hit rate, spill/fill bandwidth, dcache misses — plus whatever the attached
-collector adds (per-thread register-cache occupancy, instruction counts).
+The sampler reads eight column totals off a core's
+:class:`~repro.stats.counters.Stats` subtree every ``interval`` cycles of
+that core's commit clock and emits one row per interval with the *deltas* —
+IPC, VRMU hit rate, spill/fill bandwidth, dcache misses — plus whatever the
+attached collector adds (per-thread register-cache occupancy, instruction
+counts).  The executable definition of a column (flatten the tree to dotted
+keys, subtract the previous flattening, sum the keys with the column's
+suffix) is ``tests/telemetry/reference_sampler.py``.
 
 Rows are plain dicts of JSON scalars, exportable as deterministic JSONL
 (same seed + config => byte-identical output) and renderable as ASCII
@@ -30,11 +33,26 @@ _DELTA_COLUMNS = {
     "dcache.misses": "dcache_misses",
     "context_switches": "context_switches",
 }
+_COLUMNS = tuple(_DELTA_COLUMNS.values())
+#: each suffix as a walk reads it: ``(node name, counter)``; a one-segment
+#: suffix has node name ``""`` and matches that counter in any node
+_SUFFIXES = tuple(suffix.rpartition(".")[::2] for suffix in _DELTA_COLUMNS)
 
 
-def _pick(delta: Dict[str, float], suffix: str) -> float:
-    return sum(v for k, v in delta.items()
-               if k == suffix or k.endswith("." + suffix))
+def _add_totals(node: Stats, name: Optional[str], totals: List) -> None:
+    """Add the subtree's matching counters into ``totals``, one walk.
+
+    ``name`` is the node's last path segment (``None`` at the sampled root,
+    whose own name is not part of a key).  Node and counter names are
+    taken to hold no dots, as everywhere in this tree.
+    """
+    node._sync()
+    counters = node._counters
+    for i, (parent, key) in enumerate(_SUFFIXES):
+        if (not parent or parent == name) and key in counters:
+            totals[i] += counters[key]
+    for child in node._children.values():
+        _add_totals(child, child.name, totals)
 
 
 class IntervalSampler:
@@ -54,7 +72,7 @@ class IntervalSampler:
         self.core_id = core_id
         self.extra = extra
         self.rows: List[Dict] = []
-        self._snap = stats.snapshot()
+        self._totals = self._read()
         self._next = interval
 
     # -- sampling ----------------------------------------------------------
@@ -71,13 +89,24 @@ class IntervalSampler:
         if elapsed > 0:
             self._sample(cycle, elapsed)
 
+    def _read(self) -> List:
+        """The eight column totals now.
+
+        A total starts as the int ``0`` and becomes a float with the first
+        counter that matches, so a column nothing matches samples as ``0``
+        and one that something matched as ``0.0`` — the bytes of the JSONL.
+        """
+        totals: List = [0] * len(_COLUMNS)
+        _add_totals(self.stats, None, totals)
+        return totals
+
     def _sample(self, cycle: int, elapsed: int) -> None:
-        delta = self.stats.delta(self._snap)
-        self._snap = self.stats.snapshot()
+        prev, now = self._totals, self._read()
+        self._totals = now
         row: Dict = {"core": self.core_id, "cycle": int(cycle),
                      "elapsed": int(elapsed)}
-        for suffix, column in _DELTA_COLUMNS.items():
-            row[column] = _pick(delta, suffix)
+        for i, column in enumerate(_COLUMNS):
+            row[column] = now[i] - prev[i]
         hits, misses = row["vrmu_hits"], row["vrmu_misses"]
         row["vrmu_hit_rate"] = (round(hits / (hits + misses), 6)
                                 if hits + misses else None)

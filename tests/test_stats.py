@@ -86,33 +86,6 @@ def test_merge_into_empty_copies_structure():
     assert dst.as_dict()["agg.x.y.n"] == 2
 
 
-def test_snapshot_is_relative_and_immutable():
-    s = Stats("core7")
-    s.inc("cycles", 5)
-    s.child("vrmu").inc("hits", 2)
-    snap = s.snapshot()
-    # keys relative to the node, not prefixed with its own name
-    assert snap == {"cycles": 5, "vrmu.hits": 2}
-    s.inc("cycles", 10)
-    assert snap["cycles"] == 5  # a copy, not a view
-
-
-def test_delta_against_snapshot():
-    s = Stats("c")
-    s.inc("cycles", 5)
-    snap = s.snapshot()
-    s.inc("cycles", 7)
-    s.child("vrmu").inc("misses", 3)
-    d = s.delta(snap)
-    assert d["cycles"] == 7          # elapsed since snapshot
-    assert d["vrmu.misses"] == 3     # created after snapshot -> vs zero
-    # untouched counters stay present at 0 (stable column set)
-    s2 = Stats("c2")
-    s2.inc("k", 1)
-    snap2 = s2.snapshot()
-    assert s2.delta(snap2) == {"k": 0.0}
-
-
 def test_node_merged_stats():
     from repro.system import RunConfig, run_config
 
@@ -146,10 +119,6 @@ def test_batch_is_folded_in_before_every_read():
     assert stats.ratio("events", "total") == 0.5
     pending[0] += 1
     assert dict(stats.flat()) == {"c.events": 11, "c.total": 20}
-    pending[0] += 1
-    assert stats.snapshot()["events"] == 12
-    pending[0] += 4
-    assert stats.delta({"events": 12})["events"] == 4
 
 
 def test_batched_key_appears_only_once_counted():
