@@ -40,10 +40,6 @@ class ContextLayout:
     GP_LINES = 8   # 64 registers x 8 bytes / 64-byte lines
 
     @property
-    def context_regs(self) -> int:
-        return len(self.used_regs)
-
-    @property
     def lines_per_thread(self) -> int:
         return self.GP_LINES + 1  # +1 sysreg line
 

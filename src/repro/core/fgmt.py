@@ -160,6 +160,10 @@ class FGMTCore(TimelineCore):
         if not result.halt:
             thread.instructions += 1
         self.now = min(issue_ready.values())
+        if bus.telemetry is not None:
+            bus.telemetry.on_commit(t_c)
+        if bus.metrics is not None:
+            bus.metrics.on_commit(thread, d, t_c)
         if bus.profile is not None:
             # barrel commits interleave threads on one commit clock; the
             # attributor tiles (prev commit, t_c] off these bounds alone
@@ -180,10 +184,18 @@ class FGMTCore(TimelineCore):
             # after the architectural update, before pc advances — the same
             # commit-point contract as the TimelineCore step bodies
             bus.sanitizer.on_commit(thread, inst, result, t_c)
+        if bus.tracer is not None and not result.halt:
+            # the barrel has no decode stage: an op is "in decode" the
+            # cycle before it issues
+            bus.tracer.record(tid, thread.pc, inst.text or
+                              inst.opcode.name.lower(), t_issue - 1, t_issue,
+                              t_ex_done, data_at, t_c)
 
         if result.halt:
             # the inherited bookkeeping; ``current`` is never set here
             self._halt_thread(thread)
+            if bus.telemetry is not None:
+                bus.telemetry.on_thread_done(tid, t_c)
             return
         thread.pc = result.target if result.taken else thread.pc + 1
         # peek the next instruction's operand readiness so the scheduler

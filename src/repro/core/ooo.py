@@ -19,6 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
+from ..errors import DeadlockError
 from ..isa.instructions import Flags, Instruction, evaluate
 from ..isa.program import Program
 from ..isa.registers import Reg
@@ -87,8 +88,14 @@ class OoOCore:
             t = q.popleft()
         return t
 
-    def run(self, init_regs: Optional[dict] = None) -> Stats:
-        """Run to HALT; ``init_regs`` maps Reg -> initial value (offload args)."""
+    def run(self, init_regs: Optional[dict] = None,
+            max_cycles: Optional[int] = None) -> Stats:
+        """Run to HALT; ``init_regs`` maps Reg -> initial value (offload args).
+
+        ``max_cycles`` is the cycle watchdog in this core's own (host)
+        clock: once the commit clock passes it the run aborts with
+        :class:`DeadlockError`, as the timeline cores' watchdog does.
+        """
         cfg = self.config
         xregs = [0] * 32
         dregs = [0.0] * 32
@@ -108,7 +115,15 @@ class OoOCore:
 
         while True:
             if instructions > cfg.max_instructions:
-                raise RuntimeError("instruction budget exceeded")
+                raise DeadlockError(
+                    f"instruction budget exceeded ({instructions} > "
+                    f"max_instructions={cfg.max_instructions})",
+                    commit_tail=self.commit_tail, committed=instructions)
+            if max_cycles is not None and self.commit_tail > max_cycles:
+                raise DeadlockError(
+                    f"cycle budget exceeded (host commit clock {self.commit_tail}"
+                    f" > {max_cycles})",
+                    commit_tail=self.commit_tail, committed=instructions)
             inst: Instruction = self.program[pc]
 
             # dispatch: width per cycle, bounded by ROB space
@@ -195,7 +210,3 @@ class OoOCore:
         for cause, count in causes.items():
             cause_stats.set(cause, count)
         return self.stats
-
-    def run_with_init(self, init_regs: Optional[dict] = None) -> Stats:
-        """Alias of :meth:`run` used by the system driver."""
-        return self.run(init_regs)

@@ -103,13 +103,6 @@ class SweepTrace:
     def _us(self, t: Optional[float] = None) -> int:
         return int(((now_s() if t is None else t) - self.t0) * 1e6)
 
-    def parent_slice(self, name: str, start_s: float,
-                     args: Optional[dict] = None) -> None:
-        """A completed parent-side phase (``start_s`` from :func:`now_s`)."""
-        start = self._us(start_s)
-        self.events.complete(name, start, self._us() - start,
-                             PARENT_PID, 0, args=args)
-
     def dispatch(self, index: int, args: Optional[dict] = None) -> None:
         """Record that task ``index`` was handed to the backend now."""
         ts = self._us()

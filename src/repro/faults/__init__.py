@@ -11,38 +11,13 @@ __all__ = ["FaultConfig", "FaultInjector", "ProtectionScheme", "SCHEMES",
            "SITES", "get_scheme"]
 
 
-# -- driver wiring (self-registration into the system plugin registry) ----
-from ..system.plugins import SubsystemPlugin, register as _register_plugin
+CONFIG = FaultConfig
 
 
-def _plugin_enabled(cfg) -> bool:
-    return cfg.faults is not None and FaultConfig.from_spec(cfg.faults).enabled
-
-
-def _plugin_wire(cfg, node, instances):
-    """Attach a per-core FaultInjector when the config asks for one.
-
-    Strictly opt-in: with ``cfg.faults`` unset (or all rates zero and no
-    scheduled flips) nothing is wired and the run is bit-identical to one
-    on a build without the fault subsystem.
-    """
-    if not _plugin_enabled(cfg):
-        return None
-    fc = FaultConfig.from_spec(cfg.faults)
+def wire(conf, cfg, node, instances):
+    """Attach a per-core FaultInjector (the ``faults`` row of
+    :data:`repro.subsystems.SUBSYSTEMS`); no handle is kept."""
     for cid, (core, inst) in enumerate(zip(node.cores, instances)):
         FaultInjector.attach(
-            core, fc.reseeded(fc.seed + 1009 * cid + cfg.seed),
+            core, conf.reseeded(conf.seed + 1009 * cid + cfg.seed),
             stats=core.stats.child("faults"), regs=inst.active_regs)
-    return None
-
-
-#: wired first (order 10): telemetry's event sink and the sanitizer's
-#: oracle role both depend on the injector being attached already
-PLUGIN = _register_plugin(SubsystemPlugin(
-    name="faults",
-    enabled=_plugin_enabled,
-    wire=_plugin_wire,
-    ooo_error=("fault injection is not modelled for the ooo host core "
-               "(its RF is not a ViReC-style cache)"),
-    order=10,
-))

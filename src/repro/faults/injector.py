@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import FaultEscapeError
 from ..isa.registers import NUM_ARCH_REGS, from_flat
 from ..memory.main_memory import line_address
 from ..stats.counters import Stats
+from ..subsystems import parse_spec
 from .schemes import SCHEMES, get_scheme
 
 SITES = ("rf", "tag", "backing")
@@ -83,21 +84,10 @@ class FaultConfig:
         """Normalize a FaultConfig, mapping, or None into a FaultConfig."""
         if spec is None:
             return cls()
-        if isinstance(spec, cls):
-            return spec
-        if not isinstance(spec, Mapping):
-            raise TypeError(f"faults spec must be a FaultConfig or a mapping "
-                            f"of its fields, not {type(spec).__name__}")
-        spec = dict(spec)
-        known = {f.name for f in fields(cls)}
-        unknown = set(spec) - known
-        if unknown:
-            raise ValueError(f"unknown faults field(s) {sorted(unknown)}; "
-                             f"choose from {sorted(known)}")
-        if "scheduled" in spec:
-            spec["scheduled"] = tuple((int(c), str(s))
-                                      for c, s in spec["scheduled"])
-        return cls(**spec)
+        if isinstance(spec, Mapping) and "scheduled" in spec:
+            spec = {**spec, "scheduled": tuple((int(c), str(s))
+                                               for c, s in spec["scheduled"])}
+        return parse_spec(cls, spec, "faults", accepts_true=False)
 
     def reseeded(self, seed: int) -> "FaultConfig":
         return replace(self, seed=seed)

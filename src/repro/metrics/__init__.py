@@ -161,35 +161,13 @@ class MetricsSession:
             f.write("\n")
 
 
-# -- driver wiring (self-registration into the system plugin registry) ----
-from ..system.plugins import SubsystemPlugin, register as _register_plugin
+CONFIG = MetricsConfig
 
 
-def _plugin_enabled(cfg) -> bool:
-    return (cfg.metrics is not None
-            and MetricsConfig.from_spec(cfg.metrics).enabled)
-
-
-def _plugin_wire(cfg, node, instances):
-    """Attach a MetricsSession when the config asks for one.
-
-    Strictly opt-in; wired after telemetry (plugin order 25) so the
-    dispatch order on the bus matches the registry order.
-    """
-    if not _plugin_enabled(cfg):
-        return None
-    session = MetricsSession(MetricsConfig.from_spec(cfg.metrics))
+def wire(conf, cfg, node, instances):
+    """Attach a MetricsSession (the ``metrics`` row of
+    :data:`repro.subsystems.SUBSYSTEMS`)."""
+    session = MetricsSession(conf)
     for core in node.cores:
         session.attach(core)
     return session
-
-
-PLUGIN = _register_plugin(SubsystemPlugin(
-    name="metrics",
-    enabled=_plugin_enabled,
-    wire=_plugin_wire,
-    finalize=lambda session: session.finalize(),
-    ooo_error=("metrics are not modelled for the ooo host core "
-               "(it does not run on the timeline engine)"),
-    order=25,
-))

@@ -13,7 +13,9 @@ manifest digests and checkpoint-journal keys remain valid).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+
+from ..subsystems import parse_spec
 
 
 @dataclass(frozen=True)
@@ -48,20 +50,7 @@ class MetricsConfig:
         """Build from a MetricsConfig, a dict of its fields, True, or None."""
         if spec is None:
             return cls(commits=False, commit_gaps=False, summary=False)
-        if spec is True:
-            return cls()
-        if isinstance(spec, cls):
-            return spec
-        if isinstance(spec, dict):
-            known = {f.name for f in fields(cls)}
-            unknown = set(spec) - known
-            if unknown:
-                raise ValueError(
-                    f"unknown metrics field(s) {sorted(unknown)}; "
-                    f"choose from {sorted(known)}")
-            return cls(**spec)
-        raise TypeError(f"metrics spec must be a MetricsConfig, dict, True, "
-                        f"or None, not {type(spec).__name__}")
+        return parse_spec(cls, spec, "metrics")
 
     def with_(self, **kw) -> "MetricsConfig":
         return replace(self, **kw)

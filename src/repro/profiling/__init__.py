@@ -26,42 +26,13 @@ __all__ = ["CAUSES", "CycleAttributor", "ProfileConfig", "ProfileSession",
            "SCHEDULER_PC", "diff_snapshots", "merge_cause_totals"]
 
 
-# -- driver wiring (self-registration into the system plugin registry) ----
-from ..system.plugins import SubsystemPlugin, register as _register_plugin
+CONFIG = ProfileConfig
 
 
-def _plugin_enabled(cfg) -> bool:
-    spec = getattr(cfg, "profile", None)
-    return spec is not None and ProfileConfig.from_spec(spec).enabled
-
-
-def _plugin_wire(cfg, node, instances):
-    """Attach a ProfileSession when the config asks for one.
-
-    Strictly opt-in; wired after metrics (order 27) so profile dispatch on
-    the bus matches the registry order, and before the sanitizer.
-    """
-    if not _plugin_enabled(cfg):
-        return None
-    session = ProfileSession(ProfileConfig.from_spec(cfg.profile))
+def wire(conf, cfg, node, instances):
+    """Attach a ProfileSession (the ``profile`` row of
+    :data:`repro.subsystems.SUBSYSTEMS`)."""
+    session = ProfileSession(conf)
     for core in node.cores:
         session.attach(core)
     return session
-
-
-def _plugin_finalize_simulate(session, node_result) -> None:
-    """Enforce the attribution-sum invariant (raises AttributionError)."""
-    session.verify()
-
-
-PLUGIN = _register_plugin(SubsystemPlugin(
-    name="profile",
-    enabled=_plugin_enabled,
-    wire=_plugin_wire,
-    finalize_simulate=_plugin_finalize_simulate,
-    finalize=lambda session: session.finalize(),
-    ooo_error=("cycle attribution is not modelled for the ooo host core "
-               "(it does not run on the timeline engine; see its "
-               "cycle_causes stats child for its own accounting)"),
-    order=27,
-))

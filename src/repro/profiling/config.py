@@ -12,7 +12,9 @@ digests so pre-existing digests and checkpoint-journal keys stay valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+
+from ..subsystems import parse_spec
 
 
 @dataclass(frozen=True)
@@ -44,20 +46,7 @@ class ProfileConfig:
         """Build from a ProfileConfig, a dict of its fields, True, or None."""
         if spec is None:
             return cls(attribution=False, by_pc=False, sample_cycles=0)
-        if spec is True:
-            return cls()
-        if isinstance(spec, cls):
-            return spec
-        if isinstance(spec, dict):
-            known = {f.name for f in fields(cls)}
-            unknown = set(spec) - known
-            if unknown:
-                raise ValueError(
-                    f"unknown profile field(s) {sorted(unknown)}; "
-                    f"choose from {sorted(known)}")
-            return cls(**spec)
-        raise TypeError(f"profile spec must be a ProfileConfig, dict, True, "
-                        f"or None, not {type(spec).__name__}")
+        return parse_spec(cls, spec, "profile")
 
     def with_(self, **kw) -> "ProfileConfig":
         return replace(self, **kw)

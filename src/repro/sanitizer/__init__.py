@@ -135,6 +135,10 @@ class Sanitizer:
         return cs
 
     # -- run-end ------------------------------------------------------------
+    def verify(self) -> None:
+        """The driver's run-end sweep, at the slowest core's commit clock."""
+        self.finalize(max(int(cs.core.commit_tail) for cs in self.cores))
+
     def finalize(self, cycle: int) -> None:
         """Run-end sweep (the only check point at ``granularity="run"``)."""
         for cs in self.cores:
@@ -151,40 +155,13 @@ class Sanitizer:
                 "cores": len(self.cores)}
 
 
-# -- driver wiring (self-registration into the system plugin registry) ----
-from ..system.plugins import SubsystemPlugin, register as _register_plugin
+CONFIG = SanitizeConfig
 
 
-def _plugin_enabled(cfg) -> bool:
-    return (cfg.sanitize is not None
-            and SanitizeConfig.from_spec(cfg.sanitize).enabled)
-
-
-def _plugin_wire(cfg, node, instances):
-    """Attach a VSan Sanitizer when the config asks for one.
-
-    Strictly opt-in, and purely observational when on: a sanitize-on run
-    that raises no violation is cycle-identical to a sanitize-off run
-    (enforced by tests/sanitizer/test_noop.py).  Wired *after* fault
-    injection (plugin order) so injected corruption is visible to the
-    shadow checks — the fault subsystem doubles as VSan's test oracle.
-    """
-    if not _plugin_enabled(cfg):
-        return None
-    vsan = Sanitizer(SanitizeConfig.from_spec(cfg.sanitize))
+def wire(conf, cfg, node, instances):
+    """Attach a VSan Sanitizer (the ``sanitize`` row of
+    :data:`repro.subsystems.SUBSYSTEMS`)."""
+    vsan = Sanitizer(conf)
     for core, inst in zip(node.cores, instances):
         vsan.attach(core, inst.memory)
     return vsan
-
-
-#: the run-end sweep happens inside the simulate phase (it can raise
-#: SanitizerViolation, which is a simulation outcome, not a driver bug)
-PLUGIN = _register_plugin(SubsystemPlugin(
-    name="sanitizer",
-    enabled=_plugin_enabled,
-    wire=_plugin_wire,
-    finalize_simulate=lambda vsan, result: vsan.finalize(result.cycles),
-    ooo_error=("the sanitizer is not modelled for the ooo host core "
-               "(it does not run on the timeline engine)"),
-    order=30,
-))

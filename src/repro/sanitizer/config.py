@@ -11,7 +11,9 @@ counts as a sanitize-off run (enforced by tests/sanitizer/test_noop.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+
+from ..subsystems import parse_spec
 
 #: when structural/full-state checks run: after every committed
 #: instruction, every ``interval`` simulated cycles, or once at run end
@@ -59,20 +61,7 @@ class SanitizeConfig:
         """Build from a SanitizeConfig, a dict of its fields, True, or None."""
         if spec is None:
             return cls(shadow=False, structures=False, backing_bounds=False)
-        if spec is True:
-            return cls()
-        if isinstance(spec, cls):
-            return spec
-        if isinstance(spec, dict):
-            known = {f.name for f in fields(cls)}
-            unknown = set(spec) - known
-            if unknown:
-                raise ValueError(
-                    f"unknown sanitize field(s) {sorted(unknown)}; "
-                    f"choose from {sorted(known)}")
-            return cls(**spec)
-        raise TypeError(f"sanitize spec must be a SanitizeConfig, dict, "
-                        f"True, or None, not {type(spec).__name__}")
+        return parse_spec(cls, spec, "sanitize")
 
     def with_(self, **kw: object) -> "SanitizeConfig":
         return replace(self, **kw)

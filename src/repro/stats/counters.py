@@ -121,6 +121,22 @@ class Stats:
         for child in self._children.values():
             yield from child.flat(f"{base}.{child.name}" if base else child.name)
 
+    def nodes(self) -> Iterator[Tuple[Optional[str], Dict[str, float]]]:
+        """Yield ``(name, counters)`` for every namespace, depth first.
+
+        ``name`` is the namespace's own name, and ``None`` at the root the
+        walk was called on (its name is not part of a key relative to it).
+        Each namespace is synced as it is reached; ``counters`` is its live
+        mapping — read it, do not keep or write it.
+        """
+        stack: List[Tuple[Optional[str], Stats]] = [(None, self)]
+        while stack:
+            name, node = stack.pop()
+            node._sync()
+            yield name, node._counters
+            if node._children:  # keyed by the child's own name
+                stack.extend(reversed(node._children.items()))
+
     def as_dict(self) -> Dict[str, float]:
         """Flatten the entire tree into a plain dictionary."""
         return dict(self.flat())

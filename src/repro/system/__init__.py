@@ -13,14 +13,13 @@ from ..errors import RunFailure
 from .node import AddressSkew, NearMemoryNode, NodeResult
 from .offload import offload_contexts
 from .manifest import RunManifest, config_key
-from .plugins import SubsystemPlugin
 from .simulator import ResultList, RunResult, run_config, sweep
 from .sweeps import GridRows, best_by, run_grid, sweep_grid
 
 __all__ = [
     "AddressSkew", "CORE_TYPES", "GridRows", "NearMemoryNode", "NodeResult",
     "OOO_AREA_RATIO_VS_INO", "OOO_CLOCK_RATIO", "ResultList", "RunConfig",
-    "RunFailure", "RunManifest", "RunResult", "SubsystemPlugin", "best_by",
+    "RunFailure", "RunManifest", "RunResult", "best_by",
     "config_key", "ndp_dcache", "ndp_icache", "offload_contexts",
     "run_config", "run_grid", "sweep", "sweep_grid", "table1_dram",
 ]

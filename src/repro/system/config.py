@@ -12,6 +12,7 @@ from typing import Dict, Optional, Tuple
 
 from ..memory.cache import CacheConfig
 from ..memory.dram import DRAMConfig
+from ..subsystems import requested
 
 CORE_TYPES = ("inorder", "banked", "swctx", "virec", "nsf",
               "prefetch-full", "prefetch-exact", "ooo", "fgmt")
@@ -126,23 +127,9 @@ class RunConfig:
         if self.policy not in POLICIES:  # validate eagerly
             raise ValueError(f"unknown policy {self.policy!r}; "
                              f"choose from {sorted(POLICIES)}")
-        if self.faults is not None:
-            from ..faults import FaultConfig
-            FaultConfig.from_spec(self.faults)  # validate eagerly
         if self.max_cycles is not None and self.max_cycles <= 0:
             raise ValueError("max_cycles must be positive")
-        if self.telemetry is not None:
-            from ..telemetry import TelemetryConfig
-            TelemetryConfig.from_spec(self.telemetry)  # validate eagerly
-        if self.metrics is not None:
-            from ..metrics import MetricsConfig
-            MetricsConfig.from_spec(self.metrics)  # validate eagerly
-        if self.profile is not None:
-            from ..profiling import ProfileConfig
-            ProfileConfig.from_spec(self.profile)  # validate eagerly
-        if self.sanitize is not None:
-            from ..sanitizer import SanitizeConfig
-            SanitizeConfig.from_spec(self.sanitize)  # validate eagerly
+        requested(self)  # validate the opt-in layers' specs eagerly
         if self.engine is not None:
             from ..core.engine import resolve_engine
             resolve_engine(self.engine)  # validate eagerly

@@ -42,19 +42,6 @@ class NodeResult:
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
 
-    def merged_stats(self, name: str = "cores") -> Stats:
-        """Structural aggregate of every core's stats tree.
-
-        Uses :meth:`Stats.merge`, so nested namespaces (vrmu, bsi, ...)
-        sum counter-by-counter across cores instead of requiring callers
-        to hand-flatten dicts.  Note ``cycles`` sums too — use
-        ``self.cycles`` (the max) for wall-clock-style totals.
-        """
-        merged = Stats(name)
-        for core in self.cores:
-            merged.merge(core.stats)
-        return merged
-
 
 class NearMemoryNode:
     """Builds and runs N cores over a shared NDP memory system.

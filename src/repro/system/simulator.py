@@ -21,11 +21,11 @@ from ..core.ooo import OoOCore
 from ..core.prefetch import ExactPrefetchCore, FullContextPrefetchCore
 from ..memory.hierarchy import HostMemorySystem, NDPMemorySystem
 from ..stats.counters import Stats
+from ..subsystems import requested
 from ..virec import ViReCConfig, ViReCCore, make_nsf_core
 from .config import OOO_CLOCK_RATIO, RunConfig, ndp_dcache, ndp_icache, table1_dram
 from .node import NearMemoryNode, NodeResult
 from .offload import offload_contexts
-from .plugins import registered as registered_plugins
 
 
 @dataclass
@@ -58,10 +58,6 @@ class RunResult:
     #: host-side wall-clock profile (phase seconds + instr/s); always
     #: collected — it never feeds back into simulated timing
     host_profile: Optional[Dict] = None
-
-    @property
-    def speedup_base(self) -> float:
-        return self.ipc
 
 
 def _make_core(cfg: RunConfig, instance, icache, dcache, core_id=0, stats=None):
@@ -155,26 +151,21 @@ def run_config(cfg: RunConfig, check: bool = True) -> RunResult:
 
         node = NearMemoryNode(cfg.n_cores, memsys, factory,
                               stats=stats.child("node"))
-        # subsystem wiring: every registered plugin, in registry order
-        # (faults -> telemetry -> sanitizer -> ...); disabled plugins
-        # return None and wire nothing (see system/plugins.py)
-        plugins = registered_plugins()
-        handles = {p.name: p.wire(cfg, node, instances) for p in plugins}
+        # the opt-in layers the config asks for, in table order (see
+        # repro/subsystems.py); a layer that is off wires nothing
+        wired = [(row, module.wire(conf, cfg, node, instances))
+                 for row, module, conf in requested(cfg)]
 
     with profiler.phase("simulate"):
         result = node.run(max_cycles=cfg.max_cycles)
-        # e.g. VSan's run-end sweep over the full architectural register
-        # file — may raise SanitizerViolation, so it belongs to this phase
-        for p in reversed(plugins):
-            if p.finalize_simulate is not None and handles[p.name] is not None:
-                p.finalize_simulate(handles[p.name], result)
-    for p in reversed(plugins):
-        if p.finalize is not None and handles[p.name] is not None:
-            p.finalize(handles[p.name])
-    session = handles.get("telemetry")
-    vsan = handles.get("sanitizer")
-    metrics = handles.get("metrics")
-    profile = handles.get("profile")
+        # run-end checks that may raise (VSan's sweep, the attribution
+        # sum) are simulation outcomes, so they belong to this phase
+        for row, handle in reversed(wired):
+            if row.verify:
+                handle.verify()
+    for row, handle in reversed(wired):
+        if row.finalize:
+            handle.finalize()
 
     with profiler.phase("check"):
         correct = all(inst.check() for inst in instances) if check else True
@@ -188,14 +179,16 @@ def run_config(cfg: RunConfig, check: bool = True) -> RunResult:
         hits = sum(c.vrmu.stats["hits"] for c in node.cores)
         total = hits + sum(c.vrmu.stats["misses"] for c in node.cores)
         hit = hits / total if total else 1.0
-    host = profiler.as_dict(
+    run = RunResult(config=cfg, cycles=result.cycles,
+                    instructions=result.instructions, ipc=result.ipc,
+                    stats=stats, rf_hit_rate=hit, correct=correct,
+                    **{row.result: handle for row, handle in wired
+                       if row.result})
+    session = run.telemetry
+    run.host_profile = profiler.as_dict(
         instructions=result.instructions, cycles=result.cycles,
         events=session.event_count if session is not None else None)
-    return RunResult(config=cfg, cycles=result.cycles,
-                     instructions=result.instructions, ipc=result.ipc,
-                     stats=stats, rf_hit_rate=hit, correct=correct,
-                     telemetry=session, sanitizer=vsan, metrics=metrics,
-                     profile=profile, host_profile=host)
+    return run
 
 
 def _run_ooo(cfg: RunConfig, spec, check: bool, profiler=None) -> RunResult:
@@ -204,16 +197,18 @@ def _run_ooo(cfg: RunConfig, spec, check: bool, profiler=None) -> RunResult:
 
     if profiler is None:
         profiler = HostProfiler()
-    # the ooo host core does not run on the timeline engine, so none of
-    # the registered subsystem plugins can be wired to it — and there is
-    # no step body to compile (None silently keeps the ooo model's own
-    # loop; only an *explicit* compiled request is an error)
+    # the ooo host core does not run on the timeline engine: there is no
+    # step body to compile (None silently keeps the ooo model's own loop;
+    # only an *explicit* compiled request is an error) and no bus, hook
+    # or commit clock for an opt-in layer to attach to
     if cfg.engine == "compiled":
         raise ValueError("core_type 'ooo' does not support engine='compiled'"
                          " (no timeline step to compile)")
-    for p in registered_plugins():
-        if p.ooo_error is not None and p.enabled(cfg):
-            raise ValueError(p.ooo_error)
+    asked = [row.field for row, _, _ in requested(cfg)]
+    if asked:
+        raise ValueError("core_type 'ooo' does not run on the timeline "
+                         "engine, so it runs none of the opt-in layers; "
+                         f"drop {', '.join(asked)}")
     with profiler.phase("build"):
         inst = spec.build(n_threads=1,
                           n_per_thread=cfg.n_per_thread * cfg.n_threads,
@@ -223,7 +218,11 @@ def _run_ooo(cfg: RunConfig, spec, check: bool, profiler=None) -> RunResult:
         core = OoOCore(inst.program, host.icache, host.dcache, inst.memory,
                        stats=stats.child("core0"))
     with profiler.phase("simulate"):
-        core_stats = core.run(inst.init_regs[0] if inst.init_regs else None)
+        core_stats = core.run(
+            inst.init_regs[0] if inst.init_regs else None,
+            # the field is in NDP cycles; the host clock runs at twice that
+            max_cycles=(int(cfg.max_cycles * OOO_CLOCK_RATIO)
+                        if cfg.max_cycles is not None else None))
     with profiler.phase("check"):
         if check and not inst.check():
             raise FunctionalCheckError(

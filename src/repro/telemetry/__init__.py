@@ -167,37 +167,13 @@ class TelemetrySession:
         return "\n".join(lines)
 
 
-# -- driver wiring (self-registration into the system plugin registry) ----
-from ..system.plugins import SubsystemPlugin, register as _register_plugin
+CONFIG = TelemetryConfig
 
 
-def _plugin_enabled(cfg) -> bool:
-    return (cfg.telemetry is not None
-            and TelemetryConfig.from_spec(cfg.telemetry).enabled)
-
-
-def _plugin_wire(cfg, node, instances):
-    """Attach a TelemetrySession when the config asks for one.
-
-    Strictly opt-in, and purely observational even when on: cycle counts
-    with telemetry enabled are identical to a run without it (enforced by
-    tests/telemetry/test_noop.py).  Wired *after* fault injection (plugin
-    order) so fault events reach the session's event ring.
-    """
-    if not _plugin_enabled(cfg):
-        return None
-    session = TelemetrySession(TelemetryConfig.from_spec(cfg.telemetry))
+def wire(conf, cfg, node, instances):
+    """Attach a TelemetrySession (the ``telemetry`` row of
+    :data:`repro.subsystems.SUBSYSTEMS`)."""
+    session = TelemetrySession(conf)
     for core in node.cores:
         session.attach(core)
     return session
-
-
-PLUGIN = _register_plugin(SubsystemPlugin(
-    name="telemetry",
-    enabled=_plugin_enabled,
-    wire=_plugin_wire,
-    finalize=lambda session: session.finalize(),
-    ooo_error=("telemetry is not modelled for the ooo host core "
-               "(it does not run on the timeline engine)"),
-    order=20,
-))

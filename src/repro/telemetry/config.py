@@ -10,7 +10,9 @@ produces the same cycle counts as a telemetry-off run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+
+from ..subsystems import parse_spec
 
 
 @dataclass(frozen=True)
@@ -58,18 +60,7 @@ class TelemetryConfig:
         """Build from a TelemetryConfig, a dict of its fields, or None."""
         if spec is None:
             return cls(events=False, interval=0, vrmu_probes=False)
-        if isinstance(spec, cls):
-            return spec
-        if isinstance(spec, dict):
-            known = {f.name for f in fields(cls)}
-            unknown = set(spec) - known
-            if unknown:
-                raise ValueError(
-                    f"unknown telemetry field(s) {sorted(unknown)}; "
-                    f"choose from {sorted(known)}")
-            return cls(**spec)
-        raise TypeError(f"telemetry spec must be a TelemetryConfig or dict, "
-                        f"not {type(spec).__name__}")
+        return parse_spec(cls, spec, "telemetry", accepts_true=False)
 
     def with_(self, **kw) -> "TelemetryConfig":
         return replace(self, **kw)

@@ -39,20 +39,16 @@ _COLUMNS = tuple(_DELTA_COLUMNS.values())
 _SUFFIXES = tuple(suffix.rpartition(".")[::2] for suffix in _DELTA_COLUMNS)
 
 
-def _add_totals(node: Stats, name: Optional[str], totals: List) -> None:
+def _add_totals(stats: Stats, totals: List) -> None:
     """Add the subtree's matching counters into ``totals``, one walk.
 
-    ``name`` is the node's last path segment (``None`` at the sampled root,
-    whose own name is not part of a key).  Node and counter names are
-    taken to hold no dots, as everywhere in this tree.
+    Node and counter names are taken to hold no dots, as everywhere in
+    this tree.
     """
-    node._sync()
-    counters = node._counters
-    for i, (parent, key) in enumerate(_SUFFIXES):
-        if (not parent or parent == name) and key in counters:
-            totals[i] += counters[key]
-    for child in node._children.values():
-        _add_totals(child, child.name, totals)
+    for name, counters in stats.nodes():
+        for i, (parent, key) in enumerate(_SUFFIXES):
+            if (not parent or parent == name) and key in counters:
+                totals[i] += counters[key]
 
 
 class IntervalSampler:
@@ -97,7 +93,7 @@ class IntervalSampler:
         and one that something matched as ``0.0`` — the bytes of the JSONL.
         """
         totals: List = [0] * len(_COLUMNS)
-        _add_totals(self.stats, None, totals)
+        _add_totals(self.stats, totals)
         return totals
 
     def _sample(self, cycle: int, elapsed: int) -> None:

@@ -40,12 +40,6 @@ class RegisterCacheReport:
             return 0.0
         return float(np.mean([self.capacity - s.free for s in self.samples]))
 
-    @property
-    def mean_free(self) -> float:
-        if not self.samples:
-            return float(self.capacity)
-        return float(np.mean([s.free for s in self.samples]))
-
     def thread_share(self, tid: int) -> float:
         """Average fraction of resident entries owned by ``tid``."""
         if not self.samples:

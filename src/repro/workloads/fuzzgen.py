@@ -1,7 +1,7 @@
 """The ``fuzz`` workload: a bridge from the fuzzer into the registry.
 
 Registering generated programs as a regular workload means the entire
-existing machinery — :func:`repro.system.simulator.run_config`, plugins,
+existing machinery — :func:`repro.system.simulator.run_config`, telemetry,
 fault injection, the sanitizer, spawn-based parallel backends, checkpoint
 keys — works on fuzz programs unchanged.  The program's *content* is
 fully determined by ``workload_kwargs["gen"]`` (a

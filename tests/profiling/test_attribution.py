@@ -4,8 +4,8 @@ The two hard guarantees of the profiling subsystem:
 
 * **exhaustive**: on every supported core type,
   ``sum(per-cause attributed cycles) == total core cycles`` — exactly,
-  no residual bucket, enforced per run by the plugin's
-  ``finalize_simulate`` (raising :class:`~repro.errors.AttributionError`);
+  no residual bucket, enforced per run by the driver's run-end
+  ``ProfileSession.verify()`` (raising :class:`~repro.errors.AttributionError`);
 * **observational**: a profile-on run is cycle- and stats-identical to
   the same run with profiling off (the attributor classifies timestamps
   the engine already computed; it never alters one).

@@ -43,6 +43,20 @@ def test_driver_runs_ooo():
     assert r.correct and r.ipc > 0
 
 
+def test_ooo_honours_the_cycle_watchdog():
+    from repro.errors import DeadlockError
+
+    cfg = small(core_type="ooo", n_threads=1, n_per_thread=64)
+    free = run_config(cfg)
+    # budget not hit: the same run (max_cycles is in NDP cycles, as for
+    # every other core type; the host clock runs at twice that)
+    assert (run_config(cfg.with_(max_cycles=free.cycles + 1)).cycles
+            == free.cycles)
+    with pytest.raises(DeadlockError, match="cycle budget exceeded") as err:
+        run_config(cfg.with_(max_cycles=10))
+    assert err.value.commit_tail > 20 and err.value.committed >= 0
+
+
 def test_virec_reports_hit_rate():
     r = run_config(small(core_type="virec", context_fraction=0.6))
     assert r.rf_hit_rate is not None and 0.2 < r.rf_hit_rate <= 1.0

@@ -8,7 +8,11 @@ to record tuples and bound cells, over seven configs: the benchmark's own
 ``virec_observed`` config at two seeds, a 500-event / 64-record ring that
 wraps (with ``verbose_hits``, ``by_kind``, ``by_pc`` and an interval that
 does not divide the run), banked x 2 cores, fgmt, swctx, and ``dead-elide``
-at 40 % context.
+at 40 % context.  The ``fgmt`` block was re-recorded when the barrel core's
+reference body started dispatching the ``telemetry``, ``metrics`` and
+``tracer`` slots (it had dispatched three of the six): the eleven event,
+interval, metrics and tracer artifacts moved; cycles, stats and the
+attribution artifacts did not.
 
 A literal changes only when the bytes of an artifact change.  Regenerate
 with ``PYTHONPATH=src python -m tests.telemetry.test_artifact_digests`` —
@@ -225,20 +229,20 @@ GOLDEN = {
     },
     "fgmt": {
         "chrome_trace":
-            "85b9e3c2ca8d4e1c33f757234e15fedfad0f7676901a18ecbbfa3d252dde7c62",
+            "d3a2bbdd2f37f15ea6d5382cb2dad9769d147bcf200a4cef69017c0109189287",
         "counts":
-            "ed97f8936caaf23e31e6352e4a8ba05265c09b5222a13ae1ba14dba80ac82554",
+            "c791a7c4bbc9f3aae2d9a1c5724383deeb47637eb49459622767f06c5567ca02",
         "cycles": 2698,
         "dropped": 0,
         "events":
-            "84ea03655b3e9c798f5bd3cb71749cb16aca2bb40c21e6f2970330657a2206ec",
-        "len": 282,
+            "ec7445b5e8ff836ed2d0ed3a29ddb699c8f656a53cd32aa19c5090fe8065450d",
+        "len": 290,
         "metrics_jsonl":
-            "9f75c984db9a90e990944e3a8cb8d74cb1421b669612195c3f5978b0ba0f1425",
+            "0befbc1ad3a08d96c81df1d2a3e975da469a2aad258ac09f5b15604cd0389c0f",
         "metrics_snapshot":
-            "7c15f38dddab3deea7138bf8e75919ac4e63715868ab96646e7f17d3254563ca",
+            "ab736b9d0742959f88dfcca0fe6ad90a1c99f24f665dc18714f18fd50f666825",
         "metrics_text":
-            "dc11a3ceb4a8a17b883066658402faa6775152c76896c7b4cec1dec6ccafd4ec",
+            "7b692c261d25f52ee61557083f7ac92eef40bb6d4597a7aa69f5d2740c3f6161",
         "probe_summaries":
             "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
         "profile_collapsed":
@@ -246,16 +250,16 @@ GOLDEN = {
         "profile_snapshot":
             "8ca45fe52a42aec519794801127ae1a2f57fe4781bfd3e453c16ae4e186fac43",
         "report":
-            "4b040207ec24ce154de50d71c3cc8a5043b3168773e03e207f5ee1a59be002bb",
+            "382158db3d7f90022671b4f63d41013bb71cc1926f2ee4ebfc722165e25a8459",
         "stall_summary":
-            "18d6cb3ce2b87d18438016cc7c40c0b72fb52cb8cb99dbf60dfd93a8fbb68d1f",
+            "b50dabffd5874514c136eef8b25d79d230b87c9644b30c74f62bfcdba3403201",
         "stats":
             "d14ee4db03823cf67d221f798d11ce04f6ccaf73003e27861036882f477e891e",
         "tracer_dropped": [0],
         "tracer_format":
-            "055539df4a0b804c58caf46c0cd2941af10d64c1395ddd8e50b5f55d945841e6",
+            "e8ca0a1f8daab642b92fac2024f0b7334d81dfd77c2466c9fd9f5b324e30daf4",
         "tracer_format_last7":
-            "055539df4a0b804c58caf46c0cd2941af10d64c1395ddd8e50b5f55d945841e6",
+            "c2529564b8d41765cbf88c0146eebdd556b0cec61a513a6dec7f003222df085a",
     },
     "swctx": {
         "chrome_trace":
