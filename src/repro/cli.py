@@ -90,21 +90,36 @@ def _cmd_experiments(args) -> int:
 
 def _base_config(args, **extra) -> RunConfig:
     """RunConfig from the shared configuration options (see
-    :func:`_add_config_options`)."""
-    if getattr(args, "sanitize", None) and "sanitize" not in extra:
-        extra["sanitize"] = {"granularity": args.sanitize}
-    if getattr(args, "engine", None) and "engine" not in extra:
-        extra["engine"] = args.engine
-    return RunConfig(workload=args.workload, core_type=args.core,
-                     n_threads=args.threads, n_cores=args.cores,
-                     n_per_thread=args.per_thread,
-                     context_fraction=args.context, policy=args.policy,
-                     dcache_kb=args.dcache_kb, seed=args.seed, **extra)
+    :func:`_add_config_options`); ``extra`` sets or overrides fields."""
+    fields = dict(workload=args.workload, core_type=args.core,
+                  n_threads=args.threads, n_cores=args.cores,
+                  n_per_thread=args.per_thread,
+                  context_fraction=args.context, policy=args.policy,
+                  dcache_kb=args.dcache_kb, seed=args.seed)
+    if getattr(args, "sanitize", None):
+        fields["sanitize"] = {"granularity": args.sanitize}
+    if getattr(args, "engine", None):
+        fields["engine"] = args.engine
+    fields.update(extra)
+    return RunConfig(**fields)
+
+
+def _simulate(args, label: str = "", **extra):
+    """Build and run the verb's one config: ``(cfg, result)``, or
+    ``(None, None)`` after one ``error: <label><message>`` line on stderr
+    when the config is rejected (the verb then exits 2)."""
+    try:
+        cfg = _base_config(args, **extra)
+        return cfg, run_config(cfg)
+    except ValueError as exc:
+        print(f"error: {label}{exc}", file=sys.stderr)
+        return None, None
 
 
 def _cmd_run(args) -> int:
-    cfg = _base_config(args)
-    r = run_config(cfg)
+    cfg, r = _simulate(args)
+    if r is None:
+        return 2
     print(f"workload={cfg.workload} core={cfg.core_type} threads={cfg.n_threads} "
           f"cores={cfg.n_cores}")
     print(f"  cycles       = {r.cycles}")
@@ -363,12 +378,13 @@ _TIMELINE_COLUMNS = ("ipc", "vrmu_hit_rate", "occupancy_total",
 
 
 def _cmd_trace(args) -> int:
-    cfg = _base_config(args, telemetry={
+    cfg, r = _simulate(args, telemetry={
         "events": True, "interval": args.interval,
         "pipeline_trace": args.pipeline,
         "max_events": args.max_events,
         "flow_events": not args.no_flow})
-    r = run_config(cfg)
+    if r is None:
+        return 2
     session = r.telemetry
     session.write_chrome_trace(args.out, metadata={
         "workload": cfg.workload, "core_type": cfg.core_type,
@@ -391,9 +407,10 @@ def _cmd_trace(args) -> int:
 def _cmd_timeline(args) -> int:
     from .stats.reporting import render_intervals
 
-    cfg = _base_config(args, telemetry={
+    cfg, r = _simulate(args, telemetry={
         "events": False, "interval": args.interval})
-    r = run_config(cfg)
+    if r is None:
+        return 2
     session = r.telemetry
     rows = session.interval_rows()
     print(f"workload={cfg.workload} core={cfg.core_type} "
@@ -413,11 +430,8 @@ def _cmd_profile(args) -> int:
     from .stats.reporting import (render_attribution_diff,
                                   render_attribution_table)
 
-    cfg = _base_config(args, profile=True)
-    try:
-        r = run_config(cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    cfg, r = _simulate(args, profile=True)
+    if r is None:
         return 2
     session = r.profile
     snapshot = session.snapshot()
@@ -433,11 +447,9 @@ def _cmd_profile(args) -> int:
         session.write_json(args.json)
         print(f"wrote attribution snapshot to {args.json}")
     if args.diff:
-        cfg2 = cfg.with_(core_type=args.diff)
-        try:
-            r2 = run_config(cfg2)
-        except ValueError as exc:
-            print(f"error: --diff {args.diff}: {exc}", file=sys.stderr)
+        _, r2 = _simulate(args, f"--diff {args.diff}: ", profile=True,
+                          core_type=args.diff)
+        if r2 is None:
             return 2
         other = r2.profile.snapshot()
         print()
@@ -446,12 +458,9 @@ def _cmd_profile(args) -> int:
                                       other_label=args.diff,
                                       top=args.top))
     if args.diff_policy:
-        cfg3 = cfg.with_(policy=args.diff_policy)
-        try:
-            r3 = run_config(cfg3)
-        except ValueError as exc:
-            print(f"error: --diff-policy {args.diff_policy}: {exc}",
-                  file=sys.stderr)
+        _, r3 = _simulate(args, f"--diff-policy {args.diff_policy}: ",
+                          profile=True, policy=args.diff_policy)
+        if r3 is None:
             return 2
         other = r3.profile.snapshot()
         print()

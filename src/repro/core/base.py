@@ -16,16 +16,15 @@ resumes, exactly like the pipeline flush in Figure 4 of the paper.
 
 The engine runs over a :class:`~repro.isa.decoded.DecodedProgram` — static
 per-instruction metadata (operand tuples, flag behaviour, classification,
-execute latency, icache line) pre-computed once per program — and keeps all
-observation layers behind one :class:`~repro.core.instrument.InstrumentBus`.
-The pipeline's rules are interpreted in exactly one place,
-:meth:`TimelineCore._reference_step`.  With nothing attached and the
-(default) compiled engine, the per-instruction step is instead a table of
-generated closures containing zero instrumentation branches
-(:mod:`repro.isa.compiled`); attaching any instrument (``fault_hook`` /
-``telemetry`` / ``metrics`` / ``profile`` / ``sanitizer`` / ``tracer``)
-rebinds the step to the reference body with the fixed dispatch order
-faults -> telemetry -> metrics -> profile -> sanitizer -> tracer.
+execute latency, icache line) pre-computed once per program — and carries
+two instrument attributes: ``fault_hook`` and the ``observers`` tuple of
+:class:`~repro.core.instrument.Observer` sinks.  The pipeline's rules are
+interpreted in exactly one place, :meth:`TimelineCore._reference_step`.
+With nothing attached and the (default) compiled engine, the
+per-instruction step is instead a table of generated closures containing
+zero instrumentation branches (:mod:`repro.isa.compiled`); assigning either
+attribute rebinds the step to the reference body, which calls the fault
+hook at fetch and dispatches the observer events in attach order.
 
 Subclass hooks (all optional):
 
@@ -65,13 +64,13 @@ from ..memory.cache import Cache
 from ..memory.main_memory import MainMemory
 from ..stats.counters import Stats
 from .engine import resolve_engine
-from .instrument import DISPATCH_ORDER, InstrumentBus
+from .instrument import Observer
 
 #: cells of the core's :meth:`Stats.batch`, in ``__init__``'s key order
 CONTEXT_SWITCHES, FLUSHED_INSTRUCTIONS = range(2)
 
-__all__ = ["CoreConfig", "DeadlockError", "InstrumentBus", "ThreadContext",
-           "ThreadState", "TimelineCore"]
+__all__ = ["CoreConfig", "DeadlockError", "ThreadContext", "ThreadState",
+           "TimelineCore"]
 
 
 class ThreadState(Enum):
@@ -181,12 +180,10 @@ class TimelineCore:
         self._last_fetch_line = -1
 
         self.current: Optional[ThreadContext] = None
-        #: the unified instrumentation seam; see
-        #: :class:`~repro.core.instrument.InstrumentBus`.  ``fault_hook``,
-        #: ``telemetry``, ``metrics``, ``profile``, ``sanitizer`` and
-        #: ``tracer`` are attributes over its slots (:class:`_BusSlot`),
-        #: so subsystem ``attach()`` entry points are unchanged.
-        self.bus = InstrumentBus()
+        # the two instruments behind the ``fault_hook`` / ``observers``
+        # properties (see repro/core/instrument.py)
+        self._fault_hook = None
+        self._observers: Tuple[Observer, ...] = ()
         self.commits_since_switch = 0
         #: last-writer completion cycle per register, keyed by flat
         #: register index in every engine (so a mid-run engine switch
@@ -217,16 +214,39 @@ class TimelineCore:
         self._chain_steps = True
         self._recompile_step()
 
-    # ----------------------------------------------------- instrument bus
-    def _recompile_step(self) -> None:
-        """Bind the per-instruction step for the current engine and bus.
+    # -------------------------------------------------------- instruments
+    @property
+    def fault_hook(self):
+        """The fault injector called at fetch (``None``: detached)."""
+        return self._fault_hook
 
-        Called at construction and on every bus attach/detach, engine
-        switch and chaining change.  An empty bus under the compiled
-        engine binds the generated closure table (superop chains, zero
-        instrumentation branches); everything else — the interpreted
-        engine, or any instrument attached under either engine — binds
-        :meth:`_reference_step`.  See :mod:`repro.core.engine`.
+    @fault_hook.setter
+    def fault_hook(self, hook) -> None:
+        self._fault_hook = hook
+        self._recompile_step()
+
+    @property
+    def observers(self) -> Tuple[Observer, ...]:
+        """The :class:`~repro.core.instrument.Observer` sinks, dispatched
+        in attach order (``core.observers += (sink,)``)."""
+        return self._observers
+
+    @observers.setter
+    def observers(self, observers) -> None:
+        self._observers = tuple(observers)
+        self._recompile_step()
+
+    def _recompile_step(self) -> None:
+        """Bind the per-instruction step for the current engine and
+        instruments.
+
+        Called at construction and on every instrument attach/detach,
+        engine switch and chaining change.  No fault hook and no observers
+        under the compiled engine binds the generated closure table
+        (superop chains, zero instrumentation branches); everything else —
+        the interpreted engine, or any instrument attached under either
+        engine — binds :meth:`_reference_step`.  See
+        :mod:`repro.core.engine`.
 
         ``_step_impl`` always names the currently bound body; external
         wrappers of ``_process_instruction`` (the task-pool redispatcher)
@@ -234,7 +254,8 @@ class TimelineCore:
         the recompile never clobbers such a wrapper (it only rebinds
         ``_process_instruction`` while it is one of the engine bodies).
         """
-        if self._engine == "compiled" and self.bus.empty:
+        if (self._engine == "compiled" and self._fault_hook is None
+                and not self._observers):
             self._ccode = compile_program(self.dprog,
                                           self._engine_variant()).code
             impl = self._process_instruction_compiled
@@ -415,12 +436,8 @@ class TimelineCore:
         self.current = thread
         self.scoreboard = {}
         self.flags_ready = t
-        profile = self.bus.profile
-        if profile is not None:
-            # (cursor, t_req] is switch drain, (t_req, t] is idle wait for
-            # a runnable thread; the window up to switch-in completion is
-            # posted below once switch_in/thread_start_cost have run
-            profile.on_schedule(thread.tid, t_req, t)
+        for observer in self._observers:
+            observer.on_schedule(thread.tid, t_req, t)
         if not thread.started:
             thread.started = True
             t = self.thread_start_cost(thread, t)
@@ -429,11 +446,8 @@ class TimelineCore:
         self.ex_free = t
         self.commit_tail = max(self.commit_tail, t)
         self._last_fetch_line = -1
-        telemetry = self.bus.telemetry
-        if telemetry is not None:
-            telemetry.on_run_begin(thread.tid, t)
-        if profile is not None:
-            profile.on_switch_in(thread.tid, self.fetch_avail)
+        for observer in self._observers:
+            observer.on_switch_in(thread.tid, t, self.fetch_avail)
         return True
 
     # ---------------------------------------------------------------- running
@@ -504,31 +518,21 @@ class TimelineCore:
     # byte-identical to, the body of engine="interpreted", the body every
     # instrumented run uses under either engine, and what a compiled
     # table falls back to for an op its lowering declines.  With nothing
-    # attached every probe below is a not-taken ``is not None`` test, and
-    # observational instruments never change a timestamp — the noop
-    # suites under tests/ enforce cycle identity with the compiled table.
+    # attached the fault probe is a not-taken ``is not None`` test and
+    # each event loop runs over an empty tuple; observers never change a
+    # timestamp — the noop suites under tests/ enforce cycle identity with
+    # the compiled table.
 
     def _reference_step(self, thread: ThreadContext) -> None:
-        """One instruction through the pipeline, bus dispatched at every
-        probe point.
-
-        Dispatch order is fixed: faults (front end) -> telemetry (commit
-        clock) -> metrics (commit counters) -> profile (cycle attribution)
-        -> sanitizer (post-architectural-update) -> tracer (record).
-        """
-        bus = self.bus
-        faults = bus.faults
-        telemetry = bus.telemetry
-        metrics = bus.metrics
-        profile = bus.profile
-        sanitizer = bus.sanitizer
-        tracer = bus.tracer
+        """One instruction through the pipeline: the fault hook at fetch,
+        the observer events where they happen, ``on_commit`` once."""
+        fault_hook = self._fault_hook
+        observers = self._observers
 
         d = self._dops[thread.pc]
         inst = d.inst
         config = self.config
         stats = self.stats
-        pc0 = thread.pc
 
         # fetch
         fetch_avail = self.fetch_avail
@@ -545,8 +549,8 @@ class TimelineCore:
                 icache_missed = True
             if r.complete_at > t_d:
                 t_d = r.complete_at
-        if faults is not None:
-            t_d = faults.on_instruction(thread, inst, t_d)
+        if fault_hook is not None:
+            t_d = fault_hook.on_instruction(thread, inst, t_d)
 
         # decode: operand scoreboard + register-residency hook (VRMU)
         scoreboard = self.scoreboard
@@ -589,9 +593,9 @@ class TimelineCore:
                     return  # thread suspended; load replays on resume
                 # switch suppressed (no commits since last switch): stall here
                 stats.inc("switches_suppressed")
-                if telemetry is not None:
-                    telemetry.on_stall_in_place(
-                        thread.tid, t_issue_mem, data_at, "suppressed-switch")
+                for observer in observers:
+                    observer.on_stall(thread.tid, t_issue_mem, data_at,
+                                      "suppressed-switch")
             self.load_slots.append(data_at)
             if not r.hit:
                 stats.inc("load_miss_stalls")
@@ -610,15 +614,6 @@ class TimelineCore:
         if not result.halt:
             thread.instructions += 1
         self.now = t_c
-        if telemetry is not None:
-            telemetry.on_commit(t_c)
-        if metrics is not None:
-            metrics.on_commit(thread, d, t_c)
-        if profile is not None:
-            spill_wait = self.decode_spill_wait() if self._has_reg_hook else 0
-            profile.on_commit_timing(thread.tid, pc0, d, t_d, t_ops, t_regs,
-                                     t_ex_done, data_at, t_c, icache_missed,
-                                     load_missed, spill_wait)
 
         # architectural update at commit
         writes = result.writes
@@ -642,19 +637,17 @@ class TimelineCore:
             self.flags_ready = t_ex_done
         if self._has_commit_hook:
             self.on_commit(thread, d, t_c)
-        if sanitizer is not None:
-            # after the architectural update, before pc advances: the
-            # sanitizer sees exactly the committed state
-            sanitizer.on_commit(thread, inst, result, t_c)
-        if tracer is not None and not result.halt:
-            tracer.record(thread.tid, thread.pc, inst.text or
-                          inst.opcode.name.lower(), t_d, t_issue,
-                          t_ex_done, data_at, t_c)
+        # the one commit point: observers see exactly the committed state,
+        # with the instruction's own pc
+        for observer in observers:
+            observer.on_commit(thread, d, result, t_d, t_ops, t_regs, t_issue,
+                               t_ex_done, data_at, t_c, icache_missed,
+                               load_missed)
 
         if result.halt:
             self._halt_thread(thread)
-            if telemetry is not None:
-                telemetry.on_thread_done(thread.tid, t_c)
+            for observer in observers:
+                observer.on_thread_done(thread.tid, t_c)
             return
         thread.pc = result.target if result.taken else thread.pc + 1
         if result.taken:
@@ -698,24 +691,19 @@ class TimelineCore:
         # mask: let older long-latency instructions drain (rollback-queue
         # oldest-is-not-memory signal); older commits are bounded by
         # commit_tail, so waiting for it implements the mask exactly.
-        t_sw = max(t_detect, self.commit_tail)
-        t_hold = self.switch_extra_wait(t_sw)
-        profile = self.bus.profile
-        if profile is not None:
-            # (t_sw, t_hold] is the BSI-busy hold — posted spill writebacks
-            # blocking the switch (ViReC); zero-width for other cores
-            profile.on_switch_hold(thread.tid, t_sw, t_hold)
-        t_sw = t_hold
+        t_req = max(t_detect, self.commit_tail)
+        # (t_req, t_sw] is the BSI-busy hold — posted spill writebacks
+        # blocking the switch (ViReC); zero-width for other cores
+        t_sw = self.switch_extra_wait(t_req)
 
         flushed = self._flushed_window(thread.pc)
         self.on_flush(thread, flushed, t_sw)
         pending = self._pending
         pending[CONTEXT_SWITCHES] += 1
         pending[FLUSHED_INSTRUCTIONS] += len(flushed)
-        telemetry = self.bus.telemetry
-        if telemetry is not None:
-            telemetry.on_switch(thread.tid, t_sw,
-                                access_result.complete_at, len(flushed))
+        for observer in self._observers:
+            observer.on_switch(thread.tid, t_req, t_sw,
+                               access_result.complete_at, len(flushed))
 
         thread.state = ThreadState.BLOCKED
         thread.ready_at = access_result.complete_at
@@ -725,30 +713,6 @@ class TimelineCore:
         self._schedule(t_sw)
         return True
 
-
-class _BusSlot:
-    """``core.<attr>`` as a view of one :class:`InstrumentBus` slot.
-
-    Reading returns the attached instrument (or None); assigning attaches
-    or detaches it and re-selects the step body, which is all a subsystem
-    ``attach()`` has to do.  What each slot is for is documented on
-    :class:`~repro.core.instrument.InstrumentBus`."""
-
-    def __init__(self, slot: str) -> None:
-        self.slot = slot
-
-    def __get__(self, core, owner=None):
-        return self if core is None else getattr(core.bus, self.slot)
-
-    def __set__(self, core, value) -> None:
-        setattr(core.bus, self.slot, value)
-        core._recompile_step()
-
-
-for _slot in DISPATCH_ORDER:
-    # the fault injector's slot keeps its historical attribute name
-    setattr(TimelineCore, "fault_hook" if _slot == "faults" else _slot,
-            _BusSlot(_slot))
 
 # the recompile-safety marker read by TimelineCore._recompile_step (bound
 # methods forward attribute reads to their underlying function)

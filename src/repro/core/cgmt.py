@@ -83,9 +83,8 @@ class BankedCore(TimelineCore):
             _, r = self.dcache_request(t + i, base + line * LINE_BYTES)
             done = max(done, r.complete_at)
         self.stats.inc("context_fetches")
-        telemetry = self.bus.telemetry
-        if telemetry is not None:
-            telemetry.on_context_move("ctx_fetch", thread.tid, t, done)
+        for observer in self._observers:
+            observer.on_context_move("ctx_fetch", thread.tid, t, done)
         return done
 
 
@@ -107,30 +106,28 @@ class SoftwareSwitchCore(TimelineCore):
         Section 3).
         """
         done = t
-        telemetry = self.bus.telemetry
+        observers = self._observers
         if self._prev_thread is not None and self._prev_thread is not thread:
             for flat in self.layout.used_regs:
                 addr = self.layout.reg_addr(self._prev_thread.tid, flat)
                 t_issue, _ = self.dcache_request(done, addr, is_write=True)
                 done = t_issue + 1
             self.stats.inc("context_saves")
-            if telemetry is not None:
-                telemetry.on_context_move(
+            for observer in observers:
+                observer.on_context_move(
                     "ctx_save", self._prev_thread.tid, t, done)
-            profile = self.bus.profile
-            if profile is not None:
                 # the save phase is the software analogue of a register
                 # spill writeback; the restore phase stays in "switch"
-                profile.on_spill_window(thread.tid, done)
+                observer.on_spill_window(thread.tid, done)
         restore_done = done
         for i, flat in enumerate(self.layout.used_regs):
             addr = self.layout.reg_addr(thread.tid, flat)
             _, r = self.dcache_request(done + i, addr)
             restore_done = max(restore_done, r.complete_at)
         self.stats.inc("context_restores")
-        if telemetry is not None:
-            telemetry.on_context_move("ctx_restore", thread.tid, done,
-                                      restore_done)
+        for observer in observers:
+            observer.on_context_move("ctx_restore", thread.tid, done,
+                                     restore_done)
         self._prev_thread = thread
         return restore_done + self.config.switch_refill
 

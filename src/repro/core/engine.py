@@ -16,15 +16,16 @@ Every core can run its per-instruction step under one of two engines:
 
 ``None`` resolves to :data:`DEFAULT_ENGINE` everywhere — a ``RunConfig``
 and a directly constructed core alike.  The ``_recompile_step`` seam picks
-the step body on every bus attach/detach; the whole selection rule is:
+the step body whenever ``fault_hook`` or ``observers`` is assigned; the
+whole selection rule is:
 
-* empty :class:`~repro.core.instrument.InstrumentBus` and
+* no fault hook, no :class:`~repro.core.instrument.Observer` and
   ``engine="compiled"``: the generated closure table (superop chains, no
   instrumentation branches);
 * everything else — ``engine="interpreted"``, or any instrument attached
-  under either engine: the reference body, which dispatches the bus at
-  its probe points.  A compiled table also hands it any single op whose
-  operand shape the lowering declines.
+  under either engine: the reference body, which calls the fault hook and
+  dispatches the observer events.  A compiled table also hands it any
+  single op whose operand shape the lowering declines.
 
 Both engines keep identical pipeline state (scoreboards are keyed by flat
 register index in both), so ``set_engine`` mid-run rebinds the step and

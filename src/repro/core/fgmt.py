@@ -120,9 +120,10 @@ class FGMTCore(TimelineCore):
         board = self._boards[tid]
         stats = self.stats
         issue_ready = self._issue_ready
-        bus = self.bus
-        if bus.faults is not None:
-            issue_ready[tid] = bus.faults.on_instruction(
+        fault_hook = self._fault_hook
+        observers = self._observers
+        if fault_hook is not None:
+            issue_ready[tid] = fault_hook.on_instruction(
                 thread, inst, issue_ready[tid])
 
         # issue slot: one instruction per cycle shared by all threads
@@ -160,15 +161,6 @@ class FGMTCore(TimelineCore):
         if not result.halt:
             thread.instructions += 1
         self.now = min(issue_ready.values())
-        if bus.telemetry is not None:
-            bus.telemetry.on_commit(t_c)
-        if bus.metrics is not None:
-            bus.metrics.on_commit(thread, d, t_c)
-        if bus.profile is not None:
-            # barrel commits interleave threads on one commit clock; the
-            # attributor tiles (prev commit, t_c] off these bounds alone
-            bus.profile.on_barrel_commit(tid, thread.pc, d, t_issue,
-                                         t_ex_done, data_at, t_c, load_missed)
 
         for reg, value in result.writes.items():
             thread.write(reg, value)
@@ -180,22 +172,19 @@ class FGMTCore(TimelineCore):
             thread.flags = result.new_flags
             self._flags_ready[tid] = t_ex_done
 
-        if bus.sanitizer is not None:
-            # after the architectural update, before pc advances — the same
-            # commit-point contract as the TimelineCore step bodies
-            bus.sanitizer.on_commit(thread, inst, result, t_c)
-        if bus.tracer is not None and not result.halt:
-            # the barrel has no decode stage: an op is "in decode" the
-            # cycle before it issues
-            bus.tracer.record(tid, thread.pc, inst.text or
-                              inst.opcode.name.lower(), t_issue - 1, t_issue,
-                              t_ex_done, data_at, t_c)
+        # the one commit point, as in TimelineCore._reference_step.  The
+        # barrel has no decode stage: an op is "in decode" the cycle before
+        # it issues, and its operands and registers are ready at issue
+        for observer in observers:
+            observer.on_commit(thread, d, result, t_issue - 1, t_issue,
+                               t_issue, t_issue, t_ex_done, data_at, t_c,
+                               False, load_missed)
 
         if result.halt:
             # the inherited bookkeeping; ``current`` is never set here
             self._halt_thread(thread)
-            if bus.telemetry is not None:
-                bus.telemetry.on_thread_done(tid, t_c)
+            for observer in observers:
+                observer.on_thread_done(tid, t_c)
             return
         thread.pc = result.target if result.taken else thread.pc + 1
         # peek the next instruction's operand readiness so the scheduler

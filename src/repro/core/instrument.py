@@ -1,107 +1,85 @@
-"""The unified instrumentation bus of the timeline engine.
+"""The observational hook surface of the timeline engine, stated once.
 
-Fault injection, telemetry, metrics, cycle attribution, the VSan
-sanitizer and the pipeline tracer each used to hang off the core as its
-own attribute, and the hot loop paid one ``if self.X is not None`` per
-layer per committed instruction whether or not anything was attached.
-:class:`InstrumentBus` collapses them into one seam with two guarantees:
+A core carries two instrument attributes, each a property whose setter
+re-selects the step body (``TimelineCore._recompile_step``):
 
-* **No probes on the fast path.**  The whole selection rule of
-  ``TimelineCore._recompile_step``: an empty bus under the compiled engine
-  runs the generated closure table (:mod:`repro.isa.compiled`), which
-  contains *zero* instrumentation branches and never reads the bus;
-  everything else — any instrument attached, under either engine, or the
-  interpreted engine itself — runs the family's one reference body, which
-  dispatches the bus at its probe points.  Attaching or detaching any
-  instrument rebinds ``core._process_instruction`` between the two.
+* ``fault_hook`` — the :class:`~repro.faults.FaultInjector`, called at
+  fetch.  It is the one instrument that may move a timestamp (fault
+  recovery costs cycles).
+* ``observers`` — a tuple of :class:`Observer` instances, dispatched in
+  attach order.  Sessions attach with ``core.observers += (sink,)``, and
+  they are wired in :data:`repro.subsystems.SUBSYSTEMS` order, so that
+  table is the one ordering rule.  Observers never alter a cycle
+  timestamp; the noop suites under ``tests/`` hold the observed path
+  cycle-identical to the compiled table.
 
-* **Fixed dispatch order.**  When instruments are attached they are
-  dispatched in a fixed pipeline-position order per instruction:
-  ``faults`` (front end, may legally add cycles) -> ``telemetry`` (commit
-  clock) -> ``metrics`` (commit counters) -> ``profile`` (cycle
-  attribution off the commit timestamps) -> ``sanitizer``
-  (post-architectural-update commit check) -> ``tracer`` (record, last).
-  Observational instruments (telemetry, metrics, profile, sanitizer,
-  tracer) must never alter a cycle timestamp — the noop suites
-  under ``tests/telemetry``, ``tests/sanitizer`` and ``tests/profiling``
-  enforce cycle-identity of the attached path against the compiled table.
-
-``core.fault_hook`` / ``core.telemetry`` / ``core.metrics`` /
-``core.profile`` / ``core.sanitizer`` / ``core.tracer`` are readable and
-writable attributes over the bus slots (one descriptor applied over
-:data:`DISPATCH_ORDER`, see :mod:`repro.core.base`), so the ``attach()``
-entry point of each subsystem is a plain attribute assignment.
+With no fault hook and no observers the compiled engine runs the
+generated closure table (:mod:`repro.isa.compiled`), which contains no
+instrumentation branch at all; anything attached — or the interpreted
+engine — runs the family's one reference body, which dispatches the events
+below.  Both reference bodies (``TimelineCore._reference_step`` and
+``FGMTCore._reference_step``) say "committed" once, at one point: after
+the architectural update and the core's commit hook, before the thread
+halts or its pc advances.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-__all__ = ["InstrumentBus"]
-
-#: bus slot names in dispatch order (see the module docstring)
-DISPATCH_ORDER = ("faults", "telemetry", "metrics", "profile", "sanitizer",
-                  "tracer")
+__all__ = ["Observer"]
 
 
-class InstrumentBus:
-    """The instrumentation attachment point of one core.
+class Observer:
+    """Base class of every sink on a core's ``observers`` tuple.
 
-    Slots (all ``None`` when detached, dispatch in this order):
-
-    ``faults``
-        :class:`~repro.faults.FaultInjector` — the only instrument allowed
-        to return an adjusted timestamp (fault recovery costs cycles).
-    ``telemetry``
-        :class:`~repro.telemetry.CoreTelemetry` — event/interval recording
-        off the commit clock; purely observational.
-    ``metrics``
-        :class:`~repro.metrics.CoreMetrics` — labeled counter/histogram
-        recording off the commit clock (cross-process metrics registry);
-        purely observational.
-    ``profile``
-        :class:`~repro.profiling.CycleAttributor` — top-down cycle
-        accounting off the per-commit stage timestamps (per-cause,
-        per-thread, per-PC); purely observational.
-    ``sanitizer``
-        :class:`~repro.sanitizer.CoreSanitizer` — shadow-state check after
-        the architectural update; purely observational (raises on
-        divergence, never adjusts timing).
-    ``tracer``
-        :class:`~repro.core.trace.PipelineTracer` — per-instruction stage
-        timestamps; purely observational.
+    Its eight no-op methods are the whole event surface; a sink overrides
+    the events it records and needs no core edit.  Cycles are commit-clock
+    timestamps; ``tid`` is a thread id.
     """
 
-    __slots__ = ("faults", "telemetry", "metrics", "profile", "sanitizer",
-                 "tracer")
+    __slots__ = ()
 
-    def __init__(self) -> None:
-        self.faults = None
-        self.telemetry = None
-        self.metrics = None
-        self.profile = None
-        self.sanitizer = None
-        self.tracer = None
+    def on_schedule(self, tid: int, t_req: int, t_sched: int) -> None:
+        """A switch requested at ``t_req`` picked thread ``tid`` at
+        ``t_sched`` (``t_sched > t_req``: the core idled for a runnable
+        thread)."""
 
-    @property
-    def empty(self) -> bool:
-        """True when nothing is attached (the compiled table may run)."""
-        return (self.faults is None and self.telemetry is None
-                and self.metrics is None and self.profile is None
-                and self.sanitizer is None and self.tracer is None)
+    def on_switch_in(self, tid: int, t: int, t_fetch: int) -> None:
+        """Thread ``tid``'s run begins at ``t``; context restore done, its
+        first instruction can be fetched at ``t_fetch``."""
 
-    def attached(self) -> List[Tuple[str, object]]:
-        """``(slot, instrument)`` pairs in dispatch order, attached only."""
-        return [(name, getattr(self, name)) for name in DISPATCH_ORDER
-                if getattr(self, name) is not None]
+    def on_switch(self, tid: int, t_req: int, t_sw: int, ready_at: int,
+                  flushed: int) -> None:
+        """Thread ``tid`` switched out on a demand-load miss: requested at
+        ``t_req``, held by posted spills until ``t_sw``, ``flushed``
+        instructions squashed; the miss returns at ``ready_at``."""
 
-    def set(self, slot: str, instrument: Optional[object]) -> None:
-        """Attach (or detach with ``None``) one instrument by slot name."""
-        if slot not in DISPATCH_ORDER:
-            raise ValueError(f"unknown instrument slot {slot!r}; "
-                             f"expected one of {DISPATCH_ORDER}")
-        setattr(self, slot, instrument)
+    def on_stall(self, tid: int, t: int, until: int, cause: str) -> None:
+        """Thread ``tid`` stalled in place ``(t, until]`` (a masked
+        switch)."""
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        on = ",".join(name for name, _ in self.attached()) or "empty"
-        return f"<InstrumentBus {on}>"
+    def on_context_move(self, kind: str, tid: int, t: int,
+                        done: int) -> None:
+        """Context-storage traffic ``kind`` (``ctx_fetch`` / ``ctx_save`` /
+        ``ctx_restore``) for thread ``tid`` over ``(t, done]``."""
+
+    def on_spill_window(self, tid: int, t_to: int) -> None:
+        """Software context-save traffic ahead of ``tid``'s restore
+        finished at ``t_to``."""
+
+    def on_commit(self, thread, d, result, t_d: int, t_ops: int,
+                  t_regs: int, t_issue: int, t_ex_done: int, data_at: int,
+                  t_c: int, icache_missed: bool, load_missed: bool) -> None:
+        """One instruction committed at ``t_c`` (a HALT included).
+
+        ``d`` is its :class:`~repro.isa.decoded.DecodedOp`, ``result`` its
+        evaluation; ``thread`` holds the committed architectural state and
+        the instruction's own pc.  The stage bounds are decode entry
+        ``t_d``, operand readiness ``t_ops``, register residency
+        ``t_regs``, issue ``t_issue``, execute done ``t_ex_done`` and data
+        ready ``data_at``.  The barrel core has no decode stage: it passes
+        ``t_d = t_issue - 1``, ``t_ops = t_regs = t_issue`` and
+        ``icache_missed = False``.
+        """
+
+    def on_thread_done(self, tid: int, t_c: int) -> None:
+        """Thread ``tid`` committed its HALT at ``t_c``."""

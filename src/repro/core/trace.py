@@ -1,9 +1,11 @@
 """Per-instruction pipeline tracing (debug/teaching aid).
 
-Attach a :class:`PipelineTracer` to any timeline core and every committed
-instruction produces a record with its stage timestamps and a stall
-attribution — which resource dominated the instruction's latency.  The
-formatted trace reads like a classic pipeline diagram dump:
+Attach a :class:`PipelineTracer` to any timeline core (it is an
+:class:`~repro.core.instrument.Observer`: ``core.observers += (tracer,)``)
+and every committed instruction produces a record with its stage
+timestamps and a stall attribution — which resource dominated the
+instruction's latency.  The formatted trace reads like a classic pipeline
+diagram dump:
 
     [t0] 12: ldr x9, [x6, x8, lsl #3]   D@105 I@106 X@107 M@109 C@155  mem+46
 
@@ -15,6 +17,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional
+
+from .instrument import Observer
 
 
 @dataclass
@@ -52,14 +56,16 @@ class TraceRecord:
                 f"M@{self.t_data} C@{self.t_commit}  {self.dominant_stall}")
 
 
-class PipelineTracer:
-    """Bounded ring of trace records; attach via ``core.tracer = tracer``.
+class PipelineTracer(Observer):
+    """Bounded ring of trace records; attach with
+    ``core.observers += (tracer,)``.
 
     A true ring: once ``limit`` records exist, each new record overwrites
     the oldest, so a long run always retains the most recent ``limit``
     committed instructions (``dropped`` counts the overwritten ones).
-    :meth:`record` stores its eight fields; :attr:`records` builds the
-    :class:`TraceRecord` objects when it is read.
+    Every commit but a HALT is :meth:`record`-ed as eight fields;
+    :attr:`records` builds the :class:`TraceRecord` objects when it is
+    read.
     """
 
     def __init__(self, limit: int = 10_000) -> None:
@@ -78,6 +84,15 @@ class PipelineTracer:
     def dropped(self) -> int:
         """Records overwritten by later ones: recorded minus retained."""
         return self._recorded - len(self._ring)
+
+    def on_commit(self, thread, d, result, t_d, t_ops, t_regs, t_issue,
+                  t_ex_done, data_at, t_c, icache_missed,
+                  load_missed) -> None:
+        if not result.halt:
+            inst = d.inst
+            self.record(thread.tid, thread.pc,
+                        inst.text or inst.opcode.name.lower(), t_d, t_issue,
+                        t_ex_done, data_at, t_c)
 
     def record(self, tid: int, pc: int, text: str, t_decode: int,
                t_issue: int, t_ex_done: int, t_data: int,

@@ -3,7 +3,7 @@
 See :mod:`repro.exec.backends` for the backend contract, the determinism
 guarantees, and worker-crash containment; :mod:`repro.exec.spans` for
 cross-process span tracing; and ``docs/architecture.md`` ("Execution
-backends & instrumentation bus") for the design discussion.
+backends & the observer surface") for the design discussion.
 """
 
 from .backends import (ExecBackend, ProcessPoolBackend, SerialBackend,

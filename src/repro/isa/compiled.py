@@ -33,8 +33,8 @@ Step contract:
   ``core.decode_regs_ready``, ``core.on_commit``,
   ``core._handle_miss_switch``) — so one compiled table is shared by every
   core over the same program;
-* steps never read the :class:`~repro.core.instrument.InstrumentBus`: a
-  core with anything attached does not run compiled steps at all
+* steps never read ``core.fault_hook`` or ``core.observers``: a core with
+  anything attached does not run compiled steps at all
   (``TimelineCore._recompile_step`` binds the reference body instead);
 * the cycle math equals the reference bodies
   (``TimelineCore._reference_step``, ``FGMTCore._reference_step``), which

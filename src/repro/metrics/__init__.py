@@ -10,11 +10,11 @@ and built to cross a process boundary as plain JSON.
 Two attachment points:
 
 * **Per-run (engine level).**  ``RunConfig(metrics=...)`` wires a
-  :class:`MetricsSession` whose :class:`CoreMetrics` instruments ride the
-  core's :class:`~repro.core.instrument.InstrumentBus` ``metrics`` slot —
-  strictly opt-in, purely observational, dispatched after telemetry and
-  before the sanitizer.  With ``metrics=None`` (the default) the engine
-  keeps its compiled uninstrumented fast path and manifest digests are
+  :class:`MetricsSession` whose :class:`CoreMetrics` sinks sit on the
+  core's ``observers`` tuple (:class:`~repro.core.instrument.Observer`) —
+  strictly opt-in, purely observational, recording off the one commit
+  event.  With ``metrics=None`` (the default) the engine keeps its
+  compiled uninstrumented fast path and manifest digests are
   byte-identical to a build without this package.
 
 * **Per-sweep (fleet level).**  ``run_grid(..., metrics=registry)``
@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from typing import List, Optional
 
+from ..core.instrument import Observer
 from .config import MetricsConfig
 from .registry import (Counter, DEFAULT_BUCKETS, Gauge, Histogram,
                        MetricsRegistry)
@@ -43,12 +44,12 @@ __all__ = ["CoreMetrics", "Counter", "DEFAULT_BUCKETS", "Gauge", "Histogram",
 _GAP_BUCKETS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, 256, 1024)
 
 
-class CoreMetrics:
-    """The per-core bus instrument: counts committed work.
+class CoreMetrics(Observer):
+    """The per-core metrics sink: counts committed work.
 
-    Dispatched from the instrumented per-instruction step (bus slot
-    ``metrics``), after telemetry and before the sanitizer.  Purely
-    observational — it reads the commit timestamp, never adjusts one.
+    Records off the :meth:`~repro.core.instrument.Observer.on_commit`
+    event.  Purely observational — it reads the commit timestamp, never
+    adjusts one.
     """
 
     __slots__ = ("session", "core", "_core_label", "_instructions",
@@ -85,7 +86,9 @@ class CoreMetrics:
         cell = self._cells[kind] = self._instructions.bind(**labels)
         return cell
 
-    def on_commit(self, thread, d, t_commit: int) -> None:
+    def on_commit(self, thread, d, result, t_d, t_ops, t_regs, t_issue,
+                  t_ex_done, data_at, t_c, icache_missed,
+                  load_missed) -> None:
         """Record one committed instruction (``d`` is its DecodedOp)."""
         kind = None
         if self._by_kind:
@@ -103,8 +106,8 @@ class CoreMetrics:
         cell[0] += 1
         gaps = self._gaps
         if gaps is not None:
-            gaps.observe_into(self._gap_slot, t_commit - self._last_commit)
-            self._last_commit = t_commit
+            gaps.observe_into(self._gap_slot, t_c - self._last_commit)
+            self._last_commit = t_c
 
 
 class MetricsSession:
@@ -118,12 +121,13 @@ class MetricsSession:
 
     # -- wiring ------------------------------------------------------------
     def attach(self, core) -> Optional[CoreMetrics]:
-        """Wire one core's ``metrics`` bus slot to this session."""
+        """Add one core's :class:`CoreMetrics` to this session (and to the
+        core's observers when commits are counted)."""
         if not self.config.commits:
             self.cores.append(CoreMetrics(self, core))  # for finalize only
             return None
         cm = CoreMetrics(self, core)
-        core.metrics = cm  # property: sets the bus slot and recompiles
+        core.observers += (cm,)
         self.cores.append(cm)
         return cm
 

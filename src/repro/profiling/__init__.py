@@ -9,8 +9,8 @@ load hit/miss, store-queue full, switch overhead, idle — with the hard
 invariant ``sum(attributed cycles) == total cycles`` enforced per run.
 
 Attachment mirrors the metrics subsystem: ``RunConfig(profile=...)`` wires
-a :class:`ProfileSession` whose attributors ride the core's
-:class:`~repro.core.instrument.InstrumentBus` ``profile`` slot — strictly
+a :class:`ProfileSession` whose attributors sit on the core's
+``observers`` tuple (:class:`~repro.core.instrument.Observer`) — strictly
 opt-in, purely observational, cycle-identical to a profile-off run.  The
 ``repro profile`` CLI verb layers hotspot listings, folded-stack
 flamegraph export, and a two-config ``--diff`` view on top.

@@ -15,10 +15,10 @@ binding constraint there.  Summed over all commits the attribution covers
 
 Cycles outside any instruction (scheduler drain, idle waits for a runnable
 thread, context-switch overhead, BSI-busy holds, software save/restore)
-arrive as *pending boundary markers* posted by the scheduler hooks in
-:meth:`TimelineCore._schedule` / ``_handle_miss_switch`` /
-``SoftwareSwitchCore.switch_in``; they are consumed at the next commit,
-charged to the sentinel PC :data:`SCHEDULER_PC`.
+arrive as *pending boundary markers* posted by the scheduler events
+(``on_schedule`` / ``on_switch_in`` / ``on_switch`` / ``on_spill_window``
+of :class:`~repro.core.instrument.Observer`); they are consumed at the next
+commit, charged to the sentinel PC :data:`SCHEDULER_PC`.
 
 This is the top-down accounting style of the GPGPU register-file-cache
 characterization literature, applied to the paper's Figure 9/10 question:
@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..core.fgmt import FGMTCore
+from ..core.instrument import Observer
 from ..errors import AttributionError
 from .config import ProfileConfig
 
@@ -71,21 +73,27 @@ _IDLE = _INDEX["idle"]
 SCHEDULER_PC = -1
 
 
-class CycleAttributor:
-    """Per-core bus instrument: classifies every commit-clock cycle.
+class CycleAttributor(Observer):
+    """Per-core observer: classifies every commit-clock cycle.
 
-    Rides the :class:`~repro.core.instrument.InstrumentBus` ``profile``
-    slot, dispatched after metrics and before the sanitizer.  Purely
-    observational — it reads the stage timestamps the engine already
-    computed, never adjusts one.
+    Purely observational — it reads the stage timestamps the engine
+    already computed, never adjusts one.  The tiling of an instruction's
+    own cycles is picked once, from the core it is attached to: the
+    timeline pipeline's stage bounds, or the barrel core's issue bound.
     """
 
     __slots__ = ("core", "config", "cursor", "totals", "by_thread", "by_pc",
-                 "_pending", "samples", "_next_sample", "_sample_cycles")
+                 "_pending", "samples", "_next_sample", "_sample_cycles",
+                 "_barrel")
 
     def __init__(self, core, config: Optional[ProfileConfig] = None) -> None:
         self.core = core
         self.config = config or ProfileConfig()
+        #: barrel commits interleave all threads on one commit clock and
+        #: pay no switch cost (no pending markers ever arrive): every
+        #: issue wait, the idealized context fetch included, is
+        #: ``dependency``
+        self._barrel = isinstance(core, FGMTCore)
         #: last commit-clock cycle already accounted for
         self.cursor = 0
         self.totals: List[int] = [0] * len(CAUSES)
@@ -114,33 +122,34 @@ class CycleAttributor:
                 prow = by_pc[pc] = [0] * len(CAUSES)
             prow[cause] += n
 
-    # ------------------------------------------------- scheduler-time hooks
+    # ------------------------------------------------ scheduler-time events
     def on_schedule(self, tid: int, t_req: int, t_sched: int) -> None:
-        """Switch requested at ``t_req``; thread picked at ``t_sched``."""
+        # (cursor, t_req] is switch drain, (t_req, t_sched] idle wait
         self._pending.append((t_req, _SWITCH, tid))
         if t_sched > t_req:
             self._pending.append((t_sched, _IDLE, tid))
 
-    def on_switch_in(self, tid: int, t_fetch: int) -> None:
-        """Switch-in complete: first fetch possible at ``t_fetch``."""
+    def on_switch_in(self, tid: int, t: int, t_fetch: int) -> None:
         self._pending.append((t_fetch, _SWITCH, tid))
 
-    def on_switch_hold(self, tid: int, t_from: int, t_to: int) -> None:
-        """A pending switch held ``(t_from, t_to]`` by spill writebacks."""
-        self._pending.append((t_from, _SWITCH, tid))
-        if t_to > t_from:
-            self._pending.append((t_to, _SPILL_WRITEBACK, tid))
+    def on_switch(self, tid: int, t_req: int, t_sw: int, ready_at: int,
+                  flushed: int) -> None:
+        # (t_req, t_sw] is the switch held by posted spill writebacks
+        self._pending.append((t_req, _SWITCH, tid))
+        if t_sw > t_req:
+            self._pending.append((t_sw, _SPILL_WRITEBACK, tid))
 
     def on_spill_window(self, tid: int, t_to: int) -> None:
-        """Software context-save traffic finished at ``t_to``."""
         self._pending.append((t_to, _SPILL_WRITEBACK, tid))
 
-    # -------------------------------------------------------- commit hooks
-    def on_commit_timing(self, tid: int, pc: int, d, t_d: int, t_ops: int,
-                         t_regs: int, t_ex_done: int, data_at: int, t_c: int,
-                         icache_missed: bool, load_missed: bool,
-                         spill_wait: int = 0) -> None:
-        """Tile ``(cursor, t_c]`` for one TimelineCore commit."""
+    # ---------------------------------------------------------- the commit
+    def on_commit(self, thread, d, result, t_d, t_ops, t_regs, t_issue,
+                  t_ex_done, data_at, t_c, icache_missed,
+                  load_missed) -> None:
+        """Tile ``(cursor, t_c]``: pending markers first, then the
+        instruction's own bounds."""
+        tid = thread.tid
+        pc = thread.pc
         cur = self.cursor
         limit = t_c - 1
         pending = self._pending
@@ -152,67 +161,34 @@ class CycleAttributor:
                     cur = e
             del pending[:]
 
-        t_dp1 = t_d + 1
-        if t_regs > t_ops and t_regs > t_dp1:
-            decode_cause = _VRMU_REFILL
-        elif t_ops > t_dp1:
-            decode_cause = _DEPENDENCY
+        if self._barrel:
+            head = ((t_issue, _DEPENDENCY),)
         else:
-            decode_cause = _FRONTEND
-        t_issue = t_dp1
-        if t_ops > t_issue:
-            t_issue = t_ops
-        if t_regs > t_issue:
-            t_issue = t_regs
+            fetch = (t_d, _ICACHE_MISS if icache_missed else _FRONTEND)
+            t_dp1 = t_d + 1
+            if t_regs > t_ops and t_regs > t_dp1:
+                spill_wait = self.core.decode_spill_wait()
+                if spill_wait > 0:
+                    # the port wait happens at the head of the VRMU access:
+                    # carve the spill-occupancy slice off the refill tile
+                    # (same total — the walk still covers the interval)
+                    split = t_d + spill_wait
+                    head = (fetch, (split if split < t_issue else t_issue,
+                                    _SPILL_WRITEBACK),
+                            (t_issue, _VRMU_REFILL))
+                else:
+                    head = (fetch, (t_issue, _VRMU_REFILL))
+            elif t_ops > t_dp1:
+                head = (fetch, (t_issue, _DEPENDENCY))
+            else:
+                head = (fetch, (t_issue, _FRONTEND))
         if d.is_load:
             mem_cause = _LOAD_MISS if load_missed else _LOAD_HIT
         elif d.is_store:
             mem_cause = _STORE_QUEUE
         else:
             mem_cause = _EXECUTE
-
-        if decode_cause == _VRMU_REFILL and spill_wait > 0:
-            # the port wait happens at the head of the VRMU access: carve
-            # the spill-occupancy slice off the refill tile (same total —
-            # the cursor walk still covers (prev_commit, t_c] exactly)
-            split = t_d + spill_wait
-            decode_tiles = ((split if split < t_issue else t_issue,
-                             _SPILL_WRITEBACK), (t_issue, _VRMU_REFILL))
-        else:
-            decode_tiles = ((t_issue, decode_cause),)
-        for end, cause in ((t_d, _ICACHE_MISS if icache_missed else _FRONTEND),
-                           *decode_tiles,
-                           (t_ex_done, _EXECUTE),
-                           (data_at, mem_cause),
-                           (limit, mem_cause)):
-            e = end if end < limit else limit
-            if e > cur:
-                self._charge(tid, pc, cause, e - cur)
-                cur = e
-        self._charge(tid, pc, _RETIRE, 1)
-        self.cursor = t_c
-        if self._next_sample is not None and t_c >= self._next_sample:
-            self._sample(t_c)
-
-    def on_barrel_commit(self, tid: int, pc: int, d, t_issue: int,
-                         t_ex_done: int, data_at: int, t_c: int,
-                         load_missed: bool) -> None:
-        """Tile ``(cursor, t_c]`` for one FGMT barrel commit.
-
-        Barrel commits interleave all threads on one commit clock and pay
-        no switch cost, so there is no pending-marker mechanism: issue
-        waits (including the idealized context-fetch startup) account as
-        ``dependency``, the rest off the instruction bounds.
-        """
-        cur = self.cursor
-        limit = t_c - 1
-        if d.is_load:
-            mem_cause = _LOAD_MISS if load_missed else _LOAD_HIT
-        elif d.is_store:
-            mem_cause = _STORE_QUEUE
-        else:
-            mem_cause = _EXECUTE
-        for end, cause in ((t_issue, _DEPENDENCY),
+        for end, cause in (*head,
                            (t_ex_done, _EXECUTE),
                            (data_at, mem_cause),
                            (limit, mem_cause)):

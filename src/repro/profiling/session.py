@@ -58,9 +58,9 @@ class ProfileSession:
 
     # -- wiring ------------------------------------------------------------
     def attach(self, core) -> CycleAttributor:
-        """Wire one core's ``profile`` bus slot to this session."""
+        """Add one core's :class:`CycleAttributor` to its observers."""
         attributor = CycleAttributor(core, self.config)
-        core.profile = attributor  # property: sets the bus slot, recompiles
+        core.observers += (attributor,)
         self.attributors.append(attributor)
         return attributor
 
@@ -81,8 +81,9 @@ class ProfileSession:
             if not self.config.sample_cycles:
                 continue
             core = attributor.core
-            telemetry = core.bus.telemetry
-            events = getattr(telemetry, "events", None)
+            # the telemetry ring, if an observer of this core carries one
+            events = next((o.events for o in core.observers
+                           if getattr(o, "events", None) is not None), None)
             if events is None:
                 continue
             from ..telemetry.events import PROFILE_TRACK

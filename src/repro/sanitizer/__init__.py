@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..core.instrument import Observer
 from ..errors import SanitizerViolation
 from ..isa.registers import from_flat
 from .checks import (
@@ -45,13 +46,13 @@ __all__ = ["CoreSanitizer", "GRANULARITIES", "STRUCTURE_CHECKS",
            "check_policy", "check_rollback", "check_tagstore"]
 
 
-class CoreSanitizer:
-    """Per-core hook object installed at ``core.sanitizer``.
+class CoreSanitizer(Observer):
+    """Per-core sanitizer, one of the core's ``observers``.
 
-    The timeline engine calls :meth:`on_commit` once per committed
-    instruction (guarded on the attribute being non-None, like
-    ``fault_hook`` and ``telemetry``).  All work happens here; the core
-    never sees a return value, so the sanitizer cannot perturb timing.
+    The core dispatches :meth:`on_commit` once per committed instruction,
+    after the architectural update, so the shadow sees exactly the
+    committed state.  All work happens here; the core never sees a return
+    value, so the sanitizer cannot perturb timing.
     """
 
     def __init__(self, session: "Sanitizer", core: object,
@@ -71,21 +72,22 @@ class CoreSanitizer:
         self._sweep_regs = (tuple(from_flat(f) for f in used)
                             if used else None)
 
-    def on_commit(self, thread: object, inst: object, result: object,
-                  t_commit: int) -> None:
+    def on_commit(self, thread, d, result, t_d, t_ops, t_regs, t_issue,
+                  t_ex_done, data_at, t_c, icache_missed,
+                  load_missed) -> None:
         """Advance the shadow and run checks per the configured granularity."""
         cfg = self.cfg
         per_commit = cfg.granularity == "commit"
         if self.shadow is not None:
-            violation = self.shadow.step_commit(thread, inst, result,
-                                                t_commit, check_now=per_commit)
+            violation = self.shadow.step_commit(thread, d.inst, result, t_c,
+                                                check_now=per_commit)
             if per_commit and violation is not None:
                 raise violation
         if per_commit:
-            self.check(t_commit)
-        elif cfg.granularity == "interval" and t_commit >= self._next_check:
-            self._next_check = t_commit + cfg.interval
-            self.check(t_commit)
+            self.check(t_c)
+        elif cfg.granularity == "interval" and t_c >= self._next_check:
+            self._next_check = t_c + cfg.interval
+            self.check(t_c)
 
     def check(self, cycle: int, full: bool = False) -> None:
         """Shadow sweep over every thread + structural checks.
@@ -130,7 +132,7 @@ class Sanitizer:
         shadow = (ShadowCore(core.core_id, core.threads, memory)
                   if self.config.shadow else None)
         cs = CoreSanitizer(self, core, shadow)
-        core.sanitizer = cs
+        core.observers += (cs,)
         self.cores.append(cs)
         return cs
 

@@ -15,9 +15,11 @@ phase (it may raise: a ``SanitizerViolation`` or ``AttributionError`` is a
 simulation outcome), then ``handle.finalize()`` for rows with ``finalize``
 after it.
 
-The order is a contract.  Fault injection is wired first: telemetry's
-``attach`` must find ``core.fault_hook`` already there to route fault
-events into its ring, and VSan must see injected corruption.  At run end
+The order is a contract.  It is the order every core dispatches its
+``observers`` in (each layer attaches with ``core.observers += ...``).
+Fault injection is wired first: telemetry's ``attach`` must find
+``core.fault_hook`` already there to route fault events into its ring, and
+VSan must see injected corruption.  At run end
 VSan's sweep comes before the attribution-sum check, and
 ``ProfileSession.finalize`` (it emits ``cycle_causes`` into the telemetry
 ring) before ``TelemetrySession.finalize``.

@@ -199,8 +199,8 @@ def _run_ooo(cfg: RunConfig, spec, check: bool, profiler=None) -> RunResult:
         profiler = HostProfiler()
     # the ooo host core does not run on the timeline engine: there is no
     # step body to compile (None silently keeps the ooo model's own loop;
-    # only an *explicit* compiled request is an error) and no bus, hook
-    # or commit clock for an opt-in layer to attach to
+    # only an *explicit* compiled request is an error) and no observers,
+    # hook or commit clock for an opt-in layer to attach to
     if cfg.engine == "compiled":
         raise ValueError("core_type 'ooo' does not support engine='compiled'"
                          " (no timeline step to compile)")

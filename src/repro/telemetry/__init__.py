@@ -3,8 +3,9 @@
 The observability layer of the reproduction.  One
 :class:`TelemetrySession` per run owns the shared event ring, the per-core
 interval samplers, and the VRMU probes; :func:`TelemetrySession.attach`
-wires a core's opt-in hooks (``core.telemetry``, ``vrmu.probe``,
-``dcache.event_hook``, ...).
+wires a core's opt-in hooks (a :class:`CoreTelemetry` and, with
+``pipeline_trace``, a :class:`~repro.core.trace.PipelineTracer` on
+``core.observers``; ``vrmu.probe``, ``dcache.event_hook``, ...).
 
 Strictly opt-in: with ``RunConfig(telemetry=None)`` (the default) nothing
 is wired and runs are bit-identical to a build without this package; with
@@ -52,10 +53,11 @@ class TelemetrySession:
         """Wire one core's opt-in telemetry hooks to this session."""
         cfg = self.config
         ct = CoreTelemetry(self, core)
-        core.telemetry = ct
-        if cfg.pipeline_trace and core.tracer is None:
+        core.observers += (ct,)
+        if cfg.pipeline_trace:
             from ..core.trace import PipelineTracer
-            core.tracer = PipelineTracer(limit=cfg.pipeline_trace_limit)
+            ct.tracer = PipelineTracer(limit=cfg.pipeline_trace_limit)
+            core.observers += (ct.tracer,)
         if cfg.vrmu_probes and hasattr(core, "vrmu"):
             probe = VRMUProbe(ct, core.vrmu)
             core.vrmu.probe = probe
@@ -150,7 +152,7 @@ class TelemetrySession:
                     peaks = ", ".join(f"t{k}={v}" for k, v in
                                       s["peak_occupancy"].items())
                     lines.append(f"  peak occupancy: {peaks}")
-            tracer = getattr(ct.core, "tracer", None)
+            tracer = ct.tracer
             if tracer is not None:
                 st = tracer.stall_summary()
                 lines.append(

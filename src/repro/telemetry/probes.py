@@ -1,9 +1,9 @@
 """Per-core telemetry adapter and VRMU introspection probes.
 
-:class:`CoreTelemetry` is the object a core's ``telemetry`` attribute
-points at (``None`` by default — the same strictly-opt-in discipline as
-``fault_hook``).  It translates pipeline callbacks into trace events and
-drives the interval sampler off the core's commit clock.
+:class:`CoreTelemetry` is an :class:`~repro.core.instrument.Observer` on a
+core's ``observers`` tuple (empty by default — the same strictly-opt-in
+discipline as ``fault_hook``).  It translates pipeline events into trace
+events and drives the interval sampler off the core's commit clock.
 
 :class:`VRMUProbe` attaches to a ViReC core's VRMU and collects the
 register-cache dynamics the paper's figures argue from: occupancy by
@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..core.instrument import Observer
 from .events import BSI_TRACK, CTRL_TRACK, DCACHE_TRACK, EventTracer
 
 
-class CoreTelemetry:
-    """Event + sampling adapter for one core (attach via ``core.telemetry``)."""
+class CoreTelemetry(Observer):
+    """Event + sampling adapter for one core (one of ``core.observers``)."""
 
     def __init__(self, session, core) -> None:
         self.session = session
@@ -29,6 +30,8 @@ class CoreTelemetry:
         self.events: Optional[EventTracer] = (session.events
                                               if self.cfg.events else None)
         self.sampler = None          # set by the session when interval > 0
+        #: the core's PipelineTracer, set by the session with pipeline_trace
+        self.tracer = None
         self.vrmu_probe: Optional[VRMUProbe] = None
         self._run_start: Dict[int, int] = {}
         self._prev_instr = 0
@@ -42,8 +45,8 @@ class CoreTelemetry:
                 self.events.register_track(self.pid, th.tid,
                                            f"thread {th.tid}")
 
-    # -- scheduler callbacks (TimelineCore) --------------------------------
-    def on_run_begin(self, tid: int, t: int) -> None:
+    # -- Observer events ---------------------------------------------------
+    def on_switch_in(self, tid: int, t: int, t_fetch: int) -> None:
         self._run_start[tid] = t
 
     def _end_run(self, tid: int, t: int, reason: str) -> None:
@@ -53,36 +56,33 @@ class CoreTelemetry:
         self.events.complete("run", start, t - start, self.pid, tid,
                              args={"reason": reason})
 
-    def on_switch(self, tid: int, t: int, ready_at: int,
+    def on_switch(self, tid: int, t_req: int, t_sw: int, ready_at: int,
                   flushed: int) -> None:
-        """Thread ``tid`` switched out on a demand-load miss at ``t``."""
-        self._end_run(tid, t, "miss-switch")
+        self._end_run(tid, t_sw, "miss-switch")
         if self.events is not None:
-            self.events.instant("ctx_switch", t, self.pid, CTRL_TRACK,
+            self.events.instant("ctx_switch", t_sw, self.pid, CTRL_TRACK,
                                 args={"tid": tid, "flushed": flushed})
-            self.events.complete("stall", t, ready_at - t, self.pid, tid,
-                                 args={"cause": "dcache-miss"})
+            self.events.complete("stall", t_sw, ready_at - t_sw, self.pid,
+                                 tid, args={"cause": "dcache-miss"})
 
-    def on_stall_in_place(self, tid: int, t: int, until: int,
-                          cause: str) -> None:
-        """Thread stalled without switching (masked switch)."""
+    def on_stall(self, tid: int, t: int, until: int, cause: str) -> None:
         if self.events is not None and until > t:
             self.events.complete("stall", t, until - t, self.pid, tid,
                                  args={"cause": cause})
 
-    def on_thread_done(self, tid: int, t: int) -> None:
-        self._end_run(tid, t, "done")
+    def on_thread_done(self, tid: int, t_c: int) -> None:
+        self._end_run(tid, t_c, "done")
         if self.events is not None:
-            self.events.instant("thread_done", t, self.pid, CTRL_TRACK,
+            self.events.instant("thread_done", t_c, self.pid, CTRL_TRACK,
                                 args={"tid": tid})
 
-    def on_commit(self, cycle: int) -> None:
+    def on_commit(self, thread, d, result, t_d, t_ops, t_regs, t_issue,
+                  t_ex_done, data_at, t_c, icache_missed,
+                  load_missed) -> None:
         if self.sampler is not None:
-            self.sampler.on_cycle(cycle)
+            self.sampler.on_cycle(t_c)
 
-    # -- context-storage callbacks (CGMT cores) ----------------------------
     def on_context_move(self, kind: str, tid: int, t: int, done: int) -> None:
-        """Banked context fetch / software save-restore traffic."""
         if self.events is not None:
             self.events.complete(kind, t, done - t, self.pid, CTRL_TRACK,
                                  args={"tid": tid})

@@ -2,10 +2,11 @@
 
 The threaded-code engine (:mod:`repro.isa.compiled`) is a host-side
 execution strategy, never a model change — so for every timeline core
-type, every InstrumentBus slot combination, and a corpus of fixed-seed
-fuzz programs, a compiled run and an interpreted run of the same
-RunConfig must produce **byte-identical stats digests** (every counter,
-every cycle, every architectural result).  This suite is the contract
+type, every opt-in instrument (the fault hook and each observer, alone
+and all together), and a corpus of fixed-seed fuzz programs, a compiled
+run and an interpreted run of the same RunConfig must produce
+**byte-identical stats digests** (every counter, every cycle, every
+architectural result).  This suite is the contract
 behind excluding ``engine`` from config/manifest digests
 (:data:`repro.system.manifest._DIGEST_EXCLUDED_FIELDS`) and behind the
 fuzz oracle's engine-divergence arm.
@@ -26,9 +27,9 @@ from ..helpers import time_limit
 TIMELINE_CORE_TYPES = ("inorder", "banked", "swctx", "virec", "nsf",
                       "prefetch-full", "prefetch-exact", "fgmt")
 
-#: one RunConfig field-set per InstrumentBus slot, plus all-attached.
-#: telemetry with pipeline_trace covers the tracer slot; faults uses the
-#: silent scheme so the campaign is identical work on both engines.
+#: one RunConfig field-set per instrument, plus all-attached.  Telemetry
+#: with pipeline_trace covers the tracer observer; faults uses the silent
+#: scheme so the campaign is identical work on both engines.
 SLOT_CONFIGS = {
     "none": {},
     "faults": {"faults": {"rf_rate": 2e-4, "scheme": "none", "seed": 3}},

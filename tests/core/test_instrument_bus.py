@@ -1,25 +1,34 @@
-"""The InstrumentBus contract of the timeline engine.
+"""The observer contract of the timeline engine.
 
-Three things must hold (see ``repro/core/instrument.py``):
+A core has two instrument attributes (see ``repro/core/instrument.py``):
+``fault_hook``, called at fetch, and ``observers``, a tuple of
+:class:`~repro.core.instrument.Observer` sinks dispatched in attach order.
+Four things must hold:
 
-* **Compiled fast path** — with nothing attached the engine binds the
-  generated closure table; any attach binds the reference body, under
-  either engine, and detaching the last instrument restores the table.
-* **Fixed dispatch order** — attached instruments fire per instruction as
-  faults -> telemetry -> metrics -> profile -> sanitizer -> tracer, at
-  their pipeline positions.
-* **Cycle identity** — observational instruments never change a timestamp:
-  the reference body commits on exactly the compiled table's clock.
+* **Compiled fast path** — with no fault hook and no observers the engine
+  binds the generated closure table; assigning either binds the reference
+  body, under either engine, and clearing it restores the table.
+* **One commit point** — per instruction the fault hook fires, then each
+  observer's ``on_commit`` in attach order; the HALT commits, then every
+  observer gets ``on_thread_done``.
+* **Every event is live** — each of the eight events has a dispatch site
+  some run reaches, in the timeline body and the barrel body alike.
+* **Cycle identity** — observers never change a timestamp: the reference
+  body commits on exactly the compiled table's clock.
 """
 
 import pytest
 
 from repro.core.base import TimelineCore
 from repro.core.cgmt import BankedCore
-from repro.core.instrument import DISPATCH_ORDER, InstrumentBus
+from repro.core.instrument import Observer
 from repro.core.trace import PipelineTracer
+from repro.system import NearMemoryNode, RunConfig, run_config
 
 from ..helpers import build_gather_core
+
+#: the whole observational hook surface, in declaration order
+EVENTS = tuple(name for name in vars(Observer) if name.startswith("on_"))
 
 
 def build_core(**kw):
@@ -31,7 +40,7 @@ def build_core(**kw):
 
 # ------------------------------------------------------ recording instruments
 class Log(list):
-    """Shared event log; each instrument appends (slot, event) tuples."""
+    """Shared event log; each instrument appends (name, event) tuples."""
 
 
 class RecordingFaults:
@@ -43,82 +52,27 @@ class RecordingFaults:
         return t_fetch  # observational here: adds no recovery cycles
 
 
-class RecordingTelemetry:
-    def __init__(self, log):
+class Recorder(Observer):
+    """Logs every event it receives as ``(name, event)``."""
+
+    def __init__(self, log, name="observer"):
         self.log = log
-
-    def on_run_begin(self, tid, t):
-        self.log.append(("telemetry", "on_run_begin"))
-
-    def on_commit(self, t_c):
-        self.log.append(("telemetry", "on_commit"))
-
-    def on_stall_in_place(self, tid, t_from, t_to, reason):
-        self.log.append(("telemetry", "on_stall_in_place"))
-
-    def on_switch(self, tid_out, t, tid_in, reason):
-        self.log.append(("telemetry", "on_switch"))
-
-    def on_thread_done(self, tid, t_c):
-        self.log.append(("telemetry", "on_thread_done"))
-
-    def on_context_move(self, kind, tid, t, done):
-        self.log.append(("telemetry", "on_context_move"))
+        self.name = name
 
 
-class RecordingMetrics:
-    def __init__(self, log):
-        self.log = log
-
-    def on_commit(self, thread, d, t_c):
-        self.log.append(("metrics", "on_commit"))
+def _recording(event):
+    def record(self, *args):
+        self.log.append((self.name, event))
+    return record
 
 
-class RecordingProfile:
-    def __init__(self, log):
-        self.log = log
-
-    def on_schedule(self, tid, t_req, t_sched):
-        self.log.append(("profile", "on_schedule"))
-
-    def on_switch_in(self, tid, t_fetch):
-        self.log.append(("profile", "on_switch_in"))
-
-    def on_switch_hold(self, tid, t_sw, t_hold):
-        self.log.append(("profile", "on_switch_hold"))
-
-    def on_spill_window(self, tid, done):
-        self.log.append(("profile", "on_spill_window"))
-
-    def on_commit_timing(self, tid, pc0, d, t_d, t_ops, t_regs, t_ex_done,
-                         data_at, t_c, icache_missed, load_missed,
-                         spill_wait=0):
-        self.log.append(("profile", "on_commit_timing"))
-
-
-class RecordingSanitizer:
-    def __init__(self, log):
-        self.log = log
-
-    def on_commit(self, thread, inst, result, t_c):
-        self.log.append(("sanitizer", "on_commit"))
-
-
-class RecordingTracer:
-    def __init__(self, log):
-        self.log = log
-
-    def record(self, tid, pc, text, t_d, t_issue, t_ex, t_mem, t_c):
-        self.log.append(("tracer", "record"))
+for _event in EVENTS:
+    setattr(Recorder, _event, _recording(_event))
 
 
 def attach_all(core, log):
     core.fault_hook = RecordingFaults(log)
-    core.telemetry = RecordingTelemetry(log)
-    core.metrics = RecordingMetrics(log)
-    core.profile = RecordingProfile(log)
-    core.sanitizer = RecordingSanitizer(log)
-    core.tracer = RecordingTracer(log)
+    core.observers += (Recorder(log, "first"), Recorder(log, "second"))
 
 
 # ------------------------------------------------------------- compiled step
@@ -132,55 +86,23 @@ REFERENCE = TimelineCore._reference_step
 
 def test_fast_path_bound_when_bus_empty():
     core = build_core()
-    assert core.bus.empty and core.engine == "compiled"   # the default
+    assert core.fault_hook is None and core.observers == ()
+    assert core.engine == "compiled"   # the default
     assert step_body(core) is COMPILED
-    # the interpreted engine has one body, whatever the bus holds
+    # the interpreted engine has one body, whatever is attached
     assert step_body(build_core(engine="interpreted")) is REFERENCE
 
 
 def test_attach_rebinds_to_instrumented_and_back():
     core = build_core()
-    core.tracer = PipelineTracer()
-    assert not core.bus.empty
+    core.observers += (PipelineTracer(),)
     assert step_body(core) is REFERENCE
-    core.tracer = None
-    assert core.bus.empty
+    core.observers = ()
     assert step_body(core) is COMPILED
-
-
-@pytest.mark.parametrize("slot,attr", [("faults", "fault_hook"),
-                                       ("telemetry", "telemetry"),
-                                       ("metrics", "metrics"),
-                                       ("profile", "profile"),
-                                       ("sanitizer", "sanitizer"),
-                                       ("tracer", "tracer")])
-def test_legacy_attributes_delegate_to_bus(slot, attr):
-    core = build_core()
-    probe = object()
-    setattr(core, attr, probe)
-    assert getattr(core.bus, slot) is probe
-    assert getattr(core, attr) is probe
+    core.fault_hook = RecordingFaults(Log())
     assert step_body(core) is REFERENCE
-    setattr(core, attr, None)
-    assert getattr(core.bus, slot) is None
+    core.fault_hook = None
     assert step_body(core) is COMPILED
-
-
-def test_bus_set_checks_slot_name():
-    bus = InstrumentBus()
-    with pytest.raises(ValueError, match="unknown instrument slot"):
-        bus.set("profiler", object())
-    bus.set("tracer", probe := object())
-    assert bus.tracer is probe
-
-
-def test_attached_lists_in_dispatch_order():
-    core = build_core()
-    log = Log()
-    attach_all(core, log)
-    assert [name for name, _ in core.bus.attached()] == list(DISPATCH_ORDER)
-    assert DISPATCH_ORDER == ("faults", "telemetry", "metrics", "profile",
-                              "sanitizer", "tracer")
 
 
 def test_external_step_wrapper_survives_recompile():
@@ -194,36 +116,80 @@ def test_external_step_wrapper_survives_recompile():
         core._step_impl(thread)
 
     core._process_instruction = wrapper
-    core.tracer = PipelineTracer()          # recompile under the wrapper
+    tracer = PipelineTracer()
+    core.observers += (tracer,)              # recompile under the wrapper
     assert core._process_instruction is wrapper
     assert core._step_impl.__func__ is REFERENCE
     core.run()
     assert calls, "wrapper was bypassed"
-    assert core.tracer.records, "instrument attached after wrapping was lost"
+    assert tracer.records, "instrument attached after wrapping was lost"
 
 
 # ------------------------------------------------------------ dispatch order
+def test_the_surface_is_eight_events():
+    assert EVENTS == ("on_schedule", "on_switch_in", "on_switch", "on_stall",
+                      "on_context_move", "on_spill_window", "on_commit",
+                      "on_thread_done")
+
+
 def test_dispatch_order_per_instruction():
     core = build_core(n_threads=1)
     log = Log()
     attach_all(core, log)
     core.run()
 
-    # the banked core schedules and charges the initial context fetch
-    # (profile sees the schedule first), then the run begins
-    assert ("telemetry", "on_run_begin") in log[:3]
     body = [e for e in log if e[1] in ("on_instruction", "on_commit",
-                                       "on_commit_timing", "record")]
-    # every committed instruction dispatches faults -> telemetry ->
-    # metrics -> profile -> sanitizer -> tracer; the halt commits without
-    # a tracer record
-    per_inst = [("faults", "on_instruction"), ("telemetry", "on_commit"),
-                ("metrics", "on_commit"), ("profile", "on_commit_timing"),
-                ("sanitizer", "on_commit"), ("tracer", "record")]
-    n = core.threads[0].instructions
-    assert body[:6 * n] == per_inst * n
-    assert body[6 * n:] == per_inst[:5]     # the halt: no tracer record
-    assert log[-1] == ("telemetry", "on_thread_done")
+                                       "on_thread_done")]
+    # every committed instruction, the HALT included, calls the fault hook
+    # and then commits once per observer, in attach order
+    per_inst = [("faults", "on_instruction"), ("first", "on_commit"),
+                ("second", "on_commit")]
+    n = core.threads[0].instructions + 1
+    assert body[:3 * n] == per_inst * n
+    assert body[3 * n:] == [("first", "on_thread_done"),
+                            ("second", "on_thread_done")]
+    assert log[-2:] == body[3 * n:]
+
+
+#: runs that together reach every event: the banked core's context fetch,
+#: the software save/restore, a register-cache core, the barrel body, and
+#: a masked switch (a second fruitless run stalls in place)
+LIVE_SITES = {
+    "banked": RunConfig(workload="gather", core_type="banked", n_threads=4,
+                        n_per_thread=16),
+    "swctx": RunConfig(workload="gather", core_type="swctx", n_threads=4,
+                       n_per_thread=16),
+    "virec": RunConfig(workload="gather", core_type="virec", n_threads=4,
+                       n_per_thread=16, rf_size=12),
+    "fgmt": RunConfig(workload="gather", core_type="fgmt", n_threads=4,
+                      n_per_thread=16),
+    "masked-switch": RunConfig(workload="gather_scatter", core_type="banked",
+                               n_threads=3, n_per_thread=16, dcache_kb=1),
+}
+
+
+def test_every_event_has_a_live_dispatch_site(monkeypatch):
+    init = NearMemoryNode.__init__
+    log = Log()
+
+    def recording_init(self, *args, **kw):
+        init(self, *args, **kw)
+        for core in self.cores:
+            core.observers += (Recorder(log),)
+
+    monkeypatch.setattr(NearMemoryNode, "__init__", recording_init)
+    seen = {}
+    for key, cfg in LIVE_SITES.items():
+        del log[:]
+        result = run_config(cfg)
+        seen[key] = {event for _, event in log}
+        # both reference bodies commit every instruction and every HALT
+        commits = sum(1 for _, event in log if event == "on_commit")
+        assert commits == result.instructions + cfg.n_threads, key
+        assert "on_thread_done" in seen[key], key
+    assert set().union(*seen.values()) == set(EVENTS)
+    assert "on_stall" in seen["masked-switch"]
+    assert seen["fgmt"] == {"on_commit", "on_thread_done"}
 
 
 # ------------------------------------------------------------- cycle identity
@@ -254,9 +220,9 @@ def test_mid_run_attach_detach_keeps_the_clock():
         if not toggled.step():
             break
         if i == 10:
-            toggled.tracer = PipelineTracer()
+            toggled.observers = (PipelineTracer(),)
         elif i == 20:
-            toggled.tracer = None
+            toggled.observers = ()
     while toggled.step():
         pass
     toggled.finalize_stats()

@@ -2,9 +2,11 @@
 must add up to what the run did.
 
 Both reference bodies (``TimelineCore._reference_step`` and the barrel
-core's ``FGMTCore._reference_step``) dispatch all six bus slots; a body
-that skips one still runs cycle-identically and writes plausible-looking
-artifacts, so the artifacts are checked against the run's own totals.
+core's ``FGMTCore._reference_step``) dispatch one commit event that every
+observer rides; a body that skipped a sink would still run
+cycle-identically and write plausible-looking artifacts, so the artifacts
+are checked against the run's own totals — on one core and on a two-core
+node.
 """
 
 import pytest
@@ -14,16 +16,19 @@ from repro.system import RunConfig, run_config
 TIMELINE_CORES = ("inorder", "banked", "swctx", "virec", "nsf",
                   "prefetch-full", "prefetch-exact", "fgmt")
 
+CASES = ([pytest.param(c, 1, id=c) for c in TIMELINE_CORES]
+         + [pytest.param(c, 2, id=f"{c}-2core") for c in TIMELINE_CORES])
 
-@pytest.mark.parametrize("core_type", TIMELINE_CORES)
-def test_observed_artifacts_add_up(core_type):
+
+@pytest.mark.parametrize("core_type,n_cores", CASES)
+def test_observed_artifacts_add_up(core_type, n_cores):
     n_threads = 1 if core_type == "inorder" else 4
     base = RunConfig(workload="gather", core_type=core_type,
-                     n_threads=n_threads, n_per_thread=16)
+                     n_threads=n_threads, n_cores=n_cores, n_per_thread=16)
     plain = run_config(base)
     r = run_config(base.with_(
         telemetry={"events": True, "interval": 100, "pipeline_trace": True},
-        metrics=True, profile=True))
+        metrics=True, profile=True, sanitize=True))
 
     assert r.cycles == plain.cycles
     assert r.instructions == plain.instructions
@@ -36,9 +41,14 @@ def test_observed_artifacts_add_up(core_type):
         assert row["instructions"] <= row["elapsed"] + 1, row
 
     # a HALT commits (it takes a commit slot) but is not an instruction
+    halts = n_cores * n_threads
     committed = r.metrics.registry.get("sim_instructions_committed")
-    assert committed.total() == r.instructions + n_threads
+    assert committed.total() == r.instructions + halts
+    assert r.sanitizer.stats()["shadow_commits"] == r.instructions + halts
 
-    (ct,) = r.telemetry.cores
-    assert len(ct.core.tracer.records) == r.instructions
-    assert r.telemetry.events.counts["thread_done"] == n_threads
+    assert sum(len(ct.tracer.records)
+               for ct in r.telemetry.cores) == r.instructions
+    assert r.telemetry.events.counts["thread_done"] == halts
+    snap = r.profile.snapshot()
+    for core in snap["cores"]:
+        assert sum(core["causes"].values()) == core["cycles"]

@@ -14,66 +14,71 @@ from repro.virec import ViReCConfig, ViReCCore  # noqa: E402
 def test_tracer_records_every_commit():
     core, *_ = build_gather_core(BankedCore, n_threads=2, n=16)
     tracer = PipelineTracer()
-    core.tracer = tracer
+    core.observers = (tracer,)
     stats = core.run()
     assert len(tracer.records) == stats["instructions"]
 
 
 def test_trace_timestamps_monotone_per_record():
     core, *_ = build_gather_core(BankedCore, n_threads=2, n=16)
-    core.tracer = PipelineTracer()
+    tracer = PipelineTracer()
+    core.observers = (tracer,)
     core.run()
-    for r in core.tracer.records:
+    for r in tracer.records:
         assert r.t_decode <= r.t_issue <= r.t_ex_done <= r.t_data <= r.t_commit
 
 
 def test_commit_order_is_globally_monotone():
     core, *_ = build_gather_core(BankedCore, n_threads=4, n=32)
-    core.tracer = PipelineTracer()
+    tracer = PipelineTracer()
+    core.observers = (tracer,)
     core.run()
-    commits = [r.t_commit for r in core.tracer.records]
+    commits = [r.t_commit for r in tracer.records]
     assert commits == sorted(commits)
 
 
 def test_mem_stalls_attributed_on_misses():
     core, *_ = build_gather_core(BankedCore, n_threads=1, n=16,
                                  mem_latency=200)
-    core.tracer = PipelineTracer()
+    tracer = PipelineTracer()
+    core.observers = (tracer,)
     core.run()
-    summary = core.tracer.stall_summary()
+    summary = tracer.stall_summary()
     assert summary["mem_stall_cycles"] > 100
-    assert any("mem+" in r.dominant_stall for r in core.tracer.records)
+    assert any("mem+" in r.dominant_stall for r in tracer.records)
 
 
 def test_virec_register_stalls_attributed():
     core, *_ = build_gather_core(ViReCCore, n_threads=4, n=32,
                                  virec=ViReCConfig(rf_size=12))
-    core.tracer = PipelineTracer()
+    tracer = PipelineTracer()
+    core.observers = (tracer,)
     core.run()
-    assert core.tracer.stall_summary()["reg_stall_cycles"] > 0
+    assert tracer.stall_summary()["reg_stall_cycles"] > 0
 
 
 def test_trace_formatting_and_limit():
     core, *_ = build_gather_core(BankedCore, n_threads=2, n=32)
-    core.tracer = PipelineTracer(limit=10)
+    tracer = PipelineTracer(limit=10)
+    core.observers = (tracer,)
     stats = core.run()
-    assert len(core.tracer.records) == 10
-    assert core.tracer.dropped == stats["instructions"] - 10
-    text = core.tracer.format()
+    assert len(tracer.records) == 10
+    assert tracer.dropped == stats["instructions"] - 10
+    text = tracer.format()
     assert "overwritten" in text and "C@" in text
-    assert len(core.tracer.format(last=3).splitlines()) == 4  # 3 + ring note
+    assert len(tracer.format(last=3).splitlines()) == 4  # 3 + ring note
 
 
 def test_trace_ring_keeps_most_recent():
     """The ring must retain the *newest* records, not the oldest."""
     core, *_ = build_gather_core(BankedCore, n_threads=2, n=32)
     full = PipelineTracer()
-    core.tracer = full
+    core.observers = (full,)
     core.run()
 
     core2, *_ = build_gather_core(BankedCore, n_threads=2, n=32)
     ring = PipelineTracer(limit=7)
-    core2.tracer = ring
+    core2.observers = (ring,)
     core2.run()
 
     tail = [(r.tid, r.pc, r.t_commit) for r in full.records[-7:]]

@@ -5,7 +5,8 @@ full key is (program identity, icache line size, EngineVariant), with the
 same staleness guard the decode cache carries.  Chains (superops) must
 stop at CFG basic-block leaders, branches, and halts.  Every step is
 generated from the stage templates, once per shape, and never reads the
-InstrumentBus (a core with anything attached runs the reference body).
+core's ``fault_hook`` or ``observers`` (a core with anything attached runs
+the reference body).
 """
 
 import pytest
@@ -182,7 +183,7 @@ def test_shapes_compile_once_per_process():
 
 def test_generated_step_sources_never_mention_bus():
     """The successor of lint rule VRC010: no generated step, of any shape,
-    reads (let alone captures) the InstrumentBus."""
+    reads (let alone captures) an instrument attribute of the core."""
     from repro import workloads
 
     variants = [EngineVariant(family=f, reg_hook=h, commit_hook=h,
@@ -199,4 +200,6 @@ def test_generated_step_sources_never_mention_bus():
     assert families == set(compiled.FAMILIES)
     assert classes == {"simple", "cmp", "branch", "ldr", "str", "halt"}
     for shape in compiled._FACTORIES:
-        assert "bus" not in compiled._step_source(*shape), shape
+        source = compiled._step_source(*shape)
+        for name in ("bus", "observer", "fault_hook"):
+            assert name not in source, (name, shape)

@@ -141,7 +141,12 @@ class _Op:
 
 class _Core:
     core_id = 0
-    metrics = None
+    observers = ()
+
+
+def _commit(cm, kind, t_c):
+    """One commit event carrying only what CoreMetrics reads."""
+    cm.on_commit(None, _Op(kind), None, 0, 0, 0, 0, 0, 0, t_c, False, False)
 
 
 def test_series_exists_once_written():
@@ -151,12 +156,12 @@ def test_series_exists_once_written():
     # attached, nothing committed: the families exist, no series does
     assert series("sim_instructions_committed") == {}
     assert series("sim_commit_gap_cycles") == {}
-    cm.on_commit(None, _Op("load"), 5)
-    cm.on_commit(None, _Op("load"), 9)
+    _commit(cm, "load", 5)
+    _commit(cm, "load", 9)
     assert series("sim_instructions_committed") == {
         'core="0",kind="load"': 2.0}
     assert series("sim_commit_gap_cycles")['core="0"']["count"] == 2
-    cm.on_commit(None, _Op("alu"), 10)
+    _commit(cm, "alu", 10)
     assert sorted(series("sim_instructions_committed")) == [
         'core="0",kind="alu"', 'core="0",kind="load"']
 

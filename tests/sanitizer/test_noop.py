@@ -114,11 +114,10 @@ def test_violation_is_not_transient():
     assert issubclass(SanitizerViolation, AssertionError)
 
 
-# ----------------------------------------------------- the instrument bus
-# VSan rides the core's InstrumentBus (slot ``sanitizer``, dispatched after
-# the architectural update, before the tracer): attaching must flip the
-# core off its fast path, and the checked run must commit on exactly the
-# fast path's clock.
+# --------------------------------------------------------- the observers
+# VSan is one of the core's observers (its ``on_commit`` runs after the
+# architectural update): attaching must flip the core off its fast path,
+# and the checked run must commit on exactly the fast path's clock.
 
 def test_attach_goes_through_the_bus():
     from repro.core.base import TimelineCore
@@ -128,12 +127,12 @@ def test_attach_goes_through_the_bus():
     from ..helpers import build_gather_core
 
     core, mem, _, _ = build_gather_core(BankedCore, n_threads=2, n=8)
-    assert core.bus.empty
+    assert core.observers == ()
     assert (core._process_instruction.__func__
             is TimelineCore._process_instruction_compiled)
 
     cs = Sanitizer().attach(core, mem)
-    assert core.bus.sanitizer is cs is core.sanitizer
+    assert core.observers == (cs,)
     assert (core._process_instruction.__func__
             is TimelineCore._reference_step)
 
@@ -149,10 +148,10 @@ def test_bus_attached_run_is_cycle_identical_to_fast_path():
 
     checked, mem, _, _ = build_gather_core(BankedCore, n_threads=4, n=32)
     vsan = Sanitizer()
-    vsan.attach(checked, mem)
+    cs = vsan.attach(checked, mem)
     checked.run()
     vsan.finalize(checked.commit_tail)       # run-end sweep finds no bug
 
     assert checked.commit_tail == bare.commit_tail
     assert checked.stats.as_dict() == bare.stats.as_dict()
-    assert checked.sanitizer.shadow is not None
+    assert cs.shadow is not None

@@ -30,7 +30,8 @@ def _sanitized_core(**cfg_kw):
 
 
 def _check(core):
-    core.sanitizer.check(core.now)
+    (cs,) = core.observers
+    cs.check(core.now)
 
 
 def test_healthy_run_passes_all_checks():

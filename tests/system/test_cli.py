@@ -73,6 +73,33 @@ def test_unknown_policy_is_a_usage_error_on_every_verb(argv, capsys):
     assert "invalid choice: 'nope'" in err and "'lrc'" in err
 
 
+_SMALL = ["--per-thread", "8"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--core", "ooo", "--threads", "1", *_SMALL],
+    ["timeline", "--core", "ooo", "--threads", "1", *_SMALL],
+    ["run", "--core", "ooo", "--threads", "1", "--sanitize", "commit",
+     *_SMALL],
+    ["run", "--core", "inorder", "--threads", "4", *_SMALL],
+    ["run", "--core", "virec", "--context", "0.01", *_SMALL],
+    ["profile", "--core", "ooo", "--threads", "1", *_SMALL],
+    ["profile", "--core", "virec", "--context", "0.01", *_SMALL],
+    ["profile", "--core", "banked", "--threads", "2", "--diff", "ooo",
+     *_SMALL],
+], ids=["trace-ooo", "timeline-ooo", "run-ooo-sanitize", "run-inorder-4",
+        "run-context", "profile-ooo", "profile-context", "profile-diff-ooo"])
+def test_rejected_config_is_a_usage_error_on_every_single_run_verb(
+        argv, capsys):
+    """A config that RunConfig or run_config rejects used to traceback on
+    run/trace/timeline; every single-run verb now prints one line."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
 def test_unknown_policy_rejected_by_run_config():
     from repro.system import RunConfig
     from repro.virec import POLICIES

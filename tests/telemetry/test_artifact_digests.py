@@ -77,12 +77,12 @@ def artifacts(result) -> dict:
         "report": _sha(tel.report()),
         "probe_summaries": _sha([ct.vrmu_probe.summary() for ct in tel.cores
                                  if ct.vrmu_probe is not None]),
-        "tracer_format": _sha([ct.core.tracer.format() for ct in tel.cores]),
-        "tracer_format_last7": _sha([ct.core.tracer.format(last=7)
+        "tracer_format": _sha([ct.tracer.format() for ct in tel.cores]),
+        "tracer_format_last7": _sha([ct.tracer.format(last=7)
                                      for ct in tel.cores]),
-        "stall_summary": _sha([ct.core.tracer.stall_summary()
+        "stall_summary": _sha([ct.tracer.stall_summary()
                                for ct in tel.cores]),
-        "tracer_dropped": [ct.core.tracer.dropped for ct in tel.cores],
+        "tracer_dropped": [ct.tracer.dropped for ct in tel.cores],
         "metrics_snapshot": _sha(met.snapshot()),
         "metrics_text": _sha(met.render_text()),
         "profile_snapshot": _sha(prof.snapshot()),

@@ -79,11 +79,11 @@ def test_unknown_telemetry_field_rejected_eagerly():
     assert RunConfig(faults={"scheduled": [[5, "rf"]]}).faults is not None
 
 
-# ----------------------------------------------------- the instrument bus
-# Telemetry rides the core's InstrumentBus: attaching must leave the fast
+# --------------------------------------------------------- the observers
+# Telemetry is one of the core's observers: attaching must leave the fast
 # (uninstrumented) step path, and the instrumented run must commit on
-# exactly the fast path's clock (the bus-level restatement of the cycle
-# tests above — see repro/core/instrument.py).
+# exactly the fast path's clock (the observer-level restatement of the
+# cycle tests above — see repro/core/instrument.py).
 
 def test_attach_goes_through_the_bus():
     from repro.core.base import TimelineCore
@@ -93,13 +93,13 @@ def test_attach_goes_through_the_bus():
     from ..helpers import build_gather_core
 
     core, _, _, _ = build_gather_core(BankedCore, n_threads=2, n=8)
-    assert core.bus.empty
+    assert core.observers == ()
     assert (core._process_instruction.__func__
             is TimelineCore._process_instruction_compiled)
 
     session = TelemetrySession(TelemetryConfig(events=True, interval=50))
     ct = session.attach(core)
-    assert core.bus.telemetry is ct is core.telemetry
+    assert core.observers == (ct,)
     assert (core._process_instruction.__func__
             is TimelineCore._reference_step)
 
