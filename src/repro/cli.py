@@ -68,7 +68,6 @@ import sys
 from typing import List, Optional
 
 from . import workloads
-from .core.engine import ENGINES
 from .experiments import ALL_EXPERIMENTS
 from .system import CORE_TYPES, RunConfig, run_config
 from .virec import POLICIES
@@ -98,8 +97,6 @@ def _base_config(args, **extra) -> RunConfig:
                   dcache_kb=args.dcache_kb, seed=args.seed)
     if getattr(args, "sanitize", None):
         fields["sanitize"] = {"granularity": args.sanitize}
-    if getattr(args, "engine", None):
-        fields["engine"] = args.engine
     fields.update(extra)
     return RunConfig(**fields)
 
@@ -627,8 +624,7 @@ def _cmd_fuzz(args) -> int:
         jobs=args.jobs, n_threads=args.threads,
         n_per_thread=args.per_thread,
         shrink=not args.no_shrink, shrink_budget=args.shrink_budget,
-        resume=args.resume, faults=faults, engine=args.engine,
-        ledger=args.ledger)
+        resume=args.resume, faults=faults, ledger=args.ledger)
     if args.max_cycles:
         fcfg.max_cycles = args.max_cycles
 
@@ -675,10 +671,6 @@ def _add_config_options(p: argparse.ArgumentParser) -> None:
                    choices=["commit", "interval", "run"], metavar="GRAN",
                    help="enable the VSan shadow-state sanitizer (optional "
                         "check granularity: commit | interval | run)")
-    p.add_argument("--engine", default=None, choices=list(ENGINES),
-                   help="step engine: compiled threaded-code closures "
-                        "(default) or the interpreted reference loop; "
-                        "byte-identical results either way")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -941,10 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(fault-detection acceptance mode)")
     p.add_argument("--fault-seed", type=int, default=1,
                    help="fault-campaign seed (with --flip-rate)")
-    p.add_argument("--engine", default=None, choices=list(ENGINES),
-                   help="step engine every arm runs on; the oracle "
-                        "cross-checks the reference arm on the other "
-                        "engine either way")
     p.add_argument("--no-shrink", action="store_true",
                    help="store findings unshrunk")
     p.add_argument("--shrink-budget", type=int, default=48,

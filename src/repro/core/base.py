@@ -18,12 +18,11 @@ The engine runs over a :class:`~repro.isa.decoded.DecodedProgram` — static
 per-instruction metadata (operand tuples, flag behaviour, classification,
 execute latency, icache line) pre-computed once per program — and carries
 two instrument attributes: ``fault_hook`` and the ``observers`` tuple of
-:class:`~repro.core.instrument.Observer` sinks.  The pipeline's rules are
-interpreted in exactly one place, :meth:`TimelineCore._reference_step`.
-With nothing attached and the (default) compiled engine, the
-per-instruction step is instead a table of generated closures containing
-zero instrumentation branches (:mod:`repro.isa.compiled`); assigning either
-attribute rebinds the step to the reference body, which calls the fault
+:class:`~repro.core.instrument.Observer` sinks.  The per-instruction step
+is a table of generated closures (:mod:`repro.isa.compiled`), where the
+pipeline's timing rules are stated once per pipeline family.  With nothing
+attached the table contains zero instrumentation code; assigning either
+attribute recompiles it to the observed variant, which calls the fault
 hook at fetch and dispatches the observer events in attach order.
 
 Subclass hooks (all optional):
@@ -57,13 +56,12 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import DeadlockError
 from ..isa.compiled import EngineVariant, compile_program
 from ..isa.decoded import DecodedOp, DecodedProgram
-from ..isa.instructions import MASK64, Flags, evaluate
+from ..isa.instructions import MASK64, Flags
 from ..isa.program import Program
 from ..isa.registers import NUM_FP_REGS, NUM_INT_REGS, Reg, RegClass
 from ..memory.cache import Cache
 from ..memory.main_memory import MainMemory
 from ..stats.counters import Stats
-from .engine import resolve_engine
 from .instrument import Observer
 
 #: cells of the core's :meth:`Stats.batch`, in ``__init__``'s key order
@@ -144,7 +142,7 @@ class TimelineCore:
                  memory: MainMemory, threads: List[ThreadContext],
                  config: Optional[CoreConfig] = None,
                  stats: Optional[Stats] = None, core_id: int = 0,
-                 layout=None, engine: Optional[str] = None) -> None:
+                 layout=None) -> None:
         #: optional :class:`~repro.core.cgmt.ContextLayout` describing the
         #: thread-context save area (unused by cores with on-chip contexts)
         self.layout = layout
@@ -186,8 +184,7 @@ class TimelineCore:
         self._observers: Tuple[Observer, ...] = ()
         self.commits_since_switch = 0
         #: last-writer completion cycle per register, keyed by flat
-        #: register index in every engine (so a mid-run engine switch
-        #: carries the in-flight writers over as they are)
+        #: register index
         self.scoreboard: Dict[int, int] = {}
         self.flags_ready = 0
         self._rr_next = 0
@@ -202,11 +199,7 @@ class TimelineCore:
         self._has_reg_hook = (cls.decode_regs_ready
                               is not TimelineCore.decode_regs_ready)
         self._has_commit_hook = cls.on_commit is not TimelineCore.on_commit
-        #: which step engine drives this core; ``None`` resolves to
-        #: :data:`~repro.core.engine.DEFAULT_ENGINE`, as it does for a
-        #: ``RunConfig``
-        self._engine = resolve_engine(engine)
-        self._ccode = None     # compiled closure table (engine "compiled")
+        self._ccode = None     # the generated step table
         #: superop chaining permission — :meth:`set_step_chaining` turns
         #: it off for cores inside a multi-core node (the node interleaves
         #: cores per step, so a chained step would batch one core's
@@ -237,31 +230,22 @@ class TimelineCore:
         self._recompile_step()
 
     def _recompile_step(self) -> None:
-        """Bind the per-instruction step for the current engine and
-        instruments.
+        """Compile the step table for the current instruments and bind it.
 
-        Called at construction and on every instrument attach/detach,
-        engine switch and chaining change.  No fault hook and no observers
-        under the compiled engine binds the generated closure table
-        (superop chains, zero instrumentation branches); everything else —
-        the interpreted engine, or any instrument attached under either
-        engine — binds :meth:`_reference_step`.  See
-        :mod:`repro.core.engine`.
+        Called at construction and on every instrument attach/detach and
+        chaining change: no fault hook and no observers selects the bare
+        variant (zero instrumentation code), anything attached the
+        observed one (see :meth:`_engine_variant`).
 
-        ``_step_impl`` always names the currently bound body; external
-        wrappers of ``_process_instruction`` (the task-pool redispatcher)
-        call through it so an attach after wrapping still takes effect, and
-        the recompile never clobbers such a wrapper (it only rebinds
-        ``_process_instruction`` while it is one of the engine bodies).
+        ``_step_impl`` always names the bound body; external wrappers of
+        ``_process_instruction`` (the task-pool redispatcher) call through
+        it so an attach after wrapping still takes effect, and the
+        recompile never clobbers such a wrapper (it only rebinds
+        ``_process_instruction`` while that is an engine body).
         """
-        if (self._engine == "compiled" and self._fault_hook is None
-                and not self._observers):
-            self._ccode = compile_program(self.dprog,
-                                          self._engine_variant()).code
-            impl = self._process_instruction_compiled
-        else:
-            impl = self._reference_step
-        self._step_impl = impl
+        self._ccode = compile_program(self.dprog,
+                                      self._engine_variant()).code
+        impl = self._step_impl = self._process_instruction_compiled
         current = self.__dict__.get("_process_instruction")
         if current is None or getattr(current, "_engine_step", False):
             self._process_instruction = impl
@@ -275,35 +259,29 @@ class TimelineCore:
             commit_hook=self._has_commit_hook,
             miss_switch=(self.config.switch_on_miss
                          and len(self.threads) > 1),
-            chained=self._chain_steps)
+            chained=self._chain_steps,
+            observed=self._fault_hook is not None or bool(self._observers))
+
+    # The per-instruction step.  The pipeline's timing rules are stated
+    # once per family, in the stage templates of repro.isa.compiled; the
+    # interpreted bodies the table is held byte-identical to are the test
+    # oracle (tests/core/reference_step.py).  Observers never change a
+    # timestamp: the noop suites under tests/ hold an observed run
+    # cycle-identical to a bare one.
 
     def _process_instruction_compiled(self, thread: ThreadContext) -> int:
         """Threaded-code dispatch: one call into the closure chain."""
         return self._ccode[thread.pc](self, thread)
 
-    @property
-    def engine(self) -> str:
-        """Which step engine drives this core ("compiled"/"interpreted")."""
-        return self._engine
-
-    def set_engine(self, engine: str) -> None:
-        """Swap the step engine, mid-run safe (the R^4-style runtime
-        reconfiguration seam): both engines keep the same pipeline state
-        — scoreboards included — so only the step body is rebound."""
-        engine = resolve_engine(engine)
-        if engine != self._engine:
-            self._engine = engine
-            self._recompile_step()
-
     def set_step_chaining(self, enabled: bool) -> None:
-        """Allow or forbid superop chains in the compiled engine.
+        """Allow or forbid superop chains in the step table.
 
         Multi-core nodes must turn chaining off: the node driver
         interleaves cores one :meth:`step` at a time in local-clock
         order, and a chained step commits a whole branch-free run —
         batching this core's crossbar/DRAM requests ahead of its
-        peers and changing contention order versus the interpreted
-        engine.  Chains are stateless, so flipping mid-run is safe.
+        peers and changing contention order.  Chains are stateless, so
+        flipping mid-run is safe.
         """
         if enabled != self._chain_steps:
             self._chain_steps = enabled
@@ -456,14 +434,13 @@ class TimelineCore:
         return all(th.state == ThreadState.DONE for th in self.threads)
 
     def step(self):
-        """Process one instruction — or, under the threaded-code engine,
-        one superop chain — scheduling a thread first if needed.
+        """Process one instruction — or one superop chain — scheduling a
+        thread first if needed.
 
         Returns a falsy value (False) once every thread has completed,
-        otherwise the number of engine steps consumed (the interpreted
-        bodies return None, normalized to True == 1; a compiled superop
-        returns its chain length so the run-loop watchdogs count exactly
-        what the interpreted engine counts).  The multi-processor driver
+        otherwise the number of instructions processed (a superop returns
+        its chain length; a step wrapper that returns None counts as
+        True == 1).  The multi-processor driver
         (Figure 11) interleaves cores by repeatedly stepping the core with
         the smallest local clock.
         """
@@ -490,7 +467,7 @@ class TimelineCore:
         max_cycles = config.max_cycles
         committed = 0
         while (n := self.step()):
-            committed += n       # True == 1 for the interpreted engine
+            committed += n       # True == 1 for a wrapper returning None
             if max_instructions is not None and committed > max_instructions:
                 raise DeadlockError(
                     f"instruction budget exceeded ({committed} > "
@@ -509,150 +486,6 @@ class TimelineCore:
         total = sum(th.instructions for th in self.threads)
         self.stats.set("instructions", total)
         self.stats.set("ipc", total / self.commit_tail if self.commit_tail else 0.0)
-
-    # ---------------------------------------------------- per-instruction step
-    #
-    # The one interpreted statement of the pipeline's timing rules (the
-    # barrel core has its own, FGMTCore._reference_step).  It is the
-    # oracle the generated closures of repro.isa.compiled are held
-    # byte-identical to, the body of engine="interpreted", the body every
-    # instrumented run uses under either engine, and what a compiled
-    # table falls back to for an op its lowering declines.  With nothing
-    # attached the fault probe is a not-taken ``is not None`` test and
-    # each event loop runs over an empty tuple; observers never change a
-    # timestamp — the noop suites under tests/ enforce cycle identity with
-    # the compiled table.
-
-    def _reference_step(self, thread: ThreadContext) -> None:
-        """One instruction through the pipeline: the fault hook at fetch,
-        the observer events where they happen, ``on_commit`` once."""
-        fault_hook = self._fault_hook
-        observers = self._observers
-
-        d = self._dops[thread.pc]
-        inst = d.inst
-        config = self.config
-        stats = self.stats
-
-        # fetch
-        fetch_avail = self.fetch_avail
-        decode_free = self.decode_free
-        t_d = fetch_avail if fetch_avail > decode_free else decode_free
-        icache_missed = False
-        if d.line != self._last_fetch_line:
-            self._last_fetch_line = d.line
-            icache = self.icache
-            r = icache.access(max(0, t_d - icache.config.latency), d.addr,
-                              requestor=self.core_id)
-            if not r.hit:
-                stats.inc("icache_miss_stalls")
-                icache_missed = True
-            if r.complete_at > t_d:
-                t_d = r.complete_at
-        if fault_hook is not None:
-            t_d = fault_hook.on_instruction(thread, inst, t_d)
-
-        # decode: operand scoreboard + register-residency hook (VRMU)
-        scoreboard = self.scoreboard
-        t_ops = t_d
-        for flat in d.src_flats:
-            w = scoreboard.get(flat, 0)
-            if w > t_ops:
-                t_ops = w
-        if d.reads_flags and self.flags_ready > t_ops:
-            t_ops = self.flags_ready
-        t_regs = (self.decode_regs_ready(thread, d, t_d)
-                  if self._has_reg_hook else t_d)
-        t_issue = max(t_d + 1, t_ops, t_regs)
-        self.decode_free = t_issue
-        self.fetch_avail = max(fetch_avail + 1, t_d + 1)
-
-        # execute
-        ex_free = self.ex_free
-        t_ex_start = t_issue if t_issue > ex_free else ex_free
-        t_ex_done = t_ex_start + d.ex_latency
-        self.ex_free = t_ex_done
-
-        xregs = thread.xregs
-        dregs = thread.dregs
-        srcvals = {}
-        for reg, is_x, idx in d.src_reads:
-            srcvals[reg] = xregs[idx] if is_x else dregs[idx]
-        result = evaluate(inst, srcvals, thread.flags, thread.pc)
-
-        data_at = t_ex_done
-        load_missed = False
-        if d.is_load:
-            t_m = self._load_slot_wait(t_ex_done)
-            t_issue_mem, r = self.dcache_request(
-                t_m, result.addr, is_load_data=True)
-            data_at = r.complete_at
-            if (config.switch_on_miss and r.switch_signal
-                    and len(self.threads) > 1):
-                if self._handle_miss_switch(thread, t_issue_mem, r):
-                    return  # thread suspended; load replays on resume
-                # switch suppressed (no commits since last switch): stall here
-                stats.inc("switches_suppressed")
-                for observer in observers:
-                    observer.on_stall(thread.tid, t_issue_mem, data_at,
-                                      "suppressed-switch")
-            self.load_slots.append(data_at)
-            if not r.hit:
-                stats.inc("load_miss_stalls")
-                load_missed = True
-        elif d.is_store:
-            data_at = self._sq_insert(t_ex_done, result.addr)
-            self.memory.store(result.addr, result.store_value)
-
-        # commit (in-order, one per cycle)
-        t_c = self.commit_tail + 1
-        if data_at > t_c:
-            t_c = data_at
-        self.commit_tail = t_c
-        self.commits_since_switch += 1
-        thread.fruitless = 0
-        if not result.halt:
-            thread.instructions += 1
-        self.now = t_c
-
-        # architectural update at commit
-        writes = result.writes
-        if writes:
-            for reg, value in writes.items():
-                if reg.rclass is RegClass.X:
-                    xregs[reg.index] = int(value) & MASK64
-                else:
-                    dregs[reg.index] = float(value)
-                scoreboard[reg.flat] = t_ex_done
-        if d.is_load:
-            rd = d.rd
-            value = self.memory.load(result.addr)
-            if rd.rclass is RegClass.X:
-                xregs[rd.index] = int(value) & MASK64
-            else:
-                dregs[rd.index] = float(value)
-            scoreboard[rd.flat] = data_at
-        if result.new_flags is not None:
-            thread.flags = result.new_flags
-            self.flags_ready = t_ex_done
-        if self._has_commit_hook:
-            self.on_commit(thread, d, t_c)
-        # the one commit point: observers see exactly the committed state,
-        # with the instruction's own pc
-        for observer in observers:
-            observer.on_commit(thread, d, result, t_d, t_ops, t_regs, t_issue,
-                               t_ex_done, data_at, t_c, icache_missed,
-                               load_missed)
-
-        if result.halt:
-            self._halt_thread(thread)
-            for observer in observers:
-                observer.on_thread_done(thread.tid, t_c)
-            return
-        thread.pc = result.target if result.taken else thread.pc + 1
-        if result.taken:
-            self.fetch_avail = t_ex_done + 1 + config.redirect_penalty
-            stats.inc("taken_branches")
 
     # -------------------------------------------------------- context switch
     def _flushed_window(self, pc: int) -> Tuple[DecodedOp, ...]:
@@ -716,5 +549,4 @@ class TimelineCore:
 
 # the recompile-safety marker read by TimelineCore._recompile_step (bound
 # methods forward attribute reads to their underlying function)
-TimelineCore._reference_step._engine_step = True
 TimelineCore._process_instruction_compiled._engine_step = True

@@ -1,7 +1,7 @@
 """The observational hook surface of the timeline engine, stated once.
 
 A core carries two instrument attributes, each a property whose setter
-re-selects the step body (``TimelineCore._recompile_step``):
+recompiles the step table (``TimelineCore._recompile_step``):
 
 * ``fault_hook`` — the :class:`~repro.faults.FaultInjector`, called at
   fetch.  It is the one instrument that may move a timestamp (fault
@@ -10,17 +10,16 @@ re-selects the step body (``TimelineCore._recompile_step``):
   attach order.  Sessions attach with ``core.observers += (sink,)``, and
   they are wired in :data:`repro.subsystems.SUBSYSTEMS` order, so that
   table is the one ordering rule.  Observers never alter a cycle
-  timestamp; the noop suites under ``tests/`` hold the observed path
-  cycle-identical to the compiled table.
+  timestamp; the noop suites under ``tests/`` hold an observed run
+  cycle-identical to a bare one.
 
-With no fault hook and no observers the compiled engine runs the
-generated closure table (:mod:`repro.isa.compiled`), which contains no
-instrumentation branch at all; anything attached — or the interpreted
-engine — runs the family's one reference body, which dispatches the events
-below.  Both reference bodies (``TimelineCore._reference_step`` and
-``FGMTCore._reference_step``) say "committed" once, at one point: after
-the architectural update and the core's commit hook, before the thread
-halts or its pc advances.
+The step table (:mod:`repro.isa.compiled`) has two variants per program.
+With no fault hook and no observers it contains no instrumentation code
+at all; with anything attached it is the *observed* variant, generated
+from the same stage templates, which calls the fault hook at fetch and
+dispatches the events below.  Both pipeline families say "committed" once,
+at one point: after the architectural update and the core's commit hook,
+before the thread halts or its pc advances.
 """
 
 from __future__ import annotations
@@ -66,14 +65,15 @@ class Observer:
         """Software context-save traffic ahead of ``tid``'s restore
         finished at ``t_to``."""
 
-    def on_commit(self, thread, d, result, t_d: int, t_ops: int,
-                  t_regs: int, t_issue: int, t_ex_done: int, data_at: int,
-                  t_c: int, icache_missed: bool, load_missed: bool) -> None:
-        """One instruction committed at ``t_c`` (a HALT included).
+    def on_commit(self, thread, d, t_d: int, t_ops: int, t_regs: int,
+                  t_issue: int, t_ex_done: int, data_at: int, t_c: int,
+                  icache_missed: bool, load_missed: bool) -> None:
+        """One instruction committed at ``t_c`` (a HALT included:
+        ``d.is_halt``).
 
-        ``d`` is its :class:`~repro.isa.decoded.DecodedOp`, ``result`` its
-        evaluation; ``thread`` holds the committed architectural state and
-        the instruction's own pc.  The stage bounds are decode entry
+        ``d`` is its :class:`~repro.isa.decoded.DecodedOp`; ``thread``
+        holds the committed architectural state and the instruction's own
+        pc.  The stage bounds are decode entry
         ``t_d``, operand readiness ``t_ops``, register residency
         ``t_regs``, issue ``t_issue``, execute done ``t_ex_done`` and data
         ready ``data_at``.  The barrel core has no decode stage: it passes

@@ -85,10 +85,9 @@ class PipelineTracer(Observer):
         """Records overwritten by later ones: recorded minus retained."""
         return self._recorded - len(self._ring)
 
-    def on_commit(self, thread, d, result, t_d, t_ops, t_regs, t_issue,
-                  t_ex_done, data_at, t_c, icache_missed,
-                  load_missed) -> None:
-        if not result.halt:
+    def on_commit(self, thread, d, t_d, t_ops, t_regs, t_issue, t_ex_done,
+                  data_at, t_c, icache_missed, load_missed) -> None:
+        if not d.is_halt:
             inst = d.inst
             self.record(thread.tid, thread.pc,
                         inst.text or inst.opcode.name.lower(), t_d, t_issue,

@@ -129,6 +129,18 @@ class FaultEscapeError(SimulationError):
         self.site = site
 
 
+class LoweringError(ValueError):
+    """The step compiler cannot generate a step for one instruction.
+
+    A program input error, like the assembler's (hence ``ValueError``, not
+    :class:`SimulationError`): raised when a core's step table is compiled,
+    before anything runs, naming the pc and the instruction text.  The
+    assembler rejects the register-class mismatches behind most of these,
+    so what is left is a hand-built :class:`~repro.isa.Instruction` or a
+    barrel-core program that runs off its end.
+    """
+
+
 class WatchdogTimeout(_WedgeMixin, SimulationError):
     """A per-config wall-clock watchdog expired mid-simulation."""
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.engine import resolve_engine
 from ..errors import (
     DeadlockError,
     FaultEscapeError,
@@ -162,8 +161,7 @@ def oracle_config(spec_dict: Dict, core_type: str, policy: str, *,
                   n_threads: int, n_per_thread: int, max_cycles: int,
                   faults: Optional[Dict] = None,
                   asm: Optional[str] = None,
-                  sanitize: bool = True,
-                  engine: Optional[str] = None) -> RunConfig:
+                  sanitize: bool = True) -> RunConfig:
     """The RunConfig of one arm for one generated program."""
     wk: Dict = {"gen": dict(spec_dict)}
     if asm is not None:
@@ -174,8 +172,7 @@ def oracle_config(spec_dict: Dict, core_type: str, policy: str, *,
         seed=int(spec_dict.get("seed", 0)) & 0x7FFFFFFF,
         workload_kwargs=wk, max_cycles=max_cycles,
         faults=dict(faults) if faults else None,
-        sanitize={"granularity": "commit"} if sanitize else None,
-        engine=engine)
+        sanitize={"granularity": "commit"} if sanitize else None)
 
 
 def _flips(result) -> int:
@@ -216,21 +213,13 @@ def run_oracle(spec_dict: Dict, *, n_threads: int = 4, n_per_thread: int = 16,
                ratio_bounds: Optional[Dict] = None,
                max_cycles: int = DEFAULT_MAX_CYCLES,
                faults: Optional[Dict] = None,
-               asm: Optional[str] = None,
-               engine: Optional[str] = None,
-               engine_check: bool = True) -> OracleReport:
+               asm: Optional[str] = None) -> OracleReport:
     """Run one program differentially; classify every divergence.
 
     ``spec_dict`` holds :class:`~repro.fuzz.generator.GenSpec` fields;
     ``asm`` optionally overrides the generated assembly (shrink
     candidates, replay).  ``faults`` wires a silent-flip campaign into
-    every arm (the fault-detection acceptance mode).  ``engine`` selects
-    the step engine every arm runs on; with ``engine_check`` (the
-    default) the reference arm additionally re-runs on the *other* step
-    engine and any cycle or instruction-count difference becomes an
-    ``engine-divergence`` finding — the compiled threaded-code engine is
-    pinned against the interpreted reference loop by every fuzzed
-    program, not just the fixed equivalence suite.
+    every arm (the fault-detection acceptance mode).
     """
     bounds = dict(RATIO_BOUNDS)
     if ratio_bounds:
@@ -240,7 +229,7 @@ def run_oracle(spec_dict: Dict, *, n_threads: int = 4, n_per_thread: int = 16,
     ref = arm_name(*REFERENCE_ARM)
     cfg = oracle_config(spec_dict, *REFERENCE_ARM, n_threads=n_threads,
                         n_per_thread=n_per_thread, max_cycles=max_cycles,
-                        faults=faults, asm=asm, engine=engine)
+                        faults=faults, asm=asm)
     ref_cfg = cfg
     ref_stats, finding, invalid = _run_arm(cfg, ref)
     if invalid:
@@ -250,31 +239,11 @@ def run_oracle(spec_dict: Dict, *, n_threads: int = 4, n_per_thread: int = 16,
     else:
         report.arms[ref] = ref_stats
 
-    if engine_check and ref_stats is not None:
-        other = ("interpreted" if resolve_engine(engine) == "compiled"
-                 else "compiled")
-        xarm = f"{ref}#{other}"
-        xstats, finding, invalid = _run_arm(cfg.with_(engine=other), xarm)
-        if invalid:
-            return OracleReport(valid=False, invalid_reason=invalid)
-        if finding is not None:
-            report.findings.append(finding)
-        else:
-            for key in ("cycles", "instructions"):
-                if xstats[key] != ref_stats[key]:
-                    report.findings.append(Finding(
-                        signature=f"EngineDivergence:{key}@{xarm}",
-                        kind="engine-divergence", arm=xarm,
-                        message=(f"{key} {xstats[key]} on {other} vs "
-                                 f"{ref_stats[key]} on "
-                                 f"{resolve_engine(engine)}")))
-
     for core_type, policy in arms:
         arm = arm_name(core_type, policy)
         cfg = oracle_config(spec_dict, core_type, policy,
                             n_threads=n_threads, n_per_thread=n_per_thread,
-                            max_cycles=max_cycles, faults=faults, asm=asm,
-                            engine=engine)
+                            max_cycles=max_cycles, faults=faults, asm=asm)
         stats, finding, invalid = _run_arm(cfg, arm)
         if invalid:
             return OracleReport(valid=False, invalid_reason=invalid)

@@ -47,12 +47,6 @@ class FuzzConfig:
     #: optional silent-flip fault campaign injected into every arm
     #: (:class:`~repro.faults.FaultConfig` fields, scheme "none")
     faults: Optional[Dict] = None
-    #: step engine every arm runs on ("compiled" | "interpreted"; None =
-    #: the default).  Whichever is picked, the oracle's engine-divergence
-    #: check re-runs the reference arm on the *other* engine and flags
-    #: any cycle or instruction difference — see
-    #: :func:`repro.fuzz.oracle.run_oracle`.
-    engine: Optional[str] = None
     #: optional run-ledger path: every freshly fuzzed program appends one
     #: row per oracle arm (digest ``fuzz:<program-digest>:<arm>``), so
     #: campaign cycle counts join the ``repro history`` time axis.
@@ -98,8 +92,7 @@ def fuzz_worker(task: Dict) -> Dict:
     report = run_oracle(
         task["spec"],
         n_threads=task["n_threads"], n_per_thread=task["n_per_thread"],
-        max_cycles=task["max_cycles"], faults=task.get("faults"),
-        engine=task.get("engine"))
+        max_cycles=task["max_cycles"], faults=task.get("faults"))
     return {
         "index": task["index"], "valid": report.valid,
         "invalid_reason": report.invalid_reason,
@@ -157,7 +150,6 @@ def run_fuzz(fcfg: FuzzConfig, progress=None) -> FuzzReport:
             "index": i, "spec": specs[i].as_dict(),
             "n_threads": fcfg.n_threads, "n_per_thread": fcfg.n_per_thread,
             "max_cycles": fcfg.max_cycles, "faults": fcfg.faults,
-            "engine": fcfg.engine,
         })
 
     backend = resolve_backend(fcfg.jobs)
@@ -237,8 +229,7 @@ def _store_finding(fcfg: FuzzConfig, corpus: Corpus, spec, index: int,
             return run_oracle(
                 spec.as_dict(), asm=candidate_asm,
                 n_threads=fcfg.n_threads, n_per_thread=fcfg.n_per_thread,
-                max_cycles=fcfg.max_cycles, faults=fcfg.faults,
-                engine=fcfg.engine).signatures
+                max_cycles=fcfg.max_cycles, faults=fcfg.faults).signatures
 
         result = shrink_program(kern.asm, sig, signatures_of,
                                 max_attempts=fcfg.shrink_budget)
@@ -255,7 +246,6 @@ def _store_finding(fcfg: FuzzConfig, corpus: Corpus, spec, index: int,
         "spec": spec.as_dict(), "index": index, "run_seed": fcfg.seed,
         "n_threads": fcfg.n_threads, "n_per_thread": fcfg.n_per_thread,
         "max_cycles": fcfg.max_cycles, "faults": fcfg.faults,
-        "engine": fcfg.engine,
     }
     meta.update(shrunk_meta)
     return corpus.add(sig, asm, meta)

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .instructions import AddrMode, Cond, Instruction, Opcode
 from .program import Program
-from .registers import Reg, parse_reg
+from .registers import Reg, RegClass, parse_reg
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):$")
 _MEM_RE = re.compile(
@@ -54,6 +54,19 @@ _FP3 = {"fadd": Opcode.FADD, "fsub": Opcode.FSUB, "fmul": Opcode.FMUL}
 
 class AssemblerError(ValueError):
     """Raised for any syntax or resolution error, with line context."""
+
+
+_CLASS_NOUN = {RegClass.X: "an X", RegClass.D: "a D"}
+
+
+def _expect(reg: Reg, rclass: RegClass, op: str, k: int, lineno: int) -> Reg:
+    """``reg`` as operand ``k`` of ``op``, which takes a ``rclass``
+    register there."""
+    if reg.rclass is not rclass:
+        raise AssemblerError(
+            f"line {lineno}: {op} takes {_CLASS_NOUN[rclass]} register in "
+            f"operand {k}, got {reg.name}")
+    return reg
 
 
 def _strip_comment(line: str) -> str:
@@ -131,6 +144,12 @@ def _assemble_line(
                 f"line {lineno}: {op} expects {n} operands, got {len(operands)}"
             )
 
+    def x(k: int) -> Reg:
+        return _expect(parse_reg(operands[k - 1]), RegClass.X, op, k, lineno)
+
+    def d(k: int) -> Reg:
+        return _expect(parse_reg(operands[k - 1]), RegClass.D, op, k, lineno)
+
     if op in ("nop", "halt"):
         need(0)
         return Instruction(Opcode.NOP if op == "nop" else Opcode.HALT, text=text)
@@ -142,6 +161,9 @@ def _assemble_line(
         need(2)
         rd = parse_reg(operands[0])
         base, idx, imm, shift, mode = _parse_mem_operand(operands[1], symbols, lineno)
+        for reg in (base, idx):       # addresses are formed in X registers
+            if reg is not None:
+                _expect(reg, RegClass.X, op, 2, lineno)
         return Instruction(
             Opcode.LDR if op in ("ldr", "ldrsw") else Opcode.STR,
             rd=rd, rn=base, rm=idx, imm=imm, shift=shift, mode=mode, text=text,
@@ -149,52 +171,51 @@ def _assemble_line(
 
     if op in ("mov", "movz"):
         need(2)
-        rd = parse_reg(operands[0])
+        rd = x(1)
         if operands[1].startswith("#") or operands[1].lstrip("-").isdigit():
             return Instruction(Opcode.MOV, rd=rd, imm=_parse_imm(operands[1], symbols, lineno),
                                text=text)
-        return Instruction(Opcode.MOV, rd=rd, rn=parse_reg(operands[1]), text=text)
+        return Instruction(Opcode.MOV, rd=rd, rn=x(2), text=text)
 
     if op == "fmov":
         need(2)
-        rd = parse_reg(operands[0])
+        rd = d(1)
         if operands[1].startswith("#"):
             return Instruction(Opcode.FMOV, rd=rd, imm=_parse_fimm(operands[1], lineno), text=text)
-        return Instruction(Opcode.FMOV, rd=rd, rn=parse_reg(operands[1]), text=text)
+        return Instruction(Opcode.FMOV, rd=rd, rn=d(2), text=text)
 
     if op == "adr":
         need(2)
-        rd = parse_reg(operands[0])
+        rd = x(1)
         sym = operands[1].lstrip("=")
         return Instruction(Opcode.ADR, rd=rd, imm=_parse_imm(sym, symbols, lineno), text=text)
 
     if op == "cmp":
         need(2)
-        rn = parse_reg(operands[0])
+        rn = x(1)
         if operands[1].startswith("#"):
             return Instruction(Opcode.CMP, rn=rn, imm=_parse_imm(operands[1], symbols, lineno),
                                text=text)
-        return Instruction(Opcode.CMP, rn=rn, rm=parse_reg(operands[1]), text=text)
+        return Instruction(Opcode.CMP, rn=rn, rm=x(2), text=text)
 
     if op in _ALU3:
         need(3)
-        rd, rn = parse_reg(operands[0]), parse_reg(operands[1])
+        rd, rn = x(1), x(2)
         if operands[2].startswith("#") or operands[2].lstrip("-").isdigit():
             return Instruction(_ALU3[op], rd=rd, rn=rn,
                                imm=_parse_imm(operands[2], symbols, lineno), text=text)
-        return Instruction(_ALU3[op], rd=rd, rn=rn, rm=parse_reg(operands[2]), text=text)
+        return Instruction(_ALU3[op], rd=rd, rn=rn, rm=x(3), text=text)
 
     if op in _FP3:
         need(3)
-        return Instruction(_FP3[op], rd=parse_reg(operands[0]), rn=parse_reg(operands[1]),
-                           rm=parse_reg(operands[2]), text=text)
+        return Instruction(_FP3[op], rd=d(1), rn=d(2), rm=d(3), text=text)
 
     if op in ("madd", "fmadd"):
         need(4)
+        reg = x if op == "madd" else d
         return Instruction(
             Opcode.MADD if op == "madd" else Opcode.FMADD,
-            rd=parse_reg(operands[0]), rn=parse_reg(operands[1]),
-            rm=parse_reg(operands[2]), ra=parse_reg(operands[3]), text=text,
+            rd=reg(1), rn=reg(2), rm=reg(3), ra=reg(4), text=text,
         )
 
     if op == "b":
@@ -208,7 +229,7 @@ def _assemble_line(
     if op in ("cbz", "cbnz"):
         need(2)
         return Instruction(Opcode.CBZ if op == "cbz" else Opcode.CBNZ,
-                           rn=parse_reg(operands[0]), label=operands[1], text=text)
+                           rn=x(1), label=operands[1], text=text)
 
     raise AssemblerError(f"line {lineno}: unknown mnemonic {op!r}")
 

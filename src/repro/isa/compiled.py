@@ -15,17 +15,25 @@ timeline cores; issue, execute, commit, successor-peek for the barrel
 core.  :func:`_step_source` splices the per-op-class fragments (simple,
 cmp, branch, ldr, str, halt) between them.  Everything the *shape* of the
 emitted code depends on — subclass hooks, miss switching, flag reads,
-destination register file, post-index writeback, chaining — is a template
-switch that leaves code out instead of testing a constant at run time.
-Each shape is ``exec``-compiled once per process into a factory taking the
-per-pc constants (:data:`_FACTORIES`), so compiling a program costs one
-factory call per pc, however many programs a sweep assembles.
+destination register file, post-index writeback, chaining, attached
+instruments — is a template switch that leaves code out instead of
+testing a constant at run time.  Each shape is ``exec``-compiled once per
+process into a factory taking the per-pc constants (:data:`_FACTORIES`),
+so compiling a program costs one factory call per pc, however many
+programs a sweep assembles.
+
+This table is the simulator's only step engine.  A core with a fault hook
+or an observer attached runs its *observed* variant: the same fragments
+plus the fault hook at fetch and the :class:`~repro.core.instrument.
+Observer` events where they happen — one ``on_commit`` after the
+architectural update and the core's commit hook, ``on_stall`` on a masked
+switch, ``on_thread_done`` after a HALT.
 
 Step contract:
 
-* signature ``(core, thread) -> int`` — the number of engine steps
-  consumed (>= 1; a superop returns its chain length so the run-loop
-  watchdogs count exactly what the interpreted engine counts);
+* signature ``(core, thread) -> int`` — the number of instructions
+  processed (>= 1; a superop returns its chain length so the run-loop
+  watchdogs count every instruction);
 * steps close over **only static program facts** (indices, latencies,
   successor steps).  Everything dynamic is read from ``core`` per call —
   including every method a subclass, a class-level tracer or a test may
@@ -33,15 +41,14 @@ Step contract:
   ``core.decode_regs_ready``, ``core.on_commit``,
   ``core._handle_miss_switch``) — so one compiled table is shared by every
   core over the same program;
-* steps never read ``core.fault_hook`` or ``core.observers``: a core with
-  anything attached does not run compiled steps at all
-  (``TimelineCore._recompile_step`` binds the reference body instead);
-* the cycle math equals the reference bodies
-  (``TimelineCore._reference_step``, ``FGMTCore._reference_step``), which
-  are the oracle; the equivalence suite
-  (tests/core/test_engine_equivalence.py) holds the two engines
-  byte-identical.  An op whose operand shape the lowering declines is
-  handed to the reference body for that pc (:func:`_reference_fallback`).
+* only observed shapes read ``core._fault_hook`` or ``core._observers``;
+  ``TimelineCore._recompile_step`` picks the variant whenever either is
+  assigned;
+* the cycle math equals the interpreted bodies kept as the test oracle
+  (tests/core/reference_step.py); the equivalence suite
+  (tests/core/test_engine_equivalence.py) holds the table byte-identical
+  to them.  An op whose operand shape the lowering cannot express raises
+  :class:`~repro.errors.LoweringError` when the table is compiled.
 
 Compiled tables are cached on the ``DecodedProgram`` (itself cached per
 (program, icache line size)) keyed by :class:`EngineVariant`, so closures
@@ -56,6 +63,7 @@ from string import Template
 from textwrap import indent
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..errors import LoweringError
 from .decoded import DecodedOp, DecodedProgram
 from .instructions import MASK64, SIGN64, AddrMode, Cond, Flags, Opcode
 from .registers import RegClass
@@ -87,10 +95,13 @@ class EngineVariant:
     #: superop chaining.  Off for cores inside a multi-core node: the
     #: node interleaves cores per step() in local-clock order, and a
     #: chained step would batch one core's shared-memory traffic ahead
-    #: of its peers, changing crossbar/DRAM contention order vs the
-    #: interpreted engine.  Part of the key so chained and unchained
-    #: tables never collide in the compile cache.
+    #: of its peers, changing crossbar/DRAM contention order.  Part of
+    #: the key so chained and unchained tables never collide in the
+    #: compile cache.
     chained: bool = True
+    #: a fault hook or an observer is attached.  Derived by the core from
+    #: its ``fault_hook`` / ``observers``; not a user option.
+    observed: bool = False
 
 
 class CompiledProgram:
@@ -126,11 +137,6 @@ def compile_program(dprog: DecodedProgram,
     return cp
 
 
-class _Unsupported(Exception):
-    """The lowering can't express this op's operand shape; its pc runs the
-    core's reference body instead."""
-
-
 def _block_leaders(dprog: DecodedProgram) -> set:
     """Basic-block leader pcs from the PR 8 dataflow CFG (superop
     boundaries).  Imported lazily: analysis sits above isa in the layer
@@ -164,20 +170,15 @@ def _build_code(dprog: DecodedProgram,
     return code
 
 
-def _reference_fallback(core, thread) -> int:
-    """The step of an op the lowering declines: the core's interpreted
-    reference body runs that one pc.  It chains to nothing, so it ends
-    its superop."""
-    core._reference_step(thread)
-    return 1
-
-
 def _make_step(ops: List[DecodedOp], pc: int, variant: EngineVariant,
                chain: Optional[Callable]) -> Callable:
     try:
         cls, switches, consts = _lower(ops, pc, variant)
-    except _Unsupported:
-        return _reference_fallback
+    except LoweringError:
+        inst = ops[pc].inst
+        text = inst.text or inst.opcode.name.lower()
+        raise LoweringError(f"pc {pc}: the {variant.family} step cannot "
+                            f"be generated for {text!r}") from None
     if chain is not None:
         switches.add("chain")
         consts["CHAIN"] = chain
@@ -221,20 +222,21 @@ _COND_TESTS = {
 
 def _x_index(reg) -> int:
     if reg is None or reg.rclass is not RegClass.X:
-        raise _Unsupported
+        raise LoweringError
     return reg.index
 
 
 def _d_index(reg) -> int:
     if reg is None or reg.rclass is not RegClass.D:
-        raise _Unsupported
+        raise LoweringError
     return reg.index
 
 
 def _make_compute(d: DecodedOp):
     """Lower a register-writing ALU/FP/move op to
     ``compute(xregs, dregs) -> value`` plus its destination.  Raises
-    :class:`_Unsupported` for anything outside the expected shapes."""
+    :class:`~repro.errors.LoweringError` for anything outside the expected
+    shapes."""
     inst = d.inst
     op = inst.opcode
     if op is Opcode.NOP:
@@ -248,7 +250,7 @@ def _make_compute(d: DecodedOp):
             b = _x_index(inst.rm)
             return (lambda x, dr: f(x[a], x[b])), rd
         if inst.imm is None:
-            raise _Unsupported
+            raise LoweringError
         imm = int(inst.imm) & MASK64
         return (lambda x, dr: f(x[a], imm)), rd
     if op is Opcode.MADD:
@@ -263,13 +265,13 @@ def _make_compute(d: DecodedOp):
             a = _x_index(inst.rn)
             return (lambda x, dr: x[a]), rd
         if inst.imm is None:
-            raise _Unsupported
+            raise LoweringError
         imm = int(inst.imm) & MASK64
         return (lambda x, dr: imm), rd
     if op is Opcode.ADR:
         _x_index(rd)
         if inst.imm is None:
-            raise _Unsupported
+            raise LoweringError
         imm = int(inst.imm) & MASK64
         return (lambda x, dr: imm), rd
     if op is Opcode.FMOV:
@@ -278,7 +280,7 @@ def _make_compute(d: DecodedOp):
             a = _d_index(inst.rn)
             return (lambda x, dr: dr[a]), rd
         if inst.imm is None:
-            raise _Unsupported
+            raise LoweringError
         imm = float(inst.imm)
         return (lambda x, dr: imm), rd
     if op is Opcode.FADD:
@@ -298,7 +300,7 @@ def _make_compute(d: DecodedOp):
                    _d_index(inst.ra))
         _d_index(rd)
         return (lambda x, dr: dr[a] * dr[b] + dr[c]), rd
-    raise _Unsupported
+    raise LoweringError
 
 
 def _addr_lowering(d: DecodedOp):
@@ -319,7 +321,7 @@ def _addr_lowering(d: DecodedOp):
     if mode is AddrMode.POST_IMM:
         imm = int(inst.imm or 0)
         return (lambda x: x[rn] & MASK64), (lambda x: (x[rn] + imm) & MASK64)
-    raise _Unsupported
+    raise LoweringError
 
 
 # ------------------------------------------------------ per-op classification
@@ -330,7 +332,7 @@ def _barrel_peek(ops: List[DecodedOp], at: int, prefix: str,
     program at run time: its source flats (a constant) and whether it
     reads the flags (a switch)."""
     if not 0 <= at < len(ops):
-        raise _Unsupported
+        raise LoweringError
     consts[prefix + "_FLATS"] = ops[at].src_flats
     if ops[at].reads_flags:
         sw.add(prefix.lower() + "_flags")
@@ -357,13 +359,17 @@ def _lower(ops: List[DecodedOp], pc: int,
             sw.add("reg_hook")
         if variant.commit_hook:
             sw.add("commit_hook")
+    elif variant.observed:
+        consts["D"] = d             # what the instruments are handed
+    if variant.observed:
+        sw.add("observed")
     if d.reads_flags:
         sw.add("reads_flags")
     if d.is_halt:
         return "halt", sw, consts
     if d.is_branch:
         if inst.target is None:
-            raise _Unsupported
+            raise LoweringError
         consts["TARGET"] = inst.target
         if op is Opcode.BCOND:
             sw.add("bcond")
@@ -382,7 +388,7 @@ def _lower(ops: List[DecodedOp], pc: int,
         addr_fn, wb_fn = _addr_lowering(d)
         rd = inst.rd
         if rd is None:
-            raise _Unsupported
+            raise LoweringError
         consts.update(addr_fn=addr_fn, RD_IDX=rd.index)
         if rd.rclass is RegClass.X:
             sw.add("rd_x")
@@ -402,7 +408,7 @@ def _lower(ops: List[DecodedOp], pc: int,
             sw.add("has_rm")
             consts["RM"] = _x_index(inst.rm)
         elif inst.imm is None:
-            raise _Unsupported
+            raise LoweringError
         else:
             consts["IMM_B"] = int(inst.imm) & MASK64
         return "cmp", sw, consts
@@ -423,7 +429,7 @@ def _lower(ops: List[DecodedOp], pc: int,
 # the running thread's writer scoreboard in both families, keyed by flat
 # register index.
 
-_FETCH_DECODE = """\
+_FETCH = """\
 # fetch: the op reaches decode once the front end delivers it and decode
 # is free; entering a new icache line pays the icache access
 fa = core.fetch_avail
@@ -436,19 +442,25 @@ if LINE != core._last_fetch_line:
     t0 = t_d - ic.config.latency
     r = ic.access(t0 if t0 > 0 else 0, ADDR, requestor=core.core_id)
     if not r.hit:
-        core.stats.inc("icache_miss_stalls")
+        core.stats.inc("icache_miss_stalls")$NOTE_ICACHE_MISS
     if r.complete_at > t_d:
         t_d = r.complete_at
+"""
+
+_DECODE = """\
 # decode: one cycle, then wait for the operands
 sb = core.scoreboard
 t_issue = t_d + 1
 """
 
-_BARREL_ISSUE = """\
+_BARREL_THREAD = """\
 # issue: one slot per cycle shared by all threads, and no earlier than
 # the operand-ready peek this thread's previous step posted
 tid = thread.tid
 ir = core._issue_ready
+"""
+
+_BARREL_ISSUE = """\
 sb = core._boards[tid]
 t_issue = core.decode_free + 1
 iri = ir[tid]
@@ -581,16 +593,60 @@ if rp > t_next:
     t_next = rp
 """
 
+# The observed variant: the instruments, spliced in where they fire.
+
+_FAULT_HOOK = """\
+# the fault injector, at fetch: the one instrument that may move a
+# timestamp (fault recovery costs cycles)
+fh = core._fault_hook
+if fh is not None:
+    $FETCHED = fh.on_instruction(thread, D.inst, $FETCHED)
+"""
+
+# inside _MISS_SWITCH's ``if r.switch_signal:``
+_ON_STALL = """\
+    for observer in core._observers:
+        observer.on_stall(thread.tid, t_issue_mem, data_at,
+                          "suppressed-switch")
+"""
+
+_ON_COMMIT = """\
+# the one commit point: observers see exactly the committed state, with
+# the instruction's own pc
+for observer in core._observers:
+    observer.on_commit(thread, D, $STAGES,
+                       t_ex_done, $DONE, t_c, $MISSED)
+"""
+
+_ON_THREAD_DONE = """\
+for observer in core._observers:
+    observer.on_thread_done(thread.tid, t_c)
+"""
+
 
 def _step_source(family: str, cls: str, sw: FrozenSet[str]) -> str:
     """Body of ``step(core, thread)`` for one shape: the family's stage
     fragments in pipeline order, the op class's fragments between them."""
     barrel = family == "barrel"
     on = sw.__contains__
-    src = [_BARREL_ISSUE if barrel else _FETCH_DECODE,
-           _operand_wait("SRC_FLATS", on("reads_flags"), "t_issue")]
+    observed = on("observed")
+    if barrel:
+        src = [_BARREL_THREAD, _FAULT_HOOK if observed else "",
+               _BARREL_ISSUE,
+               _operand_wait("SRC_FLATS", on("reads_flags"), "t_issue")]
+    elif observed:
+        # the observers are handed operand readiness on its own
+        src = ["icache_missed = False\n", _FETCH, _FAULT_HOOK, _DECODE,
+               "t_ops = t_d\n",
+               _operand_wait("SRC_FLATS", on("reads_flags"), "t_ops"),
+               "if t_ops > t_issue:\n    t_issue = t_ops\n"]
+    else:
+        src = [_FETCH, _DECODE,
+               _operand_wait("SRC_FLATS", on("reads_flags"), "t_issue")]
     if on("reg_hook"):
         src.append(_REG_HOOK)
+    elif observed and not barrel:
+        src.append("t_regs = t_d\n")
     src.append("core.decode_free = t_issue\n")
     if not barrel:
         src.append(_FETCH_ADVANCE)
@@ -600,6 +656,8 @@ def _step_source(family: str, cls: str, sw: FrozenSet[str]) -> str:
         src.append(_LDR_MEM)
         if on("miss_switch"):
             src.append(_MISS_SWITCH)
+            if observed:
+                src.append(_ON_STALL)
         if not barrel:
             src.append("core.load_slots.append(data_at)\n")
         src.append(_LDR_MISSED)
@@ -629,6 +687,8 @@ def _step_source(family: str, cls: str, sw: FrozenSet[str]) -> str:
         src.append("taken = (thread.xregs[RN] == 0) == WANT_ZERO\n")
     if on("commit_hook"):
         src.append("core.on_commit(thread, D, t_c)\n")
+    if observed:
+        src.append(_ON_COMMIT)
 
     def peek(prefix: str) -> str:
         # barrel successor-peek: when could this thread issue again?  The
@@ -638,6 +698,8 @@ def _step_source(family: str, cls: str, sw: FrozenSet[str]) -> str:
 
     if cls == "halt":
         src.append("core._halt_thread(thread)\n")
+        if observed:
+            src.append(_ON_THREAD_DONE)
     elif cls == "branch":
         taken = "thread.pc = TARGET\n" + (
             peek("TGT") + _BARREL_REDIRECT if barrel else _REDIRECT)
@@ -660,7 +722,16 @@ def _step_source(family: str, cls: str, sw: FrozenSet[str]) -> str:
         FLAGS_READY="core._flags_ready[tid]" if barrel else "core.flags_ready",
         RF="xregs" if rd_x else "dregs",
         LOADED="int(v) & MASK64" if rd_x else "float(v)",
-        CMP_B="x[RM]" if on("has_rm") else "IMM_B")
+        CMP_B="x[RM]" if on("has_rm") else "IMM_B",
+        NOTE_ICACHE_MISS="\n        icache_missed = True" if observed else "",
+        FETCHED="ir[tid]" if barrel else "t_d",
+        # the barrel has no decode stage: an op is "in decode" the cycle
+        # before it issues, and its operands and registers are ready at
+        # issue
+        STAGES=("t_issue - 1, t_issue, t_issue, t_issue" if barrel
+                else "t_d, t_ops, t_regs, t_issue"),
+        MISSED=(("False" if barrel else "icache_missed") + ", "
+                + ("not r.hit" if cls == "ldr" else "False")))
 
 
 #: exec-compiled step factories, one per shape, for the whole process.  A

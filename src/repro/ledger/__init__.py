@@ -16,7 +16,7 @@ VRC011); everything else goes through the two classes above.
 from .cache import CachedBackend
 from .history import check_history, compare_digests, history_series, trajectory
 from .schema import LEDGER_ENV, LEDGER_NAME, SCHEMA_VERSION
-from .store import LedgerReader, Recorder, default_ledger_path, engine_key_of
+from .store import LedgerReader, Recorder, default_ledger_path
 
 __all__ = [
     "CachedBackend",
@@ -28,7 +28,6 @@ __all__ = [
     "check_history",
     "compare_digests",
     "default_ledger_path",
-    "engine_key_of",
     "history_series",
     "trajectory",
 ]

@@ -15,9 +15,9 @@ the shared metrics registry when one is bound:
 
 * ``ledger.hit``   — a servable row existed; the run was not executed.
 * ``ledger.miss``  — the ledger has never seen this digest.
-* ``ledger.stale`` — the digest exists but no row is servable (different
-  engine key, older schema version, unchecked row for a ``check=True``
-  request, or an unreadable blob).  Stale is deliberately distinct from
+* ``ledger.stale`` — the digest exists but no row is servable (a
+  non-default engine key, older schema version, unchecked row for a
+  ``check=True`` request, or an unreadable blob).  Stale is deliberately distinct from
   miss: a burst of stales after a schema bump is expected, a burst of
   stales on an unchanged tree is a cache-keying bug.
 
@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..exec.backends import ExecBackend, SerialBackend
 from ..exec.workers import _append_event, grid_worker
-from .store import LedgerReader, Recorder, engine_key_of
+from .store import LedgerReader, Recorder
 
 __all__ = ["CachedBackend"]
 
@@ -77,10 +77,9 @@ class CachedBackend(ExecBackend):
                 f"ledger.{grade}",
                 "cache lookup grades of CachedBackend").inc()
 
-    def _lookup(self, digest: str, cfg, check: bool):
+    def _lookup(self, digest: str, check: bool):
         """One graded lookup: the cached RunResult or None."""
-        result = self._reader.lookup_result(
-            digest, engine_key=engine_key_of(cfg), require_checked=check)
+        result = self._reader.lookup_result(digest, require_checked=check)
         if result is not None:
             self._count("hit")
             return result
@@ -97,8 +96,8 @@ class CachedBackend(ExecBackend):
         results: List = [None] * len(items)
         misses: List[int] = []
         for pos, task in enumerate(items):
-            index, cfg, check, _, _, _, key, obs = task
-            cached = self._lookup(key, cfg, check)
+            index, _, check, _, _, _, key, obs = task
+            cached = self._lookup(key, check)
             if cached is None:
                 misses.append(pos)
                 continue

@@ -15,12 +15,10 @@ lookups, documented in docs/observability.md §9):
   "have we computed this before".  Non-RunConfig rows (fuzz arms, bench
   rates) use a namespaced synthetic digest (``fuzz:...``, ``bench:...``)
   so they share the time axis without colliding with sweep rows.
-* ``engine_key`` — the host-side step engine (``default`` | ``compiled``
-  | ``interpreted``).  Engines are byte-identical by construction and
-  therefore *excluded* from manifest digests, but the cache is
-  deliberately conservative: a row recorded under one engine never
-  serves a request for another (it counts as ``ledger.stale`` instead),
-  so an engine-equivalence bug can never hide behind the cache.
+* ``engine_key`` — every row is written as ``default``, and only
+  ``default`` rows are served.  The column stays so ledgers written when
+  a run could pick its step engine (``compiled`` | ``interpreted`` rows)
+  keep reading: those rows grade ``ledger.stale``, never a hit.
 * ``schema_version`` — bumping :data:`SCHEMA_VERSION` invalidates every
   prior row for cache purposes (they remain readable history).
 * ``checked`` — whether the recorded run passed the functional check; a

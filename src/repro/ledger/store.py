@@ -34,7 +34,7 @@ from .. import __version__
 from .schema import DDL, LEDGER_ENV, LEDGER_NAME, ROW_COLUMNS, SCHEMA_VERSION
 
 __all__ = ["LedgerReader", "Recorder", "default_ledger_path",
-           "engine_key_of", "open_recorder"]
+           "open_recorder"]
 
 _GIT_SHA: Optional[str] = None
 
@@ -45,11 +45,6 @@ def default_ledger_path(root: Optional[str] = None) -> str:
     if env:
         return env
     return os.path.join(root, LEDGER_NAME) if root else LEDGER_NAME
-
-
-def engine_key_of(cfg) -> str:
-    """The cache's engine column for one RunConfig (None -> 'default')."""
-    return getattr(cfg, "engine", None) or "default"
 
 
 def git_sha() -> str:
@@ -155,7 +150,6 @@ class Recorder:
         stripped = _strip_copy(result)
         return self._insert(
             digest=config_key(cfg),
-            engine_key=engine_key_of(cfg),
             source=source,
             checked=1 if checked else 0,
             workload=cfg.workload,
@@ -180,7 +174,6 @@ class Recorder:
         )
 
     def record_row(self, digest: str, *, source: str,
-                   engine_key: str = "default",
                    workload: Optional[str] = None,
                    core_type: Optional[str] = None,
                    policy: Optional[str] = None,
@@ -197,7 +190,7 @@ class Recorder:
         mistaken for cacheable sweep results (no ``result_blob``).
         """
         return self._insert(
-            digest=digest, engine_key=engine_key, source=source, checked=0,
+            digest=digest, source=source, checked=0,
             workload=workload, core_type=core_type, policy=policy,
             n_threads=None, n_cores=None, context_fraction=None, seed=None,
             config_json=(json.dumps(config, sort_keys=True, default=str)
@@ -258,19 +251,18 @@ class LedgerReader:
         self.close()
 
     # -- cache lookups ------------------------------------------------------
-    def lookup_result(self, digest: str, engine_key: str = "default",
-                      require_checked: bool = True):
+    def lookup_result(self, digest: str, require_checked: bool = True):
         """The newest cache-servable RunResult for a key, or None.
 
-        Servable means: same digest, same engine key, current schema
-        version, a stored blob, and (for ``require_checked``) a run that
-        passed its functional check.  Unpickles and returns the stored
+        Servable means: same digest, the ``default`` engine key, current
+        schema version, a stored blob, and (for ``require_checked``) a run
+        that passed its functional check.  Unpickles and returns the stored
         :class:`~repro.system.simulator.RunResult`.
         """
         sql = ("SELECT result_blob FROM runs WHERE digest = ? AND "
-               "engine_key = ? AND schema_version = ? AND "
+               "engine_key = 'default' AND schema_version = ? AND "
                "result_blob IS NOT NULL")
-        args: List = [digest, engine_key, SCHEMA_VERSION]
+        args: List = [digest, SCHEMA_VERSION]
         if require_checked:
             sql += " AND checked = 1"
         sql += " ORDER BY id DESC LIMIT 1"

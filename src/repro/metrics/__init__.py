@@ -86,9 +86,8 @@ class CoreMetrics(Observer):
         cell = self._cells[kind] = self._instructions.bind(**labels)
         return cell
 
-    def on_commit(self, thread, d, result, t_d, t_ops, t_regs, t_issue,
-                  t_ex_done, data_at, t_c, icache_missed,
-                  load_missed) -> None:
+    def on_commit(self, thread, d, t_d, t_ops, t_regs, t_issue, t_ex_done,
+                  data_at, t_c, icache_missed, load_missed) -> None:
         """Record one committed instruction (``d`` is its DecodedOp)."""
         kind = None
         if self._by_kind:

@@ -143,9 +143,8 @@ class CycleAttributor(Observer):
         self._pending.append((t_to, _SPILL_WRITEBACK, tid))
 
     # ---------------------------------------------------------- the commit
-    def on_commit(self, thread, d, result, t_d, t_ops, t_regs, t_issue,
-                  t_ex_done, data_at, t_c, icache_missed,
-                  load_missed) -> None:
+    def on_commit(self, thread, d, t_d, t_ops, t_regs, t_issue, t_ex_done,
+                  data_at, t_c, icache_missed, load_missed) -> None:
         """Tile ``(cursor, t_c]``: pending markers first, then the
         instruction's own bounds."""
         tid = thread.tid

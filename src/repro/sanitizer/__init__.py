@@ -72,14 +72,13 @@ class CoreSanitizer(Observer):
         self._sweep_regs = (tuple(from_flat(f) for f in used)
                             if used else None)
 
-    def on_commit(self, thread, d, result, t_d, t_ops, t_regs, t_issue,
-                  t_ex_done, data_at, t_c, icache_missed,
-                  load_missed) -> None:
+    def on_commit(self, thread, d, t_d, t_ops, t_regs, t_issue, t_ex_done,
+                  data_at, t_c, icache_missed, load_missed) -> None:
         """Advance the shadow and run checks per the configured granularity."""
         cfg = self.cfg
         per_commit = cfg.granularity == "commit"
         if self.shadow is not None:
-            violation = self.shadow.step_commit(thread, d.inst, result, t_c,
+            violation = self.shadow.step_commit(thread, d.inst, t_c,
                                                 check_now=per_commit)
             if per_commit and violation is not None:
                 raise violation

@@ -92,14 +92,13 @@ class ShadowCore:
 
     # -- commit-time shadow stepping ---------------------------------------
     def step_commit(self, thread: ThreadContext, inst: Instruction,
-                    result: object, t_commit: int,
+                    t_commit: int,
                     check_now: bool) -> Optional[SanitizerViolation]:
         """Advance ``thread``'s shadow past one committed instruction.
 
-        ``result`` is the timing model's :class:`ExecResult` (used only for
-        cross-checking — the shadow recomputes everything from its own
-        state).  When ``check_now`` the divergence checks run inline and the
-        first violation is returned; otherwise divergences are recorded and
+        The shadow recomputes everything from its own state.  When
+        ``check_now`` the divergence checks run inline and the first
+        violation is returned; otherwise divergences are recorded and
         surfaced at the next check boundary.  Never raises and never writes
         simulator state: VSan is purely observational.
         """

@@ -106,15 +106,6 @@ class RunConfig:
     #: sanitizer subsystem; a sanitize-on run that finds no violation is
     #: still cycle-identical to a sanitize-off run.
     sanitize: Optional[Dict] = None
-    #: step engine driving every core of the run: "compiled" (threaded-code
-    #: closure chains, the default), "interpreted" (the reference loop the
-    #: differential oracle pins the compiled engine against), or None for
-    #: the default.  Observational-only by construction — the two engines
-    #: are byte-identical in stats and architectural state — so like the
-    #: other observation knobs the field is excluded from config/manifest
-    #: digests when None *and* when set: engine choice never changes what
-    #: run a digest names.
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.core_type not in CORE_TYPES:
@@ -130,9 +121,6 @@ class RunConfig:
         if self.max_cycles is not None and self.max_cycles <= 0:
             raise ValueError("max_cycles must be positive")
         requested(self)  # validate the opt-in layers' specs eagerly
-        if self.engine is not None:
-            from ..core.engine import resolve_engine
-            resolve_engine(self.engine)  # validate eagerly
 
     def with_(self, **kw) -> "RunConfig":
         return replace(self, **kw)

@@ -29,12 +29,6 @@ from .simulator import RunResult
 #: in an active campaign remain distinguishable.
 _DIGEST_OPTIONAL_FIELDS = ("metrics", "profile")
 
-#: fields dropped from digest payloads *unconditionally*: the step engine
-#: is byte-identical by construction (the equivalence suite enforces it),
-#: so two runs differing only in engine are the same run — a digest must
-#: name the simulated machine, not the host-side execution strategy.
-_DIGEST_EXCLUDED_FIELDS = ("engine",)
-
 
 def config_payload(cfg: RunConfig) -> Dict:
     """``asdict(cfg)`` normalized for digesting (see above)."""
@@ -42,8 +36,6 @@ def config_payload(cfg: RunConfig) -> Dict:
     for name in _DIGEST_OPTIONAL_FIELDS:
         if payload.get(name) is None:
             payload.pop(name, None)
-    for name in _DIGEST_EXCLUDED_FIELDS:
-        payload.pop(name, None)
     return payload
 
 

@@ -71,8 +71,7 @@ def _make_core(cfg: RunConfig, instance, icache, dcache, core_id=0, stats=None):
             for th in threads:
                 th.state = ThreadState.BLOCKED
 
-    common = dict(stats=stats, core_id=core_id, layout=layout,
-                  engine=cfg.engine)
+    common = dict(stats=stats, core_id=core_id, layout=layout)
     if cfg.core_type == "banked":
         return BankedCore(instance.program, icache, dcache, instance.memory,
                           threads, **common)
@@ -91,8 +90,7 @@ def _make_core(cfg: RunConfig, instance, icache, dcache, core_id=0, stats=None):
         rf = cfg.resolve_rf_size(len(instance.active_regs))
         return make_nsf_core(instance.program, icache, dcache, instance.memory,
                              threads, rf_size=rf, layout=layout,
-                             stats=stats, core_id=core_id,
-                             engine=cfg.engine)
+                             stats=stats, core_id=core_id)
     if cfg.core_type == "prefetch-full":
         return FullContextPrefetchCore(instance.program, icache, dcache,
                                        instance.memory, threads, **common)
@@ -197,13 +195,8 @@ def _run_ooo(cfg: RunConfig, spec, check: bool, profiler=None) -> RunResult:
 
     if profiler is None:
         profiler = HostProfiler()
-    # the ooo host core does not run on the timeline engine: there is no
-    # step body to compile (None silently keeps the ooo model's own loop;
-    # only an *explicit* compiled request is an error) and no observers,
-    # hook or commit clock for an opt-in layer to attach to
-    if cfg.engine == "compiled":
-        raise ValueError("core_type 'ooo' does not support engine='compiled'"
-                         " (no timeline step to compile)")
+    # the ooo host core does not run on the timeline engine: there are no
+    # observers, hook or commit clock for an opt-in layer to attach to
     asked = [row.field for row, _, _ in requested(cfg)]
     if asked:
         raise ValueError("core_type 'ooo' does not run on the timeline "

@@ -76,9 +76,8 @@ class CoreTelemetry(Observer):
             self.events.instant("thread_done", t_c, self.pid, CTRL_TRACK,
                                 args={"tid": tid})
 
-    def on_commit(self, thread, d, result, t_d, t_ops, t_regs, t_issue,
-                  t_ex_done, data_at, t_c, icache_missed,
-                  load_missed) -> None:
+    def on_commit(self, thread, d, t_d, t_ops, t_regs, t_issue, t_ex_done,
+                  data_at, t_c, icache_missed, load_missed) -> None:
         if self.sampler is not None:
             self.sampler.on_cycle(t_c)
 

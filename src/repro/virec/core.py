@@ -58,12 +58,11 @@ class ViReCCore(TimelineCore):
                  virec: Optional[ViReCConfig] = None,
                  layout: Optional[ContextLayout] = None,
                  config: Optional[CoreConfig] = None,
-                 stats: Optional[Stats] = None, core_id: int = 0,
-                 engine: Optional[str] = None) -> None:
+                 stats: Optional[Stats] = None, core_id: int = 0) -> None:
         config = config or CoreConfig(name="virec", switch_on_miss=True)
         super().__init__(program, icache, dcache, memory, threads,
                          config=config, stats=stats, core_id=core_id,
-                         layout=layout, engine=engine)
+                         layout=layout)
         self.vconfig = virec or ViReCConfig()
         self.layout = self.layout or ContextLayout()
 
@@ -161,8 +160,8 @@ class ViReCCore(TimelineCore):
 
 def make_nsf_core(program, icache, dcache, memory, threads,
                   rf_size: int = 32, layout: Optional[ContextLayout] = None,
-                  stats: Optional[Stats] = None, core_id: int = 0,
-                  engine: Optional[str] = None) -> ViReCCore:
+                  stats: Optional[Stats] = None,
+                  core_id: int = 0) -> ViReCCore:
     """Named State Register File baseline [41] (Section 6.1 comparison).
 
     Same register-cache datapath as ViReC but: PLRU replacement, blocking
@@ -173,4 +172,4 @@ def make_nsf_core(program, icache, dcache, memory, threads,
                        dummy_fill=False, pinning=False, sysreg_buffer=False)
     return ViReCCore(program, icache, dcache, memory, threads, virec=vcfg,
                      layout=layout, config=CoreConfig(name="nsf", switch_on_miss=True),
-                     stats=stats, core_id=core_id, engine=engine)
+                     stats=stats, core_id=core_id)

@@ -1,15 +1,16 @@
-"""Compiled vs interpreted engine: byte-identical by construction.
+"""The generated step table against the interpreted oracle: byte-identical.
 
-The threaded-code engine (:mod:`repro.isa.compiled`) is a host-side
-execution strategy, never a model change — so for every timeline core
+The step table (:mod:`repro.isa.compiled`) is the simulator's only step
+engine; the interpreted bodies it was generated to match are kept as the
+oracle in ``tests/core/reference_step.py``.  For every timeline core
 type, every opt-in instrument (the fault hook and each observer, alone
-and all together), and a corpus of fixed-seed fuzz programs, a compiled
-run and an interpreted run of the same RunConfig must produce
-**byte-identical stats digests** (every counter, every cycle, every
-architectural result).  This suite is the contract
-behind excluding ``engine`` from config/manifest digests
-(:data:`repro.system.manifest._DIGEST_EXCLUDED_FIELDS`) and behind the
-fuzz oracle's engine-divergence arm.
+and all together — the observed variant of the table), a corpus of
+fixed-seed fuzz programs, the fuzz oracle's own arm configs and every
+lowering shape, a run on the table and a run on the oracle of the same
+RunConfig must produce **byte-identical stats digests** (every counter,
+every cycle, every architectural result).  Each comparison also checks
+that each side ran the body it claims, so no case compares the oracle
+with itself.
 """
 
 import hashlib
@@ -17,19 +18,23 @@ import json
 
 import pytest
 
+from repro.core.base import TimelineCore
 from repro.fuzz.generator import sample_spec
+from repro.fuzz.oracle import DEFAULT_ARMS, REFERENCE_ARM, oracle_config
+from repro.subsystems import requested
 from repro.system import RunConfig, run_config
 
 from ..helpers import time_limit
+from .reference_step import bind_steps, reference_step_of
 
 #: every timeline core type (ooo is excluded by construction: it has no
-#: timeline step to compile, and run_config rejects engine="compiled")
+#: timeline step)
 TIMELINE_CORE_TYPES = ("inorder", "banked", "swctx", "virec", "nsf",
                       "prefetch-full", "prefetch-exact", "fgmt")
 
 #: one RunConfig field-set per instrument, plus all-attached.  Telemetry
 #: with pipeline_trace covers the tracer observer; faults uses the silent
-#: scheme so the campaign is identical work on both engines.
+#: scheme so the campaign is identical work on both sides.
 SLOT_CONFIGS = {
     "none": {},
     "faults": {"faults": {"rf_rate": 2e-4, "scheme": "none", "seed": 3}},
@@ -62,7 +67,7 @@ def stats_digest(result) -> str:
 def one_digest(cfg: RunConfig) -> str:
     """Digest of the run — or of its failure: a fault campaign may
     corrupt an address register into a crash, and then *the same crash*
-    (type and message) must fire on both engines."""
+    (type and message) must fire on both sides."""
     try:
         return stats_digest(run_config(cfg))
     except Exception as exc:
@@ -70,8 +75,26 @@ def one_digest(cfg: RunConfig) -> str:
 
 
 def digests_of(cfg: RunConfig):
-    return (one_digest(cfg.with_(engine="compiled")),
-            one_digest(cfg.with_(engine="interpreted")))
+    """``(table, oracle)`` digests of one config.  The table side must
+    have run the generated steps — the observed variant exactly when the
+    config attaches an instrument — and the oracle side the interpreted
+    body of its pipeline family."""
+    with bind_steps(reference=False) as cores:
+        table = one_digest(cfg)
+    observed = bool(requested(cfg))
+    assert cores
+    for core in cores:
+        assert (core._process_instruction.__func__
+                is TimelineCore._process_instruction_compiled)
+        variant = core._engine_variant()
+        assert variant.observed is observed
+        assert core._ccode is core.dprog.compiled[variant].code
+    with bind_steps(reference=True) as cores:
+        oracle = one_digest(cfg)
+    assert cores
+    for core in cores:
+        assert core._process_instruction.__func__ is reference_step_of(core)
+    return table, oracle
 
 
 @pytest.mark.parametrize("core_type", TIMELINE_CORE_TYPES)
@@ -80,8 +103,8 @@ def test_core_types_byte_identical(core_type):
     cfg = RunConfig(workload="gather", core_type=core_type,
                     n_threads=nt, n_per_thread=24)
     with time_limit(120):
-        compiled, interpreted = digests_of(cfg)
-    assert compiled == interpreted
+        table, oracle = digests_of(cfg)
+    assert table == oracle
 
 
 @pytest.mark.parametrize("slot", sorted(SLOT_CONFIGS))
@@ -90,8 +113,8 @@ def test_bus_slots_byte_identical(core_type, slot):
     cfg = RunConfig(workload="gather", core_type=core_type,
                     n_threads=4, n_per_thread=16, **SLOT_CONFIGS[slot])
     with time_limit(120):
-        compiled, interpreted = digests_of(cfg)
-    assert compiled == interpreted
+        table, oracle = digests_of(cfg)
+    assert table == oracle
 
 
 @pytest.mark.parametrize("index", range(50))
@@ -105,20 +128,20 @@ def test_fuzz_programs_byte_identical(index):
                     workload_kwargs={"gen": spec},
                     max_cycles=400_000)
     with time_limit(120):
-        compiled, interpreted = digests_of(cfg)
-    assert compiled == interpreted
+        table, oracle = digests_of(cfg)
+    assert table == oracle
 
 
 @pytest.mark.parametrize("core_type", ["banked", "virec", "fgmt"])
 def test_multicore_byte_identical(core_type):
     """n_cores > 1: the node interleaves cores per step, so the simulator
-    disables superop chaining and the compiled engine must reproduce the
-    interpreted crossbar/DRAM contention order exactly."""
+    disables superop chaining and the table must reproduce the oracle's
+    crossbar/DRAM contention order exactly."""
     cfg = RunConfig(workload="spmv", core_type=core_type,
                     n_threads=4, n_per_thread=8, n_cores=2)
     with time_limit(120):
-        compiled, interpreted = digests_of(cfg)
-    assert compiled == interpreted
+        table, oracle = digests_of(cfg)
+    assert table == oracle
 
 
 def test_multicore_disables_chaining_single_core_keeps_it():
@@ -128,8 +151,7 @@ def test_multicore_disables_chaining_single_core_keeps_it():
 
     from ..helpers import build_gather_core
 
-    core, _, _, _ = build_gather_core(BankedCore, n_threads=2, n=16,
-                                      engine="compiled")
+    core, _, _, _ = build_gather_core(BankedCore, n_threads=2, n=16)
     assert core._engine_variant() == EngineVariant(
         family="timeline", miss_switch=True, chained=True)
     core.set_step_chaining(False)
@@ -143,33 +165,32 @@ def test_workload_coverage_byte_identical():
     for core_type in ("banked", "virec"):
         cfg = RunConfig(workload="stride", core_type=core_type,
                         n_threads=4, n_per_thread=16)
-        compiled, interpreted = digests_of(cfg)
-        assert compiled == interpreted
+        table, oracle = digests_of(cfg)
+        assert table == oracle
 
 
-def test_mid_run_engine_switch_converges():
-    """set_engine() mid-run converts scoreboard keys and finishes with
-    the same architectural totals as a single-engine run."""
-    from repro.core.cgmt import BankedCore
+#: the fuzz programs every ``repro fuzz`` arm runs, with and without a
+#: silent-flip campaign (at this rate VSan stops 25 of the 40 flipped
+#: runs and the other 15 complete)
+FUZZ_FAULTS = {"plain": None,
+               "flips": {"rf_rate": 5e-6, "scheme": "none", "seed": 9}}
 
-    from ..helpers import build_gather_core
 
-    ref, _, _, _ = build_gather_core(BankedCore, n_threads=4, n=32,
-                                     engine="compiled")
-    ref.run()
-
-    core, _, _, _ = build_gather_core(BankedCore, n_threads=4, n=32,
-                                      engine="compiled")
-    for _ in range(40):
-        core.step()
-    core.set_engine("interpreted")
-    for _ in range(40):
-        core.step()
-    core.set_engine("compiled")
-    core.run()
-    assert core.now == ref.now
-    assert (sum(th.instructions for th in core.threads)
-            == sum(th.instructions for th in ref.threads))
+@pytest.mark.parametrize("index", range(10))
+def test_fuzz_arms_byte_identical(index):
+    """What the fuzz oracle's engine cross-check claimed to make: every
+    arm config (VSan on, per-commit checks) of 10 fixed-seed generated
+    programs, with and without injected flips, on the table and on the
+    oracle."""
+    spec = sample_spec(4321, index).as_dict()
+    for core_type, policy in (REFERENCE_ARM,) + DEFAULT_ARMS:
+        for faults in FUZZ_FAULTS.values():
+            cfg = oracle_config(spec, core_type, policy, n_threads=4,
+                                n_per_thread=16, max_cycles=400_000,
+                                faults=faults, sanitize=True)
+            with time_limit(120):
+                table, oracle = digests_of(cfg)
+            assert table == oracle, (core_type, policy, faults)
 
 
 # ------------------------------------------------- every lowering shape
@@ -271,36 +292,47 @@ stores:
 """
 
 
-@pytest.mark.parametrize("core_type", ["banked", "virec", "fgmt"])
-def test_every_lowering_shape_byte_identical(core_type):
+def shapes_config(core_type: str) -> RunConfig:
     from repro.isa import assemble
     from repro.isa.instructions import Opcode
 
-    cfg = RunConfig(workload="fuzz", core_type=core_type,
-                    n_threads=4, n_per_thread=16,
-                    workload_kwargs={"gen": ALL_SHAPES_SPEC,
-                                     "asm": ALL_SHAPES_SRC})
     symbols = dict.fromkeys(
         ("chunk", "mask", "data", "aux", "out", "scratch"), 0)
     program = assemble(ALL_SHAPES_SRC, symbols=symbols)
     assert {i.opcode for i in program.instructions} == set(Opcode)
+    return RunConfig(workload="fuzz", core_type=core_type,
+                     n_threads=4, n_per_thread=16,
+                     workload_kwargs={"gen": ALL_SHAPES_SPEC,
+                                      "asm": ALL_SHAPES_SRC})
+
+
+@pytest.mark.parametrize("core_type", ["banked", "virec", "fgmt"])
+def test_every_lowering_shape_byte_identical(core_type):
     with time_limit(120):
-        fast = run_config(cfg.with_(engine="compiled"))
-        assert fast.correct
-        assert stats_digest(fast) == one_digest(cfg.with_(engine="interpreted"))
+        table, oracle = digests_of(shapes_config(core_type))
+    assert not table.startswith("error:"), table   # the run checked out
+    assert table == oracle
+
+
+@pytest.mark.parametrize("core_type", ["banked", "virec", "fgmt"])
+def test_every_observed_lowering_shape_byte_identical(core_type):
+    """The same kernel on the observed variant, every sink attached."""
+    cfg = shapes_config(core_type).with_(**SLOT_CONFIGS["all"])
+    with time_limit(120):
+        table, oracle = digests_of(cfg)
+    assert table == oracle
 
 
 @pytest.mark.parametrize("family", ["timeline", "barrel"])
-def test_declined_op_runs_on_the_reference_body(family):
-    """An operand shape the lowering declines — here an integer ``add``
-    over D registers, which no assembler emits — makes that one pc a call
-    into the core's reference body: byte-identical under both engines,
-    and the end of its superop."""
-    import dataclasses
-
+def test_declined_operands_are_a_lowering_error(family):
+    """An operand shape the lowering cannot express — here an integer
+    ``add`` over D registers, which the assembler rejects, built as an
+    ``Instruction`` directly — fails when the core compiles its table,
+    naming the pc and the instruction."""
     from repro.core.cgmt import BankedCore, make_threads
     from repro.core.fgmt import FGMTCore
-    from repro.isa import D, X, assemble, compiled
+    from repro.errors import LoweringError
+    from repro.isa import D, Instruction, X, assemble
     from repro.isa.instructions import Opcode
     from repro.memory import Cache, CacheConfig, MainMemory
     from repro.stats.counters import Stats
@@ -312,40 +344,18 @@ def test_declined_op_runs_on_the_reference_body(family):
         fmov d0, #2.5
         fmov d1, #4.0
         fadd d2, d0, d1
-        fadd d3, d2, d0
-        adr  x5, out
-        str  d3, [x5, x0, lsl #3]
         halt
-    """, symbols={"out": 0x300000})
-    declined = 2
-    program.instructions[declined] = dataclasses.replace(
-        program.instructions[declined], opcode=Opcode.ADD,
-        text="add d2, d0, d1")
-
-    def run(engine):
-        backend = FixedLatencyBackend(80)
-        ic = Cache(CacheConfig(name="ic", size_bytes=32 * 1024, assoc=4,
-                               latency=2), backend, Stats("ic"))
-        dc = Cache(CacheConfig(name="dc", size_bytes=8 * 1024, assoc=4,
-                               latency=2, mshrs=24), backend, Stats("dc"))
-        mem = MainMemory()
-        threads = make_threads(2, init_regs=[{X(0): t} for t in range(2)])
-        cls = BankedCore if family == "timeline" else FGMTCore
-        core = cls(program, ic, dc, mem, threads, engine=engine)
-        core.run()
-        return core, mem
-
-    fast, fast_mem = run("compiled")
-    oracle, oracle_mem = run("interpreted")
-    code = fast._ccode
-    assert code[declined] is compiled._reference_fallback
-    assert all(step is not compiled._reference_fallback
-               for pc, step in enumerate(code) if pc != declined)
-    assert fast.commit_tail == oracle.commit_tail
-    assert fast.stats.as_dict() == oracle.stats.as_dict()
-    for a, b in zip(fast.threads, oracle.threads):
-        assert (a.xregs, a.dregs, a.instructions) == \
-            (b.xregs, b.dregs, b.instructions)
-        assert a.dregs[D(2).index] == 6.0       # int(2.5) + int(4.0)
-    assert [fast_mem.load(0x300000 + 8 * t) for t in range(2)] == \
-        [oracle_mem.load(0x300000 + 8 * t) for t in range(2)] == [8.5, 8.5]
+    """)
+    program.instructions[2] = Instruction(Opcode.ADD, rd=D(2), rn=D(0),
+                                          rm=D(1), text="add d2, d0, d1")
+    backend = FixedLatencyBackend(80)
+    ic = Cache(CacheConfig(name="ic", size_bytes=32 * 1024, assoc=4,
+                           latency=2), backend, Stats("ic"))
+    dc = Cache(CacheConfig(name="dc", size_bytes=8 * 1024, assoc=4,
+                           latency=2, mshrs=24), backend, Stats("dc"))
+    threads = make_threads(2, init_regs=[{X(0): t} for t in range(2)])
+    cls = BankedCore if family == "timeline" else FGMTCore
+    with pytest.raises(LoweringError,
+                       match=rf"^pc 2: the {family} step cannot be "
+                             r"generated for 'add d2, d0, d1'$"):
+        cls(program, ic, dc, MainMemory(), threads)

@@ -5,16 +5,17 @@ A core has two instrument attributes (see ``repro/core/instrument.py``):
 :class:`~repro.core.instrument.Observer` sinks dispatched in attach order.
 Four things must hold:
 
-* **Compiled fast path** — with no fault hook and no observers the engine
-  binds the generated closure table; assigning either binds the reference
-  body, under either engine, and clearing it restores the table.
+* **One step engine, two variants** — the generated table is always the
+  bound step; with no fault hook and no observers it is the bare variant,
+  assigning either recompiles it to the observed variant, and clearing it
+  restores the bare one.
 * **One commit point** — per instruction the fault hook fires, then each
   observer's ``on_commit`` in attach order; the HALT commits, then every
   observer gets ``on_thread_done``.
 * **Every event is live** — each of the eight events has a dispatch site
-  some run reaches, in the timeline body and the barrel body alike.
-* **Cycle identity** — observers never change a timestamp: the reference
-  body commits on exactly the compiled table's clock.
+  some run reaches, in the timeline steps and the barrel steps alike.
+* **Cycle identity** — observers never change a timestamp: the observed
+  variant commits on exactly the bare variant's clock.
 """
 
 import pytest
@@ -23,6 +24,7 @@ from repro.core.base import TimelineCore
 from repro.core.cgmt import BankedCore
 from repro.core.instrument import Observer
 from repro.core.trace import PipelineTracer
+from repro.isa.compiled import compile_program
 from repro.system import NearMemoryNode, RunConfig, run_config
 
 from ..helpers import build_gather_core
@@ -75,34 +77,43 @@ def attach_all(core, log):
     core.observers += (Recorder(log, "first"), Recorder(log, "second"))
 
 
-# ------------------------------------------------------------- compiled step
+# ----------------------------------------------------------- the step table
 def step_body(core):
     return core._process_instruction.__func__
 
 
 COMPILED = TimelineCore._process_instruction_compiled
-REFERENCE = TimelineCore._reference_step
+
+
+def bound_variant(core):
+    """The variant of the table the core runs (checked to be the one
+    compiled for its current instruments)."""
+    variant = core._engine_variant()
+    assert core._ccode is compile_program(core.dprog, variant).code
+    return variant
 
 
 def test_fast_path_bound_when_bus_empty():
     core = build_core()
     assert core.fault_hook is None and core.observers == ()
-    assert core.engine == "compiled"   # the default
     assert step_body(core) is COMPILED
-    # the interpreted engine has one body, whatever is attached
-    assert step_body(build_core(engine="interpreted")) is REFERENCE
+    assert not bound_variant(core).observed
 
 
 def test_attach_rebinds_to_instrumented_and_back():
     core = build_core()
     core.observers += (PipelineTracer(),)
-    assert step_body(core) is REFERENCE
+    assert step_body(core) is COMPILED
+    assert bound_variant(core).observed
     core.observers = ()
     assert step_body(core) is COMPILED
+    assert not bound_variant(core).observed
     core.fault_hook = RecordingFaults(Log())
-    assert step_body(core) is REFERENCE
+    assert step_body(core) is COMPILED
+    assert bound_variant(core).observed
     core.fault_hook = None
     assert step_body(core) is COMPILED
+    assert not bound_variant(core).observed
 
 
 def test_external_step_wrapper_survives_recompile():
@@ -119,7 +130,8 @@ def test_external_step_wrapper_survives_recompile():
     tracer = PipelineTracer()
     core.observers += (tracer,)              # recompile under the wrapper
     assert core._process_instruction is wrapper
-    assert core._step_impl.__func__ is REFERENCE
+    assert core._step_impl.__func__ is COMPILED
+    assert bound_variant(core).observed
     core.run()
     assert calls, "wrapper was bypassed"
     assert tracer.records, "instrument attached after wrapping was lost"
@@ -183,7 +195,7 @@ def test_every_event_has_a_live_dispatch_site(monkeypatch):
         del log[:]
         result = run_config(cfg)
         seen[key] = {event for _, event in log}
-        # both reference bodies commit every instruction and every HALT
+        # both pipeline families commit every instruction and every HALT
         commits = sum(1 for _, event in log if event == "on_commit")
         assert commits == result.instructions + cfg.n_threads, key
         assert "on_thread_done" in seen[key], key
@@ -209,8 +221,8 @@ def test_instrumented_path_is_cycle_identical_to_fast_path():
 
 
 def test_mid_run_attach_detach_keeps_the_clock():
-    """Flipping between the compiled table and the reference body mid-run
-    must not disturb the timeline: a run that toggles a tracer on and off
+    """Flipping between the bare and the observed variant mid-run must
+    not disturb the timeline: a run that toggles a tracer on and off
     commits on the same clock as an untouched run."""
     bare = build_core()
     bare.run()

@@ -1,12 +1,12 @@
 """Every timeline core type feeds every sink: what an observed run reports
 must add up to what the run did.
 
-Both reference bodies (``TimelineCore._reference_step`` and the barrel
-core's ``FGMTCore._reference_step``) dispatch one commit event that every
-observer rides; a body that skipped a sink would still run
-cycle-identically and write plausible-looking artifacts, so the artifacts
-are checked against the run's own totals — on one core and on a two-core
-node.
+Both pipeline families' observed steps (the timeline cores' and the
+barrel core's, generated in ``repro/isa/compiled.py``) dispatch one commit
+event that every observer rides; a step that skipped a sink would still
+run cycle-identically and write plausible-looking artifacts, so the
+artifacts are checked against the run's own totals — on one core and on a
+two-core node.
 """
 
 import pytest

@@ -150,19 +150,6 @@ def test_bind_metrics_keeps_explicit_registry(ledger):
 
 
 # -- staleness ----------------------------------------------------------------
-def test_flipped_engine_key_grades_stale(ledger):
-    cfg = MIXED_GRID[0]
-    with time_limit(300):
-        cold = sweep([cfg], ledger=ledger)
-        warm, counts = run_warm(ledger, grid=[cfg.with_(engine="compiled")])
-    assert counts == {"hit": 0, "miss": 0, "stale": 1}
-    # the engines agree on results, so the recompute matches anyway
-    assert warm[0].cycles == cold[0].cycles
-    # and the fresh compiled-engine row is now servable under its own key
-    _, counts2 = run_warm(ledger, grid=[cfg.with_(engine="compiled")])
-    assert counts2 == {"hit": 1, "miss": 0, "stale": 0}
-
-
 def test_schema_version_bump_grades_stale(ledger, monkeypatch):
     with time_limit(300):
         sweep(MIXED_GRID[:1], ledger=ledger)

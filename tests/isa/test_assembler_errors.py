@@ -58,3 +58,19 @@ def test_whitespace_tolerance():
     p = assemble("   add\tx0 , x1 ,  #4  \n\n  halt ")
     assert len(p) == 2
     assert p[0].imm == 4
+
+
+@pytest.mark.parametrize("src,message", [
+    ("add x1, x2, d3", "add takes an X register in operand 3, got d3"),
+    ("mov d1, #3", "mov takes an X register in operand 1, got d1"),
+    ("fmov x1, d0", "fmov takes a D register in operand 1, got x1"),
+    ("ldr x1, [d2]", "ldr takes an X register in operand 2, got d2"),
+    ("cmp d1, #3", "cmp takes an X register in operand 1, got d1"),
+    ("cbz d1, L\nL: halt", "cbz takes an X register in operand 1, got d1"),
+])
+def test_register_class_mismatch(src, message):
+    """Operand register classes are checked where the program enters:
+    the step compiler never sees a shape it cannot lower."""
+    with pytest.raises(AssemblerError) as info:
+        assemble(src)
+    assert str(info.value) == f"line 1: {message}"

@@ -4,9 +4,9 @@ The compile cache must never hand one context's closures to another: the
 full key is (program identity, icache line size, EngineVariant), with the
 same staleness guard the decode cache carries.  Chains (superops) must
 stop at CFG basic-block leaders, branches, and halts.  Every step is
-generated from the stage templates, once per shape, and never reads the
-core's ``fault_hook`` or ``observers`` (a core with anything attached runs
-the reference body).
+generated from the stage templates, once per shape.  Only the observed
+variant's steps read the core's ``fault_hook`` or ``observers``, and each
+of those calls the fault hook once and dispatches ``on_commit`` once.
 """
 
 import pytest
@@ -73,6 +73,8 @@ def test_equal_variant_values_share_one_table():
     EngineVariant(reg_hook=True, commit_hook=True),
     EngineVariant(family="barrel"),
     EngineVariant(chained=False),
+    EngineVariant(observed=True),
+    EngineVariant(family="barrel", observed=True),
 ])
 def test_distinct_variants_get_distinct_tables(other):
     dprog = make_dprog()
@@ -181,25 +183,43 @@ def test_shapes_compile_once_per_process():
     assert compiled._FACTORIES == before
 
 
-def test_generated_step_sources_never_mention_bus():
-    """The successor of lint rule VRC010: no generated step, of any shape,
-    reads (let alone captures) an instrument attribute of the core."""
+def every_shape(observed: bool):
+    """Compile every workload under every variant; the shapes of the
+    process-wide factory table with or without the observed switch."""
     from repro import workloads
 
     variants = [EngineVariant(family=f, reg_hook=h, commit_hook=h,
-                              miss_switch=m, chained=c)
+                              miss_switch=m, chained=c, observed=o)
                 for f in compiled.FAMILIES for h in (False, True)
-                for m in (False, True) for c in (False, True)]
+                for m in (False, True) for c in (False, True)
+                for o in (False, True)]
     programs = [workloads.get(name).build(n_threads=2, n_per_thread=4).program
                 for name in workloads.names() if name != "fuzz"]
     for program in programs:
         for variant in variants:
             compile_program(DecodedProgram.of(program), variant)
-    families = {shape[0] for shape in compiled._FACTORIES}
-    classes = {shape[1] for shape in compiled._FACTORIES}
-    assert families == set(compiled.FAMILIES)
-    assert classes == {"simple", "cmp", "branch", "ldr", "str", "halt"}
-    for shape in compiled._FACTORIES:
+    shapes = [shape for shape in compiled._FACTORIES
+              if ("observed" in shape[2]) is observed]
+    assert {shape[0] for shape in shapes} == set(compiled.FAMILIES)
+    assert {shape[1] for shape in shapes} == {
+        "simple", "cmp", "branch", "ldr", "str", "halt"}
+    return shapes
+
+
+def test_generated_step_sources_never_mention_bus():
+    """The successor of lint rule VRC010: no generated step of a bare
+    shape reads (let alone captures) an instrument attribute of the
+    core."""
+    for shape in every_shape(observed=False):
         source = compiled._step_source(*shape)
         for name in ("bus", "observer", "fault_hook"):
             assert name not in source, (name, shape)
+
+
+def test_observed_step_sources_name_each_instrument_once():
+    """Every observed shape calls the fault hook at one point and says
+    "committed" at one point."""
+    for shape in every_shape(observed=True):
+        source = compiled._step_source(*shape)
+        assert source.count("fault_hook") == 1, shape
+        assert source.count("observer.on_commit(") == 1, shape

@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from repro.ledger import (LEDGER_ENV, LedgerReader, Recorder, SCHEMA_VERSION,
-                          default_ledger_path, engine_key_of)
+                          default_ledger_path)
 from repro.ledger import store as store_mod
 from repro.ledger.store import counters_of, open_recorder
 from repro.system import RunConfig, RunManifest, run_config
@@ -40,11 +40,6 @@ def test_default_ledger_path(monkeypatch, tmp_path):
     assert default_ledger_path(str(tmp_path)) == str(tmp_path / "ledger.sqlite")
     monkeypatch.setenv(LEDGER_ENV, "/elsewhere/runs.db")
     assert default_ledger_path(str(tmp_path)) == "/elsewhere/runs.db"
-
-
-def test_engine_key_of():
-    assert engine_key_of(CFG) == "default"
-    assert engine_key_of(CFG.with_(engine="compiled")) == "compiled"
 
 
 # -- record_result round-trip -------------------------------------------------
@@ -92,16 +87,6 @@ def test_lookup_misses_on_unknown_digest(tmp_path):
     with LedgerReader(str(tmp_path / "l.sqlite")) as reader:
         assert reader.lookup_result("0" * 16) is None
         assert not reader.has_digest("0" * 16)
-
-
-def test_flipped_engine_key_is_not_servable(tmp_path, result):
-    path = str(tmp_path / "l.sqlite")
-    with Recorder(path) as rec:
-        rec.record_result(result)
-    with LedgerReader(path) as reader:
-        assert reader.lookup_result(config_key(CFG),
-                                    engine_key="compiled") is None
-        assert reader.has_digest(config_key(CFG))  # stale, not miss
 
 
 def test_schema_version_bump_invalidates(tmp_path, result, monkeypatch):

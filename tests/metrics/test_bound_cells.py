@@ -146,7 +146,7 @@ class _Core:
 
 def _commit(cm, kind, t_c):
     """One commit event carrying only what CoreMetrics reads."""
-    cm.on_commit(None, _Op(kind), None, 0, 0, 0, 0, 0, 0, t_c, False, False)
+    cm.on_commit(None, _Op(kind), 0, 0, 0, 0, 0, 0, t_c, False, False)
 
 
 def test_series_exists_once_written():

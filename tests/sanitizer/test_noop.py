@@ -116,8 +116,9 @@ def test_violation_is_not_transient():
 
 # --------------------------------------------------------- the observers
 # VSan is one of the core's observers (its ``on_commit`` runs after the
-# architectural update): attaching must flip the core off its fast path,
-# and the checked run must commit on exactly the fast path's clock.
+# architectural update): attaching must switch the step table to its
+# observed variant, and the checked run must commit on exactly the bare
+# variant's clock.
 
 def test_attach_goes_through_the_bus():
     from repro.core.base import TimelineCore
@@ -130,11 +131,13 @@ def test_attach_goes_through_the_bus():
     assert core.observers == ()
     assert (core._process_instruction.__func__
             is TimelineCore._process_instruction_compiled)
+    assert not core._engine_variant().observed
 
     cs = Sanitizer().attach(core, mem)
     assert core.observers == (cs,)
     assert (core._process_instruction.__func__
-            is TimelineCore._reference_step)
+            is TimelineCore._process_instruction_compiled)
+    assert core._engine_variant().observed
 
 
 def test_bus_attached_run_is_cycle_identical_to_fast_path():

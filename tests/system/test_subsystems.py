@@ -51,6 +51,7 @@ def assert_nothing_wired(row, result, node):
     assert core.fault_hook is None
     assert (core._process_instruction.__func__
             is TimelineCore._process_instruction_compiled)
+    assert not core._engine_variant().observed
     if row.result:
         assert getattr(result, row.result) is None
 

@@ -80,9 +80,9 @@ def test_unknown_telemetry_field_rejected_eagerly():
 
 
 # --------------------------------------------------------- the observers
-# Telemetry is one of the core's observers: attaching must leave the fast
-# (uninstrumented) step path, and the instrumented run must commit on
-# exactly the fast path's clock (the observer-level restatement of the
+# Telemetry is one of the core's observers: attaching must switch the step
+# table to its observed variant, and the instrumented run must commit on
+# exactly the bare variant's clock (the observer-level restatement of the
 # cycle tests above — see repro/core/instrument.py).
 
 def test_attach_goes_through_the_bus():
@@ -96,12 +96,14 @@ def test_attach_goes_through_the_bus():
     assert core.observers == ()
     assert (core._process_instruction.__func__
             is TimelineCore._process_instruction_compiled)
+    assert not core._engine_variant().observed
 
     session = TelemetrySession(TelemetryConfig(events=True, interval=50))
     ct = session.attach(core)
     assert core.observers == (ct,)
     assert (core._process_instruction.__func__
-            is TimelineCore._reference_step)
+            is TimelineCore._process_instruction_compiled)
+    assert core._engine_variant().observed
 
 
 def test_bus_attached_run_is_cycle_identical_to_fast_path():

@@ -1,8 +1,9 @@
 """Literal stats digests of the VRMU's behaviour, recorded before the
 flat-int rebuild of ``repro/virec`` (tag store, policies, VRMU, rollback).
 
-The engine-equivalence suite compares the two engines against each other,
-and both share the one VRMU — so it cannot see a VRMU behaviour change.
+The engine-equivalence suite compares the step table with the interpreted
+oracle, and both share the one VRMU — so it cannot see a VRMU behaviour
+change.
 These literals can: every registered policy at 40 % and 100 % context on
 gather and spmv, the NSF baseline, and the two future-work knobs that only
 ``ViReCConfig`` reaches (``group_evict``, ``context_prefetch``).  A digest
