@@ -2,8 +2,9 @@
 
 Commands
 --------
-``experiments [names...] [--scale S]``
-    Run experiment drivers (default: all) and print their tables.
+``experiments [names...] [--scale S] [--jobs N] [--ledger P] [--cache]``
+    Run experiment drivers (default: all) and print their tables; their
+    configs run as one grid, deduplicated by config key.
 ``run --workload W --core C [--threads N] [--context F] ...``
     Simulate one configuration and print its stats.
 ``sweep --axis FIELD=V1,V2,... [--dir D] [--live] [--metrics] ...``
@@ -57,8 +58,6 @@ Commands
     List the registered workloads with metadata.
 ``disasm --workload W``
     Print a workload kernel's assembly listing.
-``area``
-    Print the Figure 14 area table.
 """
 
 from __future__ import annotations
@@ -68,22 +67,47 @@ import sys
 from typing import List, Optional
 
 from . import workloads
-from .experiments import ALL_EXPERIMENTS
+from .errors import SimulationError
+from .experiments import DRIVERS, scale_to_n, simulate
 from .system import CORE_TYPES, RunConfig, run_config
 from .virec import POLICIES
 
 
+def _scale(text: str):
+    """``--scale``: a scale name or an element count >= 1, else a usage error."""
+    scale = int(text) if text.lstrip("-").isdigit() else text
+    try:
+        scale_to_n(scale)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return scale
+
+
 def _cmd_experiments(args) -> int:
-    names = args.names or sorted(ALL_EXPERIMENTS)
+    names = args.names or sorted(DRIVERS)
     for name in names:
-        if name not in ALL_EXPERIMENTS:
-            print(f"unknown experiment {name!r}; available: "
-                  f"{sorted(ALL_EXPERIMENTS)}", file=sys.stderr)
+        if name not in DRIVERS:
+            print(f"error: unknown experiment {name!r}; available: "
+                  f"{sorted(DRIVERS)}", file=sys.stderr)
             return 2
+    backend, ledger, cache = _exec_backend(args)
+    if backend is None:
+        return 2
+    # the drivers with a grid run as one deduplicated union, then fold;
+    # the others simulate on their own, after it
+    grids = {name: DRIVERS[name].grid(args.scale) for name in names
+             if hasattr(DRIVERS[name], "grid")}
+    try:
+        results = simulate(grids, backend=backend, ledger=ledger)
+    except SimulationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    finally:
+        _close_cache(cache)
     for name in names:
-        result = ALL_EXPERIMENTS[name](args.scale)
-        result.print()
-        print()
+        result = (DRIVERS[name].fold(grids[name], results[name])
+                  if name in grids else DRIVERS[name].run(args.scale))
+        print(result.format() + "\n")
     return 0
 
 
@@ -141,16 +165,34 @@ def _parse_axis_value(text: str):
     return text
 
 
-def _resolve_jobs(jobs):
-    """The exec backend for ``--jobs`` / ``$REPRO_JOBS``; None (after a
-    one-line usage error on stderr) when the value is not a job count."""
+def _exec_backend(args, ledger_dir: str = ""):
+    """``(backend, ledger, cache)`` for :func:`_add_exec_options`; the
+    backend is None after a one-line usage error.  With ``--cache`` it is
+    also ``cache``, a CachedBackend on ``--ledger`` (default
+    ``ledger_dir/ledger.sqlite``) that records its own misses."""
+    import os
     from .exec import resolve_backend
 
     try:
-        return resolve_backend(jobs)
+        backend = resolve_backend(args.jobs)      # --jobs, or $REPRO_JOBS
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return None
+        return None, None, None
+    if not getattr(args, "cache", False):
+        return backend, args.ledger, None
+    from .ledger import CachedBackend
+    path = args.ledger or os.path.join(ledger_dir, "ledger.sqlite")
+    cache = CachedBackend(path, inner=backend)
+    return cache, None, cache
+
+
+def _close_cache(cache) -> None:
+    """Report a ``--cache`` run's lookup grades on stderr, then close it."""
+    if cache is not None:
+        c = cache.counts
+        print(f"ledger cache {cache.path}: {c['hit']} hit / "
+              f"{c['miss']} miss / {c['stale']} stale", file=sys.stderr)
+        cache.close()
 
 
 def _cmd_sweep(args) -> int:
@@ -158,9 +200,6 @@ def _cmd_sweep(args) -> int:
     from .system import run_grid, sweep_grid
     from .stats.reporting import rows_to_csv
 
-    backend = _resolve_jobs(args.jobs)
-    if backend is None:
-        return 2
     extra = {"metrics": True} if args.metrics else {}
     base = _base_config(args, **extra)
     checkpoint, observe, manifest = args.checkpoint, None, None
@@ -190,6 +229,9 @@ def _cmd_sweep(args) -> int:
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    backend, ledger, cache = _exec_backend(args, args.dir or "")
+    if backend is None:
+        return 2
 
     def progress(i, total, result):
         # run_grid reports a RunFailure for failed configs and None for
@@ -201,16 +243,6 @@ def _cmd_sweep(args) -> int:
         else:
             status = "ok"
         print(f"  [{i}/{total}] {status}", file=sys.stderr)
-
-    ledger_path = args.ledger
-    if args.cache and not ledger_path:
-        # --cache implies a ledger; root it in the sweep dir when present
-        ledger_path = (os.path.join(args.dir, "ledger.sqlite")
-                       if args.dir else "ledger.sqlite")
-    cached = None
-    if args.cache:
-        from .ledger import CachedBackend
-        backend = cached = CachedBackend(ledger_path, inner=backend)
 
     live_thread = None
     if args.live:
@@ -225,13 +257,8 @@ def _cmd_sweep(args) -> int:
                     max_cycles=args.max_cycles,
                     checkpoint=checkpoint, resume=args.resume,
                     backend=backend, observe=observe,
-                    manifest=manifest,
-                    ledger=None if cached else ledger_path)
-    if cached is not None:
-        c = cached.counts
-        print(f"ledger cache {ledger_path}: {c['hit']} hit / "
-              f"{c['miss']} miss / {c['stale']} stale")
-        cached.close()
+                    manifest=manifest, ledger=ledger)
+    _close_cache(cache)
     if live_thread is not None:
         # the monitor thread exits on its own once it reads sweep_end
         live_thread.join(timeout=2 * args.refresh + 1.0)
@@ -591,12 +618,6 @@ def _cmd_disasm(args) -> int:
     return 0
 
 
-def _cmd_area(args) -> int:
-    from .experiments import fig14
-    fig14.run().print()
-    return 0
-
-
 def _cmd_fuzz(args) -> int:
     from .fuzz import FuzzConfig, replay_corpus, run_fuzz
 
@@ -613,7 +634,7 @@ def _cmd_fuzz(args) -> int:
               f"still fire their signature")
         return 4 if bad else 0
 
-    if _resolve_jobs(args.jobs) is None:
+    if _exec_backend(args)[0] is None:
         return 2
     faults = None
     if args.flip_rate:
@@ -673,6 +694,22 @@ def _add_config_options(p: argparse.ArgumentParser) -> None:
                         "check granularity: commit | interval | run)")
 
 
+def _add_exec_options(p: argparse.ArgumentParser) -> None:
+    """How a verb's configs run: ``--jobs``, ``--ledger`` and ``--cache``
+    (see :func:`_exec_backend`)."""
+    p.add_argument("--jobs", type=int, default=None, metavar="N",
+                   help="run configs over N parallel worker processes "
+                        "(0 = all cores; default serial, or $REPRO_JOBS); "
+                        "results are identical to a serial run")
+    p.add_argument("--ledger", metavar="PATH",
+                   help="append every finished run to this run-ledger "
+                        "SQLite file (see repro history)")
+    p.add_argument("--cache", action="store_true",
+                   help="serve digest-keyed hits from the run ledger instead "
+                        "of re-simulating (byte-identical results; implies "
+                        "--ledger, default [DIR/]ledger.sqlite)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser (one subcommand per verb)."""
     parser = argparse.ArgumentParser(
@@ -681,8 +718,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiments", help="run experiment drivers")
     p.add_argument("names", nargs="*", help="figure ids (default: all)")
-    p.add_argument("--scale", default="quick",
+    p.add_argument("--scale", default="quick", type=_scale,
                    help="tiny | quick | full | <int elements per thread>")
+    _add_exec_options(p)
     p.set_defaults(fn=_cmd_experiments)
 
     p = sub.add_parser("run", help="simulate one configuration")
@@ -761,10 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-config wall-clock watchdog (seconds)")
     p.add_argument("--max-cycles", type=int, default=None,
                    help="per-config simulated-cycle budget")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="run configs over N parallel worker processes "
-                        "(0 = all cores; default serial, or $REPRO_JOBS); "
-                        "results are identical to a serial sweep")
     p.add_argument("--csv", metavar="PATH", help="write result rows as CSV")
     p.add_argument("--dir", metavar="DIR",
                    help="sweep directory: checkpoint journal, live event "
@@ -779,13 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enable the per-run metrics registry "
                         "(RunConfig.metrics=True) and aggregate a fleet "
                         "registry across the grid")
-    p.add_argument("--ledger", metavar="PATH",
-                   help="append every finished run to this run-ledger "
-                        "SQLite file (see repro history)")
-    p.add_argument("--cache", action="store_true",
-                   help="serve digest-keyed hits from the run ledger "
-                        "instead of re-simulating (byte-identical results; "
-                        "implies --ledger, default DIR/ledger.sqlite)")
+    _add_exec_options(p)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=_cmd_sweep)
 
@@ -901,9 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", default="gather", choices=workloads.names())
     p.set_defaults(fn=_cmd_disasm)
 
-    p = sub.add_parser("area", help="print the area/delay tables")
-    p.set_defaults(fn=_cmd_area)
-
     p = sub.add_parser(
         "fuzz",
         help="differential fuzzing: generated programs through the "
@@ -951,12 +976,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    try:
-        scale = args.scale
-        if isinstance(scale, str) and scale.isdigit():
-            args.scale = int(scale)
-    except AttributeError:
-        pass
     return args.fn(args)
 
 

@@ -2,24 +2,16 @@
 
 from . import (ablation, compiler_study, fault_study, fig01, sizing, fig02,
                fig09, fig10, fig11, fig12, fig13, fig14, throughput)
-from .common import SUITE, ExperimentResult, geomean, scale_to_n
+from .common import SUITE, ExperimentResult, geomean, scale_to_n, simulate
 
-ALL_EXPERIMENTS = {
-    "ablation": ablation.run,
-    "compiler_study": compiler_study.run,
-    "fault_study": fault_study.run,
-    "fig01": fig01.run,
-    "fig02": fig02.run,
-    "fig09": fig09.run,
-    "fig10": fig10.run,
-    "fig11": fig11.run,
-    "fig12": fig12.run,
-    "fig13": fig13.run,
-    "fig14": fig14.run,
-    "sizing": sizing.run,
-    "throughput": throughput.run,
-}
+#: every driver module by name; those with ``grid`` + ``fold`` simulate
+#: through RunConfigs (see :func:`~repro.experiments.common.simulate`)
+DRIVERS = {module.__name__.rsplit(".", 1)[1]: module for module in (
+    ablation, compiler_study, fault_study, fig01, fig02, fig09, fig10, fig11,
+    fig12, fig13, fig14, sizing, throughput)}
+ALL_EXPERIMENTS = {name: driver.run for name, driver in DRIVERS.items()}
 
-__all__ = ["ALL_EXPERIMENTS", "ExperimentResult", "SUITE", "ablation",
-           "fault_study", "geomean", "scale_to_n", "fig01", "fig02", "fig09",
-           "fig10", "fig11", "fig12", "fig13", "fig14", "throughput"]
+__all__ = ["ALL_EXPERIMENTS", "DRIVERS", "ExperimentResult", "SUITE",
+           "ablation", "fault_study", "geomean", "scale_to_n", "fig01",
+           "fig02", "fig09", "fig10", "fig11", "fig12", "fig13", "fig14",
+           "simulate", "throughput"]

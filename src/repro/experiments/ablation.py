@@ -13,14 +13,8 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from .. import workloads as wl
-from ..core.base import ThreadState
-from ..errors import FunctionalCheckError
-from ..memory.hierarchy import NDPMemorySystem
-from ..stats.counters import Stats
-from ..system.config import RunConfig, ndp_dcache, ndp_icache, table1_dram
-from ..system.offload import offload_contexts
 from ..virec import ViReCConfig, ViReCCore
-from .common import SUITE, ExperimentResult, geomean, scale_to_n
+from .common import SUITE, ExperimentResult, geomean, run_core, scale_to_n
 
 VARIANTS: Dict[str, Dict] = {
     "full": {},
@@ -39,24 +33,9 @@ def _run_variant(workload: str, n: int, n_threads: int, overrides: Dict,
                  seed: int = 7) -> int:
     inst = wl.get(workload).build(n_threads=n_threads, n_per_thread=n,
                                   seed=seed)
-    stats = Stats("ablate")
-    memsys = NDPMemorySystem(n_cores=1, dcache=ndp_dcache(), icache=ndp_icache(),
-                             dram=table1_dram(), stats=stats.child("mem"))
-    ports = memsys.ports(0)
-    threads = inst.threads()
-    layout = inst.layout()
-    offload_contexts(inst.memory, layout, threads, inst.init_regs)
-    for th in threads:
-        th.state = ThreadState.BLOCKED
     rf = max(8, round(0.6 * n_threads * len(inst.active_regs)))
-    vc = ViReCConfig(rf_size=rf, **overrides)
-    core = ViReCCore(inst.program, ports.icache, ports.dcache, inst.memory,
-                     threads, virec=vc, layout=layout,
-                     stats=stats.child("core"))
-    result = core.run()
-    if not inst.check():
-        raise FunctionalCheckError(f"{workload} wrong under {overrides}")
-    return int(result["cycles"])
+    return run_core(inst, ViReCCore,
+                    virec=ViReCConfig(rf_size=rf, **overrides))
 
 
 def run(scale="quick", workloads_: Sequence[str] = SUITE,

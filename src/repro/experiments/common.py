@@ -1,17 +1,24 @@
 """Shared infrastructure for the per-figure experiment drivers.
 
-Each ``figNN`` module exposes ``run(scale=...) -> ExperimentResult`` where
-``scale`` trades simulated work for runtime ("tiny" for unit tests, "quick"
-for the default benchmark run, "full" for the most faithful sweep).  The
-result carries printable rows matching the series the paper's figure plots.
+Each driver module exposes ``run(scale=..., **axes) -> ExperimentResult``
+where ``scale`` trades simulated work for runtime ("tiny" for unit tests,
+"quick" for the default benchmark run, "full" for the most faithful sweep).
+The result carries printable rows matching the series the paper's figure
+plots.
+
+A driver that simulates through RunConfigs is ``grid(scale, **axes)`` (its
+configs) plus ``fold(configs, results, **axes)`` (its rows); ``repro
+experiments`` runs all their grids as one union (:func:`simulate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import math
+
+from ..errors import FunctionalCheckError, SimulationError
 
 SCALES = {
     # elements per thread for performance experiments
@@ -24,19 +31,14 @@ SCALES = {
 SUITE = ("gather", "scatter", "stride", "meabo", "pointer_chase",
          "reduction", "vecadd", "triad", "spmv", "histogram")
 
-#: SUITE plus the extra kernels implemented beyond the paper's core set
-EXTENDED_SUITE = SUITE + ("gather_scatter", "bfs_step", "stencil",
-                          "hash_probe", "transpose")
-
 
 def scale_to_n(scale) -> int:
-    """Resolve a scale name (or explicit int) to elements-per-thread."""
-    if isinstance(scale, int):
-        return scale
-    try:
-        return SCALES[scale]
-    except KeyError:
-        raise ValueError(f"unknown scale {scale!r}; use {sorted(SCALES)} or an int")
+    """Resolve a scale name (or explicit int >= 1) to elements-per-thread."""
+    n = scale if isinstance(scale, int) else SCALES.get(scale)
+    if n is None or n < 1:
+        raise ValueError(f"unknown scale {scale!r}; use {sorted(SCALES)} "
+                         f"or an int >= 1")
+    return n
 
 
 @dataclass
@@ -48,16 +50,8 @@ class ExperimentResult:
     rows: List[Dict] = field(default_factory=list)
     notes: str = ""
 
-    def columns(self) -> List[str]:
-        cols: List[str] = []
-        for row in self.rows:
-            for key in row:
-                if key not in cols:
-                    cols.append(key)
-        return cols
-
     def format(self) -> str:
-        cols = self.columns()
+        cols = list(dict.fromkeys(key for row in self.rows for key in row))
         if not cols:
             return f"== {self.experiment}: {self.title} ==\n(no rows)"
         widths = {c: max(len(c), *(len(_fmt(r.get(c, ""))) for r in self.rows))
@@ -92,15 +86,11 @@ def geomean(values: Sequence[float]) -> float:
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
 
 
-def run_many(configs: Sequence, check: bool = True, jobs: int = None,
-             backend=None, cache: str = None, ledger: str = None) -> List:
-    """Run a batch of RunConfigs through the execution backend.
-
-    The figure drivers build their whole config list up front and map it
-    through this helper, so ``jobs=N`` (or the ``REPRO_JOBS`` environment
-    variable) fans a figure's runs over worker processes with results in
-    config order — identical to a serial run (see :mod:`repro.exec`).
-    Fail-fast: any simulation error raises, as the drivers expect.
+def run_many(configs: Sequence, backend=None, cache: str = None,
+             ledger: str = None, on_error: str = "raise") -> List:
+    """A :func:`~repro.system.simulator.sweep` of ``configs`` on
+    ``backend`` (default serial, or ``$REPRO_JOBS`` worker processes;
+    results are identical either way).
 
     ``cache`` names a run-ledger file served through a
     :class:`~repro.ledger.CachedBackend`: digests already recorded are
@@ -112,11 +102,76 @@ def run_many(configs: Sequence, check: bool = True, jobs: int = None,
     if cache is not None:
         from ..exec import resolve_backend
         from ..ledger import CachedBackend
-        cached = CachedBackend(cache, inner=resolve_backend(jobs, backend))
-        backend, jobs = cached, None
+        cached = CachedBackend(cache, inner=resolve_backend(None, backend))
+        backend = cached
     try:
-        return sweep(list(configs), check=check, on_error="raise",
-                     jobs=jobs, backend=backend, ledger=ledger)
+        return sweep(list(configs), on_error=on_error, backend=backend,
+                     ledger=ledger)
     finally:
         if cached is not None:
             cached.close()
+
+
+def simulate(grids: Dict[str, Sequence], **run_kw) -> Dict[str, List]:
+    """Run the union of the named grids once, deduplicated by config key,
+    through :func:`run_many` with ``run_kw``; each name's results in its
+    grid's order.  A failed run with faults injected is an escape, a None
+    result for the fold to count; any other failure raises
+    ``SimulationError("<name>: <ErrorType>: <message>")``."""
+    from ..system.manifest import config_key
+    keys = {name: [config_key(cfg) for cfg in grid]
+            for name, grid in grids.items()}
+    union: Dict = {}
+    for name, grid in grids.items():
+        for key, cfg in zip(keys[name], grid):
+            union.setdefault(key, cfg)
+    results = run_many(list(union.values()), on_error="isolate", **run_kw)
+    for f in results.failures:      # in union order: the first grid first
+        if union[f.key].faults is None:
+            name = next(name for name, ks in keys.items() if f.key in ks)
+            raise SimulationError(f"{name}: {f.error_type}: {f.message}")
+    by_key = dict(zip(union, results))
+    return {name: [by_key[key] for key in ks] for name, ks in keys.items()}
+
+
+def figure_run(name: str, grid: Callable, fold: Callable) -> Callable:
+    """The ``run(scale="quick", **axes)`` of a driver made of ``grid`` and
+    ``fold``: the grid :func:`simulate`-d, then folded; ``axes`` go to
+    both."""
+    def run(scale="quick", **axes) -> ExperimentResult:
+        """Simulate :func:`grid` (``axes`` are its keywords) and fold it."""
+        configs = grid(scale, **axes)
+        return fold(configs, simulate({name: configs})[name], **axes)
+    return run
+
+
+def run_core(instance, core_cls, program=None, **core_kw) -> int:
+    """Cycles of ``instance`` (or ``program`` on its data) on one
+    ``core_cls(..., **core_kw)``: the studies whose variants are not
+    RunConfig fields."""
+    from ..core.base import ThreadState
+    from ..memory.hierarchy import NDPMemorySystem
+    from ..stats.counters import Stats
+    from ..system.config import ndp_dcache, ndp_icache, table1_dram
+    from ..system.offload import offload_contexts
+
+    stats = Stats("study")
+    memsys = NDPMemorySystem(n_cores=1, dcache=ndp_dcache(),
+                             icache=ndp_icache(), dram=table1_dram(),
+                             stats=stats.child("mem"))
+    ports = memsys.ports(0)
+    threads = instance.threads()
+    layout = instance.layout()
+    offload_contexts(instance.memory, layout, threads, instance.init_regs)
+    for th in threads:
+        th.state = ThreadState.BLOCKED
+    if program is None:
+        program = instance.program
+    core = core_cls(program, ports.icache, ports.dcache, instance.memory,
+                    threads, layout=layout, stats=stats.child("core"),
+                    **core_kw)
+    result = core.run()
+    if not instance.check():
+        raise FunctionalCheckError(
+            f"{instance.name} wrong on {core_cls.__name__} {core_kw}")
+    return int(result["cycles"])

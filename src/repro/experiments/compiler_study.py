@@ -17,37 +17,8 @@ from typing import Dict, List, Sequence
 
 from .. import workloads as wl
 from ..compiler import schedule_program
-from ..core.base import ThreadState
 from ..core.cgmt import BankedCore
-from ..errors import FunctionalCheckError
-from ..memory.hierarchy import NDPMemorySystem
-from ..stats.counters import Stats
-from ..system.config import ndp_dcache, ndp_icache, table1_dram
-from ..system.offload import offload_contexts
-from ..virec import ViReCConfig, ViReCCore
-from .common import SUITE, ExperimentResult, geomean, scale_to_n
-
-
-def _run(instance, core_cls, program=None, core_kw=None) -> int:
-    stats = Stats("study")
-    memsys = NDPMemorySystem(n_cores=1, dcache=ndp_dcache(),
-                             icache=ndp_icache(), dram=table1_dram(),
-                             stats=stats.child("mem"))
-    ports = memsys.ports(0)
-    threads = instance.threads()
-    layout = instance.layout()
-    offload_contexts(instance.memory, layout, threads, instance.init_regs)
-    for th in threads:
-        th.state = ThreadState.BLOCKED
-    prog = program if program is not None else instance.program
-    core = core_cls(prog, ports.icache, ports.dcache, instance.memory,
-                    threads, layout=layout, stats=stats.child("core"),
-                    **(core_kw or {}))
-    result = core.run()
-    if not instance.check():
-        raise FunctionalCheckError(
-            f"{instance.name} wrong after scheduling")
-    return int(result["cycles"])
+from .common import SUITE, ExperimentResult, geomean, run_core, scale_to_n
 
 
 def run(scale="quick", workloads_: Sequence[str] = SUITE,
@@ -59,11 +30,11 @@ def run(scale="quick", workloads_: Sequence[str] = SUITE,
     moved_fracs = []
     for workload in workloads_:
         base_inst = wl.get(workload).build(n_threads=n_threads, n_per_thread=n)
-        base = _run(base_inst, BankedCore)
+        base = run_core(base_inst, BankedCore)
 
         sched_inst = wl.get(workload).build(n_threads=n_threads, n_per_thread=n)
         sched = schedule_program(sched_inst.program)
-        cycles = _run(sched_inst, BankedCore, program=sched.program)
+        cycles = run_core(sched_inst, BankedCore, program=sched.program)
 
         speedup = base / cycles
         moved = sched.moved_instructions / max(1, len(sched.program))

@@ -15,18 +15,17 @@ fraction of seeds whose run aborted on an escape — a parity-detected flip
 that cannot be repaired, or (scheme ``none``) silent corruption caught by
 the workload's functional check.
 
-Every individual simulation is error-isolated: an escaping run is counted,
-not fatal, using the same :class:`~repro.errors.SimulationError` taxonomy
-as the resilient sweep runner.
+Every injected run is error-isolated: an escape (any
+:class:`~repro.errors.SimulationError`) comes back as a ``None`` result
+and is counted, not fatal.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import List
 
-from ..errors import SimulationError
-from ..system import RunConfig, run_config
-from .common import ExperimentResult, scale_to_n
+from ..system import RunConfig
+from .common import ExperimentResult, figure_run, scale_to_n
 
 #: per-site per-cycle flip probabilities (0 = injection disabled entirely)
 RATES = (0.0, 3e-5, 1e-4, 3e-4)
@@ -34,6 +33,10 @@ SCHEMES = ("parity", "ecc", "refill")
 #: (core_type, context_fraction) cells; banked ignores context fraction
 CELLS = (("virec", 0.4), ("virec", 0.8), ("banked", None))
 SEEDS_PER_CELL = 3
+#: table column -> the fault counter it averages over completed runs
+COUNTERS = (("injected", "faults_injected"), ("detected", "faults_detected"),
+            ("corrected", "faults_corrected"),
+            ("recovery_cyc", "recovery_cycles"))
 
 
 def _fault_counter(result, name: str) -> float:
@@ -42,17 +45,10 @@ def _fault_counter(result, name: str) -> float:
                if k.endswith(f"faults.{name}"))
 
 
-def _base_config(core_type: str, context_fraction: Optional[float],
-                 n: int, seed: int) -> RunConfig:
-    kwargs: Dict = dict(workload="gather", core_type=core_type,
-                        n_threads=6, n_per_thread=n, seed=seed)
-    if context_fraction is not None:
-        kwargs["context_fraction"] = context_fraction
-    return RunConfig(**kwargs)
-
-
-def run(scale="quick", sanitize: bool = False) -> ExperimentResult:
-    """Fault-rate x scheme sweep; returns one row per (cell, scheme, rate).
+def grid(scale="quick", sanitize: bool = False) -> List[RunConfig]:
+    """Per cell: the fault-free run of each seed (the denominator for
+    overhead, and the reference a rate-0 run must reproduce
+    bit-identically), then one injected run per (scheme, rate, seed).
 
     With ``sanitize=True`` every injected run also carries the VSan
     shadow-state sanitizer (per-commit granularity), so a protection
@@ -62,36 +58,35 @@ def run(scale="quick", sanitize: bool = False) -> ExperimentResult:
     escape.  See ``docs/correctness.md``.
     """
     n = scale_to_n(scale)
+    configs: List[RunConfig] = []
+    for core_type, cf in CELLS:
+        clean = [RunConfig(workload="gather", core_type=core_type,
+                           n_threads=6, n_per_thread=n, seed=7 + 101 * k,
+                           **({} if cf is None else {"context_fraction": cf}))
+                 for k in range(SEEDS_PER_CELL)]
+        configs += clean
+        configs += [cfg.with_(faults={"rf_rate": rate, "tag_rate": rate,
+                                      "backing_rate": rate, "scheme": scheme,
+                                      "seed": cfg.seed},
+                              sanitize=({"granularity": "commit"} if sanitize
+                                        else None))
+                    for scheme in SCHEMES for rate in RATES for cfg in clean]
+    return configs
+
+
+def fold(configs, results, **_) -> ExperimentResult:
+    """One row per (cell, scheme, rate) from :func:`grid`'s runs, a None
+    result counted as an escape."""
+    runs = iter(results)
     rows = []
     for core_type, cf in CELLS:
-        # fault-free baseline per seed: the denominator for overhead, and
-        # the reference a rate-0 run must reproduce bit-identically
-        clean = {}
-        for k in range(SEEDS_PER_CELL):
-            seed = 7 + 101 * k
-            clean[seed] = run_config(_base_config(core_type, cf, n, seed))
+        clean = [next(runs) for _ in range(SEEDS_PER_CELL)]
         for scheme in SCHEMES:
             for rate in RATES:
-                completed, escapes = [], 0
-                injected = detected = corrected = recovery = 0.0
-                for seed in clean:
-                    cfg = _base_config(core_type, cf, n, seed).with_(
-                        faults={"rf_rate": rate, "tag_rate": rate,
-                                "backing_rate": rate, "scheme": scheme,
-                                "seed": seed},
-                        sanitize=({"granularity": "commit"} if sanitize
-                                  else None))
-                    try:
-                        r = run_config(cfg)
-                    except SimulationError:
-                        escapes += 1
-                        continue
-                    completed.append(r.cycles / clean[seed].cycles - 1.0)
-                    injected += _fault_counter(r, "faults_injected")
-                    detected += _fault_counter(r, "faults_detected")
-                    corrected += _fault_counter(r, "faults_corrected")
-                    recovery += _fault_counter(r, "recovery_cycles")
-                n_done = len(completed) or 1
+                pairs = [(next(runs), base) for base in clean]
+                done = [(r, base) for r, base in pairs if r is not None]
+                escapes = SEEDS_PER_CELL - len(done)
+                n_done = len(done) or 1
                 rows.append({
                     "core": core_type,
                     "context": cf if cf is not None else "-",
@@ -100,11 +95,11 @@ def run(scale="quick", sanitize: bool = False) -> ExperimentResult:
                     "runs": SEEDS_PER_CELL,
                     "escapes": escapes,
                     "escape_rate": escapes / SEEDS_PER_CELL,
-                    "overhead": sum(completed) / n_done,
-                    "injected": injected / n_done,
-                    "detected": detected / n_done,
-                    "corrected": corrected / n_done,
-                    "recovery_cyc": recovery / n_done,
+                    "overhead": sum(r.cycles / base.cycles - 1.0
+                                    for r, base in done) / n_done,
+                    **{column: sum(_fault_counter(r, name)
+                                   for r, _ in done) / n_done
+                       for column, name in COUNTERS},
                 })
     return ExperimentResult(
         experiment="fault_study",
@@ -113,3 +108,6 @@ def run(scale="quick", sanitize: bool = False) -> ExperimentResult:
         notes=("overhead = mean cycles vs fault-free baseline (completed "
                "runs); escape_rate = fraction of seeds aborting on an "
                "unrecoverable fault"))
+
+
+run = figure_run("fault_study", grid, fold)

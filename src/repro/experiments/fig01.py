@@ -14,6 +14,9 @@ for every point) and area comes from :mod:`repro.area`.
 
 from __future__ import annotations
 
+from typing import Dict, List
+
+from .. import workloads as wl
 from ..area import (
     banked_core_area,
     inorder_core_area,
@@ -21,59 +24,36 @@ from ..area import (
     ooo_core_area,
     virec_core_area,
 )
-from ..system import RunConfig, run_config
-from .common import ExperimentResult, scale_to_n
+from ..system import RunConfig
+from .common import ExperimentResult, figure_run, scale_to_n
 
 #: total elements processed by every configuration (threads x per-thread)
 TOTAL_FACTOR = 8
 
 
-def run(scale="quick", workload: str = "gather") -> ExperimentResult:
-    """Reproduce Figure 1 (performance-area Pareto) at the given scale."""
+def grid(scale="quick", workload: str = "gather") -> List[RunConfig]:
+    """The figure's points, the single in-order core first."""
     n_total = scale_to_n(scale) * TOTAL_FACTOR
-    rows = []
-
-    def add(label, cycles, area, extra=None):
-        rows.append({"config": label, "cycles": cycles, "area_mm2": area,
-                     **(extra or {})})
-
-    # single InO
-    base = run_config(RunConfig(workload=workload, core_type="inorder",
-                                n_threads=1, n_per_thread=n_total))
-    add("inorder-1", base.cycles, inorder_core_area())
-
-    # OoO host
-    ooo = run_config(RunConfig(workload=workload, core_type="ooo",
-                               n_threads=1, n_per_thread=n_total))
-    add("ooo", ooo.cycles, ooo_core_area())
-
+    base = RunConfig(workload=workload, n_threads=1, n_per_thread=n_total)
+    configs = [base.with_(core_type="inorder"), base.with_(core_type="ooo")]
     # replicated InO processors: per-core independent batches; the slowest
     # core bounds completion, approximated by an even work split
-    for cores in (2, 4, 8):
-        r = run_config(RunConfig(workload=workload, core_type="banked",
-                                 n_threads=1, n_cores=cores,
-                                 n_per_thread=n_total // cores))
-        add(f"inorder-x{cores}", r.cycles,
-            multi_core_area(inorder_core_area(), cores))
+    configs += [base.with_(core_type="banked", n_cores=cores,
+                           n_per_thread=n_total // cores)
+                for cores in (2, 4, 8)]
+    configs += [base.with_(core_type="banked", n_threads=threads,
+                           n_per_thread=n_total // threads)
+                for threads in (4, 8)]
+    configs += [base.with_(core_type="virec", n_threads=threads,
+                           n_per_thread=n_total // threads,
+                           context_fraction=frac)
+                for threads in (4, 8) for frac in (0.4, 0.6, 0.8, 1.0)]
+    return configs
 
-    # banked CGMT
-    for threads in (4, 8):
-        r = run_config(RunConfig(workload=workload, core_type="banked",
-                                 n_threads=threads,
-                                 n_per_thread=n_total // threads))
-        add(f"banked-{threads}t", r.cycles, banked_core_area(threads))
 
-    # ViReC sweeps
-    for threads in (4, 8):
-        for frac in (0.4, 0.6, 0.8, 1.0):
-            cfg = RunConfig(workload=workload, core_type="virec",
-                            n_threads=threads, n_per_thread=n_total // threads,
-                            context_fraction=frac)
-            r = run_config(cfg)
-            rf = cfg.resolve_rf_size(_active_context(workload, threads))
-            add(f"virec-{threads}t-{int(frac * 100)}%", r.cycles,
-                virec_core_area(rf), {"rf_entries": rf,
-                                      "rf_hit_rate": r.rf_hit_rate})
+def fold(configs, results, **_) -> ExperimentResult:
+    """Figure 1 (performance-area Pareto) from :func:`grid`'s runs."""
+    rows = [_point(cfg, r) for cfg, r in zip(configs, results)]
 
     # normalize speedups to the single InO
     base_cycles = rows[0]["cycles"]
@@ -82,12 +62,33 @@ def run(scale="quick", workload: str = "gather") -> ExperimentResult:
         row["perf_per_area"] = row["speedup"] / row["area_mm2"]
 
     return ExperimentResult(
-        experiment="fig01", title=f"performance-area tradeoff ({workload})",
+        experiment="fig01",
+        title=f"performance-area tradeoff ({configs[0].workload})",
         rows=rows,
         notes="speedup normalized to a single in-order processor; same total work everywhere")
 
 
-def _active_context(workload: str, n_threads: int) -> int:
-    from .. import workloads as wl
-    inst = wl.get(workload).build(n_threads=n_threads, n_per_thread=4)
-    return len(inst.active_regs)
+run = figure_run("fig01", grid, fold)
+
+
+def _point(cfg: RunConfig, r) -> Dict:
+    """One point's row: label, cycles and area (plus the register-cache
+    columns of a ViReC point)."""
+    if cfg.core_type == "virec":
+        inst = wl.get(cfg.workload).build(n_threads=cfg.n_threads,
+                                          n_per_thread=4)
+        rf = cfg.resolve_rf_size(len(inst.active_regs))
+        return {"config": f"virec-{cfg.n_threads}t-"
+                          f"{int(cfg.context_fraction * 100)}%",
+                "cycles": r.cycles, "area_mm2": virec_core_area(rf),
+                "rf_entries": rf, "rf_hit_rate": r.rf_hit_rate}
+    if cfg.core_type == "banked" and cfg.n_cores > 1:
+        label = f"inorder-x{cfg.n_cores}"
+        area = multi_core_area(inorder_core_area(), cfg.n_cores)
+    elif cfg.core_type == "banked":
+        label, area = f"banked-{cfg.n_threads}t", banked_core_area(cfg.n_threads)
+    elif cfg.core_type == "ooo":
+        label, area = "ooo", ooo_core_area()
+    else:
+        label, area = "inorder-1", inorder_core_area()
+    return {"config": label, "cycles": r.cycles, "area_mm2": area}

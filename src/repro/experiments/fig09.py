@@ -5,20 +5,14 @@ ViReC at 40/60/80% context, the NSF register cache [41], and the two
 prefetching strategies.  Reports per-run speedup relative to the banked
 core plus the suite means the paper quotes (e.g. mean drops of ~4.4%/7.1%/
 10% at 80% context for 4/6/8 threads).
-
-The driver builds the complete config list up front and maps it through
-:func:`~repro.experiments.common.run_many`, so the whole figure fans out
-over worker processes with ``jobs=N`` (results and row order are identical
-to a serial run — this grid is also the reference for the serial-vs-
-parallel digest-equality acceptance test).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..system import RunConfig
-from .common import SUITE, ExperimentResult, geomean, run_many, scale_to_n
+from .common import SUITE, ExperimentResult, figure_run, geomean, scale_to_n
 
 CONTEXTS = (0.8, 0.6, 0.4)
 THREADS = (4, 6, 8)
@@ -57,21 +51,8 @@ def _column(cfg: RunConfig) -> str:
         cfg.core_type]
 
 
-def run(scale="quick", workloads: Sequence[str] = SUITE,
-        threads: Sequence[int] = THREADS,
-        include_nsf: bool = True,
-        include_prefetch: bool = True,
-        jobs: Optional[int] = None,
-        cache: Optional[str] = None) -> ExperimentResult:
-    """Reproduce Figure 9 (ViReC vs banked/NSF/prefetch speedups).
-
-    ``cache`` names a run ledger served through
-    :class:`~repro.ledger.CachedBackend` — a repeated figure run at the
-    same scale replays from the ledger instead of re-simulating.
-    """
-    configs = grid(scale, workloads, threads, include_nsf, include_prefetch)
-    results = iter(run_many(configs, jobs=jobs, cache=cache))
-
+def fold(configs, results, **_) -> ExperimentResult:
+    """Figure 9 (speedups vs banked) from :func:`grid`'s runs."""
     rows: List[Dict] = []
     for cfg, result in zip(configs, results):
         if cfg.core_type == "banked":
@@ -82,7 +63,7 @@ def run(scale="quick", workloads: Sequence[str] = SUITE,
 
     # suite means per thread count (the numbers quoted in Section 6.1)
     summary = []
-    for t in threads:
+    for t in dict.fromkeys(row["threads"] for row in rows):
         sub = [r for r in rows if r["threads"] == t]
         entry = {"workload": "GEOMEAN", "threads": t, "banked_cycles": 0}
         for key in sub[0]:
@@ -98,3 +79,6 @@ def run(scale="quick", workloads: Sequence[str] = SUITE,
         rows=rows,
         notes="virecNN = ViReC storing NN% of active contexts; "
               "nsfNN = NSF [41] baseline; pf_* = double-buffer RF prefetching")
+
+
+run = figure_run("fig09", grid, fold)

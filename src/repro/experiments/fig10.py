@@ -8,38 +8,38 @@ physical registers provisioned.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Sequence
 
 from .. import workloads as wl
 from ..system import RunConfig
-from .common import ExperimentResult, run_many, scale_to_n
+from .common import ExperimentResult, figure_run, scale_to_n
 
 FRACTIONS = (0.4, 0.6, 0.8, 1.0)
 
 
-def run(scale="quick", workload: str = "gather",
-        threads: Sequence[int] = (2, 4, 6, 8, 10),
-        jobs: Optional[int] = None,
-        cache: Optional[str] = None) -> ExperimentResult:
-    """Reproduce Figure 10 (performance per register vs threads).
-
-    ``cache`` serves repeated runs from a run ledger (see
-    :class:`~repro.ledger.CachedBackend`) instead of re-simulating.
-    """
-    n = scale_to_n(scale)
-    total = n * max(threads)
-    active = len(wl.get(workload).build(n_threads=2, n_per_thread=4).active_regs)
+def grid(scale="quick", workload: str = "gather",
+         threads: Sequence[int] = (2, 4, 6, 8, 10)) -> List[RunConfig]:
+    """Per thread count: banked (up to its 8 banks), then ViReC per
+    fraction; the same total work everywhere."""
+    total = scale_to_n(scale) * max(threads)
     configs = []
     for t in threads:
-        per_thread = max(4, total // t)
-        base = RunConfig(workload=workload, n_threads=t, n_per_thread=per_thread)
+        base = RunConfig(workload=workload, n_threads=t,
+                         n_per_thread=max(4, total // t))
         if t <= 8:
             configs.append(base.with_(core_type="banked"))
         for frac in FRACTIONS:
             configs.append(base.with_(core_type="virec",
                                       context_fraction=frac))
+    return configs
+
+
+def fold(configs, results, **_) -> ExperimentResult:
+    """Figure 10 (performance per register) from :func:`grid`'s runs."""
+    workload = configs[0].workload
+    active = len(wl.get(workload).build(n_threads=2, n_per_thread=4).active_regs)
     rows = []
-    for cfg, r in zip(configs, run_many(configs, jobs=jobs, cache=cache)):
+    for cfg, r in zip(configs, results):
         if cfg.core_type == "banked":
             regs = cfg.n_threads * 64
             rows.append({"threads": cfg.n_threads, "config": "banked",
@@ -59,3 +59,6 @@ def run(scale="quick", workload: str = "gather",
         title=f"performance per register, {workload} (fixed total work)",
         rows=rows,
         notes="perf = 1e6/cycles for the same total element count at every point")
+
+
+run = figure_run("fig10", grid, fold)

@@ -16,49 +16,50 @@ paper's configuration does not enter.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
-from ..system import RunConfig, run_config
-from .common import ExperimentResult, scale_to_n
+from ..system import RunConfig
+from .common import ExperimentResult, figure_run, scale_to_n
 
 
-def run(scale="quick", workload: str = "gather",
-        core_counts: Sequence[int] = (1, 2, 4, 8),
-        thread_counts: Sequence[int] = (2, 4, 6, 8, 10)) -> ExperimentResult:
-    """Reproduce Figure 11 (system-load scaling, best thread count)."""
-    n = scale_to_n(scale)
-    total_per_core = n * max(thread_counts)
+def grid(scale="quick", workload: str = "gather",
+         core_counts: Sequence[int] = (1, 2, 4, 8),
+         thread_counts: Sequence[int] = (2, 4, 6, 8, 10)) -> List[RunConfig]:
+    """Per core count, ViReC at 80% context per thread count, with the
+    same per-core total work at every point."""
+    total_per_core = scale_to_n(scale) * max(thread_counts)
+    return [RunConfig(workload=workload, core_type="virec",
+                      n_threads=threads, n_cores=cores,
+                      n_per_thread=total_per_core // threads,
+                      context_fraction=0.8)
+            for cores in core_counts for threads in thread_counts]
+
+
+def fold(configs, results, **_) -> ExperimentResult:
+    """Figure 11 (load scaling, best thread count) from :func:`grid`'s runs."""
+    # the largest thread count runs the whole per-core total undivided
+    total_per_core = max(cfg.n_threads * cfg.n_per_thread for cfg in configs)
     rows = []
-    best_rows = []
-    for cores in core_counts:
-        best = None
-        for threads in thread_counts:
-            cfg = RunConfig(workload=workload, core_type="virec",
-                            n_threads=threads, n_cores=cores,
-                            n_per_thread=total_per_core // threads,
-                            context_fraction=0.8)
-            r = run_config(cfg)
-            dram = r.stats.child("mem").child("dram")
-            reqs = dram["reads"] + dram["writes"]
-            busy = dram["busy_cycles"]
-            row = {
-                "cores": cores, "threads": threads, "cycles": r.cycles,
-                "throughput": 1e6 * cores * total_per_core / r.cycles,
-                "observed_latency": busy / reqs if reqs else 0.0,
-            }
-            rows.append(row)
-            if best is None or row["cycles"] < best["cycles"]:
-                best = row
-        best_rows.append({"cores": cores, "threads": f"best={best['threads']}",
-                          "cycles": best["cycles"],
-                          "throughput": best["throughput"],
-                          "observed_latency": best["observed_latency"]})
-    rows.extend(best_rows)
+    for cfg, r in zip(configs, results):
+        dram = r.stats.child("mem").child("dram")
+        reqs = dram["reads"] + dram["writes"]
+        rows.append({
+            "cores": cfg.n_cores, "threads": cfg.n_threads, "cycles": r.cycles,
+            "throughput": 1e6 * cfg.n_cores * total_per_core / r.cycles,
+            "observed_latency": dram["busy_cycles"] / reqs if reqs else 0.0,
+        })
+    best = [min((row for row in rows if row["cores"] == cores),
+                key=lambda row: row["cycles"])
+            for cores in dict.fromkeys(row["cores"] for row in rows)]
+    rows += [{**row, "threads": f"best={row['threads']}"} for row in best]
     return ExperimentResult(
         experiment="fig11",
-        title=f"system-load scaling ({workload}, ViReC 80% context)",
+        title=f"system-load scaling ({configs[0].workload}, ViReC 80% context)",
         rows=rows,
         notes="same per-core total work at every point; throughput = "
               "elements/Mcycle across the node; the best thread count per "
               "core count grows with observed latency until DRAM bandwidth "
               "saturates")
+
+
+run = figure_run("fig11", grid, fold)

@@ -11,10 +11,11 @@ Reports per-workload hit rates plus the suite means the paper quotes
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from itertools import groupby
+from typing import Dict, List, Sequence
 
 from ..system import RunConfig
-from .common import SUITE, ExperimentResult, geomean, run_many, scale_to_n
+from .common import SUITE, ExperimentResult, figure_run, geomean, scale_to_n
 
 POLICIES = ("plru", "lru", "mrt-plru", "mrt-lru", "lrc", "dead-first",
             "dead-elide")
@@ -34,35 +35,22 @@ def grid(scale="quick", workloads: Sequence[str] = SUITE,
             for policy in policies]
 
 
-def run(scale="quick", workloads: Sequence[str] = SUITE,
-        policies: Sequence[str] = POLICIES,
-        n_threads: int = 8, jobs: Optional[int] = None,
-        cache: Optional[str] = None) -> ExperimentResult:
-    """Reproduce Figure 12 (replacement-policy hit rates/speedups).
-
-    The whole policy grid goes through
-    :func:`~repro.experiments.common.run_many`, so ``jobs=N`` fans it out
-    over worker processes and ``cache`` replays already-recorded digests
-    from a run ledger (the warm-cache acceptance path) — rows are
-    identical either way.
-    """
-    configs = grid(scale, workloads, policies, n_threads)
-    results = iter(run_many(configs, jobs=jobs, cache=cache))
-
+def fold(configs, results, **_) -> ExperimentResult:
+    """Figure 12 (policy hit rates, speedups) from :func:`grid`'s runs."""
     rows: List[Dict] = []
-    for workload in workloads:
-        for frac in CONTEXTS:
-            row = {"workload": workload, "context_%": int(frac * 100)}
-            cycles = {}
-            for policy in policies:
-                r = next(results)
-                row[f"hit_{policy}"] = r.rf_hit_rate
-                cycles[policy] = r.cycles
-            if "plru" in cycles and "lrc" in cycles:
-                row["lrc_speedup_vs_plru"] = cycles["plru"] / cycles["lrc"]
-            if "mrt-plru" in cycles and "lrc" in cycles:
-                row["lrc_speedup_vs_mrtplru"] = cycles["mrt-plru"] / cycles["lrc"]
-            rows.append(row)
+    for (workload, frac), cell in groupby(
+            zip(configs, results),
+            key=lambda pair: (pair[0].workload, pair[0].context_fraction)):
+        row = {"workload": workload, "context_%": int(frac * 100)}
+        cycles = {}
+        for cfg, r in cell:
+            row[f"hit_{cfg.policy}"] = r.rf_hit_rate
+            cycles[cfg.policy] = r.cycles
+        if "plru" in cycles and "lrc" in cycles:
+            row["lrc_speedup_vs_plru"] = cycles["plru"] / cycles["lrc"]
+        if "mrt-plru" in cycles and "lrc" in cycles:
+            row["lrc_speedup_vs_mrtplru"] = cycles["mrt-plru"] / cycles["lrc"]
+        rows.append(row)
 
     for frac in CONTEXTS:
         sub = [r for r in rows if r["context_%"] == int(frac * 100)]
@@ -80,3 +68,6 @@ def run(scale="quick", workloads: Sequence[str] = SUITE,
         rows=rows,
         notes="hit_X = register-file hit rate under policy X; paper means: "
               "LRC 93.9%/82.9% at 80/40% context, +20.7%/+7.1% vs PLRU")
+
+
+run = figure_run("fig12", grid, fold)

@@ -9,44 +9,51 @@ geometric-mean IPC across the workload suite.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
-from ..system import RunConfig, run_config
-from .common import SUITE, ExperimentResult, geomean, scale_to_n
+from ..system import RunConfig
+from .common import SUITE, ExperimentResult, figure_run, geomean, scale_to_n
 
 LATENCIES = (1, 2, 4, 8, 16)
 CAPACITIES_KB = (2, 4, 8, 16, 32)
 
 
-def run(scale="quick", workloads: Sequence[str] = SUITE,
-        latencies: Sequence[int] = LATENCIES,
-        capacities_kb: Sequence[int] = CAPACITIES_KB,
-        n_threads: int = 8) -> ExperimentResult:
-    """Reproduce Figure 13 (dcache latency/capacity sensitivity)."""
+def grid(scale="quick", workloads: Sequence[str] = SUITE,
+         latencies: Sequence[int] = LATENCIES,
+         capacities_kb: Sequence[int] = CAPACITIES_KB,
+         n_threads: int = 8) -> List[RunConfig]:
+    """Per swept value, the suite on ViReC, then on banked (each sweep
+    holds the other knob at its default, so both list the point where
+    they meet)."""
     n = scale_to_n(scale)
-    rows: List[Dict] = []
+    points = ([{"dcache_latency": lat} for lat in latencies]
+              + [{"dcache_kb": kb} for kb in capacities_kb])
+    return [RunConfig(workload=w, core_type=core_type, n_threads=n_threads,
+                      n_per_thread=n, context_fraction=0.8, **point)
+            for point in points
+            for core_type in ("virec", "banked")
+            for w in workloads]
 
-    def gmean_ipc(core_type: str, **kw) -> float:
-        vals = []
-        for w in workloads:
-            cfg = RunConfig(workload=w, core_type=core_type,
-                            n_threads=n_threads, n_per_thread=n,
-                            context_fraction=0.8, **kw)
-            vals.append(run_config(cfg).ipc)
-        return geomean(vals)
 
-    for lat in latencies:
-        rows.append({"sweep": "latency", "value": lat,
-                     "virec_ipc": gmean_ipc("virec", dcache_latency=lat),
-                     "banked_ipc": gmean_ipc("banked", dcache_latency=lat)})
-    for kb in capacities_kb:
-        rows.append({"sweep": "capacity_kb", "value": kb,
-                     "virec_ipc": gmean_ipc("virec", dcache_kb=kb),
-                     "banked_ipc": gmean_ipc("banked", dcache_kb=kb)})
+def fold(configs, results, workloads=SUITE, latencies=LATENCIES,
+         capacities_kb=CAPACITIES_KB, **_) -> ExperimentResult:
+    """Figure 13 (dcache sensitivity) from :func:`grid`'s runs."""
+    runs = iter(results)
 
+    def gmean_ipc() -> float:
+        return geomean([next(runs).ipc for _ in workloads])
+
+    rows = [{"sweep": sweep, "value": value,
+             "virec_ipc": gmean_ipc(), "banked_ipc": gmean_ipc()}
+            for sweep, values in (("latency", latencies),
+                                  ("capacity_kb", capacities_kb))
+            for value in values]
     return ExperimentResult(
         experiment="fig13", title="dcache latency and capacity sweep "
                                   "(geomean IPC across suite)",
         rows=rows,
         notes="ViReC uses the dcache as register backing store, so it is "
               "more sensitive to both knobs than the banked design")
+
+
+run = figure_run("fig13", grid, fold)

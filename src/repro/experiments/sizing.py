@@ -13,40 +13,41 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from ..system import RunConfig, run_config
-from .common import ExperimentResult, scale_to_n
+from ..system import RunConfig
+from .common import ExperimentResult, figure_run, scale_to_n
 
 WORKING_SETS = (4, 8, 12)
 FRACTIONS = (0.4, 0.6, 0.8, 1.0)
 
 
-def run(scale="quick", working_sets: Sequence[int] = WORKING_SETS,
-        fractions: Sequence[float] = FRACTIONS,
-        n_threads: int = 8) -> ExperimentResult:
-    """Sweep working-set size x provisioned fraction; report RF hit rates."""
+def grid(scale="quick", working_sets: Sequence[int] = WORKING_SETS,
+         fractions: Sequence[float] = FRACTIONS,
+         n_threads: int = 8) -> List[RunConfig]:
+    """Working-set size x provisioned fraction on the synthetic kernel."""
     n = scale_to_n(scale)
-    rows: List[Dict] = []
-    for ws in working_sets:
-        row: Dict = {"working_set": ws}
-        for frac in fractions:
-            cfg = RunConfig(workload="synthetic", core_type="virec",
-                            n_threads=n_threads, n_per_thread=n,
-                            context_fraction=frac,
-                            workload_kwargs={"working_set": ws,
-                                             "alu_per_load": 2})
-            r = run_config(cfg)
-            row[f"hit@{int(frac * 100)}%"] = r.rf_hit_rate
-            row[f"ipc@{int(frac * 100)}%"] = r.ipc
-        rows.append(row)
+    return [RunConfig(workload="synthetic", core_type="virec",
+                      n_threads=n_threads, n_per_thread=n,
+                      context_fraction=frac,
+                      workload_kwargs={"working_set": ws, "alu_per_load": 2})
+            for ws in working_sets for frac in fractions]
 
+
+def fold(configs, results, **_) -> ExperimentResult:
+    """Hit rate and IPC per working set and fraction, from :func:`grid`."""
+    by_ws: Dict = {}
+    for cfg, r in zip(configs, results):
+        ws = cfg.workload_kwargs["working_set"]
+        row = by_ws.setdefault(ws, {"working_set": ws})
+        row[f"hit@{int(cfg.context_fraction * 100)}%"] = r.rf_hit_rate
+        row[f"ipc@{int(cfg.context_fraction * 100)}%"] = r.ipc
+    rows: List[Dict] = list(by_ws.values())
     # collapse check: spread of hit rates across working sets per fraction
     spread_row: Dict = {"working_set": "SPREAD"}
-    for frac in fractions:
-        key = f"hit@{int(frac * 100)}%"
-        vals = [r[key] for r in rows]
-        spread_row[key] = max(vals) - min(vals)
+    for key in rows[0]:
+        if key.startswith("hit@"):
+            vals = [r[key] for r in rows]
+            spread_row[key] = max(vals) - min(vals)
     rows.append(spread_row)
-
     return ExperimentResult(
         experiment="sizing",
         title="register-cache provisioning: hit rate vs context fraction",
@@ -54,3 +55,6 @@ def run(scale="quick", working_sets: Sequence[int] = WORKING_SETS,
         notes="SPREAD = max-min hit rate across working-set sizes at equal "
               "provisioned fraction; small spreads validate the paper's "
               "percent-of-context normalization")
+
+
+run = figure_run("sizing", grid, fold)

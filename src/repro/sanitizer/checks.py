@@ -48,44 +48,12 @@ def _v(invariant: str, message: str, cycle: int, core_id: int,
 
 
 def check_tagstore(core, cycle: int) -> Optional[SanitizerViolation]:
-    """Tag-store <-> physical-RF bijection (no duplicates, no danglers)."""
+    """Tag-store <-> physical-RF bijection (no duplicates, no danglers;
+    see :meth:`~repro.virec.tagstore.TagStore.bijection_violation`)."""
     vrmu = getattr(core, "vrmu", None)
     if vrmu is None:
         return None
-    ts = vrmu.tagstore
-    cid = core.core_id
-    mapped = 0
-    for tid, areg, slot in ts.mappings():
-        mapped += 1
-        if not 0 <= slot < ts.capacity:
-            return _v("tagstore.bijection",
-                      f"mapping ({tid}, {areg}) points at slot {slot} "
-                      f"outside capacity {ts.capacity}", cycle, cid,
-                      tid=tid, areg=areg, slot=slot)
-        if not ts.valid[slot]:
-            return _v("tagstore.bijection",
-                      f"mapping ({tid}, {areg}) points at invalid slot "
-                      f"{slot} (dangling)", cycle, cid,
-                      tid=tid, areg=areg, slot=slot)
-        # a slot carries one tag, so two row cells naming the same slot
-        # cannot both pass this
-        if ts.owner[slot] != tid or ts.areg[slot] != areg:
-            return _v("tagstore.bijection",
-                      f"slot {slot} tags ({ts.owner[slot]}, "
-                      f"{ts.areg[slot]}) disagree with row entry "
-                      f"({tid}, {areg})", cycle, cid,
-                      tid=tid, areg=areg, slot=slot)
-    valid = sum(ts.valid)
-    if mapped != valid:
-        return _v("tagstore.bijection",
-                  f"{mapped} mapped registers but {valid} valid slots",
-                  cycle, cid, mapped=mapped, valid=valid)
-    if mapped != ts.resident:
-        return _v("tagstore.bijection",
-                  f"resident count {ts.resident} drifted from the "
-                  f"{mapped} row entries", cycle, cid,
-                  mapped=mapped, resident=ts.resident)
-    return None
+    return vrmu.tagstore.bijection_violation(cycle, core.core_id)
 
 
 def check_policy(core, cycle: int) -> Optional[SanitizerViolation]:

@@ -140,15 +140,15 @@ class ViReCCore(TimelineCore):
         """Invalidate a finished task's registers without spilling them
         (task-pool redispatch support: the dead context's values must not
         reach the backing store)."""
-        ts = self.vrmu.tagstore
-        for flat in list(ts.resident_regs(thread.tid)):
-            slot = ts.lookup(thread.tid, flat)
-            if slot is not None:
-                if self.vrmu.probe is not None:
-                    self.vrmu.probe.on_evict(slot, thread.tid, "task-drop",
-                                             self.now)
+        ts, probe = self.vrmu.tagstore, self.vrmu.probe
+        tid = thread.tid
+        # the CAM row, ascending flat (evict() clears only the cell visited)
+        for slot in ts.rows[tid] if tid < len(ts.rows) else ():
+            if slot >= 0:
+                if probe is not None:
+                    probe.on_evict(slot, tid, "task-drop", self.now)
                 ts.evict(slot)
-        self.vrmu.segment_regs.pop(thread.tid, None)
+        self.vrmu.segment_regs.pop(tid, None)
         self.stats.inc("task_context_drops")
 
     # -- reporting -------------------------------------------------------------

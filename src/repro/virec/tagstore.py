@@ -213,24 +213,46 @@ class TagStore:
         self.policy.on_context_switch(self.owner, prev_tid, new_tid)
 
     # -- invariants (used by property tests and VSan) ---------------------------
-    def check_invariants(self) -> None:
-        """Raise :class:`~repro.errors.SanitizerViolation` (an
-        ``AssertionError`` subclass, so legacy callers still catch it) if
-        internal state is inconsistent."""
+    def bijection_violation(self, cycle: int = -1, core_id: int = -1):
+        """The first disagreement of the CAM rows and the slot tags as a
+        ``tagstore.bijection`` SanitizerViolation, or None."""
         from ..errors import SanitizerViolation
 
-        def fail(message: str) -> None:
-            raise SanitizerViolation(message, invariant="tagstore.bijection")
+        def violation(message: str, **details) -> SanitizerViolation:
+            return SanitizerViolation(message, invariant="tagstore.bijection",
+                                      cycle=cycle, core_id=core_id,
+                                      details=details)
 
         mapped = 0
-        for tid, reg, slot in self.mappings():
+        for tid, areg, slot in self.mappings():
             mapped += 1
-            if not (0 <= slot < self.capacity and self.valid[slot]):
-                fail(f"mapped slot {slot} invalid")
-            # one tag per slot, so this is also "no two cells share a slot"
-            if self.owner[slot] != tid or self.areg[slot] != reg:
-                fail(f"slot {slot} tag mismatch")
-        if mapped != sum(self.valid):
-            fail("rows/valid mismatch")
+            if not 0 <= slot < self.capacity:
+                return violation(f"mapping ({tid}, {areg}) points at slot "
+                                 f"{slot} outside capacity {self.capacity}",
+                                 tid=tid, areg=areg, slot=slot)
+            if not self.valid[slot]:
+                return violation(f"mapping ({tid}, {areg}) points at invalid "
+                                 f"slot {slot} (dangling)",
+                                 tid=tid, areg=areg, slot=slot)
+            # a slot carries one tag, so two row cells naming the same slot
+            # cannot both pass this
+            if self.owner[slot] != tid or self.areg[slot] != areg:
+                return violation(f"slot {slot} tags ({self.owner[slot]}, "
+                                 f"{self.areg[slot]}) disagree with row entry "
+                                 f"({tid}, {areg})",
+                                 tid=tid, areg=areg, slot=slot)
+        valid = sum(self.valid)
+        if mapped != valid:
+            return violation(f"{mapped} mapped registers but {valid} valid "
+                             f"slots", mapped=mapped, valid=valid)
         if mapped != self.resident:
-            fail("resident count drifted from the rows")
+            return violation(f"resident count drifted: {self.resident} "
+                             f"stored, {mapped} row entries",
+                             mapped=mapped, resident=self.resident)
+        return None
+
+    def check_invariants(self) -> None:
+        """Raise the :meth:`bijection_violation` (an AssertionError), if any."""
+        violation = self.bijection_violation()
+        if violation is not None:
+            raise violation

@@ -32,22 +32,35 @@ def test_disasm_command(capsys):
     assert "ldr" in out and "active registers" in out
 
 
-def test_area_command(capsys):
-    assert main(["area"]) == 0
-    assert "banked_mm2" in capsys.readouterr().out
-
-
 def test_experiments_command(capsys):
     assert main(["experiments", "fig14", "--scale", "tiny"]) == 0
-    assert "area vs threads" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "area vs threads" in out and "banked_mm2" in out
 
 
-def test_experiments_unknown_name(capsys):
-    assert main(["experiments", "fig99"]) == 2
+def _exit_code(argv):
+    """``main``'s return code, or argparse's exit code."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
-def test_experiments_integer_scale(capsys):
-    assert main(["experiments", "fig02", "--scale", "8"]) == 0
+@pytest.mark.parametrize("argv, code", [
+    (["fig14", "--scale", "bogus"], 2),
+    (["fig14", "--scale", "-4"], 2),
+    (["fig14", "--scale", "0"], 2),
+    (["fig99"], 2),
+    (["sizing", "--scale", "8"], 0),
+], ids=["bogus", "negative", "zero", "fig99", "int"])
+def test_experiments_input_is_checked_up_front(argv, code, capsys):
+    """A bad scale or figure name is one ``error:`` line and exit 2, not
+    a traceback; an int scale runs."""
+    assert _exit_code(["experiments", *argv]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error: " in line]
+    assert len(errors) == (1 if code else 0), err
 
 
 def test_bad_core_type_rejected():
