@@ -15,8 +15,8 @@ state machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from ..stats.counters import Stats
 from .main_memory import LINE_BYTES
@@ -35,6 +35,20 @@ class DRAMConfig:
     row_bytes: int = 4096
     #: fixed controller/queueing overhead per request
     t_controller: int = 4
+
+    def __post_init__(self) -> None:
+        if self.channels < 1:
+            raise ValueError(f"channels must be >= 1, got {self.channels}")
+        if self.banks_per_channel < 1:
+            raise ValueError(
+                f"banks_per_channel must be >= 1, got {self.banks_per_channel}")
+        if self.row_bytes < LINE_BYTES or self.row_bytes % LINE_BYTES:
+            raise ValueError(f"row_bytes must be a positive multiple of "
+                             f"{LINE_BYTES}, got {self.row_bytes}")
+        for name in ("t_rp", "t_rcd", "t_cl", "t_burst", "t_controller"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(slots=True)
@@ -58,8 +72,12 @@ class DRAM:
         self._pending = self.stats.batch(
             "row_hits", "row_empty", "row_misses", "reads", "writes",
             "busy_cycles")
-        self._banks: Dict[Tuple[int, int], _Bank] = {}
-        self._bus_free: Dict[int, int] = {c: 0 for c in range(self.config.channels)}
+        #: bank ``(channel, bank)`` at ``channel * banks_per_channel + bank``
+        self._banks: List[_Bank] = [
+            _Bank() for _ in range(self.config.channels
+                                   * self.config.banks_per_channel)]
+        #: cycle each channel's data bus is next free
+        self._bus_free: List[int] = [0] * self.config.channels
 
     # -- address mapping ----------------------------------------------------
     def map_address(self, line_addr: int) -> Tuple[int, int, int]:
@@ -89,15 +107,16 @@ class DRAM:
         """
         cfg = self.config
         # :meth:`map_address`, inlined
+        banks_per_channel = cfg.banks_per_channel
         line, channel = divmod(line_addr // LINE_BYTES, cfg.channels)
-        line, bank_idx = divmod(line, cfg.banks_per_channel)
+        line, bank_idx = divmod(line, banks_per_channel)
         row = line // (cfg.row_bytes // LINE_BYTES)
-        bank = self._banks.get((channel, bank_idx))
-        if bank is None:
-            bank = self._banks[(channel, bank_idx)] = _Bank()
+        bank = self._banks[channel * banks_per_channel + bank_idx]
 
         pending = self._pending
-        start = max(now + cfg.t_controller, bank.ready_at)
+        start = now + cfg.t_controller
+        if bank.ready_at > start:
+            start = bank.ready_at
         if bank.open_row == row:
             access_lat = cfg.t_cl
             pending[ROW_HITS] += 1
@@ -109,10 +128,12 @@ class DRAM:
             pending[ROW_MISSES] += 1
         bank.open_row = row
 
-        data_ready = start + access_lat
-        transfer_start = max(data_ready, self._bus_free[channel])
+        bus_free = self._bus_free
+        transfer_start = start + access_lat
+        if bus_free[channel] > transfer_start:
+            transfer_start = bus_free[channel]
         complete = transfer_start + cfg.t_burst
-        self._bus_free[channel] = complete
+        bus_free[channel] = complete
         bank.ready_at = complete
 
         pending[WRITES if is_write else READS] += 1

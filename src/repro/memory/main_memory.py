@@ -37,13 +37,19 @@ class MainMemory:
             raise AlignmentError(f"unaligned 8-byte access at {addr:#x}")
         return addr // WORD_BYTES
 
+    # load/store run once per ldr/str, so they test alignment inline rather
+    # than through :meth:`_index`
     def load(self, addr: int) -> Word:
         """Read the 64-bit word at byte address ``addr`` (0 if untouched)."""
-        return self._words.get(self._index(addr), 0)
+        if addr & 7:
+            raise AlignmentError(f"unaligned 8-byte access at {addr:#x}")
+        return self._words.get(addr >> 3, 0)
 
     def store(self, addr: int, value: Word) -> None:
         """Write the 64-bit word at byte address ``addr``."""
-        self._words[self._index(addr)] = value
+        if addr & 7:
+            raise AlignmentError(f"unaligned 8-byte access at {addr:#x}")
+        self._words[addr >> 3] = value
 
     def write_array(self, addr: int, values: Iterable[Word]) -> int:
         """Bulk-write ``values`` starting at ``addr``; returns end address."""

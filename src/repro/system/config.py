@@ -110,6 +110,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.core_type not in CORE_TYPES:
             raise ValueError(f"unknown core type {self.core_type!r}")
+        for name in ("n_cores", "n_threads", "dram_channels", "dram_banks"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.1 <= self.context_fraction <= 2.0:
             raise ValueError("context_fraction out of range")
         if self.dram_preset not in ("ddr5", "hbm"):

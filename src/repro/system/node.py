@@ -3,9 +3,15 @@
 N near-memory processors share the crossbar and DRAM.  Each processor runs
 its own instance of the workload (its own offloaded task batch); an address
 skew decorrelates per-core data regions in the shared DRAM mapping, exactly
-as distinct physical allocations would.  Cores advance in a
-smallest-local-clock-first interleaving so cross-core memory contention is
-observed in (approximate) global time order.
+as distinct physical allocations would.
+
+Cores advance in a smallest-local-clock-first interleaving: the node steps
+the live core with the smallest ``now`` (the first such core in core order
+on a tie) for one instruction — superop chaining is off inside a node —
+so the cores present their crossbar and DRAM requests in the order of
+their clocks.  The clocks are kept in a list beside the live cores and only
+the stepped core's entry is refreshed, which is exact because a core's
+``now`` is written by its own step and nothing else.
 """
 
 from __future__ import annotations
@@ -73,19 +79,26 @@ class NearMemoryNode:
         instead of hanging a multi-hour grid on one bad configuration).
         """
         live = list(self.cores)
+        # the live cores' ``now`` in ``live`` order; ``list.index`` finds
+        # the first minimum, the tie rule of ``min(live, key=now)``
+        clocks = [c.now for c in live]
         while live:
-            core = min(live, key=lambda c: c.now)
-            if max_cycles is not None and core.now > max_cycles:
+            now = min(clocks)
+            i = clocks.index(now)
+            core = live[i]
+            if max_cycles is not None and now > max_cycles:
                 raise DeadlockError(
-                    f"cycle budget exceeded ({core.now} > {max_cycles})",
-                    commit_tail=int(getattr(core, "commit_tail", core.now)),
+                    f"cycle budget exceeded ({now} > {max_cycles})",
+                    commit_tail=int(getattr(core, "commit_tail", now)),
                     committed=sum(
                         int(getattr(th, "instructions", 0))
                         for c in self.cores
                         for th in getattr(c, "threads", ())))
-            if not core.step():
+            if core.step():
+                clocks[i] = core.now
+            else:
                 core.finalize_stats()
-                live.remove(core)
+                del live[i], clocks[i]
         cycles = max(int(c.stats["cycles"]) for c in self.cores)
         instructions = sum(int(c.stats["instructions"]) for c in self.cores)
         self.stats.set("cycles", cycles)

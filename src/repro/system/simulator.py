@@ -9,7 +9,7 @@ oracle, and returns a result record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from .. import workloads
@@ -122,9 +122,8 @@ def run_config(cfg: RunConfig, check: bool = True) -> RunResult:
             from ..memory.dram import hbm_like_config
             dram = hbm_like_config()
         else:
-            dram = table1_dram()
-            dram.channels = cfg.dram_channels
-            dram.banks_per_channel = cfg.dram_banks
+            dram = replace(table1_dram(), channels=cfg.dram_channels,
+                           banks_per_channel=cfg.dram_banks)
         memsys = NDPMemorySystem(
             n_cores=cfg.n_cores,
             dcache=ndp_dcache(cfg.dcache_kb, cfg.dcache_latency),

@@ -40,6 +40,15 @@ NDP_CASES = (
     ("nsf", dict(core_type="nsf", context_fraction=0.4),
      ("stride", "pointer_chase")),
     ("banked-4core", dict(core_type="banked", n_cores=4), ("gather", "stride")),
+    # multi-core nodes of every family, recorded before the node's
+    # interleave, the DRAM bank table and the L1 miss tail were flattened
+    ("virec-8core", dict(core_type="virec", n_cores=8, n_threads=6,
+                         context_fraction=0.8), ("gather", "stride")),
+    ("fgmt-3core", dict(core_type="fgmt", n_cores=3), ("gather", "stride")),
+    ("nsf-2core", dict(core_type="nsf", n_cores=2, context_fraction=0.4),
+     ("gather", "stride")),
+    ("banked-2core-hbm", dict(core_type="banked", n_cores=2, dram_preset="hbm"),
+     ("gather", "stride")),
 )
 
 
@@ -107,6 +116,22 @@ GOLDEN = {
         "9d6b14a5e04b7000dc5c57e6d7864062b79920dd1b93db4a796f1a3253566a61",
     "stride/banked-4core":
         "90f6286c313fc7b5d9d2f95b783602af607847162a58dbbe37854f5ef1c0c11b",
+    "gather/virec-8core":
+        "b8b8d6a12e98974b0c65c027d7d5db042d87185887734c6f01b118bc2da75e58",
+    "stride/virec-8core":
+        "b208252fed7c3ba97664307aabd787f139648f9f5e7ca8d96e58fc2c17d79759",
+    "gather/fgmt-3core":
+        "fbf94aa0b5a34b35cdeb47574eb73be931cab42d03677b97b886cd038f7cc38d",
+    "stride/fgmt-3core":
+        "eed3c79460657210f6820379246570b2d6cc9011078f9db9a6ea2c86efa31863",
+    "gather/nsf-2core":
+        "926ce918c40c5cb0efb3b581a54d8f8f36fa7083a549caadcf43cb682d3c4940",
+    "stride/nsf-2core":
+        "38016872c3e4fd3f60b35f1f04bf770511b79d8630192c4506c3008b1db3cdc7",
+    "gather/banked-2core-hbm":
+        "36c8176e1d8c4e58a627ffc2ec00680bf2bde21cabeb149cef7b142877253e4e",
+    "stride/banked-2core-hbm":
+        "1c3e4ba4e28c975195f83b15595064961a41aca658a6d8ec23543ec81a5c60f8",
     "stride/ooo":
         "c94f518be2a8a38e55fd4f93ef1e4b03c146b912911012b4ffed6b48ddd85c12",
     "spmv/ooo":

@@ -100,8 +100,11 @@ _SMALL = ["--per-thread", "8"]
     ["profile", "--core", "virec", "--context", "0.01", *_SMALL],
     ["profile", "--core", "banked", "--threads", "2", "--diff", "ooo",
      *_SMALL],
+    ["run", "--cores", "0", *_SMALL],
+    ["run", "--threads", "0", *_SMALL],
 ], ids=["trace-ooo", "timeline-ooo", "run-ooo-sanitize", "run-inorder-4",
-        "run-context", "profile-ooo", "profile-context", "profile-diff-ooo"])
+        "run-context", "profile-ooo", "profile-context", "profile-diff-ooo",
+        "run-cores-0", "run-threads-0"])
 def test_rejected_config_is_a_usage_error_on_every_single_run_verb(
         argv, capsys):
     """A config that RunConfig or run_config rejects used to traceback on

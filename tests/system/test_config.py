@@ -38,6 +38,27 @@ def test_dram_matches_table1():
     assert cfg.t_rp == cfg.t_cl == cfg.t_rcd == 14
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: RunConfig(n_cores=0), "n_cores"),
+    (lambda: RunConfig(n_threads=0), "n_threads"),
+    (lambda: RunConfig(dram_channels=0), "dram_channels"),
+    (lambda: RunConfig(dram_banks=-1), "dram_banks"),
+    (lambda: DRAMConfig(channels=0), "channels"),
+    (lambda: DRAMConfig(banks_per_channel=0), "banks_per_channel"),
+    (lambda: DRAMConfig(row_bytes=0), "row_bytes"),
+    (lambda: DRAMConfig(row_bytes=100), "row_bytes"),
+    (lambda: DRAMConfig(t_cl=-1), "t_cl"),
+    (lambda: DRAMConfig(t_controller=-2), "t_controller"),
+], ids=["n_cores", "n_threads", "dram_channels", "dram_banks", "channels",
+        "banks", "row_bytes-0", "row_bytes-100", "t_cl", "t_controller"])
+def test_impossible_sizes_are_rejected_when_the_config_is_built(build, field):
+    """Each used to fail deep in the run (``max()`` of no cores, a
+    ``ZeroDivisionError`` in ``DRAM.access``, a run of no instructions)."""
+    with pytest.raises(ValueError, match=f"^{field} must be") as excinfo:
+        build()
+    assert "\n" not in str(excinfo.value)
+
+
 def test_ooo_constants_match_paper():
     """2 GHz OoO vs 1 GHz NDP; 19.1x area [43]."""
     assert OOO_CLOCK_RATIO == 2.0
