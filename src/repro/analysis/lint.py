@@ -563,17 +563,24 @@ class _Visitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def lint_source(source: str, path: str = "<string>",
-                select: Optional[Iterable[str]] = None,
-                ignore: Optional[Iterable[str]] = None) -> List[Finding]:
-    """Lint one module's source text; returns findings including
-    suppressed ones (marked ``suppressed=True``)."""
+def _enabled_rules(select: Optional[Iterable[str]],
+                   ignore: Optional[Iterable[str]]) -> frozenset:
+    """The rule ids ``select``/``ignore`` leave on (unknown ids raise)."""
     enabled = frozenset(select) if select else frozenset(RULES_BY_ID)
     if ignore:
         enabled = enabled - frozenset(ignore)
     unknown = enabled - frozenset(RULES_BY_ID)
     if unknown:
         raise ValueError(f"unknown lint rule ids: {sorted(unknown)}")
+    return enabled
+
+
+def lint_source(source: str, path: str = "<string>",
+                select: Optional[Iterable[str]] = None,
+                ignore: Optional[Iterable[str]] = None) -> List[Finding]:
+    """Lint one module's source text; returns findings including
+    suppressed ones (marked ``suppressed=True``)."""
+    enabled = _enabled_rules(select, ignore)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -596,6 +603,8 @@ def iter_python_files(paths: Sequence[str]) -> List[Path]:
     files: List[Path] = []
     for raw in paths:
         p = Path(raw)
+        if not p.exists():
+            raise ValueError(f"no such file or directory: {raw}")
         if p.is_dir():
             files.extend(sorted(p.rglob("*.py")))
         elif p.suffix == ".py":
@@ -607,6 +616,7 @@ def lint_paths(paths: Sequence[str],
                select: Optional[Iterable[str]] = None,
                ignore: Optional[Iterable[str]] = None) -> List[Finding]:
     """Lint every ``*.py`` under ``paths`` (files or directories)."""
+    _enabled_rules(select, ignore)  # bad ids raise even with no files
     findings: List[Finding] = []
     for file in iter_python_files(paths):
         findings.extend(lint_source(

@@ -6,7 +6,10 @@ Commands
     Run experiment drivers (default: all) and print their tables; their
     configs run as one grid, deduplicated by config key.
 ``run --workload W --core C [--threads N] [--context F] ...``
-    Simulate one configuration and print its stats.
+    Simulate one configuration and print its stats.  ``--observe
+    events,intervals,pipeline,profile`` turns layers on and prints their
+    panels; ``--out DIR`` also writes their artifact set (``trace.json``,
+    ``intervals.jsonl``, ``profile.json``, ``profile.folded``).
 ``sweep --axis FIELD=V1,V2,... [--dir D] [--live] [--metrics] ...``
     Run a parameter grid with per-config error isolation, watchdogs,
     retries, and a crash-safe checkpoint journal.  ``--dir`` roots the
@@ -16,30 +19,12 @@ Commands
     appends every finished run to the persistent run ledger; ``--cache``
     additionally serves digest-keyed hits from it (byte-identical to
     recomputation, ``ledger.hit``/``miss``/``stale`` in the metrics).
-``history [--ledger P] [--digest D] [--compare A B] [--check]``
-    Longitudinal analytics over the run ledger: per-digest trajectories
-    with host-rate sparklines, per-counter compares between two digests,
-    and trajectory-aware regression gating (current vs median of the
-    last N runs, graded ok / warn / regression; exit 4 on regression).
-``monitor DIR [--follow]``
-    Re-attach a progress panel to a sweep directory (live or post-hoc).
-``report DIR [--out report.html] [--ledger P]``
-    Render a self-contained HTML report from a sweep directory's
-    manifest, fleet metrics, event log, and run-ledger history.
-``trace --workload W --core C [--out trace.json] [--interval N] ...``
-    Run one configuration with event telemetry and export a Chrome
-    trace-event JSON (opens in Perfetto / chrome://tracing).
-``timeline --workload W --core C [--interval N] [--jsonl P] ...``
-    Run one configuration with interval sampling and print sparkline
-    time-series of IPC, VRMU hit rate, occupancy, and spill/fill traffic.
-``profile --workload W --core C [--top N] [--diff CORE2] ...``
-    Run one configuration with cycle attribution (every core cycle
-    classified into the top-down stall taxonomy, exact-sum enforced) and
-    print the per-cause table plus the hottest per-PC rows; ``--diff``
-    re-runs with a second core type and prints the per-cause/per-PC
-    cycle deltas (``--diff-policy`` does the same along the replacement-
-    policy axis); ``--flame`` writes folded flamegraph stacks and
-    ``--json`` the raw attribution snapshot.
+``inspect [TARGET] [--diff OTHER] [--top N] [--html P] [--follow] ...``
+    Render whatever artifacts exist, without re-simulating.  A run or
+    sweep directory: ``run``'s panels and a sweep's progress (exit 3 on
+    failed rows), ``--diff`` two saved profiles, ``--html`` a report.  The
+    run ledger (no TARGET, or a digest): trajectories, ``--diff`` two
+    digests, ``--check`` the regression gate (exit 4).
 ``check [workloads...] [--corpus DIR] [--asm PATH] [--pressure] [--json]``
     Statically verify kernels with the CFG + liveness framework
     (:mod:`repro.analysis.dataflow`): out-of-range branch targets,
@@ -70,7 +55,16 @@ from . import workloads
 from .errors import SimulationError
 from .experiments import DRIVERS, scale_to_n, simulate
 from .system import CORE_TYPES, RunConfig, run_config
+from .system.monitor import (ARTIFACT_NAMES, EVENTS_NAME, FOLDED_NAME,
+                             INTERVALS_NAME, MANIFEST_NAME, PROFILE_NAME,
+                             TRACE_NAME, monitor_loop)
 from .virec import POLICIES
+
+
+def _usage(message: str) -> int:
+    """Print one ``error:`` line on stderr; returns the usage exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _scale(text: str):
@@ -83,13 +77,38 @@ def _scale(text: str):
     return scale
 
 
+def _positive_int(text: str) -> int:
+    """A count >= 1, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+#: the layers ``run --observe`` can turn on
+_LAYERS = ("events", "intervals", "pipeline", "profile")
+
+
+def _layers(text: str) -> frozenset:
+    """``--observe``: a comma list of :data:`_LAYERS`, else a usage error."""
+    layers = frozenset(text.split(","))
+    if not layers <= set(_LAYERS):
+        raise argparse.ArgumentTypeError(
+            f"unknown layer(s) {sorted(layers - set(_LAYERS))}; choose "
+            f"from {','.join(_LAYERS)}")
+    return layers
+
+
 def _cmd_experiments(args) -> int:
     names = args.names or sorted(DRIVERS)
     for name in names:
         if name not in DRIVERS:
-            print(f"error: unknown experiment {name!r}; available: "
-                  f"{sorted(DRIVERS)}", file=sys.stderr)
-            return 2
+            return _usage(f"unknown experiment {name!r}; available: "
+                          f"{sorted(DRIVERS)}")
     backend, ledger, cache = _exec_backend(args)
     if backend is None:
         return 2
@@ -125,22 +144,26 @@ def _base_config(args, **extra) -> RunConfig:
     return RunConfig(**fields)
 
 
-def _simulate(args, label: str = "", **extra):
-    """Build and run the verb's one config: ``(cfg, result)``, or
-    ``(None, None)`` after one ``error: <label><message>`` line on stderr
-    when the config is rejected (the verb then exits 2)."""
+def _cmd_run(args) -> int:
+    layers = args.observe or frozenset()
+    if args.out and not layers:
+        return _usage("--out needs --observe LAYERS")
+    if args.interval and "intervals" not in layers:
+        return _usage("--interval needs --observe intervals")
+    extra = {}
+    if layers & {"events", "intervals", "pipeline"}:
+        extra["telemetry"] = {
+            "events": "events" in layers,
+            "interval": (args.interval or 500) if "intervals" in layers
+            else 0,
+            "pipeline_trace": "pipeline" in layers}
+    if "profile" in layers:
+        extra["profile"] = True
     try:
         cfg = _base_config(args, **extra)
-        return cfg, run_config(cfg)
+        r = run_config(cfg)
     except ValueError as exc:
-        print(f"error: {label}{exc}", file=sys.stderr)
-        return None, None
-
-
-def _cmd_run(args) -> int:
-    cfg, r = _simulate(args)
-    if r is None:
-        return 2
+        return _usage(str(exc))
     print(f"workload={cfg.workload} core={cfg.core_type} threads={cfg.n_threads} "
           f"cores={cfg.n_cores}")
     print(f"  cycles       = {r.cycles}")
@@ -152,6 +175,26 @@ def _cmd_run(args) -> int:
         for key, value in r.stats.flat():
             if value:
                 print(f"  {key} = {value:g}")
+    if not layers:
+        return 0
+    data = {}
+    if "events" in layers:
+        data["trace"] = r.telemetry.chrome_trace(metadata={
+            "workload": cfg.workload, "core_type": cfg.core_type,
+            "n_threads": cfg.n_threads, "n_cores": cfg.n_cores,
+            "seed": cfg.seed})
+    if "intervals" in layers:
+        data["intervals"] = r.telemetry.interval_rows()
+    if "profile" in layers:
+        data["profile"] = r.profile.snapshot()
+    if args.out:
+        _write_artifacts(args.out, r, data)
+    if data:
+        print()
+        print(_panels(data))
+    if r.telemetry is not None:
+        print()
+        print(r.telemetry.report())
     return 0
 
 
@@ -200,8 +243,21 @@ def _cmd_sweep(args) -> int:
     from .system import run_grid, sweep_grid
     from .stats.reporting import rows_to_csv
 
+    if args.live and not args.dir:
+        return _usage("--live requires --dir")
+    if args.resume and not (args.checkpoint or args.dir):
+        return _usage("--resume requires --checkpoint (or --dir)")
+    axes = {}
+    for spec in args.axis or []:
+        name, eq, values = spec.partition("=")
+        if not eq or not name or not values:
+            return _usage(f"bad --axis {spec!r}: expected FIELD=V1,V2,...")
+        axes[name] = [_parse_axis_value(v) for v in values.split(",")]
     extra = {"metrics": True} if args.metrics else {}
-    base = _base_config(args, **extra)
+    try:
+        grid = sweep_grid(_base_config(args, **extra), **axes)
+    except (TypeError, ValueError) as exc:
+        return _usage(str(exc))
     checkpoint, observe, manifest = args.checkpoint, None, None
     if args.dir:
         os.makedirs(args.dir, exist_ok=True)
@@ -210,25 +266,6 @@ def _cmd_sweep(args) -> int:
         observe = args.dir
         from .system.manifest import RunManifest
         manifest = RunManifest()
-    if args.live and not args.dir:
-        print("--live requires --dir", file=sys.stderr)
-        return 2
-    if args.resume and not checkpoint:
-        print("--resume requires --checkpoint (or --dir)", file=sys.stderr)
-        return 2
-    axes = {}
-    for spec in args.axis or []:
-        name, eq, values = spec.partition("=")
-        if not eq or not name or not values:
-            print(f"bad --axis {spec!r}: expected FIELD=V1,V2,...",
-                  file=sys.stderr)
-            return 2
-        axes[name] = [_parse_axis_value(v) for v in values.split(",")]
-    try:
-        grid = sweep_grid(base, **axes)
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     backend, ledger, cache = _exec_backend(args, args.dir or "")
     if backend is None:
         return 2
@@ -247,7 +284,6 @@ def _cmd_sweep(args) -> int:
     live_thread = None
     if args.live:
         import threading
-        from .system.monitor import monitor_loop
         live_thread = threading.Thread(
             target=monitor_loop, args=(args.dir,),
             kwargs={"refresh": args.refresh, "follow": True}, daemon=True)
@@ -264,7 +300,7 @@ def _cmd_sweep(args) -> int:
         live_thread.join(timeout=2 * args.refresh + 1.0)
     if args.dir:
         if manifest is not None and manifest.configs:
-            manifest.save(os.path.join(args.dir, "manifest.json"))
+            manifest.save(os.path.join(args.dir, MANIFEST_NAME))
         print(f"sweep directory: {args.dir} (checkpoint, manifest, "
               f"metrics, trace, events, heartbeats)")
     if args.csv:
@@ -290,56 +326,155 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _check_sweep_dir(path: str) -> Optional[str]:
-    """One-line usage hint when ``path`` is not a usable sweep directory.
+#: metric columns of the interval panel; columns absent from a run (e.g.
+#: VRMU metrics on a banked core) are skipped by the renderer
+_TIMELINE_COLUMNS = ("ipc", "vrmu_hit_rate", "occupancy_total",
+                     "spill_fill_per_kcycle", "dcache_misses",
+                     "context_switches")
 
-    Returns None when the directory exists and carries a sweep event log;
-    otherwise the message ``repro monitor`` / ``repro report`` print
-    before exiting cleanly (instead of tracebacking on absent artifacts).
-    """
+
+def _panels(data: dict, top: int = 10) -> str:
+    """The text panels of one run's artifact data: what ``run --observe``
+    prints live and ``inspect`` prints from disk.  ``data`` maps
+    ``trace`` / ``intervals`` / ``profile`` to the plain values of
+    ``trace.json`` / ``intervals.jsonl`` / ``profile.json``."""
+    from .stats.reporting import render_attribution_table, render_intervals
+
+    parts = []
+    if "trace" in data:
+        trace = data["trace"]
+        events = sum(1 for e in trace["traceEvents"] if e["ph"] != "M")
+        dropped = trace.get("otherData", {}).get("dropped_events", 0)
+        parts.append(f"trace: {events} events ({dropped} overwritten)")
+    if "intervals" in data:
+        parts.append(render_intervals(data["intervals"], _TIMELINE_COLUMNS))
+    if "profile" in data:
+        parts.append(render_attribution_table(data["profile"], top=top))
+    return "\n\n".join(parts)
+
+
+def _write_artifacts(out: str, r, data: dict) -> None:
+    """Write ``run --observe``'s artifact set into directory ``out``."""
+    import json
     import os
-    from .system.monitor import EVENTS_NAME
 
+    texts = {}
+    if "trace" in data:
+        texts[TRACE_NAME] = json.dumps(data["trace"], sort_keys=True)
+    if "intervals" in data:
+        texts[INTERVALS_NAME] = r.telemetry.metrics_jsonl()
+    if "profile" in data:
+        texts[PROFILE_NAME] = json.dumps(data["profile"], indent=1,
+                                         sort_keys=True) + "\n"
+        texts[FOLDED_NAME] = r.profile.collapsed()
+    os.makedirs(out, exist_ok=True)
+    for name, text in texts.items():
+        with open(os.path.join(out, name), "w") as f:
+            f.write(text)
+    print(f"wrote {', '.join(texts) or 'no files'} to {out}" + (
+        f" (open {TRACE_NAME} in https://ui.perfetto.dev or chrome://tracing)"
+        if TRACE_NAME in texts else ""))
+
+
+def _load_artifacts(path: str,
+                    keys=("trace", "intervals", "profile")) -> dict:
+    """The plain data (the ``data`` of :func:`_panels`) of those run
+    artifacts among ``keys`` that exist in directory ``path``."""
+    import json
+    import os
+
+    data = {}
+    for key in keys:
+        name = {"trace": TRACE_NAME, "intervals": INTERVALS_NAME,
+                "profile": PROFILE_NAME}[key]
+        if os.path.exists(os.path.join(path, name)):
+            with open(os.path.join(path, name)) as f:
+                data[key] = ([json.loads(line) for line in f if line.strip()]
+                             if name == INTERVALS_NAME else json.load(f))
+    return data
+
+
+def _dir_error(path: str) -> Optional[str]:
+    """Why ``path`` is not a run or sweep directory, or None if it is."""
+    import os
+
+    make = (f"repro run --observe ... --out {path}, or repro sweep "
+            f"--dir {path} ...")
     if not os.path.isdir(path):
-        return (f"no such sweep directory: {path} "
-                f"(create one with: repro sweep --dir {path} ...)")
-    if not os.listdir(path):
-        return (f"sweep directory {path} is empty "
-                f"(populate it with: repro sweep --dir {path} ...)")
-    if not os.path.exists(os.path.join(path, EVENTS_NAME)):
-        return (f"{path} has no {EVENTS_NAME} — not a sweep directory "
-                f"(expected output of: repro sweep --dir {path} ...)")
+        return f"no such run or sweep directory: {path} (create one with: {make})"
+    if not any(os.path.exists(os.path.join(path, name))
+               for name in ARTIFACT_NAMES):
+        what = ("is empty" if not os.listdir(path)
+                else f"has none of {', '.join(ARTIFACT_NAMES)}")
+        return f"{path} {what} (expected output of: {make})"
     return None
 
 
-def _cmd_monitor(args) -> int:
-    from .system.monitor import monitor_loop
-
-    hint = _check_sweep_dir(args.dir)
-    if hint is not None:
-        print(hint, file=sys.stderr)
-        return 2
-    state = monitor_loop(args.dir, refresh=args.refresh,
-                         follow=args.follow)
-    return 0 if state.failed == 0 else 3
-
-
-def _cmd_report(args) -> int:
+def _cmd_inspect(args) -> int:
     import os
-    from .stats.report_html import write_report
 
-    hint = _check_sweep_dir(args.dir)
-    if hint is not None:
-        print(hint, file=sys.stderr)
-        return 2
-    out = args.out or os.path.join(args.dir, "report.html")
-    report = write_report(args.dir, out, ledger=args.ledger)
-    s = report["summary"]
-    print(f"wrote {out}: {s['ok']} ok / {s['failed']} failed rows")
-    return 0
+    target = args.target
+    if target is not None and (os.sep in target or os.path.exists(target)):
+        return _inspect_dir(args)
+    return _inspect_ledger(args)
 
 
-def _cmd_history(args) -> int:
+def _inspect_dir(args) -> int:
+    """``inspect DIR``: panels, ``--diff``, ``--html`` or ``--follow``."""
+    import json
+    import os
+    from .stats.report_html import build_report, write_report
+
+    path = args.target
+    if args.check:
+        return _usage("--check grades the run ledger; give it a digest or "
+                      "no TARGET, not a directory")
+    modes = [f"--{m}" for m in ("diff", "html", "follow", "json")
+             if getattr(args, m)]
+    if len(modes) > 1 and modes[:2] != ["--diff", "--json"]:
+        return _usage(f"{modes[0]} cannot be combined with {modes[1]}")
+    dirs = [d for d in (path, args.diff) if d]
+    for d in dirs:
+        problem = _dir_error(d)
+        if problem is not None:
+            return _usage(problem)
+    top = args.top or 10
+    if args.diff:
+        from .profiling import diff_snapshots
+        from .stats.reporting import render_attribution_diff
+
+        snaps = [_load_artifacts(d, ("profile",)).get("profile")
+                 for d in dirs]
+        for d, snap in zip(dirs, snaps):
+            if snap is None:
+                return _usage(f"{d} has no {PROFILE_NAME} (write one with: "
+                              f"repro run --observe profile --out {d})")
+        diff = diff_snapshots(*snaps)
+        labels = [os.path.basename(os.path.normpath(d)) for d in dirs]
+        print(json.dumps(diff, indent=2) if args.json else
+              render_attribution_diff(diff, *labels, top=top))
+        return 0
+    if args.html:
+        s = write_report(path, args.html, ledger=args.ledger)["summary"]
+        print(f"wrote {args.html}: {s['ok']} ok / {s['failed']} failed rows")
+        return 0
+    if args.json:
+        print(json.dumps(build_report(path, ledger=args.ledger), indent=2))
+        return 0
+    sweep = os.path.exists(os.path.join(path, EVENTS_NAME))
+    if args.follow and not sweep:
+        return _usage(f"--follow needs a sweep directory; {path} has no "
+                      f"{EVENTS_NAME}")
+    state = monitor_loop(path, follow=args.follow) if sweep else None
+    panels = _panels(_load_artifacts(path), top=top)
+    if panels:
+        print(("\n" if sweep else "") + panels)
+    return 3 if state is not None and state.failed else 0
+
+
+def _inspect_ledger(args) -> int:
+    """``inspect [DIGEST]``: the run ledger's overview, one digest's
+    trajectory, ``--diff`` between two digests, or the ``--check`` gate."""
     import json
     import os
     from .ledger import LedgerReader, default_ledger_path
@@ -348,150 +483,40 @@ def _cmd_history(args) -> int:
                                  render_compare_text, render_history_text,
                                  render_trajectory_text, trajectory)
 
+    for flag in ("html", "follow", "top"):
+        if getattr(args, flag):
+            return _usage(f"--{flag} renders a directory; "
+                          f"{args.target or 'the run ledger'} is not one")
+    if args.diff and not args.target:
+        return _usage("--diff needs a TARGET digest to compare against")
     path = args.ledger or default_ledger_path()
     if not os.path.exists(path):
-        print(f"no run ledger at {path} — record one with: repro sweep "
-              f"--ledger {path} ... (or --cache), or point --ledger / "
-              f"$REPRO_LEDGER at an existing file", file=sys.stderr)
-        return 2
+        what = f"{args.target} is not a directory and " if args.target else ""
+        return _usage(f"{what}no run ledger at {path} — record one with: "
+                      f"repro sweep --ledger {path} ... (or --cache), or "
+                      f"point --ledger / $REPRO_LEDGER at an existing file")
     with LedgerReader(path) as reader:
         if reader.count() == 0:
-            print(f"run ledger {path} has no rows yet — record runs with: "
-                  f"repro sweep --ledger {path} ...", file=sys.stderr)
-            return 2
-        if args.compare:
-            cmp = compare_digests(reader, args.compare[0], args.compare[1])
-            if args.json:
-                print(json.dumps(cmp, indent=2))
-            else:
-                print(render_compare_text(cmp))
-            return 0 if (cmp["found_a"] and cmp["found_b"]) else 2
-        if args.check:
-            chk = check_history(reader, threshold=args.threshold,
-                                window=args.window,
-                                min_runs=args.min_runs,
-                                digest=args.digest)
-            if args.json:
-                print(json.dumps(chk, indent=2))
-            else:
-                print(render_check_text(chk))
-            return EXIT_REGRESSION if chk["worst"] == "regression" else 0
-        if args.digest:
-            traj = trajectory(reader, args.digest, limit=args.limit)
-            if not traj["rows"]:
-                print(f"digest {args.digest} has no rows in {path}",
-                      file=sys.stderr)
-                return 2
-            if args.json:
-                print(json.dumps(traj, indent=2))
-            else:
-                print(render_trajectory_text(traj))
-            return 0
-        if args.json:
-            print(json.dumps(reader.digests(), indent=2))
+            return _usage(f"run ledger {path} has no rows yet — record runs "
+                          f"with: repro sweep --ledger {path} ...")
+        for digest in (args.target, args.diff):
+            if digest and not reader.runs(digest=digest, limit=1):
+                return _usage(f"{digest} is neither a directory nor a "
+                              f"digest in {path}")
+        if args.diff:
+            view = compare_digests(reader, args.target, args.diff)
+            text = render_compare_text(view)
+        elif args.check:
+            view = check_history(reader, digest=args.target)
+            text = render_check_text(view)
+        elif args.target:
+            view = trajectory(reader, args.target)
+            text = render_trajectory_text(view)
         else:
-            print(render_history_text(reader, limit=args.limit))
-    return 0
-
-
-#: default metric columns of ``repro timeline``; columns absent from a run
-#: (e.g. VRMU metrics on a banked core) are skipped by the renderer
-_TIMELINE_COLUMNS = ("ipc", "vrmu_hit_rate", "occupancy_total",
-                     "spill_fill_per_kcycle", "dcache_misses",
-                     "context_switches")
-
-
-def _cmd_trace(args) -> int:
-    cfg, r = _simulate(args, telemetry={
-        "events": True, "interval": args.interval,
-        "pipeline_trace": args.pipeline,
-        "max_events": args.max_events,
-        "flow_events": not args.no_flow})
-    if r is None:
-        return 2
-    session = r.telemetry
-    session.write_chrome_trace(args.out, metadata={
-        "workload": cfg.workload, "core_type": cfg.core_type,
-        "n_threads": cfg.n_threads, "n_cores": cfg.n_cores,
-        "seed": cfg.seed})
-    print(f"wrote {session.event_count} events to {args.out} "
-          f"(open in https://ui.perfetto.dev or chrome://tracing)")
-    if args.metrics:
-        session.write_metrics_jsonl(args.metrics)
-        print(f"wrote {len(session.interval_rows())} interval rows "
-              f"to {args.metrics}")
-    print()
-    print(session.report())
-    if r.host_profile and r.host_profile.get("instr_per_s"):
-        print(f"host: {r.host_profile['total_s']:.2f}s wall, "
-              f"{r.host_profile['instr_per_s']:,.0f} instr/s")
-    return 0
-
-
-def _cmd_timeline(args) -> int:
-    from .stats.reporting import render_intervals
-
-    cfg, r = _simulate(args, telemetry={
-        "events": False, "interval": args.interval})
-    if r is None:
-        return 2
-    session = r.telemetry
-    rows = session.interval_rows()
-    print(f"workload={cfg.workload} core={cfg.core_type} "
-          f"threads={cfg.n_threads} cores={cfg.n_cores} "
-          f"interval={args.interval}")
-    columns = (args.columns.split(",") if args.columns
-               else list(_TIMELINE_COLUMNS))
-    print(render_intervals(rows, columns, width=args.width))
-    if args.jsonl:
-        session.write_metrics_jsonl(args.jsonl)
-        print(f"wrote {len(rows)} rows to {args.jsonl}")
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    from .profiling import diff_snapshots
-    from .stats.reporting import (render_attribution_diff,
-                                  render_attribution_table)
-
-    cfg, r = _simulate(args, profile=True)
-    if r is None:
-        return 2
-    session = r.profile
-    snapshot = session.snapshot()
-    print(f"workload={cfg.workload} core={cfg.core_type} "
-          f"threads={cfg.n_threads} cores={cfg.n_cores}")
-    print(render_attribution_table(snapshot, top=args.top))
-    if args.flame:
-        session.write_collapsed(args.flame)
-        n = len(session.collapsed().splitlines())
-        print(f"wrote {n} folded stack(s) to {args.flame} "
-              f"(flamegraph.pl / speedscope collapsed format)")
-    if args.json:
-        session.write_json(args.json)
-        print(f"wrote attribution snapshot to {args.json}")
-    if args.diff:
-        _, r2 = _simulate(args, f"--diff {args.diff}: ", profile=True,
-                          core_type=args.diff)
-        if r2 is None:
-            return 2
-        other = r2.profile.snapshot()
-        print()
-        print(render_attribution_diff(diff_snapshots(snapshot, other),
-                                      base_label=cfg.core_type,
-                                      other_label=args.diff,
-                                      top=args.top))
-    if args.diff_policy:
-        _, r3 = _simulate(args, f"--diff-policy {args.diff_policy}: ",
-                          profile=True, policy=args.diff_policy)
-        if r3 is None:
-            return 2
-        other = r3.profile.snapshot()
-        print()
-        print(render_attribution_diff(diff_snapshots(snapshot, other),
-                                      base_label=f"policy={cfg.policy}",
-                                      other_label=f"policy={args.diff_policy}",
-                                      top=args.top))
+            view, text = reader.digests(), render_history_text(reader)
+        print(json.dumps(view, indent=2) if args.json else text)
+    if args.check and view["worst"] == "regression":
+        return EXIT_REGRESSION
     return 0
 
 
@@ -520,9 +545,8 @@ def _cmd_check(args) -> int:
         names = list(workloads.names())
     for name in names:
         if name not in workloads.names():
-            print(f"unknown workload {name!r}; available: "
-                  f"{workloads.names()}", file=sys.stderr)
-            return 2
+            return _usage(f"unknown workload {name!r}; available: "
+                          f"{workloads.names()}")
         inst = workloads.get(name).build(n_threads=args.threads,
                                          n_per_thread=args.per_thread)
         checked.append(_check_instance(inst, name,
@@ -541,8 +565,7 @@ def _cmd_check(args) -> int:
                 init = set(range(NUM_ARCH_REGS))
             program = assemble(source, name=args.asm)
         except (OSError, ValueError) as exc:
-            print(f"error: --asm {args.asm}: {exc}", file=sys.stderr)
-            return 2
+            return _usage(f"--asm {args.asm}: {exc}")
         checked.append((verify_program(program, init_flats=init,
                                        name=args.asm), program))
 
@@ -552,8 +575,8 @@ def _cmd_check(args) -> int:
         corpus = Corpus(args.corpus)
         slugs = corpus.entries()
         if not slugs:
-            print(f"note: no corpus entries under {args.corpus}",
-                  file=sys.stderr)
+            return _usage(f"--corpus {args.corpus}: no reproducers "
+                          f"(expected findings/<slug>/meta.json entries)")
         for slug in slugs:
             asm, meta = corpus.load(slug)
             inst = workloads.get("fuzz").build(
@@ -592,8 +615,7 @@ def _cmd_lint(args) -> int:
             select=args.select.split(",") if args.select else None,
             ignore=args.ignore.split(",") if args.ignore else None)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage(str(exc))
     if args.format == "json":
         print(lint_mod.render_json(findings))
     else:
@@ -623,6 +645,9 @@ def _cmd_fuzz(args) -> int:
 
     if args.replay:
         rows = replay_corpus(args.replay)
+        if not rows:
+            return _usage(f"--replay {args.replay}: no reproducers "
+                          f"(expected findings/<slug>/meta.json entries)")
         bad = [r for r in rows if not r["ok"]]
         for r in rows:
             mark = "ok  " if r["ok"] else "FAIL"
@@ -703,7 +728,7 @@ def _add_exec_options(p: argparse.ArgumentParser) -> None:
                         "results are identical to a serial run")
     p.add_argument("--ledger", metavar="PATH",
                    help="append every finished run to this run-ledger "
-                        "SQLite file (see repro history)")
+                        "SQLite file (see repro inspect)")
     p.add_argument("--cache", action="store_true",
                    help="serve digest-keyed hits from the run ledger instead "
                         "of re-simulating (byte-identical results; implies "
@@ -723,66 +748,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exec_options(p)
     p.set_defaults(fn=_cmd_experiments)
 
-    p = sub.add_parser("run", help="simulate one configuration")
+    p = sub.add_parser("run", help="simulate one configuration, optionally "
+                                   "observed: panels plus an artifact set")
     _add_config_options(p)
     p.add_argument("--verbose", action="store_true")
+    p.add_argument("--observe", type=_layers, metavar="LAYERS",
+                   help=f"comma list of {','.join(_LAYERS)}: turn those "
+                        f"layers on and print their panels")
+    p.add_argument("--interval", type=_positive_int, metavar="N",
+                   help="cycles per interval sample (default 500)")
+    p.add_argument("--out", metavar="DIR",
+                   help="write the observed layers' artifacts into DIR "
+                        "(render them later with repro inspect DIR)")
     p.set_defaults(fn=_cmd_run)
-
-    p = sub.add_parser("trace",
-                       help="run with event telemetry; export a Perfetto-"
-                            "loadable Chrome trace")
-    _add_config_options(p)
-    p.add_argument("--out", default="trace.json", metavar="PATH",
-                   help="Chrome trace-event JSON output path")
-    p.add_argument("--interval", type=int, default=0, metavar="N",
-                   help="also sample interval metrics every N cycles")
-    p.add_argument("--metrics", metavar="PATH",
-                   help="write interval metrics as JSONL (with --interval)")
-    p.add_argument("--pipeline", action="store_true",
-                   help="attach per-instruction pipeline tracers and report "
-                        "stall attribution")
-    p.add_argument("--max-events", type=int, default=200_000,
-                   help="event ring capacity (oldest overwritten past it)")
-    p.add_argument("--no-flow", action="store_true",
-                   help="omit spill/fill flow arrows")
-    p.set_defaults(fn=_cmd_trace)
-
-    p = sub.add_parser("timeline",
-                       help="run with interval sampling; print sparkline "
-                            "time-series")
-    _add_config_options(p)
-    p.add_argument("--interval", type=int, default=500, metavar="N",
-                   help="cycles per sample")
-    p.add_argument("--columns", metavar="C1,C2,...",
-                   help=f"metric columns (default: "
-                        f"{','.join(_TIMELINE_COLUMNS)})")
-    p.add_argument("--width", type=int, default=60,
-                   help="sparkline width in characters")
-    p.add_argument("--jsonl", metavar="PATH",
-                   help="also write the interval rows as JSONL")
-    p.set_defaults(fn=_cmd_timeline)
-
-    p = sub.add_parser("profile",
-                       help="run with cycle attribution; print per-cause "
-                            "and per-PC hotspot tables, optionally diff "
-                            "two core types")
-    _add_config_options(p)
-    p.add_argument("--top", type=int, default=10, metavar="N",
-                   help="hotspot / per-PC-delta rows to print (default 10)")
-    p.add_argument("--diff", metavar="CORE", choices=list(CORE_TYPES),
-                   help="re-run with this core type and print per-cause/"
-                        "per-PC cycle deltas (other vs base)")
-    p.add_argument("--diff-policy", metavar="POLICY",
-                   choices=sorted(POLICIES),
-                   help="re-run with this replacement policy and print "
-                        "per-cause/per-PC cycle deltas (other vs base)")
-    p.add_argument("--flame", metavar="PATH",
-                   help="write folded flamegraph stacks (Brendan Gregg "
-                        "collapsed format)")
-    p.add_argument("--json", metavar="PATH",
-                   help="write the raw attribution snapshot as JSON "
-                        "(feeds the HTML report's attribution section)")
-    p.set_defaults(fn=_cmd_profile)
 
     p = sub.add_parser("sweep", help="run a resilient parameter grid")
     _add_config_options(p)
@@ -817,58 +795,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=_cmd_sweep)
 
-    p = sub.add_parser("monitor",
-                       help="attach a live progress panel to a running "
-                            "(or finished) sweep directory")
-    p.add_argument("dir", help="sweep directory (from repro sweep --dir)")
-    p.add_argument("--follow", action="store_true",
-                   help="keep refreshing until the sweep ends "
-                        "(default: one snapshot)")
-    p.add_argument("--refresh", type=float, default=1.0, metavar="S",
-                   help="refresh period in seconds (with --follow)")
-    p.set_defaults(fn=_cmd_monitor)
-
-    p = sub.add_parser("report",
-                       help="render a self-contained HTML report from a "
-                            "sweep directory")
-    p.add_argument("dir", help="sweep directory (from repro sweep --dir)")
-    p.add_argument("--out", metavar="PATH",
-                   help="HTML output path (default: DIR/report.html)")
-    p.add_argument("--ledger", metavar="PATH",
-                   help="run ledger feeding the History section (default: "
-                        "auto-detect ledger.sqlite in DIR, then cwd)")
-    p.set_defaults(fn=_cmd_report)
-
     p = sub.add_parser(
-        "history",
-        help="longitudinal run-ledger analytics: trajectories, compares, "
-             "and trajectory-aware regression gating")
+        "inspect",
+        help="render a run's or sweep's artifacts (panels, diff, HTML, "
+             "live progress) or the run ledger's history")
+    p.add_argument("target", nargs="?", metavar="TARGET",
+                   help="a run directory (repro run --out), a sweep "
+                        "directory (repro sweep --dir), or a ledger digest; "
+                        "none: the run ledger's overview")
+    p.add_argument("--diff", metavar="OTHER",
+                   help="per-cause/per-PC cycle deltas against another "
+                        "run directory, or per-counter deltas against "
+                        "another digest")
+    p.add_argument("--top", type=_positive_int, metavar="N",
+                   help="hotspot / per-PC-delta rows to print (default 10)")
+    p.add_argument("--html", metavar="PATH",
+                   help="write a self-contained HTML report of the "
+                        "directory to PATH")
+    p.add_argument("--follow", action="store_true",
+                   help="keep refreshing a sweep directory's progress "
+                        "panel until the sweep ends")
     p.add_argument("--ledger", metavar="PATH",
                    help="run-ledger SQLite file (default: $REPRO_LEDGER, "
-                        "then ./ledger.sqlite)")
-    p.add_argument("--digest", metavar="D",
-                   help="show one digest's full run trajectory")
-    p.add_argument("--compare", nargs=2, metavar=("A", "B"),
-                   help="per-counter deltas between the newest rows of "
-                        "two digests")
+                        "then ./ledger.sqlite; for --html: ledger.sqlite "
+                        "in DIR, then cwd)")
     p.add_argument("--check", action="store_true",
-                   help="grade every digest's newest host rate against the "
-                        "median of its last --window runs; exit non-zero "
-                        "on regression (trajectory-aware perf gate)")
-    p.add_argument("--threshold", type=float, default=0.5, metavar="F",
-                   help="relative regression threshold for --check "
-                        "(default 0.5 = 50%%; loose because CI hosts vary)")
-    p.add_argument("--window", type=int, default=5, metavar="N",
-                   help="median window of predecessor runs for --check "
-                        "(default 5)")
-    p.add_argument("--min-runs", type=int, default=3, metavar="N",
-                   help="skip digests with fewer rated runs than this "
-                        "(default 3)")
-    p.add_argument("--limit", type=int, default=None, metavar="N",
-                   help="cap listed digests / trajectory rows")
+                   help="grade every digest's (or TARGET's) newest host "
+                        "rate against the median of its last runs; exit 4 "
+                        "on a regression")
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable JSON instead of text")
-    p.set_defaults(fn=_cmd_history)
+    p.set_defaults(fn=_cmd_inspect)
 
     p = sub.add_parser(
         "check",
@@ -892,9 +849,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "before a write are well-defined; shrunk fuzz "
                         "reproducers rely on this after instruction "
                         "deletion removes the writes)")
-    p.add_argument("--threads", type=int, default=4,
+    p.add_argument("--threads", type=_positive_int, default=4,
                    help="threads used to materialize kernels (default 4)")
-    p.add_argument("--per-thread", type=int, default=16,
+    p.add_argument("--per-thread", type=_positive_int, default=16,
                    help="elements per thread when building (default 16)")
     p.add_argument("--pressure", action="store_true",
                    help="print per-block register-pressure / working-set "
@@ -936,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1,
                    help="campaign seed; same seed + budget => "
                         "byte-identical corpus (default 1)")
-    p.add_argument("--budget", type=int, default=100,
+    p.add_argument("--budget", type=_positive_int, default=100,
                    help="number of generated programs (default 100)")
     p.add_argument("--corpus", default="fuzz-corpus", metavar="DIR",
                    help="corpus directory: checkpoint journal, report, "
@@ -948,8 +905,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="replay finished programs from the corpus "
                         "checkpoint; only missing indices re-run")
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--per-thread", type=int, default=16)
+    p.add_argument("--threads", type=_positive_int, default=4)
+    p.add_argument("--per-thread", type=_positive_int, default=16)
     p.add_argument("--max-cycles", type=int, default=None,
                    help="per-arm cycle budget; exhaustion is a wedge "
                         "finding (default 400000)")
@@ -967,7 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "and verify its signature still fires")
     p.add_argument("--ledger", metavar="PATH",
                    help="append per-arm cycle counts of every fresh "
-                        "program to this run ledger (see repro history)")
+                        "program to this run ledger (see repro inspect)")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=_cmd_fuzz)
     return parser

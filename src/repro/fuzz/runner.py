@@ -49,7 +49,7 @@ class FuzzConfig:
     faults: Optional[Dict] = None
     #: optional run-ledger path: every freshly fuzzed program appends one
     #: row per oracle arm (digest ``fuzz:<program-digest>:<arm>``), so
-    #: campaign cycle counts join the ``repro history`` time axis.
+    #: campaign cycle counts join the ``repro inspect`` time axis.
     #: Resumed programs are not re-recorded.
     ledger: Optional[str] = None
 

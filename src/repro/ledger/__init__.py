@@ -7,7 +7,7 @@ Three layers, one SQLite file (see docs/observability.md §9):
 * :mod:`~repro.ledger.cache` — :class:`CachedBackend`, serving digest-keyed
   hits with recomputation-byte-identical results over any exec backend.
 * :mod:`~repro.ledger.history` — trajectories, per-counter compares, and
-  the median-of-last-N ``repro history --check`` regression gate.
+  the median-of-last-N ``repro inspect --check`` regression gate.
 
 All SQLite access in the tree lives inside this package (lint rule
 VRC011); everything else goes through the two classes above.

@@ -24,7 +24,7 @@ the shared metrics registry when one is bound:
 Fresh results computed on a miss are recorded back into the same ledger
 (``source="cache"``), so the cache warms itself; hits are *not* re-recorded
 — a served row carries no new host measurement and re-appending it would
-fabricate flat segments in ``repro history`` trajectories.  Failures and
+fabricate flat segments in ``repro inspect`` trajectories.  Failures and
 :class:`~repro.exec.WorkerCrash` sentinels are never cached.
 
 An unrecognized worker function passes through to the inner backend

@@ -1,4 +1,4 @@
-"""Longitudinal analytics over the run ledger (``repro history``).
+"""Longitudinal analytics over the run ledger (``repro inspect``).
 
 The ledger's append-only row sequence is a time axis; this module folds it
 into the three views the CLI exposes:
@@ -38,7 +38,7 @@ __all__ = ["DEFAULT_THRESHOLD", "EXIT_REGRESSION", "check_history",
            "render_check_text", "render_compare_text", "render_history_text",
            "render_trajectory_text", "trajectory"]
 
-#: ``repro history --check`` exit code on a gated regression (2 = usage
+#: ``repro inspect --check`` exit code on a gated regression (2 = usage
 #: error, 3 = sweep failures, as elsewhere in the CLI)
 EXIT_REGRESSION = 4
 

@@ -3,7 +3,7 @@
 One SQLite file holds every completed run this machine has ever recorded
 — sweeps, figure drivers, fuzz arms, benchmark rates — one row per run,
 never updated, never deleted.  Append-only is the point: the row sequence
-*is* the time axis that ``repro history`` folds into trajectories, and a
+*is* the time axis that ``repro inspect`` folds into trajectories, and a
 cache hit must be able to trust that the row it read yesterday still says
 the same thing today.
 

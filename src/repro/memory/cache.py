@@ -80,6 +80,10 @@ class CacheConfig:
             raise ValueError(f"assoc must be >= 1, got {self.assoc}")
         if self.mshrs < 1:
             raise ValueError(f"mshrs must be >= 1, got {self.mshrs}")
+        if self.size_bytes < self.assoc * self.line_bytes:
+            raise ValueError(
+                f"{self.name}: size_bytes {self.size_bytes} is smaller than "
+                f"one set (assoc {self.assoc} x {self.line_bytes} B lines)")
         if self.latency < 0:
             raise ValueError(f"latency must be >= 0, got {self.latency}")
 

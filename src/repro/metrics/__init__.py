@@ -21,7 +21,7 @@ Two attachment points:
   accumulates sweep counters (rows by status, per-stage wall-clock) and
   merges every worker-shipped per-run snapshot into one registry; the CLI
   writes it as ``metrics.json`` inside a sweep directory for
-  ``repro report``.
+  ``repro inspect``.
 
 Like ``host_profiles``, metric values never enter reproducibility digests.
 """

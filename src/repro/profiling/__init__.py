@@ -12,8 +12,9 @@ Attachment mirrors the metrics subsystem: ``RunConfig(profile=...)`` wires
 a :class:`ProfileSession` whose attributors sit on the core's
 ``observers`` tuple (:class:`~repro.core.instrument.Observer`) — strictly
 opt-in, purely observational, cycle-identical to a profile-off run.  The
-``repro profile`` CLI verb layers hotspot listings, folded-stack
-flamegraph export, and a two-config ``--diff`` view on top.
+``repro run --observe profile`` CLI layers hotspot listings and
+folded-stack flamegraph export on top, and ``repro inspect A --diff B``
+a two-run diff view.
 """
 
 from __future__ import annotations

@@ -15,14 +15,14 @@ and folds them into the artifacts the tooling consumes:
   run's telemetry :class:`~repro.telemetry.events.EventTracer` (Chrome
   ``ph:"C"`` counter events) when event tracing is also on.
 
-:func:`diff_snapshots` implements the ``repro profile --diff`` view: the
-per-cause and per-PC cycle deltas between two runs (e.g. banked vs virec),
-which is the one-command explanation of the Fig 9/10 gaps.
+:func:`diff_snapshots` implements the ``repro inspect A --diff B`` view:
+the per-cause and per-PC cycle deltas between two saved runs (e.g.
+banked vs virec), which is the one-command explanation of the Fig 9/10
+gaps.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
 from .attributor import CAUSES, CycleAttributor, SCHEDULER_PC
@@ -120,11 +120,6 @@ class ProfileSession:
             "hotspots": self.hotspots(),
         }
 
-    def write_json(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump(self.snapshot(), f, indent=1, sort_keys=True)
-            f.write("\n")
-
     # -- source-mapped views ----------------------------------------------
     def hotspots(self, top: Optional[int] = None) -> List[dict]:
         """Per-PC rows mapped to kernel source, hottest first.
@@ -187,10 +182,6 @@ class ProfileSession:
                     if n:
                         lines.append(f"{frames};{CAUSES[i]} {n}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def write_collapsed(self, path: str) -> None:
-        with open(path, "w") as f:
-            f.write(self.collapsed())
 
 
 # -- cross-run folding and diffs -------------------------------------------

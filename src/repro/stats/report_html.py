@@ -1,11 +1,12 @@
-"""HTML reports from sweep directories.
+"""HTML reports from run and sweep directories.
 
-``repro report <dir>`` folds a sweep's artifacts — ``manifest.json``
-(configs, deterministic result summaries, host profiles),
-``metrics.json`` (the fleet :class:`~repro.metrics.MetricsRegistry`
-snapshot), and ``sweep_events.jsonl`` — into one **self-contained** HTML
-file: inline CSS, inline SVG sparklines, no external assets, so the file
-can be archived as a CI artifact and opened anywhere.
+``repro inspect <dir> --html PATH`` folds a directory's artifacts —
+``manifest.json`` (configs, deterministic result summaries, host
+profiles), ``metrics.json`` (the fleet
+:class:`~repro.metrics.MetricsRegistry` snapshot), ``sweep_events.jsonl``
+and ``profile.json`` — into one **self-contained** HTML file: inline
+CSS, inline SVG sparklines, no external assets, so the file can be
+archived as a CI artifact and opened anywhere.
 
 Sections rendered (each skipped gracefully when its artifact is absent):
 
@@ -17,12 +18,12 @@ Sections rendered (each skipped gracefully when its artifact is absent):
 * VRMU hit-rate / cycle tables per core (from the per-run metrics
   snapshots merged into the fleet registry);
 * cycle attribution (from a ``profile.json`` snapshot written by
-  ``repro profile --json`` into the sweep directory): a per-cause
-  stacked bar plus the hottest per-PC rows;
+  ``repro run --observe profile --out <dir>``): a per-cause stacked bar
+  plus the hottest per-PC rows;
 * host-rate history per digest (from a run ledger).
 
 The report renders; it does not gate.  The two performance gates are
-``python -m bench compare`` (two benchmark outputs) and ``repro history
+``python -m bench compare`` (two benchmark outputs) and ``repro inspect
 --check`` (a digest's newest host rate against its own trajectory, see
 :mod:`repro.ledger.history`).
 """
@@ -129,10 +130,11 @@ def build_report(sweep_dir: str, ledger: Optional[str] = None) -> Dict:
     run-ledger file feeding the History section (default: auto-detect
     ``ledger.sqlite`` inside the sweep directory, then cwd).
     """
-    from ..system.monitor import read_state
+    from ..system.monitor import (MANIFEST_NAME, METRICS_NAME, PROFILE_NAME,
+                                  read_state)
 
-    manifest = _load_json(os.path.join(sweep_dir, "manifest.json"))
-    metrics = _load_json(os.path.join(sweep_dir, "metrics.json"))
+    manifest = _load_json(os.path.join(sweep_dir, MANIFEST_NAME))
+    metrics = _load_json(os.path.join(sweep_dir, METRICS_NAME))
     state = read_state(sweep_dir)
 
     report: Dict = {
@@ -158,7 +160,7 @@ def build_report(sweep_dir: str, ledger: Optional[str] = None) -> Dict:
         report["ledger_path"] = os.path.abspath(ledger)
         report["history"] = _history_section(ledger)
 
-    profile = _load_json(os.path.join(sweep_dir, "profile.json"))
+    profile = _load_json(os.path.join(sweep_dir, PROFILE_NAME))
     if profile:
         causes = profile.get("causes", {})
         total = sum(causes.values())
@@ -322,7 +324,7 @@ def render_html(report: Dict) -> str:
             f"<h2>Cycle attribution</h2>"
             f"<p class='meta'>{attribution['total']} attributed cycles "
             f"(run clock {attribution['cycles']}); taxonomy from "
-            f"<code>repro profile</code></p>")
+            f"<code>repro run --observe profile</code></p>")
         bar, legend = [], []
         for i, entry in enumerate(attribution["causes"]):
             color = _CAUSE_COLORS[i % len(_CAUSE_COLORS)]
@@ -364,7 +366,7 @@ def render_html(report: Dict) -> str:
             f"<h2>History</h2>"
             f"<p class='meta'>host-rate trajectories from the run ledger "
             f"{_esc(report.get('ledger_path', '?'))} &middot; see "
-            f"<code>repro history</code> for compares and the "
+            f"<code>repro inspect</code> for compares and the "
             f"trajectory-aware <code>--check</code> gate</p>"
             "<table><tr><th class='l'>digest</th><th class='l'>config</th>"
             "<th>runs</th><th>last instr/s</th><th class='l'>trend</th>"

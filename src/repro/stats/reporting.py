@@ -164,7 +164,8 @@ def render_intervals(rows: Sequence[Dict], columns: Sequence[str],
 
 def render_attribution_table(snapshot: Dict, top: int = 10,
                              bar_width: int = 24) -> str:
-    """Terminal view of a profiling snapshot (``repro profile``).
+    """Terminal view of a profiling snapshot (``repro run --observe
+    profile``, ``repro inspect``).
 
     ``snapshot`` is the plain-data dict produced by
     :meth:`repro.profiling.ProfileSession.snapshot`: a per-cause cycle
@@ -195,9 +196,13 @@ def render_attribution_table(snapshot: Dict, top: int = 10,
         lines.append(f"top {len(hotspots)} hotspots (per-PC attributed cycles)")
         lines.append(f"  {'core':>4} {'pc':>4} {'label':<14} {'cycles':>8} "
                      f"{'share':>7}  source / top causes")
+        # ties in taxonomy order, whatever order the snapshot's dicts are
+        # in (profile.json stores them with sorted keys)
+        rank = {cause: i for i, cause in enumerate(order)}
         for row in hotspots:
             top_causes = sorted(row.get("causes", {}).items(),
-                                key=lambda kv: -kv[1])[:3]
+                                key=lambda kv: (-kv[1],
+                                                rank.get(kv[0], 0)))[:3]
             causes_txt = ", ".join(f"{c} {n}" for c, n in top_causes)
             share = row["cycles"] / total if total else 0.0
             pc = row["pc"] if row["pc"] >= 0 else "--"

@@ -110,7 +110,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.core_type not in CORE_TYPES:
             raise ValueError(f"unknown core type {self.core_type!r}")
-        for name in ("n_cores", "n_threads", "dram_channels", "dram_banks"):
+        for name in ("n_cores", "n_threads", "n_per_thread", "dram_channels",
+                     "dram_banks"):
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be >= 1, got {getattr(self, name)}")

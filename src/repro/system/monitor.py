@@ -21,7 +21,7 @@ missing runtime surface, all rooted in one **sweep directory**:
 
 :func:`read_state` folds the directory into a :class:`SweepState`;
 :func:`render_panel` turns a state into the refreshing text panel used by
-``repro sweep --live`` and ``repro monitor <dir>`` — pure functions, so
+``repro sweep --live`` and ``repro inspect <dir>`` — pure functions, so
 the panel is testable without a terminal or a running sweep.
 
 Everything here times the *host-side fleet*; readings never reach
@@ -41,9 +41,20 @@ from typing import Dict, List, Optional
 __all__ = ["SweepObservability", "SweepState", "monitor_loop",
            "read_state", "render_panel"]
 
-EVENTS_NAME = "sweep_events.jsonl"
+#: The artifact file names of a run or sweep directory, stated once: the
+#: writers (``repro run --observe ... --out DIR``, ``repro sweep --dir
+#: DIR``) and the readers (``repro inspect``,
+#: :func:`~repro.stats.report_html.build_report`) all use these.
+TRACE_NAME = "trace.json"            # Chrome trace-event JSON
+INTERVALS_NAME = "intervals.jsonl"   # interval-metric rows
+PROFILE_NAME = "profile.json"        # cycle-attribution snapshot
+FOLDED_NAME = "profile.folded"       # folded flamegraph stacks
+EVENTS_NAME = "sweep_events.jsonl"   # sweep event log
+MANIFEST_NAME = "manifest.json"      # sweep configs + result summaries
+METRICS_NAME = "metrics.json"        # fleet metrics-registry snapshot
+ARTIFACT_NAMES = (TRACE_NAME, INTERVALS_NAME, PROFILE_NAME, FOLDED_NAME,
+                  EVENTS_NAME, MANIFEST_NAME, METRICS_NAME)
 HEARTBEAT_DIR = "heartbeats"
-TRACE_NAME = "trace.json"
 
 #: a worker whose heartbeat is older than this is flagged in the panel
 STALE_AFTER_S = 30.0
@@ -104,7 +115,7 @@ class SweepObservability:
         return path
 
     def write_metrics(self, registry) -> str:
-        path = os.path.join(self.root, "metrics.json")
+        path = os.path.join(self.root, METRICS_NAME)
         with open(path, "w") as f:
             json.dump(registry.snapshot(), f, indent=1, sort_keys=True)
             f.write("\n")

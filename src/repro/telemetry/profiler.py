@@ -4,7 +4,7 @@ Separate from the simulated-cycle instruments: this measures the
 reproduction tool itself (phase wall-clock, simulated instructions per
 host second) so simulator performance regressions are visible run-over-run
 — every result carries them as ``host_profile``, the run ledger keeps the
-rate per digest (``repro history``), and ``python -m bench`` sums the
+rate per digest (``repro inspect``), and ``python -m bench`` sums the
 phases per workload.
 
 Wall-clock numbers never feed back into simulated timing and are excluded

@@ -1,4 +1,4 @@
-"""``repro history`` analytics: trajectories, compare, regression check.
+"""Run-ledger analytics (``repro inspect``): trajectories, compare, check.
 
 Everything runs on synthetic ``record_row`` entries — history consumes
 plain row dicts, never blobs, so no simulation is needed here.
@@ -169,10 +169,10 @@ def test_render_history_and_trajectory(ledger):
     assert "3 runs" in traj and "5000" in traj
 
 
-# -- the CLI verb -------------------------------------------------------------
+# -- the CLI: inspect on the ledger -------------------------------------------
 def test_cli_history_missing_ledger_hints(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert cli_main(["history"]) == 2
+    assert cli_main(["inspect"]) == 2
     err = capsys.readouterr().err
     assert "no run ledger" in err and "repro sweep" in err
 
@@ -182,31 +182,33 @@ def test_cli_history_views(ledger, capsys):
          core_type="virec")
     fill(ledger, "synt:b", [50.0])
 
-    assert cli_main(["history", "--ledger", ledger]) == 0
+    assert cli_main(["inspect", "--ledger", ledger]) == 0
     assert "synt:a" in capsys.readouterr().out
 
-    assert cli_main(["history", "--ledger", ledger,
-                     "--digest", "synt:a"]) == 0
+    assert cli_main(["inspect", "synt:a", "--ledger", ledger]) == 0
     assert "3 runs" in capsys.readouterr().out
 
-    assert cli_main(["history", "--ledger", ledger, "--digest",
-                     "synt:nope"]) == 2
+    assert cli_main(["inspect", "synt:nope", "--ledger", ledger]) == 2
 
-    assert cli_main(["history", "--ledger", ledger,
-                     "--compare", "synt:a", "synt:b"]) == 0
+    assert cli_main(["inspect", "synt:a", "--diff", "synt:b",
+                     "--ledger", ledger]) == 0
     assert "synt:b" in capsys.readouterr().out
 
-    assert cli_main(["history", "--ledger", ledger, "--json"]) == 0
+    assert cli_main(["inspect", "--ledger", ledger, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert {d["digest"] for d in payload} == {"synt:a", "synt:b"}
 
 
 def test_cli_history_check_exit_codes(ledger, capsys):
     fill(ledger, "synt:a", [100.0, 101.0, 99.0])
-    assert cli_main(["history", "--ledger", ledger, "--check"]) == 0
+    assert cli_main(["inspect", "--ledger", ledger, "--check"]) == 0
     capsys.readouterr()
     fill(ledger, "synt:a", [20.0])          # inject the slowdown
-    assert cli_main(["history", "--ledger", ledger, "--check"]) == 4
+    assert cli_main(["inspect", "--ledger", ledger, "--check"]) == 4
     assert "regression" in capsys.readouterr().out
-    assert cli_main(["history", "--ledger", ledger, "--check",
+    assert cli_main(["inspect", "--ledger", ledger, "--check",
                      "--json"]) == 4
+    capsys.readouterr()
+    fill(ledger, "synt:b", [100.0, 100.0, 100.0])
+    assert cli_main(["inspect", "synt:b", "--ledger", ledger,
+                     "--check"]) == 0   # one digest's gate

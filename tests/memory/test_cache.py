@@ -204,6 +204,7 @@ def test_invalid_write_policy_rejected():
     ("assoc", 0),         # was a ZeroDivisionError in Cache.__init__
     ("mshrs", 0),         # was "min() arg is an empty sequence" on a miss
     ("latency", -1),
+    ("size_bytes", 0),    # was a ZeroDivisionError in Cache.access
 ])
 def test_invalid_geometry_rejected_naming_the_field(field, value):
     with pytest.raises(ValueError, match=field):

@@ -1,4 +1,4 @@
-"""Diff views, the ``repro profile`` verb, and report integration.
+"""Diff views, ``run --observe profile`` / ``inspect``, and reports.
 
 Pins the acceptance story: on the fixed gather kernel, the per-cause
 delta between the banked reference and ViReC is dominated by the causes
@@ -80,55 +80,66 @@ def test_render_attribution_diff_orders_by_magnitude():
     assert "dominant causes: vrmu_refill" in text
 
 
-# -- the CLI verb ------------------------------------------------------------
-def _profile_args(*extra):
-    return ["profile", "--workload", "gather", "--core", "banked",
-            "--threads", "4", "--per-thread", "16", *extra]
+# -- the CLI: run --observe profile, inspect --------------------------------
+def _profile_args(out, *extra, core="banked"):
+    return ["run", "--workload", "gather", "--core", core,
+            "--threads", "4", "--per-thread", "16",
+            "--observe", "profile", "--out", str(out), *extra]
 
 
-def test_cli_profile_prints_attribution(capsys):
-    assert cli_main(_profile_args("--top", "3")) == 0
+def test_cli_profile_prints_attribution(tmp_path, capsys):
+    assert cli_main(_profile_args(tmp_path / "banked")) == 0
+    out = capsys.readouterr().out
+    assert "cycle attribution" in out and "top 10 hotspots" in out
+    assert cli_main(["inspect", str(tmp_path / "banked"), "--top", "3"]) == 0
     out = capsys.readouterr().out
     assert "cycle attribution" in out and "top 3 hotspots" in out
 
 
 def test_cli_profile_diff_flame_json(tmp_path, capsys):
-    flame, snap_path = tmp_path / "out.folded", tmp_path / "prof.json"
-    assert cli_main(_profile_args(
-        "--diff", "virec", "--flame", str(flame),
-        "--json", str(snap_path))) == 0
+    """``profile --diff virec`` became two saved runs and one inspect."""
+    banked, virec = tmp_path / "banked", tmp_path / "virec"
+    assert cli_main(_profile_args(banked)) == 0
+    assert cli_main(_profile_args(virec, core="virec")) == 0
+    capsys.readouterr()
+    assert cli_main(["inspect", str(banked), "--diff", str(virec)]) == 0
     out = capsys.readouterr().out
-    assert "cycle delta: banked" in out
-    folded = flame.read_text()
+    assert "cycle delta: banked" in out and "-> virec" in out
+    folded = (banked / "profile.folded").read_text()
     assert folded and all(line.rsplit(" ", 1)[1].isdigit()
                           for line in folded.splitlines())
-    snap = json.loads(snap_path.read_text())
+    snap = json.loads((banked / "profile.json").read_text())
     assert sum(snap["causes"].values()) == sum(
         c["cycles"] for c in snap["cores"])
+    assert cli_main(["inspect", str(banked), "--diff", str(virec),
+                     "--json"]) == 0
+    diff = json.loads(capsys.readouterr().out)
+    assert diff == diff_snapshots(
+        snap, json.loads((virec / "profile.json").read_text()))
 
 
-def test_cli_profile_rejects_ooo(capsys):
-    args = _profile_args()
-    args[args.index("banked")] = "ooo"
-    assert cli_main(args) == 2
+def test_cli_profile_rejects_ooo(tmp_path, capsys):
+    assert cli_main(_profile_args(tmp_path / "o", core="ooo")) == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
-# -- monitor/report usage hints ---------------------------------------------
+# -- inspect usage hints -----------------------------------------------------
 def test_monitor_missing_dir_hint(tmp_path, capsys):
-    assert cli_main(["monitor", str(tmp_path / "nope")]) == 2
+    assert cli_main(["inspect", str(tmp_path / "nope")]) == 2
     err = capsys.readouterr().err
-    assert "no such sweep directory" in err and "repro sweep" in err
+    assert "no such run or sweep directory" in err and "repro sweep" in err
 
 
 def test_monitor_empty_dir_hint(tmp_path, capsys):
-    assert cli_main(["monitor", str(tmp_path)]) == 2
+    assert cli_main(["inspect", str(tmp_path)]) == 2
     assert "is empty" in capsys.readouterr().err
 
 
 def test_report_dir_without_event_log_hint(tmp_path, capsys):
     (tmp_path / "stray.txt").write_text("not a sweep\n")
-    assert cli_main(["report", str(tmp_path)]) == 2
+    assert cli_main(["inspect", str(tmp_path), "--html",
+                     str(tmp_path / "r.html")]) == 2
     err = capsys.readouterr().err
     assert "sweep_events.jsonl" in err and "Traceback" not in err
 
@@ -137,7 +148,7 @@ def test_report_dir_without_event_log_hint(tmp_path, capsys):
 @pytest.fixture()
 def sweep_dir_with_profile(tmp_path):
     session = run_config(RunConfig(core_type="banked", **FIG9_KW)).profile
-    session.write_json(str(tmp_path / "profile.json"))
+    (tmp_path / "profile.json").write_text(json.dumps(session.snapshot()))
     (tmp_path / "sweep_events.jsonl").write_text("")
     return tmp_path
 

@@ -70,10 +70,11 @@ def test_bad_core_type_rejected():
 
 @pytest.mark.parametrize("argv", [
     ["run", "--policy", "nope"],
-    ["trace", "--policy", "nope"],
-    ["timeline", "--policy", "nope"],
-    ["profile", "--policy", "nope"],
-    ["profile", "--diff-policy", "nope"],
+    ["run", "--observe", "events", "--policy", "nope"],
+    ["run", "--observe", "intervals", "--policy", "nope"],
+    ["run", "--observe", "profile", "--policy", "nope"],
+    ["run", "--observe", "profile", "--out", "never-written",
+     "--policy", "nope"],
     ["sweep", "--policy", "nope"],
 ])
 def test_unknown_policy_is_a_usage_error_on_every_verb(argv, capsys):
@@ -89,31 +90,40 @@ def test_unknown_policy_is_a_usage_error_on_every_verb(argv, capsys):
 _SMALL = ["--per-thread", "8"]
 
 
+# the ids name the verb each case replaced: trace/timeline/profile are
+# ``run --observe events/intervals/profile``, and ``profile --diff ooo`` is
+# the second of the two ``run --observe profile --out`` calls
 @pytest.mark.parametrize("argv", [
-    ["trace", "--core", "ooo", "--threads", "1", *_SMALL],
-    ["timeline", "--core", "ooo", "--threads", "1", *_SMALL],
+    ["run", "--observe", "events", "--core", "ooo", "--threads", "1",
+     *_SMALL],
+    ["run", "--observe", "intervals", "--core", "ooo", "--threads", "1",
+     *_SMALL],
     ["run", "--core", "ooo", "--threads", "1", "--sanitize", "commit",
      *_SMALL],
     ["run", "--core", "inorder", "--threads", "4", *_SMALL],
     ["run", "--core", "virec", "--context", "0.01", *_SMALL],
-    ["profile", "--core", "ooo", "--threads", "1", *_SMALL],
-    ["profile", "--core", "virec", "--context", "0.01", *_SMALL],
-    ["profile", "--core", "banked", "--threads", "2", "--diff", "ooo",
+    ["run", "--observe", "profile", "--core", "ooo", "--threads", "1",
      *_SMALL],
+    ["run", "--observe", "profile", "--core", "virec", "--context", "0.01",
+     *_SMALL],
+    ["run", "--observe", "profile", "--core", "ooo", "--threads", "2",
+     "--out", "never-written", *_SMALL],
     ["run", "--cores", "0", *_SMALL],
     ["run", "--threads", "0", *_SMALL],
 ], ids=["trace-ooo", "timeline-ooo", "run-ooo-sanitize", "run-inorder-4",
         "run-context", "profile-ooo", "profile-context", "profile-diff-ooo",
         "run-cores-0", "run-threads-0"])
 def test_rejected_config_is_a_usage_error_on_every_single_run_verb(
-        argv, capsys):
-    """A config that RunConfig or run_config rejects used to traceback on
-    run/trace/timeline; every single-run verb now prints one line."""
+        argv, capsys, tmp_path, monkeypatch):
+    """A config that RunConfig or run_config rejects used to traceback;
+    ``run``, observed or not, prints one line and writes nothing."""
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert not list(tmp_path.iterdir())
 
 
 def test_unknown_policy_rejected_by_run_config():
@@ -140,3 +150,30 @@ def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["run", "--workload", "gather"])
     assert args.workload == "gather"
+
+
+def test_inspect_prints_the_panels_run_printed(tmp_path, capsys):
+    """``inspect D`` renders from disk exactly what ``run --observe ...
+    --out D`` rendered from the live run."""
+    out = tmp_path / "D"
+    assert main(["run", "--threads", "4", "--per-thread", "16",
+                 "--observe", "intervals,profile", "--out", str(out)]) == 0
+    live = capsys.readouterr().out
+    assert main(["inspect", str(out)]) == 0
+    saved = capsys.readouterr().out
+    assert "intervals, cycles" in saved and "cycle attribution" in saved
+    assert saved in live
+    assert sorted(p.name for p in out.iterdir()) == [
+        "intervals.jsonl", "profile.folded", "profile.json"]
+
+
+def test_observed_run_prints_panels_and_writes_nothing_without_out(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--threads", "2", "--per-thread", "8", "--observe",
+                 "events,intervals,pipeline,profile"]) == 0
+    out = capsys.readouterr().out
+    for panel in ("trace: ", "intervals, cycles", "cycle attribution",
+                  "telemetry report", "pipeline stalls"):
+        assert panel in out
+    assert not list(tmp_path.iterdir())

@@ -41,6 +41,7 @@ def test_dram_matches_table1():
 @pytest.mark.parametrize("build, field", [
     (lambda: RunConfig(n_cores=0), "n_cores"),
     (lambda: RunConfig(n_threads=0), "n_threads"),
+    (lambda: RunConfig(n_per_thread=-1), "n_per_thread"),
     (lambda: RunConfig(dram_channels=0), "dram_channels"),
     (lambda: RunConfig(dram_banks=-1), "dram_banks"),
     (lambda: DRAMConfig(channels=0), "channels"),
@@ -49,7 +50,8 @@ def test_dram_matches_table1():
     (lambda: DRAMConfig(row_bytes=100), "row_bytes"),
     (lambda: DRAMConfig(t_cl=-1), "t_cl"),
     (lambda: DRAMConfig(t_controller=-2), "t_controller"),
-], ids=["n_cores", "n_threads", "dram_channels", "dram_banks", "channels",
+], ids=["n_cores", "n_threads", "n_per_thread", "dram_channels",
+        "dram_banks", "channels",
         "banks", "row_bytes-0", "row_bytes-100", "t_cl", "t_controller"])
 def test_impossible_sizes_are_rejected_when_the_config_is_built(build, field):
     """Each used to fail deep in the run (``max()`` of no cores, a

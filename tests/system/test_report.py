@@ -3,7 +3,7 @@
 ``build_report`` is pure data assembly over a sweep directory, so every
 section is exercised on a synthetic directory with a hand-written
 manifest / metrics snapshot / event log.  The ``ok``/``warn``/
-``regression`` ladder tested here is the one ``repro history --check``
+``regression`` ladder tested here is the one ``repro inspect --check``
 grades with.
 """
 
@@ -146,7 +146,7 @@ def test_html_is_self_contained(tmp_path, capsys):
                     "VRMU register cache"):
         assert f"<h2>{heading}" in html
     # the CLI writes the same page
-    assert cli_main(["report", str(root), "--out",
+    assert cli_main(["inspect", str(root), "--html",
                      str(tmp_path / "cli.html")]) == 0
     assert (tmp_path / "cli.html").read_text() == html
     assert "2 ok / 0 failed" in capsys.readouterr().out
@@ -162,4 +162,19 @@ def test_report_on_bare_directory(tmp_path):
 
 # -- CLI ---------------------------------------------------------------------
 def test_cli_report_missing_dir():
-    assert cli_main(["report", "/nonexistent/sweep-dir"]) == 2
+    assert cli_main(["inspect", "/nonexistent/sweep-dir", "--html",
+                     "/nonexistent/report.html"]) == 2
+
+
+def test_cli_inspect_sweep_dir(tmp_path, capsys):
+    """``monitor DIR`` became ``inspect DIR``: the progress panel, exit 3
+    once a row failed; ``--json`` is the report dict."""
+    root = _make_sweep_dir(tmp_path)
+    assert cli_main(["inspect", str(root)]) == 0
+    assert "sweep done: 2/2 rows (2 ok, 0 failed" in capsys.readouterr().out
+    assert cli_main(["inspect", str(root), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(
+        json.dumps(build_report(str(root))))
+    with open(root / "sweep_events.jsonl", "a") as f:
+        f.write(json.dumps({"ev": "row_fail", "t": 1.1, "index": 2}) + "\n")
+    assert cli_main(["inspect", str(root), "--follow"]) == 3

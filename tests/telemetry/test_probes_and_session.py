@@ -182,41 +182,27 @@ def test_render_intervals_skips_missing_columns():
 def test_cli_trace(tmp_path, capsys):
     from repro.cli import main
 
-    out = tmp_path / "trace.json"
-    metrics = tmp_path / "metrics.jsonl"
-    rc = main(["trace", "--workload", "gather", "--core", "virec",
+    rc = main(["run", "--workload", "gather", "--core", "virec",
                "--threads", "4", "--per-thread", "12",
-               "--interval", "100", "--pipeline",
-               "--out", str(out), "--metrics", str(metrics)])
+               "--observe", "events,intervals,pipeline", "--interval", "100",
+               "--out", str(tmp_path)])
     assert rc == 0
     printed = capsys.readouterr().out
     assert "perfetto" in printed.lower()
     assert "telemetry report" in printed
-    assert json.loads(out.read_text())["traceEvents"]
-    assert metrics.read_text().splitlines()
+    assert json.loads((tmp_path / "trace.json").read_text())["traceEvents"]
+    assert (tmp_path / "intervals.jsonl").read_text().splitlines()
 
 
 def test_cli_timeline(tmp_path, capsys):
     from repro.cli import main
 
-    jsonl = tmp_path / "tl.jsonl"
-    rc = main(["timeline", "--workload", "gather", "--core", "virec",
+    rc = main(["run", "--workload", "gather", "--core", "virec",
                "--threads", "4", "--per-thread", "16",
-               "--interval", "200", "--jsonl", str(jsonl)])
+               "--observe", "intervals", "--interval", "200",
+               "--out", str(tmp_path)])
     assert rc == 0
     printed = capsys.readouterr().out
     assert "ipc" in printed and "vrmu_hit_rate" in printed
     assert "intervals" in printed
-    assert jsonl.read_text().splitlines()
-
-
-def test_cli_timeline_custom_columns(capsys):
-    from repro.cli import main
-
-    rc = main(["timeline", "--workload", "vecadd", "--core", "banked",
-               "--threads", "2", "--per-thread", "8",
-               "--interval", "100", "--columns", "ipc,context_switches"])
-    assert rc == 0
-    printed = capsys.readouterr().out
-    assert "context_switches" in printed
-    assert "occupancy_total" not in printed
+    assert (tmp_path / "intervals.jsonl").read_text().splitlines()
