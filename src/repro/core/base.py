@@ -59,7 +59,7 @@ from ..isa.decoded import DecodedOp, DecodedProgram
 from ..isa.instructions import MASK64, Flags
 from ..isa.program import Program
 from ..isa.registers import NUM_FP_REGS, NUM_INT_REGS, Reg, RegClass
-from ..memory.cache import Cache
+from ..memory.cache import Cache, CacheBusy
 from ..memory.main_memory import MainMemory
 from ..stats.counters import Stats
 from .instrument import Observer
@@ -327,21 +327,25 @@ class TimelineCore:
     # ----------------------------------------------------------- dcache port
     def dcache_request(self, t: int, addr: int, is_write: bool = False,
                        is_load_data: bool = False, is_register: bool = False,
-                       pin_delta: int = 0):
+                       pin_delta: int = 0) -> Tuple[int, int, bool, bool]:
         """Issue one request through the shared dcache port (LSQ/BSI arbiter).
 
-        Retries transparently on MSHR-full.  Returns ``(t_issue, result)``.
+        Re-presents a refused request (:class:`CacheBusy`) at its
+        ``retry_at``.  Returns ``(t_issue, complete_at, hit, switch_signal)``.
         """
         while True:
             port_free = self.dcache_port_free
             t_issue = t if t > port_free else port_free
-            result = self.dcache.access(t_issue, addr, is_write, self.core_id,
-                                        is_load_data, is_register, pin_delta)
             self.dcache_port_free = t_issue + 1
-            if result.retry_at is None:
-                return t_issue, result
-            t = max(result.retry_at, t_issue + 1)
-            self.stats.inc("dcache_retries")
+            try:
+                done, hit, switch = self.dcache.access(
+                    t_issue, addr, is_write, self.core_id, is_load_data,
+                    is_register, pin_delta)
+            except CacheBusy as busy:
+                t = max(busy.retry_at, t_issue + 1)
+                self.stats.inc("dcache_retries")
+                continue
+            return t_issue, done, hit, switch
 
     # ----------------------------------------------------------- store queue
     def _sq_insert(self, t: int, addr: int) -> int:
@@ -351,8 +355,7 @@ class TimelineCore:
             t = min(self.store_queue)
             self.store_queue = [c for c in self.store_queue if c > t]
             self.stats.inc("sq_full_stalls")
-        t_issue, result = self.dcache_request(t, addr, is_write=True)
-        self.store_queue.append(result.complete_at)
+        self.store_queue.append(self.dcache_request(t, addr, True)[1])
         return t
 
     # ------------------------------------------------------------ load slots
@@ -503,7 +506,7 @@ class TimelineCore:
         return window
 
     def _handle_miss_switch(self, thread: ThreadContext, t_mem_issue: int,
-                            access_result) -> bool:
+                            data_at: int) -> bool:
         """CSL decision on a demand-load dcache miss.
 
         Returns True when a context switch was performed (caller must stop
@@ -535,11 +538,11 @@ class TimelineCore:
         pending[CONTEXT_SWITCHES] += 1
         pending[FLUSHED_INSTRUCTIONS] += len(flushed)
         for observer in self._observers:
-            observer.on_switch(thread.tid, t_req, t_sw,
-                               access_result.complete_at, len(flushed))
+            observer.on_switch(thread.tid, t_req, t_sw, data_at,
+                               len(flushed))
 
         thread.state = ThreadState.BLOCKED
-        thread.ready_at = access_result.complete_at
+        thread.ready_at = data_at
         # replay from the missing load when rescheduled (pc unchanged)
         self.current = None
         self.commits_since_switch = 0

@@ -80,8 +80,8 @@ class BankedCore(TimelineCore):
         base = self.layout.base + thread.tid * self.layout.bytes_per_thread
         lines = list(self.layout.touched_gp_lines) + [self.layout.GP_LINES]
         for i, line in enumerate(lines):
-            _, r = self.dcache_request(t + i, base + line * LINE_BYTES)
-            done = max(done, r.complete_at)
+            done = max(done, self.dcache_request(
+                t + i, base + line * LINE_BYTES)[1])
         self.stats.inc("context_fetches")
         for observer in self._observers:
             observer.on_context_move("ctx_fetch", thread.tid, t, done)
@@ -110,8 +110,7 @@ class SoftwareSwitchCore(TimelineCore):
         if self._prev_thread is not None and self._prev_thread is not thread:
             for flat in self.layout.used_regs:
                 addr = self.layout.reg_addr(self._prev_thread.tid, flat)
-                t_issue, _ = self.dcache_request(done, addr, is_write=True)
-                done = t_issue + 1
+                done = self.dcache_request(done, addr, is_write=True)[0] + 1
             self.stats.inc("context_saves")
             for observer in observers:
                 observer.on_context_move(
@@ -122,8 +121,8 @@ class SoftwareSwitchCore(TimelineCore):
         restore_done = done
         for i, flat in enumerate(self.layout.used_regs):
             addr = self.layout.reg_addr(thread.tid, flat)
-            _, r = self.dcache_request(done + i, addr)
-            restore_done = max(restore_done, r.complete_at)
+            restore_done = max(restore_done,
+                               self.dcache_request(done + i, addr)[1])
         self.stats.inc("context_restores")
         for observer in observers:
             observer.on_context_move("ctx_restore", thread.tid, done,

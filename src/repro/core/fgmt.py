@@ -89,7 +89,7 @@ class FGMTCore(TimelineCore):
         base = self.layout.base + thread.tid * self.layout.bytes_per_thread
         lines = list(self.layout.touched_gp_lines) + [self.layout.GP_LINES]
         for i, line in enumerate(lines):
-            _, r = self.dcache_request(t + i, base + line * LINE_BYTES)
-            done = max(done, r.complete_at)
+            done = max(done, self.dcache_request(
+                t + i, base + line * LINE_BYTES)[1])
         self.stats.inc("context_fetches")
         return done

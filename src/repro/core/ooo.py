@@ -23,7 +23,7 @@ from ..errors import DeadlockError
 from ..isa.instructions import Flags, Instruction, evaluate
 from ..isa.program import Program
 from ..isa.registers import Reg
-from ..memory.cache import Cache
+from ..memory.cache import Cache, CacheBusy
 from ..memory.main_memory import MainMemory
 from ..stats.counters import Stats
 
@@ -144,20 +144,25 @@ class OoOCore:
             if inst.is_load:
                 t_ops = self._queue_space(self.lq, cfg.lq_entries, t_ops)
                 t_issue = self.ld.reserve(t_ops)
-                r = self.dcache.access(t_issue, result.addr,
-                                       requestor=self.core_id, is_load_data=True)
-                while not r.accepted:
-                    t_issue = self.ld.reserve(max(r.retry_at, t_issue + 1))
-                    r = self.dcache.access(t_issue, result.addr,
-                                           requestor=self.core_id, is_load_data=True)
-                done = r.complete_at
+                while True:
+                    try:
+                        done = self.dcache.access(
+                            t_issue, result.addr, requestor=self.core_id,
+                            is_load_data=True)[0]
+                        break
+                    except CacheBusy as busy:
+                        t_issue = self.ld.reserve(
+                            max(busy.retry_at, t_issue + 1))
                 self.lq.append(done)
             elif inst.is_store:
                 t_ops = self._queue_space(self.sq, cfg.sq_entries, t_ops)
                 t_issue = self.ld.reserve(t_ops)
-                r = self.dcache.access(t_issue, result.addr, is_write=True,
-                                       requestor=self.core_id)
-                self.sq.append(r.complete_at if r.accepted else t_issue + 4)
+                try:
+                    ordered = self.dcache.access(t_issue, result.addr, True,
+                                                 self.core_id)[0]
+                except CacheBusy:
+                    ordered = t_issue + 4
+                self.sq.append(ordered)
                 done = t_issue + 1
                 self.memory.store(result.addr, result.store_value)
             else:

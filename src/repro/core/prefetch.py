@@ -48,8 +48,8 @@ class _PrefetchCoreBase(TimelineCore):
     def _issue_loads(self, t: int, tid: int, regs: Sequence[int]) -> int:
         done = t
         for i, flat in enumerate(regs):
-            _, r = self.dcache_request(t + i, self.layout.reg_addr(tid, flat))
-            done = max(done, r.complete_at)
+            done = max(done, self.dcache_request(
+                t + i, self.layout.reg_addr(tid, flat))[1])
         return done
 
     def _issue_stores(self, t: int, tid: int, regs: Sequence[int]) -> int:

@@ -349,16 +349,14 @@ class FaultInjector:
     def _refill_line(self, t: int, addr: int) -> int:
         """Backing line corrupted: drop it and re-fetch from the level below."""
         self.core.dcache.invalidate_line(addr)
-        _, result = self.core.dcache_request(t, addr, is_register=True)
-        return result.complete_at
+        return self.core.dcache_request(t, addr, is_register=True)[1]
 
     def _refill_banked(self, t: int, tid: int, flat: int) -> int:
         """Banked bank entry corrupted: restore from the context save area."""
         layout = getattr(self.core, "layout", None)
         if layout is None:
             return t + self.cfg.refill_fallback_cycles
-        _, result = self.core.dcache_request(t, layout.reg_addr(tid, flat))
-        return result.complete_at
+        return self.core.dcache_request(t, layout.reg_addr(tid, flat))[1]
 
     # -- reporting ----------------------------------------------------------
     def pending_faults(self) -> Dict[str, int]:

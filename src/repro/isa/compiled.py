@@ -64,6 +64,7 @@ from textwrap import indent
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..errors import LoweringError
+from ..memory.cache import CacheBusy
 from .decoded import DecodedOp, DecodedProgram
 from .instructions import MASK64, SIGN64, AddrMode, Cond, Flags, Opcode
 from .registers import RegClass
@@ -431,7 +432,8 @@ def _lower(ops: List[DecodedOp], pc: int,
 
 _FETCH = """\
 # fetch: the op reaches decode once the front end delivers it and decode
-# is free; entering a new icache line pays the icache access
+# is free; entering a new icache line pays the icache access, re-presented
+# while the icache refuses it
 fa = core.fetch_avail
 t_d = core.decode_free
 if fa > t_d:
@@ -440,11 +442,18 @@ if LINE != core._last_fetch_line:
     core._last_fetch_line = LINE
     ic = core.icache
     t0 = t_d - ic.config.latency
-    r = ic.access(t0 if t0 > 0 else 0, ADDR, requestor=core.core_id)
-    if not r.hit:
+    if t0 < 0:
+        t0 = 0
+    while True:
+        try:
+            fetched, ic_hit, _ = ic.access(t0, ADDR, requestor=core.core_id)
+            break
+        except CacheBusy as refused:
+            t0 = refused.retry_at
+    if not ic_hit:
         core.stats.inc("icache_miss_stalls")$NOTE_ICACHE_MISS
-    if r.complete_at > t_d:
-        t_d = r.complete_at
+    if fetched > t_d:
+        t_d = fetched
 """
 
 _DECODE = """\
@@ -511,19 +520,19 @@ _LDR_MEM = """\
 x = thread.xregs
 addr = addr_fn(x)
 t_m = core._load_slot_wait(t_ex_done)
-t_issue_mem, r = core.dcache_request(t_m, addr, is_load_data=True)
-data_at = r.complete_at
+t_issue_mem, data_at, hit, switch = core.dcache_request(
+    t_m, addr, False, True)
 """
 
 _MISS_SWITCH = """\
-if r.switch_signal:
-    if core._handle_miss_switch(thread, t_issue_mem, r):
+if switch:
+    if core._handle_miss_switch(thread, t_issue_mem, data_at):
         return 1    # thread suspended; the load replays on resume
     core.stats.inc("switches_suppressed")
 """
 
 _LDR_MISSED = """\
-if not r.hit:
+if not hit:
     core.stats.inc("load_miss_stalls")
 """
 
@@ -603,7 +612,7 @@ if fh is not None:
     $FETCHED = fh.on_instruction(thread, D.inst, $FETCHED)
 """
 
-# inside _MISS_SWITCH's ``if r.switch_signal:``
+# inside _MISS_SWITCH's ``if switch:``
 _ON_STALL = """\
     for observer in core._observers:
         observer.on_stall(thread.tid, t_issue_mem, data_at,
@@ -731,7 +740,7 @@ def _step_source(family: str, cls: str, sw: FrozenSet[str]) -> str:
         STAGES=("t_issue - 1, t_issue, t_issue, t_issue" if barrel
                 else "t_d, t_ops, t_regs, t_issue"),
         MISSED=(("False" if barrel else "icache_missed") + ", "
-                + ("not r.hit" if cls == "ldr" else "False")))
+                + ("not hit" if cls == "ldr" else "False")))
 
 
 #: exec-compiled step factories, one per shape, for the whole process.  A

@@ -15,11 +15,14 @@ ViReC extensions (Section 5.3 of the paper):
 * the access interface reports a ``switch_signal`` for data loads that miss
   in the tag array, the trigger input of the context-switch logic, and
   suppresses it for addresses inside the reserved register region.
+
+An access answers ``(complete_at, hit, switch_signal)``, or raises
+:class:`CacheBusy` when it cannot be accepted yet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..stats.counters import Stats
@@ -38,24 +41,13 @@ class CacheLine:
     lru: int = 0
 
 
-@dataclass(slots=True)
-class AccessResult:
-    """Outcome of a cache access.
+class CacheBusy(Exception):
+    """A miss the cache cannot accept yet — its MSHR table is full or every
+    way of its set holds an in-flight fill; re-present it at ``retry_at``."""
 
-    ``complete_at`` is the cycle the data is usable (reads) or the write is
-    ordered (writes).  ``retry_at`` is set instead when the request could not
-    be accepted (MSHRs exhausted) and must be re-presented.
-    """
-
-    complete_at: int = 0
-    hit: bool = False
-    under_fill: bool = False
-    switch_signal: bool = False
-    retry_at: Optional[int] = None
-
-    @property
-    def accepted(self) -> bool:
-        return self.retry_at is None
+    def __init__(self, retry_at: int) -> None:
+        super().__init__(f"cache busy until {retry_at}")
+        self.retry_at = retry_at
 
 
 @dataclass
@@ -99,7 +91,8 @@ _NOTHING_SEEN = -1
 
 class Cache:
     """One level of cache.  ``next_level`` must expose
-    ``access(now, line_addr, is_write, requestor) -> completion_cycle``.
+    ``access(now, line_addr, is_write, requestor)`` returning a completion
+    cycle, or, for a nested cache, this class's reply.
     """
 
     def __init__(self, config: CacheConfig, next_level, stats: Stats | None = None,
@@ -118,7 +111,11 @@ class Cache:
         self._line_mask = ~(config.line_bytes - 1)
         self._line_shift = config.line_bytes.bit_length() - 1
         self._latency = config.latency
+        #: two indexes of the same lines, updated together wherever a line
+        #: enters or leaves: tag -> line per set (victim selection) and
+        #: line_addr -> line (the hit lookup)
         self._sets: List[Dict[int, CacheLine]] = [dict() for _ in range(self.num_sets)]
+        self._lines: Dict[int, CacheLine] = {}
         #: line_addr -> fill completion cycle.  An entry is dead once any
         #: later access presents ``now >= completion``; dead entries are
         #: dropped lazily, where the table is read (:meth:`_live_mshr`)
@@ -144,17 +141,18 @@ class Cache:
                      requestor: int) -> int:
         """Forward to the next level; normalize its reply to a completion cycle.
 
-        DRAM/crossbar levels return an int; a nested Cache level returns an
-        :class:`AccessResult` (a full miss there may itself be retried once
-        its MSHRs free up — we honour its retry hint).
+        DRAM/crossbar levels return an int; a nested Cache level returns its
+        reply tuple, or refuses with :class:`CacheBusy` — the request is then
+        re-presented at ``retry_at``.
         """
-        reply = self.next_level.access(now, line_addr, is_write, requestor)
-        while isinstance(reply, AccessResult):
-            if reply.retry_at is None:
-                return reply.complete_at
-            reply = self.next_level.access(reply.retry_at, line_addr,
-                                           is_write, requestor)
-        return reply
+        while True:
+            try:
+                reply = self.next_level.access(now, line_addr, is_write,
+                                               requestor)
+            except CacheBusy as busy:
+                now = busy.retry_at
+                continue
+            return reply[0] if reply.__class__ is tuple else reply
 
     def in_register_region(self, addr: int) -> bool:
         if self.register_region is None:
@@ -164,12 +162,10 @@ class Cache:
 
     def contains(self, addr: int) -> bool:
         """True if the line holding ``addr`` is present (possibly in flight)."""
-        _, set_idx, tag = self._locate(addr)
-        return tag in self._sets[set_idx]
+        return (addr & self._line_mask) in self._lines
 
     def line_state(self, addr: int) -> Optional[CacheLine]:
-        _, set_idx, tag = self._locate(addr)
-        return self._sets[set_idx].get(tag)
+        return self._lines.get(addr & self._line_mask)
 
     # -- MSHR table ------------------------------------------------------------
     def _live_mshr(self, now: int) -> Dict[int, int]:
@@ -194,7 +190,7 @@ class Cache:
     def _select_victim(self, set_idx: int, now: int) -> Optional[int]:
         """Tag of the victim line, or None if an empty way exists.
 
-        Raises :class:`AllWaysBusy` when every way holds an in-flight fill.
+        Raises :class:`CacheBusy` when every way holds an in-flight fill.
         Pinned register lines are skipped unless every candidate is pinned,
         in which case the LRU pinned line is forcibly evicted (functionally
         safe — live register values are held in the RF; see DESIGN.md).
@@ -216,14 +212,15 @@ class Cache:
         if victim is not None:
             return victim
         if pinned is None:
-            raise AllWaysBusy(free_at)
+            raise CacheBusy(free_at)
         self.stats.inc("forced_pinned_evictions")
         return pinned
 
     def _evict(self, set_idx: int, tag: int, now: int, requestor: int) -> None:
         line = self._sets[set_idx].pop(tag)
+        victim_addr = (tag * self.num_sets + set_idx) << self._line_shift
+        del self._lines[victim_addr]
         if line.dirty:
-            victim_addr = (tag * self.num_sets + set_idx) << self._line_shift
             self._next_access(now, victim_addr, True, requestor)
             self.stats.inc("writebacks")
         self._pending[EVICTIONS] += 1
@@ -233,26 +230,31 @@ class Cache:
     # -- main access path ----------------------------------------------------------
     def access(self, now: int, addr: int, is_write: bool = False,
                requestor: int = 0, is_load_data: bool = False,
-               is_register: bool = False, pin_delta: int = 0) -> AccessResult:
-        """Present one word/line access at cycle ``now``.
+               is_register: bool = False,
+               pin_delta: int = 0) -> Tuple[int, bool, bool]:
+        """Present one word/line access at cycle ``now``; returns
+        ``(complete_at, hit, switch_signal)``.
 
-        ``is_load_data`` marks demand data loads from the LSQ (the only
-        accesses that may raise ``switch_signal``).  ``is_register`` marks
-        BSI register fill/spill traffic; ``pin_delta`` of +1/-1 adjusts the
-        line's pin counter per Section 5.3 (fill pins, spill unpins).
+        ``complete_at`` is the cycle the data is usable (reads) or the write
+        is ordered (writes); a hit on an in-flight fill completes no earlier
+        than the fill.  ``is_load_data`` marks demand data loads from the
+        LSQ (the only accesses that may raise ``switch_signal``).
+        ``is_register`` marks BSI register fill/spill traffic; ``pin_delta``
+        of +1/-1 adjusts the line's pin counter per Section 5.3 (fill pins,
+        spill unpins).
+
+        Raises :class:`CacheBusy` when a miss cannot be accepted (MSHRs
+        exhausted, or every way of its set in flight); the access was still
+        presented and is counted as a read or write.
         """
         line_addr = addr & self._line_mask
-        index = line_addr >> self._line_shift
-        set_idx = index % self.num_sets
-        tag = index // self.num_sets
-        ways = self._sets[set_idx]
         self._lru_clock = clock = self._lru_clock + 1
         if now > self._mshr_seen:
             self._mshr_seen = now
         pending = self._pending
         pending[WRITES if is_write else READS] += 1
 
-        line = ways.get(tag)
+        line = self._lines.get(line_addr)
         if line is not None:
             line.lru = clock
             if is_write:
@@ -262,13 +264,13 @@ class Cache:
                 pin = line.pin + pin_delta
                 line.pin = 0 if pin < 0 else pin if pin < PIN_MAX else PIN_MAX
             done = now + self._latency
-            if line.ready_at <= now:
+            ready = line.ready_at
+            if ready <= now:
                 pending[HITS] += 1
-                return AccessResult(done, True)
+                return done, True, False
             # hit on an in-flight fill (MSHR merge): wait for the fill
             self.stats.inc("under_fill_hits")
-            return AccessResult(max(done, line.ready_at), hit=True,
-                                under_fill=True)
+            return (done if done > ready else ready), True, False
 
         # -- miss ------------------------------------------------------------
         cfg = self.config
@@ -277,16 +279,19 @@ class Cache:
             # no-write-allocate: forward the store downstream, do not fill
             done = self._next_access(t_next, line_addr, True, requestor)
             self.stats.inc("write_through")
-            return AccessResult(done)
+            return done, False, False
         mshr = self._live_mshr(now)
         if len(mshr) >= cfg.mshrs:
             self.stats.inc("mshr_full")
-            return AccessResult(retry_at=min(mshr.values()))
+            raise CacheBusy(min(mshr.values()))
+        index = line_addr >> self._line_shift
+        set_idx = index % self.num_sets
+        tag = index // self.num_sets
         try:
             victim = self._select_victim(set_idx, now)
-        except AllWaysBusy as busy:
+        except CacheBusy:
             self.stats.inc("set_busy")
-            return AccessResult(retry_at=busy.free_at)
+            raise
         if victim is not None:
             self._evict(set_idx, victim, t_next, requestor)
 
@@ -297,7 +302,8 @@ class Cache:
         pin = 0
         if is_register and pin_delta > 0:
             pin = pin_delta if pin_delta < PIN_MAX else PIN_MAX
-        ways[tag] = CacheLine(tag, is_write, fill_done, is_register, pin, clock)
+        self._sets[set_idx][tag] = self._lines[line_addr] = CacheLine(
+            tag, is_write, fill_done, is_register, pin, clock)
         self._mshr[line_addr] = fill_done
 
         if self.prefetcher is not None and not is_register:
@@ -307,26 +313,26 @@ class Cache:
         region = self.register_region
         switch = is_load_data and (region is None
                                    or not region[0] <= addr < region[1])
-        return AccessResult(fill_done, False, False, switch)
+        return fill_done, False, switch
 
     # -- prefetch insertion (used by the stride prefetcher) --------------------
     def prefetch_fill(self, now: int, line_addr: int, requestor: int = 0) -> None:
         """Insert ``line_addr`` speculatively (no demand completion)."""
-        _, set_idx, tag = self._locate(line_addr)
-        ways = self._sets[set_idx]
+        la, set_idx, tag = self._locate(line_addr)
         # the table as the accesses so far left it: a prefetch presents no
         # ``now`` of its own to the MSHRs
-        if tag in ways or len(self._live_mshr(_NOTHING_SEEN)) >= self.config.mshrs:
+        if la in self._lines or len(self._live_mshr(_NOTHING_SEEN)) >= self.config.mshrs:
             return
         try:
             victim = self._select_victim(set_idx, now)
-        except AllWaysBusy:
+        except CacheBusy:
             return
         if victim is not None:
             self._evict(set_idx, victim, now, requestor)
         self._lru_clock += 1
         fill_done = self._next_access(now, line_addr, False, requestor)
-        ways[tag] = CacheLine(tag=tag, ready_at=fill_done, lru=self._lru_clock)
+        self._sets[set_idx][tag] = self._lines[la] = CacheLine(
+            tag=tag, ready_at=fill_done, lru=self._lru_clock)
         self._mshr[line_addr] = fill_done
         self.stats.inc("prefetch_fills")
 
@@ -340,8 +346,7 @@ class Cache:
         forever.  Pure bookkeeping — no port transaction, no timing effect.
         Returns True if the line was present.
         """
-        _, set_idx, tag = self._locate(addr)
-        line = self._sets[set_idx].get(tag)
+        line = self._lines.get(addr & self._line_mask)
         if line is None:
             return False
         line.pin = max(0, line.pin - 1)
@@ -355,11 +360,11 @@ class Cache:
         stored copy is corrupted must be re-fetched clean from the level
         below, so its contents are discarded rather than written back.
         """
-        _, set_idx, tag = self._locate(addr)
-        line = self._sets[set_idx].pop(tag, None)
-        if line is None:
+        la, set_idx, tag = self._locate(addr)
+        if self._lines.pop(la, None) is None:
             return False
-        self._mshr.pop(addr & self._line_mask, None)
+        del self._sets[set_idx][tag]
+        self._mshr.pop(la, None)
         self.stats.inc("line_invalidations")
         return True
 
@@ -376,18 +381,10 @@ class Cache:
     def warm(self, addr: int, dirty: bool = False, is_reg: bool = False,
              pin: int = 0) -> None:
         """Pre-install the line holding ``addr`` (test/setup helper)."""
-        _, set_idx, tag = self._locate(addr)
+        la, set_idx, tag = self._locate(addr)
         self._lru_clock += 1
-        self._sets[set_idx][tag] = CacheLine(tag=tag, dirty=dirty, is_reg=is_reg,
-                                             pin=pin, lru=self._lru_clock)
+        self._sets[set_idx][tag] = self._lines[la] = CacheLine(
+            tag=tag, dirty=dirty, is_reg=is_reg, pin=pin, lru=self._lru_clock)
 
     def resident_lines(self) -> int:
-        return sum(len(ways) for ways in self._sets)
-
-
-class AllWaysBusy(Exception):
-    """Every way of a set holds an in-flight fill; retry at ``free_at``."""
-
-    def __init__(self, free_at: int) -> None:
-        super().__init__(f"all ways busy until {free_at}")
-        self.free_at = free_at
+        return len(self._lines)

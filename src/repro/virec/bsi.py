@@ -39,8 +39,10 @@ class BackingStoreInterface:
                  pinning_enabled: bool = True,
                  unpin_fn: Optional[Callable[[int], bool]] = None,
                  stats: Optional[Stats] = None) -> None:
-        #: the port: ``request(t, addr, is_write=, is_register=, pin_delta=)``
-        #: -> ``(t_issue, result)``; blocking mode serializes on completion
+        #: the port, called positionally in its own order: ``request(t,
+        #: addr, is_write, is_load_data, is_register, pin_delta)`` ->
+        #: ``(t_issue, complete_at, hit, switch_signal)``; blocking mode
+        #: serializes on completion
         self._port = request_fn
         self.request = self._serialized if blocking else request_fn
         self.layout = layout
@@ -77,27 +79,26 @@ class BackingStoreInterface:
         #: lines on every register fill (strictly opt-in)
         self.fault_hook = None
 
-    def _serialized(self, t: int, addr: int, **flags):
+    def _serialized(self, t: int, addr: int, *flags):
         """Blocking-mode port: one transaction at a time."""
-        t_issue, result = self._port(max(t, self._next_issue), addr, **flags)
-        self._next_issue = result.complete_at
-        return t_issue, result
+        reply = self._port(max(t, self._next_issue), addr, *flags)
+        self._next_issue = reply[1]
+        return reply
 
     # -- operations ------------------------------------------------------------
     def fill(self, t: int, tid: int, flat_reg: int) -> int:
         """Load a register from the backing store; returns data-ready cycle."""
-        t_issue, result = self.request(
+        t_issue, done, hit, _ = self.request(
             t, self._base + tid * self._stride + flat_reg * WORD_BYTES,
-            is_write=False, is_register=True, pin_delta=self._pin)
+            False, False, True, self._pin)
         if t_issue > t and self.spill_busy_until > t:
             held = min(self.spill_busy_until, t_issue) - t
             self.fill_spill_wait += held
             self.stats.inc("spill_port_wait_cycles", held)
         pending = self._pending
         pending[FILLS] += 1
-        if not result.hit:
+        if not hit:
             pending[FILL_BACKING_MISSES] += 1
-        done = result.complete_at
         if self.fault_hook is not None:
             done = self.fault_hook.on_fill(
                 tid, flat_reg, self.layout.reg_addr(tid, flat_reg), t, done)
@@ -111,16 +112,16 @@ class BackingStoreInterface:
             return self.fill(t, tid, flat_reg)
         self.request(
             t, self._base + tid * self._stride + flat_reg * WORD_BYTES,
-            is_write=False, is_register=True, pin_delta=self._pin)
+            False, False, True, self._pin)
         self._pending[DUMMY_FILLS] += 1
         # metadata transaction is off the critical path; RF writable now
         return t
 
     def spill(self, t: int, tid: int, flat_reg: int, dirty: bool) -> int:
         """Write an evicted register back to the backing store (posted)."""
-        t_issue, _ = self.request(
+        t_issue = self.request(
             t, self._base + tid * self._stride + flat_reg * WORD_BYTES,
-            is_write=True, is_register=True, pin_delta=-self._pin)
+            True, False, True, -self._pin)[0]
         pending = self._pending
         pending[SPILLS] += 1
         if dirty:
@@ -153,16 +154,16 @@ class BackingStoreInterface:
         lines to store their general and system registers ... these lines
         are pinned so they cannot be evicted"); the saturating counter makes
         the pin persistent across the read/write ping-pong."""
-        _, result = self.request(
+        done = self.request(
             t, self._base + tid * self._stride + self._sysreg_offset,
-            is_write=False, is_register=True, pin_delta=self._pin)
+            False, False, True, self._pin)[1]
         self.stats.inc("sysreg_reads")
-        return result.complete_at
+        return done
 
     def sysreg_write(self, t: int, tid: int) -> int:
         """Write back the previous thread's system registers (posted)."""
-        t_issue, _ = self.request(
+        t_issue = self.request(
             t, self._base + tid * self._stride + self._sysreg_offset,
-            is_write=True, is_register=True, pin_delta=0)
+            True, False, True, 0)[0]
         self.stats.inc("sysreg_writes")
         return t_issue + 1

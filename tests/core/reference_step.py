@@ -28,6 +28,7 @@ from repro.core.fgmt import FGMTCore
 from repro.isa.decoded import DecodedOp
 from repro.isa.instructions import MASK64, evaluate
 from repro.isa.registers import RegClass
+from repro.memory.cache import CacheBusy
 
 
 def timeline_step(self, thread: ThreadContext) -> None:
@@ -49,13 +50,19 @@ def timeline_step(self, thread: ThreadContext) -> None:
     if d.line != self._last_fetch_line:
         self._last_fetch_line = d.line
         icache = self.icache
-        r = icache.access(max(0, t_d - icache.config.latency), d.addr,
-                          requestor=self.core_id)
-        if not r.hit:
+        t_fetch = max(0, t_d - icache.config.latency)
+        while True:   # a refused fetch is re-presented when it can be taken
+            try:
+                fetched, ic_hit, _ = icache.access(t_fetch, d.addr,
+                                                   requestor=self.core_id)
+                break
+            except CacheBusy as busy:
+                t_fetch = busy.retry_at
+        if not ic_hit:
             stats.inc("icache_miss_stalls")
             icache_missed = True
-        if r.complete_at > t_d:
-            t_d = r.complete_at
+        if fetched > t_d:
+            t_d = fetched
     if fault_hook is not None:
         t_d = fault_hook.on_instruction(thread, inst, t_d)
 
@@ -91,12 +98,11 @@ def timeline_step(self, thread: ThreadContext) -> None:
     load_missed = False
     if d.is_load:
         t_m = self._load_slot_wait(t_ex_done)
-        t_issue_mem, r = self.dcache_request(
+        t_issue_mem, data_at, hit, switch = self.dcache_request(
             t_m, result.addr, is_load_data=True)
-        data_at = r.complete_at
-        if (config.switch_on_miss and r.switch_signal
+        if (config.switch_on_miss and switch
                 and len(self.threads) > 1):
-            if self._handle_miss_switch(thread, t_issue_mem, r):
+            if self._handle_miss_switch(thread, t_issue_mem, data_at):
                 return  # thread suspended; load replays on resume
             # switch suppressed (no commits since last switch): stall here
             stats.inc("switches_suppressed")
@@ -104,7 +110,7 @@ def timeline_step(self, thread: ThreadContext) -> None:
                 observer.on_stall(thread.tid, t_issue_mem, data_at,
                                   "suppressed-switch")
         self.load_slots.append(data_at)
-        if not r.hit:
+        if not hit:
             stats.inc("load_miss_stalls")
             load_missed = True
     elif d.is_store:
@@ -215,9 +221,9 @@ def barrel_step(self, thread: ThreadContext) -> None:
     load_missed = False
     if d.is_load:
         t_m = self._load_slot_wait(t_ex_done)
-        _, r = self.dcache_request(t_m, result.addr, is_load_data=True)
-        data_at = r.complete_at
-        if not r.hit:
+        _, data_at, hit, _ = self.dcache_request(t_m, result.addr,
+                                                 is_load_data=True)
+        if not hit:
             stats.inc("load_miss_stalls")
             load_missed = True
     elif d.is_store:

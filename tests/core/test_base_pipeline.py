@@ -9,6 +9,8 @@ from repro.isa import X, assemble, run_functional
 from repro.memory import Cache, CacheConfig, MainMemory
 from repro.stats.counters import Stats
 
+from .reference_step import bind_steps
+
 
 class FixedLatencyBackend:
     def __init__(self, latency=40):
@@ -16,6 +18,19 @@ class FixedLatencyBackend:
 
     def access(self, now, line_addr, is_write=False, requestor=0):
         return now + self.latency
+
+
+class SlowLineBackend(FixedLatencyBackend):
+    """Fixed latency, except for one slow line."""
+
+    def __init__(self, slow_line, slow_latency, latency=40):
+        super().__init__(latency)
+        self.slow_line, self.slow_latency = slow_line, slow_latency
+
+    def access(self, now, line_addr, is_write=False, requestor=0):
+        if line_addr == self.slow_line:
+            return now + self.slow_latency
+        return super().access(now, line_addr, is_write, requestor)
 
 
 def build_core(src, symbols=None, n_threads=1, core_cls=InOrderCore,
@@ -194,3 +209,27 @@ def test_stats_finalized():
     assert stats["instructions"] == 1
     assert stats["cycles"] > 0
     assert 0 < stats["ipc"] <= 1
+
+
+@pytest.mark.parametrize("reference", [False, True], ids=["table", "oracle"])
+def test_a_refused_fetch_waits_for_the_icache(reference):
+    """The icache's only MSHR is held by a slow in-flight fill when the
+    first fetch arrives: the fetch waits for the MSHR, then misses and
+    fills its own line — it does not go ahead at once with nothing
+    installed."""
+    prog = assemble("mov x1, #1\nadd x2, x1, x1\nhalt\n")
+    backend = SlowLineBackend(slow_line=0x10040, slow_latency=500)
+    ic = Cache(CacheConfig(name="ic", size_bytes=1024, assoc=2, latency=2,
+                           mshrs=1), backend, Stats("ic"))
+    dc = Cache(CacheConfig(name="dc", size_bytes=1024, assoc=2, latency=2),
+               backend, Stats("dc"))
+    held_until, _, _ = ic.access(0, 0x10040)
+    with bind_steps(reference):
+        core = InOrderCore(prog, ic, dc, MainMemory(), make_threads(1))
+        stats = core.run()
+    assert ic.stats["mshr_full"] == 1
+    assert ic.stats["misses"] == 2 and ic.contains(0)
+    assert stats["icache_miss_stalls"] == 1
+    # the fetch is re-presented when the slow fill returns, and its own
+    # fill then takes the icache latency plus the memory's
+    assert stats["cycles"] > held_until + 2 + 40

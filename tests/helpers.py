@@ -5,12 +5,13 @@ from __future__ import annotations
 import signal
 import threading
 from contextlib import contextmanager
+from typing import Tuple
 
 import numpy as np
 
 from repro.core.cgmt import ContextLayout, make_threads
 from repro.isa import X, assemble
-from repro.memory import Cache, CacheConfig, MainMemory
+from repro.memory import Cache, CacheBusy, CacheConfig, MainMemory
 from repro.stats.counters import Stats
 
 
@@ -49,6 +50,36 @@ class FixedLatencyBackend:
     def access(self, now, line_addr, is_write=False, requestor=0):
         self.accesses.append((now, line_addr, is_write))
         return now + self.latency
+
+
+class PortModel:
+    """``TimelineCore.dcache_request`` over a bare dcache, for driving a BSI
+    without a core: the same signature (a test holds them equal), the same
+    ``(t_issue, complete_at, hit, switch_signal)`` reply, refusals retried
+    the same way.  Every accepted transaction is logged as ``(t_issue,
+    addr, is_write, is_load_data, is_register, pin_delta)``."""
+
+    def __init__(self, dcache: Cache) -> None:
+        self.dcache = dcache
+        self.dcache_port_free = 0
+        self.log = []
+
+    def dcache_request(self, t: int, addr: int, is_write: bool = False,
+                       is_load_data: bool = False, is_register: bool = False,
+                       pin_delta: int = 0) -> Tuple[int, int, bool, bool]:
+        while True:
+            t_issue = max(t, self.dcache_port_free)
+            self.dcache_port_free = t_issue + 1
+            try:
+                done, hit, switch = self.dcache.access(
+                    t_issue, addr, is_write, 0, is_load_data, is_register,
+                    pin_delta)
+            except CacheBusy as busy:
+                t = max(busy.retry_at, t_issue + 1)
+                continue
+            self.log.append((t_issue, addr, is_write, is_load_data,
+                             is_register, pin_delta))
+            return t_issue, done, hit, switch
 
 
 GATHER_SRC = """

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.memory import Cache, CacheConfig
+from repro.memory import Cache, CacheBusy, CacheConfig
 from repro.stats.counters import Stats
 
 
@@ -27,26 +27,24 @@ def make_cache(size=1024, assoc=2, latency=2, mshrs=4, backend=None):
 
 def test_miss_then_hit():
     c, be = make_cache()
-    r1 = c.access(0, 0x1000)
-    assert not r1.hit and r1.complete_at == 2 + 50
-    r2 = c.access(r1.complete_at, 0x1000)
-    assert r2.hit and r2.complete_at == r1.complete_at + 2
+    assert c.access(0, 0x1000) == (2 + 50, False, False)
+    assert c.access(52, 0x1000) == (52 + 2, True, False)
 
 
 def test_same_line_different_words_hit():
     c, _ = make_cache()
-    r1 = c.access(0, 0x1000)
-    r2 = c.access(r1.complete_at, 0x1038)  # last word of same 64B line
-    assert r2.hit
+    done, _, _ = c.access(0, 0x1000)
+    _, hit, _ = c.access(done, 0x1038)  # last word of same 64B line
+    assert hit
 
 
 def test_under_fill_merge():
     c, _ = make_cache()
-    r1 = c.access(0, 0x1000)
-    r2 = c.access(1, 0x1000)  # line still being filled
-    assert r2.hit and r2.under_fill
-    assert r2.complete_at == r1.complete_at
+    done, _, _ = c.access(0, 0x1000)
+    # line still being filled: a hit that completes with the fill
+    assert c.access(1, 0x1000) == (done, True, False)
     assert c.stats["under_fill_hits"] == 1
+    assert c.stats["hits"] == 0
 
 
 def test_lru_eviction_within_set():
@@ -56,8 +54,8 @@ def test_lru_eviction_within_set():
     c.warm(0x0000)
     c.warm(0x0200)  # same set, both ways full
     c.access(10, 0x0200)  # touch -> 0x0000 becomes LRU
-    r = c.access(20, 0x0400)  # forces eviction of 0x0000
-    assert not r.hit
+    _, hit, _ = c.access(20, 0x0400)  # forces eviction of 0x0000
+    assert not hit
     assert not c.contains(0x0000)
     assert c.contains(0x0200)
 
@@ -77,34 +75,33 @@ def test_mshr_limit_returns_retry():
     c, _ = make_cache(mshrs=2, size=4096, assoc=4)
     c.access(0, 0x0000)
     c.access(0, 0x1040)
-    r = c.access(0, 0x2080)
-    assert not r.accepted and r.retry_at is not None
+    with pytest.raises(CacheBusy) as busy:
+        c.access(0, 0x2080)
+    assert busy.value.retry_at == 52    # the first fill's completion
     assert c.stats["mshr_full"] == 1
+    assert c.stats["reads"] == 3        # the refused access was presented
 
 
 def test_mshr_entries_freed_after_fill():
     c, _ = make_cache(mshrs=1)
-    r1 = c.access(0, 0x0000)
-    r = c.access(r1.complete_at + 1, 0x2040)
-    assert r.accepted
+    done, _, _ = c.access(0, 0x0000)
+    c.access(done + 1, 0x2040)          # accepted: no CacheBusy
+    assert c.stats["mshr_full"] == 0
 
 
 def test_switch_signal_on_data_load_miss_only():
     c, _ = make_cache()
-    r = c.access(0, 0x5000, is_load_data=True)
-    assert r.switch_signal
-    r2 = c.access(r.complete_at, 0x5000, is_load_data=True)
-    assert r2.hit and not r2.switch_signal
+    done, _, switch = c.access(0, 0x5000, is_load_data=True)
+    assert switch
+    assert c.access(done, 0x5000, is_load_data=True)[1:] == (True, False)
     # plain (non-load-data) miss: no switch signal
-    r3 = c.access(1000, 0x9000)
-    assert not r3.switch_signal
+    assert c.access(1000, 0x9000)[2] is False
 
 
 def test_register_region_suppresses_switch_signal():
     c, _ = make_cache()
     c.register_region = (0x8000, 0x9000)
-    r = c.access(0, 0x8040, is_load_data=True)
-    assert not r.switch_signal
+    assert c.access(0, 0x8040, is_load_data=True)[2] is False
     assert c.in_register_region(0x8040)
     assert not c.in_register_region(0x9000)
 
@@ -123,13 +120,13 @@ def test_register_line_pinning_blocks_eviction():
 
 def test_pin_counter_increments_and_decrements():
     c, _ = make_cache()
-    r = c.access(0, 0x0000, is_register=True, pin_delta=1)
+    done, _, _ = c.access(0, 0x0000, is_register=True, pin_delta=1)
     line = c.line_state(0x0000)
     assert line.pin == 1 and line.is_reg
-    c.access(r.complete_at, 0x0000, is_register=True, pin_delta=1)
+    c.access(done, 0x0000, is_register=True, pin_delta=1)
     assert line.pin == 2
-    c.access(r.complete_at + 5, 0x0000, is_write=True, is_register=True, pin_delta=-1)
-    c.access(r.complete_at + 6, 0x0000, is_write=True, is_register=True, pin_delta=-1)
+    c.access(done + 5, 0x0000, is_write=True, is_register=True, pin_delta=-1)
+    c.access(done + 6, 0x0000, is_write=True, is_register=True, pin_delta=-1)
     assert line.pin == 0
 
 
@@ -145,15 +142,13 @@ def test_forced_eviction_when_all_ways_pinned():
     c, _ = make_cache()
     c.warm(0x0000, is_reg=True, pin=1)
     c.warm(0x0200, is_reg=True, pin=1)
-    r = c.access(0, 0x0400)
-    assert r.accepted
+    c.access(0, 0x0400)                 # accepted: no CacheBusy
     assert c.stats["forced_pinned_evictions"] == 1
 
 
 def test_write_allocates_and_dirties():
     c, _ = make_cache()
-    r = c.access(0, 0x3000, is_write=True)
-    assert not r.hit
+    assert not c.access(0, 0x3000, is_write=True)[1]
     assert c.line_state(0x3000).dirty
 
 
@@ -174,14 +169,12 @@ def test_write_through_no_allocate():
     be = FixedLatencyBackend(30)
     c = Cache(CacheConfig(name="wt", size_bytes=1024, assoc=2,
                           write_policy="wt"), be, Stats("wt"))
-    r = c.access(0, 0x4000, is_write=True)
-    assert not r.hit
+    assert c.access(0, 0x4000, is_write=True) == (2 + 30, False, False)
     assert not c.contains(0x4000)          # no allocation
     assert c.stats["write_through"] == 1
     assert any(a[2] for a in be.accesses)  # write went downstream
     # read after write-through misses (line was never filled)
-    r2 = c.access(100, 0x4000)
-    assert not r2.hit
+    assert not c.access(100, 0x4000)[1]
 
 
 def test_write_through_hit_updates_line():
@@ -189,8 +182,7 @@ def test_write_through_hit_updates_line():
     c = Cache(CacheConfig(name="wt", size_bytes=1024, assoc=2,
                           write_policy="wt"), be, Stats("wt"))
     c.warm(0x4000)
-    r = c.access(0, 0x4000, is_write=True)
-    assert r.hit
+    assert c.access(0, 0x4000, is_write=True)[1]
 
 
 def test_invalid_write_policy_rejected():
@@ -214,5 +206,5 @@ def test_invalid_geometry_rejected_naming_the_field(field, value):
 def test_smallest_legal_geometry_works():
     c = Cache(CacheConfig(size_bytes=8, assoc=1, mshrs=1, latency=0,
                           line_bytes=8), FixedLatencyBackend(5))
-    assert c.access(0, 0x10).complete_at == 5
-    assert c.access(5, 0x17).hit and not c.access(6, 0x18).hit
+    assert c.access(0, 0x10) == (5, False, False)
+    assert c.access(5, 0x17)[1] and not c.access(6, 0x18)[1]

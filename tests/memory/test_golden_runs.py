@@ -7,7 +7,11 @@ on the commit *before* the request path was flattened (lean ``Cache.access``,
 lazy MSHR pruning, batched memory counters): every other timeline core, a
 4-core banked node (non-monotonic ``now`` at the shared crossbar and DRAM)
 and the out-of-order host (L1 -> L2 with a stride prefetcher -> DRAM, the
-nested-cache reply path), two kernels each.
+nested-cache reply path), two kernels each.  The ``*-refusals`` cases were
+recorded before a refused access became the ``CacheBusy`` exception: the
+only runs that reach ``mshr_full``, an L1 -> L2 refusal and the out-of-order
+core's load-retry and store-refusal branches, and the ones that retry
+through the dcache port thousands of times.
 
 A literal changes only when simulated behaviour changes.  Regenerate one by
 running its case and pasting the digest — and say why in the commit.
@@ -20,13 +24,18 @@ import pytest
 
 from repro import workloads
 from repro.core.ooo import OoOCore
+from repro.memory import Cache, CacheConfig
+from repro.memory.dram import DRAM
 from repro.memory.hierarchy import HostMemorySystem
+from repro.memory.prefetcher import StridePrefetcher
+from repro.stats.counters import Stats
 from repro.system import RunConfig, run_config
 from repro.system.config import table1_dram
 
 from ..core.test_engine_equivalence import stats_digest
 
-N_PER_THREAD = {"gather": 24, "stride": 24, "pointer_chase": 24, "spmv": 4}
+N_PER_THREAD = {"gather": 24, "stride": 24, "pointer_chase": 24, "spmv": 4,
+                "triad": 256, "gather_scatter": 16}
 
 #: ``(label, RunConfig fields, kernels)``
 NDP_CASES = (
@@ -49,6 +58,11 @@ NDP_CASES = (
      ("gather", "stride")),
     ("banked-2core-hbm", dict(core_type="banked", n_cores=2, dram_preset="hbm"),
      ("gather", "stride")),
+    # a set-busy dcache: 3,063 port retries on the ViReC core, 529 through
+    # NSF's blocking BSI
+    ("virec-refusals", dict(core_type="virec", context_fraction=1.0),
+     ("triad",)),
+    ("nsf-refusals", dict(core_type="nsf", context_fraction=0.4), ("triad",)),
 )
 
 
@@ -58,17 +72,47 @@ def _config_digest(workload, fields):
         workload=workload, n_per_thread=N_PER_THREAD[workload], **fields)))
 
 
-def _ooo_digest(workload):
-    """The host stack built as ``run_config`` builds it, digested together
-    with the memory system's counters (a ``RunResult`` of an ``ooo`` run
-    carries the core's stats only)."""
+def _refusal_stack():
+    """``HostMemorySystem``'s stack, by hand, with L1D and L2 MSHR tables
+    of two entries: small enough to refuse at both levels."""
+    stats = Stats("hostmem")
+    dram = DRAM(table1_dram(), stats.child("dram"))
+    l2 = Cache(CacheConfig(name="l2", size_bytes=1024 * 1024, assoc=8,
+                           latency=12, mshrs=2),
+               dram, stats.child("l2"),
+               prefetcher=StridePrefetcher(degree=8,
+                                           stats=stats.child("l2pf")))
+    dcache = Cache(CacheConfig(name="dcache", size_bytes=32 * 1024, assoc=4,
+                               latency=4, mshrs=2),
+                   l2, stats.child("dcache"))
+    icache = Cache(CacheConfig(name="icache", size_bytes=64 * 1024, assoc=4,
+                               latency=2, mshrs=4),
+                   l2, stats.child("icache"))
+    return icache, dcache, stats
+
+
+def _ooo_run(workload, refusing=False):
+    """One ``ooo`` run: the host stack built as ``run_config`` builds it
+    (or :func:`_refusal_stack`); returns the core's and the memory
+    system's stats (a ``RunResult`` of an ``ooo`` run carries the core's
+    stats only)."""
     inst = workloads.get(workload).build(
         n_threads=1, n_per_thread=8 * N_PER_THREAD[workload], seed=7)
-    host = HostMemorySystem(dram=table1_dram())
-    core = OoOCore(inst.program, host.icache, host.dcache, inst.memory)
+    if refusing:
+        icache, dcache, mem_stats = _refusal_stack()
+    else:
+        host = HostMemorySystem(dram=table1_dram())
+        icache, dcache, mem_stats = host.icache, host.dcache, host.stats
+    core = OoOCore(inst.program, icache, dcache, inst.memory)
     stats = core.run(inst.init_regs[0] if inst.init_regs else None)
     assert inst.check()
-    blob = json.dumps([sorted(stats.flat()), sorted(host.stats.flat())],
+    return stats, mem_stats
+
+
+def _ooo_digest(workload, refusing=False):
+    """:func:`_ooo_run`'s two stats trees, digested together."""
+    stats, mem_stats = _ooo_run(workload, refusing)
+    blob = json.dumps([sorted(stats.flat()), sorted(mem_stats.flat())],
                       default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -81,6 +125,8 @@ def cases():
                    lambda w=workload, f=fields: _config_digest(w, f))
     for workload in ("stride", "spmv"):
         yield f"{workload}/ooo", lambda w=workload: _ooo_digest(w)
+    yield ("gather_scatter/ooo-refusals",
+           lambda: _ooo_digest("gather_scatter", refusing=True))
 
 
 GOLDEN = {
@@ -136,6 +182,12 @@ GOLDEN = {
         "c94f518be2a8a38e55fd4f93ef1e4b03c146b912911012b4ffed6b48ddd85c12",
     "spmv/ooo":
         "253a981c1d7d8624c676b8290063e62833874d3f959d869f1a6a562da40dcb03",
+    "triad/virec-refusals":
+        "43dc8d81e1490f75b127782f35888014209d6c3fc3dc2510bca458b40bd5a09b",
+    "triad/nsf-refusals":
+        "6a5fc2e13dd1384641d0b465760d169c2c43f5ac0f159110a0e5452b02abbde0",
+    "gather_scatter/ooo-refusals":
+        "ff1e95ba903f038938544ed7b8e7fa16bfdb354e36f853a93b6a208acc6ee35a",
 }
 
 
@@ -147,3 +199,23 @@ def test_every_case_has_a_golden():
                          ids=[key for key, _ in cases()])
 def test_golden_digest(key, thunk):
     assert thunk() == GOLDEN[key]
+
+
+@pytest.mark.parametrize("label,retries", [("virec-refusals", 3063),
+                                           ("nsf-refusals", 529)])
+def test_refusal_cases_retry_through_the_port(label, retries):
+    """The ``*-refusals`` literals pin the refusal path only while their
+    runs still reach it."""
+    fields = next(f for lbl, f, _ in NDP_CASES if lbl == label)
+    flat = dict(run_config(RunConfig(
+        workload="triad", n_threads=8, n_per_thread=N_PER_THREAD["triad"],
+        **fields)).stats.flat())
+    assert flat["system.core0.dcache_retries"] == retries
+    assert flat["system.mem.dcache0.set_busy"] == retries
+
+
+def test_ooo_refusal_stack_refuses_at_both_levels():
+    _, mem_stats = _ooo_run("gather_scatter", refusing=True)
+    flat = dict(mem_stats.flat())
+    assert flat["hostmem.dcache.mshr_full"] > 0
+    assert flat["hostmem.l2.mshr_full"] > 0

@@ -43,8 +43,8 @@ def test_prefetched_line_hits_later():
     c.access(0, 0)
     c.access(10, 64)
     c.access(20, 128)
-    r = c.access(500, 192)  # covered by prefetch, fill long done
-    assert r.hit and not r.under_fill
+    assert c.access(500, 192)[1]  # covered by prefetch, fill long done
+    assert c.stats["under_fill_hits"] == 0
 
 
 def test_no_prefetch_on_random_strides():
@@ -83,10 +83,10 @@ def test_ndp_memory_system_shape():
 
 def test_ndp_cores_contend_via_crossbar():
     sys = NDPMemorySystem(n_cores=2, crossbar_latency=4)
-    r0 = sys.ports(0).dcache.access(0, 0x10000, is_load_data=True)
-    r1 = sys.ports(1).dcache.access(0, 0x90000, is_load_data=True)
+    done0, _, _ = sys.ports(0).dcache.access(0, 0x10000, is_load_data=True)
+    done1, _, _ = sys.ports(1).dcache.access(0, 0x90000, is_load_data=True)
     # second request observes crossbar/bank occupancy from the first
-    assert r1.complete_at >= r0.complete_at
+    assert done1 >= done0
 
 
 def test_host_memory_system_l2_prefetcher():

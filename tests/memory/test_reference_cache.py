@@ -5,9 +5,14 @@ dicts per victim search and calls ``Stats.inc`` per event; the production
 cache prunes lazily, searches in one pass and batches its hot counters.
 Both are driven here with the same random request stream — non-monotonic
 ``now`` included, as a shared level sees it from several cores and one core
-produces it with posted spills — and after every step every
-``AccessResult`` field, the backend's request log, the whole stats tree and
-the state of every touched line must agree.
+produces it with posted spills — and after every step the reply, the
+backend's request log, the whole stats tree (``under_fill_hits`` included)
+and the state of every touched line must agree.  The reference answers with
+its own ``AccessResult``; the production cache returns ``(complete_at, hit,
+switch_signal)`` or raises ``CacheBusy``, and the two must say the same
+thing: the same triple for an accepted access, the same ``retry_at`` for a
+refused one.  After every step the production cache's line table must hold
+exactly the lines of its per-set dicts.
 """
 
 from hypothesis import given, settings
@@ -80,11 +85,13 @@ class Side:
     """One implementation's stack: L1 [-> L2] -> backend."""
 
     def __init__(self, module, shape):
+        self.module = module
         self.stats = Stats("m")
         self.backend = LoggingBackend()
         prefetcher = (StridePrefetcher(degree=2, stats=self.stats.child("pf"))
                       if shape["prefetcher"] else None)
         below = self.backend
+        self.caches = []
         if shape["nested"]:
             # a lower level that runs out of MSHRs: the ``retry_at`` loop
             below = module.Cache(
@@ -92,12 +99,26 @@ class Side:
                             latency=3, mshrs=min(shape["mshrs"], 2)),
                 self.backend, self.stats.child("l2"), prefetcher=prefetcher)
             prefetcher = None
+            self.caches.append(below)
         self.l1 = module.Cache(
             CacheConfig(name="l1", size_bytes=4 * LINE, assoc=2, latency=2,
                         mshrs=shape["mshrs"],
                         write_policy=shape["write_policy"]),
             below, self.stats.child("l1"), prefetcher=prefetcher)
         self.l1.register_region = (REG_BASE, REG_BASE + REG_LINES * LINE)
+        self.caches.append(self.l1)
+
+    def present(self, *args, **flags):
+        """One L1 access as ``(complete_at, hit, switch_signal)``, or
+        ``("busy", retry_at)`` when it is refused."""
+        if self.module is reference_cache:
+            r = self.l1.access(*args, **flags)
+            return ((r.complete_at, r.hit, r.switch_signal) if r.accepted
+                    else ("busy", r.retry_at))
+        try:
+            return self.l1.access(*args, **flags)
+        except production_cache.CacheBusy as busy:
+            return ("busy", busy.retry_at)
 
     def access(self, now, addr, is_write, is_register, pin_delta,
                is_load_data, requestor):
@@ -105,14 +126,13 @@ class Side:
         ``dcache_request`` does); every reply of the exchange."""
         replies = []
         for _ in range(4):
-            r = self.l1.access(now, addr, is_write, requestor=requestor,
-                               is_load_data=is_load_data,
-                               is_register=is_register, pin_delta=pin_delta)
-            replies.append((r.complete_at, r.hit, r.under_fill,
-                            r.switch_signal, r.retry_at, r.accepted))
-            if r.retry_at is None:
+            r = self.present(now, addr, is_write, requestor=requestor,
+                             is_load_data=is_load_data,
+                             is_register=is_register, pin_delta=pin_delta)
+            replies.append(r)
+            if r[0] != "busy":
                 break
-            now = max(r.retry_at, now + 1)
+            now = max(r[1], now + 1)
         return replies
 
     def line(self, addr):
@@ -120,6 +140,16 @@ class Side:
         return None if line is None else (
             line.tag, line.dirty, line.ready_at, line.is_reg, line.pin,
             line.lru)
+
+
+def assert_one_line_table(cache):
+    """The hit lookup's ``line_addr -> line`` table holds exactly the lines
+    of the per-set dicts, each as the same object."""
+    union = {(tag * cache.num_sets + set_idx) << cache._line_shift: line
+             for set_idx, ways in enumerate(cache._sets)
+             for tag, line in ways.items()}
+    assert union.keys() == cache._lines.keys()
+    assert all(cache._lines[a] is line for a, line in union.items())
 
 
 @given(shapes, ops)
@@ -147,6 +177,8 @@ def test_cache_agrees_with_reference_model(shape, stream):
         for a in touched:
             assert new.line(a) == ref.line(a), hex(a)
         assert new.l1.resident_lines() == ref.l1.resident_lines()
+        for cache in new.caches:
+            assert_one_line_table(cache)
 
 
 def test_positional_and_keyword_flags_are_the_same_call():
@@ -169,7 +201,7 @@ def test_a_later_now_frees_the_mshr_for_an_earlier_one():
     that request's own ``now`` would refuse it."""
     cache = Cache(CacheConfig(size_bytes=4 * LINE, assoc=2, mshrs=1),
                   LoggingBackend())
-    assert cache.access(10, 0).complete_at == 32
-    assert cache.access(200, 0).hit
-    assert cache.access(20, LINE).retry_at is None
+    assert cache.access(10, 0)[0] == 32
+    assert cache.access(200, 0)[1]
+    cache.access(20, LINE)              # accepted: no CacheBusy
     assert cache.stats["mshr_full"] == 0

@@ -1,46 +1,34 @@
 """Unit tests for the Backing Store Interface and the sysreg ping-pong buffer."""
 
+import inspect
+
 import pytest
 
+from repro.core.base import TimelineCore
 from repro.core.cgmt import ContextLayout
 from repro.memory import Cache, CacheConfig
 from repro.stats.counters import Stats
 from repro.virec.bsi import BackingStoreInterface
 from repro.virec.csl import SysRegBuffer
 
-
-class FixedLatencyBackend:
-    def __init__(self, latency=50):
-        self.latency = latency
-
-    def access(self, now, line_addr, is_write=False, requestor=0):
-        return now + self.latency
-
-
-class PortModel:
-    """Minimal stand-in for TimelineCore.dcache_request."""
-
-    def __init__(self, dcache):
-        self.dcache = dcache
-        self.port_free = 0
-        self.log = []
-
-    def __call__(self, t, addr, is_write=False, is_register=False, pin_delta=0):
-        t_issue = max(t, self.port_free)
-        self.port_free = t_issue + 1
-        r = self.dcache.access(t_issue, addr, is_write, is_register=is_register,
-                               pin_delta=pin_delta)
-        self.log.append((t_issue, addr, is_write, pin_delta))
-        return t_issue, r
+from ..helpers import FixedLatencyBackend, PortModel
 
 
 def make_bsi(**kw):
     dc = Cache(CacheConfig(name="dc", size_bytes=8 * 1024, assoc=4, latency=2,
-                           mshrs=24), FixedLatencyBackend(), Stats("dc"))
+                           mshrs=24), FixedLatencyBackend(50), Stats("dc"))
     port = PortModel(dc)
     layout = ContextLayout(used_regs=tuple(range(10)))
-    bsi = BackingStoreInterface(port, layout, stats=Stats("bsi"), **kw)
+    bsi = BackingStoreInterface(port.dcache_request, layout, stats=Stats("bsi"),
+                                **kw)
     return bsi, dc, port, layout
+
+
+def test_port_fake_has_the_real_ports_signature():
+    """The BSI calls the port positionally, so a fake whose flags sit in a
+    different order would pass the wrong flag without any test noticing."""
+    assert (inspect.signature(PortModel.dcache_request)
+            == inspect.signature(TimelineCore.dcache_request))
 
 
 def test_fill_returns_completion_and_pins():
@@ -119,7 +107,10 @@ def test_issued_addresses_are_the_layouts():
             op(0, tid)
             assert port.log[-1][1] == layout.sysreg_addr(tid)
     lo, hi = layout.region(8)
-    assert all(lo <= addr < hi for _t, addr, _w, _p in port.log)
+    assert all(lo <= addr < hi for _t, addr, *_ in port.log)
+    # every transaction is register traffic, never a demand data load
+    assert all(is_register and not is_load_data
+               for *_, is_load_data, is_register, _pin in port.log)
 
 
 def test_sysreg_lines_pin_persistently():

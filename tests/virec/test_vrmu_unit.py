@@ -9,33 +9,14 @@ from repro.stats.counters import Stats
 from repro.virec import CapacityError, VRMU, make_policy
 from repro.virec.bsi import BackingStoreInterface
 
-
-class FixedLatencyBackend:
-    def __init__(self, latency=50):
-        self.latency = latency
-
-    def access(self, now, line_addr, is_write=False, requestor=0):
-        return now + self.latency
-
-
-class PortModel:
-    def __init__(self, dcache):
-        self.dcache = dcache
-        self.port_free = 0
-
-    def __call__(self, t, addr, is_write=False, is_register=False, pin_delta=0):
-        t_issue = max(t, self.port_free)
-        self.port_free = t_issue + 1
-        return t_issue, self.dcache.access(t_issue, addr, is_write,
-                                           is_register=is_register,
-                                           pin_delta=pin_delta)
+from ..helpers import FixedLatencyBackend, PortModel
 
 
 def make_vrmu(capacity=8, policy="lrc", **bsi_kw):
     dc = Cache(CacheConfig(name="dc", size_bytes=8 * 1024, assoc=4, latency=2,
-                           mshrs=24), FixedLatencyBackend(), Stats("dc"))
-    bsi = BackingStoreInterface(PortModel(dc), ContextLayout(), stats=Stats("b"),
-                                **bsi_kw)
+                           mshrs=24), FixedLatencyBackend(50), Stats("dc"))
+    bsi = BackingStoreInterface(PortModel(dc).dcache_request, ContextLayout(),
+                                stats=Stats("b"), **bsi_kw)
     return VRMU(capacity, make_policy(policy, capacity), bsi, stats=Stats("v"))
 
 
