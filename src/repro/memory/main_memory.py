@@ -52,8 +52,18 @@ class MainMemory:
         self._words[addr >> 3] = value
 
     def write_array(self, addr: int, values: Iterable[Word]) -> int:
-        """Bulk-write ``values`` starting at ``addr``; returns end address."""
+        """Bulk-write ``values`` starting at ``addr``; returns end address.
+
+        A 1-D integer or float array is stored in one dict update:
+        ``tolist()`` yields the same Python ints and floats the element
+        loop makes of numpy scalars, without one conversion call per word.
+        """
         idx = self._index(addr)
+        if (isinstance(values, np.ndarray) and values.ndim == 1
+                and values.dtype.kind in "iuf"):
+            n = len(values)
+            self._words.update(zip(range(idx, idx + n), values.tolist()))
+            return addr + WORD_BYTES * n
         count = 0
         for offset, value in enumerate(values):
             v = value

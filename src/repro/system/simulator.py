@@ -106,6 +106,13 @@ def _make_core(cfg: RunConfig, instance, icache, dcache, core_id=0, stats=None):
     raise ValueError(cfg.core_type)  # pragma: no cover
 
 
+def core_build(cfg: RunConfig, core_id: int = 0) -> tuple:
+    """Core ``core_id``'s workload build: the arguments of
+    :func:`repro.workloads.build`, whose key a sweep's build memo uses."""
+    return (cfg.workload, cfg.n_threads, cfg.n_per_thread,
+            cfg.seed + core_id, cfg.workload_kwargs)
+
+
 def run_config(cfg: RunConfig, check: bool = True) -> RunResult:
     """Simulate one configuration and return its result record."""
     from ..telemetry import HostProfiler
@@ -133,9 +140,8 @@ def run_config(cfg: RunConfig, check: bool = True) -> RunResult:
         instances = []
 
         def factory(core_id, icache, dcache):
-            inst = spec.build(n_threads=cfg.n_threads,
-                              n_per_thread=cfg.n_per_thread,
-                              seed=cfg.seed + core_id, **cfg.workload_kwargs)
+            # shared read-only with the sweep's other runs, memory copied
+            inst = workloads.build(*core_build(cfg, core_id))
             instances.append(inst)
             core = _make_core(cfg, inst, icache, dcache, core_id=core_id,
                               stats=stats.child(f"core{core_id}"))

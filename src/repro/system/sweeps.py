@@ -44,6 +44,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from .. import workloads
 from ..errors import (RunFailure, SimulationError, TRANSIENT_ERRORS,
                       WatchdogTimeout)
 from . import simulator
@@ -165,6 +166,15 @@ def _wall_clock_limit(seconds: Optional[float]):
         signal.signal(signal.SIGALRM, previous)
 
 
+def _build_keys(cfg: RunConfig) -> List[Optional[str]]:
+    """The build-memo key of each core's workload build (none for ooo,
+    which builds outside the memo)."""
+    if cfg.core_type == "ooo":
+        return []
+    return [workloads.build_key(*simulator.core_build(cfg, core_id))
+            for core_id in range(cfg.n_cores)]
+
+
 def _run_isolated(index: int, cfg: RunConfig, check: bool, retries: int,
                   timeout_s: Optional[float], max_cycles: Optional[int],
                   key: str):
@@ -223,8 +233,17 @@ def run_outcomes(todo, check: bool, backend, retries: int = 0,
     ``obs`` is a :class:`~repro.system.monitor.SweepObservability` or None:
     each task is stamped with its dispatch instant and obs spec, and the
     span records it returns are merged into the sweep trace.
+
+    The call owns one :class:`~repro.workloads.BuildMemo` over the
+    ``todo`` list: a workload build that several tasks need runs once and
+    each run gets its own copy of the memory image.  The memo is active
+    only while the sweep's own tasks run — per task on the serial path,
+    never across a ``yield``, and around ``backend.map`` otherwise, where
+    only an in-process backend's tasks reach it (a pool worker builds
+    once per task) — and dies with this generator.
     """
     from ..exec import SerialBackend, WorkerCrash, grid_worker
+    memo = workloads.BuildMemo(_build_keys(cfg) for _, cfg, _ in todo)
 
     def task_of(index: int, cfg: RunConfig, key: str):
         spec = None
@@ -233,10 +252,16 @@ def run_outcomes(todo, check: bool, backend, retries: int = 0,
             spec = obs.task_obs()
         return (index, cfg, check, retries, timeout_s, max_cycles, key, spec)
 
+    def run_serial(item):
+        with memo.active():
+            return grid_worker(task_of(*item), ship=False)
+
     if isinstance(backend, SerialBackend):
-        outcomes = (grid_worker(task_of(*item), ship=False) for item in todo)
+        outcomes = (run_serial(item) for item in todo)
     else:
-        outcomes = backend.map(grid_worker, [task_of(*item) for item in todo])
+        tasks = [task_of(*item) for item in todo]
+        with memo.active():
+            outcomes = backend.map(grid_worker, tasks)
     for (index, cfg, key), outcome in zip(todo, outcomes):
         if isinstance(outcome, WorkerCrash):
             err = outcome.to_error()

@@ -2,11 +2,15 @@
 
 from . import dbms, fuzzgen, graph, meabo, pointer_chase, sparse, spatter, stencil, stream, synthetic  # noqa: F401 (registration)
 from .registry import (
+    BuildMemo,
     WorkloadInstance,
     WorkloadSpec,
     all_workloads,
+    build,
+    build_key,
     get,
     names,
 )
 
-__all__ = ["WorkloadInstance", "WorkloadSpec", "all_workloads", "get", "names"]
+__all__ = ["BuildMemo", "WorkloadInstance", "WorkloadSpec", "all_workloads",
+           "build", "build_key", "get", "names"]

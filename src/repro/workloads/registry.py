@@ -17,8 +17,11 @@ provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import json
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +97,82 @@ def all_workloads() -> List[WorkloadSpec]:
 def names() -> List[str]:
     """Sorted names of all registered workloads."""
     return sorted(_REGISTRY)
+
+
+# -- builds shared within one sweep ---------------------------------------------
+#: the memo of the sweep task running in this context (None outside one)
+_MEMO: ContextVar[Optional["BuildMemo"]] = ContextVar("build_memo",
+                                                      default=None)
+
+
+def build_key(name: str, n_threads: int, n_per_thread: int, seed: int,
+              kwargs: Dict) -> Optional[str]:
+    """Canonical JSON of one build's arguments; None when a value does not
+    serialize (that build is never shared)."""
+    try:
+        return json.dumps([name, n_threads, n_per_thread, seed, kwargs],
+                          sort_keys=True)
+    except (TypeError, ValueError):
+        return None
+
+
+class BuildMemo:
+    """Workload builds shared by the tasks of one sweep call.
+
+    ``needs`` holds, per task, the :func:`build_key` of every build the
+    task makes.  A key two or more tasks need is built once, and its
+    template is dropped when the last of them takes its instance.  Every
+    run gets the template's program, decode and metadata read-only and
+    its own copy of the memory image, so no run can see another's stores.
+    """
+
+    def __init__(self, needs: Iterable[Iterable[Optional[str]]]) -> None:
+        self._left: Dict[str, int] = {}
+        for keys in needs:
+            for key in keys:
+                if key is not None:
+                    self._left[key] = self._left.get(key, 0) + 1
+        self._templates: Dict[str, WorkloadInstance] = {}
+
+    @contextmanager
+    def active(self):
+        """Serve :func:`build` calls from this memo for the body's span."""
+        token = _MEMO.set(self)
+        try:
+            yield
+        finally:
+            _MEMO.reset(token)
+
+    def instance(self, key: Optional[str],
+                 make: Callable[[], WorkloadInstance]) -> WorkloadInstance:
+        """One use of ``key``: a copy of its template, built by ``make()``
+        on the first of several uses; a single use gets ``make()`` itself."""
+        left = self._left.pop(key, 0)
+        if left > 1:
+            self._left[key] = left - 1
+            template = self._templates.get(key)
+            if template is None:
+                template = self._templates[key] = make()
+        else:
+            template = self._templates.pop(key, None)
+            if template is None:
+                return make()
+        return replace(template, memory=template.memory.copy())
+
+
+def build(name: str, n_threads: int, n_per_thread: int, seed: int,
+          kwargs: Dict) -> WorkloadInstance:
+    """``get(name).build(...)``, shared through the active
+    :class:`BuildMemo` when a sweep task runs in this context."""
+    def make() -> WorkloadInstance:
+        return get(name).build(n_threads=n_threads,
+                               n_per_thread=n_per_thread, seed=seed,
+                               **kwargs)
+    memo = _MEMO.get()
+    if memo is None:
+        return make()
+    return memo.instance(
+        build_key(name, n_threads, n_per_thread, seed, kwargs), make)
 
 
 # -- shared helpers -----------------------------------------------------------
