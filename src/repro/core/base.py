@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DeadlockError
 from ..isa.compiled import EngineVariant, compile_program
@@ -346,6 +346,33 @@ class TimelineCore:
                 self.stats.inc("dcache_retries")
                 continue
             return t_issue, done, hit, switch
+
+    def dcache_stream(self, t: int, base: int, offsets: Sequence[int],
+                      is_write: bool = False) -> Tuple[int, int]:
+        """Move a register context through the dcache port from cycle ``t``.
+
+        Word ``base + off`` is requested the cycle after the previous word
+        issued, under :meth:`dcache_request`'s port rule, as one
+        ``Cache.access`` each.  Returns ``(t_next, done)``: the cycle after
+        the last issue, and ``t`` or the latest completion if later.
+        """
+        access, core_id = self.dcache.access, self.core_id
+        port_free = self.dcache_port_free
+        done = t
+        for off in offsets:
+            t_issue = t if t > port_free else port_free
+            while True:
+                try:
+                    complete = access(t_issue, base + off, is_write, core_id)[0]
+                    break
+                except CacheBusy as busy:
+                    t_issue = max(busy.retry_at, t_issue + 1)
+                    self.stats.inc("dcache_retries")
+            port_free = t = t_issue + 1
+            if complete > done:
+                done = complete
+        self.dcache_port_free = port_free
+        return t, done
 
     # ----------------------------------------------------------- store queue
     def _sq_insert(self, t: int, addr: int) -> int:

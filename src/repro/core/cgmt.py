@@ -38,19 +38,18 @@ class ContextLayout:
     used_regs: tuple = tuple(range(10))  # flat indices the workload touches
 
     GP_LINES = 8   # 64 registers x 8 bytes / 64-byte lines
-
-    @property
-    def lines_per_thread(self) -> int:
-        return self.GP_LINES + 1  # +1 sysreg line
-
-    @property
-    def bytes_per_thread(self) -> int:
-        return self.lines_per_thread * LINE_BYTES
+    bytes_per_thread = (GP_LINES + 1) * LINE_BYTES  # +1 sysreg line
 
     @property
     def touched_gp_lines(self) -> tuple:
         """Line offsets (within the thread area) the used registers occupy."""
         return tuple(sorted({r // 8 for r in self.used_regs}))
+
+    @property
+    def fetch_offsets(self) -> tuple:
+        """Offsets in the thread area of the touched and sysreg lines."""
+        return tuple(line * LINE_BYTES
+                     for line in self.touched_gp_lines + (self.GP_LINES,))
 
     def reg_addr(self, tid: int, flat_reg: int) -> int:
         """Backing address of architectural register ``flat_reg`` of ``tid``."""
@@ -73,15 +72,14 @@ class BankedCore(TimelineCore):
         self.layout = self.layout or ContextLayout()
         if len(self.threads) > 8:
             raise ValueError("banked core supports at most 8 thread banks (Table 1)")
+        self._offsets = self.layout.fetch_offsets
 
     def thread_start_cost(self, thread: ThreadContext, t: int) -> int:
         """Fetch the complete offloaded context into the thread's bank."""
-        done = t
-        base = self.layout.base + thread.tid * self.layout.bytes_per_thread
-        lines = list(self.layout.touched_gp_lines) + [self.layout.GP_LINES]
-        for i, line in enumerate(lines):
-            done = max(done, self.dcache_request(
-                t + i, base + line * LINE_BYTES)[1])
+        layout = self.layout
+        done = self.dcache_stream(
+            t, layout.base + thread.tid * layout.bytes_per_thread,
+            self._offsets)[1]
         self.stats.inc("context_fetches")
         for observer in self._observers:
             observer.on_context_move("ctx_fetch", thread.tid, t, done)
@@ -96,6 +94,8 @@ class SoftwareSwitchCore(TimelineCore):
         super().__init__(*args, **kwargs)
         self.layout = self.layout or ContextLayout()
         self._prev_thread: Optional[ThreadContext] = None
+        #: word offsets, within a thread's save area, of the moved registers
+        self._offsets = tuple(flat * WORD_BYTES for flat in self.layout.used_regs)
 
     def switch_in(self, thread: ThreadContext, t: int) -> int:
         """Execute the save (previous thread) + restore (new thread) sequence.
@@ -107,10 +107,11 @@ class SoftwareSwitchCore(TimelineCore):
         """
         done = t
         observers = self._observers
+        base, stride = self.layout.base, self.layout.bytes_per_thread
+        offsets = self._offsets
         if self._prev_thread is not None and self._prev_thread is not thread:
-            for flat in self.layout.used_regs:
-                addr = self.layout.reg_addr(self._prev_thread.tid, flat)
-                done = self.dcache_request(done, addr, is_write=True)[0] + 1
+            done = self.dcache_stream(t, base + self._prev_thread.tid * stride,
+                                      offsets, is_write=True)[0]
             self.stats.inc("context_saves")
             for observer in observers:
                 observer.on_context_move(
@@ -118,11 +119,8 @@ class SoftwareSwitchCore(TimelineCore):
                 # the save phase is the software analogue of a register
                 # spill writeback; the restore phase stays in "switch"
                 observer.on_spill_window(thread.tid, done)
-        restore_done = done
-        for i, flat in enumerate(self.layout.used_regs):
-            addr = self.layout.reg_addr(thread.tid, flat)
-            restore_done = max(restore_done,
-                               self.dcache_request(done + i, addr)[1])
+        restore_done = self.dcache_stream(done, base + thread.tid * stride,
+                                          offsets)[1]
         self.stats.inc("context_restores")
         for observer in observers:
             observer.on_context_move("ctx_restore", thread.tid, done,

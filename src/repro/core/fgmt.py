@@ -25,10 +25,9 @@ banking rather than FGMT.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..isa.compiled import EngineVariant
-from ..memory.main_memory import LINE_BYTES
 from .base import CoreConfig, ThreadContext, ThreadState, TimelineCore
 from .cgmt import ContextLayout
 
@@ -43,6 +42,7 @@ class FGMTCore(TimelineCore):
         self.layout = self.layout or ContextLayout()
         if len(self.threads) > 8:
             raise ValueError("barrel core supports at most 8 register banks")
+        self._offsets = self.layout.fetch_offsets
         #: per-thread writer scoreboards, keyed by flat register index
         self._boards: Dict[int, Dict[int, int]] = {
             th.tid: {} for th in self.threads}
@@ -85,11 +85,9 @@ class FGMTCore(TimelineCore):
 
     def thread_start_cost(self, thread: ThreadContext, t: int) -> int:
         """Fetch the offloaded context into the thread's bank (as banked)."""
-        done = t
-        base = self.layout.base + thread.tid * self.layout.bytes_per_thread
-        lines = list(self.layout.touched_gp_lines) + [self.layout.GP_LINES]
-        for i, line in enumerate(lines):
-            done = max(done, self.dcache_request(
-                t + i, base + line * LINE_BYTES)[1])
+        layout = self.layout
+        done = self.dcache_stream(
+            t, layout.base + thread.tid * layout.bytes_per_thread,
+            self._offsets)[1]
         self.stats.inc("context_fetches")
         return done

@@ -22,9 +22,9 @@ demand-fetched at full cost — the natural penalty of misprediction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from ..stats.counters import Stats
+from ..memory.main_memory import WORD_BYTES
 from .base import CoreConfig, ThreadContext, TimelineCore
 from .cgmt import ContextLayout
 
@@ -38,31 +38,22 @@ class _PrefetchCoreBase(TimelineCore):
         self.layout = self.layout or ContextLayout()
         self._bank_ready: Dict[int, int] = {}
         self._prev: Optional[ThreadContext] = None
+        #: word offsets, within a thread's save area, of the moved registers
+        self._offsets = tuple(flat * WORD_BYTES for flat in self.transfer_regs())
 
     _name = "prefetch"
 
-    def transfer_regs(self, thread: ThreadContext) -> Sequence[int]:
-        """Flat register indices moved for ``thread`` on each switch."""
+    def transfer_regs(self) -> Sequence[int]:
+        """Flat register indices every switch moves (read at construction)."""
         raise NotImplementedError
 
-    def _issue_loads(self, t: int, tid: int, regs: Sequence[int]) -> int:
-        done = t
-        for i, flat in enumerate(regs):
-            done = max(done, self.dcache_request(
-                t + i, self.layout.reg_addr(tid, flat))[1])
-        return done
-
-    def _issue_stores(self, t: int, tid: int, regs: Sequence[int]) -> int:
-        for i, flat in enumerate(regs):
-            self.dcache_request(t + i, self.layout.reg_addr(tid, flat),
-                                is_write=True)
-        return t + len(regs)
-
     def switch_in(self, thread: ThreadContext, t: int) -> int:
+        base, stride = self.layout.base, self.layout.bytes_per_thread
+        offsets = self._offsets
         ready = self._bank_ready.pop(thread.tid, None)
         if ready is None:
             # prediction miss or cold start: demand-fetch the whole set
-            ready = self._issue_loads(t, thread.tid, self.transfer_regs(thread))
+            ready = self.dcache_stream(t, base + thread.tid * stride, offsets)[1]
             self.stats.inc("demand_context_fetches")
         else:
             self.stats.inc("prefetched_switches")
@@ -73,16 +64,17 @@ class _PrefetchCoreBase(TimelineCore):
         # store the outgoing thread's registers (posted, occupies the port)
         t_next = t0
         if self._prev is not None and self._prev is not thread:
-            t_next = self._issue_stores(t0, self._prev.tid,
-                                        self.transfer_regs(self._prev))
+            self.dcache_stream(t0, base + self._prev.tid * stride, offsets,
+                               is_write=True)
+            t_next = t0 + len(offsets)
         self._prev = thread
 
         # prefetch the round-robin successor into the idle bank
         n = len(self.threads)
         nxt = self.threads[(thread.tid + 1) % n]
         if n > 1 and nxt.tid not in self._bank_ready:
-            self._bank_ready[nxt.tid] = self._issue_loads(
-                t_next, nxt.tid, self.transfer_regs(nxt))
+            self._bank_ready[nxt.tid] = self.dcache_stream(
+                t_next, base + nxt.tid * stride, offsets)[1]
             self.stats.inc("prefetches")
         return t0 + self.config.switch_refill
 
@@ -92,7 +84,7 @@ class FullContextPrefetchCore(_PrefetchCoreBase):
 
     _name = "prefetch-full"
 
-    def transfer_regs(self, thread: ThreadContext) -> Sequence[int]:
+    def transfer_regs(self) -> Sequence[int]:
         # the full bank: all 32 integer registers plus any used FP registers
         fp_used = sorted(r for r in self.layout.used_regs if r >= 32)
         return list(range(32)) + fp_used
@@ -111,9 +103,9 @@ class ExactPrefetchCore(_PrefetchCoreBase):
 
     def __init__(self, *args, active_regs: Optional[Sequence[int]] = None,
                  **kwargs) -> None:
+        self.active_regs = active_regs
         super().__init__(*args, **kwargs)
-        self.active_regs: List[int] = sorted(
-            active_regs if active_regs is not None else self.layout.used_regs)
 
-    def transfer_regs(self, thread: ThreadContext) -> Sequence[int]:
-        return self.active_regs
+    def transfer_regs(self) -> Sequence[int]:
+        regs = self.active_regs
+        return sorted(regs if regs is not None else self.layout.used_regs)

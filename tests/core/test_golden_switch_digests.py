@@ -14,6 +14,12 @@ spmv whose rows are uneven so finished threads sit in the ring for most of
 the run, a task pool (threads resurrected by ``attach_pool``), and the
 exact-prefetch core at 4 threads.
 
+The context-moving cores (``prefetch-full``, ``prefetch-exact``, ``fgmt``,
+``swctx``) have further literals recorded on the commit before their
+register-context moves became one port stream each: a 2-core prefetch node,
+and triad over a 1 KB dcache where context lines are evicted between
+moves, so the streams miss, hit under fill and are refused by busy sets.
+
 A literal changes only when simulated behaviour changes.  Regenerate one by
 running its case and pasting the digest — and say why in the commit.
 """
@@ -42,11 +48,24 @@ def _flat_digest(stats) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _config_digest(core_type, n_threads, workload="gather", n_per_thread=24):
+def _config_digest(core_type, n_threads, workload="gather", n_per_thread=24,
+                   **fields):
     fraction = 0.4 if core_type in ("virec", "nsf") else 1.0
     return stats_digest(run_config(RunConfig(
         workload=workload, core_type=core_type, n_threads=n_threads,
-        n_per_thread=n_per_thread, context_fraction=fraction)))
+        n_per_thread=n_per_thread, context_fraction=fraction, **fields)))
+
+
+def _small_dcache_digest(core_type):
+    """triad over a 1 KB dcache: context lines are evicted between moves,
+    so the register-context streams miss, hit under fill and (on
+    ``prefetch-exact``) are refused by a busy set and re-presented."""
+    result = run_config(RunConfig(
+        workload="triad", core_type=core_type, n_threads=8, n_per_thread=64,
+        dcache_kb=1, seed=7))
+    if core_type == "prefetch-exact":
+        assert dict(result.stats.flat())["system.core0.dcache_retries"] > 0
+    return stats_digest(result)
 
 
 def _uneven_spmv_digest(core_type):
@@ -94,6 +113,21 @@ def cases():
            lambda: _config_digest("prefetch-exact", 4))
     yield ("spmv/virec/3t",
            lambda: _config_digest("virec", 3, workload="spmv", n_per_thread=4))
+    # every core that moves a register context through the dcache port
+    for n_threads in (4, 8):
+        yield (f"gather/prefetch-full/{n_threads}t",
+               lambda n=n_threads: _config_digest("prefetch-full", n))
+    yield ("spmv/prefetch-full/8t",
+           lambda: _config_digest("prefetch-full", 8, workload="spmv",
+                                  n_per_thread=4))
+    yield ("gather/prefetch-exact/8t",
+           lambda: _config_digest("prefetch-exact", 8))
+    yield ("gather/fgmt/4t", lambda: _config_digest("fgmt", 4))
+    yield ("gather/prefetch-full/2core-4t",
+           lambda: _config_digest("prefetch-full", 4, n_cores=2))
+    for core_type in ("prefetch-full", "prefetch-exact", "swctx"):
+        yield (f"triad-dcache1k/{core_type}/8t",
+               lambda c=core_type: _small_dcache_digest(c))
 
 
 GOLDEN = {
@@ -133,6 +167,24 @@ GOLDEN = {
         "1060ef2f2575ecd27d3744f6717e8dfe7e287ff5272f5bb7e5deede5d36c7671",
     "spmv/virec/3t":
         "d7ec1406c7ace0f9c8fa61a0c829de73ce09db8546c9f5557438c7bc65f9be1f",
+    "gather/prefetch-full/4t":
+        "4dd08c2922530a017533bfccc7a2ebce75599419fec8758695899841ec7e0d6a",
+    "gather/prefetch-full/8t":
+        "dc5b2dca9e06dcbbb95b2e2c163ca922a4e602bdb2b7ff023ad21b05c92f2335",
+    "spmv/prefetch-full/8t":
+        "3de3c76f77c3cb616b537683f2acaa6e1451535cbb6dbdb1b0598655129cac69",
+    "gather/prefetch-exact/8t":
+        "8997617cc77c4fd2ddca1c883b12b9269f11c94fcfb9303e89cd5b91e5fe68fe",
+    "gather/fgmt/4t":
+        "c38a54bd601316d986df1b3ce89ddfbc56bbd9dea1dc3efbebe6d84248ed5ada",
+    "gather/prefetch-full/2core-4t":
+        "1f953401b197bb91121dcf7483a4ff9c63c6387e3713ddd69fe0f5e7d257da07",
+    "triad-dcache1k/prefetch-full/8t":
+        "0b9ea5e3dd5b16cb0e77582afed26a147cc0cce16db0551a33d888bc8f16ce02",
+    "triad-dcache1k/prefetch-exact/8t":
+        "1d2fe4e0382473f2eb27a472684be1981f7c4c499492077f3a97210784a50833",
+    "triad-dcache1k/swctx/8t":
+        "5baa9de367463bf803e331f272c4aaa9d8588fa73840e9bc2244c192ec1dd3d7",
 }
 
 
