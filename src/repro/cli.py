@@ -67,6 +67,29 @@ def _usage(message: str) -> int:
     return 2
 
 
+def _out_error(flag: str, path: Optional[str],
+               directory: bool = False) -> Optional[str]:
+    """Why ``path`` cannot take ``flag``'s output, or None if it can.
+
+    A ``directory`` output is created with its parents, so only an
+    existing file is in its way; a file output needs its directory.
+    """
+    import os
+
+    if path is None:
+        return None
+    if directory:
+        if os.path.exists(path) and not os.path.isdir(path):
+            return f"{flag} {path}: exists and is not a directory"
+        return None
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        return f"{flag} {path}: no such directory {parent}"
+    if os.path.isdir(path):
+        return f"{flag} {path}: is a directory"
+    return None
+
+
 def _scale(text: str):
     """``--scale``: a scale name or an element count >= 1, else a usage error."""
     scale = int(text) if text.lstrip("-").isdigit() else text
@@ -150,6 +173,9 @@ def _cmd_run(args) -> int:
         return _usage("--out needs --observe LAYERS")
     if args.interval and "intervals" not in layers:
         return _usage("--interval needs --observe intervals")
+    problem = _out_error("--out", args.out, directory=True)
+    if problem is not None:
+        return _usage(problem)
     extra = {}
     if layers & {"events", "intervals", "pipeline"}:
         extra["telemetry"] = {
@@ -186,7 +212,7 @@ def _cmd_run(args) -> int:
     if "intervals" in layers:
         data["intervals"] = r.telemetry.interval_rows()
     if "profile" in layers:
-        data["profile"] = r.profile.snapshot()
+        data["profile"] = r.profile.profile_snapshot()
     if args.out:
         _write_artifacts(args.out, r, data)
     if data:
@@ -247,6 +273,10 @@ def _cmd_sweep(args) -> int:
         return _usage("--live requires --dir")
     if args.resume and not (args.checkpoint or args.dir):
         return _usage("--resume requires --checkpoint (or --dir)")
+    for problem in (_out_error("--dir", args.dir, directory=True),
+                    _out_error("--csv", args.csv)):
+        if problem is not None:
+            return _usage(problem)
     axes = {}
     for spec in args.axis or []:
         name, eq, values = spec.partition("=")
@@ -440,7 +470,7 @@ def _inspect_dir(args) -> int:
             return _usage(problem)
     top = args.top or 10
     if args.diff:
-        from .profiling import diff_snapshots
+        from .telemetry import diff_snapshots
         from .stats.reporting import render_attribution_diff
 
         snaps = [_load_artifacts(d, ("profile",)).get("profile")
@@ -455,6 +485,9 @@ def _inspect_dir(args) -> int:
               render_attribution_diff(diff, *labels, top=top))
         return 0
     if args.html:
+        problem = _out_error("--html", args.html)
+        if problem is not None:
+            return _usage(problem)
         s = write_report(path, args.html, ledger=args.ledger)["summary"]
         print(f"wrote {args.html}: {s['ok']} ok / {s['failed']} failed rows")
         return 0
@@ -661,6 +694,9 @@ def _cmd_fuzz(args) -> int:
 
     if _exec_backend(args)[0] is None:
         return 2
+    problem = _out_error("--corpus", args.corpus, directory=True)
+    if problem is not None:
+        return _usage(problem)
     faults = None
     if args.flip_rate:
         faults = {"rf_rate": args.flip_rate, "scheme": "none",

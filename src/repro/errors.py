@@ -101,7 +101,8 @@ class SanitizerViolation(InvariantError, AssertionError):
 class AttributionError(InvariantError):
     """The cycle attributor's books don't balance.
 
-    Raised by the opt-in profiling subsystem (:mod:`repro.profiling`) when
+    Raised by the observed-run session's ``profile`` part
+    (:class:`repro.telemetry.TelemetrySession`) when
     the sum of per-cause attributed cycles differs from the core's commit
     clock — the one invariant that makes a top-down breakdown trustworthy.
     ``attributed``/``cycles`` carry both sides of the failed equality.

@@ -9,11 +9,11 @@ encoded here:
   :class:`~repro.system.simulator.RunResult` carries the live telemetry
   session and sanitizer handles, which hold references to cores (bound
   methods, caches) that neither pickle nor mean anything in the parent.
-  ``strip_result`` drops them — and folds a live metrics session down to
-  its plain snapshot dict, which *does* pickle and is all the parent
-  needs for merging.  Everything the sweep machinery consumes (config,
-  cycles, instructions, ipc, rf_hit_rate, stats, host_profile) survives,
-  so result digests are unaffected.
+  ``strip_result`` drops them — and folds the session's metric cells and
+  attribution down to their plain snapshot dicts, which *do* pickle and
+  are all the parent needs for merging.  Everything the sweep machinery
+  consumes (config, cycles, instructions, ipc, rf_hit_rate, stats,
+  host_profile) survives, so result digests are unaffected.
 
 * **Expected failures are return values, not exceptions.**  The worker
   catches :class:`~repro.errors.SimulationError` into a structured
@@ -48,19 +48,20 @@ __all__ = ["grid_worker", "strip_result"]
 def strip_result(result):
     """Drop the unpicklable session handles from a RunResult (in place).
 
-    The metrics and profile sessions are the exceptions: their snapshots
-    are plain data the parent consumes (fleet registry merge, attribution
-    reports), so they are folded down rather than dropped.
+    Where the ``metrics`` and ``profile`` fields hold the observed-run
+    session, its metric cells and attribution are plain data the parent
+    consumes (fleet registry merge, attribution reports), so they are
+    folded down to their snapshots rather than dropped.
     """
     if result is not None:
         result.telemetry = None
         result.sanitizer = None
         metrics = getattr(result, "metrics", None)
-        if metrics is not None and hasattr(metrics, "snapshot"):
-            result.metrics = metrics.snapshot()
+        if hasattr(metrics, "registry"):
+            result.metrics = metrics.registry.snapshot()
         profile = getattr(result, "profile", None)
-        if profile is not None and hasattr(profile, "snapshot"):
-            result.profile = profile.snapshot()
+        if hasattr(profile, "profile_snapshot"):
+            result.profile = profile.profile_snapshot()
     return result
 
 

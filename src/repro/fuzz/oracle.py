@@ -191,7 +191,7 @@ def _attribution_causes(cfg: RunConfig) -> Dict[str, int]:
     """
     try:
         result = _simulator.run_config(cfg.with_(profile=True), check=False)
-        return dict(result.profile.snapshot().get("causes", {}))
+        return dict(result.profile.profile_snapshot().get("causes", {}))
     except SimulationError:
         return {}
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..exec import WorkerCrash, resolve_backend
-from ..metrics import MetricsRegistry
+from ..telemetry import MetricsRegistry
 from ..system.sweeps import _Journal, _load_journal
 from .corpus import Corpus
 from .generator import generate, sample_spec

@@ -11,7 +11,7 @@ counts as a sanitize-off run (enforced by tests/sanitizer/test_noop.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..subsystems import parse_spec
 
@@ -62,6 +62,3 @@ class SanitizeConfig:
         if spec is None:
             return cls(shadow=False, structures=False, backing_bounds=False)
         return parse_spec(cls, spec, "sanitize")
-
-    def with_(self, **kw: object) -> "SanitizeConfig":
-        return replace(self, **kw)

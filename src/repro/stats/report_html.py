@@ -3,7 +3,7 @@
 ``repro inspect <dir> --html PATH`` folds a directory's artifacts —
 ``manifest.json`` (configs, deterministic result summaries, host
 profiles), ``metrics.json`` (the fleet
-:class:`~repro.metrics.MetricsRegistry` snapshot), ``sweep_events.jsonl``
+:class:`~repro.telemetry.MetricsRegistry` snapshot), ``sweep_events.jsonl``
 and ``profile.json`` — into one **self-contained** HTML file: inline
 CSS, inline SVG sparklines, no external assets, so the file can be
 archived as a CI artifact and opened anywhere.

@@ -168,7 +168,7 @@ def render_attribution_table(snapshot: Dict, top: int = 10,
     profile``, ``repro inspect``).
 
     ``snapshot`` is the plain-data dict produced by
-    :meth:`repro.profiling.ProfileSession.snapshot`: a per-cause cycle
+    :meth:`repro.telemetry.TelemetrySession.profile_snapshot`: a per-cause cycle
     table (taxonomy display order, shares, unicode bars) followed by the
     ``top`` hottest per-PC rows mapped to kernel source.
     """
@@ -215,7 +215,7 @@ def render_attribution_table(snapshot: Dict, top: int = 10,
 def render_attribution_diff(diff: Dict, base_label: str = "base",
                             other_label: str = "other",
                             top: int = 10) -> str:
-    """Terminal view of :func:`repro.profiling.diff_snapshots` output.
+    """Terminal view of :func:`repro.telemetry.diff_snapshots` output.
 
     Positive deltas mean the second (``other``) config spends more cycles
     on that cause or pc; causes print largest absolute delta first.

@@ -1,12 +1,14 @@
 """The opt-in layers a run can carry, stated once.
 
-A layer is one ``RunConfig`` field (``None`` = off, and then nothing of the
-layer is imported, wired or dispatched) and one package exporting
+A layer is one or more ``RunConfig`` fields (all ``None`` = off, and then
+nothing of the layer is imported, wired or dispatched) and one package
+exporting
 
-* ``CONFIG`` — its config dataclass, with a ``from_spec`` classmethod and
-  an ``enabled`` property, and
+* ``CONFIG`` — its config dataclass, whose ``from_spec`` classmethod takes
+  the specs of the layer's fields in row order, and
 * ``wire(conf, cfg, node, instances) -> handle | None`` — attach to every
-  core of ``node``; the handle lands on ``RunResult.<result>``.
+  core of ``node``; the handle lands on the ``RunResult`` fields named by
+  the row for the ``RunConfig`` fields that are set.
 
 The driver (``repro.system.simulator.run_config``) wires the rows of
 :data:`SUBSYSTEMS` top to bottom and ends the run bottom to top, in two
@@ -17,14 +19,12 @@ after it.
 
 The order is a contract.  It is the order every core dispatches its
 ``observers`` in (each layer attaches with ``core.observers += ...``).
-Fault injection is wired first: telemetry's ``attach`` must find
+Fault injection is wired first: the observe layer's ``attach`` must find
 ``core.fault_hook`` already there to route fault events into its ring, and
-VSan must see injected corruption.  At run end
-VSan's sweep comes before the attribution-sum check, and
-``ProfileSession.finalize`` (it emits ``cycle_causes`` into the telemetry
-ring) before ``TelemetrySession.finalize``.
+VSan must see injected corruption.  At run end VSan's sweep comes before
+the attribution-sum check.
 
-This module imports nothing from the package, so ``RunConfig`` and the five
+This module imports nothing from the package, so ``RunConfig`` and the
 ``*Config.from_spec`` classmethods can use it without a cycle.
 """
 
@@ -33,20 +33,22 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import fields
 from importlib import import_module
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-__all__ = ["SUBSYSTEMS", "Subsystem", "parse_spec", "requested"]
+__all__ = ["SUBSYSTEMS", "Subsystem", "parse_spec", "requested",
+           "spec_fields"]
 
 
 class Subsystem(NamedTuple):
     """One row of :data:`SUBSYSTEMS`."""
 
-    #: the ``RunConfig`` field holding the layer's spec
-    field: str
+    #: the ``RunConfig`` fields holding the layer's specs
+    fields: Tuple[str, ...]
     #: the package exporting ``CONFIG`` and ``wire``
     package: str
-    #: the ``RunResult`` field the handle lands on (None: no handle kept)
-    result: Optional[str]
+    #: per field, the ``RunResult`` field the handle lands on when that
+    #: field is set (None: no handle kept)
+    results: Tuple[Optional[str], ...]
     #: run end, inside the simulate phase: ``handle.verify()``
     verify: bool
     #: run end, after the simulate phase: ``handle.finalize()``
@@ -54,51 +56,62 @@ class Subsystem(NamedTuple):
 
 
 SUBSYSTEMS: Tuple[Subsystem, ...] = (
-    Subsystem("faults", "repro.faults", None, False, False),
-    Subsystem("telemetry", "repro.telemetry", "telemetry", False, True),
-    Subsystem("metrics", "repro.metrics", "metrics", False, True),
-    Subsystem("profile", "repro.profiling", "profile", True, True),
-    Subsystem("sanitize", "repro.sanitizer", "sanitizer", True, False),
+    Subsystem(("faults",), "repro.faults", (None,), False, False),
+    Subsystem(("telemetry", "metrics", "profile"), "repro.telemetry",
+              ("telemetry", "metrics", "profile"), True, True),
+    Subsystem(("sanitize",), "repro.sanitizer", ("sanitizer",), True, False),
 )
+
+
+def spec_fields(spec, noun: str, known: Sequence[str],
+                accepts_true: bool = True, cls=None) -> Dict:
+    """A layer field's spec as a dict of the field names ``known``.
+
+    ``True`` gives the defaults (an empty dict, where the field accepts
+    it); a mapping is checked against ``known``.  ``cls`` names the config
+    class an instance of which the field also accepts, for the message.
+    """
+    if spec is True and accepts_true:
+        return {}
+    if isinstance(spec, Mapping):
+        unknown = sorted(set(spec) - set(known))
+        if unknown:
+            raise ValueError(f"unknown {noun} field(s) {unknown}; "
+                             f"choose from {sorted(known)}")
+        return dict(spec)
+    instance = f"a {cls.__name__} or " if cls is not None else ""
+    raise TypeError(f"{noun} spec must be {instance}a mapping of its "
+                    f"fields{', or True' if accepts_true else ''}, "
+                    f"not {type(spec).__name__}")
 
 
 def parse_spec(cls, spec, noun: str, accepts_true: bool = True):
     """A layer's spec as an instance of its config dataclass ``cls``.
 
-    ``True`` gives the defaults (where the layer accepts it), an instance
-    is returned as it is, a mapping is checked against the fields of
-    ``cls``.  ``None`` is each ``from_spec``'s own line: what "all off"
-    means differs per layer.
+    An instance is returned as it is; anything else goes through
+    :func:`spec_fields` against the fields of ``cls``.  ``None`` is each
+    ``from_spec``'s own line: what "all off" means differs per layer.
     """
-    if spec is True and accepts_true:
-        return cls()
     if isinstance(spec, cls):
         return spec
-    if isinstance(spec, Mapping):
-        known = sorted(f.name for f in fields(cls))
-        unknown = sorted(set(spec) - set(known))
-        if unknown:
-            raise ValueError(f"unknown {noun} field(s) {unknown}; "
-                             f"choose from {known}")
-        return cls(**spec)
-    raise TypeError(f"{noun} spec must be a {cls.__name__} or a mapping of "
-                    f"its fields{', or True' if accepts_true else ''}, "
-                    f"not {type(spec).__name__}")
+    return cls(**spec_fields(spec, noun, [f.name for f in fields(cls)],
+                             accepts_true, cls))
 
 
 def requested(cfg) -> List[tuple]:
     """``(row, module, conf)`` for every layer ``cfg`` asks for, in order.
 
-    A layer is asked for when its field is not ``None`` and the spec parses
-    to an enabled config; parsing is what validates the spec.  A package is
-    imported only when its field is set.
+    A layer is asked for when one of its fields is not ``None`` and the
+    specs parse to a config that is not disabled (a config without an
+    ``enabled`` property is on); parsing is what validates the specs.  A
+    package is imported only when one of its fields is set.
     """
     out = []
     for row in SUBSYSTEMS:
-        spec = getattr(cfg, row.field)
-        if spec is not None:
+        specs = [getattr(cfg, name) for name in row.fields]
+        if any(spec is not None for spec in specs):
             module = import_module(row.package)
-            conf = module.CONFIG.from_spec(spec)
-            if conf.enabled:
+            conf = module.CONFIG.from_spec(*specs)
+            if getattr(conf, "enabled", True):
                 out.append((row, module, conf))
     return out

@@ -80,24 +80,23 @@ class RunConfig:
     #: per-run cycle-budget watchdog: abort with DeadlockError once any
     #: core's local clock exceeds this (None = unlimited)
     max_cycles: Optional[int] = None
-    #: optional telemetry campaign: a mapping of
-    #: :class:`~repro.telemetry.TelemetryConfig` fields (or an instance).
-    #: None (the default) wires nothing — runs are bit-identical to a
-    #: build without the telemetry subsystem.
+    #: The three fields of the observe layer: any of them set wires one
+    #: :class:`~repro.telemetry.TelemetrySession`, each for its part of
+    #: the run's artifact set (see :mod:`repro.telemetry.config` for the
+    #: knobs).  All three None (the default) wires nothing — runs are
+    #: bit-identical to a build without the telemetry package.
+    #: ``telemetry``: a mapping of ``events``, ``interval``,
+    #: ``pipeline_trace``, ``pipeline_trace_limit``, ``max_events`` and
+    #: ``verbose_hits`` — the event ring, VRMU probes, interval rows and
+    #: pipeline tracer.
     telemetry: Optional[Dict] = None
-    #: optional per-run metrics campaign: a mapping of
-    #: :class:`~repro.metrics.MetricsConfig` fields (or an instance, or
-    #: ``True`` for the defaults).  None (the default) wires nothing —
-    #: runs are bit-identical to a build without the metrics subsystem,
-    #: and the field is excluded from config/manifest digests when None so
-    #: pre-existing digests and checkpoint-journal keys stay valid.
+    #: ``metrics``: ``True`` or ``{"by_kind": ...}`` — per-run metric
+    #: cells and summary gauges.  Excluded from config/manifest digests
+    #: when None so pre-existing digests and checkpoint-journal keys stay
+    #: valid.
     metrics: Optional[Dict] = None
-    #: optional cycle-attribution profiling: a mapping of
-    #: :class:`~repro.profiling.ProfileConfig` fields (or an instance, or
-    #: ``True`` for the defaults).  None (the default) wires nothing —
-    #: runs are bit-identical to a build without the profiling subsystem,
-    #: and the field is excluded from config/manifest digests when None so
-    #: pre-existing digests and checkpoint-journal keys stay valid.
+    #: ``profile``: ``True`` (or ``{}``) — the top-down cycle attribution.
+    #: Excluded from digests when None, as ``metrics``.
     profile: Optional[Dict] = None
     #: optional VSan sanitizer mode: a mapping of
     #: :class:`~repro.sanitizer.SanitizeConfig` fields (or an instance, or

@@ -26,6 +26,7 @@ from ..virec import ViReCConfig, ViReCCore, make_nsf_core
 from .config import OOO_CLOCK_RATIO, RunConfig, ndp_dcache, ndp_icache, table1_dram
 from .node import NearMemoryNode, NodeResult
 from .offload import offload_contexts
+from .profiler import HostProfiler
 
 
 @dataclass
@@ -39,21 +40,21 @@ class RunResult:
     stats: Stats
     rf_hit_rate: Optional[float] = None
     correct: bool = True
-    #: the run's :class:`~repro.telemetry.TelemetrySession` when the config
-    #: asked for one (None otherwise)
+    #: the run's :class:`~repro.telemetry.TelemetrySession` when the
+    #: config's ``telemetry`` field is set (None otherwise).  Workers drop
+    #: it before shipping a result across a process boundary.
     telemetry: Optional[object] = None
     #: the run's :class:`~repro.sanitizer.Sanitizer` when the config asked
     #: for one (None otherwise); a returned result means no violation fired
     sanitizer: Optional[object] = None
-    #: the run's :class:`~repro.metrics.MetricsSession` when the config
-    #: asked for one (None otherwise).  Workers replace the live session
-    #: with its plain :meth:`~repro.metrics.MetricsSession.snapshot` dict
-    #: before shipping a result across a process boundary.
+    #: the same session when the ``metrics`` field is set (None
+    #: otherwise).  Workers replace it with its plain
+    #: ``registry.snapshot()`` dict before shipping a result.
     metrics: Optional[object] = None
-    #: the run's :class:`~repro.profiling.ProfileSession` when the config
-    #: asked for one (None otherwise); carries the verified per-cause/
-    #: per-thread/per-PC cycle attribution.  Workers fold it to its plain
-    #: snapshot dict before shipping across a process boundary.
+    #: the same session when the ``profile`` field is set (None
+    #: otherwise); carries the verified per-cause/per-thread/per-PC cycle
+    #: attribution.  Workers replace it with its plain
+    #: :meth:`~repro.telemetry.TelemetrySession.profile_snapshot` dict.
     profile: Optional[object] = None
     #: host-side wall-clock profile (phase seconds + instr/s); always
     #: collected — it never feeds back into simulated timing
@@ -115,8 +116,6 @@ def core_build(cfg: RunConfig, core_id: int = 0) -> tuple:
 
 def run_config(cfg: RunConfig, check: bool = True) -> RunResult:
     """Simulate one configuration and return its result record."""
-    from ..telemetry import HostProfiler
-
     spec = workloads.get(cfg.workload)
     profiler = HostProfiler()
 
@@ -185,8 +184,9 @@ def run_config(cfg: RunConfig, check: bool = True) -> RunResult:
     run = RunResult(config=cfg, cycles=result.cycles,
                     instructions=result.instructions, ipc=result.ipc,
                     stats=stats, rf_hit_rate=hit, correct=correct,
-                    **{row.result: handle for row, handle in wired
-                       if row.result})
+                    **{name: handle for row, handle in wired
+                       for field, name in zip(row.fields, row.results)
+                       if name and getattr(cfg, field) is not None})
     session = run.telemetry
     run.host_profile = profiler.as_dict(
         instructions=result.instructions, cycles=result.cycles,
@@ -196,13 +196,12 @@ def run_config(cfg: RunConfig, check: bool = True) -> RunResult:
 
 def _run_ooo(cfg: RunConfig, spec, check: bool, profiler=None) -> RunResult:
     """Single OoO host core over the full (unpartitioned) problem."""
-    from ..telemetry import HostProfiler
-
     if profiler is None:
         profiler = HostProfiler()
     # the ooo host core does not run on the timeline engine: there are no
     # observers, hook or commit clock for an opt-in layer to attach to
-    asked = [row.field for row, _, _ in requested(cfg)]
+    asked = [field for row, _, _ in requested(cfg) for field in row.fields
+             if getattr(cfg, field) is not None]
     if asked:
         raise ValueError("core_type 'ooo' does not run on the timeline "
                          "engine, so it runs none of the opt-in layers; "

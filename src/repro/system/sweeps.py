@@ -111,7 +111,7 @@ class GridRows(List[Dict]):
     need no changes.  ``resumed`` counts rows replayed from the checkpoint
     journal rather than re-simulated.  When the grid ran observed
     (``observe=``/``metrics=``), ``metrics`` carries the fleet
-    :class:`~repro.metrics.MetricsRegistry` and ``observability`` the
+    :class:`~repro.telemetry.MetricsRegistry` and ``observability`` the
     :class:`~repro.system.monitor.SweepObservability` surface (both None
     otherwise).
     """
@@ -369,7 +369,7 @@ def run_grid(configs: Iterable[RunConfig], check: bool = True,
     :class:`~repro.system.manifest.RunManifest` populated with every
     freshly simulated result in config order — serial and ``jobs=N``
     sweeps of the same grid produce identical manifests.  ``metrics`` is a
-    fleet :class:`~repro.metrics.MetricsRegistry` accumulating rows by
+    fleet :class:`~repro.telemetry.MetricsRegistry` accumulating rows by
     status, per-stage host wall-clock, and every worker-shipped per-run
     metrics snapshot (created automatically when ``observe`` is set);
     it is exposed as ``rows.metrics``.
@@ -398,7 +398,7 @@ def run_grid(configs: Iterable[RunConfig], check: bool = True,
         from .monitor import SweepObservability
         obs = SweepObservability.ensure(observe)
     if metrics is None and obs is not None:
-        from ..metrics import MetricsRegistry
+        from ..telemetry import MetricsRegistry
         metrics = MetricsRegistry()
     rows = GridRows()
     rows.metrics = metrics
@@ -446,9 +446,8 @@ def run_grid(configs: Iterable[RunConfig], check: bool = True,
                 stage.inc(float(secs), stage=name)
         snap = getattr(result, "metrics", None)
         if snap is not None:
-            if hasattr(snap, "snapshot"):
-                snap = snap.snapshot()
-            metrics.merge(snap)
+            # the live session of a serial run, or a worker's snapshot
+            metrics.merge(getattr(snap, "registry", snap))
 
     if obs is not None:
         obs.append_event("sweep_start", total=len(configs),

@@ -1,32 +1,53 @@
-"""Telemetry campaign description (safe to embed in a RunConfig).
+"""What an observed run records (safe to embed in a RunConfig).
 
-Mirrors the fault subsystem's opt-in discipline: ``RunConfig(telemetry=...)``
-takes a :class:`TelemetryConfig` (or a dict of its fields), and with the
-field left ``None`` nothing is wired — runs are bit-identical to a build
-without this package.  All instruments are purely observational: they read
-simulator state but never alter a timestamp, so even a telemetry-*on* run
-produces the same cycle counts as a telemetry-off run.
+Three ``RunConfig`` fields turn the observe layer on, each for its part of
+the run's artifact set: ``telemetry`` (a mapping of the first six knobs
+below: the event ring, VRMU probes, interval rows and pipeline tracer),
+``metrics`` (``True`` or ``{"by_kind": ...}``: the per-run metric cells
+and summary gauges) and ``profile`` (``True`` or ``{}``: the cycle
+attribution).  :meth:`TelemetryConfig.from_spec` parses the three into one
+config; a field left ``None`` records nothing of its part, and with all
+three ``None`` nothing is wired — runs are bit-identical to a build
+without this package.  Every instrument is purely observational: it reads
+simulator state but never alters a timestamp, so an observed run produces
+the same cycle counts as an unobserved one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from ..subsystems import parse_spec
+from ..subsystems import spec_fields
+
+#: the knobs each ``RunConfig`` field may set
+FIELD_KNOBS = {
+    "telemetry": ("events", "interval", "pipeline_trace",
+                  "pipeline_trace_limit", "max_events", "verbose_hits"),
+    "metrics": ("by_kind",),
+    "profile": (),
+}
 
 
 @dataclass(frozen=True)
 class TelemetryConfig:
     """What to collect during a run."""
 
+    #: the ``telemetry`` field is set: a per-core adapter with VRMU
+    #: introspection probes (occupancy by thread, eviction-cause
+    #: breakdown, residency histograms; no-op on cores without a VRMU)
+    telemetry: bool = True
+    #: the ``metrics`` field is set: committed instructions and the
+    #: commit-gap histogram per core, run-end cycle and VRMU hit/miss totals
+    metrics: bool = True
+    #: the ``profile`` field is set: every commit-clock cycle classified
+    #: into the top-down taxonomy, per cause, thread and PC
+    profile: bool = True
     #: structured event tracing (context switches, VRMU traffic, dcache
-    #: misses, faults) exportable as Chrome trace-event JSON
+    #: misses, faults, spill/fill flow arrows) exportable as Chrome
+    #: trace-event JSON
     events: bool = True
     #: cycles between interval-metric samples (0 = no interval sampling)
     interval: int = 0
-    #: VRMU introspection probes: occupancy by thread, eviction-cause
-    #: breakdown, residency histograms (no-op on cores without a VRMU)
-    vrmu_probes: bool = True
     #: attach a :class:`~repro.core.trace.PipelineTracer` to every core and
     #: fold its stall attribution into the telemetry report
     pipeline_trace: bool = False
@@ -34,12 +55,12 @@ class TelemetryConfig:
     pipeline_trace_limit: int = 10_000
     #: event-ring capacity; the oldest events are overwritten past this
     max_events: int = 200_000
-    #: connect spill/fill slices to their requesting thread with
-    #: Chrome-trace flow arrows (s/f event pairs)
-    flow_events: bool = True
     #: also record individual VRMU *hit* events (very high volume; hits are
     #: always aggregated into counters and interval series regardless)
     verbose_hits: bool = False
+    #: also label commit counters by instruction kind (load/store/branch/
+    #: alu) — slightly more per-commit work, much richer mix breakdowns
+    by_kind: bool = False
 
     def __post_init__(self) -> None:
         if self.interval < 0:
@@ -49,18 +70,22 @@ class TelemetryConfig:
         if self.pipeline_trace_limit < 1:
             raise ValueError("pipeline_trace_limit must be >= 1")
 
-    @property
-    def enabled(self) -> bool:
-        """True when any instrument would actually be wired."""
-        return bool(self.events or self.interval or self.vrmu_probes
-                    or self.pipeline_trace)
-
     @classmethod
-    def from_spec(cls, spec) -> "TelemetryConfig":
-        """Build from a TelemetryConfig, a dict of its fields, or None."""
-        if spec is None:
-            return cls(events=False, interval=0, vrmu_probes=False)
-        return parse_spec(cls, spec, "telemetry", accepts_true=False)
+    def from_spec(cls, telemetry=None, metrics=None,
+                  profile=None) -> "TelemetryConfig":
+        """Build from the ``telemetry``, ``metrics`` and ``profile`` specs.
 
-    def with_(self, **kw) -> "TelemetryConfig":
-        return replace(self, **kw)
+        ``telemetry`` is a mapping of its knobs; ``metrics`` and
+        ``profile`` are ``True`` or a mapping of theirs.  Without the
+        ``telemetry`` field there is no event ring.
+        """
+        kw = {}
+        for name, spec in (("telemetry", telemetry), ("metrics", metrics),
+                           ("profile", profile)):
+            kw[name] = spec is not None
+            if spec is not None:
+                kw.update(spec_fields(spec, name, FIELD_KNOBS[name],
+                                      accepts_true=name != "telemetry"))
+        if telemetry is None:
+            kw["events"] = False
+        return cls(**kw)

@@ -1,9 +1,11 @@
-"""Per-core telemetry adapter and VRMU introspection probes.
+"""Per-core observers: telemetry adapter, VRMU probes, commit counters.
 
-:class:`CoreTelemetry` is an :class:`~repro.core.instrument.Observer` on a
-core's ``observers`` tuple (empty by default — the same strictly-opt-in
-discipline as ``fault_hook``).  It translates pipeline events into trace
-events and drives the interval sampler off the core's commit clock.
+:class:`CoreTelemetry` and :class:`CoreMetrics` are
+:class:`~repro.core.instrument.Observer` instances on a core's
+``observers`` tuple (empty by default — the same strictly-opt-in
+discipline as ``fault_hook``).  The first translates pipeline events into
+trace events and drives the interval sampler off the core's commit clock;
+the second counts committed work into bound metric cells.
 
 :class:`VRMUProbe` attaches to a ViReC core's VRMU and collects the
 register-cache dynamics the paper's figures argue from: occupancy by
@@ -13,10 +15,15 @@ prefetch / task-drop), and per-register residency histograms.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.instrument import Observer
 from .events import BSI_TRACK, CTRL_TRACK, DCACHE_TRACK, EventTracer
+from .registry import MetricsRegistry
+
+#: commit-gap histogram bounds in cycles: tight at the pipelined end,
+#: coarse into stall territory
+_GAP_BUCKETS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, 256, 1024)
 
 
 class CoreTelemetry(Observer):
@@ -27,8 +34,7 @@ class CoreTelemetry(Observer):
         self.core = core
         self.cfg = session.config
         self.pid = core.core_id
-        self.events: Optional[EventTracer] = (session.events
-                                              if self.cfg.events else None)
+        self.events: Optional[EventTracer] = session.events
         self.sampler = None          # set by the session when interval > 0
         #: the core's PipelineTracer, set by the session with pipeline_trace
         self.tracer = None
@@ -220,7 +226,7 @@ class VRMUProbe:
         name = "dummy_fill" if dummy else "fill"
         ev.complete(name, t, done - t, self.ct.pid, BSI_TRACK,
                     args={"tid": tid, "reg": reg})
-        if self.ct.cfg.flow_events and not dummy:
+        if not dummy:
             ev.flow_pair("fill_flow", t, tid, done, BSI_TRACK, self.ct.pid)
 
     def on_spill(self, tid: int, reg: int, dirty: bool, t: int) -> None:
@@ -229,8 +235,7 @@ class VRMUProbe:
             return
         ev.complete("spill", t, 1, self.ct.pid, BSI_TRACK,
                     args={"tid": tid, "reg": reg, "dirty": bool(dirty)})
-        if self.ct.cfg.flow_events:
-            ev.flow_pair("spill_flow", t, tid, t, BSI_TRACK, self.ct.pid)
+        ev.flow_pair("spill_flow", t, tid, t, BSI_TRACK, self.ct.pid)
 
     # -- introspection -----------------------------------------------------
     def occupancy(self) -> Dict[int, int]:
@@ -256,3 +261,65 @@ class VRMUProbe:
             "peak_occupancy": {str(k): v for k, v in
                                sorted(self.peak_occupancy.items())},
         }
+
+
+class CoreMetrics(Observer):
+    """The per-core metrics sink: counts committed work.
+
+    Records off the :meth:`~repro.core.instrument.Observer.on_commit`
+    event into ``registry``: committed instructions by core (and by kind
+    with ``by_kind``) and the commit-to-commit gap histogram.  Purely
+    observational — it reads the commit timestamp, never adjusts one.
+    """
+
+    __slots__ = ("core", "_core_label", "_instructions", "_gaps",
+                 "_by_kind", "_last_commit", "_cells", "_gap_slot")
+
+    def __init__(self, registry: MetricsRegistry, core,
+                 by_kind: bool = False) -> None:
+        self.core = core
+        self._core_label = str(core.core_id)
+        self._instructions = registry.counter(
+            "sim_instructions_committed",
+            "instructions committed, by core (and kind with by_kind)")
+        self._gaps = registry.histogram(
+            "sim_commit_gap_cycles",
+            "cycles between consecutive commits, by core",
+            buckets=_GAP_BUCKETS)
+        self._by_kind = by_kind
+        self._last_commit = 0
+        #: kind (``None`` without ``by_kind``) -> bound counter cell, and
+        #: the bound histogram slot; bound at the first commit that writes
+        #: them, so a series exists only once something was recorded
+        self._cells: dict = {}
+        self._gap_slot = None
+
+    def _bind(self, kind: Optional[str]) -> list:
+        """First commit of ``kind``: canonicalise the label sets once."""
+        labels = {"core": self._core_label}
+        if self._gap_slot is None:
+            self._gap_slot = self._gaps.bind(**labels)
+        if kind is not None:
+            labels["kind"] = kind
+        cell = self._cells[kind] = self._instructions.bind(**labels)
+        return cell
+
+    def on_commit(self, thread, d, t_d, t_ops, t_regs, t_issue, t_ex_done,
+                  data_at, t_c, icache_missed, load_missed) -> None:
+        """Record one committed instruction (``d`` is its DecodedOp)."""
+        kind = None
+        if self._by_kind:
+            if d.is_load:
+                kind = "load"
+            elif d.is_store:
+                kind = "store"
+            elif d.is_branch:
+                kind = "branch"
+            else:
+                kind = "alu"
+        cell = self._cells.get(kind)
+        if cell is None:
+            cell = self._bind(kind)
+        cell[0] += 1
+        self._gaps.observe_into(self._gap_slot, t_c - self._last_commit)
+        self._last_commit = t_c

@@ -49,6 +49,6 @@ def test_observed_artifacts_add_up(core_type, n_cores):
     assert sum(len(ct.tracer.records)
                for ct in r.telemetry.cores) == r.instructions
     assert r.telemetry.events.counts["thread_done"] == halts
-    snap = r.profile.snapshot()
+    snap = r.profile.profile_snapshot()
     for core in snap["cores"]:
         assert sum(core["causes"].values()) == core["cycles"]

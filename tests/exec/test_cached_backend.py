@@ -10,7 +10,7 @@ import pytest
 
 from repro.ledger import CachedBackend, LedgerReader, SCHEMA_VERSION
 from repro.ledger import store as store_mod
-from repro.metrics import MetricsRegistry
+from repro.telemetry import MetricsRegistry
 from repro.system import run_grid, sweep
 
 from ..helpers import time_limit

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import (Counter, Histogram, MetricsConfig, MetricsRegistry,
-                           MetricsSession)
+from repro.telemetry import (Counter, CoreMetrics, Histogram,
+                             MetricsRegistry)
 
 label_sets = st.sampled_from(({}, {"core": "0"}, {"core": "1"},
                               {"core": "0", "kind": "load"},
@@ -141,7 +141,6 @@ class _Op:
 
 class _Core:
     core_id = 0
-    observers = ()
 
 
 def _commit(cm, kind, t_c):
@@ -150,9 +149,9 @@ def _commit(cm, kind, t_c):
 
 
 def test_series_exists_once_written():
-    session = MetricsSession(MetricsConfig(by_kind=True))
-    cm = session.attach(_Core())
-    series = lambda name: session.snapshot()["metrics"][name]["series"]
+    reg = MetricsRegistry()
+    cm = CoreMetrics(reg, _Core(), by_kind=True)
+    series = lambda name: reg.snapshot()["metrics"][name]["series"]
     # attached, nothing committed: the families exist, no series does
     assert series("sim_instructions_committed") == {}
     assert series("sim_commit_gap_cycles") == {}

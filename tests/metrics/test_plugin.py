@@ -12,7 +12,7 @@ The two hard promises tested here:
 
 import pytest
 
-from repro.metrics import MetricsConfig, MetricsRegistry
+from repro.telemetry import MetricsRegistry, TelemetryConfig
 from repro.system import RunConfig, RunManifest, run_config
 from repro.system.manifest import config_key
 
@@ -88,23 +88,22 @@ def test_snapshot_merges_into_fleet_registry():
     r = run_config(RunConfig(workload="gather", core_type="virec",
                              n_threads=2, n_per_thread=8, metrics=True))
     fleet = MetricsRegistry()
-    fleet.merge(r.metrics.snapshot())
-    fleet.merge(r.metrics.snapshot())
+    fleet.merge(r.metrics.registry.snapshot())
+    fleet.merge(r.metrics.registry.snapshot())
     assert (fleet.get("sim_instructions_committed").total()
             == 2 * r.metrics.registry.get("sim_instructions_committed").total())
 
 
 # -- config validation -------------------------------------------------------
 def test_metrics_config_from_spec():
-    assert MetricsConfig.from_spec(None).enabled is False
-    assert MetricsConfig.from_spec(True).enabled is True
-    assert MetricsConfig.from_spec({"by_kind": True}).by_kind is True
-    with pytest.raises(ValueError):
-        MetricsConfig.from_spec({"nope": 1})
+    assert TelemetryConfig.from_spec(metrics=True) == TelemetryConfig(
+        telemetry=False, profile=False, events=False)
+    assert TelemetryConfig.from_spec(metrics={"by_kind": True}).by_kind
+    for removed in ("commits", "commit_gaps", "summary"):
+        with pytest.raises(ValueError, match="unknown metrics field"):
+            TelemetryConfig.from_spec(metrics={removed: True})
     with pytest.raises(TypeError):
-        MetricsConfig.from_spec("yes")
-    with pytest.raises(ValueError):
-        MetricsConfig(commits=False, by_kind=True)
+        TelemetryConfig.from_spec(metrics="yes")
 
 
 def test_run_config_validates_metrics_eagerly():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.metrics import (Counter, Gauge, Histogram, MetricsRegistry)
+from repro.telemetry import (Counter, Gauge, Histogram, MetricsRegistry)
 
 
 # -- counters ----------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Cycle attribution: the exact-sum taxonomy invariant and cycle identity.
 
-The two hard guarantees of the profiling subsystem:
+The two hard guarantees of the observed run's ``profile`` part:
 
 * **exhaustive**: on every supported core type,
   ``sum(per-cause attributed cycles) == total core cycles`` — exactly,
   no residual bucket, enforced per run by the driver's run-end
-  ``ProfileSession.verify()`` (raising :class:`~repro.errors.AttributionError`);
+  ``TelemetrySession.verify()`` (raising :class:`~repro.errors.AttributionError`);
 * **observational**: a profile-on run is cycle- and stats-identical to
   the same run with profiling off (the attributor classifies timestamps
   the engine already computed; it never alters one).
@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.errors import AttributionError
-from repro.profiling import CAUSES, SCHEDULER_PC
+from repro.telemetry import CAUSES, SCHEDULER_PC
 from repro.system import RunConfig, run_config
 
 #: every timeline-engine core type (the ooo host is covered separately by
@@ -40,7 +40,7 @@ def test_every_cycle_attributed_exactly(core_type):
     assert session is not None and session.attributors
     for attributor in session.attributors:
         assert attributor.attributed == attributor.core.commit_tail
-    snap = session.snapshot()
+    snap = session.profile_snapshot()
     assert sum(snap["causes"].values()) == sum(
         c["cycles"] for c in snap["cores"])
     for core in snap["cores"]:
@@ -110,11 +110,6 @@ def test_profile_off_wires_nothing():
     assert run_config(_cfg("virec")).profile is None
 
 
-def test_disabled_spec_wires_nothing():
-    r = run_config(_cfg("virec", profile={"attribution": False}))
-    assert r.profile is None
-
-
 def test_ooo_rejects_profile():
     cfg = RunConfig(workload="gather", core_type="ooo", n_threads=1,
                     n_per_thread=16, profile=True)
@@ -137,7 +132,7 @@ def test_profile_none_keeps_digests_stable():
 # -- artifacts ---------------------------------------------------------------
 def test_snapshot_shape_and_json_round_trip():
     r = run_config(_cfg("virec", profile=True))
-    snap = r.profile.snapshot()
+    snap = r.profile.profile_snapshot()
     assert snap["taxonomy"] == list(CAUSES)
     assert snap["cycles"] == r.cycles
     again = json.loads(json.dumps(snap))
@@ -169,9 +164,8 @@ def test_collapsed_flamegraph_parses_and_sums():
 
 
 def test_counter_track_merges_into_chrome_trace(tmp_path):
-    r = run_config(_cfg("virec", n_per_thread=32, profile={
-        "attribution": True, "by_pc": True, "sample_cycles": 128},
-        telemetry={"events": True}))
+    r = run_config(_cfg("virec", n_per_thread=32, profile=True,
+                        telemetry={"events": True}))
     out = tmp_path / "trace.json"
     r.telemetry.write_chrome_trace(str(out))
     events = json.loads(out.read_text())["traceEvents"]
@@ -187,7 +181,7 @@ def test_counter_track_merges_into_chrome_trace(tmp_path):
 def test_strip_result_folds_profile_to_snapshot():
     from repro.exec.workers import strip_result
     r = run_config(_cfg("banked", profile=True))
-    snap = r.profile.snapshot()
+    snap = r.profile.profile_snapshot()
     stripped = strip_result(r)
     assert isinstance(stripped.profile, dict)
     assert stripped.profile == snap
@@ -200,7 +194,7 @@ def _spill_writeback_cycles(policy):
     r = run_config(cfg)
     for attributor in r.profile.attributors:
         assert attributor.attributed == attributor.core.commit_tail
-    return r.profile.snapshot()["causes"].get("spill_writeback", 0)
+    return r.profile.profile_snapshot()["causes"].get("spill_writeback", 0)
 
 
 def test_virec_attributes_spill_held_port_waits():

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
-from repro.profiling import diff_snapshots
+from repro.telemetry import diff_snapshots
 from repro.system import RunConfig, run_config
 
 #: fixed kernel of the Fig 9 consistency assertions
@@ -22,7 +22,7 @@ FIG9_KW = dict(workload="gather", n_threads=8, n_per_thread=32,
 
 def _snapshot(core_type):
     return run_config(RunConfig(core_type=core_type, **FIG9_KW)
-                      ).profile.snapshot()
+                      ).profile.profile_snapshot()
 
 
 # -- Fig 9 consistency -------------------------------------------------------
@@ -148,7 +148,8 @@ def test_report_dir_without_event_log_hint(tmp_path, capsys):
 @pytest.fixture()
 def sweep_dir_with_profile(tmp_path):
     session = run_config(RunConfig(core_type="banked", **FIG9_KW)).profile
-    (tmp_path / "profile.json").write_text(json.dumps(session.snapshot()))
+    (tmp_path / "profile.json").write_text(
+        json.dumps(session.profile_snapshot()))
     (tmp_path / "sweep_events.jsonl").write_text("")
     return tmp_path
 

@@ -68,6 +68,14 @@ CASES = [
     ("lint-path", ["lint", "{tmp}/nope"]),
     ("fuzz-replay-missing", ["fuzz", "--replay", "{tmp}/nope"]),
     ("fuzz-replay-empty", ["fuzz", "--replay", "{tmp}"]),
+    ("run-out-file", ["run", *_SMALL, "--observe", "profile", "--out",
+                      "{tmp}/trace.json"]),
+    ("sweep-dir-file", ["sweep", *_SMALL, "--dir", "{tmp}/trace.json"]),
+    ("sweep-csv-missing-dir", ["sweep", *_SMALL, "--csv", "{tmp}/nope/x.csv"]),
+    ("inspect-html-missing-dir", ["inspect", "{tmp}", "--html",
+                                  "{tmp}/nope/r.html"]),
+    ("fuzz-corpus-file", ["fuzz", "--budget", "1", "--corpus",
+                          "{tmp}/trace.json"]),
     # -- flag combinations that are not allowed ----------------------------
     ("inspect-digest-follow", ["inspect", "synt:a", "--follow"]),
     ("inspect-digest-html", ["inspect", "synt:a", "--html", "{tmp}/r.html"]),

@@ -1,7 +1,8 @@
-"""The opt-in layers, row by row (``repro/subsystems.py``).
+"""The opt-in layers, row by row and field by field (``repro/subsystems.py``).
 
-Parametrised over :data:`~repro.subsystems.SUBSYSTEMS` so a sixth row is
-covered the day it is added.
+Parametrised over :data:`~repro.subsystems.SUBSYSTEMS` — per row where a
+layer has a disabled spec, per ``RunConfig`` field everywhere else — so a
+new row or field is covered the day it is added.
 """
 
 import os
@@ -16,14 +17,22 @@ from repro.core.base import TimelineCore
 from repro.subsystems import SUBSYSTEMS, requested
 from repro.system import NearMemoryNode, RunConfig, run_config
 
-ROWS = pytest.mark.parametrize("row", SUBSYSTEMS, ids=lambda row: row.field)
+#: ``(field, row, RunResult field)`` for every layer field
+FIELDS = [(field, row, result) for row in SUBSYSTEMS
+          for field, result in zip(row.fields, row.results)]
+BY_FIELD = pytest.mark.parametrize("field,row,result", FIELDS,
+                                   ids=[field for field, _, _ in FIELDS])
 
-#: a spec that parses to an enabled config, where the defaults do not
-_ENABLED = {"faults": {"rf_rate": 1e-3, "scheme": "ecc"}}
+#: the rows whose config has an all-off form besides ``None``
+DISABLED = [row for row in SUBSYSTEMS
+            if hasattr(import_module(row.package).CONFIG, "enabled")]
+BY_DISABLED_ROW = pytest.mark.parametrize(
+    "row", DISABLED, ids=[row.fields[0] for row in DISABLED])
 
-
-def enabled_spec(row):
-    return _ENABLED.get(row.field) or import_module(row.package).CONFIG()
+#: a spec each field accepts that turns its layer on
+ENABLED = {"faults": {"rf_rate": 1e-3, "scheme": "ecc"},
+           "telemetry": {"events": True}, "metrics": True, "profile": True,
+           "sanitize": True}
 
 
 def small(**kw):
@@ -45,85 +54,104 @@ def nodes(monkeypatch):
     return seen
 
 
-def assert_nothing_wired(row, result, node):
+def assert_nothing_wired(result, node):
     (core,) = node.cores
     assert core.observers == ()
     assert core.fault_hook is None
     assert (core._process_instruction.__func__
             is TimelineCore._process_instruction_compiled)
     assert not core._engine_variant().observed
-    if row.result:
-        assert getattr(result, row.result) is None
+    for _, _, name in FIELDS:
+        if name:
+            assert getattr(result, name) is None
 
 
 # ------------------------------------------------------------------ off
-@ROWS
-def test_field_none_wires_nothing(row, nodes):
+@BY_FIELD
+def test_field_none_wires_nothing(field, row, result, nodes):
     cfg = small()
-    assert getattr(cfg, row.field) is None and requested(cfg) == []
-    assert_nothing_wired(row, run_config(cfg), nodes[-1])
+    assert getattr(cfg, field) is None and requested(cfg) == []
+    assert_nothing_wired(run_config(cfg), nodes[-1])
 
 
-@ROWS
+@BY_DISABLED_ROW
 def test_disabled_spec_wires_nothing(row, nodes):
     all_off = import_module(row.package).CONFIG.from_spec(None)
     assert not all_off.enabled
-    cfg = small(**{row.field: all_off})
+    cfg = small(**{row.fields[0]: all_off})
     assert requested(cfg) == []
-    assert_nothing_wired(row, run_config(cfg), nodes[-1])
+    assert_nothing_wired(run_config(cfg), nodes[-1])
 
 
-@ROWS
-def test_enabled_spec_is_wired(row, nodes):
-    result = run_config(small(**{row.field: enabled_spec(row)}))
+@BY_FIELD
+def test_enabled_spec_is_wired(field, row, result, nodes):
+    run = run_config(small(**{field: ENABLED[field]}))
     (core,) = nodes[-1].cores
     assert core.fault_hook is not None or core.observers
-    if row.result:
-        assert getattr(result, row.result) is not None
+    # the handle lands on this field's result only
+    for _, _, name in FIELDS:
+        if name:
+            assert (getattr(run, name) is not None) == (name == result)
+
+
+def test_the_observe_fields_share_one_session(nodes):
+    run = run_config(small(telemetry={"events": True}, metrics=True,
+                           profile=True))
+    assert run.telemetry is run.metrics is run.profile
+    (core,) = nodes[-1].cores
+    session = run.telemetry
+    assert core.observers == (*session.cores, *session.counters,
+                              *session.attributors)
 
 
 # ----------------------------------------------------------- validation
-@ROWS
-def test_unknown_field_rejected_at_config_time(row):
+@BY_FIELD
+def test_unknown_field_rejected_at_config_time(field, row, result):
     with pytest.raises(ValueError,
-                       match=rf"unknown {row.field} field\(s\) \['nope'\]; "
-                             r"choose from \['"):
-        RunConfig(**{row.field: {"nope": 1}})
+                       match=rf"unknown {field} field\(s\) \['nope'\]; "
+                             r"choose from \["):
+        RunConfig(**{field: {"nope": 1}})
 
 
-@ROWS
-def test_wrong_type_names_the_class_and_the_type(row):
-    cls = import_module(row.package).CONFIG.__name__
-    with pytest.raises(TypeError, match=rf"{cls} or a mapping.* not int"):
-        RunConfig(**{row.field: 3})
+@BY_FIELD
+def test_wrong_type_names_the_class_and_the_type(field, row, result):
+    config = import_module(row.package).CONFIG
+    # the observe fields take mappings only: the config class is their
+    # parse, not a spec
+    accepted = ("" if len(row.fields) > 1
+                else rf"a {config.__name__} or ")
+    with pytest.raises(TypeError,
+                       match=rf"^{field} spec must be {accepted}a mapping.* "
+                             r"not int$"):
+        RunConfig(**{field: 3})
 
 
 # ------------------------------------------------------------------ ooo
-@ROWS
-def test_ooo_rejects_an_enabled_layer_at_run_time(row):
+@BY_FIELD
+def test_ooo_rejects_an_enabled_layer_at_run_time(field, row, result):
     cfg = RunConfig(workload="gather", core_type="ooo", n_threads=1,
-                    n_per_thread=16, **{row.field: enabled_spec(row)})
-    with pytest.raises(ValueError, match=rf"'ooo'.*drop {row.field}$"):
+                    n_per_thread=16, **{field: ENABLED[field]})
+    with pytest.raises(ValueError, match=rf"'ooo'.*drop {field}$"):
         run_config(cfg)
 
 
-@ROWS
+@BY_DISABLED_ROW
 def test_ooo_runs_with_a_disabled_layer(row):
     all_off = import_module(row.package).CONFIG.from_spec(None)
     r = run_config(RunConfig(workload="gather", core_type="ooo", n_threads=1,
-                             n_per_thread=16, **{row.field: all_off}))
+                             n_per_thread=16, **{row.fields[0]: all_off}))
     assert r.correct and r.cycles > 0
 
 
 # ---------------------------------------------------------------- order
 def all_on(**kw):
-    return small(**{row.field: enabled_spec(row) for row in SUBSYSTEMS}, **kw)
+    return small(**{field: ENABLED[field] for field, _, _ in FIELDS}, **kw)
 
 
 def test_requested_is_in_table_order():
     assert [row for row, _, _ in requested(all_on())] == list(SUBSYSTEMS)
-    assert [row.field for row in SUBSYSTEMS] == [
-        "faults", "telemetry", "metrics", "profile", "sanitize"]
+    assert [row.fields for row in SUBSYSTEMS] == [
+        ("faults",), ("telemetry", "metrics", "profile"), ("sanitize",)]
 
 
 def test_wiring_and_run_end_order(monkeypatch):
@@ -132,19 +160,19 @@ def test_wiring_and_run_end_order(monkeypatch):
     class Handle:
         event_count = 0  # the driver reads it off the telemetry handle
 
-        def __init__(self, field):
-            self.field = field
+        def __init__(self, package):
+            self.package = package
 
         def verify(self):
-            log.append((self.field, "verify"))
+            log.append((self.package, "verify"))
 
         def finalize(self):
-            log.append((self.field, "finalize"))
+            log.append((self.package, "finalize"))
 
     def recording_wire(row):
         def wire(conf, cfg, node, instances):
-            log.append((row.field, "wire"))
-            return Handle(row.field)
+            log.append((row.package, "wire"))
+            return Handle(row.package)
         return wire
 
     for row in SUBSYSTEMS:
@@ -152,14 +180,13 @@ def test_wiring_and_run_end_order(monkeypatch):
                             recording_wire(row))
     result = run_config(all_on())
     assert log == [
-        ("faults", "wire"), ("telemetry", "wire"), ("metrics", "wire"),
-        ("profile", "wire"), ("sanitize", "wire"),
-        ("sanitize", "verify"), ("profile", "verify"),
-        ("profile", "finalize"), ("metrics", "finalize"),
-        ("telemetry", "finalize")]
-    for row in SUBSYSTEMS:
-        if row.result:
-            assert getattr(result, row.result).field == row.field
+        ("repro.faults", "wire"), ("repro.telemetry", "wire"),
+        ("repro.sanitizer", "wire"),
+        ("repro.sanitizer", "verify"), ("repro.telemetry", "verify"),
+        ("repro.telemetry", "finalize")]
+    for _, row, name in FIELDS:
+        if name:
+            assert getattr(result, name).package == row.package
 
 
 # -------------------------------------------------------------- imports
@@ -168,8 +195,8 @@ def test_a_plain_run_imports_no_layer_it_did_not_ask_for():
             "from repro.system import RunConfig, run_config\n"
             "run_config(RunConfig(workload='gather', n_threads=2,"
             " n_per_thread=8))\n"
-            "print(sorted(m for m in ('repro.faults', 'repro.metrics',"
-            " 'repro.profiling', 'repro.sanitizer') if m in sys.modules))\n")
+            "print(sorted(m for m in sys.modules if m.startswith(("
+            "'repro.faults', 'repro.telemetry', 'repro.sanitizer'))))\n")
     src = os.path.dirname(os.path.dirname(repro.__file__))
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,

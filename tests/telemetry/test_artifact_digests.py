@@ -6,7 +6,7 @@ reader's side; what a reader gets must not depend on how a sink stores it.
 These literals were recorded on the commit *before* the sinks were changed
 to record tuples and bound cells, over seven configs: the benchmark's own
 ``virec_observed`` config at two seeds, a 500-event / 64-record ring that
-wraps (with ``verbose_hits``, ``by_kind``, ``by_pc`` and an interval that
+wraps (with ``verbose_hits``, ``by_kind`` and an interval that
 does not divide the run), banked x 2 cores, fgmt, swctx, and ``dead-elide``
 at 40 % context.  The ``fgmt`` block was re-recorded when the barrel core's
 reference body started dispatching the ``telemetry``, ``metrics`` and
@@ -42,8 +42,7 @@ CONFIGS = {
         "telemetry": {"events": True, "interval": 37, "pipeline_trace": True,
                       "pipeline_trace_limit": 64, "max_events": 500,
                       "verbose_hits": True},
-        "metrics": {"by_kind": True},
-        "profile": {"by_pc": True}}),
+        "metrics": {"by_kind": True}}),
     "banked-2core": RunConfig(workload="gather", core_type="banked",
                               n_cores=2, n_per_thread=32, **_ALL),
     "fgmt": RunConfig(workload="gather", core_type="fgmt", n_per_thread=32,
@@ -63,8 +62,9 @@ def _sha(value) -> str:
 
 
 def artifacts(result) -> dict:
-    """``{artifact name: sha-256}`` of everything the run's sessions export."""
-    tel, met, prof = result.telemetry, result.metrics, result.profile
+    """``{artifact name: sha-256}`` of everything the run's session exports."""
+    tel = result.telemetry
+    assert result.metrics is tel and result.profile is tel
     return {
         "cycles": result.cycles,
         "stats": stats_digest(result),
@@ -83,10 +83,10 @@ def artifacts(result) -> dict:
         "stall_summary": _sha([ct.tracer.stall_summary()
                                for ct in tel.cores]),
         "tracer_dropped": [ct.tracer.dropped for ct in tel.cores],
-        "metrics_snapshot": _sha(met.snapshot()),
-        "metrics_text": _sha(met.render_text()),
-        "profile_snapshot": _sha(prof.snapshot()),
-        "profile_collapsed": _sha(prof.collapsed()),
+        "metrics_snapshot": _sha(tel.registry.snapshot()),
+        "metrics_text": _sha(tel.registry.render_text()),
+        "profile_snapshot": _sha(tel.profile_snapshot()),
+        "profile_collapsed": _sha(tel.collapsed()),
     }
 
 

@@ -10,8 +10,7 @@ import pytest
 
 from repro.system import RunConfig, run_config
 
-FULL_TELEMETRY = {"events": True, "interval": 100, "vrmu_probes": True,
-                  "pipeline_trace": True}
+FULL_TELEMETRY = {"events": True, "interval": 100, "pipeline_trace": True}
 
 
 @pytest.mark.parametrize("core_type", ["virec", "banked", "swctx", "fgmt",
@@ -53,13 +52,6 @@ def test_telemetry_off_wires_nothing():
     assert r.telemetry is None
 
 
-def test_disabled_spec_wires_nothing():
-    r = run_config(RunConfig(
-        workload="gather", core_type="virec", n_threads=2, n_per_thread=8,
-        telemetry={"events": False, "interval": 0, "vrmu_probes": False}))
-    assert r.telemetry is None
-
-
 def test_ooo_rejects_telemetry():
     cfg = RunConfig(workload="gather", core_type="ooo", n_threads=1,
                     n_per_thread=16, telemetry={"events": True})
@@ -98,9 +90,10 @@ def test_attach_goes_through_the_bus():
             is TimelineCore._process_instruction_compiled)
     assert not core._engine_variant().observed
 
-    session = TelemetrySession(TelemetryConfig(events=True, interval=50))
-    ct = session.attach(core)
-    assert core.observers == (ct,)
+    session = TelemetrySession(TelemetryConfig(
+        events=True, interval=50, metrics=False, profile=False))
+    session.attach(core)
+    assert core.observers == tuple(session.cores)
     assert (core._process_instruction.__func__
             is TimelineCore._process_instruction_compiled)
     assert core._engine_variant().observed
@@ -118,6 +111,7 @@ def test_bus_attached_run_is_cycle_identical_to_fast_path():
     observed, _, _, _ = build_gather_core(BankedCore, n_threads=4, n=32)
     TelemetrySession(TelemetryConfig(events=True, interval=25,
                                      pipeline_trace=True)).attach(observed)
+    assert len(observed.observers) == 4   # adapter, tracer, counter, tiles
     observed.run()
 
     assert observed.commit_tail == bare.commit_tail

@@ -9,7 +9,7 @@ from repro.stats.reporting import render_intervals, sparkline
 from repro.system import RunConfig, run_config
 from repro.telemetry import IntervalSampler, TelemetryConfig
 from repro.telemetry.probes import _log2_bucket
-from repro.telemetry.profiler import HostProfiler
+from repro.system.profiler import HostProfiler
 
 
 def _virec_run(**telemetry):
@@ -92,12 +92,19 @@ def test_sampler_rejects_bad_interval():
 # -- config ------------------------------------------------------------------
 
 def test_config_from_spec_roundtrip():
-    tc = TelemetryConfig(interval=50)
-    assert TelemetryConfig.from_spec(tc) is tc
+    tc = TelemetryConfig(interval=50, metrics=False, profile=False)
     assert TelemetryConfig.from_spec({"interval": 50}) == tc
-    assert not TelemetryConfig.from_spec(None).enabled
+    assert TelemetryConfig.from_spec(
+        {"interval": 50}, True, True) == TelemetryConfig(interval=50)
+    # without the telemetry field there is no ring to record into
+    assert not TelemetryConfig.from_spec(profile=True).events
+    for removed in ("vrmu_probes", "flow_events"):
+        with pytest.raises(ValueError, match="unknown telemetry field"):
+            TelemetryConfig.from_spec({removed: True})
     with pytest.raises(TypeError):
         TelemetryConfig.from_spec("yes")
+    with pytest.raises(TypeError):
+        TelemetryConfig.from_spec(True)
     with pytest.raises(ValueError):
         TelemetryConfig(interval=-1)
 

@@ -99,7 +99,9 @@ def test_monitor_sees_what_the_vrmu_does_and_keeps_an_attached_probe():
 
     core, *_ = build_gather_core(ViReCCore, n_threads=4, n=64,
                                  virec=ViReCConfig(rf_size=16))
-    telemetry = TelemetrySession().attach(core).vrmu_probe
+    session = TelemetrySession()
+    session.attach(core)
+    telemetry = session.cores[0].vrmu_probe
     assert core.vrmu.probe is telemetry
     monitor = RegisterCacheMonitor(core)
     assert core.vrmu.probe is monitor
