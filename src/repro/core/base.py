@@ -200,11 +200,7 @@ class TimelineCore:
                               is not TimelineCore.decode_regs_ready)
         self._has_commit_hook = cls.on_commit is not TimelineCore.on_commit
         self._ccode = None     # the generated step table
-        #: superop chaining permission — :meth:`set_step_chaining` turns
-        #: it off for cores inside a multi-core node (the node interleaves
-        #: cores per step, so a chained step would batch one core's
-        #: shared-memory traffic ahead of its peers)
-        self._chain_steps = True
+        self._shared = False   # see the ``shared`` property
         self._recompile_step()
 
     # -------------------------------------------------------- instruments
@@ -229,13 +225,26 @@ class TimelineCore:
         self._observers = tuple(observers)
         self._recompile_step()
 
+    @property
+    def shared(self) -> bool:
+        """Whether this core shares its crossbar with peer cores.  A
+        multi-core :class:`~repro.system.node.NearMemoryNode` sets it; a
+        shared core's superops chain only the ops no peer can observe
+        (see :func:`repro.isa.compiled._build_code`)."""
+        return self._shared
+
+    @shared.setter
+    def shared(self, shared: bool) -> None:
+        self._shared = shared
+        self._recompile_step()
+
     def _recompile_step(self) -> None:
         """Compile the step table for the current instruments and bind it.
 
-        Called at construction and on every instrument attach/detach and
-        chaining change: no fault hook and no observers selects the bare
-        variant (zero instrumentation code), anything attached the
-        observed one (see :meth:`_engine_variant`).
+        Called at construction, on every instrument attach/detach and
+        when a node marks the core ``shared``: no fault hook and no
+        observers selects the bare variant (zero instrumentation code),
+        anything attached the observed one (see :meth:`_engine_variant`).
 
         ``_step_impl`` always names the bound body; external wrappers of
         ``_process_instruction`` (the task-pool redispatcher) call through
@@ -259,7 +268,7 @@ class TimelineCore:
             commit_hook=self._has_commit_hook,
             miss_switch=(self.config.switch_on_miss
                          and len(self.threads) > 1),
-            chained=self._chain_steps,
+            shared=self._shared,
             observed=self._fault_hook is not None or bool(self._observers))
 
     # The per-instruction step.  The pipeline's timing rules are stated
@@ -272,20 +281,6 @@ class TimelineCore:
     def _process_instruction_compiled(self, thread: ThreadContext) -> int:
         """Threaded-code dispatch: one call into the closure chain."""
         return self._ccode[thread.pc](self, thread)
-
-    def set_step_chaining(self, enabled: bool) -> None:
-        """Allow or forbid superop chains in the step table.
-
-        Multi-core nodes must turn chaining off: the node driver
-        interleaves cores one :meth:`step` at a time in local-clock
-        order, and a chained step commits a whole branch-free run —
-        batching this core's crossbar/DRAM requests ahead of its
-        peers and changing contention order.  Chains are stateless, so
-        flipping mid-run is safe.
-        """
-        if enabled != self._chain_steps:
-            self._chain_steps = enabled
-            self._recompile_step()
 
     def _halt_thread(self, thread: ThreadContext) -> None:
         """Commit-time halt bookkeeping (shared with the compiled closures,

@@ -85,21 +85,20 @@ class EngineVariant:
 
     Two cores whose variants compare equal can share one compiled table;
     anything that changes the emitted code (which hooks fire, whether a
-    load can context-switch) must be a field here — that is the
-    cache-keying guarantee ``tests/isa/test_compiled.py`` pins down.
+    load can context-switch, which ops a superop may chain) must be a
+    field here — that is the cache-keying guarantee
+    ``tests/isa/test_compiled.py`` pins down.
     """
 
     family: str = "timeline"       # "timeline" | "barrel"
     reg_hook: bool = False         # decode_regs_ready overridden (VRMU)
     commit_hook: bool = False      # on_commit overridden
     miss_switch: bool = False      # switch_on_miss and >1 thread
-    #: superop chaining.  Off for cores inside a multi-core node: the
-    #: node interleaves cores per step() in local-clock order, and a
-    #: chained step would batch one core's shared-memory traffic ahead
-    #: of its peers, changing crossbar/DRAM contention order.  Part of
-    #: the key so chained and unchained tables never collide in the
-    #: compile cache.
-    chained: bool = True
+    #: the core shares its crossbar with peer cores (a multi-core node).
+    #: The node steps the core with the smallest local clock, so a
+    #: superop may only chain the ops no peer can observe: see
+    #: :func:`_build_code` for the rule.
+    shared: bool = False
     #: a fault hook or an observer is attached.  Derived by the core from
     #: its ``fault_hook`` / ``observers``; not a user option.
     observed: bool = False
@@ -151,11 +150,24 @@ def _build_code(dprog: DecodedProgram,
     """One step per pc, built in reverse pc order so that a step's
     successor exists when it is chained to.  Only the timeline family
     chains: the barrel scheduler re-picks the earliest-issue thread after
-    every instruction, so a chain would defeat the rotation."""
+    every instruction, so a chain would defeat the rotation.
+
+    A ``shared`` core chains pc into pc+1 only when pc+1 cannot reach
+    state a peer core sees: it is no ``ldr``/``str`` and sits on pc's
+    icache line (an icache miss goes to the crossbar).  Its VRMU hooks
+    (a fill or spill may miss the dcache) and its observers (all cores of
+    a node share one event ring, ordered by call) keep it to single-op
+    steps.  Such an op commutes with every peer step, and the op after
+    the chain is picked at the same node-minimum clock it would have been
+    picked at one op at a time, so crossbar/DRAM order is unchanged.  A
+    step may still *start* at a memory op."""
     ops = dprog.ops
     n = len(ops)
-    leaders = (_block_leaders(dprog)
-               if variant.chained and variant.family == "timeline" else None)
+    shared = variant.shared
+    chains = variant.family == "timeline" and not (
+        shared and (variant.observed or variant.reg_hook
+                    or variant.commit_hook))
+    leaders = _block_leaders(dprog) if chains else None
     code: List[Optional[Callable]] = [None] * n
     depth = [0] * n
     for pc in range(n - 1, -1, -1):
@@ -164,7 +176,9 @@ def _build_code(dprog: DecodedProgram,
         npc = pc + 1
         if (leaders is not None and not d.is_branch and not d.is_halt
                 and npc < n and npc not in leaders
-                and depth[npc] < MAX_CHAIN):
+                and depth[npc] < MAX_CHAIN
+                and not (shared and (ops[npc].is_mem
+                                     or ops[npc].line != d.line))):
             chain = code[npc]
             depth[pc] = depth[npc] + 1
         code[pc] = _make_step(ops, pc, variant, chain)

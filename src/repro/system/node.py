@@ -7,11 +7,15 @@ as distinct physical allocations would.
 
 Cores advance in a smallest-local-clock-first interleaving: the node steps
 the live core with the smallest ``now`` (the first such core in core order
-on a tie) for one instruction — superop chaining is off inside a node —
-so the cores present their crossbar and DRAM requests in the order of
-their clocks.  The clocks are kept in a list beside the live cores and only
-the stepped core's entry is refreshed, which is exact because a core's
-``now`` is written by its own step and nothing else.
+on a tie), so the cores present their crossbar and DRAM requests in the
+order of their clocks.  One step is one instruction or a superop chain of
+ops no peer can observe: the node marks every core ``shared``, which ends
+a chain before any ``ldr``/``str`` or icache line crossing and keeps
+cores with VRMU hooks or observers to single-op steps.
+:func:`repro.isa.compiled._build_code` states the rule and why it keeps
+the single-op request order.  The clocks are kept in a list beside the
+live cores and only the stepped core's entry is refreshed, which is exact
+because a core's ``now`` is written by its own step and nothing else.
 """
 
 from __future__ import annotations
@@ -68,7 +72,10 @@ class NearMemoryNode:
             skew = AddressSkew(memsys.crossbar, cid)
             ports.icache.next_level = skew
             ports.dcache.next_level = skew
-            self.cores.append(core_factory(cid, ports.icache, ports.dcache))
+            core = core_factory(cid, ports.icache, ports.dcache)
+            if n_cores > 1:
+                core.shared = True
+            self.cores.append(core)
 
     def run(self, max_cycles: Optional[int] = None) -> NodeResult:
         """Interleave cores by local clock until all complete.
@@ -77,6 +84,8 @@ class NearMemoryNode:
         clock exceeds it the run aborts with :class:`DeadlockError` (the
         resilient sweep runner turns that into a structured RunFailure
         instead of hanging a multi-hour grid on one bad configuration).
+        It is checked once per step, so once per superop chain, as
+        :meth:`~repro.core.base.TimelineCore.run` checks its own.
         """
         live = list(self.cores)
         # the live cores' ``now`` in ``live`` order; ``list.index`` finds

@@ -142,14 +142,8 @@ def run_config(cfg: RunConfig, check: bool = True) -> RunResult:
             # shared read-only with the sweep's other runs, memory copied
             inst = workloads.build(*core_build(cfg, core_id))
             instances.append(inst)
-            core = _make_core(cfg, inst, icache, dcache, core_id=core_id,
+            return _make_core(cfg, inst, icache, dcache, core_id=core_id,
                               stats=stats.child(f"core{core_id}"))
-            if cfg.n_cores > 1:
-                # the node interleaves cores per step() in clock order;
-                # superop chains would batch one core's shared-memory
-                # traffic and change crossbar/DRAM contention order
-                core.set_step_chaining(False)
-            return core
 
         node = NearMemoryNode(cfg.n_cores, memsys, factory,
                               stats=stats.child("node"))

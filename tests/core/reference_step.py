@@ -13,7 +13,7 @@ here is imported by ``src/``.
 
 :func:`bind_steps` records every core built inside a ``with`` block and,
 asked for the reference, binds these bodies on each of them — through
-every later instrument attach, chaining change and task-pool wrapper — so
+every later instrument attach, ``shared`` mark and task-pool wrapper — so
 one ``run_config`` call runs on the oracle.
 """
 

@@ -132,11 +132,13 @@ def test_fuzz_programs_byte_identical(index):
     assert table == oracle
 
 
-@pytest.mark.parametrize("core_type", ["banked", "virec", "fgmt"])
+@pytest.mark.parametrize("core_type", ["banked", "swctx", "prefetch-full",
+                                       "prefetch-exact", "virec", "fgmt"])
 def test_multicore_byte_identical(core_type):
-    """n_cores > 1: the node interleaves cores per step, so the simulator
-    disables superop chaining and the table must reproduce the oracle's
-    crossbar/DRAM contention order exactly."""
+    """n_cores > 1: the node interleaves cores per step and marks them
+    ``shared``, so their tables chain only ops no peer can observe and
+    must reproduce the single-op oracle's crossbar/DRAM contention order
+    exactly."""
     cfg = RunConfig(workload="spmv", core_type=core_type,
                     n_threads=4, n_per_thread=8, n_cores=2)
     with time_limit(120):
@@ -144,20 +146,19 @@ def test_multicore_byte_identical(core_type):
     assert table == oracle
 
 
-def test_multicore_disables_chaining_single_core_keeps_it():
-    """The chaining decision is observable on the compile key."""
+def test_node_marks_its_cores_shared_a_single_core_is_not():
+    """Sharing the crossbar is observable on the compile key, and the
+    node sets it, not the core factory."""
     from repro.isa.compiled import EngineVariant
-    from repro.core.cgmt import BankedCore
 
-    from ..helpers import build_gather_core
-
-    core, _, _, _ = build_gather_core(BankedCore, n_threads=2, n=16)
-    assert core._engine_variant() == EngineVariant(
-        family="timeline", miss_switch=True, chained=True)
-    core.set_step_chaining(False)
-    assert not core._engine_variant().chained
-    core.set_step_chaining(True)
-    core.run()
+    for n_cores in (1, 2):
+        with bind_steps(reference=False) as cores:
+            run_config(RunConfig(workload="gather", core_type="banked",
+                                 n_threads=2, n_per_thread=8,
+                                 n_cores=n_cores))
+        assert [core._engine_variant() for core in cores] == [EngineVariant(
+            family="timeline", miss_switch=True,
+            shared=n_cores > 1)] * n_cores
 
 
 def test_workload_coverage_byte_identical():

@@ -3,7 +3,9 @@
 The compile cache must never hand one context's closures to another: the
 full key is (program identity, icache line size, EngineVariant), with the
 same staleness guard the decode cache carries.  Chains (superops) must
-stop at CFG basic-block leaders, branches, and halts.  Every step is
+stop at CFG basic-block leaders, branches, and halts; a ``shared`` (node)
+core's chains also stop before every ``ldr``/``str`` and icache line
+crossing, and never form with hooks or observers.  Every step is
 generated from the stage templates, once per shape.  Only the observed
 variant's steps read the core's ``fault_hook`` or ``observers``, and each
 of those calls the fault hook once and dispatches ``on_commit`` once.
@@ -72,7 +74,7 @@ def test_equal_variant_values_share_one_table():
     EngineVariant(miss_switch=True),
     EngineVariant(reg_hook=True, commit_hook=True),
     EngineVariant(family="barrel"),
-    EngineVariant(chained=False),
+    EngineVariant(shared=True),
     EngineVariant(observed=True),
     EngineVariant(family="barrel", observed=True),
 ])
@@ -150,12 +152,79 @@ def test_chain_depth_bounded():
         assert depth <= MAX_CHAIN
 
 
-def test_unchained_variant_never_chains():
-    # chained=False (multi-core nodes): every step ends its superop so
-    # the node can interleave cores at per-instruction granularity
+# ------------------------------------------------ chains inside a node
+#
+# A node core is ``shared``: its chains may only run over ops that reach
+# nothing a peer core can see (tests/system/test_shared_traffic.py holds
+# the node's crossbar traffic equal to single-op steps).
+
+def workload_programs():
+    from repro import workloads
+
+    return [workloads.get(name).build(n_threads=2, n_per_thread=4).program
+            for name in workloads.names() if name != "fuzz"]
+
+
+@pytest.mark.parametrize("line_bytes", [32, 64])
+def test_shared_step_never_chains_into_memory_or_another_line(line_bytes):
+    chained = 0
+    for program in workload_programs():
+        dprog = DecodedProgram.of(program, line_bytes)
+        code = compile_program(dprog, EngineVariant(shared=True)).code
+        for pc, step in enumerate(code):
+            nxt = chain_of(step)
+            if nxt is None:
+                continue
+            chained += 1
+            assert nxt is code[pc + 1]
+            assert not dprog.ops[pc + 1].is_mem, pc
+            assert dprog.ops[pc + 1].line == dprog.ops[pc].line, pc
+    assert chained
+
+
+def test_shared_chains_end_exactly_at_icache_lines():
+    src = "start:\n" + "    add x1, x1, #1\n" * 40 + "    halt\n"
+    dprog = DecodedProgram.of(assemble(src), 32)
+    ops = dprog.ops
+    code = compile_program(dprog, EngineVariant(shared=True)).code
+    for pc, step in enumerate(code[:-1]):
+        same_line = ops[pc + 1].line == ops[pc].line
+        assert (chain_of(step) is code[pc + 1]) is same_line, pc
+
+
+def test_shared_step_may_start_at_a_memory_op():
+    # ``str x5`` then ``add x1`` on one line: the store's step chains on
     dprog = make_dprog()
-    code = compile_program(dprog, EngineVariant(chained=False)).code
-    assert all(chain_of(step) is None for step in code)
+    code = compile_program(dprog, EngineVariant(shared=True)).code
+    pc = next(pc for pc, d in enumerate(dprog.ops) if d.is_store)
+    assert dprog.ops[pc + 1].line == dprog.ops[pc].line
+    assert chain_of(code[pc]) is code[pc + 1]
+
+
+@pytest.mark.parametrize("hooks", [
+    {"reg_hook": True}, {"commit_hook": True}, {"observed": True},
+    {"reg_hook": True, "commit_hook": True, "observed": True},
+])
+def test_shared_step_with_hooks_or_observers_never_chains(hooks):
+    for program in workload_programs():
+        dprog = DecodedProgram.of(program)
+        # the same variant unshared does chain
+        alone = compile_program(dprog, EngineVariant(**hooks)).code
+        assert any(chain_of(step) for step in alone)
+        code = compile_program(dprog,
+                               EngineVariant(shared=True, **hooks)).code
+        assert all(chain_of(step) is None for step in code)
+
+
+def test_vecadd_node_table_has_a_multi_op_chain():
+    from repro import workloads
+
+    program = workloads.get("vecadd").build(n_threads=2,
+                                            n_per_thread=4).program
+    code = compile_program(DecodedProgram.of(program),
+                           EngineVariant(shared=True)).code
+    # a step that chains processes two ops or more
+    assert any(chain_of(step) is not None for step in code)
 
 
 def test_barrel_table_never_chains():
@@ -186,16 +255,12 @@ def test_shapes_compile_once_per_process():
 def every_shape(observed: bool):
     """Compile every workload under every variant; the shapes of the
     process-wide factory table with or without the observed switch."""
-    from repro import workloads
-
     variants = [EngineVariant(family=f, reg_hook=h, commit_hook=h,
-                              miss_switch=m, chained=c, observed=o)
+                              miss_switch=m, shared=s, observed=o)
                 for f in compiled.FAMILIES for h in (False, True)
-                for m in (False, True) for c in (False, True)
+                for m in (False, True) for s in (False, True)
                 for o in (False, True)]
-    programs = [workloads.get(name).build(n_threads=2, n_per_thread=4).program
-                for name in workloads.names() if name != "fuzz"]
-    for program in programs:
+    for program in workload_programs():
         for variant in variants:
             compile_program(DecodedProgram.of(program), variant)
     shapes = [shape for shape in compiled._FACTORIES

@@ -53,6 +53,20 @@ def test_sanitizer_multicore_identical():
     assert on.sanitizer.stats()["cores"] == 2
 
 
+@pytest.mark.parametrize("core_type", ["banked", "prefetch-exact"])
+def test_sanitizer_on_chained_node_identical(core_type):
+    """A bare node core chains the ops no peer can observe, a sanitized
+    one steps one op at a time: the two runs must still agree on the
+    whole stats tree."""
+    base = RunConfig(workload="spmv", core_type=core_type,
+                     n_threads=4, n_per_thread=8, n_cores=2)
+    off = run_config(base)
+    on = run_config(base.with_(sanitize=FULL_SANITIZE))
+    assert on.cycles == off.cycles
+    assert on.stats.as_dict() == off.stats.as_dict()
+    assert on.sanitizer.stats()["cores"] == 2
+
+
 def test_sanitizer_with_corrected_faults_identical():
     """ECC-protected injection: recovery happens, VSan verifies the
     recovered state really is architecturally correct, and timing is

@@ -35,6 +35,19 @@ def test_telemetry_multicore_identical():
     assert on.stats.as_dict() == off.stats.as_dict()
 
 
+@pytest.mark.parametrize("core_type", ["banked", "prefetch-exact"])
+def test_telemetry_on_chained_node_identical(core_type):
+    """A bare node core chains the ops no peer can observe, an observed
+    one steps one op at a time: the two runs must still agree on the
+    whole stats tree."""
+    base = RunConfig(workload="spmv", core_type=core_type,
+                     n_threads=4, n_per_thread=8, n_cores=2)
+    off = run_config(base)
+    on = run_config(base.with_(telemetry=FULL_TELEMETRY))
+    assert on.cycles == off.cycles
+    assert on.stats.as_dict() == off.stats.as_dict()
+
+
 def test_telemetry_with_faults_identical():
     """Telemetry observing a fault campaign must not perturb it."""
     base = RunConfig(workload="gather", core_type="virec",
