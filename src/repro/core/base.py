@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DeadlockError
@@ -173,8 +174,10 @@ class TimelineCore:
         self.ex_free = 0
         self.commit_tail = 0
         self.dcache_port_free = 0  # shared LSQ/BSI port, 1 request/cycle
-        self.load_slots: List[int] = []   # completion cycles of in-flight loads
-        self.store_queue: List[int] = []  # drain-completion cycles
+        # min-heaps (heapq): completion cycles of in-flight loads, and
+        # drain-completion cycles of queued stores
+        self.load_slots: List[int] = []
+        self.store_queue: List[int] = []
         self._last_fetch_line = -1
 
         self.current: Optional[ThreadContext] = None
@@ -371,21 +374,38 @@ class TimelineCore:
 
     # ----------------------------------------------------------- store queue
     def _sq_insert(self, t: int, addr: int) -> int:
-        """Insert a store at cycle ``t``; returns cycle the SQ accepted it."""
-        self.store_queue = [c for c in self.store_queue if c > t]
-        while len(self.store_queue) >= self.config.sq_entries:
-            t = min(self.store_queue)
-            self.store_queue = [c for c in self.store_queue if c > t]
+        """Insert a store at cycle ``t``; returns cycle the SQ accepted it.
+
+        The queue is a min-heap of drain-completion cycles; an entry
+        leaves once its cycle is ``<= t``.  The generated ``str`` step does
+        the common case inline and calls this only when the queue is
+        full."""
+        sq = self.store_queue
+        while sq and sq[0] <= t:
+            heappop(sq)
+        while len(sq) >= self.config.sq_entries:
+            t = sq[0]
+            while sq and sq[0] <= t:
+                heappop(sq)
             self.stats.inc("sq_full_stalls")
-        self.store_queue.append(self.dcache_request(t, addr, True)[1])
+        heappush(sq, self.dcache_request(t, addr, True)[1])
         return t
 
     # ------------------------------------------------------------ load slots
     def _load_slot_wait(self, t: int) -> int:
-        self.load_slots = [c for c in self.load_slots if c > t]
-        while len(self.load_slots) >= self.config.max_outstanding_loads:
-            t = min(self.load_slots)
-            self.load_slots = [c for c in self.load_slots if c > t]
+        """Cycle from ``t`` a load finds a free outstanding-load slot.
+
+        ``load_slots`` is a min-heap of completion cycles (writers
+        ``heappush``); a slot frees once its cycle is ``<= t``.  The
+        generated ``ldr`` step does the common case inline and calls this
+        only when every slot is taken."""
+        slots = self.load_slots
+        while slots and slots[0] <= t:
+            heappop(slots)
+        while len(slots) >= self.config.max_outstanding_loads:
+            t = slots[0]
+            while slots and slots[0] <= t:
+                heappop(slots)
             self.stats.inc("load_slot_stalls")
         return t
 

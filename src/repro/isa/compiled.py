@@ -15,12 +15,14 @@ timeline cores; issue, execute, commit, successor-peek for the barrel
 core.  :func:`_step_source` splices the per-op-class fragments (simple,
 cmp, branch, ldr, str, halt) between them.  Everything the *shape* of the
 emitted code depends on — subclass hooks, miss switching, flag reads,
-destination register file, post-index writeback, chaining, attached
-instruments — is a template switch that leaves code out instead of
-testing a constant at run time.  Each shape is ``exec``-compiled once per
-process into a factory taking the per-pc constants (:data:`_FACTORIES`),
-so compiling a program costs one factory call per pc, however many
-programs a sweep assembles.
+destination register file, chaining, attached instruments — is a
+template switch that leaves code out instead of testing a constant at
+run time.  The op's own expressions (value, address, post-index
+writeback, branch test) are part of the shape too, written over per-pc
+constants (``(x[A] + IMM) & MASK64``).  Each shape is ``exec``-compiled
+once per process into a factory taking the per-pc constants
+(:data:`_FACTORIES`), so compiling a program costs one factory call per
+pc, however many programs a sweep assembles.
 
 This table is the simulator's only step engine.  A core with a fault hook
 or an observer attached runs its *observed* variant: the same fragments
@@ -34,13 +36,20 @@ Step contract:
 * signature ``(core, thread) -> int`` — the number of instructions
   processed (>= 1; a superop returns its chain length so the run-loop
   watchdogs count every instruction);
-* steps close over **only static program facts** (indices, latencies,
-  successor steps).  Everything dynamic is read from ``core`` per call —
-  including every method a subclass, a class-level tracer or a test may
-  rebind (``ic.access``, ``core.dcache_request``,
-  ``core.decode_regs_ready``, ``core.on_commit``,
+* steps close over **only static program facts** (indices, immediates,
+  latencies, successor steps); what an op computes — its value, address,
+  post-index writeback and branch test — is source in its shape, so a
+  step closes over no callable but its successor.  Everything dynamic is
+  read from ``core`` per call — including every method a subclass, a
+  class-level tracer or a test may rebind (``ic.access``,
+  ``core.dcache.access``, ``core.decode_regs_ready``, ``core.on_commit``,
   ``core._handle_miss_switch``) — so one compiled table is shared by every
   core over the same program;
+* a demand load or store applies ``core.dcache_request``'s port rule
+  inline and calls ``core.dcache.access`` itself; ``core.dcache_request``
+  is reached only on a refusal (``CacheBusy``), ``core._load_slot_wait`` /
+  ``core._sq_insert`` only when the load slots / store queue (min-heaps)
+  are full;
 * only observed shapes read ``core._fault_hook`` or ``core._observers``;
   ``TimelineCore._recompile_step`` picks the variant whenever either is
   assigned;
@@ -59,6 +68,7 @@ from __future__ import annotations
 
 import linecache
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from string import Template
 from textwrap import indent
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
@@ -74,6 +84,11 @@ __all__ = ["EngineVariant", "CompiledProgram", "compile_program",
 
 #: longest superop chain (bounds Python recursion depth per step)
 MAX_CHAIN = 48
+
+#: an op's own expressions by template name, sorted: its value
+#: (``VALUE``), effective address (``EA``), post-index base (``WB``) or
+#: branch test (``TEST``).  Part of the step's shape
+Forms = Tuple[Tuple[str, str], ...]
 
 #: engine families a core can compile for
 FAMILIES = ("timeline", "barrel")
@@ -188,7 +203,7 @@ def _build_code(dprog: DecodedProgram,
 def _make_step(ops: List[DecodedOp], pc: int, variant: EngineVariant,
                chain: Optional[Callable]) -> Callable:
     try:
-        cls, switches, consts = _lower(ops, pc, variant)
+        cls, switches, consts, forms = _lower(ops, pc, variant)
     except LoweringError:
         inst = ops[pc].inst
         text = inst.text or inst.opcode.name.lower()
@@ -198,21 +213,10 @@ def _make_step(ops: List[DecodedOp], pc: int, variant: EngineVariant,
         switches.add("chain")
         consts["CHAIN"] = chain
     return _step_factory(variant.family, cls, frozenset(switches),
-                         consts)(**consts)
+                         tuple(sorted(forms.items())), consts)(**consts)
 
 
 # --------------------------------------------------------------- op lowering
-_ALU2 = {
-    Opcode.ADD: lambda a, b: (a + b) & MASK64,
-    Opcode.SUB: lambda a, b: (a - b) & MASK64,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.ORR: lambda a, b: a | b,
-    Opcode.EOR: lambda a, b: a ^ b,
-    Opcode.LSL: lambda a, b: (a << (b & 63)) & MASK64,
-    Opcode.LSR: lambda a, b: (a & MASK64) >> (b & 63),
-    Opcode.MUL: lambda a, b: (a * b) & MASK64,
-}
-
 _U64 = 1 << 64
 
 
@@ -223,15 +227,32 @@ def _asr(a: int, b: int) -> int:
     return (a >> (b & 63)) & MASK64
 
 
-_ALU2[Opcode.ASR] = _asr
+#: what an op computes, as source: a two-operand ALU op over its operands
+#: ``{a}`` and ``{b}``, a ``b.cond`` test over the flags ``f``
+_SOURCE = {
+    Opcode.ADD: "({a} + {b}) & MASK64",
+    Opcode.SUB: "({a} - {b}) & MASK64",
+    Opcode.AND: "{a} & {b}",
+    Opcode.ORR: "{a} | {b}",
+    Opcode.EOR: "{a} ^ {b}",
+    Opcode.LSL: "({a} << ({b} & 63)) & MASK64",
+    Opcode.LSR: "({a} & MASK64) >> ({b} & 63)",
+    Opcode.MUL: "({a} * {b}) & MASK64",
+    Opcode.ASR: "_asr({a}, {b})",
+    Cond.EQ: "f.z",
+    Cond.NE: "not f.z",
+    Cond.LT: "f.n != f.v",
+    Cond.LE: "f.z or f.n != f.v",
+    Cond.GT: "not f.z and f.n == f.v",
+    Cond.GE: "f.n == f.v",
+}
 
-_COND_TESTS = {
-    Cond.EQ: lambda f: f.z,
-    Cond.NE: lambda f: not f.z,
-    Cond.LT: lambda f: f.n != f.v,
-    Cond.LE: lambda f: f.z or (f.n != f.v),
-    Cond.GT: lambda f: (not f.z) and (f.n == f.v),
-    Cond.GE: lambda f: f.n == f.v,
+#: the FP ops, over the D registers ``dr``
+_FP_SOURCE = {
+    Opcode.FADD: "dr[A] + dr[B]",
+    Opcode.FSUB: "dr[A] - dr[B]",
+    Opcode.FMUL: "dr[A] * dr[B]",
+    Opcode.FMADD: "dr[A] * dr[B] + dr[C]",
 }
 
 
@@ -247,95 +268,80 @@ def _d_index(reg) -> int:
     return reg.index
 
 
-def _make_compute(d: DecodedOp):
-    """Lower a register-writing ALU/FP/move op to
-    ``compute(xregs, dregs) -> value`` plus its destination.  Raises
-    :class:`~repro.errors.LoweringError` for anything outside the expected
-    shapes."""
+def _imm(inst) -> int:
+    if inst.imm is None:
+        raise LoweringError
+    return int(inst.imm) & MASK64
+
+
+def _make_compute(d: DecodedOp, consts: dict):
+    """Lower a register-writing ALU/FP/move op to ``(value, rd)``: the
+    value as an expression over the registers ``x`` / ``dr`` and the
+    constants it adds to ``consts`` (``A``, ``B``, ``C``, ``IMM``), and its
+    destination.  Raises :class:`~repro.errors.LoweringError` for anything
+    outside the expected shapes."""
     inst = d.inst
     op = inst.opcode
     if op is Opcode.NOP:
         return None, None
     rd = inst.rd
-    if op in _ALU2:
-        a = _x_index(inst.rn)
+    if op in _SOURCE:
+        consts["A"] = _x_index(inst.rn)
         _x_index(rd)
-        f = _ALU2[op]
         if inst.rm is not None:
-            b = _x_index(inst.rm)
-            return (lambda x, dr: f(x[a], x[b])), rd
-        if inst.imm is None:
-            raise LoweringError
-        imm = int(inst.imm) & MASK64
-        return (lambda x, dr: f(x[a], imm)), rd
+            consts["B"] = _x_index(inst.rm)
+            b = "x[B]"
+        else:
+            consts["IMM"] = _imm(inst)
+            b = "IMM"
+        return _SOURCE[op].format(a="x[A]", b=b), rd
     if op is Opcode.MADD:
-        a = _x_index(inst.rn)
-        b = _x_index(inst.rm)
-        c = _x_index(inst.ra)
+        consts.update(A=_x_index(inst.rn), B=_x_index(inst.rm),
+                      C=_x_index(inst.ra))
         _x_index(rd)
-        return (lambda x, dr: (x[a] * x[b] + x[c]) & MASK64), rd
-    if op is Opcode.MOV:
+        return "(x[A] * x[B] + x[C]) & MASK64", rd
+    if op is Opcode.MOV or op is Opcode.ADR:
         _x_index(rd)
-        if inst.rn is not None:
-            a = _x_index(inst.rn)
-            return (lambda x, dr: x[a]), rd
-        if inst.imm is None:
-            raise LoweringError
-        imm = int(inst.imm) & MASK64
-        return (lambda x, dr: imm), rd
-    if op is Opcode.ADR:
-        _x_index(rd)
-        if inst.imm is None:
-            raise LoweringError
-        imm = int(inst.imm) & MASK64
-        return (lambda x, dr: imm), rd
+        if op is Opcode.MOV and inst.rn is not None:
+            consts["A"] = _x_index(inst.rn)
+            return "x[A]", rd
+        consts["IMM"] = _imm(inst)
+        return "IMM", rd
     if op is Opcode.FMOV:
         _d_index(rd)
         if inst.rn is not None:
-            a = _d_index(inst.rn)
-            return (lambda x, dr: dr[a]), rd
+            consts["A"] = _d_index(inst.rn)
+            return "dr[A]", rd
         if inst.imm is None:
             raise LoweringError
-        imm = float(inst.imm)
-        return (lambda x, dr: imm), rd
-    if op is Opcode.FADD:
-        a, b = _d_index(inst.rn), _d_index(inst.rm)
+        consts["IMM"] = float(inst.imm)
+        return "IMM", rd
+    if op in _FP_SOURCE:
+        consts.update(A=_d_index(inst.rn), B=_d_index(inst.rm))
+        if op is Opcode.FMADD:
+            consts["C"] = _d_index(inst.ra)
         _d_index(rd)
-        return (lambda x, dr: dr[a] + dr[b]), rd
-    if op is Opcode.FSUB:
-        a, b = _d_index(inst.rn), _d_index(inst.rm)
-        _d_index(rd)
-        return (lambda x, dr: dr[a] - dr[b]), rd
-    if op is Opcode.FMUL:
-        a, b = _d_index(inst.rn), _d_index(inst.rm)
-        _d_index(rd)
-        return (lambda x, dr: dr[a] * dr[b]), rd
-    if op is Opcode.FMADD:
-        a, b, c = (_d_index(inst.rn), _d_index(inst.rm),
-                   _d_index(inst.ra))
-        _d_index(rd)
-        return (lambda x, dr: dr[a] * dr[b] + dr[c]), rd
+        return _FP_SOURCE[op], rd
     raise LoweringError
 
 
-def _addr_lowering(d: DecodedOp):
-    """Lower the addressing mode to ``(addr_fn(xregs), writeback_fn)``.
-
-    ``addr_fn`` returns the effective address; ``writeback_fn`` is None or
-    ``(xregs) -> new_base`` for post-index.  The base is an X register."""
+def _addr_lowering(d: DecodedOp, consts: dict):
+    """Lower the addressing mode to ``(address, writeback)``: the effective
+    address as an expression over ``x``, and None or, for post-index, the
+    base register's new value.  The base is the X register ``RN_IDX``."""
     inst = d.inst
-    rn = _x_index(inst.rn)
+    consts["RN_IDX"] = _x_index(inst.rn)
     mode = inst.mode
     if mode is AddrMode.OFF_IMM:
-        imm = int(inst.imm or 0)
-        return (lambda x: (x[rn] + imm) & MASK64), None
+        consts["IMM"] = int(inst.imm or 0)
+        return "(x[RN_IDX] + IMM) & MASK64", None
     if mode is AddrMode.OFF_REG:
-        rm = _x_index(inst.rm)
-        sh = inst.shift
-        return (lambda x: (x[rn] + ((x[rm] << sh) & MASK64)) & MASK64), None
+        consts.update(RM_IDX=_x_index(inst.rm), SH=inst.shift)
+        return ("(x[RN_IDX] + ((x[RM_IDX] << SH) & MASK64)) & MASK64",
+                None)
     if mode is AddrMode.POST_IMM:
-        imm = int(inst.imm or 0)
-        return (lambda x: x[rn] & MASK64), (lambda x: (x[rn] + imm) & MASK64)
+        consts["IMM"] = int(inst.imm or 0)
+        return "x[RN_IDX] & MASK64", "(x[RN_IDX] + IMM) & MASK64"
     raise LoweringError
 
 
@@ -353,20 +359,23 @@ def _barrel_peek(ops: List[DecodedOp], at: int, prefix: str,
         sw.add(prefix.lower() + "_flags")
 
 
-def _lower(ops: List[DecodedOp], pc: int,
-           variant: EngineVariant) -> Tuple[str, Set[str], dict]:
-    """Classify ``ops[pc]`` as ``(op class, switches, constants)``.
+def _lower(ops: List[DecodedOp], pc: int, variant: EngineVariant
+           ) -> Tuple[str, Set[str], dict, Dict[str, str]]:
+    """Classify ``ops[pc]`` as ``(op class, switches, constants, forms)``.
 
-    The switches select template code (with the family and class they are
-    the *shape*); the constants are the per-pc values the step closes
-    over.  Which constant names a shape has must depend on the shape
-    alone: its factory takes its signature from the first op compiled.
+    The switches select template code and the forms are the op's own
+    expressions (``VALUE``, ``EA``, ``WB``, ``TEST``); with the family
+    and class they are the *shape*.  The constants are the per-pc values
+    the step closes over.  Which constant names a shape has must depend on
+    the shape alone: its factory takes its signature from the first op
+    compiled.
     """
     d = ops[pc]
     inst = d.inst
     op = inst.opcode
     barrel = variant.family == "barrel"
     sw: Set[str] = set()
+    forms: Dict[str, str] = {}
     consts = {"LAT": d.ex_latency, "SRC_FLATS": d.src_flats, "NEXT": pc + 1}
     if not barrel:
         consts.update(D=d, LINE=d.line, ADDR=d.addr)
@@ -381,42 +390,43 @@ def _lower(ops: List[DecodedOp], pc: int,
     if d.reads_flags:
         sw.add("reads_flags")
     if d.is_halt:
-        return "halt", sw, consts
+        return "halt", sw, consts, forms
     if d.is_branch:
         if inst.target is None:
             raise LoweringError
         consts["TARGET"] = inst.target
         if op is Opcode.BCOND:
             sw.add("bcond")
-            consts["TEST"] = _COND_TESTS[inst.cond]
+            forms["TEST"] = _SOURCE[inst.cond]
         elif op is not Opcode.B:
             sw.add("cbz")
-            consts.update(RN=_x_index(inst.rn), WANT_ZERO=op is Opcode.CBZ)
+            consts["RN"] = _x_index(inst.rn)
+            forms["TEST"] = ("x[RN] == 0" if op is Opcode.CBZ
+                             else "x[RN] != 0")
         if barrel:
             _barrel_peek(ops, inst.target, "TGT", sw, consts)
             if op is not Opcode.B:      # B never falls through
                 _barrel_peek(ops, pc + 1, "FT", sw, consts)
-        return "branch", sw, consts
+        return "branch", sw, consts, forms
     if barrel:
         _barrel_peek(ops, pc + 1, "ND", sw, consts)
     if d.is_mem:
-        addr_fn, wb_fn = _addr_lowering(d)
+        forms["EA"], wb = _addr_lowering(d, consts)
         rd = inst.rd
         if rd is None:
             raise LoweringError
-        consts.update(addr_fn=addr_fn, RD_IDX=rd.index)
+        consts["RD_IDX"] = rd.index
         if rd.rclass is RegClass.X:
             sw.add("rd_x")
-        if wb_fn is not None:
-            sw.add("writeback")
-            consts.update(wb_fn=wb_fn, RN_IDX=inst.rn.index,
-                          RN_FLAT=inst.rn.flat)
+        if wb is not None:
+            forms["WB"] = wb
+            consts["RN_FLAT"] = inst.rn.flat
         if d.is_store:
-            return "str", sw, consts
+            return "str", sw, consts, forms
         consts["RD_FLAT"] = rd.flat
         if variant.miss_switch and not barrel:
             sw.add("miss_switch")
-        return "ldr", sw, consts
+        return "ldr", sw, consts, forms
     if op is Opcode.CMP:
         consts["RN"] = _x_index(inst.rn)
         if inst.rm is not None:
@@ -426,23 +436,24 @@ def _lower(ops: List[DecodedOp], pc: int,
             raise LoweringError
         else:
             consts["IMM_B"] = int(inst.imm) & MASK64
-        return "cmp", sw, consts
-    compute, rd = _make_compute(d)
+        return "cmp", sw, consts, forms
+    value, rd = _make_compute(d, consts)
     if rd is not None:
-        sw.add("has_dest")
         if rd.rclass is RegClass.X:
             sw.add("rd_x")
-        consts.update(compute=compute, RD_IDX=rd.index, RD_FLAT=rd.flat)
-    return "simple", sw, consts
+        forms["VALUE"] = value
+        consts.update(RD_IDX=rd.index, RD_FLAT=rd.flat)
+    return "simple", sw, consts, forms
 
 
 # ------------------------------------------------------------ the stage rules
 #
 # Source fragments, each stating one rule of the pipeline (Fig 4) once.
-# CAPITALS (and compute / addr_fn / wb_fn) are the per-pc constants the
-# factory closes over; $NAMES are filled in by _step_source.  ``sb`` is
-# the running thread's writer scoreboard in both families, keyed by flat
-# register index.
+# CAPITALS are the per-pc constants the factory closes over; $NAMES are
+# filled in by _step_source, $VALUE / $EA / $WB / $TEST with the op's own
+# expressions over ``x`` / ``dr`` (its register files) and ``f`` (its
+# flags).  ``sb`` is the running thread's writer scoreboard in both
+# families, keyed by flat register index.
 
 _FETCH = """\
 # fetch: the op reaches decode once the front end delivers it and decode
@@ -529,14 +540,38 @@ t_ex_done = (t_issue if t_issue > ex else ex) + LAT
 core.ex_free = t_ex_done
 """
 
+def _dcache_port(t: str, is_write: bool, done: str) -> str:
+    """A demand access through the dcache port at cycle ``t``, under
+    ``core.dcache_request``'s rule: one request per cycle.  A refused
+    request is handed to ``core.dcache_request`` at its retry cycle, the
+    next turn of that method's loop.  Binds ``t_issue_mem``, ``done``,
+    ``hit`` and ``switch``."""
+    w, ld = ("True", "False") if is_write else ("False", "True")
+    return (f"pf = core.dcache_port_free\n"
+            f"t_issue_mem = {t} if {t} > pf else pf\n"
+            f"core.dcache_port_free = t_issue_mem + 1\n"
+            f"try:\n"
+            f"    {done}, hit, switch = core.dcache.access(\n"
+            f"        t_issue_mem, addr, {w}, core.core_id, {ld}, False, 0)\n"
+            f"except CacheBusy as refused:\n"
+            f"    core.stats.inc(\"dcache_retries\")\n"
+            f"    t_issue_mem, {done}, hit, switch = core.dcache_request(\n"
+            f"        max(refused.retry_at, t_issue_mem + 1), addr, {w}, {ld})\n")
+
+
 _LDR_MEM = """\
-# mem: a load waits for an outstanding-load slot, then the dcache port
+# mem: a load waits for an outstanding-load slot, then the dcache port.
+# The slots are a min-heap of completion cycles: expired heads are dropped
+# here, and only a full heap takes the waiting path
 x = thread.xregs
-addr = addr_fn(x)
-t_m = core._load_slot_wait(t_ex_done)
-t_issue_mem, data_at, hit, switch = core.dcache_request(
-    t_m, addr, False, True)
-"""
+addr = $EA
+t_m = t_ex_done
+slots = core.load_slots
+while slots and slots[0] <= t_m:
+    heappop(slots)
+if len(slots) >= core.config.max_outstanding_loads:
+    t_m = core._load_slot_wait(t_m)
+""" + _dcache_port("t_m", False, "data_at")
 
 _MISS_SWITCH = """\
 if switch:
@@ -551,11 +586,22 @@ if not hit:
 """
 
 _STR_MEM = """\
-# mem: store value and address are both read before any writeback
+# mem: store value and address are both read before any writeback.  The
+# store queue is a min-heap of drain-completion cycles: expired heads are
+# dropped here, and only a full queue takes the waiting path; the store
+# commits once the queue accepts it
 x = thread.xregs
-sv = thread.$RF[RD_IDX]
-addr = addr_fn(x)
-data_at = core._sq_insert(t_ex_done, addr)
+sv = $RF[RD_IDX]
+addr = $EA
+data_at = t_ex_done
+sq = core.store_queue
+while sq and sq[0] <= data_at:
+    heappop(sq)
+if len(sq) >= core.config.sq_entries:
+    data_at = core._sq_insert(data_at, addr)
+else:
+""" + indent(_dcache_port("data_at", True, "drained") + "heappush(sq, drained)\n",
+             "    ") + """\
 core.memory.store(addr, sv)
 """
 
@@ -575,18 +621,18 @@ thread.fruitless = 0
 _WRITEBACK = """\
 # post-index writeback lands before the destination, so
 # ldr xN, [xN], #imm resolves exactly as instructions.evaluate orders it
-x[RN_IDX] = wb_fn(x)
+x[RN_IDX] = $WB
 sb[RN_FLAT] = t_ex_done
 """
 
 _LDR_UPDATE = """\
 v = core.memory.load(addr)
-thread.$RF[RD_IDX] = $LOADED
+$RF[RD_IDX] = $LOADED
 sb[RD_FLAT] = data_at
 """
 
 _SIMPLE_UPDATE = """\
-thread.$RF[RD_IDX] = compute(thread.xregs, thread.dregs)
+$RF_LOCAL[RD_IDX] = $VALUE
 sb[RD_FLAT] = t_ex_done
 """
 
@@ -647,11 +693,15 @@ for observer in core._observers:
 """
 
 
-def _step_source(family: str, cls: str, sw: FrozenSet[str]) -> str:
+def _step_source(family: str, cls: str, sw: FrozenSet[str],
+                 forms: Forms) -> str:
     """Body of ``step(core, thread)`` for one shape: the family's stage
-    fragments in pipeline order, the op class's fragments between them."""
+    fragments in pipeline order, the op class's fragments between them,
+    the op's own expressions (``forms``) spliced into those."""
     barrel = family == "barrel"
     on = sw.__contains__
+    form = dict(forms)
+    rd_x = on("rd_x")
     observed = on("observed")
     if barrel:
         src = [_BARREL_THREAD, _FAULT_HOOK if observed else "",
@@ -682,7 +732,7 @@ def _step_source(family: str, cls: str, sw: FrozenSet[str]) -> str:
             if observed:
                 src.append(_ON_STALL)
         if not barrel:
-            src.append("core.load_slots.append(data_at)\n")
+            src.append("heappush(slots, data_at)\n")
         src.append(_LDR_MISSED)
     elif cls == "str":
         src.append(_STR_MEM)
@@ -696,18 +746,22 @@ def _step_source(family: str, cls: str, sw: FrozenSet[str]) -> str:
                else "core.now = t_c\n")
 
     # architectural update, at commit: flushed ops never reach it
-    if on("writeback"):
+    if "WB" in form:
         src.append(_WRITEBACK)
     if cls == "ldr":
         src.append(_LDR_UPDATE)
     elif cls == "cmp":
         src.append(_CMP_UPDATE)
-    elif on("has_dest"):
+    elif "VALUE" in form:
+        # bind the register files the value reads and the one it writes
+        for rf, attr in (("x", "xregs"), ("dr", "dregs")):
+            if (rf == "x") is rd_x or rf + "[" in form["VALUE"]:
+                src.append(f"{rf} = thread.{attr}\n")
         src.append(_SIMPLE_UPDATE)
-    elif on("bcond"):
-        src.append("taken = TEST(thread.flags)\n")
-    elif on("cbz"):
-        src.append("taken = (thread.xregs[RN] == 0) == WANT_ZERO\n")
+    elif "TEST" in form:
+        src.append("f = thread.flags\n" if on("bcond")
+                   else "x = thread.xregs\n")
+        src.append("taken = $TEST\n")
     if on("commit_hook"):
         src.append("core.on_commit(thread, D, t_c)\n")
     if observed:
@@ -727,7 +781,7 @@ def _step_source(family: str, cls: str, sw: FrozenSet[str]) -> str:
         taken = "thread.pc = TARGET\n" + (
             peek("TGT") + _BARREL_REDIRECT if barrel else _REDIRECT)
         fall = "thread.pc = NEXT\n" + (peek("FT") if barrel else "")
-        if on("bcond") or on("cbz"):
+        if "TEST" in form:
             src += ["if taken:\n", indent(taken, "    "),
                     "else:\n", indent(fall, "    ")]
         else:
@@ -739,11 +793,13 @@ def _step_source(family: str, cls: str, sw: FrozenSet[str]) -> str:
     src.append("return 1 + CHAIN(core, thread)\n" if on("chain")
                else "return 1\n")
 
-    rd_x = on("rd_x")
     return Template("".join(src)).substitute(
+        form,
         DONE="data_at" if cls in ("ldr", "str") else "t_ex_done",
         FLAGS_READY="core._flags_ready[tid]" if barrel else "core.flags_ready",
-        RF="xregs" if rd_x else "dregs",
+        # the destination's register file: ``x`` is bound by then
+        RF="x" if rd_x else "thread.dregs",
+        RF_LOCAL="x" if rd_x else "dr",
         LOADED="int(v) & MASK64" if rd_x else "float(v)",
         CMP_B="x[RM]" if on("has_rm") else "IMM_B",
         NOTE_ICACHE_MISS="\n        icache_missed = True" if observed else "",
@@ -757,32 +813,39 @@ def _step_source(family: str, cls: str, sw: FrozenSet[str]) -> str:
                 + ("not hit" if cls == "ldr" else "False")))
 
 
+#: the names the fragments resolve besides their constants and builtins
+_STEP_GLOBALS = {"MASK64": MASK64, "SIGN64": SIGN64, "_U64": _U64,
+                 "_asr": _asr, "Flags": Flags, "CacheBusy": CacheBusy,
+                 "heappop": heappop, "heappush": heappush}
+
 #: exec-compiled step factories, one per shape, for the whole process.  A
-#: shape is (family, op class, switches) and holds no per-pc value, so a
-#: sweep that assembles hundreds of programs still compiles each shape
-#: once (~0.4 ms) and every pc after that costs one factory call.
-_FACTORIES: Dict[Tuple[str, str, FrozenSet[str]], Callable] = {}
+#: shape is (family, op class, switches, forms) and holds no per-pc value:
+#: the forms name registers and immediates by constant (``x[A] + IMM``),
+#: so shapes stay bounded by opcode x operand form.  A sweep that
+#: assembles hundreds of programs still compiles each shape once (~0.4 ms)
+#: and every pc after that costs one factory call.
+_FACTORIES: Dict[Tuple[str, str, FrozenSet[str], Forms], Callable] = {}
 
 
-def _step_factory(family: str, cls: str, sw: FrozenSet[str],
+def _step_factory(family: str, cls: str, sw: FrozenSet[str], forms: Forms,
                   consts: dict) -> Callable:
     """The factory ``make(<constant names>) -> step`` of one shape; the
     names are those of ``consts``, the first op compiled with the shape."""
-    shape = (family, cls, sw)
+    shape = (family, cls, sw, forms)
     factory = _FACTORIES.get(shape)
     if factory is None:
-        filename = f"<{__name__} {family}.{cls} {'+'.join(sorted(sw))}>"
+        filename = (f"<{__name__} {family}.{cls} {'+'.join(sorted(sw))}"
+                    f"{''.join(f' {k}={v}' for k, v in forms)}>")
         source = (f"def make({', '.join(consts)}):\n"
                   f"    def step(core, thread):\n"
-                  f"{indent(_step_source(family, cls, sw), ' ' * 8)}"
+                  f"{indent(_step_source(*shape), ' ' * 8)}"
                   f"    return step\n")
         # known to linecache, so a traceback through a generated step
         # shows the failing source line
         linecache.cache[filename] = (len(source), None,
                                      source.splitlines(True), filename)
         namespace: dict = {}
-        # the fragments resolve MASK64, SIGN64, Flags and _U64 in this
-        # module's globals
-        exec(compile(source, filename, "exec"), globals(), namespace)
+        exec(compile(source, filename, "exec"), dict(_STEP_GLOBALS),
+             namespace)
         factory = _FACTORIES[shape] = namespace["make"]
     return factory

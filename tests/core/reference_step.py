@@ -8,7 +8,8 @@ family's timing rules as one interpreted body that evaluates the
 instruction with ``instructions.evaluate`` and dispatches the fault hook and
 the :class:`~repro.core.instrument.Observer` events itself.  The functions
 take the core as ``self`` so the bodies are unchanged, apart from
-``Observer.on_commit`` no longer being handed the ``ExecResult``; nothing
+``Observer.on_commit`` no longer being handed the ``ExecResult`` and a
+load's slot being ``heappush``-ed (``load_slots`` is a min-heap); nothing
 here is imported by ``src/``.
 
 :func:`bind_steps` records every core built inside a ``with`` block and,
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import types
 from contextlib import contextmanager
+from heapq import heappush
 from typing import Iterator, List
 
 from repro.core.base import ThreadContext, TimelineCore
@@ -109,7 +111,7 @@ def timeline_step(self, thread: ThreadContext) -> None:
             for observer in observers:
                 observer.on_stall(thread.tid, t_issue_mem, data_at,
                                   "suppressed-switch")
-        self.load_slots.append(data_at)
+        heappush(self.load_slots, data_at)
         if not hit:
             stats.inc("load_miss_stalls")
             load_missed = True

@@ -6,10 +6,14 @@ same staleness guard the decode cache carries.  Chains (superops) must
 stop at CFG basic-block leaders, branches, and halts; a ``shared`` (node)
 core's chains also stop before every ``ldr``/``str`` and icache line
 crossing, and never form with hooks or observers.  Every step is
-generated from the stage templates, once per shape.  Only the observed
+generated from the stage templates, once per shape; an op's value,
+address and branch test are source in its shape, so a step closes over no
+callable but its successor and the shapes stay bounded.  Only the observed
 variant's steps read the core's ``fault_hook`` or ``observers``, and each
 of those calls the fault hook once and dispatches ``on_commit`` once.
 """
+
+import re
 
 import pytest
 
@@ -252,9 +256,8 @@ def test_shapes_compile_once_per_process():
     assert compiled._FACTORIES == before
 
 
-def every_shape(observed: bool):
-    """Compile every workload under every variant; the shapes of the
-    process-wide factory table with or without the observed switch."""
+def compile_every_workload():
+    """Compile every workload's program under every variant."""
     variants = [EngineVariant(family=f, reg_hook=h, commit_hook=h,
                               miss_switch=m, shared=s, observed=o)
                 for f in compiled.FAMILIES for h in (False, True)
@@ -263,6 +266,13 @@ def every_shape(observed: bool):
     for program in workload_programs():
         for variant in variants:
             compile_program(DecodedProgram.of(program), variant)
+
+
+def every_shape(observed: bool):
+    """Compile every workload under every variant; the shapes (family, op
+    class, switches, forms) of the process-wide factory table with or
+    without the observed switch."""
+    compile_every_workload()
     shapes = [shape for shape in compiled._FACTORIES
               if ("observed" in shape[2]) is observed]
     assert {shape[0] for shape in shapes} == set(compiled.FAMILIES)
@@ -288,3 +298,38 @@ def test_observed_step_sources_name_each_instrument_once():
         source = compiled._step_source(*shape)
         assert source.count("fault_hook") == 1, shape
         assert source.count("observer.on_commit(") == 1, shape
+
+
+#: shapes of every workload under every variant, as counted when this
+#: bound was recorded; a per-pc value in a shape key would multiply it
+MAX_WORKLOAD_SHAPES = 231
+
+
+def test_steps_close_over_no_callable_but_their_successor(monkeypatch):
+    """An op's value, address, writeback and branch test are source in
+    its step, not a per-pc closure: the only callable constant a factory
+    is handed is the chained successor."""
+    handed = []
+    factory = compiled._step_factory
+
+    def spy(family, cls, sw, forms, consts):
+        handed.append(consts)
+        return factory(family, cls, sw, forms, consts)
+
+    monkeypatch.setattr(compiled, "_step_factory", spy)
+    compile_every_workload()
+    assert handed
+    for consts in handed:
+        assert [name for name, value in consts.items()
+                if callable(value)] in ([], ["CHAIN"]), consts
+
+
+def test_shapes_stay_bounded_by_opcode_and_operand_form(monkeypatch):
+    monkeypatch.setattr(compiled, "_FACTORIES", {})
+    compile_every_workload()
+    assert len(compiled._FACTORIES) <= MAX_WORKLOAD_SHAPES
+    for shape in compiled._FACTORIES:
+        for name, form in shape[3]:
+            # registers and immediates are constants, never literals
+            assert set(re.findall(r"\d+", form)) <= {"0", "63", "64"}, (
+                name, form)
