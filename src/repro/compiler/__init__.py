@@ -11,7 +11,6 @@ from .liveness import (
     utilization,
 )
 from .scheduler import ScheduleResult, schedule_program
-from .unroll import UnrollResult, unroll_program
 from .regreduce import (
     ReduceResult,
     RegReduceError,
@@ -24,6 +23,5 @@ __all__ = [
     "Loop", "ReduceResult", "RegReduceError", "SPILL_BASE_REG",
     "ScheduleResult", "TEMP_REGS", "UtilizationReport", "find_loops",
     "inner_loop_regs", "innermost_loops", "outer_only_regs",
-    "UnrollResult", "reduce_registers", "schedule_program",
-    "unroll_program", "used_regs", "utilization",
+    "reduce_registers", "schedule_program", "used_regs", "utilization",
 ]

@@ -49,7 +49,7 @@ Subclass hooks (all optional):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -57,9 +57,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import DeadlockError
 from ..isa.compiled import EngineVariant, compile_program
 from ..isa.decoded import DecodedOp, DecodedProgram
-from ..isa.instructions import MASK64, Flags
+from ..isa.func_sim import ArchState
 from ..isa.program import Program
-from ..isa.registers import NUM_FP_REGS, NUM_INT_REGS, Reg, RegClass
 from ..memory.cache import Cache, CacheBusy
 from ..memory.main_memory import MainMemory
 from ..stats.counters import Stats
@@ -85,31 +84,16 @@ _READY, _BLOCKED, _DONE = (ThreadState.READY, ThreadState.BLOCKED,
                            ThreadState.DONE)   # the scheduler's locals
 
 
-@dataclass
-class ThreadContext:
-    """Architectural state of one hardware thread."""
+@dataclass(kw_only=True)
+class ThreadContext(ArchState):
+    """One hardware thread: its architectural context plus scheduling state."""
 
     tid: int
-    pc: int = 0
-    xregs: List[int] = field(default_factory=lambda: [0] * NUM_INT_REGS)
-    dregs: List[float] = field(default_factory=lambda: [0.0] * NUM_FP_REGS)
-    flags: Flags = field(default_factory=Flags)
     state: ThreadState = ThreadState.READY
     ready_at: int = 0          # cycle a BLOCKED thread becomes READY
     started: bool = False      # has run at least once (context fetched)
     instructions: int = 0
     fruitless: int = 0         # consecutive runs with zero commits
-
-    def read(self, reg: Reg):
-        if reg.rclass == RegClass.X:
-            return self.xregs[reg.index]
-        return self.dregs[reg.index]
-
-    def write(self, reg: Reg, value) -> None:
-        if reg.rclass == RegClass.X:
-            self.xregs[reg.index] = int(value) & MASK64
-        else:
-            self.dregs[reg.index] = float(value)
 
 
 @dataclass

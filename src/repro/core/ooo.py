@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
 from ..errors import DeadlockError
-from ..isa.instructions import Flags, Instruction, evaluate
+from ..isa.func_sim import ArchState, arch_step
+from ..isa.instructions import Instruction
 from ..isa.program import Program
 from ..isa.registers import Reg
 from ..memory.cache import Cache, CacheBusy
@@ -68,8 +69,9 @@ class OoOCore:
         self.stats = stats if stats is not None else Stats(self.config.name)
         self.core_id = core_id
 
+        #: the thread's architectural context, stepped as the run times it
+        self.state = ArchState(pc=program.entry)
         self.reg_ready: Dict[Reg, int] = {}
-        self.flags = Flags()
         self.flags_ready = 0
         self.rob: Deque[int] = deque()   # commit cycles of in-flight entries
         self.lq: Deque[int] = deque()
@@ -97,21 +99,13 @@ class OoOCore:
         :class:`DeadlockError`, as the timeline cores' watchdog does.
         """
         cfg = self.config
-        xregs = [0] * 32
-        dregs = [0.0] * 32
+        state = self.state
         for reg, value in (init_regs or {}).items():
-            if reg.rclass.value == 0:
-                xregs[reg.index] = int(value) & ((1 << 64) - 1)
-            else:
-                dregs[reg.index] = float(value)
-        pc = self.program.entry
+            state.write(reg, value)
         instructions = 0
         # exhaustive commit-clock accounting: every commit_tail advance is
         # charged to exactly one cause, so sum(causes) == final cycles
         causes = {"commit_bw": 0, "load_wait": 0, "dataflow": 0}
-
-        def read(reg: Reg):
-            return xregs[reg.index] if reg.rclass.value == 0 else dregs[reg.index]
 
         while True:
             if instructions > cfg.max_instructions:
@@ -124,7 +118,7 @@ class OoOCore:
                     f"cycle budget exceeded (host commit clock {self.commit_tail}"
                     f" > {max_cycles})",
                     commit_tail=self.commit_tail, committed=instructions)
-            inst: Instruction = self.program[pc]
+            inst: Instruction = self.program[state.pc]
 
             # dispatch: width per cycle, bounded by ROB space
             t_fetch = self.fetched // cfg.width
@@ -138,8 +132,7 @@ class OoOCore:
             if inst.reads_flags:
                 t_ops = max(t_ops, self.flags_ready)
 
-            srcvals = {r: read(r) for r in inst.srcs}
-            result = evaluate(inst, srcvals, self.flags, pc)
+            result = arch_step(state, inst, self.memory)
 
             if inst.is_load:
                 t_ops = self._queue_space(self.lq, cfg.lq_entries, t_ops)
@@ -164,28 +157,17 @@ class OoOCore:
                     ordered = t_issue + 4
                 self.sq.append(ordered)
                 done = t_issue + 1
-                self.memory.store(result.addr, result.store_value)
             else:
                 pool = self.fp if inst.opcode.name.startswith("F") else self.alu
                 t_issue = pool.reserve(t_ops)
                 done = t_issue + inst.ex_latency
 
             # writeback / wakeup
-            for reg, value in result.writes.items():
-                if reg.rclass.value == 0:
-                    xregs[reg.index] = int(value) & ((1 << 64) - 1)
-                else:
-                    dregs[reg.index] = float(value)
+            for reg in result.writes:
                 self.reg_ready[reg] = done
             if inst.is_load:
-                value = self.memory.load(result.addr)
-                if inst.rd.rclass.value == 0:
-                    xregs[inst.rd.index] = int(value) & ((1 << 64) - 1)
-                else:
-                    dregs[inst.rd.index] = float(value)
                 self.reg_ready[inst.rd] = done
             if result.new_flags is not None:
-                self.flags = result.new_flags
                 self.flags_ready = done
 
             # in-order commit, width per cycle
@@ -206,7 +188,6 @@ class OoOCore:
             if result.halt:
                 break
             instructions += 1
-            pc = result.target if result.taken else pc + 1
 
         self.stats.set("cycles", self.commit_tail)
         self.stats.set("instructions", instructions)

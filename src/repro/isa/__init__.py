@@ -9,7 +9,7 @@ from .encoding import (
     encode_instruction,
     encode_program,
 )
-from .func_sim import ArchState, FunctionalSimulator, run_functional
+from .func_sim import ArchState, FunctionalSimulator, arch_step, run_functional
 from .instructions import (
     AddrMode,
     Cond,
@@ -26,7 +26,7 @@ __all__ = [
     "AddrMode", "ArchState", "AssemblerError", "Cond", "D", "DecodedOp",
     "DecodedProgram", "EncodingError",
     "ExecResult", "Flags", "FunctionalSimulator", "Instruction", "Opcode",
-    "Program", "Reg", "RegClass", "SP", "X", "assemble",
+    "Program", "Reg", "RegClass", "SP", "X", "arch_step", "assemble",
     "decode_instruction", "decode_program", "encode_instruction",
     "encode_program", "evaluate", "from_flat", "parse_reg", "run_functional",
 ]

@@ -38,11 +38,11 @@ from .checks import (
     check_tagstore,
 )
 from .config import GRANULARITIES, SanitizeConfig
-from .shadow import ShadowCore, ShadowThread
+from .shadow import ShadowCore
 
 __all__ = ["CoreSanitizer", "GRANULARITIES", "STRUCTURE_CHECKS",
            "SanitizeConfig", "Sanitizer", "SanitizerViolation", "ShadowCore",
-           "ShadowThread", "check_backing_bounds", "check_bsi",
+           "check_backing_bounds", "check_bsi",
            "check_policy", "check_rollback", "check_tagstore"]
 
 
@@ -150,8 +150,8 @@ class Sanitizer:
         """Shadow bookkeeping counters (diagnostics; not part of Stats)."""
         commits = sum(cs.shadow.commits for cs in self.cores
                       if cs.shadow is not None)
-        frozen = sum(1 for cs in self.cores if cs.shadow is not None
-                     for sh in cs.shadow.shadows.values() if sh.frozen)
+        frozen = sum(len(cs.shadow.frozen) for cs in self.cores
+                     if cs.shadow is not None)
         return {"shadow_commits": commits, "frozen_threads": frozen,
                 "cores": len(self.cores)}
 

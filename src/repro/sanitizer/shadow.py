@@ -1,14 +1,14 @@
 """Shadow architectural register file (VSan's ground truth).
 
-One :class:`ShadowCore` per simulated core maintains an independent copy of
-every thread's architectural state — registers, flags, pc — advanced by the
-*functional* instruction semantics (:func:`repro.isa.instructions.evaluate`,
-the same golden model :mod:`repro.isa.func_sim` uses) at every timing-model
-commit.  Because the timeline engine commits in program order per thread and
-performs functional execution at commit, a healthy simulation keeps the two
-copies bit-identical; any divergence means timing-model state was corrupted
-(an injected soft error, or a register-virtualization bug that let a stale
-or mis-mapped value commit).
+One :class:`ShadowCore` per simulated core keeps an independent
+:class:`~repro.isa.func_sim.ArchState` per thread — registers, flags, pc —
+advanced by :func:`~repro.isa.func_sim.arch_step`, the functional model's
+own step, in store-check mode at every timing-model commit.  Because the
+timeline engine commits in program order per thread and performs
+functional execution at commit, a healthy simulation keeps the two copies
+bit-identical; any divergence means timing-model state was corrupted (an
+injected soft error, or a register-virtualization bug that let a stale or
+mis-mapped value commit).
 
 Comparisons are bit-exact: float values are compared by their IEEE-754
 pattern, so a sign flip on ``0.0`` or a NaN-payload flip cannot hide behind
@@ -18,12 +18,13 @@ Python's ``==``.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.base import ThreadContext
 from ..errors import SanitizerViolation
-from ..isa.instructions import Instruction, evaluate
-from ..isa.registers import NUM_FP_REGS, NUM_INT_REGS, D, Reg, RegClass, X
+from ..isa.func_sim import ArchState, arch_step
+from ..isa.instructions import MASK64, Instruction
+from ..isa.registers import NUM_FP_REGS, NUM_INT_REGS, D, Reg, X
 from ..memory.main_memory import MainMemory
 
 
@@ -31,39 +32,11 @@ def _bits(value: object) -> int:
     """Canonical 64-bit pattern of a register value (int or float)."""
     if isinstance(value, float):
         return struct.unpack("<Q", struct.pack("<d", value))[0]
-    return int(value) & ((1 << 64) - 1)
+    return int(value) & MASK64
 
 
 def _fmt(value: object) -> str:
     return f"{value!r} (0x{_bits(value):016x})"
-
-
-class ShadowThread:
-    """Shadow architectural state of one hardware thread."""
-
-    def __init__(self, thread: ThreadContext) -> None:
-        self.tid = thread.tid
-        self.pc = thread.pc
-        self.xregs: List[int] = list(thread.xregs)
-        self.dregs: List[float] = list(thread.dregs)
-        self.flags = thread.flags.copy()
-        self.halted = False
-        #: set on control-flow divergence: the shadow can no longer follow
-        #: the timing model's instruction stream, so it freezes at the
-        #: divergence point instead of absorbing wrong-path state
-        self.frozen = False
-        self.commits = 0
-
-    def read(self, reg: Reg) -> object:
-        if reg.rclass == RegClass.X:
-            return self.xregs[reg.index]
-        return self.dregs[reg.index]
-
-    def write(self, reg: Reg, value: object) -> None:
-        if reg.rclass == RegClass.X:
-            self.xregs[reg.index] = int(value) & ((1 << 64) - 1)
-        else:
-            self.dregs[reg.index] = float(value)
 
 
 class ShadowCore:
@@ -73,8 +46,13 @@ class ShadowCore:
                  memory: MainMemory) -> None:
         self.core_id = core_id
         self.memory = memory
-        self.shadows: Dict[int, ShadowThread] = {
-            th.tid: ShadowThread(th) for th in threads}
+        self.shadows: Dict[int, ArchState] = {
+            th.tid: ArchState.copy(th) for th in threads}
+        self.halted: Set[int] = set()
+        #: threads whose control flow diverged: the shadow can no longer
+        #: follow the timing model's instruction stream, so it freezes at
+        #: the divergence point instead of absorbing wrong-path state
+        self.frozen: Set[int] = set()
         #: first divergence seen while checks were deferred (interval/run
         #: granularity); raised at the next check boundary
         self.pending: Optional[SanitizerViolation] = None
@@ -102,52 +80,40 @@ class ShadowCore:
         surfaced at the next check boundary.  Never raises and never writes
         simulator state: VSan is purely observational.
         """
-        sh = self.shadows.get(thread.tid)
-        if sh is None or sh.frozen or sh.halted:
+        tid = thread.tid
+        sh = self.shadows.get(tid)
+        if sh is None or tid in self.frozen or tid in self.halted:
             return self.pending if check_now else None
         self.commits += 1
-        sh.commits += 1
 
         # control-flow integrity: the committed pc must be exactly where
         # the shadow's functional execution says this thread is
         if thread.pc != sh.pc:
-            sh.frozen = True
+            self.frozen.add(tid)
             v = self._violation(
                 "shadow.pc",
-                f"thread {thread.tid} committed pc {thread.pc} but shadow "
+                f"thread {tid} committed pc {thread.pc} but shadow "
                 f"expects pc {sh.pc}", t_commit,
-                {"tid": thread.tid, "pc": thread.pc, "shadow_pc": sh.pc,
+                {"tid": tid, "pc": thread.pc, "shadow_pc": sh.pc,
                  "inst": repr(inst)})
             self._defer(v)
             return v if check_now else None
 
-        srcvals = {r: sh.read(r) for r in inst.srcs}
-        shadow_res = evaluate(inst, srcvals, sh.flags, sh.pc)
-
-        for reg, value in shadow_res.writes.items():
-            sh.write(reg, value)
-        if inst.is_load and shadow_res.addr is not None:
-            sh.write(inst.rd, self.memory.load(shadow_res.addr))
-        if shadow_res.new_flags is not None:
-            sh.flags = shadow_res.new_flags
+        res = arch_step(sh, inst, self.memory, store=False)
+        if res.halt:
+            self.halted.add(tid)
 
         violation: Optional[SanitizerViolation] = None
-        if inst.is_store and shadow_res.addr is not None:
-            stored = self.memory.load(shadow_res.addr)
-            if _bits(stored) != _bits(shadow_res.store_value):
+        if inst.is_store and res.addr is not None:
+            stored = self.memory.load(res.addr)
+            if _bits(stored) != _bits(res.store_value):
                 violation = self._violation(
                     "shadow.store",
-                    f"thread {thread.tid} stored {_fmt(stored)} at "
-                    f"0x{shadow_res.addr:x} but shadow computed "
-                    f"{_fmt(shadow_res.store_value)}", t_commit,
-                    {"tid": thread.tid, "addr": shadow_res.addr,
-                     "inst": repr(inst)})
+                    f"thread {tid} stored {_fmt(stored)} at "
+                    f"0x{res.addr:x} but shadow computed "
+                    f"{_fmt(res.store_value)}", t_commit,
+                    {"tid": tid, "addr": res.addr, "inst": repr(inst)})
                 self._defer(violation)
-
-        if shadow_res.halt:
-            sh.halted = True
-        else:
-            sh.pc = (shadow_res.target if shadow_res.taken else sh.pc + 1)
 
         if violation is None:
             violation = self.check_thread(thread, t_commit,
@@ -162,7 +128,7 @@ class ShadowCore:
                      ) -> Optional[SanitizerViolation]:
         """Compare one thread's registers (all, or just ``regs``) + flags."""
         sh = self.shadows.get(thread.tid)
-        if sh is None or sh.frozen:
+        if sh is None or thread.tid in self.frozen:
             return None
         if regs is None:
             regs = tuple(X(i) for i in range(NUM_INT_REGS)) + \

@@ -25,6 +25,7 @@ from typing import List
 import numpy as np
 
 from ..isa import X
+from ..isa.instructions import MASK64
 from ..memory.main_memory import MainMemory
 from .registry import (
     WorkloadInstance,
@@ -110,7 +111,7 @@ def build_synthetic(n_threads: int = 8, n_per_thread: int = 64,
         lo, hi = tid * n_per_thread, (tid + 1) * n_per_thread
         vals = data[idx[lo:hi]] if indirection else data[lo:hi]
         total = int(vals.sum()) * eff_alu
-        expected.append(total & ((1 << 64) - 1))
+        expected.append(total & MASK64)
 
     def check(m: MainMemory) -> bool:
         return m.read_array(sym["out"], n_threads) == expected

@@ -111,7 +111,7 @@ def _assert_hints_sound(program, init_regs, max_instructions=200_000):
     for reg, value in init_regs.items():
         sim.state.write(reg, value)
     dead = set()
-    while not sim.state.halted:
+    while not sim.halted:
         pc = sim.state.pc
         inst = program[pc]
         read = {r.flat for r in inst.srcs} & dead

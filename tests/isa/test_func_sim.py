@@ -1,8 +1,13 @@
 """Tests for the functional golden-model simulator."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from repro.isa import X, D, assemble, run_functional
+import repro
+from repro.errors import DeadlockError
+from repro.isa import ArchState, X, D, arch_step, assemble, run_functional
 from repro.memory.main_memory import MainMemory
 
 
@@ -106,6 +111,14 @@ def test_halt_required():
         s.run()
 
 
+def test_budget_overrun_is_a_deadlock_error():
+    from repro.isa.func_sim import FunctionalSimulator
+    s = FunctionalSimulator(assemble("loop:\nb loop"), max_instructions=1000)
+    with pytest.raises(DeadlockError) as exc:
+        s.run()
+    assert exc.value.committed == 1001 and not s.halted
+
+
 def test_init_regs():
     p = assemble("add x0, x1, x2\nhalt")
     sim = run_functional(p, init_regs={X(1): 30, X(2): 12})
@@ -123,3 +136,53 @@ def test_instruction_count():
     p = assemble("nop\nnop\nnop\nhalt")
     sim = run_functional(p)
     assert sim.instructions_executed == 3  # halt not counted
+
+
+def test_arch_step_store_check_mode_leaves_memory_alone():
+    p = assemble("adr x1, a\nmov x2, #9\nstr x2, [x1], #8\nhalt",
+                 symbols={"a": 0x100})
+    mem = MainMemory()
+    st = ArchState(pc=p.entry)
+    for _ in range(2):
+        arch_step(st, p[st.pc], mem)
+    res = arch_step(st, p[st.pc], mem, store=False)
+    assert (res.addr, res.store_value) == (0x100, 9)
+    assert mem.load(0x100) == 0 and st.xregs[1] == 0x108 and st.pc == 3
+    assert arch_step(st, p[st.pc], mem).halt and st.pc == 3
+
+
+def test_copy_is_independent_and_architectural_only():
+    from repro.core.base import ThreadContext
+    th = ThreadContext(tid=2, pc=5)
+    th.write(X(3), -1)
+    c = ArchState.copy(th)
+    assert type(c) is ArchState and c == ArchState(pc=5, xregs=th.xregs,
+                                                    flags=th.flags)
+    c.xregs[3] = 0
+    c.flags.z = False
+    assert th.xregs[3] == (1 << 64) - 1 and th.flags.z
+
+
+def _evaluate_callers():
+    """Modules under ``src/repro`` that call ``instructions.evaluate``."""
+    root = Path(repro.__file__).parent
+    callers = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == "evaluate") or (
+                    isinstance(f, ast.Attribute) and f.attr == "evaluate"
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id in ("instructions", "isa")):
+                callers.add(path.relative_to(root).as_posix())
+    return callers
+
+
+def test_arch_step_is_the_only_caller_of_evaluate():
+    """Every architectural state in ``src`` advances through ``arch_step``:
+    no module outside ``isa/`` evaluates an instruction itself."""
+    callers = _evaluate_callers()
+    assert not {m for m in callers if not m.startswith("isa/")}
+    assert callers == {"isa/func_sim.py"}

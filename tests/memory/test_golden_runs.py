@@ -24,6 +24,7 @@ import pytest
 
 from repro import workloads
 from repro.core.ooo import OoOCore
+from repro.isa import run_functional
 from repro.memory import Cache, CacheConfig
 from repro.memory.dram import DRAM
 from repro.memory.hierarchy import HostMemorySystem
@@ -219,3 +220,24 @@ def test_ooo_refusal_stack_refuses_at_both_levels():
     flat = dict(mem_stats.flat())
     assert flat["hostmem.dcache.mshr_full"] > 0
     assert flat["hostmem.l2.mshr_full"] > 0
+
+
+@pytest.mark.parametrize("with_init", [True, False],
+                         ids=["init_regs", "no_init_regs"])
+@pytest.mark.parametrize("workload", ["stride", "spmv", "gather_scatter"])
+def test_ooo_final_state_is_the_functional_models(workload, with_init):
+    """The host core steps one ``ArchState`` as it times the run: its final
+    registers, flags and pc are the golden model's."""
+    def build():
+        return workloads.get(workload).build(
+            n_threads=1, n_per_thread=8 * N_PER_THREAD[workload], seed=7)
+
+    inst, ref = build(), build()
+    init_regs = inst.init_regs[0] if with_init else None
+    host = HostMemorySystem(dram=table1_dram())
+    core = OoOCore(inst.program, host.icache, host.dcache, inst.memory)
+    core.run(init_regs)
+    want = run_functional(ref.program, ref.memory, init_regs).state
+    assert core.state.snapshot() == want.snapshot()
+    assert (core.state.flags, core.state.pc) == (want.flags, want.pc)
+    assert any(core.state.xregs)
