@@ -3,14 +3,13 @@
 
 Builds 1-8 ViReC processors sharing a crossbar and DDR5-like DRAM (the
 Figure 11 system), offloads a batch of gather tasks to each, and shows how
-observed memory latency climbs with activity — and how per-core register
-cache occupancy responds.
+observed memory latency climbs with activity — and what one core's register
+cache does meanwhile, through telemetry's VRMU probe.
 
 Run:  python examples/offload_multicore.py
 """
 
 from repro.system import RunConfig, run_config
-from repro.virec.analysis import RegisterCacheMonitor
 
 
 def main() -> None:
@@ -30,14 +29,15 @@ def main() -> None:
     print("\nObserved latency grows with active processors (crossbar and")
     print("bank contention); aggregate node IPC still scales because each")
     print("processor hides its own latency behind thread switching.")
-    print("\nRegister-cache occupancy on a single processor:")
+    print("\nRegister cache of a single processor:")
 
-    # a closer look at one core with the cache monitor
+    # a closer look at one core through the telemetry VRMU probe
     from repro import workloads
     from repro.core.base import ThreadState
     from repro.memory import NDPMemorySystem
     from repro.system.config import ndp_dcache, ndp_icache, table1_dram
     from repro.system.offload import offload_contexts
+    from repro.telemetry import TelemetrySession
     from repro.virec import ViReCConfig, ViReCCore
 
     inst = workloads.get("gather").build(n_threads=8, n_per_thread=48)
@@ -51,11 +51,19 @@ def main() -> None:
     core = ViReCCore(inst.program, ports.icache, ports.dcache, inst.memory,
                      threads, virec=ViReCConfig(rf_size=45),
                      layout=inst.layout())
-    monitor = RegisterCacheMonitor(core)
+    session = TelemetrySession()
+    session.attach(core)
+    probe = session.cores[0].vrmu_probe
     core.run()
-    print()
-    print(monitor.finish().summary())
-
+    probe.finalize(core.commit_tail)
+    summary = probe.summary()
+    rows = [("hits / misses", f"{summary['hits']} / {summary['misses']} "
+                              f"({summary['hit_rate']:.1%})"),
+            ("evictions by cause", summary["eviction_causes"])]
+    rows += [(f"thread {tid} peak entries", peak)
+             for tid, peak in sorted(probe.peak_occupancy.items())]
+    for label, value in rows:
+        print(f"  {label:<22}: {value}")
 
 if __name__ == "__main__":
     main()

@@ -31,14 +31,17 @@ class _WedgeMixin:
     clock stopped* and *how many instructions had committed*.  They ride
     inside the message (not only as attributes) because pool workers that
     fail to pickle an exception fall back to ``type(exc)(str(exc))`` —
-    the attributes are lost but the message survives.
+    the attributes are lost but the message survives.  Only the facts a
+    model has are printed: the functional model has no commit clock.
     """
 
     def __init__(self, message: str, commit_tail: int = -1,
                  committed: int = -1) -> None:
-        if commit_tail >= 0 or committed >= 0:
-            message = (f"{message} [commit_tail={commit_tail}, "
-                       f"committed={committed}]")
+        known = ", ".join(f"{name}={value}" for name, value in (
+            ("commit_tail", commit_tail), ("committed", committed))
+            if value >= 0)
+        if known:
+            message = f"{message} [{known}]"
         super().__init__(message)
         self.commit_tail = int(commit_tail)
         self.committed = int(committed)

@@ -15,7 +15,8 @@ timeline cores; issue, execute, commit, successor-peek for the barrel
 core.  :func:`_step_source` splices the per-op-class fragments (simple,
 cmp, branch, ldr, str, halt) between them.  Everything the *shape* of the
 emitted code depends on — subclass hooks, miss switching, flag reads,
-destination register file, chaining, attached instruments — is a
+destination register file, chaining, attached instruments, the operand
+pattern of a generated ViReC register stage — is a
 template switch that leaves code out instead of testing a constant at
 run time.  The op's own expressions (value, address, post-index
 writeback, branch test) are part of the shape too, written over per-pc
@@ -50,6 +51,12 @@ Step contract:
   is reached only on a refusal (``CacheBusy``), ``core._load_slot_wait`` /
   ``core._sq_insert`` only when the load slots / store queue (min-heaps)
   are full;
+* a ViReC step with the register stage generated (``vrmu_inline``)
+  touches an op's registers itself when all are resident (reading
+  ``core.vrmu`` per call); ``core.decode_regs_ready`` is reached on a
+  miss, a thread's first access or a pending T-bit fold, and always from
+  the observed variant; with ``"hit+commit"`` ``core.on_commit`` is not
+  called at all;
 * only observed shapes read ``core._fault_hook`` or ``core._observers``;
   ``TimelineCore._recompile_step`` picks the variant whenever either is
   assigned;
@@ -117,6 +124,14 @@ class EngineVariant:
     #: a fault hook or an observer is attached.  Derived by the core from
     #: its ``fault_hook`` / ``observers``; not a user option.
     observed: bool = False
+    #: how much of the ViReC register stage the step states itself instead
+    #: of calling the core's hooks: ``""`` none; ``"hit"`` the all-resident
+    #: decode lookup (a miss still calls ``core.decode_regs_ready``) and no
+    #: hook call for an op without registers; ``"hit+commit"`` also the
+    #: commit-time rollback pop of a policy without dead hints.  Derived by
+    #: a :class:`~repro.virec.core.ViReCCore` from its policy (see its
+    #: ``_engine_variant``); not a user option.
+    vrmu_inline: str = ""
 
 
 class CompiledProgram:
@@ -181,7 +196,7 @@ def _build_code(dprog: DecodedProgram,
     shared = variant.shared
     chains = variant.family == "timeline" and not (
         shared and (variant.observed or variant.reg_hook
-                    or variant.commit_hook))
+                    or variant.commit_hook or variant.vrmu_inline))
     leaders = _block_leaders(dprog) if chains else None
     code: List[Optional[Callable]] = [None] * n
     depth = [0] * n
@@ -379,10 +394,20 @@ def _lower(ops: List[DecodedOp], pc: int, variant: EngineVariant
     consts = {"LAT": d.ex_latency, "SRC_FLATS": d.src_flats, "NEXT": pc + 1}
     if not barrel:
         consts.update(D=d, LINE=d.line, ADDR=d.addr)
-        if variant.reg_hook:
-            sw.add("reg_hook")
-        if variant.commit_hook:
-            sw.add("commit_hook")
+        if not variant.vrmu_inline:
+            if variant.reg_hook:
+                sw.add("reg_hook")
+            if variant.commit_hook:
+                sw.add("commit_hook")
+        elif d.plan:
+            # the generated ViReC register stage; an op without registers
+            # has none
+            sw.add(_REGS + "".join("d" if operand[2] else "s"
+                                   for operand in d.plan))
+            consts.update((f"FLAT{i}", operand[1])
+                          for i, operand in enumerate(d.plan))
+            sw.add("commit_pop" if variant.vrmu_inline == "hit+commit"
+                   else "commit_hook")
     elif variant.observed:
         consts["D"] = d             # what the instruments are handed
     if variant.observed:
@@ -525,6 +550,84 @@ t_regs = core.decode_regs_ready(thread, D, t_d)
 if t_regs > t_issue:
     t_issue = t_regs
 """
+
+
+#: the switch naming a generated register stage, followed by the op's
+#: operand pattern (``d`` a destination, ``s`` a source, in plan order)
+_REGS = "regs_"
+
+
+def _register_operands(sw: FrozenSet[str]) -> Optional[str]:
+    """The operand pattern of a shape with a generated register stage."""
+    return next((name[len(_REGS):] for name in sw
+                 if name.startswith(_REGS)), None)
+
+
+_REGISTER_HITS = Template("""\
+# register residency: an op whose operands are all resident is touched
+# here; any other goes through the VRMU (fills and evictions)
+vrmu = core.vrmu
+ts = vrmu.tagstore
+policy = ts.policy
+rows = ts.rows
+tid = thread.tid
+t_regs = -1
+if tid == policy.running or not policy.pending_switches:
+    try:
+        row = rows[tid]
+    except IndexError:
+        pass                    # the thread's first access
+    else:
+$LOOKUP        if $RESIDENT:
+            clock = policy._clock = policy._clock + 1
+            word, zeroed_at = policy.word, policy.zeroed_at
+            stamp, dirty, fill_ready = policy.stamp, ts.dirty, ts.fill_ready
+            t_regs = t_d
+$TOUCH            # the pending cells ACCESSES and HITS of repro.virec.vrmu
+            pending = vrmu._pending
+            pending[0] += $N
+            pending[1] += $N
+            rollback = vrmu.rollback
+            queue = rollback._queue
+            if len(queue) >= rollback.depth:
+                queue.popleft()
+                rollback.stats.inc("overflow")
+            queue.append(([$SLOTS], $IS_MEM))
+if t_regs < 0:
+    t_regs = core.decode_regs_ready(thread, D, t_d)
+if t_regs > t_issue:
+    t_issue = t_regs
+""")
+
+
+def _register_hits(operands: str, is_mem: bool) -> str:
+    """The VRMU's decode lookup when every operand is resident (Section
+    5.1): ``VRMU.access``'s hit half, unrolled over the op's operands —
+    one tag lookup and the base policy's touch per operand (the VRMU's
+    touch rule), ``d``/``s`` in ``operands`` marking a destination or a
+    source in plan order, their flat indices the constants ``FLAT0..``.
+    Nothing is written until every operand is found resident.  A miss,
+    the thread's first access or a pending T-bit fold hands the whole op
+    to ``core.decode_regs_ready`` (``VRMU.access``), so the miss, victim
+    and BSI order is the called path's.  ``last_spill_wait`` is left to
+    that path: its one reader, the cycle attributor, runs the observed
+    variant."""
+    slots = [f"s{i}" for i in range(len(operands))]
+    touch = ""
+    for slot, kind in zip(slots, operands):
+        touch += (f"word[{slot}] = C_BIT\n"
+                  f"zeroed_at[{slot}] = stamp[{slot}] = clock\n"
+                  + (f"dirty[{slot}] = True\n" if kind == "d" else "")
+                  + f"fr = fill_ready[{slot}]\n"
+                  f"if fr > t_regs:\n"
+                  f"    t_regs = fr\n")
+    return _REGISTER_HITS.substitute(
+        LOOKUP=indent("".join(f"{slot} = row[FLAT{i}]\n"
+                              for i, slot in enumerate(slots)), " " * 8),
+        RESIDENT=" and ".join(f"{slot} >= 0" for slot in slots),
+        TOUCH=indent(touch, " " * 12), N=len(slots), SLOTS=", ".join(slots),
+        IS_MEM=is_mem)
+
 
 _FETCH_ADVANCE = """\
 # the front end delivers the next op one cycle behind this one
@@ -679,6 +782,14 @@ _ON_STALL = """\
                           "suppressed-switch")
 """
 
+_COMMIT_POP = """\
+# commit detection: the oldest rollback entry leaves (VRMU.on_commit
+# without dead hints)
+queue = core.vrmu.rollback._queue
+if queue:
+    queue.popleft()
+"""
+
 _ON_COMMIT = """\
 # the one commit point: observers see exactly the committed state, with
 # the instruction's own pc
@@ -716,8 +827,11 @@ def _step_source(family: str, cls: str, sw: FrozenSet[str],
     else:
         src = [_FETCH, _DECODE,
                _operand_wait("SRC_FLATS", on("reads_flags"), "t_issue")]
+    operands = _register_operands(sw)
     if on("reg_hook"):
         src.append(_REG_HOOK)
+    elif operands:
+        src.append(_register_hits(operands, cls in ("ldr", "str")))
     elif observed and not barrel:
         src.append("t_regs = t_d\n")
     src.append("core.decode_free = t_issue\n")
@@ -764,6 +878,8 @@ def _step_source(family: str, cls: str, sw: FrozenSet[str],
         src.append("taken = $TEST\n")
     if on("commit_hook"):
         src.append("core.on_commit(thread, D, t_c)\n")
+    elif on("commit_pop"):
+        src.append(_COMMIT_POP)
     if observed:
         src.append(_ON_COMMIT)
 
@@ -844,8 +960,12 @@ def _step_factory(family: str, cls: str, sw: FrozenSet[str], forms: Forms,
         # shows the failing source line
         linecache.cache[filename] = (len(source), None,
                                      source.splitlines(True), filename)
+        step_globals = dict(_STEP_GLOBALS)
+        if _register_operands(sw):
+            # imported here: virec sits above isa in the layer order
+            from ..virec.policies import C_BIT
+            step_globals["C_BIT"] = C_BIT
         namespace: dict = {}
-        exec(compile(source, filename, "exec"), dict(_STEP_GLOBALS),
-             namespace)
+        exec(compile(source, filename, "exec"), step_globals, namespace)
         factory = _FACTORIES[shape] = namespace["make"]
     return factory

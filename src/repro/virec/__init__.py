@@ -1,6 +1,5 @@
 """ViReC: the paper's contribution — VRMU, LRC policy, BSI, and the core."""
 
-from .analysis import RegisterCacheMonitor, RegisterCacheReport
 from .bsi import BackingStoreInterface
 from .core import ViReCConfig, ViReCCore, make_nsf_core
 from .csl import SysRegBuffer
@@ -27,9 +26,8 @@ from .vrmu import VRMU, CapacityError
 
 __all__ = [
     "AccessTraceRecorder", "BackingStoreInterface", "CapacityError", "LRC",
-    "LRU", "MRTLRU", "MRTPLRU", "PLRU", "POLICIES", "RegisterCacheMonitor",
-    "RegisterCacheReport", "RegisterTrace", "ReplacementPolicy",
-    "ReplayResult", "RollbackEntry", "RollbackQueue", "SysRegBuffer",
-    "TagStore", "VRMU", "ViReCConfig", "ViReCCore", "make_nsf_core",
-    "make_policy", "policy_quality", "simulate_trace",
+    "LRU", "MRTLRU", "MRTPLRU", "PLRU", "POLICIES", "RegisterTrace",
+    "ReplacementPolicy", "ReplayResult", "RollbackEntry", "RollbackQueue",
+    "SysRegBuffer", "TagStore", "VRMU", "ViReCConfig", "ViReCCore",
+    "make_nsf_core", "make_policy", "policy_quality", "simulate_trace",
 ]

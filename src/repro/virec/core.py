@@ -18,18 +18,19 @@ blocking BSI, and none of ViReC's miss-penalty optimizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from ..analysis.dataflow import annotate
 from ..core.base import CoreConfig, ThreadContext, TimelineCore
 from ..core.cgmt import ContextLayout
+from ..isa.compiled import EngineVariant
 from ..isa.decoded import DecodedOp
 from ..stats.counters import Stats
 from .bsi import BackingStoreInterface
 from .csl import SysRegBuffer
 from .policies import make_policy
-from .vrmu import VRMU
+from .vrmu import VRMU, writes_word
 
 
 @dataclass
@@ -60,19 +61,21 @@ class ViReCCore(TimelineCore):
                  config: Optional[CoreConfig] = None,
                  stats: Optional[Stats] = None, core_id: int = 0) -> None:
         config = config or CoreConfig(name="virec", switch_on_miss=True)
+        vc = self.vconfig = virec or ViReCConfig()
+        policy = make_policy(vc.policy, vc.rf_size)
+        # known before the first (and only) compile of the step table
+        self._vrmu_inline = self._inline_stage(policy)
         super().__init__(program, icache, dcache, memory, threads,
                          config=config, stats=stats, core_id=core_id,
                          layout=layout)
-        self.vconfig = virec or ViReCConfig()
         self.layout = self.layout or ContextLayout()
 
-        vc = self.vconfig
         self.bsi = BackingStoreInterface(
             self.dcache_request, self.layout,
             blocking=vc.blocking_bsi, dummy_fill_enabled=vc.dummy_fill,
             pinning_enabled=vc.pinning, stats=self.stats.child("bsi"))
-        self.vrmu = VRMU(vc.rf_size, make_policy(vc.policy, vc.rf_size),
-                         self.bsi, rollback_depth=vc.rollback_depth,
+        self.vrmu = VRMU(vc.rf_size, policy, self.bsi,
+                         rollback_depth=vc.rollback_depth,
                          group_evict=vc.group_evict,
                          stats=self.stats.child("vrmu"))
         # the only reader of a thread's run-segment register set
@@ -92,6 +95,34 @@ class ViReCCore(TimelineCore):
 
         # reserve + pin the register region in the backing store
         self.dcache.register_region = self.layout.region(len(threads))
+
+    # -- the step table ----------------------------------------------------
+    def _inline_stage(self, policy) -> str:
+        """How much of the register stage the bare step generates (see
+        :class:`~repro.isa.compiled.EngineVariant`'s ``vrmu_inline``): the
+        all-resident lookup when this class's hooks are ViReCCore's and
+        the policy's touch is written in place with no segment recording
+        (context prefetch), the commit pop too without dead hints."""
+        cls = type(self)
+        if (cls.decode_regs_ready is not ViReCCore.decode_regs_ready
+                or cls.on_commit is not ViReCCore.on_commit
+                or not writes_word(policy) or self.vconfig.context_prefetch):
+            return ""
+        return "hit" if policy.uses_dead_hints else "hit+commit"
+
+    def _engine_variant(self) -> EngineVariant:
+        """The timeline variant, with the register stage generated into a
+        bare step.  An observed core calls the hooks (the fault hook and
+        the VRMU probe sit in ``VRMU.access``), and so does a core whose
+        ``vrmu.access`` is rebound per instance: a wrapper that then calls
+        :meth:`_recompile_step` (``AccessTraceRecorder``) sees every
+        access."""
+        variant = super()._engine_variant()
+        vrmu = getattr(self, "vrmu", None)      # built after the compile
+        if (not self._vrmu_inline or variant.observed
+                or (vrmu is not None and "access" in vars(vrmu))):
+            return variant
+        return replace(variant, vrmu_inline=self._vrmu_inline)
 
     # -- TimelineCore hooks ------------------------------------------------
     def decode_regs_ready(self, thread: ThreadContext, op: DecodedOp,

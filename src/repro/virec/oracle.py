@@ -102,6 +102,9 @@ class AccessTraceRecorder:
         vrmu.access = access
         vrmu.on_context_switch = on_context_switch
         vrmu.on_flush = on_flush
+        # a bare ViReC step touches all-resident operands itself; with
+        # ``access`` rebound the core recompiles to the step that calls it
+        core._recompile_step()
         return rec.trace
 
 

@@ -26,6 +26,17 @@ from .tagstore import TagStore
 ACCESSES, HITS, MISSES, SPILL_EVICTIONS = range(4)
 
 
+def writes_word(policy: ReplacementPolicy) -> bool:
+    """The touch rule: whether ``policy`` leaves the per-operand hooks as
+    the base class wrote them, so that its priority word may be written in
+    place instead of calling them.  Keyed on the overrides themselves, the
+    test ``TimelineCore`` uses for its hooks, so a subclass cannot be
+    mistaken for its parent."""
+    return all(getattr(type(policy), hook) is getattr(ReplacementPolicy, hook)
+               for hook in ("on_instruction", "on_access", "on_insert",
+                            "reset_age"))
+
+
 class CapacityError(ValueError):
     """Register file too small to hold one instruction's operands."""
 
@@ -54,16 +65,13 @@ class VRMU:
         self.tagstore = TagStore(capacity, policy, self.stats.child("tagstore"))
         self.rollback = RollbackQueue(rollback_depth, self.stats.child("rollback"))
         self.bsi = bsi
-        #: the touch rule: a policy that leaves the per-operand hooks as the
-        #: base class wrote them has its priority word written here, in
-        #: place (the bodies are copied beside each use); a policy that
-        #: overrides any of them is called for every operand.  Keyed on the
-        #: overrides themselves, the test ``TimelineCore`` uses for its
-        #: hooks, so a subclass cannot be mistaken for its parent.
-        self._writes_word = all(
-            getattr(type(policy), hook) is getattr(ReplacementPolicy, hook)
-            for hook in ("on_instruction", "on_access", "on_insert",
-                         "reset_age"))
+        #: the touch rule (:func:`writes_word`): a policy that leaves the
+        #: per-operand hooks as the base class wrote them has its priority
+        #: word written in place — here, and for an all-resident op in the
+        #: ViReC core's generated step (``repro.isa.compiled``) — the
+        #: bodies copied beside each use; a policy that overrides any of
+        #: them is called for every operand
+        self._writes_word = writes_word(policy)
         #: whether the policy consumes dead-on-commit hints; gates every
         #: hint-path branch so non-hint policies take byte-identical paths
         self.dead_hints: bool = policy.uses_dead_hints
@@ -76,18 +84,24 @@ class VRMU:
         #: registers each thread referenced during its latest run segment,
         #: recorded only while ``record_segments`` is set — the core sets it
         #: when something will read them (the optional next-context
-        #: prefetch, see ViReCConfig)
+        #: prefetch, see ViReCConfig), and then calls :meth:`access` for
+        #: every op
         self.segment_regs: dict = {}
         self.record_segments = False
         #: fill-issue cycles the latest :meth:`access` lost to spill port
         #: occupancy (read by the core's profile hook, never fed back into
-        #: timing)
+        #: timing; a generated all-hit step leaves it as the latest call
+        #: set it, and the profile hook runs only on the observed step,
+        #: which calls :meth:`access` for every op)
         self.last_spill_wait = 0
         #: optional :class:`~repro.faults.FaultInjector` probing physical
-        #: register-file slots on every decode-stage read (strictly opt-in)
+        #: register-file slots on every decode-stage read (strictly opt-in;
+        #: attached with the core's fault hook, so the core calls
+        #: :meth:`access` for every op)
         self.fault_hook = None
         #: optional :class:`~repro.telemetry.VRMUProbe`; strictly opt-in and
-        #: purely observational (occupancy/eviction-cause/residency probes)
+        #: purely observational (occupancy/eviction-cause/residency
+        #: probes), attached with a core observer like the fault hook
         self.probe = None
 
     # -- decode-stage access ------------------------------------------------

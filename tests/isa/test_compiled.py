@@ -81,6 +81,8 @@ def test_equal_variant_values_share_one_table():
     EngineVariant(shared=True),
     EngineVariant(observed=True),
     EngineVariant(family="barrel", observed=True),
+    EngineVariant(reg_hook=True, commit_hook=True, vrmu_inline="hit"),
+    EngineVariant(reg_hook=True, commit_hook=True, vrmu_inline="hit+commit"),
 ])
 def test_distinct_variants_get_distinct_tables(other):
     dprog = make_dprog()
@@ -208,6 +210,7 @@ def test_shared_step_may_start_at_a_memory_op():
 @pytest.mark.parametrize("hooks", [
     {"reg_hook": True}, {"commit_hook": True}, {"observed": True},
     {"reg_hook": True, "commit_hook": True, "observed": True},
+    {"vrmu_inline": "hit+commit"},
 ])
 def test_shared_step_with_hooks_or_observers_never_chains(hooks):
     for program in workload_programs():
@@ -257,12 +260,17 @@ def test_shapes_compile_once_per_process():
 
 
 def compile_every_workload():
-    """Compile every workload's program under every variant."""
+    """Compile every workload's program under every variant; a timeline
+    core with the register hooks also with each generated ViReC register
+    stage."""
     variants = [EngineVariant(family=f, reg_hook=h, commit_hook=h,
-                              miss_switch=m, shared=s, observed=o)
+                              miss_switch=m, shared=s, observed=o,
+                              vrmu_inline=i)
                 for f in compiled.FAMILIES for h in (False, True)
                 for m in (False, True) for s in (False, True)
-                for o in (False, True)]
+                for o in (False, True)
+                for i in (("", "hit", "hit+commit")
+                          if f == "timeline" and h else ("",))]
     for program in workload_programs():
         for variant in variants:
             compile_program(DecodedProgram.of(program), variant)
@@ -301,8 +309,10 @@ def test_observed_step_sources_name_each_instrument_once():
 
 
 #: shapes of every workload under every variant, as counted when this
-#: bound was recorded; a per-pc value in a shape key would multiply it
-MAX_WORKLOAD_SHAPES = 231
+#: bound was recorded; a per-pc value in a shape key would multiply it.
+#: The generated ViReC register stage adds 208 (its operand pattern is
+#: part of the shape: eight patterns over the workloads)
+MAX_WORKLOAD_SHAPES = 439
 
 
 def test_steps_close_over_no_callable_but_their_successor(monkeypatch):

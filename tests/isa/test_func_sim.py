@@ -119,6 +119,18 @@ def test_budget_overrun_is_a_deadlock_error():
     assert exc.value.committed == 1001 and not s.halted
 
 
+def test_budget_overrun_message_names_no_commit_clock():
+    # the functional model has no clock: the message carries only the
+    # instruction count
+    from repro.isa.func_sim import FunctionalSimulator
+    s = FunctionalSimulator(assemble("l:\nb l"), max_instructions=10)
+    with pytest.raises(DeadlockError) as exc:
+        s.run()
+    assert str(exc.value).endswith(" [committed=11]")
+    assert "commit_tail" not in str(exc.value)
+    assert exc.value.commit_tail == -1
+
+
 def test_init_regs():
     p = assemble("add x0, x1, x2\nhalt")
     sim = run_functional(p, init_regs={X(1): 30, X(2): 12})

@@ -1,14 +1,9 @@
-"""Tests for stats reporting exports and the register-cache monitor."""
+"""Tests for stats reporting exports and text plots."""
 
 import json
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from helpers import build_gather_core  # noqa: E402
-
-from repro.stats.counters import Stats  # noqa: E402
-from repro.stats.reporting import (  # noqa: E402
+from repro.stats.counters import Stats
+from repro.stats.reporting import (
     compare,
     rows_to_csv,
     stats_to_csv,
@@ -16,8 +11,6 @@ from repro.stats.reporting import (  # noqa: E402
     stats_to_json,
     text_histogram,
 )
-from repro.virec import ViReCConfig, ViReCCore  # noqa: E402
-from repro.virec.analysis import RegisterCacheMonitor  # noqa: E402
 
 
 def sample_stats():
@@ -70,65 +63,6 @@ def test_text_histogram():
     assert "demo" in h and "#" in h
     assert text_histogram([], title="t").endswith("(no data)")
     assert "#" in text_histogram([3, 3, 3])  # degenerate range
-
-
-def test_register_cache_monitor_on_real_run():
-    core, *_ = build_gather_core(ViReCCore, n_threads=4, n=64,
-                                 virec=ViReCConfig(rf_size=20))
-    monitor = RegisterCacheMonitor(core, period=8)
-    core.run()
-    report = monitor.finish()
-    assert report.capacity == 20
-    assert report.samples, "no occupancy samples collected"
-    assert 0 < report.mean_occupancy <= 20
-    # all four threads hold some share of the cache on average
-    shares = [report.thread_share(t) for t in range(4)]
-    assert all(s > 0.02 for s in shares)
-    assert abs(sum(shares) - 1.0) < 0.2
-    # evictions recorded with owner distances
-    assert sum(report.eviction_owner_distance.values()) > 0
-    assert report.mean_lifetime > 0
-    assert "register cache capacity" in report.summary()
-
-
-def test_monitor_sees_what_the_vrmu_does_and_keeps_an_attached_probe():
-    """The monitor sits on ``vrmu.probe``: its counts are the VRMU's own
-    (patching ``ts.evict``/``ts.insert`` would miss the inlined miss half),
-    and a telemetry probe attached first still receives every event."""
-    from repro.telemetry import TelemetrySession
-
-    core, *_ = build_gather_core(ViReCCore, n_threads=4, n=64,
-                                 virec=ViReCConfig(rf_size=16))
-    session = TelemetrySession()
-    session.attach(core)
-    telemetry = session.cores[0].vrmu_probe
-    assert core.vrmu.probe is telemetry
-    monitor = RegisterCacheMonitor(core)
-    assert core.vrmu.probe is monitor
-    core.run()
-    evictions = core.vrmu.tagstore.stats["evictions"]
-    assert evictions > 0
-    report = monitor.finish()
-    assert sum(report.eviction_owner_distance.values()) == evictions
-    assert len(report.lifetimes) == evictions
-    assert sum(telemetry.eviction_causes.values()) == evictions
-    assert telemetry.hits == core.vrmu.stats["hits"]
-    assert telemetry.misses == core.vrmu.stats["misses"]
-
-
-def test_monitor_lrc_evicts_far_threads():
-    """The T bits should make most victims come from distant threads."""
-    core, *_ = build_gather_core(ViReCCore, n_threads=4, n=96,
-                                 virec=ViReCConfig(rf_size=16, policy="lrc"))
-    monitor = RegisterCacheMonitor(core)
-    core.run()
-    report = monitor.finish()
-    dist = report.eviction_owner_distance
-    total = sum(dist.values())
-    near = dist.get(0, 0) + dist.get(1, 0)
-    far = total - near
-    # most evictions come from threads further away in the schedule
-    assert far >= near * 0.8
 
 
 # -- sparkline edge cases ----------------------------------------------------
