@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Sequence
 
 import math
 
-from ..errors import FunctionalCheckError, SimulationError
+from ..errors import SimulationError
 
 SCALES = {
     # elements per thread for performance experiments
@@ -144,34 +144,3 @@ def figure_run(name: str, grid: Callable, fold: Callable) -> Callable:
         return fold(configs, simulate({name: configs})[name], **axes)
     return run
 
-
-def run_core(instance, core_cls, program=None, **core_kw) -> int:
-    """Cycles of ``instance`` (or ``program`` on its data) on one
-    ``core_cls(..., **core_kw)``: the studies whose variants are not
-    RunConfig fields."""
-    from ..core.base import ThreadState
-    from ..memory.hierarchy import NDPMemorySystem
-    from ..stats.counters import Stats
-    from ..system.config import ndp_dcache, ndp_icache, table1_dram
-    from ..system.offload import offload_contexts
-
-    stats = Stats("study")
-    memsys = NDPMemorySystem(n_cores=1, dcache=ndp_dcache(),
-                             icache=ndp_icache(), dram=table1_dram(),
-                             stats=stats.child("mem"))
-    ports = memsys.ports(0)
-    threads = instance.threads()
-    layout = instance.layout()
-    offload_contexts(instance.memory, layout, threads, instance.init_regs)
-    for th in threads:
-        th.state = ThreadState.BLOCKED
-    if program is None:
-        program = instance.program
-    core = core_cls(program, ports.icache, ports.dcache, instance.memory,
-                    threads, layout=layout, stats=stats.child("core"),
-                    **core_kw)
-    result = core.run()
-    if not instance.check():
-        raise FunctionalCheckError(
-            f"{instance.name} wrong on {core_cls.__name__} {core_kw}")
-    return int(result["cycles"])

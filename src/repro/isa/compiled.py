@@ -938,8 +938,8 @@ _STEP_GLOBALS = {"MASK64": MASK64, "SIGN64": SIGN64, "_U64": _U64,
 #: shape is (family, op class, switches, forms) and holds no per-pc value:
 #: the forms name registers and immediates by constant (``x[A] + IMM``),
 #: so shapes stay bounded by opcode x operand form.  A sweep that
-#: assembles hundreds of programs still compiles each shape once (~0.4 ms)
-#: and every pc after that costs one factory call.
+#: assembles hundreds of programs still compiles each shape once (1-2 ms
+#: on a 2-core x86 host) and every pc after that costs one factory call.
 _FACTORIES: Dict[Tuple[str, str, FrozenSet[str], Forms], Callable] = {}
 
 

@@ -7,7 +7,7 @@ so benchmark drivers never hand-assemble cores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
 from ..memory.cache import CacheConfig
@@ -105,6 +105,11 @@ class RunConfig:
     #: sanitizer subsystem; a sanitize-on run that finds no violation is
     #: still cycle-identical to a sanitize-off run.
     sanitize: Optional[Dict] = None
+    #: ``virec``: a mapping of :class:`~repro.virec.ViReCConfig` field
+    #: overrides (``blocking_bsi``, ``pinning``, ``group_evict``, ...) for
+    #: a ``virec`` core; ``rf_size`` and ``policy`` have their own fields
+    #: above.  Excluded from digests when None, as ``metrics``.
+    virec: Optional[Dict] = None
 
     def __post_init__(self) -> None:
         if self.core_type not in CORE_TYPES:
@@ -114,6 +119,10 @@ class RunConfig:
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.core_type == "ooo" and self.n_cores != 1:
+            # the host core runs the whole problem alone
+            raise ValueError(f"n_cores must be 1 for core_type 'ooo', "
+                             f"got {self.n_cores}")
         if not 0.1 <= self.context_fraction <= 2.0:
             raise ValueError("context_fraction out of range")
         if self.dram_preset not in ("ddr5", "hbm"):
@@ -124,6 +133,8 @@ class RunConfig:
                              f"choose from {sorted(POLICIES)}")
         if self.max_cycles is not None and self.max_cycles <= 0:
             raise ValueError("max_cycles must be positive")
+        if self.virec is not None:
+            _check_virec(self.virec)
         requested(self)  # validate the opt-in layers' specs eagerly
 
     def with_(self, **kw) -> "RunConfig":
@@ -134,3 +145,16 @@ class RunConfig:
         if self.rf_size is not None:
             return self.rf_size
         return max(8, round(self.context_fraction * self.n_threads * active_context))
+
+
+def _check_virec(overrides: Dict) -> None:
+    """Reject a ``virec`` key that is not a settable ViReCConfig field."""
+    from ..virec import ViReCConfig
+    own = ("rf_size", "policy")     # RunConfig fields of their own
+    allowed = [f.name for f in fields(ViReCConfig) if f.name not in own]
+    for key in overrides:
+        if key in own:
+            raise ValueError(f"virec[{key!r}]: set RunConfig.{key} instead")
+        if key not in allowed:
+            raise ValueError(f"unknown virec field {key!r}; "
+                             f"choose from {allowed}")

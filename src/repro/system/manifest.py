@@ -27,7 +27,7 @@ from .simulator import RunResult
 #: existed remain byte-identical (and checkpoint journals stay resumable).
 #: A non-None value still enters the digest — two configs differing only
 #: in an active campaign remain distinguishable.
-_DIGEST_OPTIONAL_FIELDS = ("metrics", "profile")
+_DIGEST_OPTIONAL_FIELDS = ("metrics", "profile", "virec")
 
 
 def config_payload(cfg: RunConfig) -> Dict:

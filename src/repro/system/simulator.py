@@ -84,7 +84,7 @@ def _make_core(cfg: RunConfig, instance, icache, dcache, core_id=0, stats=None):
                                   instance.memory, threads, **common)
     if cfg.core_type == "virec":
         rf = cfg.resolve_rf_size(len(instance.active_regs))
-        vc = ViReCConfig(rf_size=rf, policy=cfg.policy)
+        vc = ViReCConfig(rf_size=rf, policy=cfg.policy, **(cfg.virec or {}))
         return ViReCCore(instance.program, icache, dcache, instance.memory,
                          threads, virec=vc, **common)
     if cfg.core_type == "nsf":
@@ -109,18 +109,20 @@ def _make_core(cfg: RunConfig, instance, icache, dcache, core_id=0, stats=None):
 
 def core_build(cfg: RunConfig, core_id: int = 0) -> tuple:
     """Core ``core_id``'s workload build: the arguments of
-    :func:`repro.workloads.build`, whose key a sweep's build memo uses."""
+    :func:`repro.workloads.build`, whose key a sweep's build memo uses.
+    The ``ooo`` host runs the whole problem as one thread."""
+    if cfg.core_type == "ooo":
+        return (cfg.workload, 1, cfg.n_per_thread * cfg.n_threads, cfg.seed,
+                cfg.workload_kwargs)
     return (cfg.workload, cfg.n_threads, cfg.n_per_thread,
             cfg.seed + core_id, cfg.workload_kwargs)
 
 
 def run_config(cfg: RunConfig, check: bool = True) -> RunResult:
     """Simulate one configuration and return its result record."""
-    spec = workloads.get(cfg.workload)
     profiler = HostProfiler()
-
     if cfg.core_type == "ooo":
-        return _run_ooo(cfg, spec, check, profiler)
+        return _run_ooo(cfg, check, profiler)
 
     stats = Stats("system")
     with profiler.phase("build"):
@@ -188,10 +190,8 @@ def run_config(cfg: RunConfig, check: bool = True) -> RunResult:
     return run
 
 
-def _run_ooo(cfg: RunConfig, spec, check: bool, profiler=None) -> RunResult:
+def _run_ooo(cfg: RunConfig, check: bool, profiler: HostProfiler) -> RunResult:
     """Single OoO host core over the full (unpartitioned) problem."""
-    if profiler is None:
-        profiler = HostProfiler()
     # the ooo host core does not run on the timeline engine: there are no
     # observers, hook or commit clock for an opt-in layer to attach to
     asked = [field for row, _, _ in requested(cfg) for field in row.fields
@@ -201,9 +201,7 @@ def _run_ooo(cfg: RunConfig, spec, check: bool, profiler=None) -> RunResult:
                          "engine, so it runs none of the opt-in layers; "
                          f"drop {', '.join(asked)}")
     with profiler.phase("build"):
-        inst = spec.build(n_threads=1,
-                          n_per_thread=cfg.n_per_thread * cfg.n_threads,
-                          seed=cfg.seed, **cfg.workload_kwargs)
+        inst = workloads.build(*core_build(cfg))
         host = HostMemorySystem(dram=table1_dram())
         stats = Stats("ooo-system")
         core = OoOCore(inst.program, host.icache, host.dcache, inst.memory,

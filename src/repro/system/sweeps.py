@@ -167,10 +167,7 @@ def _wall_clock_limit(seconds: Optional[float]):
 
 
 def _build_keys(cfg: RunConfig) -> List[Optional[str]]:
-    """The build-memo key of each core's workload build (none for ooo,
-    which builds outside the memo)."""
-    if cfg.core_type == "ooo":
-        return []
+    """The build-memo key of each core's workload build."""
     return [workloads.build_key(*simulator.core_build(cfg, core_id))
             for core_id in range(cfg.n_cores)]
 

@@ -163,11 +163,20 @@ class BuildMemo:
 def build(name: str, n_threads: int, n_per_thread: int, seed: int,
           kwargs: Dict) -> WorkloadInstance:
     """``get(name).build(...)``, shared through the active
-    :class:`BuildMemo` when a sweep task runs in this context."""
+    :class:`BuildMemo` when a sweep task runs in this context.
+
+    ``kwargs["schedule"] = True`` is not a builder argument: it replaces
+    the built program by its basic-block list schedule
+    (:func:`repro.compiler.schedule_program`)."""
     def make() -> WorkloadInstance:
-        return get(name).build(n_threads=n_threads,
-                               n_per_thread=n_per_thread, seed=seed,
-                               **kwargs)
+        args = dict(kwargs)
+        schedule = args.pop("schedule", False)
+        inst = get(name).build(n_threads=n_threads,
+                               n_per_thread=n_per_thread, seed=seed, **args)
+        if schedule:
+            from ..compiler import schedule_program
+            inst = replace(inst, program=schedule_program(inst.program).program)
+        return inst
     memo = _MEMO.get()
     if memo is None:
         return make()

@@ -5,22 +5,24 @@ from repro.experiments import DRIVERS, fig13
 from repro.system import simulator
 from repro.system.manifest import config_key
 
-GRID_DRIVERS = ("fault_study", "fig01", "fig09", "fig10", "fig11", "fig12",
-                "fig13", "sizing")
+GRID_DRIVERS = ("ablation", "compiler_study", "fault_study", "fig01", "fig09",
+                "fig10", "fig11", "fig12", "fig13", "sizing")
 
 
-def test_grid_drivers_are_the_eight():
+def test_grid_drivers_are_the_ten():
     assert sorted(n for n, d in DRIVERS.items()
                   if hasattr(d, "grid")) == list(GRID_DRIVERS)
 
 
 def test_union_sizes_at_tiny():
-    """Figures 1 and 9-12 and the fault study share their baselines, and
-    Figure 13's 2-cycle latency point is its 8 kB capacity point."""
+    """Figures 1 and 9-12 and the fault study share their baselines,
+    Figure 13's 2-cycle latency point is its 8 kB capacity point, the
+    ablation's full design is Figure 9's 8-thread virec60 and the compiler
+    study's gather baseline is Figure 9's 8-thread banked gather."""
     grids = [DRIVERS[name].grid("tiny") for name in GRID_DRIVERS]
     configs = [cfg for grid in grids for cfg in grid]
-    assert len(configs) == 768
-    assert len({config_key(cfg) for cfg in configs}) == 706
+    assert len(configs) == 878
+    assert len({config_key(cfg) for cfg in configs}) == 805
     fig13_grid = fig13.grid("tiny")
     assert len(fig13_grid) == 200
     assert len({config_key(cfg) for cfg in fig13_grid}) == 180

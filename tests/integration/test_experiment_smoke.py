@@ -83,7 +83,7 @@ def test_fig14_pure_model():
 
 
 def test_ablation_subset():
-    r = ablation.run("tiny", workloads_=("vecadd",),
+    r = ablation.run("tiny", workloads=("vecadd",),
                      variants=("full", "blocking_bsi"))
     mean = next(row for row in r.rows if row["workload"] == "GEOMEAN")
     assert mean["blocking_bsi"] > 0.9

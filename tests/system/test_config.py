@@ -44,6 +44,7 @@ def test_dram_matches_table1():
     (lambda: RunConfig(n_per_thread=-1), "n_per_thread"),
     (lambda: RunConfig(dram_channels=0), "dram_channels"),
     (lambda: RunConfig(dram_banks=-1), "dram_banks"),
+    (lambda: RunConfig(core_type="ooo", n_cores=2), "n_cores"),
     (lambda: DRAMConfig(channels=0), "channels"),
     (lambda: DRAMConfig(banks_per_channel=0), "banks_per_channel"),
     (lambda: DRAMConfig(row_bytes=0), "row_bytes"),
@@ -51,11 +52,12 @@ def test_dram_matches_table1():
     (lambda: DRAMConfig(t_cl=-1), "t_cl"),
     (lambda: DRAMConfig(t_controller=-2), "t_controller"),
 ], ids=["n_cores", "n_threads", "n_per_thread", "dram_channels",
-        "dram_banks", "channels",
+        "dram_banks", "ooo-n_cores", "channels",
         "banks", "row_bytes-0", "row_bytes-100", "t_cl", "t_controller"])
 def test_impossible_sizes_are_rejected_when_the_config_is_built(build, field):
     """Each used to fail deep in the run (``max()`` of no cores, a
-    ``ZeroDivisionError`` in ``DRAM.access``, a run of no instructions)."""
+    ``ZeroDivisionError`` in ``DRAM.access``, a run of no instructions),
+    or, for an ``ooo`` node, silently ran one host core."""
     with pytest.raises(ValueError, match=f"^{field} must be") as excinfo:
         build()
     assert "\n" not in str(excinfo.value)
@@ -104,3 +106,23 @@ def test_banked_bank_geometry():
     import inspect
     sig = inspect.signature(banked_core_area)
     assert sig.parameters["regs_per_bank"].default == 64
+
+
+@pytest.mark.parametrize("virec, message", [
+    ({"pinnning": False}, "unknown virec field 'pinnning'"),
+    ({"rf_size": 16}, "virec['rf_size']: set RunConfig.rf_size instead"),
+    ({"policy": "plru"}, "virec['policy']: set RunConfig.policy instead"),
+], ids=["unknown", "rf_size", "policy"])
+def test_bad_virec_key_is_rejected_when_the_config_is_built(virec, message):
+    """``rf_size`` and ``policy`` have RunConfig fields: one route each."""
+    with pytest.raises(ValueError) as excinfo:
+        RunConfig(virec=virec)
+    assert str(excinfo.value).startswith(message)
+    assert "\n" not in str(excinfo.value)
+
+
+def test_virec_none_keeps_digests_stable():
+    from repro.system.manifest import config_key, config_payload
+    cfg = RunConfig()
+    assert "virec" not in config_payload(cfg)
+    assert config_key(cfg) != config_key(cfg.with_(virec={"pinning": False}))

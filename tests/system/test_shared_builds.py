@@ -121,6 +121,39 @@ def test_every_workload_matches_bare_runs():
         assert [stats_digest(r) for r in shared] == bare_digests(grid)
 
 
+def test_ooo_shares_the_one_thread_build():
+    """The ooo host builds the whole problem as one thread through the
+    memo: Figure 1's in-order and ooo points are one build."""
+    base = GATHER.with_(n_threads=1, n_per_thread=32)
+    grid = [base.with_(core_type="inorder"), base.with_(core_type="ooo")]
+    with time_limit(300):
+        with counted_builds() as built:
+            shared = sweep(grid)
+        assert len(built) == 1
+        assert [stats_digest(r) for r in shared] == bare_digests(grid)
+
+
+def test_schedule_is_a_build_input():
+    """``schedule`` replaces the built program by its list schedule, on
+    every core type, and keys a build of its own."""
+    from repro.compiler import schedule_program
+    plain = workloads.build("spmv", 4, 8, 43, {})
+    sched = workloads.build("spmv", 4, 8, 43, {"schedule": True})
+    assert (sched.program.instructions
+            == schedule_program(plain.program).program.instructions)
+    assert sched.program.instructions != plain.program.instructions
+    spmv = RunConfig(workload="spmv", n_threads=4, n_per_thread=8, seed=43)
+    grid = [spmv.with_(core_type=core, workload_kwargs=kwargs)
+            for core in ("banked", "ooo")
+            for kwargs in ({}, {"schedule": True})]
+    with time_limit(300):
+        with counted_builds() as built:
+            shared = sweep(grid)
+        assert len(built) == 4
+        assert [stats_digest(r) for r in shared] == bare_digests(grid)
+    assert shared[0].cycles != shared[1].cycles
+
+
 def test_dead_hint_run_first_on_a_shared_program():
     """A dead-hint policy annotates the shared decode; the runs after it
     (non-dead policies included) must not see a difference."""

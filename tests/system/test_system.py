@@ -57,6 +57,15 @@ def test_ooo_honours_the_cycle_watchdog():
     assert err.value.commit_tail > 20 and err.value.committed >= 0
 
 
+def test_virec_overrides_reach_the_core():
+    """``virec`` sets ViReCConfig fields: a default value is the same run,
+    a changed one a different run."""
+    cfg = small(context_fraction=0.4)
+    default = run_config(cfg).cycles
+    assert run_config(cfg.with_(virec={"blocking_bsi": False})).cycles == default
+    assert run_config(cfg.with_(virec={"blocking_bsi": True})).cycles != default
+
+
 def test_virec_reports_hit_rate():
     r = run_config(small(core_type="virec", context_fraction=0.6))
     assert r.rf_hit_rate is not None and 0.2 < r.rf_hit_rate <= 1.0
