@@ -4,7 +4,7 @@
 Builds 1-8 ViReC processors sharing a crossbar and DDR5-like DRAM (the
 Figure 11 system), offloads a batch of gather tasks to each, and shows how
 observed memory latency climbs with activity — and what one core's register
-cache does meanwhile, through telemetry's VRMU probe.
+cache does meanwhile, through telemetry's register-cache record.
 
 Run:  python examples/offload_multicore.py
 """
@@ -31,7 +31,7 @@ def main() -> None:
     print("processor hides its own latency behind thread switching.")
     print("\nRegister cache of a single processor:")
 
-    # a closer look at one core through the telemetry VRMU probe
+    # a closer look at one core through its telemetry register-cache record
     from repro import workloads
     from repro.core.base import ThreadState
     from repro.memory import NDPMemorySystem
@@ -53,15 +53,14 @@ def main() -> None:
                      layout=inst.layout())
     session = TelemetrySession()
     session.attach(core)
-    probe = session.cores[0].vrmu_probe
     core.run()
-    probe.finalize(core.commit_tail)
-    summary = probe.summary()
+    session.finalize()
+    summary = session.cores[0].vrmu_summary()
     rows = [("hits / misses", f"{summary['hits']} / {summary['misses']} "
                               f"({summary['hit_rate']:.1%})"),
             ("evictions by cause", summary["eviction_causes"])]
     rows += [(f"thread {tid} peak entries", peak)
-             for tid, peak in sorted(probe.peak_occupancy.items())]
+             for tid, peak in summary["peak_occupancy"].items()]
     for label, value in rows:
         print(f"  {label:<22}: {value}")
 

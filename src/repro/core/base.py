@@ -23,7 +23,10 @@ is a table of generated closures (:mod:`repro.isa.compiled`), where the
 pipeline's timing rules are stated once per pipeline family.  With nothing
 attached the table contains zero instrumentation code; assigning either
 attribute recompiles it to the observed variant, which calls the fault
-hook at fetch and dispatches the observer events in attach order.
+hook at fetch and dispatches the observer events in attach order.  The
+two setters are the only attach points: assigning ``observers`` also
+hands the parts the core owns (the dcache; a ViReC core's VRMU and
+sysreg buffer) the observers of their events.
 
 Subclass hooks (all optional):
 
@@ -62,7 +65,7 @@ from ..isa.program import Program
 from ..memory.cache import Cache, CacheBusy
 from ..memory.main_memory import MainMemory
 from ..stats.counters import Stats
-from .instrument import Observer
+from .instrument import Observer, sinks_for
 
 #: cells of the core's :meth:`Stats.batch`, in ``__init__``'s key order
 CONTEXT_SWITCHES, FLUSHED_INSTRUCTIONS = range(2)
@@ -210,7 +213,14 @@ class TimelineCore:
     @observers.setter
     def observers(self, observers) -> None:
         self._observers = tuple(observers)
+        self._hand_sinks()
         self._recompile_step()
+
+    def _hand_sinks(self) -> None:
+        """Hand each part this core owns the observers that override its
+        events (see :mod:`repro.core.instrument`): here the dcache's
+        demand misses; a subclass with more parts extends it."""
+        self.dcache.sinks = sinks_for(self._observers, "on_dcache_miss")
 
     @property
     def shared(self) -> bool:

@@ -22,16 +22,18 @@ def grid(scale="quick", workloads: Sequence[str] = SUITE,
          latencies: Sequence[int] = LATENCIES,
          capacities_kb: Sequence[int] = CAPACITIES_KB,
          n_threads: int = 8) -> List[RunConfig]:
-    """Per swept value, the suite on ViReC, then on banked (each sweep
-    holds the other knob at its default, so both list the point where
-    they meet)."""
+    """Per swept value, the suite on ViReC at 80 % context, then on banked
+    (each sweep holds the other knob at its default, so both list the
+    point where they meet).  The banked rows carry no context fraction, a
+    field banked ignores, so the default-dcache ones are Figure 9's."""
     n = scale_to_n(scale)
     points = ([{"dcache_latency": lat} for lat in latencies]
               + [{"dcache_kb": kb} for kb in capacities_kb])
+    cores = (("virec", {"context_fraction": 0.8}), ("banked", {}))
     return [RunConfig(workload=w, core_type=core_type, n_threads=n_threads,
-                      n_per_thread=n, context_fraction=0.8, **point)
+                      n_per_thread=n, **context, **point)
             for point in points
-            for core_type in ("virec", "banked")
+            for core_type, context in cores
             for w in workloads]
 
 

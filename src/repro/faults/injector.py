@@ -20,6 +20,8 @@ victim registers (the transient-retry story of the resilient sweep runner).
 The subsystem is strictly opt-in: cores carry a ``fault_hook`` attribute
 that defaults to ``None``, and every probe site guards on it, so runs
 without an injector are bit-identical to a build without this package.
+Each injected fault is an :meth:`~repro.core.instrument.Observer.on_fault`
+event on the core's ``observers``.
 
 Counters (under the injector's ``Stats`` namespace, per core):
 ``faults_injected``, ``faults_detected``, ``faults_corrected``,
@@ -131,20 +133,15 @@ class FaultInjector:
         self._accum = {site: 0.0 for site in SITES}
         self._sched = sorted(config.scheduled)
         self._sched_i = 0
-        #: optional :class:`~repro.telemetry.CoreTelemetry` receiving one
-        #: event per injected fault (strictly opt-in, observational only)
-        self.event_sink = None
 
     # -- wiring ------------------------------------------------------------
     @classmethod
     def attach(cls, core, config: FaultConfig, stats: Optional[Stats] = None,
                regs: Optional[Sequence[int]] = None) -> "FaultInjector":
-        """Build an injector and hook it into ``core``'s probe points."""
+        """Build an injector and make it ``core``'s fault hook (a ViReC
+        core hands it on to its VRMU and BSI)."""
         inj = cls(config, core, stats=stats, regs=regs)
         core.fault_hook = inj
-        if inj.vrmu is not None:
-            inj.vrmu.fault_hook = inj
-            core.bsi.fault_hook = inj
         return inj
 
     # -- site bookkeeping --------------------------------------------------
@@ -184,8 +181,8 @@ class FaultInjector:
     def _inject(self, site: str) -> None:
         self.stats.inc("faults_injected")
         self.stats.inc(f"faults_injected_{site}")
-        if self.event_sink is not None:
-            self.event_sink.on_fault(site, self._last)
+        for observer in self.core.observers:
+            observer.on_fault(site, self._last)
         if self.vrmu is None:
             if site != "rf":
                 self.stats.inc("faults_masked")  # site class absent

@@ -126,10 +126,10 @@ class Cache:
         #: [lo, hi) byte range reserved for register storage (ViReC); data
         #: loads inside it never raise the context-switch signal.
         self.register_region: Optional[Tuple[int, int]] = None
-        #: optional telemetry callback ``(now, addr, is_write, fill_done,
-        #: is_register)`` invoked on every demand miss; strictly opt-in and
-        #: purely observational
-        self.event_hook = None
+        #: the observers of this cache's demand misses
+        #: (:meth:`~repro.core.instrument.Observer.on_dcache_miss`), handed
+        #: over by the core that owns it as a dcache; purely observational
+        self.sinks = ()
 
     # -- geometry helpers ---------------------------------------------------
     def _locate(self, addr: int) -> Tuple[int, int, int]:
@@ -297,8 +297,10 @@ class Cache:
 
         pending[MISSES] += 1
         fill_done = self._next_access(t_next, line_addr, False, requestor)
-        if self.event_hook is not None:
-            self.event_hook(now, addr, is_write, fill_done, is_register)
+        if self.sinks:
+            for sink in self.sinks:
+                sink.on_dcache_miss(now, addr, is_write, fill_done,
+                                    is_register)
         pin = 0
         if is_register and pin_delta > 0:
             pin = pin_delta if pin_delta < PIN_MAX else PIN_MAX

@@ -18,11 +18,12 @@ simulation outcome), then ``handle.finalize()`` for rows with ``finalize``
 after it.
 
 The order is a contract.  It is the order every core dispatches its
-``observers`` in (each layer attaches with ``core.observers += ...``).
-Fault injection is wired first: the observe layer's ``attach`` must find
-``core.fault_hook`` already there to route fault events into its ring, and
-VSan must see injected corruption.  At run end VSan's sweep comes before
-the attribution-sum check.
+``observers`` in (each layer attaches with ``core.observers += ...``, and
+the core hands its parts the observers of their events in the same
+order).  Fault injection is wired first, so that VSan sees injected
+corruption; the injector reports each fault through the core's
+``observers``, whenever those are attached.  At run end VSan's sweep
+comes before the attribution-sum check.
 
 This module imports nothing from the package, so ``RunConfig`` and the
 ``*Config.from_spec`` classmethods can use it without a cycle.

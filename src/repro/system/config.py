@@ -87,8 +87,8 @@ class RunConfig:
     #: bit-identical to a build without the telemetry package.
     #: ``telemetry``: a mapping of ``events``, ``interval``,
     #: ``pipeline_trace``, ``pipeline_trace_limit``, ``max_events`` and
-    #: ``verbose_hits`` — the event ring, VRMU probes, interval rows and
-    #: pipeline tracer.
+    #: ``verbose_hits`` — the event ring, register-cache record, interval
+    #: rows and pipeline tracer.
     telemetry: Optional[Dict] = None
     #: ``metrics``: ``True`` or ``{"by_kind": ...}`` — per-run metric
     #: cells and summary gauges.  Excluded from config/manifest digests

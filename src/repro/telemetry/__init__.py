@@ -1,8 +1,8 @@
 """Observability: one session per observed run, and the fleet registry.
 
 The observability layer of the reproduction.  Three ``RunConfig`` fields
-turn it on — ``telemetry`` (event ring, VRMU probes, interval rows,
-pipeline tracer), ``metrics`` (per-run metric cells) and ``profile``
+turn it on — ``telemetry`` (event ring, register-cache record, interval
+rows, pipeline tracer), ``metrics`` (per-run metric cells) and ``profile``
 (top-down cycle attribution) — and all three wire one
 :class:`TelemetrySession` (the observe row of
 :data:`repro.subsystems.SUBSYSTEMS`), which owns the run's whole artifact
@@ -26,7 +26,7 @@ from __future__ import annotations
 from .attributor import CAUSES, CycleAttributor, SCHEDULER_PC
 from .config import TelemetryConfig
 from .events import BSI_TRACK, CTRL_TRACK, DCACHE_TRACK, EventTracer
-from .probes import CoreMetrics, CoreTelemetry, VRMUProbe
+from .probes import CoreMetrics, CoreTelemetry
 from .registry import (Counter, DEFAULT_BUCKETS, Gauge, Histogram,
                        MetricsRegistry)
 from .sampler import IntervalSampler, merge_rows
@@ -36,7 +36,7 @@ __all__ = ["BSI_TRACK", "CAUSES", "CTRL_TRACK", "CoreMetrics",
            "CoreTelemetry", "Counter", "CycleAttributor", "DCACHE_TRACK",
            "DEFAULT_BUCKETS", "EventTracer", "Gauge", "Histogram",
            "IntervalSampler", "MetricsRegistry", "SCHEDULER_PC",
-           "TelemetryConfig", "TelemetrySession", "VRMUProbe",
+           "TelemetryConfig", "TelemetrySession",
            "diff_snapshots", "merge_cause_totals", "merge_rows"]
 
 

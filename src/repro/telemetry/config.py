@@ -2,9 +2,9 @@
 
 Three ``RunConfig`` fields turn the observe layer on, each for its part of
 the run's artifact set: ``telemetry`` (a mapping of the first six knobs
-below: the event ring, VRMU probes, interval rows and pipeline tracer),
-``metrics`` (``True`` or ``{"by_kind": ...}``: the per-run metric cells
-and summary gauges) and ``profile`` (``True`` or ``{}``: the cycle
+below: the event ring, register-cache record, interval rows and pipeline
+tracer), ``metrics`` (``True`` or ``{"by_kind": ...}``: the per-run
+metric cells and summary gauges) and ``profile`` (``True`` or ``{}``: the cycle
 attribution).  :meth:`TelemetryConfig.from_spec` parses the three into one
 config; a field left ``None`` records nothing of its part, and with all
 three ``None`` nothing is wired — runs are bit-identical to a build
@@ -32,9 +32,9 @@ FIELD_KNOBS = {
 class TelemetryConfig:
     """What to collect during a run."""
 
-    #: the ``telemetry`` field is set: a per-core adapter with VRMU
-    #: introspection probes (occupancy by thread, eviction-cause
-    #: breakdown, residency histograms; no-op on cores without a VRMU)
+    #: the ``telemetry`` field is set: a per-core adapter that also keeps
+    #: the register-cache record (occupancy by thread, eviction-cause
+    #: breakdown, residency histograms; none on cores without a VRMU)
     telemetry: bool = True
     #: the ``metrics`` field is set: committed instructions and the
     #: commit-gap histogram per core, run-end cycle and VRMU hit/miss totals

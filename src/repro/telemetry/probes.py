@@ -1,4 +1,4 @@
-"""Per-core observers: telemetry adapter, VRMU probes, commit counters.
+"""Per-core observers: the telemetry adapter and the commit counters.
 
 :class:`CoreTelemetry` and :class:`CoreMetrics` are
 :class:`~repro.core.instrument.Observer` instances on a core's
@@ -7,10 +7,13 @@ discipline as ``fault_hook``).  The first translates pipeline events into
 trace events and drives the interval sampler off the core's commit clock;
 the second counts committed work into bound metric cells.
 
-:class:`VRMUProbe` attaches to a ViReC core's VRMU and collects the
-register-cache dynamics the paper's figures argue from: occupancy by
-thread, eviction-cause breakdown (capacity vs. cross-thread vs. group /
-prefetch / task-drop), and per-register residency histograms.
+:class:`CoreTelemetry` also records the register-cache dynamics the
+paper's figures argue from, off the VRMU's events on the same bus:
+occupancy by thread, the eviction-cause breakdown (capacity vs.
+cross-thread vs. group / prefetch / task-drop), and per-register
+residency histograms.  Hits and misses it reads from the VRMU's own
+counters; :class:`HitTracingTelemetry` (``verbose_hits``) is the one sink
+of the per-operand hit event.
 """
 
 from __future__ import annotations
@@ -27,18 +30,29 @@ _GAP_BUCKETS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, 256, 1024)
 
 
 class CoreTelemetry(Observer):
-    """Event + sampling adapter for one core (one of ``core.observers``)."""
+    """Event + sampling adapter for one core (one of ``core.observers``),
+    and the record of its VRMU's register-cache traffic."""
 
     def __init__(self, session, core) -> None:
         self.session = session
         self.core = core
-        self.cfg = session.config
         self.pid = core.core_id
         self.events: Optional[EventTracer] = session.events
         self.sampler = None          # set by the session when interval > 0
         #: the core's PipelineTracer, set by the session with pipeline_trace
         self.tracer = None
-        self.vrmu_probe: Optional[VRMUProbe] = None
+        #: the core's VRMU and its tag store (``None`` on a core without
+        #: one, whose VRMU events never fire)
+        self.vrmu = getattr(core, "vrmu", None)
+        self.tagstore = self.vrmu.tagstore if self.vrmu is not None else None
+        self.eviction_causes: Dict[str, int] = {}
+        #: log2 residency-duration histogram: bucket -> evictions
+        self.residency_hist: Dict[int, int] = {}
+        #: flat architectural register -> total resident cycles (all threads)
+        self.reg_residency: Dict[int, int] = {}
+        #: per-thread peak register-cache occupancy
+        self.peak_occupancy: Dict[int, int] = {}
+        self._inserted: Dict[int, Tuple[int, int, int]] = {}  # slot->(tid,reg,t)
         self._run_start: Dict[int, int] = {}
         self._prev_instr = 0
         # dcache misses counted here because the cache's Stats counters
@@ -92,101 +106,14 @@ class CoreTelemetry(Observer):
             self.events.complete(kind, t, done - t, self.pid, CTRL_TRACK,
                                  args={"tid": tid})
 
-    # -- memory callbacks --------------------------------------------------
-    def on_dcache_miss(self, now: int, addr: int, is_write: bool,
-                       fill_done: int, is_register: bool) -> None:
-        self._dcache_misses += 1
-        if self.events is not None:
-            self.events.complete(
-                "dcache_miss", now, fill_done - now, self.pid, DCACHE_TRACK,
-                args={"addr": int(addr), "write": bool(is_write),
-                      "reg_region": bool(is_register)})
-
-    # -- sysreg ping-pong buffer (CSL) -------------------------------------
-    def on_sysreg(self, kind: str, tid: int, t: int) -> None:
-        if self.events is not None:
-            self.events.instant("sysreg", t, self.pid, CTRL_TRACK,
-                                args={"kind": kind, "tid": tid})
-
-    # -- fault injection ---------------------------------------------------
-    def on_fault(self, site: str, t: int) -> None:
-        if self.events is not None:
-            self.events.instant("fault", t, self.pid, CTRL_TRACK,
-                                args={"site": site})
-
-    # -- interval-sampler extras ------------------------------------------
-    def collect(self, cycle: int) -> Dict:
-        """Row fragment for the interval sampler (instructions, occupancy)."""
-        total = sum(th.instructions for th in self.core.threads)
-        row: Dict = {"instructions": total - self._prev_instr,
-                     "dcache_misses": self._dcache_misses - self._prev_dcache}
-        self._prev_instr = total
-        self._prev_dcache = self._dcache_misses
-        if self.vrmu_probe is not None:
-            occ = self.vrmu_probe.occupancy()
-            row["occupancy_total"] = sum(occ.values())
-            for tid in sorted(occ):
-                row[f"occupancy_t{tid}"] = occ[tid]
-        return row
-
-    def finalize(self, cycle: int) -> None:
-        for tid in list(self._run_start):
-            self._end_run(tid, cycle, "end-of-run")
-        if self.sampler is not None:
-            self.sampler.finalize(cycle)
-        if self.vrmu_probe is not None:
-            self.vrmu_probe.finalize(cycle)
-
-
-def _log2_bucket(cycles: int) -> int:
-    """Histogram bucket: floor(log2(residency)), bucket 0 = [0, 2)."""
-    b = 0
-    c = max(0, int(cycles)) >> 1
-    while c:
-        b += 1
-        c >>= 1
-    return b
-
-
-class VRMUProbe:
-    """Introspection hooks wired into :class:`~repro.virec.vrmu.VRMU`.
-
-    Aggregates occupancy, eviction causes, and residency; optionally emits
-    per-event records (miss, evict, fill, spill) into the event tracer.
-    Purely observational — never touches VRMU state or timing.
-    """
-
-    def __init__(self, ct: CoreTelemetry, vrmu) -> None:
-        self.ct = ct
-        self.vrmu = vrmu
-        self.tagstore = vrmu.tagstore
-        self.hits = 0
-        self.misses = 0
-        self.eviction_causes: Dict[str, int] = {}
-        #: log2 residency-duration histogram: bucket -> evictions
-        self.residency_hist: Dict[int, int] = {}
-        #: flat architectural register -> total resident cycles (all threads)
-        self.reg_residency: Dict[int, int] = {}
-        #: per-thread peak register-cache occupancy
-        self.peak_occupancy: Dict[int, int] = {}
-        self._inserted: Dict[int, Tuple[int, int, int]] = {}  # slot->(tid,reg,t)
-
-    # -- VRMU callbacks ----------------------------------------------------
-    def on_hit(self, tid: int, reg: int, t: int) -> None:
-        self.hits += 1
-        ev = self.ct.events
-        if ev is not None and self.ct.cfg.verbose_hits:
-            ev.instant("vrmu_hit", t, self.ct.pid, BSI_TRACK,
-                       args={"tid": tid, "reg": reg})
-
-    def on_miss(self, tid: int, reg: int, t: int) -> None:
-        self.misses += 1
-        ev = self.ct.events
+    # -- the VRMU's register-cache traffic ---------------------------------
+    def on_reg_miss(self, tid: int, reg: int, t: int) -> None:
+        ev = self.events
         if ev is not None:
-            ev.instant("vrmu_miss", t, self.ct.pid, BSI_TRACK,
+            ev.instant("vrmu_miss", t, self.pid, BSI_TRACK,
                        args={"tid": tid, "reg": reg})
 
-    def on_insert(self, slot: int, tid: int, reg: int, t: int) -> None:
+    def on_reg_insert(self, slot: int, tid: int, reg: int, t: int) -> None:
         self._inserted[slot] = (tid, reg, t)
         occ = self.tagstore.resident_count(tid)
         if occ > self.peak_occupancy.get(tid, 0):
@@ -201,58 +128,92 @@ class VRMUProbe:
             self.residency_hist.get(_log2_bucket(span), 0) + 1
         return span
 
-    def on_evict(self, slot: int, requester_tid: int, cause: str,
-                 t: int) -> None:
-        """Called *before* the tag store drops ``slot``."""
-        ts = self.tagstore
-        owner, areg = int(ts.owner[slot]), int(ts.areg[slot])
-        if cause == "capacity" and owner != requester_tid:
-            cause = "thread"  # cross-thread displacement, not self-capacity
+    def on_reg_evict(self, slot: int, tid: int, cause: str, t: int) -> None:
         self.eviction_causes[cause] = self.eviction_causes.get(cause, 0) + 1
         span = self._close_residency(slot, t)
-        ev = self.ct.events
+        ev = self.events
         if ev is not None:
-            args = {"owner": owner, "reg": areg, "cause": cause,
-                    "residency": span,
+            ts = self.tagstore
+            args = {"owner": int(ts.owner[slot]), "reg": int(ts.areg[slot]),
+                    "cause": cause, "residency": span,
                     "dirty": bool(ts.dirty[slot])}
             args.update(ts.policy.describe(slot))
-            ev.instant("evict", t, self.ct.pid, BSI_TRACK, args=args)
+            ev.instant("evict", t, self.pid, BSI_TRACK, args=args)
 
-    def on_fill(self, tid: int, reg: int, t: int, done: int,
-                dummy: bool = False) -> None:
-        ev = self.ct.events
+    def on_reg_fill(self, tid: int, reg: int, t: int, done: int,
+                    dummy: bool = False) -> None:
+        ev = self.events
         if ev is None:
             return
         name = "dummy_fill" if dummy else "fill"
-        ev.complete(name, t, done - t, self.ct.pid, BSI_TRACK,
+        ev.complete(name, t, done - t, self.pid, BSI_TRACK,
                     args={"tid": tid, "reg": reg})
         if not dummy:
-            ev.flow_pair("fill_flow", t, tid, done, BSI_TRACK, self.ct.pid)
+            ev.flow_pair("fill_flow", t, tid, done, BSI_TRACK, self.pid)
 
-    def on_spill(self, tid: int, reg: int, dirty: bool, t: int) -> None:
-        ev = self.ct.events
+    def on_reg_spill(self, tid: int, reg: int, dirty: bool, t: int) -> None:
+        ev = self.events
         if ev is None:
             return
-        ev.complete("spill", t, 1, self.ct.pid, BSI_TRACK,
+        ev.complete("spill", t, 1, self.pid, BSI_TRACK,
                     args={"tid": tid, "reg": reg, "dirty": bool(dirty)})
-        ev.flow_pair("spill_flow", t, tid, t, BSI_TRACK, self.ct.pid)
+        ev.flow_pair("spill_flow", t, tid, t, BSI_TRACK, self.pid)
 
-    # -- introspection -----------------------------------------------------
-    def occupancy(self) -> Dict[int, int]:
-        """Current register-cache occupancy per thread id."""
-        return self.tagstore.occupancy_by_thread()
+    # -- the dcache, the sysreg ping-pong buffer (CSL), fault injection -----
+    def on_dcache_miss(self, now: int, addr: int, is_write: bool,
+                       fill_done: int, is_register: bool) -> None:
+        self._dcache_misses += 1
+        if self.events is not None:
+            self.events.complete(
+                "dcache_miss", now, fill_done - now, self.pid, DCACHE_TRACK,
+                args={"addr": int(addr), "write": bool(is_write),
+                      "reg_region": bool(is_register)})
+
+    def on_sysreg(self, kind: str, tid: int, t: int) -> None:
+        if self.events is not None:
+            self.events.instant("sysreg", t, self.pid, CTRL_TRACK,
+                                args={"kind": kind, "tid": tid})
+
+    def on_fault(self, site: str, t: int) -> None:
+        if self.events is not None:
+            self.events.instant("fault", t, self.pid, CTRL_TRACK,
+                                args={"site": site})
+
+    # -- interval-sampler extras ------------------------------------------
+    def collect(self, cycle: int) -> Dict:
+        """Row fragment for the interval sampler (instructions, occupancy)."""
+        total = sum(th.instructions for th in self.core.threads)
+        row: Dict = {"instructions": total - self._prev_instr,
+                     "dcache_misses": self._dcache_misses - self._prev_dcache}
+        self._prev_instr = total
+        self._prev_dcache = self._dcache_misses
+        if self.tagstore is not None:
+            occ = self.tagstore.occupancy_by_thread()
+            row["occupancy_total"] = sum(occ.values())
+            for tid in sorted(occ):
+                row[f"occupancy_t{tid}"] = occ[tid]
+        return row
 
     def finalize(self, cycle: int) -> None:
-        """Close residency spans of registers still resident at run end."""
+        for tid in list(self._run_start):
+            self._end_run(tid, cycle, "end-of-run")
+        if self.sampler is not None:
+            self.sampler.finalize(cycle)
+        # close the residency spans of registers still resident at run end
         for slot in list(self._inserted):
             self._close_residency(slot, cycle)
 
-    def summary(self) -> Dict:
-        total = self.hits + self.misses
+    def vrmu_summary(self) -> Optional[Dict]:
+        """The register-cache record (``None`` on a core without a VRMU)."""
+        if self.vrmu is None:
+            return None
+        stats = self.vrmu.stats
+        hits, misses = int(stats["hits"]), int(stats["misses"])
+        total = hits + misses
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hits / total, 6) if total else None,
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": round(hits / total, 6) if total else None,
             "eviction_causes": dict(sorted(self.eviction_causes.items())),
             "residency_hist_log2": {str(k): v for k, v in
                                     sorted(self.residency_hist.items())},
@@ -261,6 +222,28 @@ class VRMUProbe:
             "peak_occupancy": {str(k): v for k, v in
                                sorted(self.peak_occupancy.items())},
         }
+
+
+class HitTracingTelemetry(CoreTelemetry):
+    """:class:`CoreTelemetry` that also records every VRMU hit as a
+    ``vrmu_hit`` event (``verbose_hits``).  The one sink of the
+    per-operand hit: without it a hit dispatches nothing."""
+
+    def on_reg_hit(self, tid: int, reg: int, t: int) -> None:
+        ev = self.events
+        if ev is not None:
+            ev.instant("vrmu_hit", t, self.pid, BSI_TRACK,
+                       args={"tid": tid, "reg": reg})
+
+
+def _log2_bucket(cycles: int) -> int:
+    """Histogram bucket: floor(log2(residency)), bucket 0 = [0, 2)."""
+    b = 0
+    c = max(0, int(cycles)) >> 1
+    while c:
+        b += 1
+        c >>= 1
+    return b
 
 
 class CoreMetrics(Observer):

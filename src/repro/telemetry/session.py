@@ -2,12 +2,13 @@
 
 A :class:`TelemetrySession` is what ``RunConfig(telemetry=..., metrics=...,
 profile=...)`` wires.  :meth:`TelemetrySession.attach` puts each core's
-observers on ``core.observers`` (a :class:`~repro.telemetry.probes.
-CoreTelemetry` and, with ``pipeline_trace``, a
-:class:`~repro.core.trace.PipelineTracer`; a :class:`~repro.telemetry.
+observers on ``core.observers`` — a :class:`~repro.telemetry.probes.
+CoreTelemetry` (which also takes the VRMU, dcache, sysreg and fault
+events the core hands its parts' observers) and, with ``pipeline_trace``,
+a :class:`~repro.core.trace.PipelineTracer`; a :class:`~repro.telemetry.
 probes.CoreMetrics`; a :class:`~repro.telemetry.attributor.
-CycleAttributor`) and the VRMU / dcache / sysreg / fault hooks.  The
-session owns what they record:
+CycleAttributor` — and writes nothing else.  The session owns what they
+record:
 
 * the event ring — :meth:`chrome_trace` (Chrome trace-event JSON, opens
   in Perfetto / chrome://tracing);
@@ -17,7 +18,7 @@ session owns what they record:
 * the attribution tiles — :meth:`profile_snapshot` (what lands in
   ``profile.json``), :meth:`hotspots` mapped back to kernel source, and
   :meth:`collapsed` folded stacks;
-* the VRMU probe summaries and pipeline stalls — :meth:`report`.
+* the register-cache summaries and pipeline stalls — :meth:`report`.
 
 At run end ``run_config`` calls :meth:`verify` (the attribution sum, may
 raise) and then :meth:`finalize` (once per run).
@@ -36,7 +37,7 @@ from typing import Dict, List, Optional
 from .attributor import CAUSES, CycleAttributor, SCHEDULER_PC
 from .config import TelemetryConfig
 from .events import PROFILE_TRACK, EventTracer
-from .probes import CoreMetrics, CoreTelemetry, VRMUProbe
+from .probes import CoreMetrics, CoreTelemetry, HitTracingTelemetry
 from .registry import MetricsRegistry
 from .sampler import IntervalSampler, merge_rows
 
@@ -78,27 +79,16 @@ class TelemetrySession:
 
     # -- wiring ------------------------------------------------------------
     def attach(self, core) -> None:
-        """Wire one core's observers and hooks to this session."""
+        """Put one core's observers on ``core.observers``."""
         cfg = self.config
         if cfg.telemetry:
-            ct = CoreTelemetry(self, core)
+            ct = (HitTracingTelemetry if cfg.verbose_hits
+                  else CoreTelemetry)(self, core)
             core.observers += (ct,)
             if cfg.pipeline_trace:
                 from ..core.trace import PipelineTracer
                 ct.tracer = PipelineTracer(limit=cfg.pipeline_trace_limit)
                 core.observers += (ct.tracer,)
-            if hasattr(core, "vrmu"):
-                probe = VRMUProbe(ct, core.vrmu)
-                core.vrmu.probe = probe
-                ct.vrmu_probe = probe
-                if getattr(core, "sysregs", None) is not None:
-                    core.sysregs.event_sink = ct
-            if cfg.events or cfg.interval:
-                # interval sampling also needs the hook: the dcache's own
-                # counters live outside the per-core stats subtree
-                core.dcache.event_hook = ct.on_dcache_miss
-            if cfg.events and getattr(core, "fault_hook", None) is not None:
-                core.fault_hook.event_sink = ct
             if cfg.interval:
                 ct.sampler = IntervalSampler(cfg.interval, core.stats,
                                              core_id=core.core_id,
@@ -198,7 +188,8 @@ class TelemetrySession:
 
     # -- terminal report ---------------------------------------------------
     def report(self) -> str:
-        """Human-readable summary of the events, probes and stalls."""
+        """Human-readable summary of the events, register cache and
+        stalls."""
         lines = ["telemetry report", "================"]
         if self.events is not None:
             lines.append(f"events: {len(self.events)} recorded "
@@ -206,9 +197,8 @@ class TelemetrySession:
             for name in sorted(self.events.counts):
                 lines.append(f"  {name:<14} {self.events.counts[name]}")
         for ct in self.cores:
-            probe = ct.vrmu_probe
-            if probe is not None:
-                s = probe.summary()
+            s = ct.vrmu_summary()
+            if s is not None:
                 lines.append(f"core {ct.pid} vrmu:")
                 hr = s["hit_rate"]
                 lines.append(f"  hit rate {hr:.2%} "

@@ -24,6 +24,7 @@ from typing import Optional, Tuple
 from ..analysis.dataflow import annotate
 from ..core.base import CoreConfig, ThreadContext, TimelineCore
 from ..core.cgmt import ContextLayout
+from ..core.instrument import REG_EVENTS, sinks_for
 from ..isa.compiled import EngineVariant
 from ..isa.decoded import DecodedOp
 from ..stats.counters import Stats
@@ -96,6 +97,22 @@ class ViReCCore(TimelineCore):
         # reserve + pin the register region in the backing store
         self.dcache.register_region = self.layout.region(len(threads))
 
+    # -- instruments -------------------------------------------------------
+    @TimelineCore.fault_hook.setter
+    def fault_hook(self, hook) -> None:
+        """The fault injector probes register-file slots in the VRMU and
+        backing-store lines in the BSI as well as fetch."""
+        self.vrmu.fault_hook = self.bsi.fault_hook = hook
+        TimelineCore.fault_hook.fset(self, hook)
+
+    def _hand_sinks(self) -> None:
+        super()._hand_sinks()
+        observers = self._observers
+        self.vrmu.sinks = sinks_for(observers, *REG_EVENTS)
+        self.vrmu.hit_sinks = sinks_for(observers, "on_reg_hit")
+        if self.sysregs is not None:
+            self.sysregs.sinks = sinks_for(observers, "on_sysreg")
+
     # -- the step table ----------------------------------------------------
     def _inline_stage(self, policy) -> str:
         """How much of the register stage the bare step generates (see
@@ -113,7 +130,7 @@ class ViReCCore(TimelineCore):
     def _engine_variant(self) -> EngineVariant:
         """The timeline variant, with the register stage generated into a
         bare step.  An observed core calls the hooks (the fault hook and
-        the VRMU probe sit in ``VRMU.access``), and so does a core whose
+        the VRMU's sinks sit in ``VRMU.access``), and so does a core whose
         ``vrmu.access`` is rebound per instance: a wrapper that then calls
         :meth:`_recompile_step` (``AccessTraceRecorder``) sees every
         access."""
@@ -171,13 +188,13 @@ class ViReCCore(TimelineCore):
         """Invalidate a finished task's registers without spilling them
         (task-pool redispatch support: the dead context's values must not
         reach the backing store)."""
-        ts, probe = self.vrmu.tagstore, self.vrmu.probe
+        ts, sinks = self.vrmu.tagstore, self.vrmu.sinks
         tid = thread.tid
         # the CAM row, ascending flat (evict() clears only the cell visited)
         for slot in ts.rows[tid] if tid < len(ts.rows) else ():
             if slot >= 0:
-                if probe is not None:
-                    probe.on_evict(slot, tid, "task-drop", self.now)
+                for sink in sinks:
+                    sink.on_reg_evict(slot, tid, "task-drop", self.now)
                 ts.evict(slot)
         self.vrmu.segment_regs.pop(tid, None)
         self.stats.inc("task_context_drops")

@@ -41,8 +41,10 @@ class SysRegBuffer:
             "prefetch_hits", "demand_fetches", "prefetches")
         self._ready: Dict[int, int] = {}  # tid -> prefetch completion cycle
         self._prev_tid: Optional[int] = None
-        #: optional :class:`~repro.telemetry.CoreTelemetry` (strictly opt-in)
-        self.event_sink = None
+        #: the observers of the buffer's swaps
+        #: (:meth:`~repro.core.instrument.Observer.on_sysreg`), handed over
+        #: by the owning core; purely observational
+        self.sinks = ()
 
     def switch_to(self, tid: int, t: int) -> int:
         """Perform the buffer swap for a switch to ``tid`` at cycle ``t``.
@@ -63,10 +65,11 @@ class SysRegBuffer:
         else:
             ready = t
             pending[PREFETCH_HITS] += 1
-        if self.event_sink is not None:
+        if self.sinks:
             kind = ("demand" if prefetched is None else
                     "prefetch-late" if ready > t else "prefetch-hit")
-            self.event_sink.on_sysreg(kind, tid, t)
+            for sink in self.sinks:
+                sink.on_sysreg(kind, tid, t)
 
         if self._prev_tid is not None and self._prev_tid != tid:
             self.bsi.sysreg_write(ready, self._prev_tid)

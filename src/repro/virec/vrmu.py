@@ -96,13 +96,16 @@ class VRMU:
         self.last_spill_wait = 0
         #: optional :class:`~repro.faults.FaultInjector` probing physical
         #: register-file slots on every decode-stage read (strictly opt-in;
-        #: attached with the core's fault hook, so the core calls
-        #: :meth:`access` for every op)
+        #: the owning core's ``fault_hook`` setter hands it over, and the
+        #: core then calls :meth:`access` for every op)
         self.fault_hook = None
-        #: optional :class:`~repro.telemetry.VRMUProbe`; strictly opt-in and
-        #: purely observational (occupancy/eviction-cause/residency
-        #: probes), attached with a core observer like the fault hook
-        self.probe = None
+        #: the observers of the register-cache traffic
+        #: (:data:`~repro.core.instrument.REG_EVENTS`) and, on a tuple of
+        #: its own, of the per-operand hit: handed over by the owning
+        #: core's ``observers`` setter (which then calls :meth:`access`
+        #: for every op); purely observational
+        self.sinks = ()
+        self.hit_sinks = ()
 
     # -- decode-stage access ------------------------------------------------
     def access(self, tid: int, inst: Union[Instruction, DecodedOp],
@@ -140,7 +143,8 @@ class VRMU:
         except IndexError:
             row = ts.row(tid)   # the thread's first access
         dirty, fill_ready = ts.dirty, ts.fill_ready
-        fault_hook, probe = self.fault_hook, self.probe
+        fault_hook, sinks, hit_sinks = (self.fault_hook, self.sinks,
+                                        self.hit_sinks)
         if self.record_segments:
             self.segment_regs.setdefault(tid, set()).update(
                 [operand[1] for operand in plan])
@@ -165,12 +169,14 @@ class VRMU:
                 if fill_ready[slot] > ready:
                     ready = fill_ready[slot]
                 inst_slots.append(slot)
-                if probe is not None:
-                    probe.on_hit(tid, flat, t)
+                if hit_sinks:
+                    for sink in hit_sinks:
+                        sink.on_reg_hit(tid, flat, t)
             else:
                 missing.append(operand)
-                if probe is not None:
-                    probe.on_miss(tid, flat, t)
+                if sinks:
+                    for sink in sinks:
+                        sink.on_reg_miss(tid, flat, t)
         pending = self._pending
         pending[ACCESSES] += len(plan)
         pending[HITS] += len(inst_slots)
@@ -201,8 +207,10 @@ class VRMU:
                         t_fill = settled if settled is not None else t_fill + 1
                         self.stats.inc("victim_wait_cycles")
                         slot = ts.select_victim(inst_slots, t_fill)
-                    if probe is not None:
-                        probe.on_evict(slot, tid, "capacity", t_fill)
+                    if sinks:
+                        cause = "capacity" if owner[slot] == tid else "thread"
+                        for sink in sinks:
+                            sink.on_reg_evict(slot, tid, cause, t_fill)
                     # D is cleared by the insert below, so the victim's
                     # deadness is read first
                     victim_dead = self.dead_hints and policy.is_dead(slot)
@@ -227,9 +235,10 @@ class VRMU:
                     zeroed_at[slot] = stamp[slot] = clock
                 else:
                     policy.on_insert(slot)
-                if probe is not None:
-                    probe.on_fill(tid, flat, t_fill, done, dummy=not is_src)
-                    probe.on_insert(slot, tid, flat, t_fill)
+                if sinks:
+                    for sink in sinks:
+                        sink.on_reg_fill(tid, flat, t_fill, done, not is_src)
+                        sink.on_reg_insert(slot, tid, flat, t_fill)
                 inst_slots.append(slot)
                 # spill after the fill was issued: fills have port priority
                 if evicted:
@@ -237,8 +246,9 @@ class VRMU:
                         self._spill_victim(t_fill, True, vtid, vreg, vdirty)
                     else:
                         bsi.spill(t_fill, vtid, vreg, vdirty)
-                        if probe is not None:
-                            probe.on_spill(vtid, vreg, vdirty, t_fill)
+                        if sinks:
+                            for sink in sinks:
+                                sink.on_reg_spill(vtid, vreg, vdirty, t_fill)
 
         rollback = self.rollback
         queue = rollback._queue
@@ -260,8 +270,8 @@ class VRMU:
                 self.bsi.elide_spill(t, vtid, vreg)
                 return
         self.bsi.spill(t, vtid, vreg, vdirty)
-        if self.probe is not None:
-            self.probe.on_spill(vtid, vreg, vdirty, t)
+        for sink in self.sinks:
+            sink.on_reg_spill(vtid, vreg, vdirty, t)
 
     def _group_evict(self, victim: int, inst_slots, t: int) -> None:
         """Spill up to ``group_evict - 1`` additional registers of the
@@ -279,8 +289,8 @@ class VRMU:
                  and slot != victim and slot not in inst_slots])
             if nxt is None:
                 break
-            if self.probe is not None:
-                self.probe.on_evict(nxt, victim_owner, "group", t)
+            for sink in self.sinks:
+                sink.on_reg_evict(nxt, victim_owner, "group", t)
             dead = self.dead_hints and ts.policy.is_dead(nxt)
             vtid, vreg, vdirty = ts.evict(nxt)
             self._spill_victim(t, dead, vtid, vreg, vdirty)
@@ -301,17 +311,17 @@ class VRMU:
                 victim = ts.select_victim([], t)
                 if victim is None or ts.owner[victim] == tid:
                     break  # nothing worth displacing
-                if self.probe is not None:
-                    self.probe.on_evict(victim, tid, "prefetch", t)
+                for sink in self.sinks:
+                    sink.on_reg_evict(victim, tid, "prefetch", t)
                 dead = self.dead_hints and ts.policy.is_dead(victim)
                 vtid, vreg, vdirty = ts.evict(victim)
                 self._spill_victim(t, dead, vtid, vreg, vdirty)
                 slot = victim
             fill_done = self.bsi.fill(t, tid, flat)
             ts.insert(slot, tid, flat, t, fill_ready=fill_done)
-            if self.probe is not None:
-                self.probe.on_fill(tid, flat, t, fill_done)
-                self.probe.on_insert(slot, tid, flat, t)
+            for sink in self.sinks:
+                sink.on_reg_fill(tid, flat, t, fill_done)
+                sink.on_reg_insert(slot, tid, flat, t)
             done = max(done, fill_done)
             self.stats.inc("context_prefetches")
         return done

@@ -12,25 +12,41 @@ Four things must hold:
 * **One commit point** — per instruction the fault hook fires, then each
   observer's ``on_commit`` in attach order; the HALT commits, then every
   observer gets ``on_thread_done``.
-* **Every event is live** — each of the eight events has a dispatch site
-  some run reaches, in the timeline steps and the barrel steps alike.
+* **Every event is live** — each of the seventeen events has a dispatch
+  site some run reaches: the core's own in the timeline steps and the
+  barrel steps alike, the parts' (VRMU, sysreg buffer, dcache, fault
+  injector) in the parts, and every eviction cause.
 * **Cycle identity** — observers never change a timestamp: the observed
   variant commits on exactly the bare variant's clock.
+
+A fifth holds by construction and is checked on the source: the core's
+two instrument setters are the only attach points, so nothing outside
+the core classes writes a part's hook slot.
 """
+
+import ast
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.base import TimelineCore
 from repro.core.cgmt import BankedCore
 from repro.core.instrument import Observer
 from repro.core.trace import PipelineTracer
 from repro.isa.compiled import compile_program
-from repro.system import NearMemoryNode, RunConfig, run_config
+from repro.system import NearMemoryNode, RunConfig, run_config, taskpool
+from repro.virec import ViReCCore
 
 from ..helpers import build_gather_core
 
 #: the whole observational hook surface, in declaration order
 EVENTS = tuple(name for name in vars(Observer) if name.startswith("on_"))
+#: the events of the parts a core owns and of the fault injector
+PART_EVENTS = ("on_reg_hit", "on_reg_miss", "on_reg_evict", "on_reg_fill",
+               "on_reg_insert", "on_reg_spill", "on_sysreg",
+               "on_dcache_miss", "on_fault")
+EVICT_CAUSES = {"capacity", "thread", "group", "prefetch", "task-drop"}
 
 
 def build_core(**kw):
@@ -42,7 +58,12 @@ def build_core(**kw):
 
 # ------------------------------------------------------ recording instruments
 class Log(list):
-    """Shared event log; each instrument appends (name, event) tuples."""
+    """Shared event log; each instrument appends (name, event) tuples,
+    and the eviction causes it saw land in ``causes``."""
+
+    def __init__(self):
+        super().__init__()
+        self.causes = set()
 
 
 class RecordingFaults:
@@ -70,6 +91,14 @@ def _recording(event):
 
 for _event in EVENTS:
     setattr(Recorder, _event, _recording(_event))
+
+
+def _record_evict(self, slot, tid, cause, t):
+    self.log.append((self.name, "on_reg_evict"))
+    self.log.causes.add(cause)
+
+
+Recorder.on_reg_evict = _record_evict
 
 
 def attach_all(core, log):
@@ -138,10 +167,10 @@ def test_external_step_wrapper_survives_recompile():
 
 
 # ------------------------------------------------------------ dispatch order
-def test_the_surface_is_eight_events():
+def test_the_surface_is_seventeen_events():
     assert EVENTS == ("on_schedule", "on_switch_in", "on_switch", "on_stall",
                       "on_context_move", "on_spill_window", "on_commit",
-                      "on_thread_done")
+                      "on_thread_done") + PART_EVENTS
 
 
 def test_dispatch_order_per_instruction():
@@ -164,8 +193,10 @@ def test_dispatch_order_per_instruction():
 
 
 #: runs that together reach every event: the banked core's context fetch,
-#: the software save/restore, a register-cache core, the barrel body, and
-#: a masked switch (a second fruitless run stalls in place)
+#: the software save/restore, a register-cache core, the barrel body, a
+#: masked switch (a second fruitless run stalls in place), injected faults
+#: with context prefetch and group evictions, and a task pool (a finished
+#: task's registers are dropped); a mapping is ``run_taskpool``'s keywords
 LIVE_SITES = {
     "banked": RunConfig(workload="gather", core_type="banked", n_threads=4,
                         n_per_thread=16),
@@ -177,11 +208,25 @@ LIVE_SITES = {
                       n_per_thread=16),
     "masked-switch": RunConfig(workload="gather_scatter", core_type="banked",
                                n_threads=3, n_per_thread=16, dcache_kb=1),
+    "faults-prefetch-group": RunConfig(
+        workload="gather", core_type="virec", n_threads=4, n_per_thread=16,
+        context_fraction=0.4, faults={"rf_rate": 1e-4, "seed": 3},
+        virec={"context_prefetch": True, "group_evict": 2}),
+    "taskpool": dict(workload="gather", core_type="virec", hw_threads=4,
+                     n_tasks=8, n_per_task=16, context_fraction=0.4),
 }
 
 
+def _run_site(cfg):
+    """``(committed instructions, HALTs)`` of one live site's run."""
+    if isinstance(cfg, RunConfig):
+        return run_config(cfg).instructions, cfg.n_threads
+    stats, _ = taskpool.run_taskpool(**cfg)
+    return stats["instructions"], cfg["n_tasks"]
+
+
 def test_every_event_has_a_live_dispatch_site(monkeypatch):
-    init = NearMemoryNode.__init__
+    init, attach_pool = NearMemoryNode.__init__, taskpool.attach_pool
     log = Log()
 
     def recording_init(self, *args, **kw):
@@ -189,19 +234,104 @@ def test_every_event_has_a_live_dispatch_site(monkeypatch):
         for core in self.cores:
             core.observers += (Recorder(log),)
 
+    def recording_attach_pool(core, pool):
+        core.observers += (Recorder(log),)
+        attach_pool(core, pool)
+
     monkeypatch.setattr(NearMemoryNode, "__init__", recording_init)
-    seen = {}
+    monkeypatch.setattr(taskpool, "attach_pool", recording_attach_pool)
+    seen, causes = {}, {}
     for key, cfg in LIVE_SITES.items():
         del log[:]
-        result = run_config(cfg)
+        log.causes.clear()
+        instructions, halts = _run_site(cfg)
         seen[key] = {event for _, event in log}
+        causes[key] = set(log.causes)
         # both pipeline families commit every instruction and every HALT
         commits = sum(1 for _, event in log if event == "on_commit")
-        assert commits == result.instructions + cfg.n_threads, key
+        assert commits == instructions + halts, key
         assert "on_thread_done" in seen[key], key
     assert set().union(*seen.values()) == set(EVENTS)
+    assert set().union(*causes.values()) == EVICT_CAUSES
     assert "on_stall" in seen["masked-switch"]
-    assert seen["fgmt"] == {"on_commit", "on_thread_done"}
+    # the barrel steps dispatch the core's commit events; its dcache its own
+    assert seen["fgmt"] - set(PART_EVENTS) == {"on_commit", "on_thread_done"}
+    assert "on_fault" in seen["faults-prefetch-group"]
+    assert {"group", "prefetch"} <= causes["faults-prefetch-group"]
+    assert "task-drop" in causes["taskpool"]
+    # only register-cache cores report register-cache traffic
+    for key in ("banked", "swctx", "fgmt", "masked-switch"):
+        assert not seen[key] & {"on_reg_hit", "on_reg_miss", "on_sysreg"}
+
+
+def test_parts_get_only_the_observers_of_their_events():
+    """The core's ``observers`` setter hands each part the observers that
+    override its events, and an empty tuple when none do."""
+    core = build_core()
+    core.observers += (PipelineTracer(),)
+    assert core.dcache.sinks == ()
+    recorder = Recorder(Log())
+    core.observers += (recorder,)
+    assert core.dcache.sinks == (recorder,)
+    core.observers = ()
+    assert core.dcache.sinks == ()
+
+
+def test_a_virec_core_hands_its_vrmu_sysregs_and_bsi_their_instruments():
+    core, _, _, _ = build_gather_core(ViReCCore, n_threads=4, n=32)
+    vrmu = core.vrmu
+    assert (vrmu.sinks, vrmu.hit_sinks, core.sysregs.sinks) == ((), (), ())
+
+    class HitsOnly(Observer):
+        def on_reg_hit(self, tid, reg, t):
+            pass
+
+    hits, recorder = HitsOnly(), Recorder(Log())
+    core.observers += (PipelineTracer(), hits, recorder)
+    assert vrmu.sinks == core.sysregs.sinks == core.dcache.sinks == (
+        recorder,)
+    assert vrmu.hit_sinks == (hits, recorder)
+    injector = RecordingFaults(Log())
+    core.fault_hook = injector
+    assert core.fault_hook is vrmu.fault_hook is core.bsi.fault_hook is (
+        injector)
+    core.fault_hook = None
+    assert vrmu.fault_hook is None and core.bsi.fault_hook is None
+    assert bound_variant(core).observed
+
+
+#: attributes only a core class may write on another object: the parts'
+#: sink tuples and fault hooks (a core's own ``fault_hook`` is written as
+#: ``core.fault_hook``); and the side hook slots the bus replaced
+HANDED = {"sinks", "hit_sinks", "fault_hook"}
+GONE = {"probe", "event_hook", "event_sink"}
+CORE_CLASSES = {"core/base.py", "virec/core.py"}
+
+
+def test_only_the_core_classes_write_a_parts_hook_slot():
+    src = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if not isinstance(target, ast.Attribute):
+                    continue
+                owner = (target.value.id
+                         if isinstance(target.value, ast.Name) else None)
+                if target.attr in GONE or (
+                        target.attr in HANDED and owner != "self"
+                        and rel not in CORE_CLASSES
+                        and (owner, target.attr) != ("core", "fault_hook")):
+                    offenders.append(f"{rel}:{node.lineno} "
+                                     f"{ast.unparse(target)}")
+    assert offenders == []
 
 
 # ------------------------------------------------------------- cycle identity

@@ -89,10 +89,8 @@ class Cache:
         #: [lo, hi) byte range reserved for register storage (ViReC); data
         #: loads inside it never raise the context-switch signal.
         self.register_region: Optional[Tuple[int, int]] = None
-        #: optional telemetry callback ``(now, addr, is_write, fill_done,
-        #: is_register)`` invoked on every demand miss; strictly opt-in and
-        #: purely observational
-        self.event_hook = None
+        #: the observers of this cache's demand misses (``on_dcache_miss``)
+        self.sinks = ()
 
     # -- geometry helpers ---------------------------------------------------
     def _locate(self, addr: int) -> Tuple[int, int, int]:
@@ -217,8 +215,8 @@ class Cache:
         self.stats.inc("misses")
         fill_done = self._next_access(now + cfg.latency, line_addr,
                                       is_write=False, requestor=requestor)
-        if self.event_hook is not None:
-            self.event_hook(now, addr, is_write, fill_done, is_register)
+        for sink in self.sinks:
+            sink.on_dcache_miss(now, addr, is_write, fill_done, is_register)
         new_line = CacheLine(tag=tag, dirty=is_write, ready_at=fill_done,
                              lru=self._lru_clock)
         if is_register:

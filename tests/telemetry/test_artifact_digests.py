@@ -8,7 +8,12 @@ to record tuples and bound cells, over seven configs: the benchmark's own
 ``virec_observed`` config at two seeds, a 500-event / 64-record ring that
 wraps (with ``verbose_hits``, ``by_kind`` and an interval that
 does not divide the run), banked x 2 cores, fgmt, swctx, and ``dead-elide``
-at 40 % context.  The ``fgmt`` block was re-recorded when the barrel core's
+at 40 % context.  An eighth, ``faults-prefetch-group-40``, was added later
+and recorded the same way, before the register-cache, fault, sysreg and
+dcache events moved onto the observer bus: it is the one config whose
+trace holds ``fault`` instants and ``evict`` events of cause ``prefetch``
+and ``group`` (rf faults at rate 1e-4, context prefetch, group evictions
+of two, at 40 % context).  The ``fgmt`` block was re-recorded when the barrel core's
 reference body started dispatching the ``telemetry``, ``metrics`` and
 ``tracer`` slots (it had dispatched three of the six): the eleven event,
 interval, metrics and tracer artifacts moved; cycles, stats and the
@@ -52,6 +57,10 @@ CONFIGS = {
     "dead-elide-40": RunConfig(workload="gather", core_type="virec",
                                context_fraction=0.4, policy="dead-elide",
                                n_per_thread=32, **_ALL),
+    "faults-prefetch-group-40": RunConfig(
+        workload="gather", core_type="virec", context_fraction=0.4,
+        n_per_thread=32, faults={"rf_rate": 1e-4, "seed": 3},
+        virec={"context_prefetch": True, "group_evict": 2}, **_ALL),
 }
 
 
@@ -75,8 +84,8 @@ def artifacts(result) -> dict:
         "len": len(tel.events),
         "metrics_jsonl": _sha(tel.metrics_jsonl()),
         "report": _sha(tel.report()),
-        "probe_summaries": _sha([ct.vrmu_probe.summary() for ct in tel.cores
-                                 if ct.vrmu_probe is not None]),
+        "probe_summaries": _sha([ct.vrmu_summary() for ct in tel.cores
+                                 if ct.vrmu is not None]),
         "tracer_format": _sha([ct.tracer.format() for ct in tel.cores]),
         "tracer_format_last7": _sha([ct.tracer.format(last=7)
                                      for ct in tel.cores]),
@@ -328,6 +337,40 @@ GOLDEN = {
             "ac671527189731f5f84c437912957125408ea0795d28e9fe273f262b359b1db4",
         "tracer_format_last7":
             "40ffe40422eb99feeda04fee58f12f2b0aadbb4e9ae2e6895a6950d9785e7d9e",
+    },
+    "faults-prefetch-group-40": {
+        "chrome_trace":
+            "b581b1f5a5158cf2422953544b0051af3a16ba469528f96bb622d9478fbc25da",
+        "counts":
+            "71542338853edd319b5c4f6cb68b230d6c523d1f86a745e8dc18c3c76e5baac6",
+        "cycles": 8320,
+        "dropped": 0,
+        "events":
+            "abe509d00c370a28b2645d5a905194332d1234b8baf6cfc4606444c29f93ebaf",
+        "len": 12256,
+        "metrics_jsonl":
+            "5a1b6549ee17f6f51cdbe2a03f0059eed4f668b24e4166293610bf61d613199d",
+        "metrics_snapshot":
+            "de6a8deb9c719ee75a564b70492bac9eb5ff2dd7ebe850493acd3ee69406524a",
+        "metrics_text":
+            "b8df881717652e17f4b88d6056952a93f881945fe0b8062fb1101262707f761c",
+        "probe_summaries":
+            "0d9ff1be2c8438e422f926092b8f9c037d86d9ddbb23f820fd25365ea223ff6a",
+        "profile_collapsed":
+            "386ddec2ff72b7c291ea2a1e063d548c79bbce91d98f90ee9673056894d33263",
+        "profile_snapshot":
+            "c313d106d11d591acbcb62b8086ae3ff65937db797a742901915b3467929bc30",
+        "report":
+            "a509457562b42662bc247ed74b58d4958c2e6f6f8f0e2551ffc599722de2522f",
+        "stall_summary":
+            "e52a8dfad6eefca12cf28f6ec3880c74ad939f98a9a4322b81db27c0d0de7d21",
+        "stats":
+            "97ee06533d138318ec71ae0ae4bfad6420d88567e65a32f82248f8f899db260e",
+        "tracer_dropped": [0],
+        "tracer_format":
+            "5b803a0d78d81ec2f5551fd3c4ab998aae176d1ddc41a924ff2961297babc207",
+        "tracer_format_last7":
+            "0d827e70b95348b0e3648fde05ddbfe4c104b343c24fff7527c78bd03e00f751",
     },
 }
 

@@ -26,7 +26,7 @@ def _artifacts(result) -> str:
     return json.dumps({
         "trace": tel.chrome_trace(), "counts": tel.events.counts,
         "jsonl": tel.metrics_jsonl(), "report": tel.report(),
-        "probes": [ct.vrmu_probe.summary() for ct in tel.cores],
+        "probes": [ct.vrmu_summary() for ct in tel.cores],
         "metrics": tel.registry.snapshot(),
         "text": tel.registry.render_text(),
         "profile": tel.profile_snapshot(), "collapsed": tel.collapsed(),

@@ -18,19 +18,34 @@ def _virec_run(**telemetry):
     return run_config(cfg)
 
 
-# -- VRMU probe --------------------------------------------------------------
+# -- the register-cache record -----------------------------------------------
 
-def test_probe_counts_match_stats():
+def test_summary_reads_the_vrmu_counts():
     r = _virec_run()
-    probe = r.telemetry.cores[0].vrmu_probe
-    assert probe.hits == r.stats.child("core0").child("vrmu")["hits"]
-    assert probe.misses == r.stats.child("core0").child("vrmu")["misses"]
+    ct = r.telemetry.cores[0]
+    vrmu = r.stats.child("core0").child("vrmu")
+    s = ct.vrmu_summary()
+    assert (s["hits"], s["misses"]) == (vrmu["hits"], vrmu["misses"])
+    assert type(s["hits"]) is int and type(s["misses"]) is int
+
+
+def test_a_hit_dispatches_only_to_a_hit_recording_sink():
+    """The per-operand hit reaches the bus only with ``verbose_hits``,
+    and then once per hit the VRMU counts."""
+    quiet = _virec_run()
+    assert quiet.telemetry.cores[0].core.vrmu.hit_sinks == ()
+    assert "vrmu_hit" not in quiet.telemetry.events.counts
+    loud = _virec_run(events=True, verbose_hits=True)
+    ct = loud.telemetry.cores[0]
+    assert ct.core.vrmu.hit_sinks == (ct,)
+    assert loud.telemetry.events.counts["vrmu_hit"] == \
+        ct.vrmu_summary()["hits"] > 0
+    assert loud.cycles == quiet.cycles
 
 
 def test_eviction_causes_taxonomy():
     r = _virec_run()
-    probe = r.telemetry.cores[0].vrmu_probe
-    causes = probe.eviction_causes
+    causes = r.telemetry.cores[0].eviction_causes
     assert causes, "undersized RF run must evict"
     assert set(causes) <= {"capacity", "thread", "group", "prefetch",
                            "task-drop"}
@@ -38,12 +53,12 @@ def test_eviction_causes_taxonomy():
 
 def test_residency_histogram_totals():
     r = _virec_run()
-    probe = r.telemetry.cores[0].vrmu_probe
-    s = probe.summary()
+    ct = r.telemetry.cores[0]
+    s = ct.vrmu_summary()
     # finalize() closed still-resident spans, so the histogram covers
     # every insertion
-    assert sum(probe.residency_hist.values()) >= sum(
-        probe.eviction_causes.values())
+    assert sum(ct.residency_hist.values()) >= sum(
+        ct.eviction_causes.values())
     assert s["hit_rate"] == pytest.approx(r.rf_hit_rate)
     assert all(v > 0 for v in s["peak_occupancy"].values())
 

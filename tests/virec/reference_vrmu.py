@@ -8,7 +8,9 @@ commit before the miss half was flattened into one body: every tag-store
 read and update goes through the public
 :class:`~repro.virec.tagstore.TagStore` methods and every policy event
 through a policy method, and the run-segment register sets are recorded
-whether or not anything reads them.  ``test_reference_vrmu.py`` drives this and the production VRMU
+whether or not anything reads them.  The event calls are the observer
+bus's (``sinks`` / ``hit_sinks``), which replaced the old probe's calls
+one for one.  ``test_reference_vrmu.py`` drives this and the production VRMU
 with the same random instruction streams.  Nothing here is imported by
 ``src/``.
 """
@@ -47,7 +49,7 @@ class ReferenceVRMU(VRMU):
         # the tag store's touch(), inlined
         slot_of, on_access = ts.lookup, policy.on_access
         dirty, fill_ready = ts.dirty, ts.fill_ready
-        fault_hook, probe = self.fault_hook, self.probe
+        fault_hook, sinks = self.fault_hook, self.sinks
         segment = self.segment_regs.get(tid)
         if segment is None:
             segment = self.segment_regs[tid] = set()
@@ -69,12 +71,12 @@ class ReferenceVRMU(VRMU):
                 if fill_ready[slot] > ready:
                     ready = fill_ready[slot]
                 inst_slots.append(slot)
-                if probe is not None:
-                    probe.on_hit(tid, flat, t)
+                for sink in self.hit_sinks:
+                    sink.on_reg_hit(tid, flat, t)
             else:
                 missing.append(operand)
-                if probe is not None:
-                    probe.on_miss(tid, flat, t)
+                for sink in sinks:
+                    sink.on_reg_miss(tid, flat, t)
         pending = self._pending
         pending[ACCESSES] += len(plan)
         pending[HITS] += len(inst_slots)
@@ -96,8 +98,9 @@ class ReferenceVRMU(VRMU):
                     t_fill = settled if settled is not None else t_fill + 1
                     self.stats.inc("victim_wait_cycles")
                     victim = ts.select_victim(inst_slots, t_fill)
-                if probe is not None:
-                    probe.on_evict(victim, tid, "capacity", t_fill)
+                cause = "capacity" if ts.owner[victim] == tid else "thread"
+                for sink in sinks:
+                    sink.on_reg_evict(victim, tid, cause, t_fill)
                 # D is cleared when the slot is re-inserted below, so the
                 # victim's deadness must be captured before the insert
                 victim_dead = self._victim_dead(victim)
@@ -112,9 +115,9 @@ class ReferenceVRMU(VRMU):
             else:
                 done = bsi.dummy_fill(t_fill, tid, flat)
                 ts.insert(slot, tid, flat, t_fill, fill_ready=done, dirty=True)
-            if probe is not None:
-                probe.on_fill(tid, flat, t_fill, done, dummy=not is_src)
-                probe.on_insert(slot, tid, flat, t_fill)
+            for sink in sinks:
+                sink.on_reg_fill(tid, flat, t_fill, done, not is_src)
+                sink.on_reg_insert(slot, tid, flat, t_fill)
             inst_slots.append(slot)
             # spill after the fill was issued: fills have port priority
             if victim_info is not None:
@@ -142,8 +145,8 @@ class ReferenceVRMU(VRMU):
                 self.bsi.elide_spill(t, vtid, vreg)
                 return
         self.bsi.spill(t, vtid, vreg, vdirty)
-        if self.probe is not None:
-            self.probe.on_spill(vtid, vreg, vdirty, t)
+        for sink in self.sinks:
+            sink.on_reg_spill(vtid, vreg, vdirty, t)
 
     def _group_evict(self, victim: int, inst_slots, t: int) -> None:
         """Spill up to ``group_evict - 1`` additional registers of the
@@ -161,8 +164,8 @@ class ReferenceVRMU(VRMU):
                  and slot != victim and slot not in inst_slots])
             if nxt is None:
                 break
-            if self.probe is not None:
-                self.probe.on_evict(nxt, victim_owner, "group", t)
+            for sink in self.sinks:
+                sink.on_reg_evict(nxt, victim_owner, "group", t)
             dead = self._victim_dead(nxt)
             vtid, vreg, vdirty = ts.evict(nxt)
             self._spill_victim(t, dead, vtid, vreg, vdirty)
@@ -183,17 +186,17 @@ class ReferenceVRMU(VRMU):
                 victim = ts.select_victim([], t)
                 if victim is None or ts.owner[victim] == tid:
                     break  # nothing worth displacing
-                if self.probe is not None:
-                    self.probe.on_evict(victim, tid, "prefetch", t)
+                for sink in self.sinks:
+                    sink.on_reg_evict(victim, tid, "prefetch", t)
                 dead = self._victim_dead(victim)
                 vtid, vreg, vdirty = ts.evict(victim)
                 self._spill_victim(t, dead, vtid, vreg, vdirty)
                 slot = victim
             fill_done = self.bsi.fill(t, tid, flat)
             ts.insert(slot, tid, flat, t, fill_ready=fill_done)
-            if self.probe is not None:
-                self.probe.on_fill(tid, flat, t, fill_done)
-                self.probe.on_insert(slot, tid, flat, t)
+            for sink in self.sinks:
+                sink.on_reg_fill(tid, flat, t, fill_done)
+                sink.on_reg_insert(slot, tid, flat, t)
             done = max(done, fill_done)
             self.stats.inc("context_prefetches")
         return done
