@@ -39,10 +39,11 @@ Subclass hooks (all optional):
 ``on_commit(thread, op, t_commit)``
     Commit detection logic (rollback-queue pop, C-bit confirm, dead-hint
     marking).  Also receives the :class:`~repro.isa.decoded.DecodedOp`.
-``on_flush(thread, ops, t)``
+``on_flush(thread, ops, t, flats)``
     Pipeline flush on a context switch; receives the flushed instructions'
     :class:`~repro.isa.decoded.DecodedOp` records (the missing load plus
-    the younger instructions already in decode).
+    the younger instructions already in decode) and the distinct flat
+    registers they name, in first-named order.
 ``switch_in(thread, t)``
     Returns the cycle the new thread's first instruction can enter decode
     (context restore cost lives here).
@@ -83,8 +84,9 @@ class ThreadState(Enum):
     DONE = auto()
 
 
-_READY, _BLOCKED, _DONE = (ThreadState.READY, ThreadState.BLOCKED,
-                           ThreadState.DONE)   # the scheduler's locals
+_READY, _RUNNING, _BLOCKED, _DONE = (
+    ThreadState.READY, ThreadState.RUNNING, ThreadState.BLOCKED,
+    ThreadState.DONE)   # the scheduler's locals
 
 
 @dataclass(kw_only=True)
@@ -137,6 +139,8 @@ class TimelineCore:
         self.program = program
         self.icache = icache
         self.dcache = dcache
+        #: the dcache's hit latency, read by the switch decision
+        self._dcache_latency = dcache.config.latency
         self.memory = memory
         # the scheduler ring, the context layout, every BSI address and the
         # VRMU's CAM rows all index by thread id
@@ -172,6 +176,10 @@ class TimelineCore:
         # properties (see repro/core/instrument.py)
         self._fault_hook = None
         self._observers: Tuple[Observer, ...] = ()
+        #: the observers of each of the core's switch-path events, handed
+        #: out with the parts' tuples (see :meth:`_hand_sinks`)
+        self._on_schedule = self._on_switch_in = self._on_switch = ()
+        self._on_stall = self._on_thread_done = ()
         self.commits_since_switch = 0
         #: last-writer completion cycle per register, keyed by flat
         #: register index
@@ -179,7 +187,8 @@ class TimelineCore:
         self.flags_ready = 0
         self._rr_next = 0
         #: flushed window per missing-load pc (see :meth:`_flushed_window`)
-        self._windows: Dict[int, Tuple[DecodedOp, ...]] = {}
+        self._windows: Dict[int, Tuple[Tuple[DecodedOp, ...],
+                                       Tuple[int, ...]]] = {}
         #: per-switch pending counts (see :meth:`Stats.batch`)
         self._pending = self.stats.batch("context_switches",
                                          "flushed_instructions")
@@ -219,8 +228,16 @@ class TimelineCore:
     def _hand_sinks(self) -> None:
         """Hand each part this core owns the observers that override its
         events (see :mod:`repro.core.instrument`): here the dcache's
-        demand misses; a subclass with more parts extends it."""
-        self.dcache.sinks = sinks_for(self._observers, "on_dcache_miss")
+        demand misses; a subclass with more parts extends it.  The
+        core's own switch-path events get a tuple each, so the scheduler
+        and the observed step call only the observers that record them."""
+        observers = self._observers
+        self.dcache.sinks = sinks_for(observers, "on_dcache_miss")
+        self._on_schedule = sinks_for(observers, "on_schedule")
+        self._on_switch_in = sinks_for(observers, "on_switch_in")
+        self._on_switch = sinks_for(observers, "on_switch")
+        self._on_stall = sinks_for(observers, "on_stall")
+        self._on_thread_done = sinks_for(observers, "on_thread_done")
 
     @property
     def shared(self) -> bool:
@@ -302,7 +319,7 @@ class TimelineCore:
         pass
 
     def on_flush(self, thread: ThreadContext, ops: Tuple[DecodedOp, ...],
-                 t: int) -> None:
+                 t: int, flats: Tuple[int, ...]) -> None:
         pass
 
     def switch_in(self, thread: ThreadContext, t: int) -> int:
@@ -449,22 +466,25 @@ class TimelineCore:
         thread, t = self._pick_next_thread(t)
         if thread is None:
             return False
-        thread.state = ThreadState.RUNNING
+        thread.state = _RUNNING
         self.current = thread
-        self.scoreboard = {}
+        self.scoreboard.clear()
         self.flags_ready = t
-        for observer in self._observers:
-            observer.on_schedule(thread.tid, t_req, t)
+        if self._on_schedule:
+            for observer in self._on_schedule:
+                observer.on_schedule(thread.tid, t_req, t)
         if not thread.started:
             thread.started = True
             t = self.thread_start_cost(thread, t)
-        self.fetch_avail = self.switch_in(thread, t)
+        self.fetch_avail = t_fetch = self.switch_in(thread, t)
         self.decode_free = t
         self.ex_free = t
-        self.commit_tail = max(self.commit_tail, t)
+        if t > self.commit_tail:
+            self.commit_tail = t
         self._last_fetch_line = -1
-        for observer in self._observers:
-            observer.on_switch_in(thread.tid, t, self.fetch_avail)
+        if self._on_switch_in:
+            for observer in self._on_switch_in:
+                observer.on_switch_in(thread.tid, t, t_fetch)
         return True
 
     # ---------------------------------------------------------------- running
@@ -527,9 +547,12 @@ class TimelineCore:
         self.stats.set("ipc", total / self.commit_tail if self.commit_tail else 0.0)
 
     # -------------------------------------------------------- context switch
-    def _flushed_window(self, pc: int) -> Tuple[DecodedOp, ...]:
+    def _flushed_window(self, pc: int) -> Tuple[Tuple[DecodedOp, ...],
+                                                Tuple[int, ...]]:
         """The missing load at ``pc`` plus the younger instructions already
-        in the frontend — a function of ``pc`` alone, built once per pc."""
+        in the frontend, and the distinct flat registers they name in
+        first-named order — a function of ``pc`` alone, built once per
+        pc."""
         window = self._windows.get(pc)
         if window is None:
             dops = self._dops
@@ -538,7 +561,9 @@ class TimelineCore:
                 flushed.append(nxt)
                 if nxt.is_branch or nxt.is_halt:
                     break
-            window = self._windows[pc] = tuple(flushed)
+            flats = dict.fromkeys(operand[1] for op in flushed
+                                  for operand in op.plan)
+            window = self._windows[pc] = (tuple(flushed), tuple(flats))
         return window
 
     def _handle_miss_switch(self, thread: ThreadContext, t_mem_issue: int,
@@ -549,7 +574,7 @@ class TimelineCore:
         processing this thread), False when the switch is masked and the
         thread stalls in place waiting for the miss.
         """
-        t_detect = t_mem_issue + self.dcache.config.latency
+        t_detect = t_mem_issue + self._dcache_latency
         # Forward-progress mask (Section 5.2): a thread whose run made no
         # commits (its replayed load missed again) may switch away once —
         # overlapping the refetch with other ready threads — but a second
@@ -563,21 +588,24 @@ class TimelineCore:
         # mask: let older long-latency instructions drain (rollback-queue
         # oldest-is-not-memory signal); older commits are bounded by
         # commit_tail, so waiting for it implements the mask exactly.
-        t_req = max(t_detect, self.commit_tail)
+        t_req = self.commit_tail
+        if t_detect > t_req:
+            t_req = t_detect
         # (t_req, t_sw] is the BSI-busy hold — posted spill writebacks
         # blocking the switch (ViReC); zero-width for other cores
         t_sw = self.switch_extra_wait(t_req)
 
-        flushed = self._flushed_window(thread.pc)
-        self.on_flush(thread, flushed, t_sw)
+        flushed, flats = self._flushed_window(thread.pc)
+        self.on_flush(thread, flushed, t_sw, flats)
         pending = self._pending
         pending[CONTEXT_SWITCHES] += 1
         pending[FLUSHED_INSTRUCTIONS] += len(flushed)
-        for observer in self._observers:
-            observer.on_switch(thread.tid, t_req, t_sw, data_at,
-                               len(flushed))
+        if self._on_switch:
+            for observer in self._on_switch:
+                observer.on_switch(thread.tid, t_req, t_sw, data_at,
+                                   len(flushed))
 
-        thread.state = ThreadState.BLOCKED
+        thread.state = _BLOCKED
         thread.ready_at = data_at
         # replay from the missing load when rescheduled (pc unchanged)
         self.current = None

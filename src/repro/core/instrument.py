@@ -15,8 +15,11 @@ recompiles the step table (``TimelineCore._recompile_step``):
   cycle-identical to a bare one.
 
 :class:`Observer` is the one event protocol.  The core dispatches its own
-events (schedule, switch, stall, context move, commit, thread done) to
-every observer.  The parts a core owns report through the same protocol:
+events itself: commit and context moves to every observer, and each
+switch-path event (schedule, switch in, switch, stall, thread done) to a
+tuple of the observers that override it, built by :func:`sinks_for` when
+the observers are assigned.  The parts a core owns report through the
+same protocol:
 the ``observers`` setter hands each part the observers that override that
 part's events (:func:`sinks_for`; an empty tuple when none do) — the
 VRMU's register-cache traffic (:data:`REG_EVENTS`, with the per-operand

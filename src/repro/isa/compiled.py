@@ -57,9 +57,11 @@ Step contract:
   miss, a thread's first access or a pending T-bit fold, and always from
   the observed variant; with ``"hit+commit"`` ``core.on_commit`` is not
   called at all;
-* only observed shapes read ``core._fault_hook`` or ``core._observers``;
-  ``TimelineCore._recompile_step`` picks the variant whenever either is
-  assigned;
+* only observed shapes read ``core._fault_hook``, ``core._observers``
+  (``on_commit``) or the per-event tuples ``core._on_stall`` /
+  ``core._on_thread_done`` (the observers that override the event, handed
+  out by ``TimelineCore._hand_sinks``); ``TimelineCore._recompile_step``
+  picks the variant whenever the hook or the observers are assigned;
 * the cycle math equals the interpreted bodies kept as the test oracle
   (tests/core/reference_step.py); the equivalence suite
   (tests/core/test_engine_equivalence.py) holds the table byte-identical
@@ -777,7 +779,7 @@ if fh is not None:
 
 # inside _MISS_SWITCH's ``if switch:``
 _ON_STALL = """\
-    for observer in core._observers:
+    for observer in core._on_stall:
         observer.on_stall(thread.tid, t_issue_mem, data_at,
                           "suppressed-switch")
 """
@@ -799,7 +801,7 @@ for observer in core._observers:
 """
 
 _ON_THREAD_DONE = """\
-for observer in core._observers:
+for observer in core._on_thread_done:
     observer.on_thread_done(thread.tid, t_c)
 """
 

@@ -88,11 +88,15 @@ READS, WRITES, HITS, MISSES, EVICTIONS = range(5)
 #: (cycles are never negative)
 _NOTHING_SEEN = -1
 
+#: ``_mshr_floor`` of an empty MSHR table: above every horizon
+_NO_FILL = float("inf")
+
 
 class Cache:
     """One level of cache.  ``next_level`` must expose
     ``access(now, line_addr, is_write, requestor)`` returning a completion
-    cycle, or, for a nested cache, this class's reply.
+    cycle, or, for a nested cache, this class's reply.  It may be
+    reassigned after construction (a node interposes its address skew).
     """
 
     def __init__(self, config: CacheConfig, next_level, stats: Stats | None = None,
@@ -122,6 +126,8 @@ class Cache:
         self._mshr: Dict[int, int] = {}
         #: largest ``now`` presented since the table was last pruned
         self._mshr_seen = _NOTHING_SEEN
+        #: a lower bound on the table's fill cycles (:meth:`_live_mshr`)
+        self._mshr_floor = _NO_FILL
         self._lru_clock = 0
         #: [lo, hi) byte range reserved for register storage (ViReC); data
         #: loads inside it never raise the context-switch signal.
@@ -137,14 +143,31 @@ class Cache:
         index = line_addr >> self._line_shift
         return line_addr, index % self.num_sets, index // self.num_sets
 
+    @property
+    def next_level(self):
+        """The level misses and write-backs go to."""
+        return self._next_level
+
+    @next_level.setter
+    def next_level(self, level) -> None:
+        self._next_level = level
+        #: the level itself when it is not a nested ``Cache`` (a crossbar,
+        #: DRAM, an address skew: its ``access`` answers a completion
+        #: cycle and never refuses), so a miss calls it directly
+        self._direct = None if isinstance(level, Cache) else level
+
     def _next_access(self, now: int, line_addr: int, is_write: bool,
                      requestor: int) -> int:
         """Forward to the next level; normalize its reply to a completion cycle.
 
-        DRAM/crossbar levels return an int; a nested Cache level returns its
-        reply tuple, or refuses with :class:`CacheBusy` — the request is then
-        re-presented at ``retry_at``.
+        DRAM/crossbar levels return an int and are called directly; a
+        nested Cache level returns its reply tuple, or refuses with
+        :class:`CacheBusy` — the request is then re-presented at
+        ``retry_at``.
         """
+        direct = self._direct
+        if direct is not None:
+            return direct.access(now, line_addr, is_write, requestor)
         while True:
             try:
                 reply = self.next_level.access(now, line_addr, is_write,
@@ -178,12 +201,18 @@ class Cache:
         shared level sees from several cores and a posted spill makes
         non-monotonic even on one.  Entries are only inserted right after a
         prune, so no entry is ever tested against a ``now`` that preceded it.
+
+        The rebuild drops only entries ``<= horizon``, so it is skipped
+        while ``_mshr_floor`` — a lower bound on the fill cycles in the
+        table, lowered by every insert and made exact by every rebuild —
+        is above the horizon: then nothing would be dropped.
         """
         horizon = self._mshr_seen if self._mshr_seen > now else now
         self._mshr_seen = _NOTHING_SEEN
         mshr = self._mshr
-        if mshr and horizon != _NOTHING_SEEN:
+        if horizon >= self._mshr_floor:
             mshr = self._mshr = {a: c for a, c in mshr.items() if c > horizon}
+            self._mshr_floor = min(mshr.values()) if mshr else _NO_FILL
         return mshr
 
     # -- victim selection ------------------------------------------------------
@@ -307,6 +336,8 @@ class Cache:
         self._sets[set_idx][tag] = self._lines[line_addr] = CacheLine(
             tag, is_write, fill_done, is_register, pin, clock)
         self._mshr[line_addr] = fill_done
+        if fill_done < self._mshr_floor:
+            self._mshr_floor = fill_done
 
         if self.prefetcher is not None and not is_register:
             self.prefetcher.observe_miss(self, now, line_addr, requestor)
@@ -336,6 +367,8 @@ class Cache:
         self._sets[set_idx][tag] = self._lines[la] = CacheLine(
             tag=tag, ready_at=fill_done, lru=self._lru_clock)
         self._mshr[line_addr] = fill_done
+        if fill_done < self._mshr_floor:
+            self._mshr_floor = fill_done
         self.stats.inc("prefetch_fills")
 
     # -- maintenance -------------------------------------------------------------

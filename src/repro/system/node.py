@@ -68,10 +68,12 @@ class NearMemoryNode:
         self.cores = []
         for cid in range(n_cores):
             ports = memsys.ports(cid)
-            # interpose the skew between each L1 and the shared crossbar
-            skew = AddressSkew(memsys.crossbar, cid)
-            ports.icache.next_level = skew
-            ports.dcache.next_level = skew
+            # interpose the skew between each L1 and the shared crossbar;
+            # core 0's offset is zero, so its L1s take the crossbar itself
+            level = (AddressSkew(memsys.crossbar, cid) if cid
+                     else memsys.crossbar)
+            ports.icache.next_level = level
+            ports.dcache.next_level = level
             core = core_factory(cid, ports.icache, ports.dcache)
             if n_cores > 1:
                 core.shared = True

@@ -28,7 +28,8 @@ from ..stats.counters import Stats
 
 #: cells of the BSI's :meth:`Stats.batch`, in the order ``__init__`` names
 #: the keys
-FILLS, FILL_BACKING_MISSES, DUMMY_FILLS, SPILLS, DIRTY_SPILLS = range(5)
+(FILLS, FILL_BACKING_MISSES, DUMMY_FILLS, SPILLS, DIRTY_SPILLS, SYSREG_READS,
+ SYSREG_WRITES) = range(7)
 
 
 class BackingStoreInterface:
@@ -65,7 +66,7 @@ class BackingStoreInterface:
         #: per-transaction pending counts (see :meth:`Stats.batch`)
         self._pending = self.stats.batch(
             "fills", "fill_backing_misses", "dummy_fills", "spills",
-            "dirty_spills")
+            "dirty_spills", "sysreg_reads", "sysreg_writes")
         #: cycle until which a fill/spill is outstanding (CSL mask input)
         self.busy_until = 0
         #: port horizon contributed by spill transactions only — lets the
@@ -157,7 +158,7 @@ class BackingStoreInterface:
         done = self.request(
             t, self._base + tid * self._stride + self._sysreg_offset,
             False, False, True, self._pin)[1]
-        self.stats.inc("sysreg_reads")
+        self._pending[SYSREG_READS] += 1
         return done
 
     def sysreg_write(self, t: int, tid: int) -> int:
@@ -165,5 +166,5 @@ class BackingStoreInterface:
         t_issue = self.request(
             t, self._base + tid * self._stride + self._sysreg_offset,
             True, False, True, 0)[0]
-        self.stats.inc("sysreg_writes")
+        self._pending[SYSREG_WRITES] += 1
         return t_issue + 1

@@ -155,12 +155,13 @@ class ViReCCore(TimelineCore):
             self.vrmu.on_commit(thread.tid, op)
 
     def on_flush(self, thread: ThreadContext, ops: Tuple[DecodedOp, ...],
-                 t: int) -> None:
-        self.vrmu.on_flush(thread.tid, ops)
+                 t: int, flats: Tuple[int, ...]) -> None:
+        self.vrmu.on_flush(thread.tid, ops, flats)
 
     def switch_extra_wait(self, t: int) -> int:
         # CSL mask: no switch while a register fill/spill is outstanding
-        return max(t, self.bsi.busy_until)
+        busy = self.bsi.busy_until
+        return busy if busy > t else t
 
     def switch_in(self, thread: ThreadContext, t: int) -> int:
         tid = thread.tid

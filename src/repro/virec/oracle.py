@@ -93,11 +93,11 @@ class AccessTraceRecorder:
                                                kind="switch", new_tid=new_tid))
             return orig_switch(prev_tid, new_tid)
 
-        def on_flush(tid, insts):
+        def on_flush(tid, insts, flats=None):
             rec.trace.events.append(TraceEvent(
                 tid=tid, kind="flush",
                 regs=tuple(r.flat for i in insts for r in i.regs)))
-            return orig_flush(tid, insts)
+            return orig_flush(tid, insts, flats)
 
         vrmu.access = access
         vrmu.on_context_switch = on_context_switch

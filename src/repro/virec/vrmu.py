@@ -34,7 +34,7 @@ def writes_word(policy: ReplacementPolicy) -> bool:
     mistaken for its parent."""
     return all(getattr(type(policy), hook) is getattr(ReplacementPolicy, hook)
                for hook in ("on_instruction", "on_access", "on_insert",
-                            "reset_age"))
+                            "reset_age", "on_flush"))
 
 
 class CapacityError(ValueError):
@@ -361,8 +361,8 @@ class VRMU:
             self.stats.inc("dead_marks", marked)
 
     def on_flush(self, tid: int,
-                 flushed_insts: Sequence[Union[Instruction, DecodedOp]]
-                 ) -> None:
+                 flushed_insts: Sequence[Union[Instruction, DecodedOp]],
+                 flats: Optional[Sequence[int]] = None) -> None:
         """Context switch flush: reset C bits of in-flight registers.
 
         ``flushed_insts`` is the missing load plus the younger instructions
@@ -370,39 +370,65 @@ class VRMU:
         accessed by decode just before the switch, so they are marked
         recently-used and in-flight (C=0) — the retention effect of
         Section 4.2.  (Fills for non-resident youngster registers are
-        squashed with the flush and not modelled.)
+        squashed with the flush and not modelled.)  The registers of the
+        entries in the rollback queue lose C too.  ``flats`` is the
+        distinct flat registers the window names (the core passes the
+        tuple it built once per pc); derived from the plans when omitted.
         """
         ts = self.tagstore
         policy = ts.policy
         rollback = self.rollback
         queue = rollback._queue
-        slots = set()
-        for queued, _is_mem in queue:       # flush(), inlined
-            slots.update(queued)
-        queue.clear()
-        rollback._pending[0] += 1
-        # the tag store's lookup() and the base policy's reset_age(),
-        # inlined under the touch rule of ``__init__``
-        writes_word = self._writes_word
-        if writes_word:
-            zeroed_at, clock = policy.zeroed_at, policy._clock
-        else:
-            reset_age = policy.reset_age
+        rollback._pending[0] += 1           # flush(), inlined
         try:
             row = ts.rows[tid]
         except IndexError:
             row = ts.row(tid)   # never accessed: nothing of it is resident
-        for inst in flushed_insts:
-            for operand in inst.plan:
-                slot = row[operand[1]]
-                if slot >= 0:
-                    if writes_word:
-                        zeroed_at[slot] = clock
-                    else:
+        if not self._writes_word:
+            # a policy that overrides the hooks is called: one reset_age
+            # per flushed operand, then on_flush with every distinct slot
+            slots = set()
+            for queued, _is_mem in queue:
+                slots.update(queued)
+            queue.clear()
+            reset_age = policy.reset_age
+            for inst in flushed_insts:
+                for operand in inst.plan:
+                    slot = row[operand[1]]
+                    if slot >= 0:
                         reset_age(slot)
-                    slots.add(slot)
-        policy.on_flush(slots)
-        self.stats.inc("flush_resets", len(slots))
+                        slots.add(slot)
+            policy.on_flush(slots)
+            self.stats.inc("flush_resets", len(slots))
+            return
+        # the tag store's lookup() and the base policy's reset_age() and
+        # on_flush(), inlined under the touch rule of ``__init__``: one
+        # pass over the window's distinct registers clears C and zeroes
+        # the age.  C then marks what is left to count: every slot in the
+        # rollback queue was written C=1 by the access that queued it, and
+        # only a flush (which empties the queue) clears C, so a queued
+        # slot still holding C is one the window did not name, met for
+        # the first time
+        if flats is None:
+            flats = dict.fromkeys(operand[1] for inst in flushed_insts
+                                  for operand in inst.plan)
+        word, zeroed_at, clock = policy.word, policy.zeroed_at, policy._clock
+        not_c = ~C_BIT
+        resets = 0
+        for flat in flats:
+            slot = row[flat]
+            if slot >= 0:
+                word[slot] &= not_c
+                zeroed_at[slot] = clock
+                resets += 1
+        for queued, _is_mem in queue:
+            for slot in queued:
+                w = word[slot]
+                if w & C_BIT:
+                    word[slot] = w ^ C_BIT
+                    resets += 1
+        queue.clear()
+        self.stats.inc("flush_resets", resets)
 
     def on_context_switch(self, prev_tid: int, new_tid: int) -> None:
         ts = self.tagstore

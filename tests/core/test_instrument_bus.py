@@ -32,7 +32,7 @@ import pytest
 import repro
 from repro.core.base import TimelineCore
 from repro.core.cgmt import BankedCore
-from repro.core.instrument import Observer
+from repro.core.instrument import Observer, sinks_for
 from repro.core.trace import PipelineTracer
 from repro.isa.compiled import compile_program
 from repro.system import NearMemoryNode, RunConfig, run_config, taskpool
@@ -275,6 +275,32 @@ def test_parts_get_only_the_observers_of_their_events():
     assert core.dcache.sinks == (recorder,)
     core.observers = ()
     assert core.dcache.sinks == ()
+
+
+#: the core's own events that go to a tuple of their observers
+SWITCH_EVENTS = ("on_schedule", "on_switch_in", "on_switch", "on_stall",
+                 "on_thread_done")
+
+
+def test_the_switch_path_events_go_only_to_their_observers():
+    """Each of the core's switch-path events gets the observers that
+    override it, and an empty tuple when none do, as the parts do."""
+    core = build_core()
+
+    class SwitchesOnly(Observer):
+        def on_switch(self, tid, t_req, t_sw, ready_at, flushed):
+            pass
+
+    tracer, switches = PipelineTracer(), SwitchesOnly()
+    core.observers += (tracer, switches)
+    tuples = {event: getattr(core, "_" + event) for event in SWITCH_EVENTS}
+    assert tuples == {event: sinks_for((tracer, switches), event)
+                      for event in SWITCH_EVENTS}
+    assert tuples["on_switch"][-1] is switches
+    assert all(switches not in tuples[event]
+               for event in SWITCH_EVENTS if event != "on_switch")
+    core.observers = ()
+    assert all(getattr(core, "_" + event) == () for event in SWITCH_EVENTS)
 
 
 def test_a_virec_core_hands_its_vrmu_sysregs_and_bsi_their_instruments():

@@ -82,9 +82,12 @@ class LoggingBackend:
 
 
 class Side:
-    """One implementation's stack: L1 [-> L2] -> backend."""
+    """One implementation's stack: L1 [-> L2] -> backend.  With
+    ``reassign`` the L1 is built over a level of the other kind (a backend
+    where the L2 goes, an L2 where the backend goes) and then handed its
+    real one, as ``NearMemoryNode`` hands an L1 its address skew."""
 
-    def __init__(self, module, shape):
+    def __init__(self, module, shape, reassign=False):
         self.module = module
         self.stats = Stats("m")
         self.backend = LoggingBackend()
@@ -100,11 +103,17 @@ class Side:
                 self.backend, self.stats.child("l2"), prefetcher=prefetcher)
             prefetcher = None
             self.caches.append(below)
+        placeholder = below
+        if reassign:
+            placeholder = (LoggingBackend() if shape["nested"] else
+                           module.Cache(CacheConfig(name="x"),
+                                        LoggingBackend(), Stats("x")))
         self.l1 = module.Cache(
             CacheConfig(name="l1", size_bytes=4 * LINE, assoc=2, latency=2,
                         mshrs=shape["mshrs"],
                         write_policy=shape["write_policy"]),
-            below, self.stats.child("l1"), prefetcher=prefetcher)
+            placeholder, self.stats.child("l1"), prefetcher=prefetcher)
+        self.l1.next_level = below
         self.l1.register_region = (REG_BASE, REG_BASE + REG_LINES * LINE)
         self.caches.append(self.l1)
 
@@ -155,7 +164,22 @@ def assert_one_line_table(cache):
 @given(shapes, ops)
 @settings(max_examples=300, deadline=None)
 def test_cache_agrees_with_reference_model(shape, stream):
-    new, ref = Side(production_cache, shape), Side(reference_cache, shape)
+    run_stream(Side(production_cache, shape), Side(reference_cache, shape),
+               stream)
+
+
+@given(shapes, ops)
+@settings(max_examples=100, deadline=None)
+def test_a_reassigned_next_level_agrees_with_reference_model(shape, stream):
+    """An L1 whose ``next_level`` is replaced after construction forwards
+    as one built over it: directly to a backend, through the refusal
+    retry loop to a nested cache."""
+    new = Side(production_cache, shape, reassign=True)
+    assert (new.l1._direct is None) == shape["nested"]
+    run_stream(new, Side(reference_cache, shape), stream)
+
+
+def run_stream(new, ref, stream):
     now = 0
     touched = set()
     flat = [op for item in stream

@@ -1,9 +1,12 @@
 """System-level edge cases: HBM preset, address skew, empty/degenerate runs."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.memory.hierarchy import NDPMemorySystem
 from repro.system import RunConfig, run_config
-from repro.system.node import AddressSkew
+from repro.system.node import AddressSkew, NearMemoryNode
 
 
 def test_hbm_preset_runs_and_differs_from_ddr5():
@@ -44,6 +47,44 @@ def test_address_skew_separates_cores():
     AddressSkew(spy, core_id=1).access(0, 0x1000)
     assert calls[0] != calls[1]
     assert calls[1] - calls[0] == 1 << 28
+
+
+@pytest.mark.parametrize("n_cores", (1, 4))
+def test_core_zero_takes_the_crossbar_and_the_others_a_skew(n_cores):
+    """Core 0's skew offset is zero, so its L1s forward to the crossbar
+    itself; every other core's L1s go through their own ``AddressSkew``."""
+    memsys = NDPMemorySystem(n_cores=n_cores)
+    node = NearMemoryNode(
+        n_cores, memsys, lambda cid, icache, dcache: SimpleNamespace(
+            cid=cid, icache=icache, dcache=dcache))
+    for core in node.cores:
+        assert core.icache.next_level is core.dcache.next_level
+        if core.cid == 0:
+            assert core.dcache.next_level is memsys.crossbar
+        else:
+            skew = core.dcache.next_level
+            assert isinstance(skew, AddressSkew)
+            assert skew.next_level is memsys.crossbar
+            assert skew.offset == core.cid << 28
+
+
+@pytest.mark.parametrize("n_cores", (1, 2))
+def test_only_the_other_cores_misses_go_through_a_skew(n_cores, monkeypatch):
+    """A single-core run's misses reach the crossbar with no skew call; a
+    two-core run's second core still goes through its skew."""
+    skewed = []
+    skew_access = AddressSkew.access
+
+    def spy(self, *args):
+        skewed.append(self.offset)
+        return skew_access(self, *args)
+
+    monkeypatch.setattr(AddressSkew, "access", spy)
+    result = run_config(RunConfig(workload="gather", core_type="virec",
+                                  n_cores=n_cores, n_threads=4,
+                                  n_per_thread=8))
+    assert result.correct
+    assert set(skewed) == ({1 << 28} if n_cores == 2 else set())
 
 
 def test_single_element_workload():

@@ -181,3 +181,42 @@ def test_the_stream_reaches_every_miss_path(name):
     assert {"fill", "dummy_fill", "spill"} <= kinds
     if name == "dead-elide":
         assert stats["dead_evictions"] and "elide_spill" in kinds
+
+
+@pytest.mark.parametrize("name", ("lrc", "srrip"))
+def test_a_flush_naming_a_register_twice_with_a_queued_outsider(name):
+    """Both arms of the touch rule on one flush: the window names x1 twice
+    and x5, which is not resident; the rollback queue also holds x4, which
+    the window does not name, and x3 is resident but neither queued nor
+    flushed.  LRC clears C and zeroes the age in one pass over the
+    window's distinct registers (the tuple the core passes, or derived
+    here from the plans), SRRIP is called per operand; both must leave
+    the reference's C bits, ages and ``flush_resets``."""
+    sides = [Side(VRMU, name, 8, 1), Side(VRMU, name, 8, 1),
+             Side(ReferenceVRMU, name, 8, 1)]
+    assert sides[0].vrmu._writes_word == (name == "lrc")
+    load = op_of([(0, (True, False)), (1, (False, True))], is_mem=True)
+    younger = op_of([(1, (True, True)), (2, (False, True))])
+    absent = op_of([(5, (False, True))])
+    window = (load, younger, absent)
+    for side in sides:
+        vrmu = side.vrmu
+        vrmu.access(0, op_of([(2, (False, True)), (3, (False, True))]), 0)
+        vrmu.on_commit()
+        vrmu.access(0, op_of([(4, (False, True))]), 30)     # stays queued
+        vrmu.access(0, load, 31)
+    sides[0].vrmu.on_flush(0, window, (0, 1, 2, 5))
+    sides[1].vrmu.on_flush(0, window)
+    sides[2].vrmu.on_flush(0, window)
+    ts = sides[2].vrmu.tagstore
+    queued_outsider = ts.lookup(0, 4)
+    assert queued_outsider is not None
+    for side in sides:
+        policy = side.vrmu.tagstore.policy
+        assert (policy.C, policy.A) == (ts.policy.C, ts.policy.A)
+        assert side.vrmu.stats["flush_resets"] == 4     # x0, x1, x2, x4
+        assert side.state() == sides[2].state()
+        assert not side.vrmu.rollback._queue
+    if name == "lrc":
+        assert ts.policy.C[queued_outsider] == 0
+        assert ts.policy.C[ts.lookup(0, 3)] == 1

@@ -136,6 +136,36 @@ def test_an_overridden_hook_is_called_per_operand(hook):
     assert counted.stats.as_dict() == plain.stats.as_dict()
 
 
+def test_an_overridden_flush_hook_is_called_with_every_slot():
+    """``on_flush`` is one of the hooks the rule reads: override it and
+    the flush calls it with the distinct slots of the window and the
+    rollback queue, ending in the state plain LRC's in-place pass ends
+    in."""
+    class Flushing(LRC):
+        def on_flush(self, slots):
+            self.flushed.append(sorted(slots))
+            super().on_flush(slots)
+
+    policy = Flushing(CAPACITY)
+    policy.flushed = []
+    counted = VRMU(CAPACITY, policy, RecordingBSI(), stats=Stats("v"))
+    plain = VRMU(CAPACITY, LRC(CAPACITY), RecordingBSI(), stats=Stats("v"))
+    assert plain._writes_word and not counted._writes_word
+    queued = op_of([(3, (False, True))])
+    load = op_of([(0, (True, False)), (1, (False, True))])
+    younger = op_of([(1, (True, True)), (2, (False, True))])
+    for vrmu in (counted, plain):
+        vrmu.access(0, younger, 0)
+        vrmu.on_commit()
+        vrmu.access(0, queued, 0)
+        vrmu.access(0, load, 0)
+        vrmu.on_flush(0, (load, younger))
+    slot_of = counted.tagstore.lookup
+    assert policy.flushed == [sorted(slot_of(0, flat) for flat in range(4))]
+    assert policy_state(counted.tagstore) == policy_state(plain.tagstore)
+    assert counted.stats.as_dict() == plain.stats.as_dict()
+
+
 def test_the_rule_reads_the_overrides_not_the_fields():
     """A subclass that keeps LRC's ``priority_fields`` but counts accesses
     is still called; SRRIP is; every other registered policy is written in
