@@ -180,6 +180,7 @@ class TimelineCore:
         #: out with the parts' tuples (see :meth:`_hand_sinks`)
         self._on_schedule = self._on_switch_in = self._on_switch = ()
         self._on_stall = self._on_thread_done = ()
+        self._on_context_move = self._on_spill_window = ()
         self.commits_since_switch = 0
         #: last-writer completion cycle per register, keyed by flat
         #: register index
@@ -238,6 +239,8 @@ class TimelineCore:
         self._on_switch = sinks_for(observers, "on_switch")
         self._on_stall = sinks_for(observers, "on_stall")
         self._on_thread_done = sinks_for(observers, "on_thread_done")
+        self._on_context_move = sinks_for(observers, "on_context_move")
+        self._on_spill_window = sinks_for(observers, "on_spill_window")
 
     @property
     def shared(self) -> bool:

@@ -81,7 +81,7 @@ class BankedCore(TimelineCore):
             t, layout.base + thread.tid * layout.bytes_per_thread,
             self._offsets)[1]
         self.stats.inc("context_fetches")
-        for observer in self._observers:
+        for observer in self._on_context_move:
             observer.on_context_move("ctx_fetch", thread.tid, t, done)
         return done
 
@@ -106,23 +106,23 @@ class SoftwareSwitchCore(TimelineCore):
         Section 3).
         """
         done = t
-        observers = self._observers
         base, stride = self.layout.base, self.layout.bytes_per_thread
         offsets = self._offsets
         if self._prev_thread is not None and self._prev_thread is not thread:
             done = self.dcache_stream(t, base + self._prev_thread.tid * stride,
                                       offsets, is_write=True)[0]
             self.stats.inc("context_saves")
-            for observer in observers:
+            for observer in self._on_context_move:
                 observer.on_context_move(
                     "ctx_save", self._prev_thread.tid, t, done)
-                # the save phase is the software analogue of a register
-                # spill writeback; the restore phase stays in "switch"
+            # the save phase is the software analogue of a register spill
+            # writeback; the restore phase stays in "switch"
+            for observer in self._on_spill_window:
                 observer.on_spill_window(thread.tid, done)
         restore_done = self.dcache_stream(done, base + thread.tid * stride,
                                           offsets)[1]
         self.stats.inc("context_restores")
-        for observer in observers:
+        for observer in self._on_context_move:
             observer.on_context_move("ctx_restore", thread.tid, done,
                                      restore_done)
         self._prev_thread = thread

@@ -54,9 +54,9 @@ Step contract:
 * a ViReC step with the register stage generated (``vrmu_inline``)
   touches an op's registers itself when all are resident (reading
   ``core.vrmu`` per call); ``core.decode_regs_ready`` is reached on a
-  miss, a thread's first access or a pending T-bit fold, and always from
-  the observed variant; with ``"hit+commit"`` ``core.on_commit`` is not
-  called at all;
+  miss, a thread's first access or a thread with a suspension on record,
+  and always from the observed variant; with ``"hit+commit"``
+  ``core.on_commit`` is not called at all;
 * only observed shapes read ``core._fault_hook``, ``core._observers``
   (``on_commit``) or the per-event tuples ``core._on_stall`` /
   ``core._on_thread_done`` (the observers that override the event, handed
@@ -574,7 +574,7 @@ policy = ts.policy
 rows = ts.rows
 tid = thread.tid
 t_regs = -1
-if tid == policy.running or not policy.pending_switches:
+if tid not in policy.suspended_at:
     try:
         row = rows[tid]
     except IndexError:
@@ -609,11 +609,11 @@ def _register_hits(operands: str, is_mem: bool) -> str:
     touch rule), ``d``/``s`` in ``operands`` marking a destination or a
     source in plan order, their flat indices the constants ``FLAT0..``.
     Nothing is written until every operand is found resident.  A miss,
-    the thread's first access or a pending T-bit fold hands the whole op
-    to ``core.decode_regs_ready`` (``VRMU.access``), so the miss, victim
-    and BSI order is the called path's.  ``last_spill_wait`` is left to
-    that path: its one reader, the cycle attributor, runs the observed
-    variant."""
+    the thread's first access or a suspended thread (a stamped write)
+    hands the whole op to ``core.decode_regs_ready`` (``VRMU.access``), so
+    the miss, victim and BSI order is the called path's.
+    ``last_spill_wait`` is left to that path: its one reader, the cycle
+    attributor, runs the observed variant."""
     slots = [f"s{i}" for i in range(len(operands))]
     touch = ""
     for slot, kind in zip(slots, operands):

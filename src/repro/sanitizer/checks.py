@@ -16,7 +16,8 @@ Invariant taxonomy (ids appear in the raised violation and in
 ``policy.word``
     LRC/MRT priority-word well-formedness: T in [0, 7], C in {0, 1}, A in
     [0, 7], D in {0, 1} on every valid slot (3/1/3-bit hardware fields,
-    Section 5.1), and no stored bit in the word's lazy age field.
+    Section 5.1), and no stored bit but C and D (the age and T are
+    derived on read).
 ``policy.order``
     Eviction-order consistency: the victim the tag store's search selects
     over the currently evictable slots must carry the maximum eviction
@@ -38,7 +39,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import SanitizerViolation
-from ..virec.policies import A_MAX, WORD_MAX
+from ..virec.policies import A_MAX, T_MASK, T_MAX, WORD_MAX
 
 
 def _v(invariant: str, message: str, cycle: int, core_id: int,
@@ -64,25 +65,24 @@ def check_policy(core, cycle: int) -> Optional[SanitizerViolation]:
     ts = vrmu.tagstore
     pol = ts.policy
     cid = core.core_id
-    pol.fold()      # the stored words are checked as of the latest switch
     for slot in ts.valid_slots():
         word, age = pol.word[slot], pol.age(slot)
-        if not (0 <= word <= WORD_MAX and not word & A_MAX
+        if not (not word & ~WORD_MAX and 0 <= pol.t_bits(slot) <= T_MASK
                 and 0 <= age <= A_MAX):
             fields = {k: v for k, v in pol.describe(slot).items()
                       if k != "prio"}
             return _v("policy.word",
                       f"slot {slot} priority word {word:#x} out of range: "
                       + " ".join(f"{k}={v}" for k, v in fields.items())
-                      + f" (need 0 <= word <= {WORD_MAX:#x} with the age "
-                      f"bits unset: 3-bit T, 1-bit C, 1-bit D; and "
+                      + f" (need the stored word within {WORD_MAX:#x}: "
+                      f"1-bit C, 1-bit D; 0 <= T <= {T_MAX}; and "
                       f"0 <= A <= {A_MAX})",
                       cycle, cid, slot=slot, **fields)
     # eviction-order consistency: the slot the tag store's search — the
     # one production runs, bounds and early exit included — would evict
     # right now must be the first maximum of ``priority`` over the
-    # evictable candidates.  Once folded the search mutates nothing for
-    # the argmax policies (the dead-hint variants stay argmax — D just
+    # evictable candidates.  The search mutates nothing for the argmax
+    # policies (the dead-hint variants stay argmax — D just
     # tops the priority word); SRRIP ages entries and random replacement
     # draws from its PRNG inside select_victim, so probing them here would
     # perturb future victim choices.

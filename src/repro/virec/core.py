@@ -44,7 +44,6 @@ class ViReCConfig:
     dummy_fill: bool = True
     pinning: bool = True
     sysreg_buffer: bool = True
-    rollback_depth: int = 4
     #: spill up to this many same-thread registers per eviction (paper
     #: future work: group evictions); 1 = the paper's evaluated design
     group_evict: int = 1
@@ -76,7 +75,6 @@ class ViReCCore(TimelineCore):
             blocking=vc.blocking_bsi, dummy_fill_enabled=vc.dummy_fill,
             pinning_enabled=vc.pinning, stats=self.stats.child("bsi"))
         self.vrmu = VRMU(vc.rf_size, policy, self.bsi,
-                         rollback_depth=vc.rollback_depth,
                          group_evict=vc.group_evict,
                          stats=self.stats.child("vrmu"))
         # the only reader of a thread's run-segment register set

@@ -26,25 +26,17 @@ Metadata fields per entry (Table in Section 5.1: T/C/A = 3/1/3 bits):
     (never read again before redefinition); cleared whenever the register
     is re-accessed.  Only the ``dead-*`` policies consume it.
 
-Data layout.  The hardware keeps one concatenated priority word per entry
-and so does this module: ``word[slot]`` holds ``D<<7 | T<<4 | C<<3`` as one
-Python int, and the low three bits — the age — are never stored.  Age is
-*lazy*: ``A = min(7, clock - zeroed_at[slot])``, so "one more instruction
-accessed the register file, age everyone" is a single clock increment
-instead of a pass over the entries.  The ``T``/``C``/``A``/``D`` properties
-decode the fields for introspection and tests.
-
-Thread recency is folded in on read: ``on_context_switch`` only records a
-switch and :meth:`~ReplacementPolicy.fold` applies the pending ones to
-every stored word in one pass, called by whatever reads T (``priority`` /
-``describe`` / ``T``, the tag store's search for a ``uses_thread_bits``
-policy, VSan).  With ``n`` pending, T is 0 if the owner runs now, ``max(0,
-7 - (n - suspended_at[owner]))`` if one of them suspended the owner, else
-``max(0, stored T - n)`` (argument: ``docs/architecture.md``, "Context
-switch path").  The contract that makes it exact: while switches are
-pending ``on_access``/``on_insert`` are only called for entries of the
-*running* thread; whoever writes an entry of another owner folds first
-(``TagStore.insert``/``touch``, ``VRMU.access``).
+Data layout.  ``word[slot]`` holds the stored fields of the hardware's
+priority word, ``D<<7 | C<<3``, as one Python int.  Age is *lazy*: ``A =
+min(7, clock - zeroed_at[slot])``, so "age everyone" is one clock
+increment.  T is a thread's: a switch counts itself (``switches``), records
+that it suspended ``prev`` (``suspended_at``) and drops ``new``'s record; a
+thread suspended ``k`` switches ago has ``T = max(0, 7 - k)``, one with no
+record 0 (:meth:`~ReplacementPolicy.thread_bits`).  An entry's T is its
+owner's, or 0 if it was written at or after that suspension: a write for a
+thread with a record is stamped with the switch count (``written_at``) by
+``TagStore.insert``/``touch`` and ``VRMU.access``; any other thread's next
+suspension comes after every stamp, so its writes need none.
 
 Implemented policies and their priority functions:
 
@@ -66,12 +58,14 @@ VRC009 flags ad-hoc subclass construction in library code.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Type
 
 A_MAX = 7  # 3-bit age
 T_MAX = 7  # 3-bit thread recency
 
-# static fields of the priority word (the age occupies bits 0-2)
+# fields of the priority word (the age occupies bits 0-2); T is derived
+# per thread, C and D are stored per entry
 C_BIT = 1 << 3
 T_SHIFT = 4
 T_MASK = T_MAX << T_SHIFT
@@ -79,7 +73,7 @@ D_SHIFT = 7
 D_BIT = 1 << D_SHIFT
 LRC_MASK = T_MASK | C_BIT
 #: largest well-formed stored word (VSan ``policy.word``)
-WORD_MAX = D_BIT | T_MASK | C_BIT
+WORD_MAX = D_BIT | C_BIT
 
 #: policy-name -> class factory table; populated by :func:`register_policy`
 POLICIES: Dict[str, Type["ReplacementPolicy"]] = {}
@@ -105,31 +99,35 @@ class ReplacementPolicy:
     uses_dead_hints = False
     #: whether the VRMU may skip the BSI spill of a dead victim
     elides_dead_writebacks = False
-    #: ``(mask, shift)`` of a policy whose priority is the stored word's
-    #: fields above the age, ``(word & mask) >> shift | A`` — the tag store
-    #: evaluates it inline and prunes on ``word & mask`` before it reads an
-    #: age, so the shift may drop no mask bit and must leave bits 0-2 free;
-    #: None for a policy with its own :meth:`priority`
+    #: ``(mask, shift)`` of a policy whose priority is the priority word's
+    #: fields above the age, ``((word | T << 4) & mask) >> shift | A`` —
+    #: the tag store evaluates it inline and prunes on the masked fields
+    #: before it reads an age, so the shift may drop no mask bit and must
+    #: leave bits 0-2 free; None for a policy with its own :meth:`priority`
     priority_fields: Optional[Tuple[int, int]] = None
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("policy capacity must be >= 1")
         self.capacity = capacity
-        #: ``D<<7 | T<<4 | C<<3`` per entry (T=0, C=1, D=0 at reset)
+        #: ``D<<7 | C<<3`` per entry (C=1, D=0 at reset)
         self.word = [C_BIT] * capacity
         #: clock value at which each entry's age was last zeroed
         self.zeroed_at = [0] * capacity
         #: clock value of each entry's last access (exact recency)
         self.stamp = [0] * capacity
         self._clock = 0
-        #: context switches recorded and not yet folded into ``word``
-        self.pending_switches = 0
-        #: thread -> which pending switch (1-based) suspended it last
-        self._suspended_at: Dict[int, int] = {}
-        #: the thread the latest switch resumed, and the tag store's owner
-        #: column as of that switch
-        self.running, self._owner = -1, ()
+        #: context switches so far
+        self.switches = 0
+        #: thread -> the switch that suspended it, until it resumes
+        self.suspended_at: Dict[int, int] = {}
+        #: switch count at each entry's latest write for a suspended owner
+        self.written_at = [0] * capacity
+        #: owning thread per entry, -1 if empty (see on_context_switch)
+        self._owner: Sequence[int] = [-1] * capacity
+        #: :meth:`thread_bits` and the switch count it was derived at
+        self._bits: Dict[int, int] = defaultdict(int)
+        self._bits_at = 0
 
     @classmethod
     def from_spec(cls, spec: str, capacity: int) -> "ReplacementPolicy":
@@ -148,9 +146,8 @@ class ReplacementPolicy:
 
     def on_access(self, slot: int) -> None:
         """Entry ``slot`` was referenced by the current instruction."""
-        # T=0: it belongs to the running thread by construction; C=1:
-        # speculative commit initialization (Section 5.1); D=0: referenced
-        # again, so no longer dead
+        # C=1: speculative commit initialization (Section 5.1); D=0:
+        # referenced again, so no longer dead (T: the module docstring)
         self.word[slot] = C_BIT
         self.zeroed_at[slot] = self.stamp[slot] = self._clock
 
@@ -181,36 +178,32 @@ class ReplacementPolicy:
     def on_context_switch(self, owner: Sequence[int], prev_tid: int,
                           new_tid: int) -> None:
         """Record a switch from ``prev_tid`` to ``new_tid`` (Section 5.1);
-        ``owner[slot]`` is the owning thread id (-1 for an empty slot,
-        whose word is rewritten on insert).  :meth:`fold` applies it."""
-        if self.pending_switches and prev_tid != self.running:
-            self.fold()     # not a continuation of the pending chain
+        ``owner[slot]`` is the owning thread id (-1 for an empty slot)."""
         self._owner = owner
-        self.pending_switches += 1
-        self._suspended_at[prev_tid] = self.pending_switches
-        self.running = new_tid
+        self.switches += 1
+        self.suspended_at[prev_tid] = self.switches
+        self.suspended_at.pop(new_tid, None)
 
-    def fold(self) -> None:
-        """Bring the stored T fields up to date with the pending switches
-        (the module docstring has the three cases)."""
-        n = self.pending_switches
-        if not n:
-            return
-        recent = {tid: (T_MAX - (n - at)) << T_SHIFT if n - at < T_MAX else 0
-                  for tid, at in self._suspended_at.items()}
-        recent[self.running] = 0
-        decay = n << T_SHIFT
-        word = self.word
-        for slot, tid in enumerate(self._owner):
-            w = word[slot]
-            t = recent.get(tid)
-            if t is None:
-                t = (w & T_MASK) - decay
-                if t < 0:
-                    t = 0
-            word[slot] = w & ~T_MASK | t
-        self._suspended_at.clear()
-        self.pending_switches = 0
+    def thread_bits(self) -> Dict[int, int]:
+        """``T << T_SHIFT`` per thread, 0 for a thread that is not listed;
+        derived at most once per switch."""
+        n = self.switches
+        if self._bits_at != n:
+            self._bits_at, bits = n, defaultdict(int)
+            for tid, at in self.suspended_at.items():
+                if n - at < T_MAX:
+                    bits[tid] = (T_MAX - (n - at)) << T_SHIFT
+            self._bits = bits
+        return self._bits
+
+    def t_bits(self, slot: int) -> int:
+        """``T << T_SHIFT`` of the entry at ``slot``: its owner's, or 0 if
+        it was written at or after its owner's suspension."""
+        tid = self._owner[slot]
+        t = self.thread_bits()[tid]
+        if t and self.written_at[slot] >= self.suspended_at[tid]:
+            return 0
+        return t
 
     # -- eviction ------------------------------------------------------------
     def age(self, slot: int) -> int:
@@ -222,10 +215,9 @@ class ReplacementPolicy:
         """Eviction priority of ``slot`` (higher = evict first)."""
         if self.priority_fields is None:
             raise NotImplementedError
-        if self.pending_switches:
-            self.fold()
         mask, shift = self.priority_fields
-        return (self.word[slot] & mask) >> shift | self.age(slot)
+        return ((self.word[slot] | self.t_bits(slot)) & mask) >> shift \
+            | self.age(slot)
 
     def select_victim(self, candidates: Sequence[int]) -> Optional[int]:
         """The victim among ``candidates`` — slot indices in ascending order
@@ -235,8 +227,8 @@ class ReplacementPolicy:
     # -- introspection -------------------------------------------------------
     @property
     def T(self) -> Tuple[int, ...]:
-        self.fold()
-        return tuple((w & T_MASK) >> T_SHIFT for w in self.word)
+        return tuple(self.t_bits(slot) >> T_SHIFT
+                     for slot in range(self.capacity))
 
     @property
     def C(self) -> Tuple[int, ...]:
@@ -256,9 +248,8 @@ class ReplacementPolicy:
         Exposes the T/C/A/D fields and the entry's current eviction priority
         so exported eviction events show *why* the policy chose a victim.
         """
-        self.fold()
         w = self.word[slot]
-        return {"T": (w & T_MASK) >> T_SHIFT, "C": int(bool(w & C_BIT)),
+        return {"T": self.t_bits(slot) >> T_SHIFT, "C": int(bool(w & C_BIT)),
                 "A": self.age(slot), "D": w >> D_SHIFT,
                 "prio": self.priority(slot)}
 
@@ -298,9 +289,7 @@ class MRTLRU(ReplacementPolicy):
     uses_thread_bits = True
 
     def priority(self, slot: int) -> int:
-        if self.pending_switches:
-            self.fold()
-        return (((self.word[slot] & T_MASK) >> T_SHIFT << 40)
+        return ((self.t_bits(slot) >> T_SHIFT << 40)
                 + self._clock - self.stamp[slot])
 
 
@@ -326,7 +315,7 @@ class DeadFirstLRC(LRC):
 
     name = "dead-first"
     uses_dead_hints = True
-    priority_fields = (WORD_MAX, 0)
+    priority_fields = (D_BIT | LRC_MASK, 0)
 
 
 @register_policy

@@ -14,6 +14,8 @@ from typing import Iterable, NamedTuple, Set, Tuple
 
 from ..stats.counters import Stats
 
+ROLLBACK_DEPTH = 4  # the backend occupancy of the 5-stage pipeline
+
 
 class RollbackEntry(NamedTuple):
     slots: Tuple[int, ...]
@@ -29,7 +31,7 @@ class RollbackQueue:
     the behaviour and are what the test-only reference VRMU calls.
     """
 
-    def __init__(self, depth: int = 4, stats: Stats | None = None) -> None:
+    def __init__(self, depth: int = ROLLBACK_DEPTH, stats: Stats | None = None) -> None:
         self.depth = depth
         self.stats = stats if stats is not None else Stats("rollback")
         #: ``(slots, is_mem)`` per in-flight instruction, oldest first

@@ -20,7 +20,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..isa.registers import NUM_ARCH_REGS
 from ..stats.counters import Stats
-from .policies import A_MAX, ReplacementPolicy
+from .policies import A_MAX, T_MASK, ReplacementPolicy
 
 
 class TagStore:
@@ -113,8 +113,6 @@ class TagStore:
         """
         valid, fill_ready = self.valid, self.fill_ready
         policy = self.policy
-        if policy.pending_switches and policy.uses_thread_bits:
-            policy.fold()       # this search reads T
         fields = policy.priority_fields
         if fields is None:
             return policy.select_victim(
@@ -122,21 +120,27 @@ class TagStore:
                  if valid[slot] and fill_ready[slot] <= now
                  and slot not in exclude_slots])
         # ``policy.priority`` inlined as a branch-and-bound; the first
-        # maximum wins, so ties go to the lowest slot.  The stored fields sit
-        # above the age in the priority (no mask has a bit under ``shift +
-        # 3``), so they decide first, as in a hardware priority tree: an
-        # entry whose fields are below the best candidate's cannot outrank
-        # it at any age and is dismissed on one AND; equal fields go to the
-        # age.  Only an eligible entry raises the bound.  Nothing outranks
+        # maximum wins, so ties go to the lowest slot.  The fields (word |
+        # the owner's T, which bounds the entry's, for a mask that reads T)
+        # sit above the age (no mask has a bit under ``shift + 3``), so
+        # they decide first, as in a hardware priority tree: an entry whose
+        # fields are below the best candidate's cannot outrank it at any
+        # age and is dismissed on one AND; equal fields go to the age.
+        # Only an eligible entry raises the bound.  Nothing outranks
         # ``ceiling``, so the first candidate to reach it is the answer.
         mask, shift = fields
         zeroed_at, clock = policy.zeroed_at, policy._clock
+        t_of = policy.thread_bits() if mask & T_MASK else None
+        owner = self.owner
         ceiling = mask >> shift | A_MAX
         victim, highest, bound = None, -1, 0
         for slot, stored in enumerate(policy.word):
-            stored &= mask
+            stored = (stored | t_of[owner[slot]] if t_of else stored) & mask
             if (stored >= bound and valid[slot] and fill_ready[slot] <= now
                     and slot not in exclude_slots):
+                if (stored & T_MASK and policy.written_at[slot]
+                        >= policy.suspended_at[owner[slot]]):
+                    stored &= ~T_MASK   # written since the suspension
                 age = clock - zeroed_at[slot]
                 priority = stored >> shift | (age if age < A_MAX else A_MAX)
                 if priority > highest:
@@ -167,8 +171,8 @@ class TagStore:
         if self.lookup(tid, flat_reg) is not None:
             raise ValueError(f"duplicate mapping for thread {tid} reg {flat_reg}")
         policy = self.policy
-        if policy.pending_switches and tid != policy.running:
-            policy.fold()       # T = 0 is written for a suspended owner
+        if tid in policy.suspended_at:
+            policy.written_at[slot] = policy.switches   # T = 0 from here
         self.valid[slot] = True
         self.owner[slot] = tid
         self.areg[slot] = flat_reg
@@ -202,8 +206,8 @@ class TagStore:
         if is_write:
             self.dirty[slot] = True
         policy = self.policy
-        if policy.pending_switches and self.owner[slot] != policy.running:
-            policy.fold()       # T = 0 is written for a suspended owner
+        if self.owner[slot] in policy.suspended_at:
+            policy.written_at[slot] = policy.switches   # T = 0 from here
         policy.on_access(slot)
 
     def on_instruction(self) -> None:

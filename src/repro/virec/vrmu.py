@@ -50,7 +50,6 @@ class VRMU:
 
     def __init__(self, capacity: int, policy: ReplacementPolicy,
                  bsi: BackingStoreInterface,
-                 rollback_depth: int = 4,
                  group_evict: int = 1,
                  stats: Optional[Stats] = None) -> None:
         if capacity < self.MIN_CAPACITY:
@@ -63,7 +62,7 @@ class VRMU:
         self._pending = self.stats.batch(
             "accesses", "hits", "misses", "spill_evictions")
         self.tagstore = TagStore(capacity, policy, self.stats.child("tagstore"))
-        self.rollback = RollbackQueue(rollback_depth, self.stats.child("rollback"))
+        self.rollback = RollbackQueue(stats=self.stats.child("rollback"))
         self.bsi = bsi
         #: the touch rule (:func:`writes_word`): a policy that leaves the
         #: per-operand hooks as the base class wrote them has its priority
@@ -125,8 +124,6 @@ class VRMU:
         bsi.fill_spill_wait = 0
         ts = self.tagstore
         policy = ts.policy
-        if policy.pending_switches and tid != policy.running:
-            policy.fold()   # the policy's contract (its module docstring)
         # the tag store's lookup() and touch() and the base policy's
         # on_instruction() and on_access(), inlined: this loop runs once per
         # register operand of every simulated instruction
@@ -250,6 +247,9 @@ class VRMU:
                             for sink in sinks:
                                 sink.on_reg_spill(vtid, vreg, vdirty, t_fill)
 
+        if tid in policy.suspended_at:  # T = 0 (no search read these)
+            for slot in inst_slots:
+                policy.written_at[slot] = policy.switches
         rollback = self.rollback
         queue = rollback._queue
         if len(queue) >= rollback.depth:    # push(), inlined

@@ -31,7 +31,7 @@ import pytest
 
 import repro
 from repro.core.base import TimelineCore
-from repro.core.cgmt import BankedCore
+from repro.core.cgmt import BankedCore, SoftwareSwitchCore
 from repro.core.instrument import Observer, sinks_for
 from repro.core.trace import PipelineTracer
 from repro.isa.compiled import compile_program
@@ -49,10 +49,10 @@ PART_EVENTS = ("on_reg_hit", "on_reg_miss", "on_reg_evict", "on_reg_fill",
 EVICT_CAUSES = {"capacity", "thread", "group", "prefetch", "task-drop"}
 
 
-def build_core(**kw):
+def build_core(cls=BankedCore, **kw):
     kw.setdefault("n_threads", 4)
     kw.setdefault("n", 32)
-    core, _, _, _ = build_gather_core(BankedCore, **kw)
+    core, _, _, _ = build_gather_core(cls, **kw)
     return core
 
 
@@ -279,28 +279,54 @@ def test_parts_get_only_the_observers_of_their_events():
 
 #: the core's own events that go to a tuple of their observers
 SWITCH_EVENTS = ("on_schedule", "on_switch_in", "on_switch", "on_stall",
-                 "on_thread_done")
+                 "on_thread_done", "on_context_move", "on_spill_window")
 
 
-def test_the_switch_path_events_go_only_to_their_observers():
+def test_the_switch_path_events_go_only_to_their_observers(monkeypatch):
     """Each of the core's switch-path events gets the observers that
-    override it, and an empty tuple when none do, as the parts do."""
-    core = build_core()
+    override it, and an empty tuple when none do, as the parts do.  The
+    banked and the software-switch core move contexts: a run of each calls
+    no observer's inherited no-op for a move or a spill window."""
+    inherited = []
+    for event in ("on_context_move", "on_spill_window"):
+        monkeypatch.setattr(Observer, event,
+                            lambda self, *args, event=event:
+                            inherited.append(event))
 
     class SwitchesOnly(Observer):
         def on_switch(self, tid, t_req, t_sw, ready_at, flushed):
             pass
 
-    tracer, switches = PipelineTracer(), SwitchesOnly()
-    core.observers += (tracer, switches)
-    tuples = {event: getattr(core, "_" + event) for event in SWITCH_EVENTS}
-    assert tuples == {event: sinks_for((tracer, switches), event)
-                      for event in SWITCH_EVENTS}
-    assert tuples["on_switch"][-1] is switches
-    assert all(switches not in tuples[event]
-               for event in SWITCH_EVENTS if event != "on_switch")
-    core.observers = ()
-    assert all(getattr(core, "_" + event) == () for event in SWITCH_EVENTS)
+    class MovesOnly(Observer):
+        def on_context_move(self, kind, tid, t, done):
+            self.moves.append(kind)
+
+    class SpillWindowsOnly(Observer):
+        def on_spill_window(self, tid, t_to):
+            self.windows.append(tid)
+
+    for cls in (BankedCore, SoftwareSwitchCore):
+        core = build_core(cls)
+        switches, moves, windows = (SwitchesOnly(), MovesOnly(),
+                                    SpillWindowsOnly())
+        moves.moves, windows.windows = [], []
+        observers = (PipelineTracer(), switches, moves, windows)
+        core.observers += observers
+        tuples = {event: getattr(core, "_" + event)
+                  for event in SWITCH_EVENTS}
+        assert tuples == {event: sinks_for(observers, event)
+                          for event in SWITCH_EVENTS}
+        assert tuples["on_switch"][-1] is switches
+        assert all(switches not in tuples[event]
+                   for event in SWITCH_EVENTS if event != "on_switch")
+        assert tuples["on_context_move"][-1] is moves
+        assert tuples["on_spill_window"] == (windows,)
+        core.run()
+        assert moves.moves and inherited == []
+        assert bool(windows.windows) == (cls is SoftwareSwitchCore)
+        core.observers = ()
+        assert all(getattr(core, "_" + event) == ()
+                   for event in SWITCH_EVENTS)
 
 
 def test_a_virec_core_hands_its_vrmu_sysregs_and_bsi_their_instruments():

@@ -17,7 +17,7 @@ from helpers import build_gather_core  # noqa: E402
 from repro.errors import SanitizerViolation
 from repro.sanitizer import SanitizeConfig, Sanitizer
 from repro.virec import ViReCConfig, ViReCCore
-from repro.virec.policies import LRC_MASK
+from repro.virec.policies import C_BIT
 
 
 def _sanitized_core(**cfg_kw):
@@ -89,7 +89,7 @@ def test_priority_word_out_of_range_caught():
     core, _ = _sanitized_core()
     ts = core.vrmu.tagstore
     slot = ts.valid_slots()[0]
-    ts.policy.word[slot] = 99 << 4  # T is a 3-bit hardware field
+    ts.policy.word[slot] = 99 << 4  # T is derived per thread, not stored
     with pytest.raises(SanitizerViolation) as excinfo:
         _check(core)
     assert excinfo.value.invariant == "policy.word"
@@ -117,6 +117,21 @@ def test_lazy_age_out_of_range_caught():
     assert excinfo.value.details["A"] == -3
 
 
+def test_thread_recency_out_of_range_caught():
+    """T is derived from the owner's suspension stamp: a stamp from a
+    switch that has not happened yet gives a T above its 3 bits."""
+    core, _ = _sanitized_core()
+    ts = core.vrmu.tagstore
+    policy = ts.policy
+    slot = ts.valid_slots()[0]
+    policy.switches += 1
+    policy.suspended_at[ts.owner[slot]] = policy.switches + 3
+    with pytest.raises(SanitizerViolation) as excinfo:
+        _check(core)
+    assert excinfo.value.invariant == "policy.word"
+    assert excinfo.value.details["T"] == 10
+
+
 def test_sabotaged_search_ceiling_caught(monkeypatch):
     """``policy.order`` probes the search production runs: with the tag
     store's ceiling set too low the scan returns at the first entry it
@@ -127,8 +142,11 @@ def test_sabotaged_search_ceiling_caught(monkeypatch):
     young, old = ts.valid_slots()[:2]
     policy.zeroed_at[young] = policy._clock - 4
     policy.zeroed_at[old] = policy._clock - 7
+    # T = 7 everywhere: one more switch suspended every owner
+    policy.switches += 1
     for slot in ts.valid_slots():
-        policy.word[slot] = LRC_MASK            # T = 7, C = 1 everywhere
+        policy.suspended_at[ts.owner[slot]] = policy.switches
+        policy.word[slot] = C_BIT               # C = 1 everywhere
         if slot not in (young, old):
             policy.zeroed_at[slot] = policy._clock
     _check(core)                                # the real search finds ``old``

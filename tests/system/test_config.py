@@ -112,7 +112,9 @@ def test_banked_bank_geometry():
     ({"pinnning": False}, "unknown virec field 'pinnning'"),
     ({"rf_size": 16}, "virec['rf_size']: set RunConfig.rf_size instead"),
     ({"policy": "plru"}, "virec['policy']: set RunConfig.policy instead"),
-], ids=["unknown", "rf_size", "policy"])
+    # the 5-stage pipeline's backend occupancy, a constant of the model
+    ({"rollback_depth": 4}, "unknown virec field 'rollback_depth'"),
+], ids=["unknown", "rf_size", "policy", "rollback_depth"])
 def test_bad_virec_key_is_rejected_when_the_config_is_built(virec, message):
     """``rf_size`` and ``policy`` have RunConfig fields: one route each."""
     with pytest.raises(ValueError) as excinfo:

@@ -1,7 +1,8 @@
-"""``TagStore.select_victim`` as a branch-and-bound over the stored fields.
+"""``TagStore.select_victim`` as a branch-and-bound over the priority fields.
 
-The search dismisses an entry whose ``word & mask`` is below the best
-candidate's before it looks at anything else, and returns at the first
+The search dismisses an entry whose masked fields — the stored word ORed
+with its owner's T — are below the best candidate's before it looks at
+anything else, and returns at the first
 candidate that reaches the policy's ceiling ``mask >> shift | A_MAX``.
 Three things keep that exact and are held here: the shape every
 ``priority_fields`` mask must have, the result against the plain
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.virec import POLICIES, TagStore, make_policy
-from repro.virec.policies import A_MAX, WORD_MAX
+from repro.virec.policies import A_MAX, T_MASK, WORD_MAX
 
 FIELD_POLICIES = sorted(name for name, cls in POLICIES.items()
                         if cls.priority_fields is not None)
@@ -31,7 +32,7 @@ def test_the_suite_covers_a_shifted_mask():
 def test_stored_fields_rank_above_the_age(name):
     """What lets the stored fields decide before the age does."""
     mask, shift = POLICIES[name].priority_fields
-    assert not mask & ~WORD_MAX         # stored fields only: <= WORD_MAX
+    assert not mask & ~(WORD_MAX | T_MASK)  # the stored fields and T only
     # the shifted fields leave the three age bits free ...
     assert (mask >> shift) & A_MAX == 0
     # ... and the shift drops none of them, so a lower ``word & mask`` is a
@@ -43,8 +44,8 @@ def test_stored_fields_rank_above_the_age(name):
 
 @st.composite
 def stores(draw):
-    """A tag store brought to a random state through its own methods, with
-    the context switches of the stream still pending."""
+    """A tag store brought to a random state through its own methods:
+    switches, and touches of running and suspended owners' entries."""
     name = draw(st.sampled_from(FIELD_POLICIES))
     capacity = draw(st.integers(6, 64))
     slots = st.integers(0, capacity - 1)
@@ -77,8 +78,8 @@ def stores(draw):
         if kind == "instructions":
             for _ in range(arg):
                 ts.on_instruction()
-        elif kind == "touch" and ts.owner[arg] == running:
-            # the running thread's entries only: nothing here folds
+        elif kind == "touch" and ts.valid[arg]:
+            # an entry of a suspended owner is stamped: its T reads 0
             ts.touch(arg, is_write=False)
         elif kind == "dead" and ts.valid[arg]:
             policy.mark_dead(arg)       # also where the mask leaves D out
@@ -105,18 +106,18 @@ def first_maximum(ts, exclude, now):
 @settings(max_examples=300, deadline=None)
 def test_search_returns_the_first_maximum(ts, exclude, now):
     policy = ts.policy
-    # the search goes first: ``priority`` would fold the pending switches
-    # for it
     chosen = ts.select_victim(exclude, now)
-    assert not (policy.pending_switches and policy.uses_thread_bits)
     assert chosen == first_maximum(ts, exclude, now)
     if chosen is None:
         return
     # the class that set the bound can be out of reach: excluded ...
     mask, _shift = policy.priority_fields
-    top = policy.word[chosen] & mask
-    top_class = [slot for slot in ts.valid_slots()
-                 if policy.word[slot] & mask == top]
+
+    def fields(slot):
+        return (policy.word[slot] | policy.t_bits(slot)) & mask
+
+    top = fields(chosen)
+    top_class = [slot for slot in ts.valid_slots() if fields(slot) == top]
     without = exclude + top_class
     assert ts.select_victim(without, now) == first_maximum(ts, without, now)
     # ... or still filling, while it sits in front of the eligible entries
@@ -141,7 +142,6 @@ class CountingList(list):
 
 def counted_search(ts, exclude=()):
     policy = ts.policy
-    policy.fold()
     policy.zeroed_at = ages = CountingList(policy.zeroed_at)
     chosen = ts.select_victim(exclude, now=0)
     policy.zeroed_at = list(ages)

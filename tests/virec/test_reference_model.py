@@ -12,13 +12,14 @@ their priority as ``priority_fields``; it is held to
 ``max(candidates, key=reference priority)`` with registers still filling
 and with slots protected by the instruction in decode.
 
-Thread recency is folded into the stored words only when something reads
-T, and ``Pair.check()`` is such a read.  The ``windows`` stream therefore
-checks only *between* windows of 2-9 chained context switches, with the
-per-entry writes the fold has to be exact against placed inside them:
-accesses and inserts for the running thread before and after it was
-switched in, inserts and touches for suspended owners (``context_prefetch``
-does the former), evict/re-insert, flushes and dead marks.
+Thread recency is kept per thread and derived per entry on read: an
+entry's T is its owner's unless a write stamp says it was written at or
+after its owner's suspension.  The ``windows`` stream checks *between*
+windows of 2-9 chained context switches, with the per-entry writes the
+stamps have to be exact against placed inside them: accesses and inserts
+for the running thread before and after it was switched in, inserts and
+touches for suspended owners (``context_prefetch`` does the former),
+evict/re-insert, flushes and dead marks.
 """
 
 import numpy as np
@@ -59,8 +60,8 @@ events = st.lists(st.one_of(
 quiet_events = st.lists(st.one_of(
     st.tuples(st.just("instruction")),
     st.tuples(st.just("access-running"), slots),
-    # any resident entry, through ``TagStore.touch`` (which folds first
-    # when the owner is not running; the VRMU never does this)
+    # any resident entry, through ``TagStore.touch`` (which stamps the
+    # entry when its owner is suspended; the core never does this)
     st.tuples(st.just("access"), slots),
     st.tuples(st.just("insert-running"), slots),
     st.tuples(st.just("insert-suspended"), slots, tids),
@@ -128,8 +129,7 @@ class Pair:
 
     def apply_in_window(self, event):
         """Resolve a ``quiet_events`` entry against the current state and
-        apply it; none of these reads T unless the fold rule says it must
-        (an insert for a suspended owner)."""
+        apply it; none of these reads T."""
         kind, *args = event
         running = self.running
         if kind == "access-running":
@@ -193,7 +193,7 @@ def test_policy_agrees_with_reference_model(name, stream):
 @given(st.lists(st.tuples(slots, tids), max_size=CAPACITY), windows)
 @settings(max_examples=80, deadline=None)
 def test_switch_windows_without_a_read_in_between(name, resident, stream):
-    """Fold-on-read against the eager model: whole windows of switches go
+    """Per-thread T against the eager model: whole windows of switches go
     by with per-entry writes in between and nothing looks at T until the
     window is over."""
     pair = Pair(name)
@@ -209,9 +209,9 @@ def test_switch_windows_without_a_read_in_between(name, resident, stream):
 
 
 def test_an_entry_prefetched_for_a_suspended_thread_keeps_t_zero():
-    """The case a per-thread recency table gets wrong: the entry is written
-    with T = 0 while its owner is suspended and only decays from there —
-    its owner's other entries carry the owner's recency."""
+    """The case the write stamp decides: the entry is written with T = 0
+    while its owner is suspended and only decays from there — its owner's
+    other entries carry the owner's recency."""
     pair = Pair("lrc")
     pair.apply(("insert", 0, 0, 0))
     pair.apply(("switch", 0, 1))
@@ -224,9 +224,21 @@ def test_an_entry_prefetched_for_a_suspended_thread_keeps_t_zero():
     pair.apply(("switch", 0, 2))            # suspended again: both are 7
     assert pair.new.T[:2] == (7, 7)
     pair.check()
+    # two threads: the context-prefetch successor is the thread the same
+    # switch just suspended, so the write and the suspension share a stamp
+    pair = Pair("lrc")
+    pair.apply(("insert", 0, 0, 0))
+    pair.apply(("switch", 0, 1))
+    pair.apply(("insert", 1, 0, 0))         # prefetched for thread 0
+    assert pair.new.T[:2] == (7, 0)
+    pair.check()
+    pair.apply(("switch", 1, 0))
+    pair.apply(("switch", 0, 1))
+    assert pair.new.T[:2] == (7, 7)
+    pair.check()
 
 
-def test_a_switch_that_breaks_the_chain_folds_first():
+def test_a_switch_that_breaks_the_chain_gets_the_eager_result():
     """``prev_tid`` is normally the thread the previous switch resumed; a
     caller that says otherwise still gets the eager result."""
     pair = Pair("mrt-plru")
@@ -234,9 +246,25 @@ def test_a_switch_that_breaks_the_chain_folds_first():
         pair.apply(("insert", slot, slot, 0))
     pair.apply(("switch", 0, 1))
     pair.apply(("switch", 2, 0))            # thread 1 was running, not 2
-    assert pair.new.pending_switches == 1
     assert pair.new.T[:3] == (0, 0, 7)
     pair.check()
+
+
+def test_the_thread_table_is_derived_at_most_once_per_switch():
+    """A switch only records the suspension; the first read of T after it
+    derives the per-thread table, and every later read shares it."""
+    pair = Pair("lrc")
+    for slot in range(3):
+        pair.apply(("insert", slot, slot, 0))
+    policy = pair.new
+    table = policy.thread_bits()
+    pair.apply(("switch", 0, 1))
+    assert policy.thread_bits() is not table
+    table = policy.thread_bits()
+    pair.victim([], 0)
+    pair.check()
+    assert policy.thread_bits() is table
+    assert (table[0], table[1], table[2]) == (7 << 4, 0, 0)
 
 
 @pytest.mark.parametrize("name", sorted(POLICIES))

@@ -12,8 +12,8 @@ equal.  Capacities of 6-12 entries with fills that take 4-19 cycles keep
 registers in flight, so the "every candidate is still filling" wait loop
 runs.
 
-The stream follows the policy's contract: while switches are pending the
-VRMU is only asked about the running thread's registers, as the core does.
+The stream asks the VRMU about the running thread's registers, as the core
+does; its context prefetches write entries of suspended threads.
 """
 
 from types import SimpleNamespace
@@ -106,8 +106,7 @@ class Side:
                      {(tid, flat): slot
                       for tid, flat, slot in ts.mappings()}, ts.resident),
             "policy": (list(policy.word), list(policy.zeroed_at),
-                       list(policy.stamp), policy._clock,
-                       policy.pending_switches, policy.running,
+                       list(policy.stamp), policy._clock, policy.T,
                        getattr(policy, "rrpv", None),
                        getattr(policy, "_state", None)),
             "segments": {tid: sorted(regs)

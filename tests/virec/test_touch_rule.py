@@ -50,11 +50,11 @@ def warm_vrmu(policy):
 
 
 def policy_state(ts):
-    """The stored state as it is — nothing here folds a pending switch."""
+    """The stored state and the per-slot T derived from it."""
     policy = ts.policy
     return (list(policy.word), list(policy.zeroed_at), list(policy.stamp),
-            policy._clock, policy.pending_switches, policy.running,
-            list(ts.dirty), getattr(policy, "rrpv", None))
+            policy._clock, policy.T, list(ts.dirty),
+            getattr(policy, "rrpv", None))
 
 
 @pytest.mark.parametrize("name", sorted(POLICIES))

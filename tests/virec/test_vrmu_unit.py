@@ -125,17 +125,16 @@ def test_hit_rate_property():
     assert v.hit_rate == 0.0
 
 
-def test_access_by_a_suspended_thread_settles_pending_switches_first():
-    """The core only decodes for the running thread, so the policy lets
-    switches pend until T is read.  A direct caller that decodes for a
-    suspended thread still sees what an eager T update would give: the
-    touched entries go to T = 0, the thread's other entry keeps 7 - 1."""
+def test_access_by_a_suspended_thread_stamps_its_entries():
+    """The core only decodes for the running thread.  A direct caller that
+    decodes for a suspended thread still sees what an eager T update would
+    give: the touched entries go to T = 0, the thread's other entry keeps
+    7 - 1."""
     v = make_vrmu(capacity=8)
     v.access(0, add(0, 1, 2), 0)
     v.access(0, Instruction(Opcode.MOV, rd=X(9), imm=0), 300)
     v.on_context_switch(0, 1)
     v.on_context_switch(1, 2)
-    assert v.tagstore.policy.pending_switches == 2
     v.access(0, add(0, 1, 2), 600)
     policy = v.tagstore.policy
     for reg in (0, 1, 2):
