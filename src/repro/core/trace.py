@@ -63,7 +63,7 @@ class PipelineTracer(Observer):
     A true ring: once ``limit`` records exist, each new record overwrites
     the oldest, so a long run always retains the most recent ``limit``
     committed instructions (``dropped`` counts the overwritten ones).
-    Every commit but a HALT is :meth:`record`-ed as eight fields;
+    Every commit but a HALT is recorded as eight fields;
     :attr:`records` builds the :class:`TraceRecord` objects when it is
     read.
     """
@@ -88,10 +88,12 @@ class PipelineTracer(Observer):
     def on_commit(self, thread, d, t_d, t_ops, t_regs, t_issue, t_ex_done,
                   data_at, t_c, icache_missed, load_missed) -> None:
         if not d.is_halt:
+            # :meth:`record`'s body, inline: this runs once per commit
             inst = d.inst
-            self.record(thread.tid, thread.pc,
-                        inst.text or inst.opcode.name.lower(), t_d, t_issue,
-                        t_ex_done, data_at, t_c)
+            self._recorded += 1
+            self._ring.append((thread.tid, thread.pc,
+                               inst.text or inst.opcode.name.lower(), t_d,
+                               t_issue, t_ex_done, data_at, t_c))
 
     def record(self, tid: int, pc: int, text: str, t_decode: int,
                t_issue: int, t_ex_done: int, t_data: int,

@@ -49,10 +49,38 @@ EVENT_CATEGORIES = {
     "cycle_causes": "profile",
 }
 
+#: event name -> its argument keys, in the order the trace shows them.  An
+#: event named here is recorded flat: the ring keeps its argument values,
+#: and the ``args`` dict is built when the ring is read.  The eviction keys
+#: end with the policy's ``FIELD_NAMES`` (``repro.virec.policies``).
+EVENT_ARGS = {
+    "run": ("reason",), "stall": ("cause",), "ctx_switch": ("tid", "flushed"),
+    "thread_done": ("tid",), "ctx_fetch": ("tid",), "ctx_save": ("tid",),
+    "ctx_restore": ("tid",),
+    "vrmu_hit": ("tid", "reg"), "vrmu_miss": ("tid", "reg"),
+    "evict": ("owner", "reg", "cause", "residency", "dirty",
+              "T", "C", "A", "D", "prio"),
+    "fill": ("tid", "reg"), "dummy_fill": ("tid", "reg"),
+    "spill": ("tid", "reg", "dirty"),
+    "sysreg": ("kind", "tid"),
+    "dcache_miss": ("addr", "write", "reg_region"),
+    "fault": ("site",),
+}
+
 
 def _decode(record: tuple) -> dict:
-    """The Chrome trace-event dict of one recorded 9-tuple."""
-    name, ph, ts, pid, tid, dur, args, flow, bind = record
+    """The Chrome trace-event dict of one recorded tuple.
+
+    Every record starts ``name, ph, ts, pid, tid, dur``.  A flat record
+    goes on with its event's ``EVENT_ARGS`` keys and their values; any
+    other with ``args, flow, bind``.
+    """
+    name, ph, ts, pid, tid, dur, payload = record[:7]
+    if payload.__class__ is tuple:
+        args = dict(zip(payload, record[7:], strict=True))
+        flow = bind = None
+    else:
+        args, flow, bind = record[6:]
     ev = {"name": name, "ph": ph, "ts": int(ts), "pid": int(pid),
           "tid": int(tid),
           "cat": EVENT_CATEGORIES.get(name, "misc")}
@@ -70,8 +98,11 @@ def _decode(record: tuple) -> dict:
 class EventTracer:
     """Bounded ring of trace events shared by every core of one run.
 
-    :meth:`emit` stores the tuple it was given; the event dicts are built
-    when :attr:`events` or :meth:`chrome_trace` is read.
+    Each emitting call appends one tuple and bumps :attr:`counts`; the
+    event dicts are built when :attr:`events` or :meth:`chrome_trace` is
+    read.  An event with an ``EVENT_ARGS`` schema passes its argument
+    values positionally to :meth:`instant` / :meth:`complete`, in schema
+    order; any other passes an ``args`` dict.
     """
 
     def __init__(self, max_events: int = 200_000) -> None:
@@ -114,21 +145,42 @@ class EventTracer:
         counts[name] = counts.get(name, 0) + 1
         self._ring.append((name, ph, ts, pid, tid, dur, args, flow, bind))
 
-    # -- convenience wrappers ---------------------------------------------
-    def instant(self, name: str, ts: int, pid: int, tid: int,
+    # -- one append per event ---------------------------------------------
+    def instant(self, name: str, ts: int, pid: int, tid: int, *values,
                 args: Optional[dict] = None) -> None:
-        self.emit(name, "i", ts, pid, tid, args=args)
+        """An ``i`` event: its ``EVENT_ARGS`` values, or ``args``."""
+        counts = self.counts
+        counts[name] = counts.get(name, 0) + 1
+        if values:
+            self._ring.append((name, "i", ts, pid, tid, None,
+                               EVENT_ARGS[name], *values))
+        else:
+            self._ring.append((name, "i", ts, pid, tid, None, args, None,
+                               None))
 
     def complete(self, name: str, ts: int, dur: int, pid: int, tid: int,
-                 args: Optional[dict] = None) -> None:
-        self.emit(name, "X", ts, pid, tid, dur=dur, args=args)
+                 *values, args: Optional[dict] = None) -> None:
+        """An ``X`` event lasting ``dur``: its ``EVENT_ARGS`` values, or
+        ``args``."""
+        counts = self.counts
+        counts[name] = counts.get(name, 0) + 1
+        if values:
+            self._ring.append((name, "X", ts, pid, tid, dur,
+                               EVENT_ARGS[name], *values))
+        else:
+            self._ring.append((name, "X", ts, pid, tid, dur, args, None,
+                               None))
 
     def flow_pair(self, name: str, t_from: int, tid_from: int,
                   t_to: int, tid_to: int, pid: int) -> None:
-        """Arrow from (tid_from, t_from) to (tid_to, t_to) on core ``pid``."""
-        fid = self.next_flow_id()
-        self.emit(name, "s", t_from, pid, tid_from, flow=fid)
-        self.emit(name, "f", t_to, pid, tid_to, flow=fid, bind="e")
+        """Arrow from (tid_from, t_from) to (tid_to, t_to) on core ``pid``:
+        two events, ``s`` then ``f``."""
+        self._flow_id = fid = self._flow_id + 1
+        counts = self.counts
+        counts[name] = counts.get(name, 0) + 2
+        ring = self._ring
+        ring.append((name, "s", t_from, pid, tid_from, None, None, fid, None))
+        ring.append((name, "f", t_to, pid, tid_to, None, None, fid, "e"))
 
     # -- introspection -----------------------------------------------------
     @property

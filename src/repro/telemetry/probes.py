@@ -18,6 +18,7 @@ of the per-operand hit event.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Optional, Tuple
 
 from ..core.instrument import Observer
@@ -73,45 +74,44 @@ class CoreTelemetry(Observer):
         start = self._run_start.pop(tid, None)
         if start is None or self.events is None:
             return
-        self.events.complete("run", start, t - start, self.pid, tid,
-                             args={"reason": reason})
+        self.events.complete("run", start, t - start, self.pid, tid, reason)
 
     def on_switch(self, tid: int, t_req: int, t_sw: int, ready_at: int,
                   flushed: int) -> None:
         self._end_run(tid, t_sw, "miss-switch")
         if self.events is not None:
             self.events.instant("ctx_switch", t_sw, self.pid, CTRL_TRACK,
-                                args={"tid": tid, "flushed": flushed})
+                                tid, flushed)
             self.events.complete("stall", t_sw, ready_at - t_sw, self.pid,
-                                 tid, args={"cause": "dcache-miss"})
+                                 tid, "dcache-miss")
 
     def on_stall(self, tid: int, t: int, until: int, cause: str) -> None:
         if self.events is not None and until > t:
             self.events.complete("stall", t, until - t, self.pid, tid,
-                                 args={"cause": cause})
+                                 cause)
 
     def on_thread_done(self, tid: int, t_c: int) -> None:
         self._end_run(tid, t_c, "done")
         if self.events is not None:
             self.events.instant("thread_done", t_c, self.pid, CTRL_TRACK,
-                                args={"tid": tid})
+                                tid)
 
     def on_commit(self, thread, d, t_d, t_ops, t_regs, t_issue, t_ex_done,
                   data_at, t_c, icache_missed, load_missed) -> None:
-        if self.sampler is not None:
-            self.sampler.on_cycle(t_c)
+        sampler = self.sampler
+        if sampler is not None and t_c >= sampler.next_at:
+            sampler.on_cycle(t_c)
 
     def on_context_move(self, kind: str, tid: int, t: int, done: int) -> None:
         if self.events is not None:
             self.events.complete(kind, t, done - t, self.pid, CTRL_TRACK,
-                                 args={"tid": tid})
+                                 tid)
 
     # -- the VRMU's register-cache traffic ---------------------------------
     def on_reg_miss(self, tid: int, reg: int, t: int) -> None:
         ev = self.events
         if ev is not None:
-            ev.instant("vrmu_miss", t, self.pid, BSI_TRACK,
-                       args={"tid": tid, "reg": reg})
+            ev.instant("vrmu_miss", t, self.pid, BSI_TRACK, tid, reg)
 
     def on_reg_insert(self, slot: int, tid: int, reg: int, t: int) -> None:
         self._inserted[slot] = (tid, reg, t)
@@ -124,8 +124,8 @@ class CoreTelemetry(Observer):
         span = max(0, t - t0)
         if reg is not None:
             self.reg_residency[reg] = self.reg_residency.get(reg, 0) + span
-        self.residency_hist[_log2_bucket(span)] = \
-            self.residency_hist.get(_log2_bucket(span), 0) + 1
+        bucket = _log2_bucket(span)
+        self.residency_hist[bucket] = self.residency_hist.get(bucket, 0) + 1
         return span
 
     def on_reg_evict(self, slot: int, tid: int, cause: str, t: int) -> None:
@@ -134,11 +134,9 @@ class CoreTelemetry(Observer):
         ev = self.events
         if ev is not None:
             ts = self.tagstore
-            args = {"owner": int(ts.owner[slot]), "reg": int(ts.areg[slot]),
-                    "cause": cause, "residency": span,
-                    "dirty": bool(ts.dirty[slot])}
-            args.update(ts.policy.describe(slot))
-            ev.instant("evict", t, self.pid, BSI_TRACK, args=args)
+            ev.instant("evict", t, self.pid, BSI_TRACK, int(ts.owner[slot]),
+                       int(ts.areg[slot]), cause, span, bool(ts.dirty[slot]),
+                       *ts.policy.fields(slot))
 
     def on_reg_fill(self, tid: int, reg: int, t: int, done: int,
                     dummy: bool = False) -> None:
@@ -146,8 +144,7 @@ class CoreTelemetry(Observer):
         if ev is None:
             return
         name = "dummy_fill" if dummy else "fill"
-        ev.complete(name, t, done - t, self.pid, BSI_TRACK,
-                    args={"tid": tid, "reg": reg})
+        ev.complete(name, t, done - t, self.pid, BSI_TRACK, tid, reg)
         if not dummy:
             ev.flow_pair("fill_flow", t, tid, done, BSI_TRACK, self.pid)
 
@@ -155,8 +152,8 @@ class CoreTelemetry(Observer):
         ev = self.events
         if ev is None:
             return
-        ev.complete("spill", t, 1, self.pid, BSI_TRACK,
-                    args={"tid": tid, "reg": reg, "dirty": bool(dirty)})
+        ev.complete("spill", t, 1, self.pid, BSI_TRACK, tid, reg,
+                    bool(dirty))
         ev.flow_pair("spill_flow", t, tid, t, BSI_TRACK, self.pid)
 
     # -- the dcache, the sysreg ping-pong buffer (CSL), fault injection -----
@@ -166,18 +163,15 @@ class CoreTelemetry(Observer):
         if self.events is not None:
             self.events.complete(
                 "dcache_miss", now, fill_done - now, self.pid, DCACHE_TRACK,
-                args={"addr": int(addr), "write": bool(is_write),
-                      "reg_region": bool(is_register)})
+                int(addr), bool(is_write), bool(is_register))
 
     def on_sysreg(self, kind: str, tid: int, t: int) -> None:
         if self.events is not None:
-            self.events.instant("sysreg", t, self.pid, CTRL_TRACK,
-                                args={"kind": kind, "tid": tid})
+            self.events.instant("sysreg", t, self.pid, CTRL_TRACK, kind, tid)
 
     def on_fault(self, site: str, t: int) -> None:
         if self.events is not None:
-            self.events.instant("fault", t, self.pid, CTRL_TRACK,
-                                args={"site": site})
+            self.events.instant("fault", t, self.pid, CTRL_TRACK, site)
 
     # -- interval-sampler extras ------------------------------------------
     def collect(self, cycle: int) -> Dict:
@@ -232,18 +226,12 @@ class HitTracingTelemetry(CoreTelemetry):
     def on_reg_hit(self, tid: int, reg: int, t: int) -> None:
         ev = self.events
         if ev is not None:
-            ev.instant("vrmu_hit", t, self.pid, BSI_TRACK,
-                       args={"tid": tid, "reg": reg})
+            ev.instant("vrmu_hit", t, self.pid, BSI_TRACK, tid, reg)
 
 
 def _log2_bucket(cycles: int) -> int:
     """Histogram bucket: floor(log2(residency)), bucket 0 = [0, 2)."""
-    b = 0
-    c = max(0, int(cycles)) >> 1
-    while c:
-        b += 1
-        c >>= 1
-    return b
+    return (max(0, int(cycles)) >> 1).bit_length()
 
 
 class CoreMetrics(Observer):
@@ -256,7 +244,8 @@ class CoreMetrics(Observer):
     """
 
     __slots__ = ("core", "_core_label", "_instructions", "_gaps",
-                 "_by_kind", "_last_commit", "_cells", "_gap_slot")
+                 "_gap_bounds", "_by_kind", "_last_commit", "_cells",
+                 "_gap_slot")
 
     def __init__(self, registry: MetricsRegistry, core,
                  by_kind: bool = False) -> None:
@@ -269,6 +258,7 @@ class CoreMetrics(Observer):
             "sim_commit_gap_cycles",
             "cycles between consecutive commits, by core",
             buckets=_GAP_BUCKETS)
+        self._gap_bounds = self._gaps.buckets
         self._by_kind = by_kind
         self._last_commit = 0
         #: kind (``None`` without ``by_kind``) -> bound counter cell, and
@@ -304,5 +294,10 @@ class CoreMetrics(Observer):
         if cell is None:
             cell = self._bind(kind)
         cell[0] += 1
-        self._gaps.observe_into(self._gap_slot, t_c - self._last_commit)
+        # Histogram.observe_into, inline: a gap is an int, never NaN
+        gap = t_c - self._last_commit
+        slot = self._gap_slot
+        slot[0][bisect_left(self._gap_bounds, gap)] += 1
+        slot[1] += float(gap)
+        slot[2] += 1
         self._last_commit = t_c

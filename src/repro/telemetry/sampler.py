@@ -69,19 +69,21 @@ class IntervalSampler:
         self.extra = extra
         self.rows: List[Dict] = []
         self._totals = self._read()
-        self._next = interval
+        #: the first commit-clock cycle that closes an interval; a caller
+        #: may skip :meth:`on_cycle` for any earlier cycle
+        self.next_at = interval
 
     # -- sampling ----------------------------------------------------------
     def on_cycle(self, cycle: int) -> None:
         """Advance the sampler to commit-clock ``cycle`` (monotone)."""
-        while cycle >= self._next:
-            self._sample(self._next, self.interval)
-            self._next += self.interval
+        while cycle >= self.next_at:
+            self._sample(self.next_at, self.interval)
+            self.next_at += self.interval
 
     def finalize(self, cycle: int) -> None:
         """Emit the final partial interval (if any cycles elapsed)."""
         self.on_cycle(cycle)
-        elapsed = cycle - (self._next - self.interval)
+        elapsed = cycle - (self.next_at - self.interval)
         if elapsed > 0:
             self._sample(cycle, elapsed)
 

@@ -74,6 +74,8 @@ D_BIT = 1 << D_SHIFT
 LRC_MASK = T_MASK | C_BIT
 #: largest well-formed stored word (VSan ``policy.word``)
 WORD_MAX = D_BIT | C_BIT
+#: the names of :meth:`ReplacementPolicy.fields`, in order
+FIELD_NAMES = ("T", "C", "A", "D", "prio")
 
 #: policy-name -> class factory table; populated by :func:`register_policy`
 POLICIES: Dict[str, Type["ReplacementPolicy"]] = {}
@@ -90,10 +92,6 @@ class ReplacementPolicy:
 
     #: subclass name used by :meth:`from_spec`
     name = "base"
-    #: whether the policy consumes the commit (C) bit
-    uses_commit_bit = False
-    #: whether the policy consumes thread-recency (T) bits
-    uses_thread_bits = False
     #: whether the policy consumes dead-on-commit (D) hints — selecting
     #: such a policy is what turns static liveness annotation on
     uses_dead_hints = False
@@ -242,16 +240,17 @@ class ReplacementPolicy:
     def D(self) -> Tuple[int, ...]:
         return tuple(w >> D_SHIFT for w in self.word)
 
-    def describe(self, slot: int) -> dict:
-        """Replacement metadata of one entry (telemetry event args).
-
-        Exposes the T/C/A/D fields and the entry's current eviction priority
-        so exported eviction events show *why* the policy chose a victim.
-        """
+    def fields(self, slot: int) -> Tuple[int, int, int, int, int]:
+        """The T/C/A/D fields of one entry and its current eviction
+        priority, in :data:`FIELD_NAMES` order — what an eviction event
+        records so the trace shows *why* the policy chose a victim."""
         w = self.word[slot]
-        return {"T": self.t_bits(slot) >> T_SHIFT, "C": int(bool(w & C_BIT)),
-                "A": self.age(slot), "D": w >> D_SHIFT,
-                "prio": self.priority(slot)}
+        return (self.t_bits(slot) >> T_SHIFT, int(bool(w & C_BIT)),
+                self.age(slot), w >> D_SHIFT, self.priority(slot))
+
+    def describe(self, slot: int) -> dict:
+        """Replacement metadata of one entry, :meth:`fields` by name."""
+        return dict(zip(FIELD_NAMES, self.fields(slot)))
 
 
 @register_policy
@@ -277,7 +276,6 @@ class MRTPLRU(ReplacementPolicy):
     """Most-Recent-Thread PLRU: T bits concatenated above the PLRU age."""
 
     name = "mrt-plru"
-    uses_thread_bits = True
     priority_fields = (T_MASK, 1)
 
 
@@ -286,7 +284,6 @@ class MRTLRU(ReplacementPolicy):
     """MRT with exact ages (perfect variant of Figure 12)."""
 
     name = "mrt-lru"
-    uses_thread_bits = True
 
     def priority(self, slot: int) -> int:
         return ((self.t_bits(slot) >> T_SHIFT << 40)
@@ -298,8 +295,6 @@ class LRC(ReplacementPolicy):
     """Least Recently Committed: T, then C, then A (the paper's policy)."""
 
     name = "lrc"
-    uses_commit_bit = True
-    uses_thread_bits = True
     priority_fields = (LRC_MASK, 0)
 
 

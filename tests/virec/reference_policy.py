@@ -35,10 +35,6 @@ class ReplacementPolicy:
 
     #: registry key, as in ``repro.virec.POLICIES``
     name = "base"
-    #: whether the policy consumes the commit (C) bit
-    uses_commit_bit = False
-    #: whether the policy consumes thread-recency (T) bits
-    uses_thread_bits = False
     #: whether the policy consumes dead-on-commit (D) hints — selecting
     #: such a policy is what turns static liveness annotation on
     uses_dead_hints = False
@@ -130,7 +126,6 @@ class MRTPLRU(ReplacementPolicy):
     """Most-Recent-Thread PLRU: T bits concatenated above the PLRU age."""
 
     name = "mrt-plru"
-    uses_thread_bits = True
 
     def priority(self) -> np.ndarray:
         return (self.T << 3) | self.A
@@ -141,7 +136,6 @@ class MRTLRU(ReplacementPolicy):
     """MRT with exact ages (perfect variant of Figure 12)."""
 
     name = "mrt-lru"
-    uses_thread_bits = True
 
     def priority(self) -> np.ndarray:
         return (self.T << 40) + (self._clock - self.stamp)
@@ -152,8 +146,6 @@ class LRC(ReplacementPolicy):
     """Least Recently Committed: T, then C, then A (the paper's policy)."""
 
     name = "lrc"
-    uses_commit_bit = True
-    uses_thread_bits = True
 
     def priority(self) -> np.ndarray:
         return (self.T << 4) | (self.C << 3) | self.A

@@ -4,11 +4,13 @@ import pytest
 
 from repro.virec.policies import (
     A_MAX,
+    C_BIT,
     LRC,
     LRU,
     MRTLRU,
     MRTPLRU,
     PLRU,
+    T_MASK,
     T_MAX,
     make_policy,
 )
@@ -152,6 +154,8 @@ def test_mrt_lru_orders_within_thread_exactly():
 
 
 def test_policy_flag_metadata():
-    assert LRC.uses_commit_bit and LRC.uses_thread_bits
-    assert MRTPLRU.uses_thread_bits and not MRTPLRU.uses_commit_bit
-    assert not PLRU.uses_thread_bits
+    # the victim search reads T and C only through the priority_fields mask
+    lrc_mask, _ = LRC.priority_fields
+    assert lrc_mask & T_MASK == T_MASK and lrc_mask & C_BIT
+    assert MRTPLRU.priority_fields[0] == T_MASK
+    assert PLRU.priority_fields[0] == 0
