@@ -81,13 +81,12 @@ def check_policy(core, cycle: int) -> Optional[SanitizerViolation]:
     # eviction-order consistency: the slot the tag store's search — the
     # one production runs, bounds and early exit included — would evict
     # right now must be the first maximum of ``priority`` over the
-    # evictable candidates.  The search mutates nothing for the argmax
-    # policies (the dead-hint variants stay argmax — D just
-    # tops the priority word); SRRIP ages entries and random replacement
-    # draws from its PRNG inside select_victim, so probing them here would
-    # perturb future victim choices.
-    if pol.name not in ("plru", "lru", "mrt-plru", "mrt-lru", "lrc",
-                        "dead-first", "dead-elide"):
+    # evictable candidates.  The search mutates nothing for a ranking
+    # policy (one that declares ``priority_fields``); SRRIP ages entries
+    # and random replacement draws from its PRNG inside their own
+    # select_victim, so probing them here would perturb future victim
+    # choices.
+    if pol.priority_fields is None:
         return None
     now = getattr(core, "now", cycle)
     candidates = [slot for slot in ts.valid_slots()

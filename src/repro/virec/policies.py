@@ -38,17 +38,25 @@ thread with a record is stamped with the switch count (``written_at``) by
 ``TagStore.insert``/``touch`` and ``VRMU.access``; any other thread's next
 suspension comes after every stamp, so its writes need none.
 
-Implemented policies and their priority functions:
+Implemented policies and their priority functions.  The seven ranking
+policies declare theirs as data (``priority_fields``, ``exact_age_lift``)
+for ``TagStore.select_victim``'s one search; SRRIP and random have a rule
+of their own (:meth:`~ReplacementPolicy.select_victim`):
 
 =============  ==============================================
 PLRU           ``A``                      (prior work [41])
 LRU            exact age (oracle recency)
 MRT-PLRU       ``(T << 3) | A``
-MRT-LRU        ``T`` then exact age       (perfect variant)
+MRT-LRU        ``(T << 40) | exact age``  (perfect variant)
 LRC            ``(T << 4) | (C << 3) | A``  (the paper's policy)
 dead-first     ``(D << 7) | LRC``  (dead registers evict first)
 dead-elide     dead-first + BSI writeback elision in the VRMU
+SRRIP          age to RRPV max, evict the first there  [33]
+random         a seeded xorshift draw
 =============  ==============================================
+
+The exact age is ``clock - stamp``, instructions since the entry's last
+access, uncapped.
 
 Policies are constructed through the :data:`POLICIES` factory table —
 :meth:`ReplacementPolicy.from_spec` / :func:`make_policy` — so config
@@ -62,6 +70,9 @@ from collections import defaultdict
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Type
 
 A_MAX = 7  # 3-bit age
+#: exact ages (instructions since an entry's last access) stay below
+#: ``1 << EXACT_AGE_BITS`` in any run this simulator makes
+EXACT_AGE_BITS = 40
 T_MAX = 7  # 3-bit thread recency
 
 # fields of the priority word (the age occupies bits 0-2); T is derived
@@ -97,12 +108,18 @@ class ReplacementPolicy:
     uses_dead_hints = False
     #: whether the VRMU may skip the BSI spill of a dead victim
     elides_dead_writebacks = False
-    #: ``(mask, shift)`` of a policy whose priority is the priority word's
-    #: fields above the age, ``((word | T << 4) & mask) >> shift | A`` —
-    #: the tag store evaluates it inline and prunes on the masked fields
-    #: before it reads an age, so the shift may drop no mask bit and must
-    #: leave bits 0-2 free; None for a policy with its own :meth:`priority`
+    #: ``(mask, shift)`` of a ranking policy: its priority is the fields
+    #: ``(word | T << 4) & mask`` above an age, ``fields >> shift | A``.
+    #: The tag store prunes on the fields before it reads an age and ranks
+    #: them unshifted (no mask has a bit in 0-2), so the shift only places
+    #: the reported priority and may drop no mask bit.  None for a policy
+    #: with its own :meth:`select_victim`
     priority_fields: Optional[Tuple[int, int]] = None
+    #: None for the 3-bit lazy ``A``; for the exact age (``stamp``,
+    #: uncapped), how far the fields are lifted over it: the priority is
+    #: ``fields << lift | age``, and the lift must clear every age below
+    #: ``1 << EXACT_AGE_BITS``
+    exact_age_lift: Optional[int] = None
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -214,8 +231,11 @@ class ReplacementPolicy:
         if self.priority_fields is None:
             raise NotImplementedError
         mask, shift = self.priority_fields
-        return ((self.word[slot] | self.t_bits(slot)) & mask) >> shift \
-            | self.age(slot)
+        fields = (self.word[slot] | self.t_bits(slot)) & mask
+        lift = self.exact_age_lift
+        if lift is None:
+            return fields >> shift | self.age(slot)
+        return fields << lift | self._clock - self.stamp[slot]
 
     def select_victim(self, candidates: Sequence[int]) -> Optional[int]:
         """The victim among ``candidates`` — slot indices in ascending order
@@ -266,9 +286,8 @@ class LRU(ReplacementPolicy):
     """Exact recency (perfect LRU) — still scheduling-oblivious."""
 
     name = "lru"
-
-    def priority(self, slot: int) -> int:
-        return self._clock - self.stamp[slot]
+    priority_fields = (0, 0)
+    exact_age_lift = 0
 
 
 @register_policy
@@ -284,10 +303,8 @@ class MRTLRU(ReplacementPolicy):
     """MRT with exact ages (perfect variant of Figure 12)."""
 
     name = "mrt-lru"
-
-    def priority(self, slot: int) -> int:
-        return ((self.t_bits(slot) >> T_SHIFT << 40)
-                + self._clock - self.stamp[slot])
+    priority_fields = (T_MASK, 0)
+    exact_age_lift = EXACT_AGE_BITS - T_SHIFT   # T at bit 40
 
 
 @register_policy

@@ -108,8 +108,11 @@ class TagStore:
         """Choose an eviction victim.
 
         Excludes ``exclude_slots`` (registers of the instruction currently in
-        decode — they must not evict each other) and slots whose fill is
-        still in flight.  Returns None when nothing is evictable.
+        decode — they must not evict each other — or, for a group eviction,
+        all but the victim owner's other slots) and slots whose fill is
+        still in flight.  Returns None when nothing is evictable.  A ranking
+        policy is searched here; only SRRIP and random, which have a rule
+        of their own, get the candidate list.
         """
         valid, fill_ready = self.valid, self.fill_ready
         policy = self.policy
@@ -122,17 +125,22 @@ class TagStore:
         # ``policy.priority`` inlined as a branch-and-bound; the first
         # maximum wins, so ties go to the lowest slot.  The fields (word |
         # the owner's T, which bounds the entry's, for a mask that reads T)
-        # sit above the age (no mask has a bit under ``shift + 3``), so
-        # they decide first, as in a hardware priority tree: an entry whose
-        # fields are below the best candidate's cannot outrank it at any
-        # age and is dismissed on one AND; equal fields go to the age.
-        # Only an eligible entry raises the bound.  Nothing outranks
-        # ``ceiling``, so the first candidate to reach it is the answer.
-        mask, shift = fields
-        zeroed_at, clock = policy.zeroed_at, policy._clock
+        # sit above the age (the 3-bit ``A`` under bit 3, an exact age
+        # under ``lift``), so they decide first, as in a hardware priority
+        # tree: an entry whose fields are below the best candidate's cannot
+        # outrank it at any age and is dismissed on one AND; equal fields
+        # go to the age.  Only an eligible entry raises the bound.  Nothing
+        # outranks ``ceiling`` (no exact age exceeds the clock), so the
+        # first candidate to reach it is the answer.
+        mask, _shift = fields
+        clock, lift = policy._clock, policy.exact_age_lift
+        if lift is None:
+            ages, cap, lift = policy.zeroed_at, A_MAX, 0
+        else:
+            ages, cap = policy.stamp, clock
         t_of = policy.thread_bits() if mask & T_MASK else None
         owner = self.owner
-        ceiling = mask >> shift | A_MAX
+        ceiling = mask << lift | cap
         victim, highest, bound = None, -1, 0
         for slot, stored in enumerate(policy.word):
             stored = (stored | t_of[owner[slot]] if t_of else stored) & mask
@@ -141,8 +149,8 @@ class TagStore:
                 if (stored & T_MASK and policy.written_at[slot]
                         >= policy.suspended_at[owner[slot]]):
                     stored &= ~T_MASK   # written since the suspension
-                age = clock - zeroed_at[slot]
-                priority = stored >> shift | (age if age < A_MAX else A_MAX)
+                age = clock - ages[slot]
+                priority = stored << lift | (age if age < cap else cap)
                 if priority > highest:
                     if priority == ceiling:
                         return slot

@@ -280,13 +280,15 @@ class VRMU:
         evictions')."""
         ts = self.tagstore
         victim_owner = ts.owner[victim]
+        # the owner's other slots are the candidates; a spilled one turns
+        # invalid, so the set holds for every round
+        exclude = {slot for slot, owner in enumerate(ts.owner)
+                   if owner != victim_owner}
+        exclude.update(inst_slots)
+        exclude.add(victim)
         extra = 0
         while extra < self.group_evict - 1:
-            # the owner tag is -1 on empty slots, so it implies validity
-            nxt = ts.policy.select_victim(
-                [slot for slot, owner in enumerate(ts.owner)
-                 if owner == victim_owner and ts.fill_ready[slot] <= t
-                 and slot != victim and slot not in inst_slots])
+            nxt = ts.select_victim(exclude, t)
             if nxt is None:
                 break
             for sink in self.sinks:

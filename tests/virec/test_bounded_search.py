@@ -2,12 +2,13 @@
 
 The search dismisses an entry whose masked fields — the stored word ORed
 with its owner's T — are below the best candidate's before it looks at
-anything else, and returns at the first
-candidate that reaches the policy's ceiling ``mask >> shift | A_MAX``.
-Three things keep that exact and are held here: the shape every
-``priority_fields`` mask must have, the result against the plain
-``max(eligible, key=policy.priority)`` over random stores, and — so the
-bounds cannot silently stop pruning — the number of lazy ages one search
+anything else, and returns at the first candidate that reaches the
+policy's ceiling: ``mask | A_MAX`` over the 3-bit age, ``mask << lift |
+clock`` over an exact one.  Three things keep that exact and are held
+here, for every ranking policy (the 3-bit ones and LRU / MRT-LRU): the
+shape every ``priority_fields`` mask must have, the result against the
+plain ``max(eligible, key=policy.priority)`` over random stores, and — so
+the bounds cannot silently stop pruning — the number of ages one search
 reads.
 """
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.virec import POLICIES, TagStore, make_policy
-from repro.virec.policies import A_MAX, T_MASK, WORD_MAX
+from repro.virec.policies import A_MAX, EXACT_AGE_BITS, T_MASK, WORD_MAX
 
 FIELD_POLICIES = sorted(name for name, cls in POLICIES.items()
                         if cls.priority_fields is not None)
@@ -26,6 +27,13 @@ N_THREADS = 4
 def test_the_suite_covers_a_shifted_mask():
     assert {"plru", "lrc", "dead-first", "mrt-plru"} <= set(FIELD_POLICIES)
     assert POLICIES["mrt-plru"].priority_fields[1] > 0
+
+
+def test_the_suite_covers_the_exact_ages():
+    assert {"lru", "mrt-lru"} <= set(FIELD_POLICIES)
+    assert POLICIES["mrt-lru"].priority_fields[0] & T_MASK
+    for name in ("lru", "mrt-lru"):
+        assert POLICIES[name].exact_age_lift is not None
 
 
 @pytest.mark.parametrize("name", FIELD_POLICIES)
@@ -38,6 +46,10 @@ def test_stored_fields_rank_above_the_age(name):
     # ... and the shift drops none of them, so a lower ``word & mask`` is a
     # lower priority at any age
     assert mask >> shift << shift == mask
+    lift = POLICIES[name].exact_age_lift
+    if lift is not None:
+        # the exact form: the lifted fields clear every age below the cap
+        assert mask << lift & (1 << EXACT_AGE_BITS) - 1 == 0
 
 
 # -- (b) the result ----------------------------------------------------------
@@ -131,7 +143,8 @@ def test_search_returns_the_first_maximum(ts, exclude, now):
 # -- (c) the pruning ---------------------------------------------------------
 
 class CountingList(list):
-    """``zeroed_at`` with its reads counted: one per lazy age evaluated."""
+    """The ages a search reads — ``zeroed_at`` for the 3-bit age, ``stamp``
+    for an exact one — with its reads counted: one per age evaluated."""
 
     reads = 0
 
@@ -142,10 +155,20 @@ class CountingList(list):
 
 def counted_search(ts, exclude=()):
     policy = ts.policy
-    policy.zeroed_at = ages = CountingList(policy.zeroed_at)
+    name = "zeroed_at" if policy.exact_age_lift is None else "stamp"
+    ages = CountingList(getattr(policy, name))
+    setattr(policy, name, ages)
     chosen = ts.select_victim(exclude, now=0)
-    policy.zeroed_at = list(ages)
+    setattr(policy, name, list(ages))
     return chosen, ages.reads
+
+
+def ceiling(policy):
+    """The highest priority ``policy`` can report now."""
+    mask, shift = policy.priority_fields
+    if policy.exact_age_lift is None:
+        return mask >> shift | A_MAX
+    return mask << policy.exact_age_lift | policy._clock
 
 
 def test_plru_stops_at_the_first_settled_saturated_entry():
@@ -174,7 +197,7 @@ def test_lrc_reads_no_age_behind_a_higher_class(position):
     assert reads <= position + 1
 
 
-@pytest.mark.parametrize("name", ("lrc", "mrt-plru"))
+@pytest.mark.parametrize("name", ("lrc", "mrt-plru", "mrt-lru"))
 def test_the_scan_ends_at_the_ceiling(name):
     """Two entries tie on every field at the highest priority there is: the
     second one's age would be read if the first did not end the search."""
@@ -184,6 +207,45 @@ def test_the_scan_ends_at_the_ceiling(name):
     ts.on_context_switch(1, 0)
     for _ in range(A_MAX):
         ts.on_instruction()
-    mask, shift = POLICIES[name].priority_fields
-    assert ts.policy.priority(5) == ts.policy.priority(20) == mask >> shift | A_MAX
+    # 3-bit: saturated; exact: untouched since clock 0
+    assert ts.policy.priority(5) == ts.policy.priority(20) == ceiling(ts.policy)
     assert counted_search(ts) == (5, 6)
+
+
+@pytest.mark.parametrize("position", (0, 11, 28))
+def test_mrt_lru_reads_no_age_behind_a_higher_class(position):
+    """The exact-age form of the LRC case: the T=7 entry is younger than
+    the clock, so it is the bound that prunes, not the ceiling."""
+    ts = TagStore(29, make_policy("mrt-lru", 29))
+    for slot in range(29):
+        if slot != position:
+            ts.insert(slot, 0, slot, now=0)
+    ts.on_instruction()
+    ts.insert(position, 1, position, now=0)
+    ts.on_context_switch(1, 0)          # thread 1's one entry gets T = 7
+    assert ts.policy.T.count(7) == 1
+    assert ts.policy.priority(position) < ceiling(ts.policy)
+    chosen, reads = counted_search(ts)
+    assert chosen == position
+    assert reads <= position + 1
+
+
+@pytest.mark.parametrize("name", ("lru", "mrt-lru"))
+def test_an_exact_age_ranks_past_the_3_bit_cap(name):
+    """Two entries past ``A_MAX``: the 3-bit age ties them (the lower slot
+    goes), the exact age evicts the older."""
+    ts = TagStore(8, make_policy(name, 8))
+    for slot in range(8):
+        ts.insert(slot, 0, slot, now=0)
+    for _ in range(3):
+        ts.on_instruction()
+    for slot in range(8):
+        if slot != 6:
+            ts.touch(slot, is_write=False)
+    for _ in range(A_MAX + 2):
+        ts.on_instruction()
+    assert ts.policy.age(0) == ts.policy.age(6) == A_MAX
+    assert ts.policy.priority(6) - ts.policy.priority(0) == 3
+    # slot 6 is untouched since clock 0, which ends an LRU search (nothing
+    # is older); MRT-LRU's ceiling needs T = 7 too, so it reads every age
+    assert counted_search(ts) == (6, 7 if name == "lru" else 8)
