@@ -145,10 +145,10 @@ RULES_BY_ID: Dict[str, LintRule] = {r.id: r for r in RULES}
 #: (``ledger`` records host-side provenance timestamps — like telemetry,
 #: its readings never reach simulated state or digests)
 _WALLCLOCK_ALLOWED_DIRS = ("telemetry", "ledger", "tests", "benchmarks")
-#: ``spans``/``monitor`` time the *host-side fleet* (worker phases, sweep
-#: heartbeats) — like the profiler, their readings never reach simulated
+#: ``monitor`` times the *host-side fleet* (the sweep event log's stamps,
+#: worker ages) — like the profiler, its readings never reach simulated
 #: state or digests
-_WALLCLOCK_ALLOWED_STEMS = ("profiler", "conftest", "spans", "monitor")
+_WALLCLOCK_ALLOWED_STEMS = ("profiler", "conftest", "monitor")
 
 #: files allowed to print() directly (VRC006): user-facing surfaces
 #: (the CLI, experiment drivers, reporting/plot helpers) and non-library

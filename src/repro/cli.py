@@ -13,8 +13,8 @@ Commands
 ``sweep --axis FIELD=V1,V2,... [--dir D] [--live] [--metrics] ...``
     Run a parameter grid with per-config error isolation, watchdogs,
     retries, and a crash-safe checkpoint journal.  ``--dir`` roots the
-    sweep's observability surface (event log, heartbeats, merged
-    parent+workers Chrome trace, manifest, fleet metrics); ``--live``
+    sweep's observability surface (event log, the merged parent+workers
+    Chrome trace folded from it, manifest, fleet metrics); ``--live``
     renders a refreshing progress panel while it runs.  ``--ledger``
     appends every finished run to the persistent run ledger; ``--cache``
     additionally serves digest-keyed hits from it (byte-identical to
@@ -264,6 +264,21 @@ def _close_cache(cache) -> None:
         cache.close()
 
 
+def _live_panel(root: str, log_size: int, refresh: float) -> None:
+    """``sweep --live``: the panel of the sweep starting in ``root``.
+
+    A reused directory's log already ends with an earlier sweep, finished;
+    the panel waits until the log grows past ``log_size`` (its size before
+    this sweep) so that it follows this sweep, not that one.
+    """
+    import os
+    import time
+    log = os.path.join(root, EVENTS_NAME)
+    while not os.path.exists(log) or os.path.getsize(log) <= log_size:
+        time.sleep(0.05)
+    monitor_loop(root, refresh=refresh, follow=True)
+
+
 def _cmd_sweep(args) -> int:
     import os
     from .system import run_grid, sweep_grid
@@ -314,9 +329,11 @@ def _cmd_sweep(args) -> int:
     live_thread = None
     if args.live:
         import threading
+        log = os.path.join(args.dir, EVENTS_NAME)
         live_thread = threading.Thread(
-            target=monitor_loop, args=(args.dir,),
-            kwargs={"refresh": args.refresh, "follow": True}, daemon=True)
+            target=_live_panel, daemon=True, args=(
+                args.dir, os.path.getsize(log) if os.path.exists(log) else 0,
+                args.refresh))
         live_thread.start()
     rows = run_grid(grid, progress=progress if args.verbose else None,
                     retries=args.retries, timeout_s=args.timeout_s,
@@ -332,7 +349,7 @@ def _cmd_sweep(args) -> int:
         if manifest is not None and manifest.configs:
             manifest.save(os.path.join(args.dir, MANIFEST_NAME))
         print(f"sweep directory: {args.dir} (checkpoint, manifest, "
-              f"metrics, trace, events, heartbeats)")
+              f"metrics, trace, events)")
     if args.csv:
         with open(args.csv, "w") as f:
             f.write(rows_to_csv(rows))
@@ -816,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", metavar="PATH", help="write result rows as CSV")
     p.add_argument("--dir", metavar="DIR",
                    help="sweep directory: checkpoint journal, live event "
-                        "log, worker heartbeats, merged Chrome trace, "
+                        "log, the merged Chrome trace folded from it, "
                         "manifest.json, and metrics.json all land here")
     p.add_argument("--live", action="store_true",
                    help="render a refreshing progress panel while the "

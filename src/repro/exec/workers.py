@@ -24,23 +24,21 @@ encoded here:
 
 **One task shape, one result shape.**  ``grid_worker`` is the only worker:
 its task is always ``(index, cfg, check, retries, timeout_s, max_cycles,
-key, obs)`` and its result always ``(result, failure, exc, spans)``.
-``obs`` is ``None`` or the spec built by :func:`repro.exec.spans.task_spec`;
-with a spec the worker records per-phase spans (queue-wait, setup,
-simulate, serialize), touches a heartbeat file the live monitor ages, and
-appends row events to the sweep's JSONL event log.  Without one, ``spans``
-is empty and nothing is written.
+key, obs)`` and its result always ``_run_isolated``'s ``(result, failure,
+exc)``.  ``obs`` is ``None`` or the sweep's spec
+(:attr:`repro.system.monitor.SweepObservability.spec`: ``t0`` and
+``events_path``); with a spec the worker appends ``row_start`` at pickup
+and ``row_ok`` / ``row_fail`` at the end to the sweep's event log, the
+one record of its host time.  Without one, nothing is written.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import pickle
 from typing import Optional
 
 from ..errors import SimulationError
-from .spans import SpanRecorder, now_s
+from ..system.monitor import append_event, now_s
 
 __all__ = ["grid_worker", "strip_result"]
 
@@ -84,96 +82,46 @@ def _portable_exc(exc: Optional[BaseException]) -> Optional[BaseException]:
             return SimulationError(f"{type(exc).__name__}: {exc}")
 
 
-# -- observability side-channels (best-effort, never fail the run) ----------
-def _heartbeat(obs) -> None:
-    """Touch this worker's heartbeat file (monitor reads the mtime age)."""
-    hb_dir = obs.get("heartbeat_dir")
-    if not hb_dir:
-        return
-    try:
-        with open(os.path.join(hb_dir, f"{os.getpid()}.hb"), "w") as f:
-            f.write(str(os.getpid()))
-    except OSError:
-        pass
-
-
-def _append_event(obs, ev: str, index: int, **fields) -> None:
-    """Append one event row to the sweep's JSONL log.
-
-    Single ``O_APPEND`` write of one line — atomic for lines under
-    ``PIPE_BUF``, so concurrent workers never interleave mid-row.
-    """
-    path = obs.get("events_path")
-    if not path:
-        return
-    row = {"ev": ev, "index": index, "pid": os.getpid(),
-           "t": round(now_s() - obs["t0"], 6)}
-    row.update(fields)
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            os.write(fd, (json.dumps(row, sort_keys=True) + "\n").encode())
-        finally:
-            os.close(fd)
-    except OSError:
-        pass
-
-
-def _measure_serialize(rec: Optional[SpanRecorder], result) -> None:
-    """Time one pickle of the stripped result as the ``serialize`` span.
-
-    The pool pickles the return value again on the way out; this measured
-    copy is a faithful stand-in for that cost (same object, same protocol).
-    """
-    if rec is None or result is None:
-        return
-    try:
-        pickle.dumps(result)
-    except Exception:  # measurement probe only  # noqa: VRC007
-        pass
-    rec.phase("serialize")
-
-
 def grid_worker(task, ship: bool = True):
     """Run one config through the resilient isolated runner.
 
     ``task`` is :func:`repro.system.sweeps._run_isolated`'s signature plus
     the obs spec: ``(index, cfg, check, retries, timeout_s, max_cycles,
-    key, obs)``; returns ``(result, failure, exc, spans)``.  The SIGALRM
+    key, obs)``; returns ``(result, failure, exc)``.  The SIGALRM
     wall-clock watchdog works in a pool too — pool tasks execute on the
     worker process's main thread.
 
     ``ship`` (the default, and what any ``backend.map`` call gets) makes
-    the outcome safe to cross a process boundary: the result is stripped,
-    its pickling timed as the ``serialize`` span, and the exception probed
-    for portability.  :func:`repro.system.sweeps.run_outcomes` passes
-    ``ship=False`` when it runs the task in its own process, so serial
-    results keep their live telemetry/sanitizer handles.
+    the outcome safe to cross a process boundary: the result is stripped
+    and the exception probed for portability.  An observed task also
+    pickles the stripped result once — the pool pickles it again on the
+    way out, so this copy is a faithful stand-in for that cost — and its
+    end row carries the whole shipping time as ``serialize_s``.
+    :func:`repro.system.sweeps.run_outcomes` passes ``ship=False`` when it
+    runs the task in its own process, so serial results keep their live
+    telemetry/sanitizer handles.
     """
     index, cfg, check, retries, timeout_s, max_cycles, key, obs = task
     from ..system.sweeps import _run_isolated
-    rec = None
     if obs is not None:
-        rec = SpanRecorder(obs, index) if obs.get("spans") else None
-        _heartbeat(obs)
-        _append_event(obs, "row_start", index, key=key)
-        if rec is not None:
-            rec.phase("setup")
+        append_event(obs, "row_start", index=index, key=key)
     result, failure, exc = _run_isolated(index, cfg, check, retries,
                                          timeout_s, max_cycles, key)
-    if rec is not None:
-        rec.phase("simulate")
+    fields = {"index": index, "key": key}
     if ship:
+        shipped = now_s()
         result = strip_result(result)
-        _measure_serialize(rec, result)
         exc = _portable_exc(exc)
+        if obs is not None:
+            try:
+                pickle.dumps(result)
+            except Exception:  # measurement probe only  # noqa: VRC007
+                pass
+            fields["serialize_s"] = round(now_s() - shipped, 6)
     if obs is not None:
-        _heartbeat(obs)
         if failure is None:
-            _append_event(obs, "row_ok", index, key=key,
-                          cycles=result.cycles)
+            append_event(obs, "row_ok", cycles=result.cycles, **fields)
         else:
-            _append_event(obs, "row_fail", index, key=key,
-                          error=failure.error_type,
-                          attempts=failure.attempts)
-    return result, failure, exc, rec.records if rec else []
+            append_event(obs, "row_fail", error=failure.error_type,
+                         attempts=failure.attempts, **fields)
+    return result, failure, exc

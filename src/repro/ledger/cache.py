@@ -36,7 +36,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..exec.backends import ExecBackend, SerialBackend
-from ..exec.workers import _append_event, grid_worker
+from ..exec.workers import grid_worker
+from ..system.monitor import append_event
 from .store import LedgerReader, Recorder
 
 __all__ = ["CachedBackend"]
@@ -102,10 +103,10 @@ class CachedBackend(ExecBackend):
                 misses.append(pos)
                 continue
             if obs is not None:
-                _append_event(obs, "row_start", index, cached=True)
-                _append_event(obs, "row_ok", index, cached=True,
-                              cycles=cached.cycles)
-            results[pos] = (cached, None, None, [])
+                append_event(obs, "row_start", index=index, cached=True)
+                append_event(obs, "row_ok", index=index, cached=True,
+                             cycles=cached.cycles)
+            results[pos] = (cached, None, None)
         if misses:
             fresh = self.inner.map(fn, [items[p] for p in misses])
             for pos, out in zip(misses, fresh):

@@ -13,8 +13,8 @@ Sections rendered (each skipped gracefully when its artifact is absent):
 * sweep summary (rows ok/failed/resumed, rate, wall-clock);
 * per-row IPC / cycles / RF-hit-rate tables with sparkline history
   across the grid;
-* per-stage host wall-clock breakdown (from the fleet
-  ``sweep_stage_seconds`` counter);
+* per-stage host wall-clock breakdown (the ``phases_s`` of the
+  manifest's ``host_profiles``, summed per stage);
 * VRMU hit-rate / cycle tables per core (from the per-run metrics
   snapshots merged into the fleet registry);
 * cycle attribution (from a ``profile.json`` snapshot written by
@@ -177,6 +177,7 @@ def build_report(sweep_dir: str, ledger: Optional[str] = None) -> Dict:
             "hotspots": profile.get("hotspots", [])[:10],
         }
 
+    stage_s: Dict[str, float] = {}   # host seconds by simulator stage
     if manifest:
         configs = manifest.get("configs", [])
         summaries = manifest.get("results_summary", [])
@@ -192,14 +193,14 @@ def build_report(sweep_dir: str, ledger: Optional[str] = None) -> Dict:
                    "instr_per_s": (prof or {}).get("instr_per_s"),
                    "total_s": (prof or {}).get("total_s")}
             report["rows"].append(row)
-
-    stage_series = _metric_series(metrics, "sweep_stage_seconds")
-    total_stage = sum(float(v) for v in stage_series.values()) or None
-    for key in sorted(stage_series):
-        secs = float(stage_series[key])
+        for prof in profiles:
+            for name, secs in ((prof or {}).get("phases_s") or {}).items():
+                stage_s[name] = stage_s.get(name, 0.0) + float(secs)
+    total_stage = sum(stage_s.values()) or None
+    for name in sorted(stage_s):
+        secs = stage_s[name]
         report["stages"].append({
-            "stage": _label_value(key, "stage") or key,
-            "seconds": round(secs, 4),
+            "stage": name, "seconds": round(secs, 4),
             "share": round(secs / total_stage, 4) if total_stage else None})
 
     hits = _metric_series(metrics, "sim_vrmu_hits")

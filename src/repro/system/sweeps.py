@@ -50,6 +50,7 @@ from ..errors import (RunFailure, SimulationError, TRANSIENT_ERRORS,
 from . import simulator
 from .config import RunConfig
 from .manifest import config_key
+from .monitor import SweepObservability, append_event
 from .simulator import RunResult
 
 
@@ -228,8 +229,9 @@ def run_outcomes(todo, check: bool, backend, retries: int = 0,
     chunk.
 
     ``obs`` is a :class:`~repro.system.monitor.SweepObservability` or None:
-    each task is stamped with its dispatch instant and obs spec, and the
-    span records it returns are merged into the sweep trace.
+    each task's dispatch instant is stamped on the sweep trace and the
+    task carries the obs spec, with which the worker writes its own rows
+    to the event log.
 
     The call owns one :class:`~repro.workloads.BuildMemo` over the
     ``todo`` list: a workload build that several tasks need runs once and
@@ -246,7 +248,7 @@ def run_outcomes(todo, check: bool, backend, retries: int = 0,
         spec = None
         if obs is not None:
             obs.trace.dispatch(index)
-            spec = obs.task_obs()
+            spec = obs.spec
         return (index, cfg, check, retries, timeout_s, max_cycles, key, spec)
 
     def run_serial(item):
@@ -267,14 +269,11 @@ def run_outcomes(todo, check: bool, backend, retries: int = 0,
                 attempts=outcome.attempt, key=key)
             if obs is not None:
                 # the worker died before it could report this row itself
-                obs.append_event("row_fail", index=index, key=key,
-                                 error=failure.error_type)
+                append_event(obs.spec, "row_fail", index=index, key=key,
+                             error=failure.error_type)
             yield None, failure, err
             continue
-        result, failure, exc, spans = outcome
-        if obs is not None:
-            obs.trace.merge_spans(spans)
-        yield result, failure, exc
+        yield outcome
 
 
 # -- checkpoint journal ------------------------------------------------------
@@ -361,15 +360,17 @@ def run_grid(configs: Iterable[RunConfig], check: bool = True,
     Observability (all opt-in, see :mod:`repro.system.monitor`):
     ``observe`` is a sweep directory (or prepared
     :class:`~repro.system.monitor.SweepObservability`) that receives the
-    live JSONL event log, worker heartbeat files, and the merged
-    parent+workers Chrome trace.  ``manifest`` is a
-    :class:`~repro.system.manifest.RunManifest` populated with every
-    freshly simulated result in config order — serial and ``jobs=N``
-    sweeps of the same grid produce identical manifests.  ``metrics`` is a
+    live JSONL event log — the one record of the sweep's host time — and
+    the merged parent+workers Chrome trace folded from it at sweep end.
+    ``manifest`` is a :class:`~repro.system.manifest.RunManifest`
+    populated with every freshly simulated result in config order —
+    serial and ``jobs=N`` sweeps of the same grid produce identical
+    manifests.  ``metrics`` is a
     fleet :class:`~repro.telemetry.MetricsRegistry` accumulating rows by
-    status, per-stage host wall-clock, and every worker-shipped per-run
-    metrics snapshot (created automatically when ``observe`` is set);
-    it is exposed as ``rows.metrics``.
+    status and every worker-shipped per-run metrics snapshot (created
+    automatically when ``observe`` is set); it is exposed as
+    ``rows.metrics``.  Per-stage host wall-clock is not counted here: the
+    report sums the manifest's ``host_profiles``.
 
     ``ledger`` (a path or an open :class:`~repro.ledger.Recorder`) appends
     every freshly simulated successful row to the run ledger
@@ -392,7 +393,6 @@ def run_grid(configs: Iterable[RunConfig], check: bool = True,
     journal = _Journal(checkpoint) if checkpoint else None
     obs = None
     if observe is not None:
-        from .monitor import SweepObservability
         obs = SweepObservability.ensure(observe)
     if metrics is None and obs is not None:
         from ..telemetry import MetricsRegistry
@@ -432,23 +432,14 @@ def run_grid(configs: Iterable[RunConfig], check: bool = True,
             return
         metrics.counter("sweep_rows_total",
                         "grid rows by final status").inc(status=status)
-        if result is None:
-            return
-        host = getattr(result, "host_profile", None)
-        if host:
-            stage = metrics.counter(
-                "sweep_stage_seconds",
-                "host wall-clock by simulator stage (seconds)")
-            for name, secs in (host.get("phases_s") or {}).items():
-                stage.inc(float(secs), stage=name)
         snap = getattr(result, "metrics", None)
         if snap is not None:
             # the live session of a serial run, or a worker's snapshot
             metrics.merge(getattr(snap, "registry", snap))
 
     if obs is not None:
-        obs.append_event("sweep_start", total=len(configs),
-                         jobs=backend.jobs)
+        append_event(obs.spec, "sweep_start", total=len(configs),
+                     jobs=backend.jobs)
     outcomes = run_outcomes(todo, check, backend, retries, timeout_s,
                             max_cycles, obs)
     try:
@@ -459,7 +450,7 @@ def run_grid(configs: Iterable[RunConfig], check: bool = True,
                 rows.resumed += 1
                 _fold_fleet(status="resumed")
                 if obs is not None:
-                    obs.append_event("row_resumed", index=i, key=key)
+                    append_event(obs.spec, "row_resumed", index=i, key=key)
                 if progress is not None:
                     progress(i + 1, len(configs), None)
                 continue
@@ -496,9 +487,8 @@ def run_grid(configs: Iterable[RunConfig], check: bool = True,
         if owns_recorder and recorder is not None:
             recorder.close()
         if obs is not None:
-            obs.append_event("sweep_end", ok=len(rows) - rows.resumed,
-                             failed=len(rows.failures),
-                             resumed=rows.resumed)
+            append_event(obs.spec, "sweep_end", ok=len(rows) - rows.resumed,
+                         failed=len(rows.failures), resumed=rows.resumed)
             obs.write_trace(metadata={"rows": len(rows),
                                       "failures": len(rows.failures)})
             if metrics is not None:

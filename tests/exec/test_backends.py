@@ -153,10 +153,9 @@ def task_of(index, cfg, check=True):
 
 
 def test_grid_worker_tags_outcomes():
-    result, failure, exc, spans = grid_worker(task_of(0, MIXED_GRID[0]))
+    result, failure, exc = grid_worker(task_of(0, MIXED_GRID[0]))
     assert result.cycles > 0 and failure is None and exc is None
-    assert spans == []
-    result, failure, exc, spans = grid_worker(
+    result, failure, exc = grid_worker(
         task_of(5, MIXED_GRID[0].with_(max_cycles=2)))
     assert result is None
     assert isinstance(failure, RunFailure) and failure.index == 5

@@ -69,6 +69,35 @@ def test_partial_warm_mixes_hits_and_misses(ledger):
     assert digest_of(warm) == digest_of(sweep(MIXED_GRID))
 
 
+def test_cached_rows_are_not_a_worker(ledger, tmp_path):
+    """An observed sweep served partly from the ledger: the parent appends
+    the hits' ``row_start`` / ``row_ok`` with its own pid, and they make
+    no worker track in ``trace.json`` and no worker in the panel."""
+    import json
+    import os
+
+    from repro.system.monitor import read_state
+    root = tmp_path / "swp"
+    with time_limit(300):
+        sweep(MIXED_GRID[:2], ledger=ledger)
+        backend = make_cached(ledger, jobs=2)
+        try:
+            rows = run_grid(MIXED_GRID, backend=backend, observe=str(root))
+        finally:
+            backend.close()
+    assert len(rows) == len(MIXED_GRID) and not rows.failures
+    assert backend.counts == {"hit": 2, "miss": 2, "stale": 0}
+    parent = os.getpid()
+    log = [json.loads(line) for line in
+           (root / "sweep_events.jsonl").read_text().splitlines()]
+    assert [r["index"] for r in log
+            if r.get("cached") and r["pid"] == parent] == [0, 0, 1, 1]
+    events = json.loads((root / "trace.json").read_text())["traceEvents"]
+    tracks = {e["pid"] for e in events if e["ph"] in ("X", "f")}
+    assert tracks and parent not in tracks
+    assert set(read_state(str(root)).workers) == tracks
+
+
 def test_grid_and_sweep_folds_share_one_cache(ledger, tmp_path):
     """One worker, one cache key: what ``run_grid`` records through a
     CachedBackend, ``run_many(cache=...)`` replays without simulating, and

@@ -37,7 +37,7 @@ def test_strip_result_keeps_host_profile():
 
 
 def test_grid_worker_ships_profile():
-    result, failure, _exc, _spans = grid_worker(task_of(0, CFG))
+    result, failure, _exc = grid_worker(task_of(0, CFG))
     assert failure is None
     _assert_profile(result.host_profile)
 

@@ -146,6 +146,25 @@ def test_sweep_axis_with_unknown_policy_is_one_line(capsys):
     assert err.count("\n") == 1 and "unknown policy 'nope'" in err
 
 
+def test_sweep_live_follows_a_rerun_into_the_same_directory(tmp_path,
+                                                            capsys):
+    """A ``--resume`` rerun into a used directory: ``--live`` follows the
+    new sweep to its end, not the earlier one already finished in the
+    log."""
+    small = ["sweep", "--workload", "gather", "--threads", "2",
+             "--per-thread", "8", "--dir", str(tmp_path / "D")]
+    assert main([*small, "--axis", "core_type=banked"]) == 0
+    capsys.readouterr()
+    assert main([*small, "--axis", "core_type=banked,virec,fgmt",
+                 "--resume", "--live", "--refresh", "0.05"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    frames = [line for line in lines
+              if line.startswith(("sweep done", "sweep running"))]
+    assert frames[-1] == "sweep done: 3/3 rows (2 ok, 0 failed, 1 resumed)"
+    assert "last event: sweep_end" in lines
+    assert not [f for f in frames if "/1 rows" in f]
+
+
 def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["run", "--workload", "gather"])

@@ -1,8 +1,8 @@
 """The live sweep monitor: event-log folding, panel rendering, loop.
 
 ``read_state`` and ``render_panel`` are pure functions of a sweep
-directory / state, so everything here runs on synthetic event logs and
-touched heartbeat files — no sweep, no terminal, no sleeping.
+directory / state, so everything here runs on synthetic event logs with
+a set mtime — no sweep, no terminal, no sleeping.
 """
 
 import json
@@ -12,23 +12,14 @@ import time
 import pytest
 
 from repro.system.monitor import (STALE_AFTER_S, SweepObservability,
-                                  SweepState, monitor_loop, read_state,
-                                  render_panel)
+                                  SweepState, append_event, monitor_loop,
+                                  read_state, render_panel)
 
 
 def _write_events(root, rows):
     with open(os.path.join(root, "sweep_events.jsonl"), "w") as f:
         for row in rows:
             f.write(json.dumps(row) + "\n")
-
-
-def _beat(root, pid, age_s, now):
-    hb = os.path.join(root, "heartbeats")
-    os.makedirs(hb, exist_ok=True)
-    path = os.path.join(hb, f"{pid}.hb")
-    with open(path, "w"):
-        pass
-    os.utime(path, (now - age_s, now - age_s))
 
 
 # -- read_state --------------------------------------------------------------
@@ -113,13 +104,48 @@ def test_clean_log_does_not_warn(tmp_path):
 
 
 def test_heartbeat_ages(tmp_path):
+    """A worker's age is the log's age plus how far its last row lies
+    behind the latest one; cached rows and parent rows make no worker."""
     root = str(tmp_path)
+    _write_events(root, [
+        {"ev": "sweep_start", "t": 0.0, "total": 4, "pid": 1},
+        {"ev": "row_start", "t": 0.5, "index": 0, "pid": 11},
+        {"ev": "row_start", "t": 0.6, "index": 1, "pid": 12},
+        {"ev": "row_ok", "t": 1.0, "index": 1, "pid": 12},
+        {"ev": "row_start", "t": 1.1, "index": 2, "pid": 1, "cached": True},
+        {"ev": "row_ok", "t": 1.1, "index": 2, "pid": 1, "cached": True},
+        {"ev": "row_ok", "t": 119.0, "index": 0, "pid": 11},
+    ])
     now = time.time()
-    _beat(root, 11, age_s=2.0, now=now)
-    _beat(root, 12, age_s=120.0, now=now)
+    path = os.path.join(root, "sweep_events.jsonl")
+    os.utime(path, (now - 2.0, now - 2.0))
     state = read_state(root, now=now)
+    assert sorted(state.workers) == [11, 12]
     assert state.workers[11] == pytest.approx(2.0, abs=0.1)
     assert state.workers[12] == pytest.approx(120.0, abs=0.1)
+
+
+def test_state_folds_only_the_last_sweep(tmp_path):
+    """A reused directory (``--resume``) appends a second sweep to the log:
+    the panel shows that one alone, unfinished while it runs."""
+    root = str(tmp_path)
+    _write_events(root, [
+        {"ev": "sweep_start", "t": 0.0, "total": 2, "pid": 1},
+        {"ev": "row_start", "t": 0.1, "index": 0, "pid": 11},
+        {"ev": "row_ok", "t": 0.5, "index": 0, "pid": 11},
+        {"ev": "row_start", "t": 0.1, "index": 1, "pid": 11},
+        {"ev": "row_ok", "t": 0.9, "index": 1, "pid": 11},
+        {"ev": "sweep_end", "t": 1.0, "pid": 1},
+        {"ev": "sweep_start", "t": 0.0, "total": 2, "pid": 2},
+        {"ev": "row_resumed", "t": 0.01, "index": 0, "pid": 2},
+        {"ev": "row_start", "t": 0.02, "index": 1, "pid": 21},
+    ])
+    state = read_state(root)
+    assert (state.total, state.done, state.ok, state.resumed) == (2, 1, 0, 1)
+    assert not state.finished
+    assert state.running == [1]
+    assert sorted(state.workers) == [21]
+    assert "sweep running: 1/2 rows" in render_panel(state)
 
 
 # -- render_panel ------------------------------------------------------------
@@ -165,15 +191,16 @@ def test_monitor_loop_single_snapshot(tmp_path):
 def test_observability_surface(tmp_path):
     root = str(tmp_path / "swp")
     obs = SweepObservability(root)
-    assert os.path.isdir(obs.heartbeat_dir)
-    obs.append_event("sweep_start", total=3)
-    obs.append_event("sweep_end", ok=3, failed=0)
+    assert os.listdir(root) == []  # nothing but the log, once written
+    append_event(obs.spec, "sweep_start", total=3)
+    append_event(obs.spec, "sweep_end", ok=3, failed=0)
     state = read_state(root)
     assert state.total == 3 and state.finished
-    spec = obs.task_obs()
-    assert spec["events_path"] == obs.events_path
-    assert spec["heartbeat_dir"] == obs.heartbeat_dir
-    assert spec["t_submit"] >= spec["t0"]
+    assert os.listdir(root) == ["sweep_events.jsonl"]
+    # the spec every task carries: the clock origin and the log path
+    assert obs.spec == {"t0": obs.trace.t0,
+                        "events_path": os.path.join(root,
+                                                    "sweep_events.jsonl")}
     # ensure() passes instances through and coerces paths
     assert SweepObservability.ensure(obs) is obs
     assert SweepObservability.ensure(str(tmp_path / "other")).root.endswith(

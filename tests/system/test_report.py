@@ -99,10 +99,6 @@ def _make_sweep_dir(tmp_path):
     }
     (root / "manifest.json").write_text(json.dumps(manifest))
     metrics = {"metrics": {
-        "sweep_stage_seconds": {
-            "kind": "counter", "help": "",
-            "series": {'stage="build"': 0.02, 'stage="simulate"': 0.05,
-                       'stage="check"': 0.02}},
         "sim_vrmu_hits": {"kind": "counter", "help": "",
                           "series": {'core="0"': 900.0}},
         "sim_vrmu_misses": {"kind": "counter", "help": "",
@@ -128,6 +124,9 @@ def test_build_report_sections(tmp_path):
         "gather/virec/t4/cf0.6", "gather/virec/t4/cf0.8"]
     stages = {s["stage"]: s for s in report["stages"]}
     assert set(stages) == {"build", "simulate", "check"}
+    # summed over the manifest's host_profiles
+    assert [stages[k]["seconds"] for k in ("build", "simulate", "check")] \
+        == [0.02, 0.05, 0.02]
     assert stages["simulate"]["share"] == pytest.approx(0.05 / 0.09, abs=1e-3)
     assert report["vrmu"] == [{"core": "0", "hits": 900, "misses": 100,
                                "hit_rate": 0.9, "cycles": 1000}]
